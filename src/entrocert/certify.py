@@ -21,48 +21,55 @@ and the claim holds on the trial iff margin >= -tol.  Operator-order claims
 use min_eigenvalue / max(1, spectral radius) of the difference.  Concavity
 claims are convexity claims of the negated functional.
 
-Every trial draws randomness from an independent stream keyed by
-(seed, stream name, trial index), so outcomes do not depend on execution
-order or on the worker count (ENTROPIC_THREADS; 0 or unset = serial).
-Growing the sample budget re-runs the same leading trials, so a FAIL can
-never flip back to PASS.
+Each property is defined once, as a :class:`_Property` record: the fields of
+its counterexample payload and a ``margin(f, payloads)`` that measures a
+whole stack of trials.  Sampling, escalation and reverify_counterexample all
+go through that one margin; re-verification is a batch of one.
+
+Every trial draws its randomness from an independent stream keyed by
+(seed, stream name, trial index), one trial at a time.  The linear algebra
+then runs on stacks of trials (in chunks under a fixed memory ceiling), so
+outcomes do not depend on how trials are batched.  Growing the sample budget
+re-runs the same leading trials, so a FAIL can never flip back to PASS.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import os
-from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Optional
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .frechet import (
     NotInvertibleError,
+    Superoperator,
+    _frechet_pair,
+    _pairing,
     _second_diff_terms,
-    frechet_diff,
     frechet_inverse,
-    frechet_superoperator,
     unvec,
     vec,
 )
 from .functions import DegenerateFunctionError, ScalarFunction, gap_function
 from .hermitian import (
+    gaussian_draw,
     hermitize,
     matrix_from_json,
     matrix_to_json,
-    random_hermitian,
+    pd_draw,
+    pd_from_draw,
     random_pd,
     trace_of_function,
 )
 from .jets import DomainError
 from .quantum import (
-    apply_channel,
+    KrausChannel,
+    apply_kraus,
     channel_from_json,
     channel_to_json,
-    entropy_gain,
     partial_trace_1,
     partial_trace_channel,
     random_channel,
@@ -98,6 +105,16 @@ _GAP_ZERO_CEILING = 1e-3
 # Minimum eigenvalue demanded of states fed to functions without a zero
 # extension (and of channel outputs for such functions).
 _RANK_FLOOR = 1e-8
+
+# Stretch factors tried when escalating the worst sampled pair.
+_STRETCHES = (2.0, 4.0, 8.0, 16.0)
+
+# Random direction pairs per equivalence trial.
+_EQUIVALENCE_DIRECTIONS = 16
+
+# Estimated working memory of one stacked chunk of trials.  Chunks stay
+# under it, so batching does not raise the peak memory of a run.
+_CHUNK_BYTES = 1 << 20
 
 _MASK64 = (1 << 64) - 1
 
@@ -200,144 +217,497 @@ class PipelineResult:
     outcome: TestOutcome
 
 
+def _join(a: str, b: str) -> str:
+    return f"{a}; {b}" if a else b
+
+
 # --------------------------------------------------------------------------
-# deterministic trial streams and the generic sampling driver
+# deterministic trial streams
+
+@functools.lru_cache(maxsize=None)
+def _stream_token(stream: str) -> int:
+    return int.from_bytes(hashlib.blake2b(stream.encode("utf-8"), digest_size=8).digest(), "big")
+
 
 def _trial_rng(seed: int, stream: str, index: int) -> np.random.Generator:
-    token = int.from_bytes(
-        hashlib.blake2b(stream.encode("utf-8"), digest_size=8).digest(), "big"
+    return np.random.default_rng(
+        np.random.SeedSequence([seed & _MASK64, _stream_token(stream), index])
     )
-    return np.random.default_rng(np.random.SeedSequence([seed & _MASK64, token, index]))
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("ENTROPIC_THREADS", "").strip()
-    if not raw:
-        return 0
-    try:
-        return max(int(raw), 0)
-    except ValueError:
-        return 0
+class _PdDraw(NamedTuple):
+    """Draws of one or more random PD matrices, built later as a stack."""
+
+    lam: np.ndarray
+    z: np.ndarray
+
+
+def _pd(dim: int, eig_range: tuple[float, float], rng: np.random.Generator) -> _PdDraw:
+    return _PdDraw(*pd_draw(dim, eig_range, rng))
+
+
+def _pds(k: int, dim: int, eig_range: tuple[float, float], rng: np.random.Generator) -> _PdDraw:
+    draws = [pd_draw(dim, eig_range, rng) for _ in range(k)]
+    return _PdDraw(np.stack([d[0] for d in draws]), np.stack([d[1] for d in draws]))
+
+
+def _hermitians(k: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    return hermitize(np.stack([gaussian_draw(dim, rng) for _ in range(k)]))
+
+
+def _random_diag_pd(n: int, eig_range: tuple[float, float], rng: np.random.Generator) -> np.ndarray:
+    lo, hi = eig_range
+    vals = np.exp(rng.uniform(np.log(lo), np.log(hi), size=n))
+    return np.diag(vals).astype(complex)
+
+
+@functools.lru_cache(maxsize=None)
+def _partial_trace_kraus(d1: int, d2: int) -> np.ndarray:
+    return np.stack(partial_trace_channel(d1, d2).kraus)
+
+
+# --------------------------------------------------------------------------
+# one record per property: payload fields and the margin of a stack of trials
+
+# Field codecs: how a payload field is written to and read from JSON.  A
+# decoded field carries a leading batch axis of length one.
+_MAT, _MATS, _DIRS, _INT, _FLOAT, _CHANNEL = "mat", "mats", "dirs", "int", "float", "channel"
+
+_ENCODE = {
+    _MAT: matrix_to_json,
+    _MATS: lambda ms: [matrix_to_json(m) for m in ms],
+    _DIRS: matrix_to_json,  # the chosen direction of a stack of candidates
+    _INT: int,
+    _FLOAT: float,
+    _CHANNEL: lambda k: channel_to_json(
+        KrausChannel(in_dim=k.shape[-1], out_dim=k.shape[-2], kraus=tuple(k))
+    ),
+}
+
+_DECODE = {
+    _MAT: matrix_from_json,
+    _MATS: lambda objs: np.stack([matrix_from_json(o) for o in objs]),
+    _DIRS: lambda obj: matrix_from_json(obj)[None],
+    _INT: lambda v: np.asarray(int(v)),
+    _FLOAT: lambda v: np.asarray(float(v)),
+    _CHANNEL: lambda obj: np.stack(channel_from_json(obj).kraus),
+}
 
 
 @dataclass(frozen=True)
-class _TrialResult:
-    margin: Optional[float]  # normalized; None = trial skipped
-    scale: float
-    witness: Optional[dict]
-    ctx: object
-    dim: int
-    note: str = ""
-    aux: Optional[tuple] = None  # extra per-trial margins for the detail line
+class _Property:
+    """How one kind of trial is measured, and how its witness reads and writes.
+
+    ``margin(f, P)`` takes a dict of stacked payload fields (leading axis =
+    trials) and returns ``(margins, scales)``, or ``(margins, scales,
+    extras)`` where ``extras`` holds per-trial values that the witness
+    records next to the payload.
+    """
+
+    kind: str
+    fields: tuple[tuple[str, str], ...]
+    margin: Callable
+    extras: tuple[str, ...] = ()
+    defaults: dict = field(default_factory=dict)  # for fields older payloads lack
+    label: str = ""  # names the margin in a detail line when a trial has several
+    superops: int = 0  # n^2 x n^2 matrices a trial holds at once, for chunk sizes
+
+    def witness(self, payload: dict, margin: float) -> dict:
+        obj = {"kind": self.kind}
+        for name, codec in self.fields:
+            obj[name] = _ENCODE[codec](payload[name])
+        for name in self.extras:
+            obj[name] = float(payload[name])
+        obj["margin"] = float(margin)
+        return obj
+
+    def decode(self, obj: dict) -> dict:
+        return {
+            name: _DECODE[codec](obj[name] if name in obj else self.defaults[name])[None]
+            for name, codec in self.fields
+        }
+
+    def dim(self, payload: dict) -> int:
+        """Matrix dimension of a trial (that of its first matrix field)."""
+        for name, codec in self.fields:
+            if codec in (_MAT, _MATS):
+                return int(np.shape(payload[name])[-1])
+        return 1
 
 
-def _skip(dim: int, note: str) -> _TrialResult:
-    return _TrialResult(None, 0.0, None, None, dim, note=note)
-
-
-def _convexity_margin(phi_x: float, phi_y: float, phi_mid: float) -> tuple[float, float]:
-    scale = max(1.0, abs(phi_x) + abs(phi_y))
+def _convexity(phi_x, phi_y, phi_mid):
+    scale = np.maximum(1.0, np.abs(phi_x) + np.abs(phi_y))
     return ((phi_x + phi_y) / 2.0 - phi_mid) / scale, scale
 
 
-def _pd_floor(m: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(m)[0])
+def _with_midpoint(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Stack (x, y, hermitize((x+y)/2)) along a new leading axis."""
+    return np.stack([x, y, hermitize((x + y) / 2.0)])
 
 
-def _drive(
-    name: str,
-    f: ScalarFunction,
-    cfg: TestConfig,
-    plans: list[tuple[str, int, Callable]],
-    *,
-    escalate: Optional[Callable] = None,
-    recorder: Optional[list] = None,
-    precheck: bool = True,
-) -> TestOutcome:
-    """Run sampled trials, aggregate margins, escalate expected failures."""
-    if precheck:
-        bad = _scalar_convexity_failure(name, f, cfg)
-        if bad is not None:
-            return bad
+def _principle1_margin(f, P):
+    # Concavity of -Tr f equals midpoint convexity of Tr f.
+    return _convexity(*trace_of_function(f, _with_midpoint(P["x"], P["y"])))
 
-    jobs = []
-    for stream, count, make in plans:
-        for idx in range(count):
-            jobs.append((stream, idx, make))
 
-    def run(job):
-        stream, idx, make = job
-        rng = _trial_rng(cfg.seed, stream, idx)
+def _entropic_margin(f, P):
+    d1, d2 = int(P["dim1"][0]), int(P["dim2"][0])
+    mats = _with_midpoint(P["x"], P["y"])
+    phi = trace_of_function(f, mats) - trace_of_function(f, partial_trace_1(mats, d1, d2))
+    return _convexity(*phi)
+
+
+def _g_values(f, mats):
+    """G(rho_1..rho_k) = sum_i Tr f(rho_i) - Tr f(sum_i rho_i); the k matrices along axis -3."""
+    k = mats.shape[-3]
+    tr = trace_of_function(f, np.concatenate([mats, np.sum(mats, axis=-3, keepdims=True)], axis=-3))
+    return np.sum(tr[..., :k], axis=-1) - tr[..., k]
+
+
+def _subentropic_midpoint_margin(f, P):
+    xs, ys = P["xs"], P["ys"]
+    return _convexity(*_g_values(f, np.stack([xs, ys, (xs + ys) / 2.0])))
+
+
+def _subentropic_hessian_margin(f, P):
+    single, joint = _second_diff_terms(f, P["rhos"], P["hs"])
+    scale = np.maximum(1.0, np.sum(np.abs(single), axis=-1) + np.abs(joint))
+    return (np.sum(single, axis=-1) - joint) / scale, scale
+
+
+def _condition13_margin(f, P):
+    rho, sigma = P["rho"], P["sigma"]
+    inv = frechet_inverse(f.derivative(), np.stack([hermitize(rho + sigma), rho, sigma])).matrix
+    pm = Superoperator(rho.shape[-1], inv[0] - inv[1] - inv[2]).psd_margin()
+    return pm.normalized, pm.scale
+
+
+def _quad(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Re v* m v for each vector of v (..., j, N) against its matrix m (..., N, N)."""
+    return np.sum(v.conj() * (v @ np.swapaxes(m, -1, -2)), axis=-1).real
+
+
+def _equivalence_margin(f, P):
+    """Per-instance agreement of the condition13 verdict with the Hessian verdict.
+
+    The Hessian margin is the worst over the drawn direction pairs and the
+    most negative superoperator direction, transferred to a direction pair.
+    Both margins must clear ``band`` before a sign disagreement counts.
+    """
+    rho, sigma, h1, h2, band = P["rho"], P["sigma"], P["h1"], P["h2"], P["band"]
+    n = rho.shape[-1]
+    fwd, inv = _frechet_pair(f.derivative(), np.stack([hermitize(rho + sigma), rho, sigma]))
+    a, b, c = fwd.matrix
+    inv_r, inv_s = inv.matrix[1], inv.matrix[2]
+    d = hermitize(inv.matrix[0] - inv_r - inv_s)
+    eigs, vecs = np.linalg.eigh(d)
+    m13 = eigs[:, 0] / np.maximum(1.0, np.max(np.abs(eigs), axis=-1))
+
+    def hess(g1, g2):
+        v1, v2 = vec(g1), vec(g2)
+        q1, q2, qt = _quad(b, v1), _quad(c, v2), _quad(a, v1 + v2)
+        return (q1 + q2 - qt) / np.maximum(1.0, np.abs(q1) + np.abs(q2) + np.abs(qt))
+
+    w = unvec(vecs[:, :, 0], n)
+    cands = vec(np.stack([hermitize(w), hermitize(-1j * w)], axis=1))
+    usable = ~(np.sum(cands.conj() * cands, axis=-1).real < 1e-20) & ~(_quad(d, cands) >= 0.0)
+    t1 = hermitize(unvec(cands @ np.swapaxes(inv_r, -1, -2), n))
+    t2 = hermitize(unvec(cands @ np.swapaxes(inv_s, -1, -2), n))
+    all1, all2 = np.concatenate([h1, t1], axis=1), np.concatenate([h2, t2], axis=1)
+    hm = np.concatenate([hess(h1, h2), np.where(usable, hess(t1, t2), np.inf)], axis=1)
+    rows = np.arange(hm.shape[0])
+    best = np.argmin(hm, axis=1)
+    mh = hm[rows, best]
+
+    solid = (np.abs(m13) > band) & (np.abs(mh) > band)
+    disagree = solid & ((m13 < 0.0) != (mh < 0.0))
+    margin = np.minimum(np.abs(m13), np.abs(mh)) * np.where(disagree, -1.0, 1.0)
+    extras = {
+        "h1": all1[rows, best], "h2": all2[rows, best], "margin13": m13, "margin_hessian": mh,
+    }
+    return margin, np.maximum(np.abs(m13), np.abs(mh)), extras
+
+
+def _matrix_entropy_margin(f, P):
+    # Q(rho, h) = Tr h df'(rho) h, the quadratic form behind matrix entropies
+    x1, h1, x2, h2 = P["x1"], P["h1"], P["x2"], P["h2"]
+    hs = np.stack([h1, h2, (h1 + h2) / 2.0])
+    return _convexity(*_pairing(f.derivative(), _with_midpoint(x1, x2), hs))
+
+
+def _gain_margin(f, P):
+    # convexity of rho -> S_f(channel(rho)) - S_f(rho) = Tr f(rho) - Tr f(channel(rho))
+    mats = _with_midpoint(P["x"], P["y"])
+    outs = hermitize(apply_kraus(P["channel"], mats))
+    if f.zero_extension is None and np.min(np.linalg.eigvalsh(outs)[..., 0]) < _RANK_FLOOR:
+        # functions unbounded at 0 need full-rank channel outputs
+        raise DomainError(f"channel output too singular for {f.name}")
+    return _convexity(*(trace_of_function(f, mats) - trace_of_function(f, outs)))
+
+
+def _scalar_convexity_margin(f, P):
+    t, s = P["t"], P["s"]
+    return _convexity(f(t), f(s), f((t + s) / 2.0))
+
+
+def _gap_terms(f, P):
+    g = gap_function(f)
+    t, s = P["t"], P["s"]
+    gt, gs = g(t), g(s)
+    return g, t, s, gt, gs, np.maximum(1.0, np.abs(gt) + np.abs(gs))
+
+
+def _gap_superadditive_margin(f, P):
+    g, t, s, gt, gs, scale = _gap_terms(f, P)
+    return (g(t + s) - gt - gs) / scale, scale
+
+
+def _gap_monotone_margin(f, P):
+    _, _, _, gt, gs, scale = _gap_terms(f, P)
+    return (gs - gt) / scale, scale
+
+
+def _gap_concavity_margin(f, P):
+    g, t, s, gt, gs, scale = _gap_terms(f, P)
+    return (g((t + s) / 2.0) - (gt + gs) / 2.0) / scale, scale
+
+
+def _gap_zero_margin(f, P):
+    # g must vanish at 0+ (f'' must blow up)
+    margin = _GAP_ZERO_CEILING - gap_function(f)(P["t"])
+    return margin, np.ones_like(margin)
+
+
+def _uniqueness_fit_margin(f, P):
+    return np.array([-_gap_fit(f)["relative_residual"]]), np.ones(1)
+
+
+_PAIR = (("x", _MAT), ("y", _MAT))
+_PRINCIPLE1 = _Property("principle1", _PAIR, _principle1_margin)
+_ENTROPIC = _Property("entropic", (("dim1", _INT), ("dim2", _INT), *_PAIR), _entropic_margin)
+_SUB_MIDPOINT = _Property(
+    "subentropic-midpoint", (("xs", _MATS), ("ys", _MATS)), _subentropic_midpoint_margin,
+    label="midpoint",
+)
+_SUB_HESSIAN = _Property(
+    "subentropic-hessian", (("rhos", _MATS), ("hs", _MATS)), _subentropic_hessian_margin,
+    label="Hessian",
+)
+_CONDITION13 = _Property(
+    "condition13", (("rho", _MAT), ("sigma", _MAT)), _condition13_margin, superops=10
+)
+_EQUIVALENCE = _Property(
+    "equivalence",
+    (("rho", _MAT), ("sigma", _MAT), ("h1", _DIRS), ("h2", _DIRS), ("band", _FLOAT)),
+    _equivalence_margin,
+    extras=("margin13", "margin_hessian"),
+    defaults={"band": 0.0},
+    superops=16,
+)
+_MATRIX_ENTROPY = _Property(
+    "matrix-entropy", (("x1", _MAT), ("h1", _MAT), ("x2", _MAT), ("h2", _MAT)),
+    _matrix_entropy_margin,
+)
+_GAIN = _Property("gain", (("channel", _CHANNEL), *_PAIR), _gain_margin)
+_SCALAR_PAIR = (("t", _FLOAT), ("s", _FLOAT))
+_SCALAR_CONVEXITY = _Property("scalar-convexity", _SCALAR_PAIR, _scalar_convexity_margin)
+_GAP_SUPERADDITIVE = _Property("gap-superadditive", _SCALAR_PAIR, _gap_superadditive_margin)
+_GAP_MONOTONE = _Property("gap-monotone", _SCALAR_PAIR, _gap_monotone_margin)
+_GAP_ZERO = _Property("gap-zero", (("t", _FLOAT),), _gap_zero_margin)
+_GAP_CONCAVITY = _Property("gap-concavity", _SCALAR_PAIR, _gap_concavity_margin)
+_UNIQUENESS_FIT = _Property("uniqueness-fit", (), _uniqueness_fit_margin)
+
+_PROPERTIES: dict[str, _Property] = {
+    p.kind: p
+    for p in (
+        _PRINCIPLE1, _ENTROPIC, _SUB_MIDPOINT, _SUB_HESSIAN, _CONDITION13, _EQUIVALENCE,
+        _MATRIX_ENTROPY, _GAIN, _SCALAR_CONVEXITY, _GAP_SUPERADDITIVE, _GAP_MONOTONE,
+        _GAP_ZERO, _GAP_CONCAVITY, _UNIQUENESS_FIT,
+    )
+}
+
+
+# --------------------------------------------------------------------------
+# measuring stacks of trials
+
+# Failures that skip a trial rather than abort the suite.
+_SKIPPABLE = (DomainError, NotInvertibleError)
+
+
+class _Measured(NamedTuple):
+    margins: np.ndarray  # NaN where the trial was skipped
+    scales: np.ndarray
+    extras: list  # per trial: dict of the margin's extra values
+    notes: list  # per trial: why it was skipped, or ""
+
+
+def _margin(prop: _Property, f: ScalarFunction, P: dict) -> tuple:
+    out = prop.margin(f, P)
+    extras = out[2] if len(out) > 2 else {}
+    return np.asarray(out[0], dtype=float).reshape(-1), np.asarray(out[1], dtype=float).reshape(-1), extras
+
+
+def _measure(prop: _Property, f: ScalarFunction, P: dict, size: int) -> _Measured:
+    """prop's margin on a stack of ``size`` trials.
+
+    If the stack raises a skippable error, the trials are measured one at a
+    time through the same code, so only the offending ones are skipped.
+    """
+    try:
+        m, s, ex = _margin(prop, f, P)
+        per_trial = [{k: v[i] for k, v in ex.items()} for i in range(size)] if ex else [{}] * size
+        return _Measured(m, s, per_trial, [""] * size)
+    except _SKIPPABLE as exc:
+        if size == 1:
+            return _Measured(np.full(1, np.nan), np.zeros(1), [{}], [str(exc)])
+    margins, scales = np.full(size, np.nan), np.zeros(size)
+    extras, notes = [{}] * size, [""] * size
+    for i in range(size):
         try:
-            return make(rng, idx)
-        except DomainError as exc:
-            return _skip(0, str(exc))
-
-    workers = _thread_count()
-    if workers <= 1:
-        results = [run(j) for j in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, jobs))
-
-    margins: list[float] = []
-    skipped = 0
-    skip_note = ""
-    worst: Optional[_TrialResult] = None
-    violation: Optional[_TrialResult] = None
-    aux_min: Optional[list] = None
-    for gidx, r in enumerate(results):
-        if r.margin is None:
-            skipped += 1
-            skip_note = skip_note or r.note
+            m, s, ex = _margin(prop, f, {k: v[i : i + 1] for k, v in P.items()})
+        except _SKIPPABLE as exc:
+            notes[i] = str(exc)
             continue
-        margins.append(r.margin)
-        if recorder is not None:
-            recorder.append((name, r.dim, gidx, r.margin, r.scale))
-        if r.aux is not None:
-            if aux_min is None:
-                aux_min = list(r.aux)
-            else:
-                aux_min = [min(a, b) for a, b in zip(aux_min, r.aux)]
-        if violation is None and r.margin < -cfg.tol:
-            violation = r
-        if worst is None or r.margin < worst.margin:
-            worst = r
-
-    expected_fail = _expects_fail(f.name, name)
-    detail = ""
-    if aux_min is not None:
-        detail = "min midpoint margin %.3e; min Hessian margin %.3e" % tuple(aux_min)
-
-    if violation is None and expected_fail and escalate is not None and worst is not None:
-        extra = escalate(worst.ctx)
-        if extra is not None and extra.margin is not None and extra.margin < -cfg.tol:
-            violation = extra
-            margins.append(extra.margin)
-            if recorder is not None:
-                recorder.append((name, extra.dim, len(results), extra.margin, extra.scale))
-            detail = _join(detail, extra.note or "violation found by escalation of the worst sampled trial")
-
-    if violation is not None:
-        return TestOutcome(
-            name, f.name, FAIL, min(margins), len(margins), skipped,
-            violation.witness, detail,
-        )
-    if not margins:
-        return TestOutcome(
-            name, f.name, SKIPPED, None, 0, skipped, None,
-            skip_note or "no admissible trials",
-        )
-    if expected_fail:
-        return TestOutcome(
-            name, f.name, INCONCLUSIVE, min(margins), len(margins), skipped, None,
-            _join(detail, "expected a violation but found none within the sampling budget"),
-        )
-    return TestOutcome(name, f.name, PASS, min(margins), len(margins), skipped, None, detail)
+        margins[i], scales[i] = m[0], s[0]
+        extras[i] = {k: v[0] for k, v in ex.items()}
+    return _Measured(margins, scales, extras, notes)
 
 
-def _join(a: str, b: str) -> str:
-    return f"{a}; {b}" if a else b
+@dataclass(frozen=True)
+class _Trial:
+    """One measured trial: enough to report, record and escalate it."""
+
+    margin: float
+    scale: float
+    dim: int
+    prop: _Property
+    payload: dict
+    note: str = ""
+
+    @property
+    def witness(self) -> dict:
+        return self.prop.witness(self.payload, self.margin)
+
+
+def _single(prop: _Property, f: ScalarFunction, payload: dict) -> Optional[_Trial]:
+    """Measure one trial given as plain (unstacked) fields; None when it is skipped."""
+    res = _measure(prop, f, {k: np.asarray(v)[None] for k, v in payload.items()}, 1)
+    if np.isnan(res.margins[0]):
+        return None
+    full = {**payload, **res.extras[0]}
+    return _Trial(float(res.margins[0]), float(res.scales[0]), prop.dim(full), prop, full)
+
+
+def _stack(payloads: list[dict]) -> dict:
+    """Stack trial payloads field by field, building drawn PD matrices as one stack."""
+    out = {}
+    for name, first in payloads[0].items():
+        values = [p[name] for p in payloads]
+        if isinstance(first, _PdDraw):
+            out[name] = pd_from_draw(np.stack([v.lam for v in values]), np.stack([v.z for v in values]))
+        elif isinstance(first, np.ndarray):
+            out[name] = np.stack(values)
+        else:
+            out[name] = np.asarray(values)
+    return out
+
+
+def _shape_key(payload: dict) -> tuple:
+    """Trials with equal keys stack together."""
+    key = []
+    for name, v in payload.items():
+        if isinstance(v, _PdDraw):
+            key.append((name, "pd", v.z.shape))
+        elif isinstance(v, np.ndarray):
+            key.append((name, "array", v.shape))
+        else:
+            key.append((name, "value", v))
+    return tuple(key)
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """``count`` trials of one stream; each trial is measured by every property."""
+
+    stream: str
+    count: int
+    draw: Callable[[np.random.Generator, int], dict]
+    props: tuple[_Property, ...]
+
+
+def _trial_bytes(props: tuple[_Property, ...], payload: dict) -> int:
+    """Working memory of one trial: its arrays several times over, plus its superoperators."""
+    arrays = [v.z if isinstance(v, _PdDraw) else v for v in payload.values()
+              if isinstance(v, (np.ndarray, _PdDraw))]
+    n = max(a.shape[-1] for a in arrays)
+    return 8 * sum(a.nbytes for a in arrays) + sum(p.superops for p in props) * 16 * n**4
+
+
+def _chunks(seed: int, plan: _Plan) -> Iterator[list[dict]]:
+    """The plan's trial payloads, drawn in order, in chunks under _CHUNK_BYTES."""
+    chunk: list[dict] = []
+    size = 0
+    for idx in range(plan.count):
+        payload = plan.draw(_trial_rng(seed, plan.stream, idx), idx)
+        if not size:
+            size = max(1, _CHUNK_BYTES // _trial_bytes(plan.props, payload))
+        chunk.append(payload)
+        if len(chunk) == size:
+            yield chunk
+            chunk = []
+    if chunk:
+        yield chunk
+
+
+class _Chunk(NamedTuple):
+    margins: np.ndarray  # (B,), NaN where skipped
+    scales: np.ndarray
+    by_prop: np.ndarray  # (props, B): each property's margins
+    dims: np.ndarray
+    notes: list
+    trial: Callable[[int], _Trial]
+
+
+def _run_chunk(f: ScalarFunction, props: tuple[_Property, ...], chunk: list[dict]) -> _Chunk:
+    """Measure a chunk of trials, stacked per payload shape.
+
+    A trial's margin is the smallest of its properties' margins (the first
+    on ties); a trial that any property skips is skipped.
+    """
+    size = len(chunk)
+    margins, scales = np.full(size, np.nan), np.zeros(size)
+    by_prop = np.full((len(props), size), np.nan)
+    dims = np.zeros(size, dtype=int)
+    notes = [""] * size
+    where: list = [None] * size  # trial -> (stacked payload, position, measured, chosen prop)
+    groups: dict[tuple, list[int]] = {}
+    for i, payload in enumerate(chunk):
+        groups.setdefault(_shape_key(payload), []).append(i)
+    for members in groups.values():
+        P = _stack([chunk[i] for i in members])
+        measured = [_measure(prop, f, P, len(members)) for prop in props]
+        m = np.stack([r.margins for r in measured])
+        ok = ~np.isnan(m).any(axis=0)
+        choice = np.argmin(np.where(np.isnan(m), np.inf, m), axis=0)
+        cols = np.arange(len(members))
+        idx = np.asarray(members)
+        by_prop[:, idx] = m
+        dims[idx] = props[0].dim(P)
+        margins[idx] = np.where(ok, m[choice, cols], np.nan)
+        scales[idx] = np.stack([r.scales for r in measured])[choice, cols]
+        for j, i in enumerate(members):
+            where[i] = (P, j, measured, int(choice[j]))
+            if not ok[j]:
+                notes[i] = next(r.notes[j] for r in measured if r.notes[j])
+
+    def trial(i: int) -> _Trial:
+        P, j, measured, c = where[i]
+        payload = {k: np.array(v[j]) for k, v in P.items()}
+        payload.update(measured[c].extras[j])
+        prop = props[c]
+        return _Trial(float(margins[i]), float(scales[i]), prop.dim(payload), prop, payload)
+
+    return _Chunk(margins, scales, by_prop, dims, notes, trial)
 
 
 # --------------------------------------------------------------------------
@@ -364,109 +734,165 @@ def _expects_fail(function_name: str, outcome_name: str) -> bool:
 
 
 # --------------------------------------------------------------------------
+# sampling, aggregation and escalation
+
+def _drive(
+    name: str,
+    f: ScalarFunction,
+    cfg: TestConfig,
+    plans: list[_Plan],
+    *,
+    escalate: Optional[Callable[[_Trial], Optional[_Trial]]] = None,
+    recorder: Optional[list] = None,
+) -> TestOutcome:
+    """Run sampled trials, aggregate margins, escalate expected failures."""
+    bad = _scalar_convexity_failure(name, f, cfg)
+    if bad is not None:
+        return bad
+
+    run = skipped = 0
+    min_margin = np.inf
+    skip_note = ""
+    worst: Optional[_Trial] = None
+    violation: Optional[_Trial] = None
+    prop_min: Optional[np.ndarray] = None
+    gidx = 0
+    for plan in plans:
+        for chunk in _chunks(cfg.seed, plan):
+            res = _run_chunk(f, plan.props, chunk)
+            ok = ~np.isnan(res.margins)
+            done = np.flatnonzero(ok)
+            skipped += len(chunk) - done.size
+            if not skip_note and done.size < len(chunk):
+                skip_note = next(n for n in res.notes if n)
+            if done.size:
+                run += done.size
+                if recorder is not None:
+                    for i in done:
+                        recorder.append((name, int(res.dims[i]), gidx + int(i),
+                                         float(res.margins[i]), float(res.scales[i])))
+                low = np.min(res.by_prop[:, done], axis=1)
+                prop_min = low if prop_min is None else np.minimum(prop_min, low)
+                if violation is None:
+                    hits = done[res.margins[done] < -cfg.tol]
+                    if hits.size:
+                        violation = res.trial(int(hits[0]))
+                lowest = int(done[np.argmin(res.margins[done])])
+                if res.margins[lowest] < min_margin:
+                    min_margin = float(res.margins[lowest])
+                    worst = res.trial(lowest)
+            gidx += len(chunk)
+
+    expected_fail = _expects_fail(f.name, name)
+    detail = ""
+    if prop_min is not None and len(plans[0].props) > 1:
+        detail = "; ".join(
+            f"min {p.label} margin {v:.3e}" for p, v in zip(plans[0].props, prop_min)
+        )
+
+    if violation is None and expected_fail and escalate is not None and worst is not None:
+        extra = escalate(worst)
+        if extra is not None and extra.margin < -cfg.tol:
+            violation = extra
+            run += 1
+            min_margin = min(min_margin, extra.margin)
+            if recorder is not None:
+                recorder.append((name, extra.dim, gidx, extra.margin, extra.scale))
+            detail = _join(detail, extra.note or "violation found by escalation of the worst sampled trial")
+
+    if violation is not None:
+        return TestOutcome(name, f.name, FAIL, min_margin, run, skipped, violation.witness, detail)
+    if not run:
+        return TestOutcome(
+            name, f.name, SKIPPED, None, 0, skipped, None, skip_note or "no admissible trials",
+        )
+    if expected_fail:
+        return TestOutcome(
+            name, f.name, INCONCLUSIVE, min_margin, run, skipped, None,
+            _join(detail, "expected a violation but found none within the sampling budget"),
+        )
+    return TestOutcome(name, f.name, PASS, min_margin, run, skipped, None, detail)
+
+
+def _pd_floor(m: np.ndarray) -> float:
+    return float(np.min(np.linalg.eigvalsh(m)[..., 0]))
+
+
+def _stretch_escalation(
+    f: ScalarFunction, cfg: TestConfig, prop: _Property,
+    pairs: tuple[tuple[str, str], ...], pd_fields: tuple[str, ...],
+) -> Callable[[_Trial], Optional[_Trial]]:
+    """Stretch the worst sampled pair(s) around their midpoint and re-test."""
+
+    def escalate(worst: _Trial) -> Optional[_Trial]:
+        base = worst.payload
+        for s in _STRETCHES:
+            cand = dict(base)
+            for a, b in pairs:
+                mid, d = (base[a] + base[b]) / 2.0, (base[b] - base[a]) / 2.0
+                cand[a], cand[b] = hermitize(mid - s * d), hermitize(mid + s * d)
+            if any(_pd_floor(cand[k]) < _RANK_FLOOR for k in pd_fields):
+                continue
+            found = _single(prop, f, {k: cand[k] for k, _ in prop.fields})
+            if found is not None and found.margin < -cfg.tol:
+                return found
+        return None
+
+    return escalate
+
+
+def _pair_escalation(f: ScalarFunction, cfg: TestConfig, prop: _Property):
+    return _stretch_escalation(f, cfg, prop, (("x", "y"),), ("x", "y"))
+
+
+# --------------------------------------------------------------------------
 # scalar convexity precheck (every suite assumes convex f; verify, don't trust)
+
+def _grid_values(fn: Callable, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """fn over a grid in one call, and which points it is defined at.
+
+    When the call raises DomainError the grid is evaluated point by point,
+    so exactly the offending points are marked.
+    """
+    try:
+        return np.asarray(fn(ts), dtype=float), np.ones(ts.shape, dtype=bool)
+    except DomainError:
+        pass
+    vals, ok = np.zeros(ts.shape), np.zeros(ts.shape, dtype=bool)
+    for i, t in enumerate(ts):
+        try:
+            vals[i], ok[i] = fn(float(t)), True
+        except DomainError:
+            continue
+    return vals, ok
+
 
 def _scalar_convexity_failure(
     name: str, f: ScalarFunction, cfg: TestConfig
 ) -> Optional[TestOutcome]:
-    worst_t = None
-    worst_d2 = -1e-10
-    usable = 0
-    for t in _SCALAR_GRID:
-        try:
-            d2 = f.d2(float(t))
-        except DomainError:
-            continue
-        usable += 1
-        if d2 < worst_d2:
-            worst_t, worst_d2 = float(t), d2
-    if usable == 0:
+    d2, usable = _grid_values(f.d2, _SCALAR_GRID)
+    if not usable.any():
         return TestOutcome(
             name, f.name, SKIPPED, None, 0, len(_SCALAR_GRID), None,
             "function undefined on the scalar test grid",
         )
-    if worst_t is None:
+    concave = np.where(usable & (d2 < -1e-10), d2, np.inf)
+    w = int(np.argmin(concave))
+    if not np.isfinite(concave[w]):
         return None
-    best = None
-    for eta in (0.99, 0.75, 0.5, 0.25, 0.1, 0.02):
-        t, s = worst_t * (1.0 - eta), worst_t * (1.0 + eta)
-        try:
-            margin, scale = _convexity_margin(f(t), f(s), f((t + s) / 2.0))
-        except DomainError:
-            continue
-        if best is None or margin < best[0]:
-            best = (margin, scale, t, s)
-    if best is not None and best[0] < -cfg.tol:
-        payload = {
-            "kind": "scalar-convexity",
-            "t": best[2],
-            "s": best[3],
-            "margin": best[0],
-        }
+    worst_t, worst_d2 = float(_SCALAR_GRID[w]), float(d2[w])
+    etas = np.array([0.99, 0.75, 0.5, 0.25, 0.1, 0.02])
+    P = {"t": worst_t * (1.0 - etas), "s": worst_t * (1.0 + etas)}
+    res = _measure(_SCALAR_CONVEXITY, f, P, etas.size)
+    m = np.where(np.isnan(res.margins), np.inf, res.margins)
+    b = int(np.argmin(m))
+    if m[b] < -cfg.tol:
+        payload = _SCALAR_CONVEXITY.witness({k: v[b] for k, v in P.items()}, m[b])
         return TestOutcome(
-            name, f.name, FAIL, best[0], 1, 0, payload,
+            name, f.name, FAIL, float(m[b]), 1, 0, payload,
             f"scalar convexity fails near t={worst_t:.6g} (f''={worst_d2:.3e})",
         )
     return None  # negativity too shallow to certify scalar-side; sample anyway
-
-
-# --------------------------------------------------------------------------
-# shared measurement kernels
-
-def _g_value(f: ScalarFunction, mats: list[np.ndarray]) -> float:
-    """G(rho_1..rho_k) = sum_i Tr f(rho_i) - Tr f(sum_i rho_i)."""
-    total = mats[0].copy()
-    for m in mats[1:]:
-        total = total + m
-    return float(
-        sum(trace_of_function(f, m) for m in mats) - trace_of_function(f, total)
-    )
-
-
-def _g_midpoint_margin(
-    f: ScalarFunction, xs: list[np.ndarray], ys: list[np.ndarray]
-) -> tuple[float, float]:
-    mids = [(x + y) / 2.0 for x, y in zip(xs, ys)]
-    return _convexity_margin(_g_value(f, xs), _g_value(f, ys), _g_value(f, mids))
-
-
-def _hessian_margin(
-    f: ScalarFunction, rhos: list[np.ndarray], hs: list[np.ndarray]
-) -> tuple[float, float]:
-    single, joint = _second_diff_terms(f, list(rhos), list(hs))
-    scale = max(1.0, sum(abs(x) for x in single) + abs(joint))
-    return (sum(single) - joint) / scale, scale
-
-
-def _q_value(fp: ScalarFunction, x: np.ndarray, h: np.ndarray) -> float:
-    """Q(rho, h) = Tr h df'(rho) h, the quadratic form behind matrix entropies."""
-    return float(np.trace(h @ frechet_diff(fp, x, h)).real)
-
-
-def _random_diag_pd(n: int, eig_range: tuple[float, float], rng: np.random.Generator) -> np.ndarray:
-    lo, hi = eig_range
-    vals = np.exp(rng.uniform(np.log(lo), np.log(hi), size=n))
-    return np.diag(vals).astype(complex)
-
-
-def _amplify_pair(
-    x: np.ndarray,
-    y: np.ndarray,
-    measure: Callable[[np.ndarray, np.ndarray], Optional[_TrialResult]],
-    cfg: TestConfig,
-) -> Optional[_TrialResult]:
-    """Stretch the worst sampled pair around its midpoint and re-test."""
-    mid = (x + y) / 2.0
-    d = (y - x) / 2.0
-    for s in (2.0, 4.0, 8.0, 16.0):
-        a = hermitize(mid - s * d)
-        b = hermitize(mid + s * d)
-        if _pd_floor(a) < _RANK_FLOOR or _pd_floor(b) < _RANK_FLOOR:
-            continue
-        res = measure(a, b)
-        if res is not None and res.margin is not None and res.margin < -cfg.tol:
-            return res
-    return None
 
 
 # --------------------------------------------------------------------------
@@ -475,33 +901,14 @@ def _amplify_pair(
 def test_principle1_concavity(
     f: ScalarFunction, cfg: TestConfig, recorder: Optional[list] = None
 ) -> TestOutcome:
-    # Concavity of -Tr f equals midpoint convexity of Tr f, so the margin is
-    # the trace-convexity margin.
-    def measure(x, y):
-        phi_x = trace_of_function(f, x)
-        phi_y = trace_of_function(f, y)
-        phi_m = trace_of_function(f, hermitize((x + y) / 2.0))
-        margin, scale = _convexity_margin(phi_x, phi_y, phi_m)
-        witness = {
-            "kind": "principle1",
-            "x": matrix_to_json(x),
-            "y": matrix_to_json(y),
-            "margin": margin,
-        }
-        return _TrialResult(margin, scale, witness, (x, y), x.shape[0])
-
     plans = []
     for dim in cfg.dims:
-        def make(rng, idx, dim=dim):
-            x = random_pd(dim, cfg.eig_range, rng)
-            y = random_pd(dim, cfg.eig_range, rng)
-            return measure(x, y)
+        def draw(rng, idx, dim=dim):
+            return {"x": _pd(dim, cfg.eig_range, rng), "y": _pd(dim, cfg.eig_range, rng)}
 
-        plans.append((f"principle1/dim{dim}", cfg.samples, make))
+        plans.append(_Plan(f"principle1/dim{dim}", cfg.samples, draw, (_PRINCIPLE1,)))
 
-    def escalate(ctx):
-        return _amplify_pair(ctx[0], ctx[1], measure, cfg)
-
+    escalate = _pair_escalation(f, cfg, _PRINCIPLE1)
     return _drive("principle1", f, cfg, plans, escalate=escalate, recorder=recorder)
 
 
@@ -511,42 +918,22 @@ def test_principle1_concavity(
 def test_entropic(
     f: ScalarFunction, cfg: TestConfig, recorder: Optional[list] = None
 ) -> TestOutcome:
-    def measure(x, y, d1, d2):
-        def phi(m):
-            return trace_of_function(f, m) - trace_of_function(
-                f, partial_trace_1(m, d1, d2)
-            )
-
-        margin, scale = _convexity_margin(phi(x), phi(y), phi(hermitize((x + y) / 2.0)))
-        witness = {
-            "kind": "entropic",
-            "dim1": d1,
-            "dim2": d2,
-            "x": matrix_to_json(x),
-            "y": matrix_to_json(y),
-            "margin": margin,
-        }
-        return _TrialResult(margin, scale, witness, (x, y, d1, d2), d1 * d2)
-
     plans = []
     for d1, d2 in cfg.bipartite:
-        def make(rng, idx, d1=d1, d2=d2):
+        def draw(rng, idx, d1=d1, d2=d2):
             n = d1 * d2
             if idx % 4 == 3:
                 # classical corner: diagonal states exercise the commuting case
                 x = _random_diag_pd(n, cfg.eig_range, rng)
                 y = _random_diag_pd(n, cfg.eig_range, rng)
             else:
-                x = random_pd(n, cfg.eig_range, rng)
-                y = random_pd(n, cfg.eig_range, rng)
-            return measure(x, y, d1, d2)
+                x = _pd(n, cfg.eig_range, rng)
+                y = _pd(n, cfg.eig_range, rng)
+            return {"dim1": d1, "dim2": d2, "x": x, "y": y}
 
-        plans.append((f"entropic/{d1}x{d2}", cfg.samples, make))
+        plans.append(_Plan(f"entropic/{d1}x{d2}", cfg.samples, draw, (_ENTROPIC,)))
 
-    def escalate(ctx):
-        x, y, d1, d2 = ctx
-        return _amplify_pair(x, y, lambda a, b: measure(a, b, d1, d2), cfg)
-
+    escalate = _pair_escalation(f, cfg, _ENTROPIC)
     return _drive("entropic", f, cfg, plans, escalate=escalate, recorder=recorder)
 
 
@@ -555,7 +942,7 @@ def test_entropic(
 
 def _derived_hessian_witness(
     f: ScalarFunction, cfg: TestConfig, k: int
-) -> Optional[_TrialResult]:
+) -> Optional[_Trial]:
     """Turn a superoperator-inequality violation into a negative Hessian.
 
     If d = df'(rho+sigma)^-1 - df'(rho)^-1 - df'(sigma)^-1 has a negative
@@ -564,10 +951,11 @@ def _derived_hessian_witness(
     product weighted by df'(rho+sigma)).  Orders k > 2 are reached by padding
     with small multiples of the identity and zero directions.
     """
-    try:
-        fp = f.derivative()
-    except DegenerateFunctionError:
-        return None
+    fp = f.derivative()
+    note = (
+        "violation constructed from a negative direction of the "
+        "inverse-differential superoperator inequality"
+    )
     for dim in cfg.dims:
         stream = f"subentropic-escalation/k{k}/dim{dim}"
         for attempt in range(12):
@@ -575,12 +963,10 @@ def _derived_hessian_witness(
             rho = random_pd(dim, cfg.eig_range, rng)
             sigma = random_pd(dim, cfg.eig_range, rng)
             try:
-                inv_sum = frechet_inverse(fp, hermitize(rho + sigma))
-                inv_r = frechet_inverse(fp, rho)
-                inv_s = frechet_inverse(fp, sigma)
+                inv = frechet_inverse(fp, np.stack([hermitize(rho + sigma), rho, sigma])).matrix
             except (NotInvertibleError, DomainError):
                 return None
-            d = hermitize(inv_sum.matrix - inv_r.matrix - inv_s.matrix)
+            d = hermitize(inv[0] - inv[1] - inv[2])
             eigs, vecs = np.linalg.eigh(d)
             if float(eigs[0]) >= 0.0:
                 continue
@@ -596,27 +982,17 @@ def _derived_hessian_witness(
                     best = (cand, quad)
             if best is None:
                 continue
-            h1 = hermitize(inv_r.apply(best[0]))
-            h2 = hermitize(inv_s.apply(best[0]))
+            h1 = hermitize(unvec(inv[1] @ vec(best[0]), dim))
+            h2 = hermitize(unvec(inv[2] @ vec(best[0]), dim))
             base_scale = float(np.trace(rho + sigma).real) / (2 * dim)
+            zero = np.zeros((dim, dim), dtype=complex)
             for eps in (1e-2, 1e-3, 1e-4):
-                rhos = [rho, sigma] + [
-                    eps * base_scale * np.eye(dim, dtype=complex)
-                ] * (k - 2)
-                hs = [h1, h2] + [np.zeros((dim, dim), dtype=complex)] * (k - 2)
-                margin, scale = _hessian_margin(f, rhos, hs)
-                if margin < -cfg.tol:
-                    witness = {
-                        "kind": "subentropic-hessian",
-                        "rhos": [matrix_to_json(m) for m in rhos],
-                        "hs": [matrix_to_json(m) for m in hs],
-                        "margin": margin,
-                    }
-                    note = (
-                        "violation constructed from a negative direction of the "
-                        "inverse-differential superoperator inequality"
-                    )
-                    return _TrialResult(margin, scale, witness, None, dim, note=note)
+                pad = eps * base_scale * np.eye(dim, dtype=complex)
+                rhos = np.stack([rho, sigma] + [pad] * (k - 2))
+                hs = np.stack([h1, h2] + [zero] * (k - 2))
+                found = _single(_SUB_HESSIAN, f, {"rhos": rhos, "hs": hs})
+                if found is not None and found.margin < -cfg.tol:
+                    return replace(found, note=note)
     return None
 
 
@@ -627,60 +1003,29 @@ def test_subentropic_order_k(
         raise ValueError("subentropic order must be >= 2")
     name = f"subentropic:k={k}"
 
-    def measure_mid(xs, ys):
-        margin, scale = _g_midpoint_margin(f, xs, ys)
-        witness = {
-            "kind": "subentropic-midpoint",
-            "xs": [matrix_to_json(m) for m in xs],
-            "ys": [matrix_to_json(m) for m in ys],
-            "margin": margin,
-        }
-        return margin, scale, witness
-
     plans = []
     for dim in cfg.dims:
-        def make(rng, idx, dim=dim):
-            xs = [random_pd(dim, cfg.eig_range, rng) for _ in range(k)]
-            ys = [random_pd(dim, cfg.eig_range, rng) for _ in range(k)]
-            m_a, s_a, w_a = measure_mid(xs, ys)
-
-            rhos = [random_pd(dim, cfg.eig_range, rng) for _ in range(k)]
+        def draw(rng, idx, dim=dim):
+            xs = _pds(k, dim, cfg.eig_range, rng)
+            ys = _pds(k, dim, cfg.eig_range, rng)
+            rhos = _pds(k, dim, cfg.eig_range, rng)
             if idx % 4 == 3:
                 # scalar directions catch violations along the identity
                 coeffs = rng.standard_normal(k)
-                hs = [c * np.eye(dim, dtype=complex) for c in coeffs]
+                hs = coeffs[:, None, None] * np.eye(dim, dtype=complex)
             else:
-                hs = [random_hermitian(dim, rng) for _ in range(k)]
-            m_b, s_b = _hessian_margin(f, rhos, hs)
-            w_b = {
-                "kind": "subentropic-hessian",
-                "rhos": [matrix_to_json(m) for m in rhos],
-                "hs": [matrix_to_json(m) for m in hs],
-                "margin": m_b,
-            }
-            if m_a <= m_b:
-                return _TrialResult(m_a, s_a, w_a, ("midpoint", xs, ys), dim, aux=(m_a, m_b))
-            return _TrialResult(m_b, s_b, w_b, ("hessian", rhos, hs), dim, aux=(m_a, m_b))
+                hs = _hermitians(k, dim, rng)
+            return {"xs": xs, "ys": ys, "rhos": rhos, "hs": hs}
 
-        plans.append((f"subentropic-k{k}/dim{dim}", cfg.samples, make))
+        plans.append(_Plan(f"subentropic-k{k}/dim{dim}", cfg.samples, draw, (_SUB_MIDPOINT, _SUB_HESSIAN)))
 
-    def escalate(ctx):
+    stretch = _stretch_escalation(f, cfg, _SUB_MIDPOINT, (("xs", "ys"),), ("xs", "ys"))
+
+    def escalate(worst: _Trial) -> Optional[_Trial]:
         extra = _derived_hessian_witness(f, cfg, k)
         if extra is not None:
             return extra
-        if ctx is not None and ctx[0] == "midpoint":
-            _, xs, ys = ctx
-            mid = [(x + y) / 2.0 for x, y in zip(xs, ys)]
-            dvec = [(y - x) / 2.0 for x, y in zip(xs, ys)]
-            for s in (2.0, 4.0, 8.0, 16.0):
-                a = [hermitize(m - s * d) for m, d in zip(mid, dvec)]
-                b = [hermitize(m + s * d) for m, d in zip(mid, dvec)]
-                if any(_pd_floor(m) < _RANK_FLOOR for m in (*a, *b)):
-                    continue
-                margin, scale, witness = measure_mid(a, b)
-                if margin < -cfg.tol:
-                    return _TrialResult(margin, scale, witness, None, a[0].shape[0])
-        return None
+        return stretch(worst) if worst.prop is _SUB_MIDPOINT else None
 
     return _drive(name, f, cfg, plans, escalate=escalate, recorder=recorder)
 
@@ -691,40 +1036,17 @@ def test_subentropic_order_k(
 def test_condition13(
     f: ScalarFunction, cfg: TestConfig, recorder: Optional[list] = None
 ) -> TestOutcome:
-    try:
-        fp = f.derivative()
-    except DegenerateFunctionError as exc:
-        return TestOutcome("condition13", f.name, SKIPPED, None, 0, 0, None, str(exc))
-
     plans = []
     for dim in cfg.dims:
-        def make(rng, idx, dim=dim):
+        def draw(rng, idx, dim=dim):
             lo, hi = cfg.eig_range
             if idx % 10 == 9:
                 # stretch the spectrum: margins are often tightest when the
                 # base points are badly conditioned
                 lo, hi = min(lo, 1e-3), max(hi, 1e3)
-            rho = random_pd(dim, (lo, hi), rng)
-            sigma = random_pd(dim, (lo, hi), rng)
-            try:
-                diff = (
-                    frechet_inverse(fp, hermitize(rho + sigma))
-                    - frechet_inverse(fp, rho)
-                    - frechet_inverse(fp, sigma)
-                )
-            except NotInvertibleError as exc:
-                return _skip(dim, str(exc))
-            pm = diff.psd_margin()
-            margin = pm.normalized
-            witness = {
-                "kind": "condition13",
-                "rho": matrix_to_json(rho),
-                "sigma": matrix_to_json(sigma),
-                "margin": margin,
-            }
-            return _TrialResult(margin, pm.scale, witness, (rho, sigma), dim)
+            return {"rho": _pd(dim, (lo, hi), rng), "sigma": _pd(dim, (lo, hi), rng)}
 
-        plans.append((f"condition13/dim{dim}", cfg.samples, make))
+        plans.append(_Plan(f"condition13/dim{dim}", cfg.samples, draw, (_CONDITION13,)))
 
     return _drive("condition13", f, cfg, plans, recorder=recorder)
 
@@ -735,83 +1057,16 @@ def test_condition13(
 def test_equivalence_13_vs_hessian(
     f: ScalarFunction, cfg: TestConfig, recorder: Optional[list] = None
 ) -> TestOutcome:
-    try:
-        fp = f.derivative()
-    except DegenerateFunctionError as exc:
-        return TestOutcome("equivalence", f.name, SKIPPED, None, 0, 0, None, str(exc))
-
     band = 10.0 * cfg.tol
-    n_directions = 16
-
     plans = []
     for dim in cfg.dims:
-        def make(rng, idx, dim=dim):
-            rho = random_pd(dim, cfg.eig_range, rng)
-            sigma = random_pd(dim, cfg.eig_range, rng)
-            tot = hermitize(rho + sigma)
-            try:
-                fwd_sum = frechet_superoperator(fp, tot)
-                fwd_r = frechet_superoperator(fp, rho)
-                fwd_s = frechet_superoperator(fp, sigma)
-                inv_sum = frechet_inverse(fp, tot)
-                inv_r = frechet_inverse(fp, rho)
-                inv_s = frechet_inverse(fp, sigma)
-            except NotInvertibleError as exc:
-                return _skip(dim, str(exc))
-            d = hermitize(inv_sum.matrix - inv_r.matrix - inv_s.matrix)
-            eigs, vecs = np.linalg.eigh(d)
-            scale13 = float(np.max(np.abs(eigs)))
-            m13 = float(eigs[0]) / max(1.0, scale13)
+        def draw(rng, idx, dim=dim):
+            rho = _pd(dim, cfg.eig_range, rng)
+            sigma = _pd(dim, cfg.eig_range, rng)
+            hs = _hermitians(2 * _EQUIVALENCE_DIRECTIONS, dim, rng)
+            return {"rho": rho, "sigma": sigma, "h1": hs[0::2], "h2": hs[1::2], "band": band}
 
-            a, b, c = fwd_sum.matrix, fwd_r.matrix, fwd_s.matrix
-
-            def hess(h1, h2):
-                v1, v2 = vec(h1), vec(h2)
-                vt = v1 + v2
-                q1 = float(np.real(v1.conj() @ (b @ v1)))
-                q2 = float(np.real(v2.conj() @ (c @ v2)))
-                qt = float(np.real(vt.conj() @ (a @ vt)))
-                return (q1 + q2 - qt) / max(1.0, abs(q1) + abs(q2) + abs(qt))
-
-            mh = np.inf
-            best = None
-            for _ in range(n_directions):
-                h1 = random_hermitian(dim, rng)
-                h2 = random_hermitian(dim, rng)
-                m = hess(h1, h2)
-                if m < mh:
-                    mh, best = m, (h1, h2)
-            # transfer the most negative superoperator direction, if any
-            w = unvec(vecs[:, 0], dim)
-            for cand in (hermitize(w), hermitize(-1j * w)):
-                v = vec(cand)
-                if float(np.real(v.conj() @ v)) < 1e-20:
-                    continue
-                if float(np.real(v.conj() @ (d @ v))) >= 0.0:
-                    continue
-                h1 = hermitize(inv_r.apply(cand))
-                h2 = hermitize(inv_s.apply(cand))
-                m = hess(h1, h2)
-                if m < mh:
-                    mh, best = m, (h1, h2)
-            mh = float(mh)
-
-            solid = abs(m13) > band and abs(mh) > band
-            disagree = solid and (m13 < 0.0) != (mh < 0.0)
-            margin = min(abs(m13), abs(mh)) * (-1.0 if disagree else 1.0)
-            witness = {
-                "kind": "equivalence",
-                "rho": matrix_to_json(rho),
-                "sigma": matrix_to_json(sigma),
-                "h1": matrix_to_json(best[0]),
-                "h2": matrix_to_json(best[1]),
-                "margin13": m13,
-                "margin_hessian": mh,
-                "margin": margin,
-            }
-            return _TrialResult(margin, max(abs(m13), abs(mh)), witness, None, dim)
-
-        plans.append((f"equivalence/dim{dim}", cfg.samples, make))
+        plans.append(_Plan(f"equivalence/dim{dim}", cfg.samples, draw, (_EQUIVALENCE,)))
 
     return _drive("equivalence", f, cfg, plans, recorder=recorder)
 
@@ -822,29 +1077,9 @@ def test_equivalence_13_vs_hessian(
 def test_matrix_entropy(
     f: ScalarFunction, cfg: TestConfig, recorder: Optional[list] = None
 ) -> TestOutcome:
-    try:
-        fp = f.derivative()
-    except DegenerateFunctionError as exc:
-        return TestOutcome("matrix-entropy", f.name, SKIPPED, None, 0, 0, None, str(exc))
-
-    def measure(x1, h1, x2, h2):
-        q1 = _q_value(fp, x1, h1)
-        q2 = _q_value(fp, x2, h2)
-        qm = _q_value(fp, hermitize((x1 + x2) / 2.0), (h1 + h2) / 2.0)
-        margin, scale = _convexity_margin(q1, q2, qm)
-        witness = {
-            "kind": "matrix-entropy",
-            "x1": matrix_to_json(x1),
-            "h1": matrix_to_json(h1),
-            "x2": matrix_to_json(x2),
-            "h2": matrix_to_json(h2),
-            "margin": margin,
-        }
-        return _TrialResult(margin, scale, witness, (x1, h1, x2, h2), x1.shape[0])
-
     plans = []
     for dim in cfg.dims:
-        def make(rng, idx, dim=dim):
+        def draw(rng, idx, dim=dim):
             if idx % 4 == 3:
                 # scalar pairs (tI, sI): the two-variable function s^2 f''(t)
                 # already separates several candidates.  Local directed pairs
@@ -855,31 +1090,20 @@ def test_matrix_entropy(
                 dt = float(rng.uniform(-0.45, 0.45)) * t0
                 ds = float(rng.uniform(-0.45, 0.45)) * (abs(s0) + t0)
                 eye = np.eye(dim, dtype=complex)
-                return measure(
-                    (t0 - dt) * eye, (s0 - ds) * eye, (t0 + dt) * eye, (s0 + ds) * eye
-                )
-            x1 = random_pd(dim, cfg.eig_range, rng)
-            x2 = random_pd(dim, cfg.eig_range, rng)
-            h1 = random_hermitian(dim, rng)
-            h2 = random_hermitian(dim, rng)
-            return measure(x1, h1, x2, h2)
+                return {
+                    "x1": (t0 - dt) * eye, "h1": (s0 - ds) * eye,
+                    "x2": (t0 + dt) * eye, "h2": (s0 + ds) * eye,
+                }
+            x1 = _pd(dim, cfg.eig_range, rng)
+            x2 = _pd(dim, cfg.eig_range, rng)
+            h1, h2 = _hermitians(2, dim, rng)
+            return {"x1": x1, "h1": h1, "x2": x2, "h2": h2}
 
-        plans.append((f"matrix-entropy/dim{dim}", cfg.samples, make))
+        plans.append(_Plan(f"matrix-entropy/dim{dim}", cfg.samples, draw, (_MATRIX_ENTROPY,)))
 
-    def escalate(ctx):
-        x1, h1, x2, h2 = ctx
-        mid_x, mid_h = (x1 + x2) / 2.0, (h1 + h2) / 2.0
-        dx, dh = (x2 - x1) / 2.0, (h2 - h1) / 2.0
-        for s in (2.0, 4.0, 8.0, 16.0):
-            a_x = hermitize(mid_x - s * dx)
-            b_x = hermitize(mid_x + s * dx)
-            if _pd_floor(a_x) < _RANK_FLOOR or _pd_floor(b_x) < _RANK_FLOOR:
-                continue
-            res = measure(a_x, hermitize(mid_h - s * dh), b_x, hermitize(mid_h + s * dh))
-            if res.margin is not None and res.margin < -cfg.tol:
-                return res
-        return None
-
+    escalate = _stretch_escalation(
+        f, cfg, _MATRIX_ENTROPY, (("x1", "x2"), ("h1", "h2")), ("x1", "x2")
+    )
     return _drive("matrix-entropy", f, cfg, plans, escalate=escalate, recorder=recorder)
 
 
@@ -889,52 +1113,29 @@ def test_matrix_entropy(
 def test_entropy_gain_convexity(
     f: ScalarFunction, cfg: TestConfig, recorder: Optional[list] = None
 ) -> TestOutcome:
-    def measure(ch, x, y):
-        mid = hermitize((x + y) / 2.0)
-        if f.zero_extension is None:
-            # functions unbounded at 0 need full-rank channel outputs
-            for m in (x, y, mid):
-                if _pd_floor(apply_channel(ch, m)) < _RANK_FLOOR:
-                    return _skip(ch.in_dim, f"channel output too singular for {f.name}")
-        margin, scale = _convexity_margin(
-            entropy_gain(f, ch, x), entropy_gain(f, ch, y), entropy_gain(f, ch, mid)
-        )
-        witness = {
-            "kind": "gain",
-            "channel": channel_to_json(ch),
-            "x": matrix_to_json(x),
-            "y": matrix_to_json(y),
-            "margin": margin,
-        }
-        return _TrialResult(margin, scale, witness, (ch, x, y), ch.in_dim)
-
-    def make(rng, idx):
+    def draw(rng, idx):
         if idx % 3 == 2:
             # partial-trace channels embed the bipartite test
             d1, d2 = cfg.bipartite[(idx // 3) % len(cfg.bipartite)]
-            ch = partial_trace_channel(d1, d2)
+            kraus = _partial_trace_kraus(d1, d2)
             n = d1 * d2
             if idx % 6 == 5:
                 x = _random_diag_pd(n, cfg.eig_range, rng)
                 y = _random_diag_pd(n, cfg.eig_range, rng)
             else:
-                x = random_pd(n, cfg.eig_range, rng)
-                y = random_pd(n, cfg.eig_range, rng)
+                x = _pd(n, cfg.eig_range, rng)
+                y = _pd(n, cfg.eig_range, rng)
         else:
             n = int(rng.integers(2, 5))
             out_d = int(rng.integers(2, 5))
             r = int(rng.integers(2, 5))
-            ch = random_channel(n, out_d, r, rng)
-            x = random_pd(n, cfg.eig_range, rng)
-            y = random_pd(n, cfg.eig_range, rng)
-        return measure(ch, x, y)
+            kraus = np.stack(random_channel(n, out_d, r, rng).kraus)
+            x = _pd(n, cfg.eig_range, rng)
+            y = _pd(n, cfg.eig_range, rng)
+        return {"channel": kraus, "x": x, "y": y}
 
-    plans = [("gain", cfg.samples * len(cfg.dims), make)]
-
-    def escalate(ctx):
-        ch, x, y = ctx
-        return _amplify_pair(x, y, lambda a, b: measure(ch, a, b), cfg)
-
+    plans = [_Plan("gain", cfg.samples * len(cfg.dims), draw, (_GAIN,))]
+    escalate = _pair_escalation(f, cfg, _GAIN)
     return _drive("gain", f, cfg, plans, escalate=escalate, recorder=recorder)
 
 
@@ -950,122 +1151,81 @@ def _gap_or_skipped(
         return None, TestOutcome(name, f.name, SKIPPED, None, 0, 0, None, str(exc))
 
 
+def _gap_grid(name: str, f: ScalarFunction, cfg: TestConfig):
+    """Precheck, gap function and its defined grid points, or an early outcome."""
+    pre = _scalar_convexity_failure(name, f, cfg)
+    if pre is not None:
+        return pre, None, 0
+    g, skipped = _gap_or_skipped(name, f)
+    if skipped is not None:
+        return skipped, None, 0
+    _, ok = _grid_values(g, _GAP_GRID)
+    return None, _GAP_GRID[ok], int(np.count_nonzero(~ok))
+
+
+def _grid_outcome(
+    name: str, f: ScalarFunction, cfg: TestConfig,
+    batches: list[tuple[_Property, dict]], skipped: int, recorder: Optional[list],
+) -> TestOutcome:
+    """Aggregate grid margins in order; points the margin cannot evaluate are skipped."""
+    margins: list[float] = []
+    violation = None
+    for prop, P in batches:
+        size = len(next(iter(P.values())))
+        if not size:
+            continue
+        res = _measure(prop, f, P, size)
+        for i in range(size):
+            m = float(res.margins[i])
+            if np.isnan(m):
+                skipped += 1
+                continue
+            if recorder is not None:
+                recorder.append((name, 1, len(margins), m, float(res.scales[i])))
+            margins.append(m)
+            if violation is None and m < -cfg.tol:
+                violation = prop.witness({k: v[i] for k, v in P.items()}, m)
+
+    trial = len(margins)
+    if violation is not None:
+        return TestOutcome(name, f.name, FAIL, min(margins), trial, skipped, violation)
+    if not margins:
+        return TestOutcome(name, f.name, SKIPPED, None, 0, skipped, None, "gap function undefined on the grid")
+    if _expects_fail(f.name, name):
+        return TestOutcome(
+            name, f.name, INCONCLUSIVE, min(margins), trial, skipped, None,
+            "expected a violation but found none on the grid",
+        )
+    return TestOutcome(name, f.name, PASS, min(margins), trial, skipped)
+
+
 def test_gap_superadditive(
     f: ScalarFunction, cfg: TestConfig, recorder: Optional[list] = None
 ) -> TestOutcome:
     name = "gap-superadditive"
-    pre = _scalar_convexity_failure(name, f, cfg)
-    if pre is not None:
-        return pre
-    g, skipped = _gap_or_skipped(name, f)
-    if skipped is not None:
-        return skipped
-
-    margins = []
-    violation = None
-    trial = 0
-    n_skipped = 0
-    grid_vals = {}
-    for t in _GAP_GRID:
-        try:
-            grid_vals[float(t)] = g(float(t))
-        except DomainError:
-            n_skipped += 1
-    points = sorted(grid_vals)
-
-    def record(margin, scale, witness):
-        nonlocal trial, violation
-        margins.append(margin)
-        if recorder is not None:
-            recorder.append((name, 1, trial, margin, scale))
-        trial += 1
-        if violation is None and margin < -cfg.tol:
-            violation = witness
-
-    # super-additivity over all grid pairs
-    for i, t in enumerate(points):
-        for s in points[i:]:
-            try:
-                g_sum = g(t + s)
-            except DomainError:
-                n_skipped += 1
-                continue
-            scale = max(1.0, abs(grid_vals[t]) + abs(grid_vals[s]))
-            margin = (g_sum - grid_vals[t] - grid_vals[s]) / scale
-            record(margin, scale, {"kind": "gap-superadditive", "t": t, "s": s, "margin": margin})
-    # monotonicity along the grid
-    for t, s in zip(points, points[1:]):
-        scale = max(1.0, abs(grid_vals[t]) + abs(grid_vals[s]))
-        margin = (grid_vals[s] - grid_vals[t]) / scale
-        record(margin, scale, {"kind": "gap-monotone", "t": t, "s": s, "margin": margin})
-    # g must vanish at 0+ (f'' must blow up)
-    try:
-        probe = g(_GAP_ZERO_PROBE)
-        margin = _GAP_ZERO_CEILING - probe
-        record(margin, 1.0, {"kind": "gap-zero", "t": _GAP_ZERO_PROBE, "margin": margin})
-    except DomainError:
-        n_skipped += 1
-
-    if violation is not None:
-        return TestOutcome(name, f.name, FAIL, min(margins), trial, n_skipped, violation)
-    if not margins:
-        return TestOutcome(name, f.name, SKIPPED, None, 0, n_skipped, None, "gap function undefined on the grid")
-    if _expects_fail(f.name, name):
-        return TestOutcome(
-            name, f.name, INCONCLUSIVE, min(margins), trial, n_skipped, None,
-            "expected a violation but found none on the grid",
-        )
-    return TestOutcome(name, f.name, PASS, min(margins), trial, n_skipped)
+    early, pts, skipped = _gap_grid(name, f, cfg)
+    if early is not None:
+        return early
+    i, j = np.triu_indices(pts.size)
+    batches = [
+        (_GAP_SUPERADDITIVE, {"t": pts[i], "s": pts[j]}),  # all grid pairs
+        (_GAP_MONOTONE, {"t": pts[:-1], "s": pts[1:]}),  # along the grid
+        (_GAP_ZERO, {"t": np.array([_GAP_ZERO_PROBE])}),
+    ]
+    return _grid_outcome(name, f, cfg, batches, skipped, recorder)
 
 
 def test_gap_concavity(
     f: ScalarFunction, cfg: TestConfig, recorder: Optional[list] = None
 ) -> TestOutcome:
     name = "gap-concavity"
-    pre = _scalar_convexity_failure(name, f, cfg)
-    if pre is not None:
-        return pre
-    g, skipped = _gap_or_skipped(name, f)
-    if skipped is not None:
-        return skipped
-
-    margins = []
-    violation = None
-    trial = 0
-    n_skipped = 0
-    vals = {}
-    for t in _GAP_GRID:
-        try:
-            vals[float(t)] = g(float(t))
-        except DomainError:
-            n_skipped += 1
-    points = sorted(vals)
-    for i, t in enumerate(points):
-        for s in points[i + 1 :]:
-            try:
-                g_mid = g((t + s) / 2.0)
-            except DomainError:
-                n_skipped += 1
-                continue
-            scale = max(1.0, abs(vals[t]) + abs(vals[s]))
-            margin = (g_mid - (vals[t] + vals[s]) / 2.0) / scale
-            margins.append(margin)
-            if recorder is not None:
-                recorder.append((name, 1, trial, margin, scale))
-            trial += 1
-            if violation is None and margin < -cfg.tol:
-                violation = {"kind": "gap-concavity", "t": t, "s": s, "margin": margin}
-
-    if violation is not None:
-        return TestOutcome(name, f.name, FAIL, min(margins), trial, n_skipped, violation)
-    if not margins:
-        return TestOutcome(name, f.name, SKIPPED, None, 0, n_skipped, None, "gap function undefined on the grid")
-    if _expects_fail(f.name, name):
-        return TestOutcome(
-            name, f.name, INCONCLUSIVE, min(margins), trial, n_skipped, None,
-            "expected a violation but found none on the grid",
-        )
-    return TestOutcome(name, f.name, PASS, min(margins), trial, n_skipped)
+    early, pts, skipped = _gap_grid(name, f, cfg)
+    if early is not None:
+        return early
+    i, j = np.triu_indices(pts.size, k=1)
+    return _grid_outcome(
+        name, f, cfg, [(_GAP_CONCAVITY, {"t": pts[i], "s": pts[j]})], skipped, recorder
+    )
 
 
 # --------------------------------------------------------------------------
@@ -1089,7 +1249,7 @@ def _gap_fit(f: ScalarFunction) -> dict:
     """Least-squares fit of g(t) = 1/f'' against b*t on a fixed log grid."""
     g = gap_function(f)
     ts = _FIT_GRID
-    gv = np.array([g(float(t)) for t in ts])
+    gv = np.asarray(g(ts), dtype=float)
     b = float(gv @ ts / (ts @ ts))
     norm = float(np.linalg.norm(gv))
     resid = float(np.linalg.norm(gv - b * ts)) / max(norm, 1e-300)
@@ -1147,8 +1307,7 @@ def uniqueness_pipeline(
         )
     else:
         ts = _FIT_GRID
-        g = gap_function(f)
-        devs = np.array([abs(g(float(t)) - fit["slope"] * t) for t in ts])
+        devs = np.abs(np.asarray(gap_function(f)(ts)) - fit["slope"] * ts)
         worst = int(np.argmax(devs))
         payload = {
             "kind": "uniqueness-fit",
@@ -1240,102 +1399,16 @@ def worst_exit_code(outcomes: list[TestOutcome]) -> int:
 def reverify_counterexample(f: ScalarFunction, payload: dict) -> float:
     """Recompute the normalized margin of a dumped counterexample.
 
-    A sound FAIL payload re-verifies to a margin below -tol/2 with nothing
-    but the payload and the function it was found for.
+    The payload's kind selects its property record; the margin comes from
+    the same definition the suites sample with, on a batch of one.  A sound
+    FAIL payload re-verifies to a margin below -tol/2 with nothing but the
+    payload and the function it was found for.
     """
     kind = payload["kind"]
-    if kind == "scalar-convexity":
-        t, s = float(payload["t"]), float(payload["s"])
-        return _convexity_margin(f(t), f(s), f((t + s) / 2.0))[0]
-    if kind == "principle1":
-        x = matrix_from_json(payload["x"])
-        y = matrix_from_json(payload["y"])
-        return _convexity_margin(
-            trace_of_function(f, x),
-            trace_of_function(f, y),
-            trace_of_function(f, hermitize((x + y) / 2.0)),
-        )[0]
-    if kind == "entropic":
-        d1, d2 = int(payload["dim1"]), int(payload["dim2"])
-        x = matrix_from_json(payload["x"])
-        y = matrix_from_json(payload["y"])
-
-        def phi(m):
-            return trace_of_function(f, m) - trace_of_function(
-                f, partial_trace_1(m, d1, d2)
-            )
-
-        return _convexity_margin(phi(x), phi(y), phi(hermitize((x + y) / 2.0)))[0]
-    if kind == "subentropic-midpoint":
-        xs = [matrix_from_json(m) for m in payload["xs"]]
-        ys = [matrix_from_json(m) for m in payload["ys"]]
-        return _g_midpoint_margin(f, xs, ys)[0]
-    if kind == "subentropic-hessian":
-        rhos = [matrix_from_json(m) for m in payload["rhos"]]
-        hs = [matrix_from_json(m) for m in payload["hs"]]
-        return _hessian_margin(f, rhos, hs)[0]
-    if kind == "condition13":
-        fp = f.derivative()
-        rho = matrix_from_json(payload["rho"])
-        sigma = matrix_from_json(payload["sigma"])
-        diff = (
-            frechet_inverse(fp, hermitize(rho + sigma))
-            - frechet_inverse(fp, rho)
-            - frechet_inverse(fp, sigma)
-        )
-        return diff.psd_margin().normalized
-    if kind == "equivalence":
-        fp = f.derivative()
-        rho = matrix_from_json(payload["rho"])
-        sigma = matrix_from_json(payload["sigma"])
-        h1 = matrix_from_json(payload["h1"])
-        h2 = matrix_from_json(payload["h2"])
-        diff = (
-            frechet_inverse(fp, hermitize(rho + sigma))
-            - frechet_inverse(fp, rho)
-            - frechet_inverse(fp, sigma)
-        )
-        m13 = diff.psd_margin().normalized
-        mh = _hessian_margin(f, [rho, sigma], [h1, h2])[0]
-        agree = (m13 < 0.0) == (mh < 0.0)
-        return min(abs(m13), abs(mh)) * (1.0 if agree else -1.0)
-    if kind == "matrix-entropy":
-        fp = f.derivative()
-        x1 = matrix_from_json(payload["x1"])
-        h1 = matrix_from_json(payload["h1"])
-        x2 = matrix_from_json(payload["x2"])
-        h2 = matrix_from_json(payload["h2"])
-        return _convexity_margin(
-            _q_value(fp, x1, h1),
-            _q_value(fp, x2, h2),
-            _q_value(fp, hermitize((x1 + x2) / 2.0), (h1 + h2) / 2.0),
-        )[0]
-    if kind == "gain":
-        ch = channel_from_json(payload["channel"])
-        x = matrix_from_json(payload["x"])
-        y = matrix_from_json(payload["y"])
-        mid = hermitize((x + y) / 2.0)
-        return _convexity_margin(
-            entropy_gain(f, ch, x), entropy_gain(f, ch, y), entropy_gain(f, ch, mid)
-        )[0]
-    if kind == "gap-superadditive":
-        g = gap_function(f)
-        t, s = float(payload["t"]), float(payload["s"])
-        return (g(t + s) - g(t) - g(s)) / max(1.0, abs(g(t)) + abs(g(s)))
-    if kind == "gap-monotone":
-        g = gap_function(f)
-        t, s = float(payload["t"]), float(payload["s"])
-        return (g(s) - g(t)) / max(1.0, abs(g(t)) + abs(g(s)))
-    if kind == "gap-zero":
-        g = gap_function(f)
-        return _GAP_ZERO_CEILING - g(float(payload["t"]))
-    if kind == "gap-concavity":
-        g = gap_function(f)
-        t, s = float(payload["t"]), float(payload["s"])
-        return (g((t + s) / 2.0) - (g(t) + g(s)) / 2.0) / max(1.0, abs(g(t)) + abs(g(s)))
-    if kind == "uniqueness-fit":
-        return -_gap_fit(f)["relative_residual"]
-    raise ValueError(f"unknown counterexample kind {kind!r}")
+    prop = _PROPERTIES.get(kind)
+    if prop is None:
+        raise ValueError(f"unknown counterexample kind {kind!r}")
+    return float(_margin(prop, f, prop.decode(payload))[0][0])
 
 
 # The suite entry points are library API, not pytest cases; keep pytest from

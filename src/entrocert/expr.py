@@ -260,8 +260,9 @@ class FunctionExpression:
     def canonical(self) -> str:
         return _to_str(self.root)
 
-    def taylor(self, t: float) -> Jet:
-        return _eval(self.root, Jet.variable(float(t)))
+    def taylor(self, t) -> Jet:
+        """Series at t (a float, or an array of points evaluated at once)."""
+        return _eval(self.root, Jet.variable(t))
 
     def as_function(self, zero_extension: float | None = None) -> ScalarFunction:
         canon = self.canonical()

@@ -3,12 +3,14 @@
 In the eigenbasis of rho, the differential of the spectral calculus
 ``rho -> f(rho)`` acts entrywise: the perturbation is multiplied by the
 matrix of first divided differences of f over the spectrum (the Loewner
-matrix, whose diagonal is f').  Materialising that linear map over a fixed
-basis of matrix units gives an n^2 x n^2 matrix on which operator
+matrix, whose diagonal is f').  As an n^2 x n^2 matrix that map is the
+Daleckii-Krein / Kronecker form ``(conj(U) (x) U) diag(vec K) (conj(U) (x) U)*``
+(Higham, *Functions of Matrices*, SIAM 2008, ch. 3), on which operator
 inequalities between different base points can be tested directly.
 
-Vectorisation convention: column stacking, i.e. ``vec(m)[i + n*j] = m[i, j]``,
-with matrix units E_ij ordered j-major to match.
+Vectorisation convention: column stacking, i.e. ``vec(m)[i + n*j] = m[i, j]``.
+Every function here also takes stacks of matrices (leading axes), which is
+how the certification suites evaluate many trials in one call.
 """
 
 from __future__ import annotations
@@ -17,14 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import (
-    DIVIDED_DIFFERENCE_GAP,
-    ScalarFunction,
-    divided_difference,
-)
+from .functions import ScalarFunction, divided_differences
 from .hermitian import (
     PsdMargin,
     SpectralDecomposition,
+    adjoint,
     eigh,
     hermitize,
     is_hermitian,
@@ -34,7 +33,6 @@ __all__ = [
     "NotInvertibleError",
     "vec",
     "unvec",
-    "matrix_unit",
     "loewner_matrix",
     "frechet_diff",
     "Superoperator",
@@ -52,50 +50,33 @@ class NotInvertibleError(ValueError):
 
 
 def vec(m: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorisation."""
-    return np.asarray(m).reshape(-1, order="F")
+    """Column-stacking vectorisation (of the last two axes)."""
+    m = np.asarray(m)
+    return np.swapaxes(m, -1, -2).reshape(m.shape[:-2] + (-1,))
 
 
 def unvec(v: np.ndarray, dim: int | None = None) -> np.ndarray:
     v = np.asarray(v)
     if dim is None:
-        dim = round(v.shape[0] ** 0.5)
-    return v.reshape((dim, dim), order="F")
-
-
-def matrix_unit(dim: int, i: int, j: int) -> np.ndarray:
-    e = np.zeros((dim, dim), dtype=complex)
-    e[i, j] = 1.0
-    return e
+        dim = round(v.shape[-1] ** 0.5)
+    return np.swapaxes(v.reshape(v.shape[:-1] + (dim, dim)), -1, -2)
 
 
 def loewner_matrix(f: ScalarFunction, eigenvalues: np.ndarray) -> np.ndarray:
-    """Matrix of first divided differences of f over a spectrum.
+    """Matrix of first divided differences of f over a spectrum (or a stack).
 
-    Real symmetric; diagonal entries are f'(lambda_i).  Agrees entry by entry
-    with :func:`entrocert.functions.divided_difference`.
+    Real symmetric; diagonal entries are f'(lambda_i).  Built with
+    :func:`entrocert.functions.divided_differences`, the same rule as
+    :func:`entrocert.functions.divided_difference`.
     """
     lam = np.asarray(eigenvalues, dtype=float)
-    n = lam.shape[0]
-    vals = [f(t) for t in lam]
-    out = np.empty((n, n))
-    for i in range(n):
-        out[i, i] = f.d1(lam[i])
-    for i in range(n):
-        for j in range(i + 1, n):
-            t, s = lam[i], lam[j]
-            if abs(t - s) > DIVIDED_DIFFERENCE_GAP * max(abs(t), abs(s), 1.0):
-                k = (vals[i] - vals[j]) / (t - s)
-            else:
-                k = f.d1(0.5 * (t + s))
-            out[i, j] = k
-            out[j, i] = k
-    return out
+    vals, slopes = f.jet(lam)[:2]
+    t, s = np.broadcast_arrays(lam[..., :, None], lam[..., None, :])
+    return divided_differences(f, t, s, vals[..., :, None], vals[..., None, :], slopes[..., :, None])
 
 
-def _hadamard_conjugate(kernel: np.ndarray, dec: SpectralDecomposition, h: np.ndarray) -> np.ndarray:
-    u = dec.eigenvectors
-    return u @ (kernel * (u.conj().T @ h @ u)) @ u.conj().T
+def _hadamard_conjugate(kernel: np.ndarray, u: np.ndarray, h: np.ndarray) -> np.ndarray:
+    return u @ (kernel * (adjoint(u) @ h @ u)) @ adjoint(u)
 
 
 def frechet_diff(
@@ -111,30 +92,43 @@ def frechet_diff(
     """
     dec = decomp if decomp is not None else eigh(rho)
     kernel = loewner_matrix(f, dec.eigenvalues)
-    out = _hadamard_conjugate(kernel, dec, np.asarray(h, dtype=complex))
+    out = _hadamard_conjugate(kernel, dec.eigenvectors, np.asarray(h, dtype=complex))
     if is_hermitian(h):
         return hermitize(out)
     return out
 
 
+def _kernel(f: ScalarFunction, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Loewner matrix of f over rho's spectrum, and rho's eigenvectors."""
+    dec = eigh(rho)
+    return loewner_matrix(f, dec.eigenvalues), dec.eigenvectors
+
+
+def _pairing(f: ScalarFunction, rho: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Re Tr h df(rho)[h], computed in the eigenbasis of rho (stacks allowed)."""
+    kernel, u = _kernel(f, rho)
+    g = adjoint(u) @ np.asarray(h, dtype=complex) @ u
+    return np.sum(kernel * g * np.swapaxes(g, -1, -2), axis=(-2, -1)).real
+
+
 @dataclass(frozen=True)
 class Superoperator:
-    """A linear map on n x n matrices, materialised over matrix units."""
+    """A linear map on n x n matrices as an n^2 x n^2 matrix (or a stack of them)."""
 
     dim: int
-    matrix: np.ndarray  # (dim^2, dim^2), complex
+    matrix: np.ndarray  # (..., dim^2, dim^2), complex
 
     def apply(self, h: np.ndarray) -> np.ndarray:
-        return unvec(self.matrix @ vec(h), self.dim)
+        return unvec((self.matrix @ vec(h)[..., None])[..., 0], self.dim)
 
-    def quadratic_form(self, h: np.ndarray) -> float:
+    def quadratic_form(self, h: np.ndarray):
         """<h, S h> in the Hilbert-Schmidt inner product (real part)."""
         v = vec(h)
-        return float(np.real(v.conj() @ (self.matrix @ v)))
+        q = np.sum(v.conj() * (self.matrix @ v[..., None])[..., 0], axis=-1).real
+        return float(q) if q.ndim == 0 else q
 
     def psd_margin(self) -> PsdMargin:
-        w = np.linalg.eigvalsh(hermitize(self.matrix))
-        return PsdMargin(min_eigenvalue=float(w[0]), scale=float(np.max(np.abs(w))))
+        return PsdMargin.of_spectrum(np.linalg.eigvalsh(hermitize(self.matrix)))
 
     def __add__(self, other: "Superoperator") -> "Superoperator":
         self._check(other)
@@ -149,14 +143,13 @@ class Superoperator:
             raise ValueError(f"superoperator dimension mismatch: {self.dim} vs {other.dim}")
 
 
-def _materialise(kernel: np.ndarray, dec: SpectralDecomposition) -> Superoperator:
-    n = dec.dim
-    s = np.empty((n * n, n * n), dtype=complex)
-    for j in range(n):
-        for i in range(n):
-            col = i + n * j
-            s[:, col] = vec(_hadamard_conjugate(kernel, dec, matrix_unit(n, i, j)))
-    return Superoperator(dim=n, matrix=s)
+def _kronecker_form(kernel: np.ndarray, u: np.ndarray) -> Superoperator:
+    """h -> U (kernel o U* h U) U* as W diag(vec kernel) W*, with W = conj(U) (x) U."""
+    n = u.shape[-1]
+    w = (u.conj()[..., :, None, :, None] * u[..., None, :, None, :]).reshape(
+        u.shape[:-2] + (n * n, n * n)
+    )
+    return Superoperator(dim=n, matrix=(w * vec(kernel)[..., None, :]) @ adjoint(w))
 
 
 def frechet_superoperator(f: ScalarFunction, rho: np.ndarray) -> Superoperator:
@@ -166,47 +159,59 @@ def frechet_superoperator(f: ScalarFunction, rho: np.ndarray) -> Superoperator:
     Loewner-matrix entries, so it is positive definite whenever the divided
     differences of f are strictly positive.
     """
-    dec = eigh(rho)
-    return _materialise(loewner_matrix(f, dec.eigenvalues), dec)
+    return _kronecker_form(*_kernel(f, rho))
+
+
+def _inverse_kernel(f: ScalarFunction, kernel: np.ndarray) -> np.ndarray:
+    smallest = float(np.min(kernel))
+    if smallest <= INVERTIBILITY_FLOOR:
+        raise NotInvertibleError(
+            f"differential of {f.name} is not invertible as a positive operator: "
+            f"smallest divided difference {smallest:.3e} <= {INVERTIBILITY_FLOOR:g}"
+        )
+    return 1.0 / kernel
 
 
 def frechet_inverse(f: ScalarFunction, rho: np.ndarray) -> Superoperator:
-    """Inverse of the differential of f at rho (entrywise reciprocal kernel)."""
-    dec = eigh(rho)
-    kernel = loewner_matrix(f, dec.eigenvalues)
-    if float(np.min(kernel)) <= INVERTIBILITY_FLOOR:
-        raise NotInvertibleError(
-            f"differential of {f.name} is not invertible as a positive operator: "
-            f"smallest divided difference {float(np.min(kernel)):.3e} <= {INVERTIBILITY_FLOOR:g}"
-        )
-    return _materialise(1.0 / kernel, dec)
+    """Inverse of the differential of f at rho (entrywise reciprocal kernel).
+
+    For a stack, one member that is not invertible raises for the stack.
+    """
+    kernel, u = _kernel(f, rho)
+    return _kronecker_form(_inverse_kernel(f, kernel), u)
 
 
-def _second_diff_terms(
-    f: ScalarFunction, rhos: list[np.ndarray], hs: list[np.ndarray]
-) -> tuple[list[float], float]:
-    if len(rhos) != len(hs) or not rhos:
+def _frechet_pair(f: ScalarFunction, rho: np.ndarray) -> tuple[Superoperator, Superoperator]:
+    """(differential, inverse differential) of f at rho from one decomposition."""
+    kernel, u = _kernel(f, rho)
+    return _kronecker_form(kernel, u), _kronecker_form(_inverse_kernel(f, kernel), u)
+
+
+def _second_diff_terms(f: ScalarFunction, rhos, hs) -> tuple[np.ndarray, np.ndarray]:
+    """Per-point terms Tr h_i df'(rho_i) h_i and the joint term of the sums.
+
+    ``rhos`` and ``hs`` hold k matrices along axis -3 (lists are stacked),
+    with any leading stack axes before it.
+    """
+    rhos = np.asarray(rhos, dtype=complex)
+    hs = np.asarray(hs, dtype=complex)
+    if rhos.ndim < 3 or rhos.shape != hs.shape or rhos.shape[-3] == 0:
         raise ValueError("second_diff_G needs equally many base points and directions")
-    dim = rhos[0].shape[0]
-    for m in (*rhos, *hs):
-        if m.shape != (dim, dim):
-            raise ValueError("second_diff_G arguments must share one dimension")
-    fp = f.derivative()
-    single = [
-        float(np.trace(h @ frechet_diff(fp, r, h)).real) for r, h in zip(rhos, hs)
-    ]
-    h_tot = sum(hs)
-    r_tot = sum(rhos)
-    joint = float(np.trace(h_tot @ frechet_diff(fp, r_tot, h_tot)).real)
-    return single, joint
+    if rhos.shape[-1] != rhos.shape[-2]:
+        raise ValueError("second_diff_G arguments must share one dimension")
+    k = rhos.shape[-3]
+    both = lambda ms: np.concatenate([ms, np.sum(ms, axis=-3, keepdims=True)], axis=-3)
+    q = _pairing(f.derivative(), both(rhos), both(hs))
+    return q[..., :k], q[..., k]
 
 
-def second_diff_G(f: ScalarFunction, rhos: list[np.ndarray], hs: list[np.ndarray]) -> float:
+def second_diff_G(f: ScalarFunction, rhos, hs):
     """Second differential of G(rho_1..rho_k) = sum Tr f(rho_i) - Tr f(sum rho_i).
 
     Returns ``sum_i Tr h_i df'(rho_i) h_i  -  Tr (sum h_i) df'(sum rho_i) (sum h_i)``,
     the quadratic form whose nonnegativity for all Hermitian directions is
     midpoint convexity of G to second order.  For k=1 this is exactly 0.
     """
-    single, joint = _second_diff_terms(f, list(rhos), list(hs))
-    return float(sum(single) - joint)
+    single, joint = _second_diff_terms(f, rhos, hs)
+    out = np.sum(single, axis=-1) - joint
+    return float(out) if out.ndim == 0 else out

@@ -8,7 +8,6 @@ rejected.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -22,7 +21,7 @@ __all__ = [
     "DegenerateFunctionError",
     "registry",
     "lookup",
-    "compose",
+    "divided_differences",
     "divided_difference",
     "divided_difference_quadrature_check",
     "gap_function",
@@ -40,6 +39,13 @@ class DegenerateFunctionError(ValueError):
     """1/f'' requested for a function whose f'' vanishes."""
 
 
+def _points(t):
+    """A scalar argument as a float, anything else as a float array."""
+    if isinstance(t, float) or np.ndim(t) == 0:
+        return float(t)
+    return np.asarray(t, dtype=float)
+
+
 @dataclass(frozen=True)
 class ScalarFunction:
     """A scalar function of t > 0 together with its derivative jets.
@@ -47,6 +53,10 @@ class ScalarFunction:
     ``taylor`` maps a point t > domain_min to the function's Taylor series
     there (a :class:`Jet`).  ``expression`` is set when the function came from
     the expression parser, so it can be reconstructed from a JSON dump.
+
+    Every evaluation method takes a float or an array of points.  An array is
+    handed to ``taylor`` in one call; a ``taylor`` that only understands
+    floats is evaluated point by point instead.
     """
 
     name: str
@@ -55,32 +65,56 @@ class ScalarFunction:
     domain_min: float = 0.0
     expression: Optional[str] = None
 
-    def _series(self, t: float) -> Jet:
-        t = float(t)
-        if not t > self.domain_min:
-            raise DomainError(
-                f"{self.name} evaluated at t={t:.6g}, outside its domain "
-                f"(t > {self.domain_min:g})"
-            )
-        return self.taylor(t)
+    def _series(self, t) -> Jet:
+        t = _points(t)
+        if isinstance(t, float):
+            if not t > self.domain_min:
+                self._outside(t)
+            return self.taylor(t)
+        outside = ~(t > self.domain_min)
+        if outside.any():
+            self._outside(float(t[outside].flat[0]))
+        try:
+            series = self.taylor(t)
+        except TypeError:  # a float-only taylor
+            series = None
+        if series is None or series.c.shape[1:] not in ((), t.shape):
+            coeffs = [self.taylor(float(x)).c for x in t.ravel()]
+            return Jet._raw(np.stack(coeffs, axis=-1).reshape((ORDER + 1,) + t.shape))
+        if series.c.ndim == 1:  # a constant series takes the batch shape
+            c = series.c.reshape((ORDER + 1,) + (1,) * t.ndim)
+            return Jet._raw(np.broadcast_to(c, (ORDER + 1,) + t.shape).copy())
+        return series
 
-    def jet(self, t: float) -> tuple[float, float, float, float]:
+    def _outside(self, t: float):
+        raise DomainError(
+            f"{self.name} evaluated at t={t:.6g}, outside its domain (t > {self.domain_min:g})"
+        )
+
+    def jet(self, t) -> tuple:
         """(f, f', f'', f''') at t."""
         return self._series(t).jet4()
 
-    def __call__(self, t: float) -> float:
-        t = float(t)
-        if t == self.domain_min and self.zero_extension is not None:
-            return self.zero_extension
-        return self._series(t).value
+    def __call__(self, t):
+        t = _points(t)
+        if self.zero_extension is None:
+            return self._series(t).value
+        if isinstance(t, float):
+            return self.zero_extension if t == self.domain_min else self._series(t).value
+        at_zero = t == self.domain_min
+        if not at_zero.any():
+            return self._series(t).value
+        out = np.full(t.shape, float(self.zero_extension))
+        out[~at_zero] = self._series(t[~at_zero]).value
+        return out
 
-    def d1(self, t: float) -> float:
+    def d1(self, t):
         return self._series(t).derivative(1)
 
-    def d2(self, t: float) -> float:
+    def d2(self, t):
         return self._series(t).derivative(2)
 
-    def d3(self, t: float) -> float:
+    def d3(self, t):
         return self._series(t).derivative(3)
 
     def derivative(self) -> "ScalarFunction":
@@ -169,37 +203,52 @@ def lookup(name: str) -> ScalarFunction:
     raise KeyError(f"unknown function {name!r} (known: {known})")
 
 
-def compose(outer: ScalarFunction, inner: ScalarFunction, name: str | None = None) -> ScalarFunction:
-    """outer(inner(t)), with jets propagated through the composition."""
-
-    def series(t: float) -> Jet:
-        g = inner.taylor(t)
-        fs = outer._series(g.value)
-        return fs.compose_on(g)
-
-    return ScalarFunction(
-        name=name or f"{outer.name}({inner.name})",
-        taylor=series,
-        zero_extension=None,
-        domain_min=inner.domain_min,
-    )
-
-
 # --------------------------------------------------------------------------
 # divided differences
 
-def divided_difference(f: ScalarFunction, t: float, s: float) -> float:
+def divided_differences(
+    f: ScalarFunction,
+    t: np.ndarray,
+    s: np.ndarray,
+    ft: np.ndarray,
+    fs: np.ndarray,
+    dt: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """(ft - fs) / (t - s) elementwise, given ft = f(t) and fs = f(s).
+
+    Coincident or nearly coincident arguments (relative gap at most 1e-6)
+    use f'((t+s)/2), which is second-order accurate in the gap; all of them
+    are evaluated in one call.  ``dt = f'(t)``, when given, serves the exactly
+    coincident ones.  The result is exactly symmetric in (t, s).  This is
+    the one divided-difference rule: the Loewner matrices of
+    :mod:`entrocert.frechet` are built with it as well.
+    """
+    gap = t - s
+    near = np.abs(gap) <= DIVIDED_DIFFERENCE_GAP * np.maximum(
+        np.maximum(np.abs(t), np.abs(s)), 1.0
+    )
+    out = (ft - fs) / np.where(near, 1.0, gap)
+    if dt is not None:
+        same = gap == 0.0
+        out[same] = np.broadcast_to(dt, out.shape)[same]
+        near &= ~same
+    if near.any():
+        out[near] = f.d1(0.5 * (t[near] + s[near]))
+    return out
+
+
+def divided_difference(f: ScalarFunction, t, s):
     """First divided difference (f(t) - f(s)) / (t - s).
 
-    Coincident or nearly coincident arguments (relative gap below 1e-6)
-    use f'((t+s)/2), which is second-order accurate in the gap.  The result
-    is exactly symmetric in (t, s).
+    Takes floats or broadcastable arrays of points; see
+    :func:`divided_differences` for the rule at nearly coincident points.
     """
-    t = float(t)
-    s = float(s)
-    if abs(t - s) > DIVIDED_DIFFERENCE_GAP * max(abs(t), abs(s), 1.0):
-        return (f(t) - f(s)) / (t - s)
-    return f.d1(0.5 * (t + s))
+    scalar = np.ndim(t) == 0 and np.ndim(s) == 0
+    t, s = np.broadcast_arrays(
+        np.atleast_1d(np.asarray(t, dtype=float)), np.atleast_1d(np.asarray(s, dtype=float))
+    )
+    out = divided_differences(f, t, s, f(t), f(s))
+    return float(out[0]) if scalar else out
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
@@ -216,10 +265,7 @@ def divided_difference_quadrature_check(f: ScalarFunction, t: float, s: float) -
     """
     t = float(t)
     s = float(s)
-    total = 0.0
-    for x, w in zip(_GL_X, _GL_W):
-        total += w * f.d1(x * t + (1.0 - x) * s)
-    return total
+    return float(_GL_W @ f.d1(_GL_X * t + (1.0 - _GL_X) * s))
 
 
 # --------------------------------------------------------------------------
@@ -237,20 +283,26 @@ def gap_function(f: ScalarFunction) -> ScalarFunction:
     reciprocal of f's second-derivative series, which the extra internal
     series order keeps exact.
     """
-    for t in _GAP_CHECK_GRID:
-        if abs(f.d2(float(t))) < DEGENERACY_FLOOR:
-            raise DegenerateFunctionError(
-                f"{f.name} is affine or degenerate near t={t:.3g} "
-                f"(|f''| < {DEGENERACY_FLOOR:g}); gap function undefined"
-            )
+    try:
+        curvature = f.d2(_GAP_CHECK_GRID)
+    except DomainError:  # find the first failing point, as a scan would
+        curvature = np.array([f.d2(float(t)) for t in _GAP_CHECK_GRID])
+    flat = np.abs(curvature) < DEGENERACY_FLOOR
+    if flat.any():
+        raise DegenerateFunctionError(
+            f"{f.name} is affine or degenerate near t={_GAP_CHECK_GRID[flat][0]:.3g} "
+            f"(|f''| < {DEGENERACY_FLOOR:g}); gap function undefined"
+        )
 
     base = f.taylor
 
     def series(t: float) -> Jet:
         spp = base(t).shift().shift()
-        if abs(spp.value) < DEGENERACY_FLOOR:
+        flat = np.abs(spp.c[0]) < DEGENERACY_FLOOR
+        if np.any(flat):
+            where = np.broadcast_to(t, flat.shape)[flat].flat[0] if np.ndim(flat) else t
             raise DegenerateFunctionError(
-                f"{f.name} is affine or degenerate at t={t:.6g}; "
+                f"{f.name} is affine or degenerate at t={float(where):.6g}; "
                 "gap function undefined"
             )
         return Jet.constant(1.0) / spp

@@ -28,6 +28,10 @@ __all__ = [
     "entropy",
     "PsdMargin",
     "psd_margin",
+    "adjoint",
+    "gaussian_draw",
+    "pd_draw",
+    "pd_from_draw",
     "random_unitary",
     "random_hermitian",
     "random_pd",
@@ -45,15 +49,21 @@ EIGH_RESIDUAL_TOL = 1e-12
 ZERO_CLAMP_TOL = 1e-12
 
 
+def adjoint(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return np.swapaxes(np.conj(a), -1, -2)
+
+
 def hermitize(a: np.ndarray) -> np.ndarray:
     """Hermitian part (a + a*) / 2; exact conjugate symmetry by construction."""
     a = np.asarray(a, dtype=complex)
-    return (a + a.conj().T) / 2.0
+    return (a + adjoint(a)) / 2.0
 
 
 def is_hermitian(a: np.ndarray) -> bool:
+    """True when the matrix (every matrix of a stack) is exactly Hermitian."""
     a = np.asarray(a)
-    return a.ndim == 2 and a.shape[0] == a.shape[1] and np.array_equal(a, a.conj().T)
+    return a.ndim >= 2 and a.shape[-1] == a.shape[-2] and np.array_equal(a, adjoint(a))
 
 
 class EighError(RuntimeError):
@@ -66,62 +76,85 @@ class EighError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues (ascending) and a unitary of eigenvectors (columns)."""
+    """Eigenvalues (ascending) and a unitary of eigenvectors (columns).
+
+    For a stack of matrices both arrays carry the stack's leading axes.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.eigenvalues.shape[0]
+        return self.eigenvalues.shape[-1]
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
+        return (v * self.eigenvalues[..., None, :]) @ adjoint(v)
+
+
+def _first_failure(defect: np.ndarray, bound) -> int | None:
+    bad = defect > bound
+    if not bad.any():
+        return None
+    return int(np.flatnonzero(np.broadcast_to(bad, defect.shape))[0])
 
 
 def eigh(m: np.ndarray) -> SpectralDecomposition:
-    """Spectral decomposition of a Hermitian matrix, with residual checks."""
+    """Spectral decomposition of a Hermitian matrix, with residual checks.
+
+    Accepts a stack of matrices as well; every member is checked on its own
+    (residual relative to its own norm, orthogonality of its own
+    eigenvectors) and one failing member raises :class:`EighError`.
+    """
     m = np.asarray(m, dtype=complex)
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise EighError(f"eigendecomposition did not converge: {exc}") from exc
-    scale = max(1.0, float(np.linalg.norm(m)))
-    residual = float(np.linalg.norm((v * w) @ v.conj().T - m))
-    if residual > EIGH_RESIDUAL_TOL * scale:
+    scale = np.maximum(1.0, np.linalg.norm(m, axis=(-2, -1)))
+    residual = np.linalg.norm((v * w[..., None, :]) @ adjoint(v) - m, axis=(-2, -1))
+    i = _first_failure(residual, EIGH_RESIDUAL_TOL * scale)
+    if i is not None:
+        res, sc = float(residual.flat[i]), float(np.broadcast_to(scale, residual.shape).flat[i])
         raise EighError(
-            f"eigendecomposition residual {residual:.3e} exceeds "
-            f"{EIGH_RESIDUAL_TOL:g} * {scale:g}",
-            residual=residual,
+            f"eigendecomposition residual {res:.3e} exceeds {EIGH_RESIDUAL_TOL:g} * {sc:g}",
+            residual=res,
         )
-    ortho = float(np.linalg.norm(v.conj().T @ v - np.eye(m.shape[0])))
-    if ortho > EIGH_RESIDUAL_TOL * m.shape[0]:
-        raise EighError(f"eigenvector matrix not unitary (defect {ortho:.3e})", residual=ortho)
+    n = m.shape[-1]
+    ortho = np.linalg.norm(adjoint(v) @ v - np.eye(n), axis=(-2, -1))
+    i = _first_failure(ortho, EIGH_RESIDUAL_TOL * n)
+    if i is not None:
+        defect = float(ortho.flat[i])
+        raise EighError(f"eigenvector matrix not unitary (defect {defect:.3e})", residual=defect)
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
 
 
 def _function_values(f: ScalarFunction, eigenvalues: np.ndarray) -> np.ndarray:
-    """f applied to a spectrum, honouring the zero extension and domain.
+    """f applied to a spectrum (or a stack of spectra), honouring the zero extension and domain.
 
     Eigenvalues within ZERO_CLAMP_TOL * max(1, scale) of zero are treated as
-    exact zeros when the function has a zero extension.  Without the clamp,
-    the numerically-zero spectrum of embeddings like W rho W^dagger would
-    leak O(sqrt(eps)) errors through functions with unbounded slope at 0.
+    exact zeros when the function has a zero extension; the scale is the
+    spectral radius of each spectrum.  Without the clamp, the
+    numerically-zero spectrum of embeddings like W rho W^dagger would leak
+    O(sqrt(eps)) errors through functions with unbounded slope at 0.
     """
-    scale = float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 0.0
-    clamp = ZERO_CLAMP_TOL * max(1.0, scale)
-    out = np.empty(eigenvalues.shape[0])
-    for i, lam in enumerate(eigenvalues):
-        lam = float(lam)
-        if f.zero_extension is not None and f.domain_min == 0.0 and abs(lam) <= clamp:
-            out[i] = f.zero_extension
-        elif lam > f.domain_min:
-            out[i] = f(lam)
-        else:
-            raise DomainError(
-                f"eigenvalue {lam:.6g} outside the domain of {f.name}"
-            )
+    lam = np.asarray(eigenvalues, dtype=float)
+    out = np.zeros(lam.shape)
+    if lam.size == 0:
+        return out
+    zero = np.zeros(lam.shape, dtype=bool)
+    if f.zero_extension is not None and f.domain_min == 0.0:
+        scale = np.max(np.abs(lam), axis=-1, keepdims=True)
+        zero = np.abs(lam) <= ZERO_CLAMP_TOL * np.maximum(1.0, scale)
+        out[zero] = f.zero_extension
+    inside = ~zero & (lam > f.domain_min)
+    if not np.all(zero | inside):
+        bad = float(lam[~(zero | inside)][0])
+        raise DomainError(f"eigenvalue {bad:.6g} outside the domain of {f.name}")
+    if inside.all():
+        return np.asarray(f(lam), dtype=float)
+    out[inside] = f(lam[inside])
     return out
 
 
@@ -132,7 +165,7 @@ def apply_function(
     dec = decomp if decomp is not None else eigh(m)
     vals = _function_values(f, dec.eigenvalues)
     v = dec.eigenvectors
-    return hermitize((v * vals) @ v.conj().T)
+    return hermitize((v * vals[..., None, :]) @ adjoint(v))
 
 
 def trace(m: np.ndarray) -> complex:
@@ -141,13 +174,14 @@ def trace(m: np.ndarray) -> complex:
 
 def trace_of_function(
     f: ScalarFunction, m: np.ndarray, decomp: SpectralDecomposition | None = None
-) -> float:
-    """Tr f(m) = sum of f over the spectrum."""
+):
+    """Tr f(m) = sum of f over the spectrum (an array of traces for a stack)."""
     dec = decomp if decomp is not None else eigh(m)
-    return float(np.sum(_function_values(f, dec.eigenvalues)))
+    total = np.sum(_function_values(f, dec.eigenvalues), axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
-def entropy(f: ScalarFunction, m: np.ndarray) -> float:
+def entropy(f: ScalarFunction, m: np.ndarray):
     """S_f(m) = -Tr f(m)."""
     return -trace_of_function(f, m)
 
@@ -157,45 +191,65 @@ class PsdMargin:
     """Signed distance of a Hermitian matrix from the PSD cone.
 
     ``scale`` is the spectral radius of the tested matrix; classification is
-    relative to max(1, scale).
+    relative to max(1, scale).  For a stack both fields are arrays.
     """
 
     min_eigenvalue: float
     scale: float
 
-    def is_psd(self, tol: float = 1e-10) -> bool:
-        return self.min_eigenvalue >= -tol * max(1.0, self.scale)
+    def is_psd(self, tol: float = 1e-10):
+        ok = self.min_eigenvalue >= -tol * np.maximum(1.0, self.scale)
+        return bool(ok) if np.ndim(ok) == 0 else ok
 
     @property
-    def normalized(self) -> float:
-        return self.min_eigenvalue / max(1.0, self.scale)
+    def normalized(self):
+        out = self.min_eigenvalue / np.maximum(1.0, self.scale)
+        return float(out) if np.ndim(out) == 0 else out
+
+    @staticmethod
+    def of_spectrum(w: np.ndarray) -> "PsdMargin":
+        """From ascending eigenvalues (a float pair, or arrays for a stack)."""
+        lo, rad = w[..., 0], np.max(np.abs(w), axis=-1)
+        if lo.ndim == 0:
+            return PsdMargin(min_eigenvalue=float(lo), scale=float(rad))
+        return PsdMargin(min_eigenvalue=lo, scale=rad)
 
 
 def psd_margin(m: np.ndarray) -> PsdMargin:
-    w = np.linalg.eigvalsh(np.asarray(m, dtype=complex))
-    return PsdMargin(min_eigenvalue=float(w[0]), scale=float(np.max(np.abs(w))))
+    return PsdMargin.of_spectrum(np.linalg.eigvalsh(np.asarray(m, dtype=complex)))
 
 
 # --------------------------------------------------------------------------
 # random generators (all take an explicit numpy Generator; no global state)
+#
+# Each generator first makes its draws from the Generator and then builds
+# the matrix.  The build step takes stacks, so a batch of trials can draw
+# one trial at a time, from each trial's own stream, and build together.
+
+def gaussian_draw(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """A complex Gaussian dim x dim matrix (real part drawn first)."""
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+def _unitary_from_draw(z: np.ndarray) -> np.ndarray:
+    """Haar-like unitary: QR of a complex Gaussian with phase correction."""
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-like unitary: QR of a complex Gaussian with phase correction."""
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _unitary_from_draw(gaussian_draw(dim, rng))
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return hermitize(z)
+    return hermitize(gaussian_draw(dim, rng))
 
 
-def random_pd(
+def pd_draw(
     dim: int, eig_range: tuple[float, float], rng: np.random.Generator
-) -> np.ndarray:
-    """Random positive definite matrix with log-uniform spectrum in eig_range."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The draws behind :func:`random_pd`: its spectrum and a Gaussian matrix."""
     lo, hi = float(eig_range[0]), float(eig_range[1])
     if not 0.0 < lo <= hi:
         raise ValueError(f"invalid eigenvalue range [{lo}, {hi}]")
@@ -203,9 +257,21 @@ def random_pd(
         lam = np.full(dim, lo)
     else:
         lam = np.exp(rng.uniform(math.log(lo), math.log(hi), size=dim))
-        lam = np.clip(lam, lo, hi)
-    u = random_unitary(dim, rng)
-    return hermitize((u * lam) @ u.conj().T)
+        lam = np.minimum(np.maximum(lam, lo), hi)
+    return lam, gaussian_draw(dim, rng)
+
+
+def pd_from_draw(lam: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """U diag(lam) U* with U the unitary of z; takes stacks of draws."""
+    u = _unitary_from_draw(z)
+    return hermitize((u * lam[..., None, :]) @ adjoint(u))
+
+
+def random_pd(
+    dim: int, eig_range: tuple[float, float], rng: np.random.Generator
+) -> np.ndarray:
+    """Random positive definite matrix with log-uniform spectrum in eig_range."""
+    return pd_from_draw(*pd_draw(dim, eig_range, rng))
 
 
 # --------------------------------------------------------------------------

@@ -5,6 +5,12 @@ A :class:`Jet` holds the Taylor coefficients of a scalar function at a point,
 ``+ - * / **``, ``exp``, ``log`` and ``sqrt``, so evaluating an expression on
 ``Jet.variable(t0)`` yields the expression's derivatives at ``t0``.
 
+The expansion point may also be an array of points: ``c`` then has shape
+``(ORDER + 1, *points.shape)`` and every operation acts on all points at
+once.  A constant jet (shape ``(ORDER + 1,)``) combines with any batch.  An
+elementary function raises :class:`DomainError` when any point lies outside
+its domain.
+
 Jets expose derivatives up to third order.  Internally two extra orders are
 retained so that derived functions (derivative shifts ``f -> f'`` and
 reciprocals of second derivatives) still carry exact third-order jets.
@@ -20,6 +26,12 @@ import numpy as np
 # headroom for derivative shifts.
 ORDER = 5
 
+_FACTORIALS = np.array([math.factorial(k) for k in range(ORDER + 1)], dtype=float)
+_SHIFT = np.arange(1.0, ORDER + 1)
+
+# exp overflows double precision above this argument.
+_EXP_LIMIT = math.log(np.finfo(float).max)
+
 
 class DomainError(ValueError):
     """Evaluation outside the domain where a function is defined."""
@@ -28,35 +40,60 @@ class DomainError(ValueError):
 def _lift(x) -> "Jet":
     if isinstance(x, Jet):
         return x
-    return Jet.constant(float(x))
+    return Jet.constant(x)
+
+
+def _terms(c: np.ndarray) -> list:
+    """Per-order coefficients: Python floats at one point, arrays for a batch.
+
+    The series recurrences run on these lists unchanged in both cases; a
+    constant (float) term broadcasts against a batch.
+    """
+    return c.tolist() if c.ndim == 1 else list(c)
+
+
+def _jet(terms: list) -> "Jet":
+    return Jet._raw(np.array(terms, dtype=float))
+
+
+def _check(ok, values, message: str) -> None:
+    """Raise DomainError(message % first failing value) unless ok holds everywhere."""
+    if isinstance(ok, bool):
+        if not ok:
+            raise DomainError(message % values)
+    elif not ok.all():
+        raise DomainError(message % float(values[~ok].flat[0]))
+
+
+def _scalar(x):
+    """A 0-d result as a Python float; batches stay arrays."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 class Jet:
     __slots__ = ("c",)
 
     def __init__(self, coeffs):
-        c = np.zeros(ORDER + 1)
         src = np.asarray(coeffs, dtype=float)
+        c = np.zeros((ORDER + 1,) + src.shape[1:])
         k = min(src.shape[0], ORDER + 1)
         c[:k] = src[:k]
         self.c = c
 
     @classmethod
-    def constant(cls, value: float) -> "Jet":
-        j = cls.__new__(cls)
-        c = np.zeros(ORDER + 1)
+    def constant(cls, value) -> "Jet":
+        value = np.asarray(value, dtype=float)
+        c = np.zeros((ORDER + 1,) + value.shape)
         c[0] = value
-        j.c = c
-        return j
+        return cls._raw(c)
 
     @classmethod
-    def variable(cls, t0: float) -> "Jet":
-        j = cls.__new__(cls)
-        c = np.zeros(ORDER + 1)
+    def variable(cls, t0) -> "Jet":
+        t0 = np.asarray(t0, dtype=float)
+        c = np.zeros((ORDER + 1,) + t0.shape)
         c[0] = t0
         c[1] = 1.0
-        j.c = c
-        return j
+        return cls._raw(c)
 
     @classmethod
     def _raw(cls, c: np.ndarray) -> "Jet":
@@ -67,24 +104,25 @@ class Jet:
     # -- inspection ---------------------------------------------------------
 
     @property
-    def value(self) -> float:
-        return float(self.c[0])
+    def value(self):
+        """Value at the expansion point (a float, or an array for a batch)."""
+        return _scalar(self.c[0])
 
-    def derivative(self, k: int) -> float:
+    def derivative(self, k: int):
         """k-th derivative at the expansion point."""
         if not 0 <= k <= ORDER:
             raise ValueError(f"derivative order {k} outside jet order {ORDER}")
-        return float(self.c[k]) * math.factorial(k)
+        return _scalar(self.c[k] * _FACTORIALS[k])
 
-    def jet4(self) -> tuple[float, float, float, float]:
+    def jet4(self) -> tuple:
         """(f, f', f'', f''') at the expansion point."""
         c = self.c
-        return float(c[0]), float(c[1]), 2.0 * float(c[2]), 6.0 * float(c[3])
+        return _scalar(c[0]), _scalar(c[1]), _scalar(2.0 * c[2]), _scalar(6.0 * c[3])
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other) -> "Jet":
-        return Jet._raw(self.c + _lift(other).c)
+        return _jet([x + y for x, y in zip(_terms(self.c), _terms(_lift(other).c))])
 
     __radd__ = __add__
 
@@ -92,36 +130,40 @@ class Jet:
         return Jet._raw(-self.c)
 
     def __sub__(self, other) -> "Jet":
-        return Jet._raw(self.c - _lift(other).c)
+        return _jet([x - y for x, y in zip(_terms(self.c), _terms(_lift(other).c))])
 
     def __rsub__(self, other) -> "Jet":
-        return Jet._raw(_lift(other).c - self.c)
+        return _lift(other).__sub__(self)
 
     def __mul__(self, other) -> "Jet":
-        b = _lift(other).c
-        return Jet._raw(np.convolve(self.c, b)[: ORDER + 1])
+        a, b = _terms(self.c), _terms(_lift(other).c)
+        out = []
+        for k in range(ORDER + 1):
+            acc = a[0] * b[k]
+            for j in range(1, k + 1):
+                acc = acc + a[j] * b[k - j]
+            out.append(acc)
+        return _jet(out)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Jet":
-        b = _lift(other).c
-        if b[0] == 0.0:
-            raise DomainError("division by zero")
-        a = self.c
-        q = np.zeros(ORDER + 1)
+        a, b = _terms(self.c), _terms(_lift(other).c)
+        _check(b[0] != 0.0, b[0], "division by zero (divisor %g)")
+        q = []
         for k in range(ORDER + 1):
             acc = a[k]
             for j in range(1, k + 1):
-                acc -= b[j] * q[k - j]
-            q[k] = acc / b[0]
-        return Jet._raw(q)
+                acc = acc - b[j] * q[k - j]
+            q.append(acc / b[0])
+        return _jet(q)
 
     def __rtruediv__(self, other) -> "Jet":
         return _lift(other).__truediv__(self)
 
     def __pow__(self, p) -> "Jet":
         if isinstance(p, Jet):
-            if np.any(p.c[1:] != 0.0):
+            if np.any(p.c[1:] != 0.0) or p.c.ndim > 1:
                 # genuinely variable exponent: b^e = exp(e * log b)
                 return (p * self.log()).exp()
             p = p.value
@@ -149,69 +191,46 @@ class Jet:
     # -- elementary functions -----------------------------------------------
 
     def exp(self) -> "Jet":
-        a = self.c
-        e = np.zeros(ORDER + 1)
-        try:
-            e[0] = math.exp(a[0])
-        except OverflowError:
-            raise DomainError(
-                f"exp overflows double precision at t={a[0]:.6g}"
-            ) from None
+        a = _terms(self.c)
+        _check(~(a[0] > _EXP_LIMIT) if isinstance(a[0], np.ndarray) else not a[0] > _EXP_LIMIT,
+               a[0], "exp overflows double precision at t=%.6g")
+        e = [math.exp(a[0]) if isinstance(a[0], float) else np.exp(a[0])]
         for k in range(1, ORDER + 1):
-            acc = 0.0
-            for j in range(1, k + 1):
-                acc += j * a[j] * e[k - j]
-            e[k] = acc / k
-        return Jet._raw(e)
+            acc = a[1] * e[k - 1]
+            for j in range(2, k + 1):
+                acc = acc + j * a[j] * e[k - j]
+            e.append(acc / k)
+        return _jet(e)
 
     def log(self) -> "Jet":
-        a = self.c
-        if a[0] <= 0.0:
-            raise DomainError(f"log of non-positive value {a[0]:.6g}")
-        l = np.zeros(ORDER + 1)
-        l[0] = math.log(a[0])
+        a = _terms(self.c)
+        _check(a[0] > 0.0, a[0], "log of non-positive value %.6g")
+        l = [math.log(a[0]) if isinstance(a[0], float) else np.log(a[0])]
         for k in range(1, ORDER + 1):
             acc = a[k]
             for j in range(1, k):
-                acc -= (j / k) * l[j] * a[k - j]
-            l[k] = acc / a[0]
-        return Jet._raw(l)
+                acc = acc - (j / k) * l[j] * a[k - j]
+            l.append(acc / a[0])
+        return _jet(l)
 
     def sqrt(self) -> "Jet":
-        a = self.c
-        if a[0] <= 0.0:
-            raise DomainError(f"sqrt of non-positive value {a[0]:.6g}")
-        s = np.zeros(ORDER + 1)
-        s[0] = math.sqrt(a[0])
+        a = _terms(self.c)
+        _check(a[0] > 0.0, a[0], "sqrt of non-positive value %.6g")
+        s = [math.sqrt(a[0]) if isinstance(a[0], float) else np.sqrt(a[0])]
         for k in range(1, ORDER + 1):
             acc = a[k]
             for j in range(1, k):
-                acc -= s[j] * s[k - j]
-            s[k] = acc / (2.0 * s[0])
-        return Jet._raw(s)
+                acc = acc - s[j] * s[k - j]
+            s.append(acc / (2.0 * s[0]))
+        return _jet(s)
 
     # -- calculus helpers -----------------------------------------------------
 
     def shift(self) -> "Jet":
         """Taylor series of the derivative (drops the top coefficient)."""
-        b = np.zeros(ORDER + 1)
-        for k in range(ORDER):
-            b[k] = (k + 1) * self.c[k + 1]
+        b = np.zeros_like(self.c)
+        b[:ORDER] = self.c[1:] * _SHIFT.reshape((ORDER,) + (1,) * (self.c.ndim - 1))
         return Jet._raw(b)
-
-    def compose_on(self, inner: "Jet") -> "Jet":
-        """Series of f(g(t)), where self is f's series at g's value.
-
-        ``self.c`` must be the Taylor coefficients of the outer function at
-        ``inner.value``.  Standard truncated composition by Horner's rule.
-        """
-        d = inner.c.copy()
-        d[0] = 0.0
-        dev = Jet._raw(d)
-        out = Jet.constant(float(self.c[ORDER]))
-        for k in range(ORDER - 1, -1, -1):
-            out = out * dev + float(self.c[k])
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Jet({self.c.tolist()})"

@@ -2,10 +2,8 @@
 
 Composite spaces are ordered with the retained factor first: a bipartite
 matrix lives on H1 (x) H2 with combined index i1*dim2 + i2, and
-:func:`partial_trace_1` traces out the second factor.  Block-diagonal
-embeddings place k blocks of size n on H1 (x) C^k (the k-dimensional factor
-second), so tracing the second factor returns the *sum* of the blocks
-exactly.
+:func:`partial_trace_1` traces out the second factor.  Partial traces and
+channel application also take stacks of states.
 """
 
 from __future__ import annotations
@@ -15,12 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import ScalarFunction
-from .hermitian import hermitize, is_hermitian, psd_margin, trace_of_function
+from .hermitian import adjoint, hermitize, is_hermitian, psd_margin, trace_of_function
 
 __all__ = [
     "kron",
     "partial_trace_1",
-    "embed_block_diagonal",
+    "apply_kraus",
     "KrausChannel",
     "apply_channel",
     "StinespringIsometry",
@@ -46,36 +44,35 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def partial_trace_1(rho: np.ndarray, dim1: int, dim2: int) -> np.ndarray:
-    """Trace out the second factor of a dim1*dim2 square matrix.
+    """Trace out the second factor of a dim1*dim2 square matrix (or a stack).
 
     Plain ordered summation over the traced index, so block-diagonal inputs
     reduce to the exact floating-point sum of their blocks.
     """
     rho = np.asarray(rho)
-    if rho.shape != (dim1 * dim2, dim1 * dim2):
+    if rho.shape[-2:] != (dim1 * dim2, dim1 * dim2):
         raise ValueError(
             f"partial_trace_1: shape {rho.shape} does not match {dim1}x{dim2} factors"
         )
-    r4 = rho.reshape(dim1, dim2, dim1, dim2)
-    out = r4[:, 0, :, 0].copy()
+    r4 = rho.reshape(rho.shape[:-2] + (dim1, dim2, dim1, dim2))
+    out = r4[..., :, 0, :, 0].copy()
     for u in range(1, dim2):
-        out = out + r4[:, u, :, u]
+        out = out + r4[..., :, u, :, u]
     return out
 
 
-def embed_block_diagonal(rhos: list[np.ndarray]) -> np.ndarray:
-    """Direct sum of k equally sized blocks, realised on H1 (x) C^k."""
-    if not rhos:
-        raise ValueError("embed_block_diagonal needs at least one block")
-    n = rhos[0].shape[0]
-    k = len(rhos)
-    out = np.zeros((n * k, n * k), dtype=complex)
-    for u, r in enumerate(rhos):
-        if r.shape != (n, n):
-            raise ValueError("all blocks must share one dimension")
-        e = np.zeros((k, k))
-        e[u, u] = 1.0
-        out = out + np.kron(r, e)
+def apply_kraus(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """sum_m K_m rho K_m*, summed in Kraus order.
+
+    ``kraus`` holds the operators along axis -3; leading axes of ``kraus``
+    and ``rho`` broadcast, so a stack of channels of one shape applies to a
+    stack of states in one call.
+    """
+    kraus = np.asarray(kraus)
+    out = 0.0
+    for m in range(kraus.shape[-3]):
+        k = kraus[..., m, :, :]
+        out = out + k @ rho @ adjoint(k)
     return out
 
 
@@ -103,9 +100,8 @@ class KrausChannel:
             )
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.out_dim, self.out_dim), dtype=complex)
-        for k in self.kraus:
-            out = out + k @ rho @ k.conj().T
+        """The channel on a state (or on each state of a stack)."""
+        out = apply_kraus(np.stack(self.kraus), rho)
         if is_hermitian(rho):
             return hermitize(out)
         return out

@@ -57,13 +57,67 @@ def test_outcomes_are_deterministic():
     assert a == b  # dataclass equality, including float margins bit-for-bit
 
 
-def test_thread_count_does_not_change_results(monkeypatch):
-    f = lookup("neglog")
-    monkeypatch.delenv("ENTROPIC_THREADS", raising=False)
-    serial = test_entropic(f, CFG)
-    monkeypatch.setenv("ENTROPIC_THREADS", "3")
-    threaded = test_entropic(f, CFG)
-    assert serial == threaded
+# Every plan of these suites draws `samples` trials, so a recorder row's
+# global trial index splits into (plan, index within the plan).
+INVARIANCE_RUNS = [("tlogt", s) for s in (
+    "principle1", "entropic", "subentropic", "condition13", "equivalence", "matrix-entropy",
+)] + [("exp", "condition13")]
+
+
+def _invariance_run(samples):
+    outcomes, rows = [], {}
+    for name, suite in INVARIANCE_RUNS:
+        recorder = []
+        outcomes += run_suite(lookup(name), suite, TestConfig(seed=5, samples=samples), recorder)[0]
+        for test, _, trial, margin, _ in recorder:
+            rows[(name, test, trial // samples, trial % samples)] = margin
+    return outcomes, rows
+
+
+def _close(a, b):
+    return abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b))
+
+
+def test_batch_size_does_not_change_results(monkeypatch):
+    import entrocert.certify as certify
+
+    stacked, rows = _invariance_run(50)
+    longer, longer_rows = _invariance_run(200)
+    monkeypatch.setattr(certify, "_CHUNK_BYTES", 1)  # one trial per chunk
+    single, single_rows = _invariance_run(50)
+
+    for a, b in zip(stacked, single, strict=True):
+        assert (a.name, a.verdict, a.trials_run, a.trials_skipped) == (
+            b.name, b.verdict, b.trials_run, b.trials_skipped
+        )
+        assert _close(a.min_margin, b.min_margin)
+    assert [o.verdict for o in stacked] == [o.verdict for o in longer]
+    assert rows.keys() == single_rows.keys()
+    for key, margin in rows.items():
+        # the same trial, measured alone and as the leading part of a larger budget
+        assert _close(margin, single_rows[key]) and _close(margin, longer_rows[key])
+
+
+def test_battery_fail_payloads_reverify_through_shared_margin():
+    from entrocert.certify import _PROPERTIES
+    from entrocert.report import CertificationReport
+
+    cfg = TestConfig(seed=42, samples=10)
+    kinds = set()
+    for name in ("square", "exp", "neglog"):
+        f = lookup(name)
+        outcomes, fit = run_suite(f, "all", cfg)
+        report = CertificationReport(f.describe(), cfg.as_dict(), tuple(outcomes), 0.0, fit)
+        for o in CertificationReport.from_json(report.to_json()).outcomes:
+            if o.verdict != FAIL:
+                continue
+            payload = o.counterexample
+            assert payload["kind"] in _PROPERTIES
+            kinds.add(payload["kind"])
+            margin = reverify_counterexample(f, payload)
+            assert margin < -cfg.tol / 2
+            assert margin == pytest.approx(payload["margin"], rel=1e-9, abs=1e-12)
+    assert len(kinds) >= 4
 
 
 def test_square_condition13_constant_margin():

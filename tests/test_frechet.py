@@ -11,7 +11,11 @@ from entrocert.frechet import (
     unvec,
     vec,
 )
-from entrocert.functions import divided_difference, lookup
+from entrocert.functions import (
+    divided_difference,
+    divided_difference_quadrature_check,
+    lookup,
+)
 from entrocert.hermitian import (
     apply_function,
     hermitize,
@@ -50,6 +54,34 @@ def test_loewner_matrix_entries():
                     divided_difference(f, lam[i], lam[j]), rel=1e-13
                 )
     assert np.allclose(k, k.T)
+
+
+@pytest.mark.parametrize("name", ["tlogt", "neglog", "power:1.5", "exp"])
+def test_loewner_matrix_matches_quadrature_on_near_coincident_spectra(name):
+    f = lookup(name)
+    lam = np.array([0.5, 0.5 * (1.0 + 1e-9), 2.0, 2.00001, 3.0])
+    k = loewner_matrix(f, lam)
+    for i in range(lam.size):
+        for j in range(lam.size):
+            ref = divided_difference_quadrature_check(f, lam[i], lam[j])
+            assert k[i, j] == pytest.approx(ref, rel=5e-9, abs=1e-12)
+    # a stack of spectra gives each member's matrix
+    stacked = loewner_matrix(f, np.stack([lam, lam[::-1]]))
+    assert np.array_equal(stacked[0], k)
+    assert np.array_equal(stacked[1], k[::-1, ::-1])
+
+
+def test_stacked_superoperators_match_single_ones():
+    f = lookup("tlogt").derivative()
+    rhos = np.stack([random_pd(3, (0.1, 10.0), RNG) for _ in range(4)])
+    fwd = frechet_superoperator(f, rhos)
+    inv = frechet_inverse(f, rhos)
+    assert fwd.matrix.shape == (4, 9, 9)
+    for i in range(4):
+        assert np.allclose(fwd.matrix[i], frechet_superoperator(f, rhos[i]).matrix, atol=1e-12)
+        assert np.allclose(fwd.matrix[i] @ inv.matrix[i], np.eye(9), atol=1e-10)
+    h = random_hermitian(3, RNG)
+    assert np.allclose(fwd.apply(h)[2], frechet_diff(f, rhos[2], h), atol=1e-12)
 
 
 @pytest.mark.parametrize("name", ["tlogt", "neglog", "square", "exp", "power:1.5"])

@@ -12,6 +12,7 @@ from entrocert.functions import (
     lookup,
     registry,
 )
+from entrocert.expr import parse
 from entrocert.jets import DomainError, Jet
 
 EXPECTED_NAMES = {
@@ -148,3 +149,42 @@ def test_gap_of_gap_is_function():
     g = gap_function(lookup("neglog"))  # t^2
     gg = gap_function(g)  # 1/g'' = 1/2
     assert gg(3.0) == pytest.approx(0.5, rel=1e-12)
+
+
+# Registry functions, both --expr twins, a gap function and a derivative.
+ARRAY_CASES = [
+    *registry(),
+    parse("t*log(t)").as_function(zero_extension=0.0),
+    parse("-log(t)").as_function(),
+    gap_function(lookup("neglog")),
+    lookup("tlogt").derivative(),
+]
+ARRAY_POINTS = np.logspace(-2.0, 2.0, 17)
+
+
+@pytest.mark.parametrize("f", ARRAY_CASES, ids=lambda f: f.name)
+def test_array_evaluation_matches_pointwise(f):
+    # one call on an array against one call per point; NumPy's vectorised
+    # log/exp may differ from its scalar path by an ulp
+    got = f.jet(ARRAY_POINTS)
+    for k in range(4):
+        want = np.array([f.jet(float(t))[k] for t in ARRAY_POINTS])
+        np.testing.assert_allclose(got[k], want, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(
+        f(ARRAY_POINTS), [f(float(t)) for t in ARRAY_POINTS], rtol=1e-14, atol=0.0
+    )
+
+
+def test_array_evaluation_keeps_zero_extension_and_domain():
+    tlogt = lookup("tlogt")
+    assert np.array_equal(tlogt(np.array([0.0, 1.0])), [0.0, 0.0])
+    with pytest.raises(DomainError):
+        lookup("neglog")(np.array([1.0, 0.0]))
+    with pytest.raises(DomainError):
+        tlogt.d2(np.array([1.0, -0.5]))
+
+
+def test_float_only_taylor_is_evaluated_pointwise():
+    f = ScalarFunction("log1p", lambda t: (Jet.variable(t) + 1.0).log() + 0.0 * math.log(t))
+    ts = np.array([0.5, 2.0])
+    assert np.array_equal(f.d2(ts), [f.d2(0.5), f.d2(2.0)])

@@ -49,6 +49,19 @@ def test_eigh_rejects_non_hermitian():
         eigh(bad)
 
 
+def test_stacked_eigh_checks_every_member():
+    stack = np.stack([random_hermitian(3, RNG) for _ in range(5)])
+    dec = eigh(stack)
+    assert dec.eigenvalues.shape == (5, 3) and dec.eigenvectors.shape == (5, 3, 3)
+    for i in range(5):
+        assert np.allclose(dec.eigenvalues[i], eigh(stack[i]).eigenvalues, atol=1e-13)
+    # eigh reads one triangle, so only the residual check sees this member
+    bad = stack.copy()
+    bad[3, 0, 2] += 1.0
+    with pytest.raises(EighError):
+        eigh(bad)
+
+
 def test_apply_function_square_matches_matmul():
     f = lookup("square")
     m = random_pd(4, (0.2, 5.0), RNG)

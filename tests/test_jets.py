@@ -105,19 +105,6 @@ def test_int_pow_negative():
     assert j.derivative(1) == pytest.approx(-2 * t**-3, rel=1e-12)
 
 
-def test_compose_on_chain_rule():
-    # f(g(t)) with f = exp at g(t0), g = t^2
-    t0 = 0.8
-    g = Jet.variable(t0) ** 2
-    f_at = Jet.variable(g.value).exp()
-    comp = f_at.compose_on(g)
-    ref = lambda t: math.exp(t * t)
-    assert comp.value == pytest.approx(ref(t0), rel=1e-13)
-    for k in (1, 2, 3):
-        r = fd_derivative(ref, t0, k)
-        assert abs(comp.derivative(k) - r) / max(1.0, abs(r)) < FD_RTOL[k]
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     t=st.floats(0.1, 5.0),
