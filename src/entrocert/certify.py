@@ -26,11 +26,14 @@ its counterexample payload and a ``margin(f, payloads)`` that measures a
 whole stack of trials.  Sampling, escalation and reverify_counterexample all
 go through that one margin; re-verification is a batch of one.
 
-Every trial draws its randomness from an independent stream keyed by
-(seed, stream name, trial index), one trial at a time.  The linear algebra
-then runs on stacks of trials (in chunks under a fixed memory ceiling), so
-outcomes do not depend on how trials are batched.  Growing the sample budget
-re-runs the same leading trials, so a FAIL can never flip back to PASS.
+Every suite is a list of trial plans, and one aggregator (_drive) turns
+their margins into the outcome.  A sampled trial draws its randomness from an
+independent stream keyed by (seed, stream name, trial index), one trial at a
+time; the gap suites' trials are fixed grid points and draw nothing.  The
+linear algebra then runs on stacks of trials (in chunks under a fixed memory
+ceiling), so outcomes do not depend on how trials are batched.  Growing the
+sample budget re-runs the same leading trials, so a FAIL can never flip back
+to PASS.
 """
 
 from __future__ import annotations
@@ -164,10 +167,10 @@ class TestConfig:
         )
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError("tol must be positive and finite")
         lo, hi = self.eig_range
-        if not 0.0 < lo <= hi:
+        if not 0.0 < lo <= hi < np.inf:
             raise ValueError(f"invalid eigenvalue range [{lo}, {hi}]")
         if not self.dims or any(not 1 <= d <= 8 for d in self.dims):
             raise ValueError("dims must be nonempty with entries in 1..8")
@@ -387,6 +390,28 @@ def _quad(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.sum(v.conj() * (v @ np.swapaxes(m, -1, -2)), axis=-1).real
 
 
+def _negative_pairs(d, inv_r, inv_s):
+    """Direction pairs from the lowest eigenvector w of d (stacks allowed).
+
+    d = df'(rho+sigma)^-1 - df'(rho)^-1 - df'(sigma)^-1, and inv_r, inv_s are
+    df'(rho)^-1 and df'(sigma)^-1.  Each candidate c in (herm(w), herm(-iw))
+    gives h1 = df'(rho)^-1 c and h2 = df'(sigma)^-1 c.  Returns d's
+    eigenvalues, then per candidate (an axis of two) h1, h2, the quadratic
+    form of d normalised by |c|^2, and whether c is usable: |c|^2 >= 1e-20
+    and a negative form.
+    """
+    n = round(d.shape[-1] ** 0.5)
+    eigs, vecs = np.linalg.eigh(d)
+    w = unvec(vecs[..., 0], n)
+    cands = vec(np.stack([hermitize(w), hermitize(-1j * w)], axis=-3))
+    norm = np.sum(cands.conj() * cands, axis=-1).real
+    quad = _quad(d, cands) / np.maximum(norm, 1e-20)
+    usable = ~(norm < 1e-20) & ~(quad >= 0.0)
+    h1 = hermitize(unvec(cands @ np.swapaxes(inv_r, -1, -2), n))
+    h2 = hermitize(unvec(cands @ np.swapaxes(inv_s, -1, -2), n))
+    return eigs, h1, h2, quad, usable
+
+
 def _equivalence_margin(f, P):
     """Per-instance agreement of the condition13 verdict with the Hessian verdict.
 
@@ -395,12 +420,11 @@ def _equivalence_margin(f, P):
     Both margins must clear ``band`` before a sign disagreement counts.
     """
     rho, sigma, h1, h2, band = P["rho"], P["sigma"], P["h1"], P["h2"], P["band"]
-    n = rho.shape[-1]
     fwd, inv = _frechet_pair(f.derivative(), np.stack([hermitize(rho + sigma), rho, sigma]))
     a, b, c = fwd.matrix
     inv_r, inv_s = inv.matrix[1], inv.matrix[2]
     d = hermitize(inv.matrix[0] - inv_r - inv_s)
-    eigs, vecs = np.linalg.eigh(d)
+    eigs, t1, t2, _, usable = _negative_pairs(d, inv_r, inv_s)
     m13 = eigs[:, 0] / np.maximum(1.0, np.max(np.abs(eigs), axis=-1))
 
     def hess(g1, g2):
@@ -408,11 +432,6 @@ def _equivalence_margin(f, P):
         q1, q2, qt = _quad(b, v1), _quad(c, v2), _quad(a, v1 + v2)
         return (q1 + q2 - qt) / np.maximum(1.0, np.abs(q1) + np.abs(q2) + np.abs(qt))
 
-    w = unvec(vecs[:, :, 0], n)
-    cands = vec(np.stack([hermitize(w), hermitize(-1j * w)], axis=1))
-    usable = ~(np.sum(cands.conj() * cands, axis=-1).real < 1e-20) & ~(_quad(d, cands) >= 0.0)
-    t1 = hermitize(unvec(cands @ np.swapaxes(inv_r, -1, -2), n))
-    t2 = hermitize(unvec(cands @ np.swapaxes(inv_s, -1, -2), n))
     all1, all2 = np.concatenate([h1, t1], axis=1), np.concatenate([h2, t2], axis=1)
     hm = np.concatenate([hess(h1, h2), np.where(usable, hess(t1, t2), np.inf)], axis=1)
     rows = np.arange(hm.shape[0])
@@ -627,19 +646,34 @@ def _shape_key(payload: dict) -> tuple:
 
 @dataclass(frozen=True)
 class _Plan:
-    """``count`` trials of one stream; each trial is measured by every property."""
+    """``count`` trials of one stream; each trial is measured by every property.
 
-    stream: str
+    A plan without a stream is a fixed grid: its trials draw nothing, and
+    ``excluded`` counts the grid points left out of it, each as one skipped
+    trial.
+    """
+
+    stream: Optional[str]
     count: int
-    draw: Callable[[np.random.Generator, int], dict]
+    draw: Callable[[Optional[np.random.Generator], int], dict]
     props: tuple[_Property, ...]
+    excluded: int = 0
+
+
+def _grid_plan(prop: _Property, excluded: int = 0, **columns: np.ndarray) -> _Plan:
+    """A grid plan whose trial i takes entry i of every column."""
+
+    def draw(rng, i):
+        return {k: v[i, ...] for k, v in columns.items()}
+
+    return _Plan(None, len(next(iter(columns.values()))), draw, (prop,), excluded)
 
 
 def _trial_bytes(props: tuple[_Property, ...], payload: dict) -> int:
     """Working memory of one trial: its arrays several times over, plus its superoperators."""
     arrays = [v.z if isinstance(v, _PdDraw) else v for v in payload.values()
               if isinstance(v, (np.ndarray, _PdDraw))]
-    n = max(a.shape[-1] for a in arrays)
+    n = max((a.shape[-1] for a in arrays if a.ndim), default=1)
     return 8 * sum(a.nbytes for a in arrays) + sum(p.superops for p in props) * 16 * n**4
 
 
@@ -648,7 +682,8 @@ def _chunks(seed: int, plan: _Plan) -> Iterator[list[dict]]:
     chunk: list[dict] = []
     size = 0
     for idx in range(plan.count):
-        payload = plan.draw(_trial_rng(seed, plan.stream, idx), idx)
+        rng = None if plan.stream is None else _trial_rng(seed, plan.stream, idx)
+        payload = plan.draw(rng, idx)
         if not size:
             size = max(1, _CHUNK_BYTES // _trial_bytes(plan.props, payload))
         chunk.append(payload)
@@ -740,17 +775,28 @@ def _drive(
     name: str,
     f: ScalarFunction,
     cfg: TestConfig,
-    plans: list[_Plan],
+    plans: list[_Plan] | Callable[[], list[_Plan]],
     *,
     escalate: Optional[Callable[[_Trial], Optional[_Trial]]] = None,
     recorder: Optional[list] = None,
 ) -> TestOutcome:
-    """Run sampled trials, aggregate margins, escalate expected failures."""
+    """Run the trials of every plan, aggregate margins, escalate expected failures.
+
+    The scalar convexity precheck runs first.  Plans given as a function are
+    built after it; if building them raises DegenerateFunctionError or
+    DomainError, the property does not apply and the outcome is SKIPPED.
+    """
     bad = _scalar_convexity_failure(name, f, cfg)
     if bad is not None:
         return bad
+    if callable(plans):
+        try:
+            plans = plans()
+        except (DegenerateFunctionError, DomainError) as exc:
+            return TestOutcome(name, f.name, SKIPPED, None, 0, 0, None, str(exc))
 
-    run = skipped = 0
+    run = 0
+    skipped = sum(plan.excluded for plan in plans)
     min_margin = np.inf
     skip_note = ""
     worst: Optional[_Trial] = None
@@ -966,24 +1012,13 @@ def _derived_hessian_witness(
                 inv = frechet_inverse(fp, np.stack([hermitize(rho + sigma), rho, sigma])).matrix
             except (NotInvertibleError, DomainError):
                 return None
-            d = hermitize(inv[0] - inv[1] - inv[2])
-            eigs, vecs = np.linalg.eigh(d)
-            if float(eigs[0]) >= 0.0:
+            eigs, h1s, h2s, quad, usable = _negative_pairs(
+                hermitize(inv[0] - inv[1] - inv[2]), inv[1], inv[2]
+            )
+            if float(eigs[0]) >= 0.0 or not usable.any():
                 continue
-            w = unvec(vecs[:, 0], dim)
-            best = None
-            for cand in (hermitize(w), hermitize(-1j * w)):
-                v = vec(cand)
-                nv = float(np.real(v.conj() @ v))
-                if nv < 1e-20:
-                    continue
-                quad = float(np.real(v.conj() @ (d @ v))) / nv
-                if quad < 0.0 and (best is None or quad < best[1]):
-                    best = (cand, quad)
-            if best is None:
-                continue
-            h1 = hermitize(unvec(inv[1] @ vec(best[0]), dim))
-            h2 = hermitize(unvec(inv[2] @ vec(best[0]), dim))
+            best = int(np.argmin(np.where(usable, quad, np.inf)))
+            h1, h2 = h1s[best], h2s[best]
             base_scale = float(np.trace(rho + sigma).real) / (2 * dim)
             zero = np.zeros((dim, dim), dtype=complex)
             for eps in (1e-2, 1e-3, 1e-4):
@@ -1142,103 +1177,73 @@ def test_entropy_gain_convexity(
 # --------------------------------------------------------------------------
 # scalar suites for the gap function g = 1/f''
 
-def _gap_or_skipped(
-    name: str, f: ScalarFunction
-) -> tuple[Optional[ScalarFunction], Optional[TestOutcome]]:
-    try:
-        return gap_function(f), None
-    except (DegenerateFunctionError, DomainError) as exc:
-        return None, TestOutcome(name, f.name, SKIPPED, None, 0, 0, None, str(exc))
-
-
-def _gap_grid(name: str, f: ScalarFunction, cfg: TestConfig):
-    """Precheck, gap function and its defined grid points, or an early outcome."""
-    pre = _scalar_convexity_failure(name, f, cfg)
-    if pre is not None:
-        return pre, None, 0
-    g, skipped = _gap_or_skipped(name, f)
-    if skipped is not None:
-        return skipped, None, 0
-    _, ok = _grid_values(g, _GAP_GRID)
-    return None, _GAP_GRID[ok], int(np.count_nonzero(~ok))
-
-
-def _grid_outcome(
-    name: str, f: ScalarFunction, cfg: TestConfig,
-    batches: list[tuple[_Property, dict]], skipped: int, recorder: Optional[list],
-) -> TestOutcome:
-    """Aggregate grid margins in order; points the margin cannot evaluate are skipped."""
-    margins: list[float] = []
-    violation = None
-    for prop, P in batches:
-        size = len(next(iter(P.values())))
-        if not size:
-            continue
-        res = _measure(prop, f, P, size)
-        for i in range(size):
-            m = float(res.margins[i])
-            if np.isnan(m):
-                skipped += 1
-                continue
-            if recorder is not None:
-                recorder.append((name, 1, len(margins), m, float(res.scales[i])))
-            margins.append(m)
-            if violation is None and m < -cfg.tol:
-                violation = prop.witness({k: v[i] for k, v in P.items()}, m)
-
-    trial = len(margins)
-    if violation is not None:
-        return TestOutcome(name, f.name, FAIL, min(margins), trial, skipped, violation)
-    if not margins:
-        return TestOutcome(name, f.name, SKIPPED, None, 0, skipped, None, "gap function undefined on the grid")
-    if _expects_fail(f.name, name):
-        return TestOutcome(
-            name, f.name, INCONCLUSIVE, min(margins), trial, skipped, None,
-            "expected a violation but found none on the grid",
-        )
-    return TestOutcome(name, f.name, PASS, min(margins), trial, skipped)
+def _defined_gap_grid(f: ScalarFunction) -> tuple[np.ndarray, int]:
+    """The grid points where g = 1/f'' is defined, and how many it is undefined at."""
+    _, ok = _grid_values(gap_function(f), _GAP_GRID)
+    return _GAP_GRID[ok], int(np.count_nonzero(~ok))
 
 
 def test_gap_superadditive(
     f: ScalarFunction, cfg: TestConfig, recorder: Optional[list] = None
 ) -> TestOutcome:
-    name = "gap-superadditive"
-    early, pts, skipped = _gap_grid(name, f, cfg)
-    if early is not None:
-        return early
-    i, j = np.triu_indices(pts.size)
-    batches = [
-        (_GAP_SUPERADDITIVE, {"t": pts[i], "s": pts[j]}),  # all grid pairs
-        (_GAP_MONOTONE, {"t": pts[:-1], "s": pts[1:]}),  # along the grid
-        (_GAP_ZERO, {"t": np.array([_GAP_ZERO_PROBE])}),
-    ]
-    return _grid_outcome(name, f, cfg, batches, skipped, recorder)
+    def plans():
+        pts, undefined = _defined_gap_grid(f)
+        i, j = np.triu_indices(pts.size)
+        return [
+            _grid_plan(_GAP_SUPERADDITIVE, undefined, t=pts[i], s=pts[j]),  # all grid pairs
+            _grid_plan(_GAP_MONOTONE, t=pts[:-1], s=pts[1:]),  # along the grid
+            _grid_plan(_GAP_ZERO, t=np.array([_GAP_ZERO_PROBE])),
+        ]
+
+    return _drive("gap-superadditive", f, cfg, plans, recorder=recorder)
 
 
 def test_gap_concavity(
     f: ScalarFunction, cfg: TestConfig, recorder: Optional[list] = None
 ) -> TestOutcome:
-    name = "gap-concavity"
-    early, pts, skipped = _gap_grid(name, f, cfg)
-    if early is not None:
-        return early
-    i, j = np.triu_indices(pts.size, k=1)
-    return _grid_outcome(
-        name, f, cfg, [(_GAP_CONCAVITY, {"t": pts[i], "s": pts[j]})], skipped, recorder
-    )
+    def plans():
+        pts, undefined = _defined_gap_grid(f)
+        i, j = np.triu_indices(pts.size, k=1)
+        return [_grid_plan(_GAP_CONCAVITY, undefined, t=pts[i], s=pts[j])]
+
+    return _drive("gap-concavity", f, cfg, plans, recorder=recorder)
+
+
+# --------------------------------------------------------------------------
+# the suite table, read by the uniqueness pipeline and by run_suite
+
+class _Suite(NamedTuple):
+    """One outcome of the ``all`` report: the token that selects it and its entry point."""
+
+    name: str
+    token: str
+    entry: str  # looked up in this module at call time, so a wrapped entry point runs
+    stage: bool = False  # a stage of the uniqueness pipeline
+    args: tuple = ()  # arguments between f and cfg
+
+    def run(self, f: ScalarFunction, cfg: TestConfig, recorder: Optional[list]) -> TestOutcome:
+        return globals()[self.entry](f, *self.args, cfg, recorder)
+
+
+# Report order.  The pipeline stages, in this order, follow the logical chain.
+_SUITES = (
+    _Suite("principle1", "principle1", "test_principle1_concavity", stage=True),
+    _Suite("gap-superadditive", "gap", "test_gap_superadditive", stage=True),
+    _Suite("condition13", "condition13", "test_condition13", stage=True),
+    _Suite("equivalence", "equivalence", "test_equivalence_13_vs_hessian"),
+    *(
+        _Suite(f"subentropic:k={k}", "subentropic", "test_subentropic_order_k", args=(k,))
+        for k in _SUBENTROPIC_ORDERS
+    ),
+    _Suite("matrix-entropy", "matrix-entropy", "test_matrix_entropy", stage=True),
+    _Suite("entropic", "entropic", "test_entropic", stage=True),
+    _Suite("gain", "gain", "test_entropy_gain_convexity"),
+    _Suite("gap-concavity", "gap", "test_gap_concavity", stage=True),
+)
 
 
 # --------------------------------------------------------------------------
 # the uniqueness pipeline
-
-_PIPELINE_STAGES: tuple[tuple[str, Callable], ...] = (
-    ("principle1", test_principle1_concavity),
-    ("gap-superadditive", test_gap_superadditive),
-    ("condition13", test_condition13),
-    ("matrix-entropy", test_matrix_entropy),
-    ("entropic", test_entropic),
-    ("gap-concavity", test_gap_concavity),
-)
 
 _FIT_GRID = np.logspace(-2.0, 2.0, 100)
 _FIT_RESIDUAL_TOL = 1e-6
@@ -1279,10 +1284,12 @@ def uniqueness_pipeline(
     against 1/f''(1).
     """
     stages: list[TestOutcome] = []
-    for sname, runner in _PIPELINE_STAGES:
-        out = precomputed.get(sname) if precomputed else None
+    for row in _SUITES:
+        if not row.stage:
+            continue
+        out = precomputed.get(row.name) if precomputed else None
         if out is None:
-            out = runner(f, cfg, recorder=recorder)
+            out = row.run(f, cfg, recorder)
         stages.append(out)
         if out.verdict != PASS:
             final = TestOutcome(
@@ -1340,43 +1347,12 @@ def run_suite(
         raise ValueError(
             f"unknown suite {suite!r}; choose one of {', '.join(SUITE_TOKENS)}"
         )
-    if token == "principle1":
-        return [test_principle1_concavity(f, cfg, recorder)], None
-    if token == "entropic":
-        return [test_entropic(f, cfg, recorder)], None
-    if token == "subentropic":
-        return [
-            test_subentropic_order_k(f, k, cfg, recorder) for k in _SUBENTROPIC_ORDERS
-        ], None
-    if token == "condition13":
-        return [test_condition13(f, cfg, recorder)], None
-    if token == "equivalence":
-        return [test_equivalence_13_vs_hessian(f, cfg, recorder)], None
-    if token == "matrix-entropy":
-        return [test_matrix_entropy(f, cfg, recorder)], None
-    if token == "gain":
-        return [test_entropy_gain_convexity(f, cfg, recorder)], None
-    if token == "gap":
-        return [
-            test_gap_superadditive(f, cfg, recorder),
-            test_gap_concavity(f, cfg, recorder),
-        ], None
     if token == "uniqueness":
         result = uniqueness_pipeline(f, cfg, recorder)
         return [*result.stages, result.outcome], result.fit
-
-    # all
-    outcomes = [
-        test_principle1_concavity(f, cfg, recorder),
-        test_gap_superadditive(f, cfg, recorder),
-        test_condition13(f, cfg, recorder),
-        test_equivalence_13_vs_hessian(f, cfg, recorder),
-        *[test_subentropic_order_k(f, k, cfg, recorder) for k in _SUBENTROPIC_ORDERS],
-        test_matrix_entropy(f, cfg, recorder),
-        test_entropic(f, cfg, recorder),
-        test_entropy_gain_convexity(f, cfg, recorder),
-        test_gap_concavity(f, cfg, recorder),
-    ]
+    outcomes = [row.run(f, cfg, recorder) for row in _SUITES if token in ("all", row.token)]
+    if token != "all":
+        return outcomes, None
     result = uniqueness_pipeline(
         f, cfg, recorder=None, precomputed={o.name: o for o in outcomes}
     )
@@ -1413,18 +1389,6 @@ def reverify_counterexample(f: ScalarFunction, payload: dict) -> float:
 
 # The suite entry points are library API, not pytest cases; keep pytest from
 # collecting them out of modules that import them by name.
-for _obj in (
-    TestConfig,
-    TestOutcome,
-    test_principle1_concavity,
-    test_entropic,
-    test_subentropic_order_k,
-    test_condition13,
-    test_equivalence_13_vs_hessian,
-    test_matrix_entropy,
-    test_entropy_gain_convexity,
-    test_gap_superadditive,
-    test_gap_concavity,
-):
+for _obj in (TestConfig, TestOutcome, *(globals()[row.entry] for row in _SUITES)):
     _obj.__test__ = False
 del _obj

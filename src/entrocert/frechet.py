@@ -130,18 +130,6 @@ class Superoperator:
     def psd_margin(self) -> PsdMargin:
         return PsdMargin.of_spectrum(np.linalg.eigvalsh(hermitize(self.matrix)))
 
-    def __add__(self, other: "Superoperator") -> "Superoperator":
-        self._check(other)
-        return Superoperator(self.dim, self.matrix + other.matrix)
-
-    def __sub__(self, other: "Superoperator") -> "Superoperator":
-        self._check(other)
-        return Superoperator(self.dim, self.matrix - other.matrix)
-
-    def _check(self, other: "Superoperator"):
-        if self.dim != other.dim:
-            raise ValueError(f"superoperator dimension mismatch: {self.dim} vs {other.dim}")
-
 
 def _kronecker_form(kernel: np.ndarray, u: np.ndarray) -> Superoperator:
     """h -> U (kernel o U* h U) U* as W diag(vec kernel) W*, with W = conj(U) (x) U."""

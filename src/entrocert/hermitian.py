@@ -190,16 +190,12 @@ def entropy(f: ScalarFunction, m: np.ndarray):
 class PsdMargin:
     """Signed distance of a Hermitian matrix from the PSD cone.
 
-    ``scale`` is the spectral radius of the tested matrix; classification is
-    relative to max(1, scale).  For a stack both fields are arrays.
+    ``scale`` is the spectral radius of the tested matrix; ``normalized``
+    divides by max(1, scale).  For a stack both fields are arrays.
     """
 
     min_eigenvalue: float
     scale: float
-
-    def is_psd(self, tol: float = 1e-10):
-        ok = self.min_eigenvalue >= -tol * np.maximum(1.0, self.scale)
-        return bool(ok) if np.ndim(ok) == 0 else ok
 
     @property
     def normalized(self):

@@ -12,8 +12,11 @@ from entrocert.certify import (
     run_suite,
     test_condition13,
     test_entropic,
+    test_entropy_gain_convexity,
     test_equivalence_13_vs_hessian,
+    test_gap_concavity,
     test_gap_superadditive,
+    test_matrix_entropy,
     test_principle1_concavity,
     test_subentropic_order_k,
     uniqueness_pipeline,
@@ -30,6 +33,12 @@ def test_config_validation():
         TestConfig(seed=1, samples=0)
     with pytest.raises(ValueError):
         TestConfig(seed=1, tol=0.0)
+    for tol in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            TestConfig(seed=1, tol=tol)
+    for eig_range in ((0.1, float("inf")), (float("inf"), float("inf")), (0.1, float("nan"))):
+        with pytest.raises(ValueError):
+            TestConfig(seed=1, eig_range=eig_range)
     with pytest.raises(ValueError):
         TestConfig(seed=1, eig_range=(0.0, 1.0))
     with pytest.raises(ValueError):
@@ -166,11 +175,27 @@ def test_affine_degenerates_to_skipped():
 
 
 def test_scalar_convexity_precheck_short_circuits():
-    f = parse("-(t^2)").as_function()  # concave: fails before any sampling
-    out = test_principle1_concavity(f, CFG)
-    assert out.verdict == FAIL
-    assert out.counterexample["kind"] == "scalar-convexity"
-    assert reverify_counterexample(f, out.counterexample) < -CFG.tol / 2
+    # Non-convex candidates fail before any sampling, in every suite.  For
+    # (t-1)^3, f'' vanishes at t=1, so a gap suite that built its gap function
+    # before the precheck would report SKIPPED instead.
+    entry_points = [
+        test_principle1_concavity,
+        test_entropic,
+        *[lambda f, cfg, k=k: test_subentropic_order_k(f, k, cfg) for k in (2, 3, 4)],
+        test_condition13,
+        test_equivalence_13_vs_hessian,
+        test_matrix_entropy,
+        test_entropy_gain_convexity,
+        test_gap_superadditive,
+        test_gap_concavity,
+    ]
+    for text in ("-(t^2)", "(t-1)^3"):
+        f = parse(text).as_function()
+        for entry in entry_points:
+            out = entry(f, CFG)
+            assert out.verdict == FAIL, (text, out.name)
+            assert out.counterexample["kind"] == "scalar-convexity"
+            assert reverify_counterexample(f, out.counterexample) < -CFG.tol / 2
 
 
 def test_neglog_pipeline_stops_at_matrix_entropy():
@@ -262,3 +287,103 @@ def test_gap_superadditive_covers_square_example():
     assert out.verdict == FAIL
     assert out.min_margin == pytest.approx(-0.5, abs=1e-12)
     assert out.counterexample["kind"] == "gap-superadditive"
+
+
+def test_gap_grid_plans(monkeypatch):
+    import entrocert.certify as certify
+
+    def no_stream(*args):
+        raise AssertionError("a grid trial built a random stream")
+
+    stacks = []
+    real_stack = certify._stack
+
+    def counting_stack(payloads):
+        stacks.append(len(payloads))
+        return real_stack(payloads)
+
+    monkeypatch.setattr(certify, "_trial_rng", no_stream)
+    monkeypatch.setattr(certify, "_stack", counting_stack)
+    # g = 1/f'' is undefined below t=0.005: at 4 of the 25 grid points and at
+    # the zero probe.  Each counts once as skipped, and the recorder holds one
+    # row per trial run, indexed 0..n-1.
+    f = parse("t^2 - log(t-0.005)").as_function()
+    cfg = TestConfig(seed=42, samples=20)
+    for entry, run, skipped in ((test_gap_superadditive, 251, 5), (test_gap_concavity, 210, 4)):
+        recorder = []
+        out = entry(f, cfg, recorder)
+        assert (out.verdict, out.trials_run, out.trials_skipped) == (FAIL, run, skipped)
+        assert [(name, dim) for name, dim, *_ in recorder] == [(out.name, 1)] * run
+        assert [row[2] for row in recorder] == list(range(run))
+        assert min(row[3] for row in recorder) == out.min_margin
+    # one stack per plan: the 231 pairs of the 21 defined points, their 20
+    # neighbours, the zero probe; then the 210 strict pairs
+    assert stacks == [231, 20, 1, 210]
+
+
+# The suite entry points each run_suite token reaches, in order.
+TOKEN_ENTRIES = {
+    "principle1": ["test_principle1_concavity"],
+    "entropic": ["test_entropic"],
+    "subentropic": ["test_subentropic_order_k"] * 3,
+    "condition13": ["test_condition13"],
+    "equivalence": ["test_equivalence_13_vs_hessian"],
+    "matrix-entropy": ["test_matrix_entropy"],
+    "gain": ["test_entropy_gain_convexity"],
+    "gap": ["test_gap_superadditive", "test_gap_concavity"],
+    "uniqueness": [
+        "test_principle1_concavity",
+        "test_gap_superadditive",
+        "test_condition13",
+        "test_matrix_entropy",
+        "test_entropic",
+        "test_gap_concavity",
+    ],
+    "all": [
+        "test_principle1_concavity",
+        "test_gap_superadditive",
+        "test_condition13",
+        "test_equivalence_13_vs_hessian",
+        *["test_subentropic_order_k"] * 3,
+        "test_matrix_entropy",
+        "test_entropic",
+        "test_entropy_gain_convexity",
+        "test_gap_concavity",
+    ],
+}
+ENTRY_OUTCOMES = {
+    "test_principle1_concavity": "principle1",
+    "test_entropic": "entropic",
+    "test_condition13": "condition13",
+    "test_equivalence_13_vs_hessian": "equivalence",
+    "test_matrix_entropy": "matrix-entropy",
+    "test_entropy_gain_convexity": "gain",
+    "test_gap_superadditive": "gap-superadditive",
+    "test_gap_concavity": "gap-concavity",
+}
+
+
+def test_run_suite_dispatch(monkeypatch):
+    import entrocert.certify as certify
+    from entrocert.certify import SUITE_TOKENS, TestOutcome
+
+    calls = []
+
+    def counter(entry):
+        def run(f, *args, **kwargs):
+            calls.append(entry)
+            name = ENTRY_OUTCOMES.get(entry) or f"subentropic:k={args[0]}"
+            return TestOutcome(name, f.name, PASS, 0.0, 1)
+
+        return run
+
+    for entry in [*ENTRY_OUTCOMES, "test_subentropic_order_k"]:
+        monkeypatch.setattr(certify, entry, counter(entry))
+    assert set(TOKEN_ENTRIES) == set(SUITE_TOKENS)
+    for token, entries in TOKEN_ENTRIES.items():
+        calls.clear()
+        outcomes, fit = run_suite(lookup("tlogt"), token, CFG)
+        assert calls == entries, token
+        assert (fit is not None) == (token in ("all", "uniqueness"))
+        if fit is not None:
+            assert outcomes[-1].name == "uniqueness" and outcomes[-1].verdict == PASS

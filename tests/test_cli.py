@@ -146,6 +146,13 @@ def test_determinism_modulo_wall_time(capsys):
         ["certify", "--function", "tlogt", "--seed", "1", "--eig-min", "5", "--eig-max", "1"],
         ["certify", "--function", "tlogt", "--expr", "t", "--seed", "1"],
         [],
+        # non-finite numbers are usage errors, not a FAIL (exit 1) or a crash
+        ["certify", "--function", "tlogt", "--suite", "principle1", "--seed", "1",
+         "--samples", "2", "--eig-max", "inf"],
+        ["certify", "--function", "tlogt", "--suite", "principle1", "--seed", "1",
+         "--samples", "2", "--eig-max", "1e400"],
+        ["certify", "--function", "tlogt", "--suite", "principle1", "--seed", "1",
+         "--samples", "2", "--tol", "inf"],
     ],
 )
 def test_usage_errors_exit_3(capsys, argv):
