@@ -29,9 +29,10 @@ go through that one margin; re-verification is a batch of one.
 Every suite is a list of trial plans, and one aggregator (_drive) turns
 their margins into the outcome.  A sampled trial draws its randomness from an
 independent stream keyed by (seed, stream name, trial index), one trial at a
-time; the gap suites' trials are fixed grid points and draw nothing.  The
-linear algebra then runs on stacks of trials (in chunks under a fixed memory
-ceiling), so outcomes do not depend on how trials are batched.  Growing the
+time, and keeps only the Generator's raw output; the gap suites' trials are
+fixed grid points and draw nothing.  The matrices are built from the raw
+draws, and the linear algebra runs, on stacks of trials (in chunks under a
+fixed memory ceiling), so outcomes do not depend on how trials are batched.  Growing the
 sample budget re-runs the same leading trials, so a FAIL can never flip back
 to PASS.
 """
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
@@ -59,6 +61,7 @@ from .frechet import (
 from .functions import DegenerateFunctionError, ScalarFunction, gap_function
 from .hermitian import (
     gaussian_draw,
+    hermitian_from_draw,
     hermitize,
     matrix_from_json,
     matrix_to_json,
@@ -167,8 +170,9 @@ class TestConfig:
         )
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if not 0.0 < self.tol < np.inf:
-            raise ValueError("tol must be positive and finite")
+        # normalised PSD margins are >= -1, so tol >= 1 could never refute condition13
+        if not 0.0 < self.tol < 1.0:
+            raise ValueError("tol must lie in (0, 1)")
         lo, hi = self.eig_range
         if not 0.0 < lo <= hi < np.inf:
             raise ValueError(f"invalid eigenvalue range [{lo}, {hi}]")
@@ -238,30 +242,91 @@ def _trial_rng(seed: int, stream: str, index: int) -> np.random.Generator:
     )
 
 
-class _PdDraw(NamedTuple):
-    """Draws of one or more random PD matrices, built later as a stack."""
+class _Draw:
+    """Raw Generator output for one payload field, built as a stack by _stack.
 
-    lam: np.ndarray
-    z: np.ndarray
+    Trials whose fields agree in ``tag`` and built ``shape`` stack together;
+    a draw tagged "array" also stacks with plain arrays of its built shape.
+    """
+
+    __slots__ = ()
+    tag = "array"
+
+    @property
+    def nbytes(self) -> int:
+        """Size of the built complex matrices, for chunk sizing."""
+        return 16 * math.prod(self.shape)
+
+
+@dataclass(slots=True)
+class _PdDraw(_Draw):
+    """Draws of one or more random PD matrices (see hermitian.pd_draw)."""
+
+    logs: np.ndarray
+    normals: np.ndarray
+    lo: float
+    hi: float
+    tag = "pd"
+
+    @property
+    def shape(self) -> tuple:
+        return self.logs.shape + self.logs.shape[-1:]
+
+    @staticmethod
+    def build(draws: list) -> np.ndarray:
+        # every trial keeps its own spectrum bounds (condition13 stretches some)
+        lo, hi = np.array([(d.lo, d.hi) for d in draws]).T
+        per_trial = (-1,) + (1,) * draws[0].logs.ndim
+        logs, normals = np.stack([d.logs for d in draws]), np.stack([d.normals for d in draws])
+        return pd_from_draw(logs, normals, lo.reshape(per_trial), hi.reshape(per_trial))
+
+
+@dataclass(slots=True)
+class _DiagDraw(_Draw):
+    """The log-spectrum (n,) of a diagonal PD state."""
+
+    logs: np.ndarray
+    tag = "diag"
+
+    @property
+    def shape(self) -> tuple:
+        return self.logs.shape + self.logs.shape[-1:]
+
+    @staticmethod
+    def build(draws: list) -> np.ndarray:
+        vals = np.exp(np.stack([d.logs for d in draws]))
+        out = np.zeros(vals.shape + vals.shape[-1:], dtype=complex)
+        i = np.arange(vals.shape[-1])
+        out[..., i, i] = vals
+        return out
+
+
+@dataclass(slots=True)
+class _HermDraw(_Draw):
+    """Gaussian draws (..., 2, n, n) of one or more Hermitian directions."""
+
+    normals: np.ndarray
+
+    @property
+    def shape(self) -> tuple:
+        return self.normals.shape[:-3] + self.normals.shape[-2:]
+
+    @staticmethod
+    def build(draws: list) -> np.ndarray:
+        return hermitian_from_draw(np.stack([d.normals for d in draws]))
 
 
 def _pd(dim: int, eig_range: tuple[float, float], rng: np.random.Generator) -> _PdDraw:
-    return _PdDraw(*pd_draw(dim, eig_range, rng))
+    return _PdDraw(*pd_draw(dim, eig_range, rng), *eig_range)
 
 
 def _pds(k: int, dim: int, eig_range: tuple[float, float], rng: np.random.Generator) -> _PdDraw:
-    draws = [pd_draw(dim, eig_range, rng) for _ in range(k)]
-    return _PdDraw(np.stack([d[0] for d in draws]), np.stack([d[1] for d in draws]))
+    return _PdDraw(*pd_draw(dim, eig_range, rng, count=k), *eig_range)
 
 
-def _hermitians(k: int, dim: int, rng: np.random.Generator) -> np.ndarray:
-    return hermitize(np.stack([gaussian_draw(dim, rng) for _ in range(k)]))
-
-
-def _random_diag_pd(n: int, eig_range: tuple[float, float], rng: np.random.Generator) -> np.ndarray:
+def _random_diag_pd(n: int, eig_range: tuple[float, float], rng: np.random.Generator) -> _DiagDraw:
     lo, hi = eig_range
-    vals = np.exp(rng.uniform(np.log(lo), np.log(hi), size=n))
-    return np.diag(vals).astype(complex)
+    return _DiagDraw(rng.uniform(np.log(lo), np.log(hi), size=n))
 
 
 @functools.lru_cache(maxsize=None)
@@ -617,17 +682,36 @@ def _single(prop: _Property, f: ScalarFunction, payload: dict) -> Optional[_Tria
     return _Trial(float(res.margins[0]), float(res.scales[0]), prop.dim(full), prop, full)
 
 
+def _build(values: list) -> np.ndarray:
+    first = values[0]
+    return first.build(values) if isinstance(first, _Draw) else np.stack(values)
+
+
 def _stack(payloads: list[dict]) -> dict:
-    """Stack trial payloads field by field, building drawn PD matrices as one stack."""
+    """Stack trial payloads field by field, building raw draws once per field.
+
+    A field may mix raw draws with plain arrays of the same built shape
+    (subentropic's scalar directions among Gaussian ones); each kind is then
+    built on its own and scattered into place.
+    """
     out = {}
     for name, first in payloads[0].items():
         values = [p[name] for p in payloads]
-        if isinstance(first, _PdDraw):
-            out[name] = pd_from_draw(np.stack([v.lam for v in values]), np.stack([v.z for v in values]))
-        elif isinstance(first, np.ndarray):
-            out[name] = np.stack(values)
-        else:
+        if not isinstance(first, (np.ndarray, _Draw)):
             out[name] = np.asarray(values)
+            continue
+        kind = type(first)
+        if all(type(v) is kind for v in values):
+            out[name] = _build(values)
+            continue
+        kinds: dict[type, list[int]] = {}
+        for i, v in enumerate(values):
+            kinds.setdefault(type(v), []).append(i)
+        for members in kinds.values():
+            part = _build([values[i] for i in members])
+            if name not in out:
+                out[name] = np.empty((len(values),) + part.shape[1:], dtype=part.dtype)
+            out[name][members] = part
     return out
 
 
@@ -635,8 +719,8 @@ def _shape_key(payload: dict) -> tuple:
     """Trials with equal keys stack together."""
     key = []
     for name, v in payload.items():
-        if isinstance(v, _PdDraw):
-            key.append((name, "pd", v.z.shape))
+        if isinstance(v, _Draw):
+            key.append((name, v.tag, v.shape))
         elif isinstance(v, np.ndarray):
             key.append((name, "array", v.shape))
         else:
@@ -671,9 +755,8 @@ def _grid_plan(prop: _Property, excluded: int = 0, **columns: np.ndarray) -> _Pl
 
 def _trial_bytes(props: tuple[_Property, ...], payload: dict) -> int:
     """Working memory of one trial: its arrays several times over, plus its superoperators."""
-    arrays = [v.z if isinstance(v, _PdDraw) else v for v in payload.values()
-              if isinstance(v, (np.ndarray, _PdDraw))]
-    n = max((a.shape[-1] for a in arrays if a.ndim), default=1)
+    arrays = [v for v in payload.values() if isinstance(v, (np.ndarray, _Draw))]
+    n = max((a.shape[-1] for a in arrays if a.shape), default=1)
     return 8 * sum(a.nbytes for a in arrays) + sum(p.superops for p in props) * 16 * n**4
 
 
@@ -1049,7 +1132,7 @@ def test_subentropic_order_k(
                 coeffs = rng.standard_normal(k)
                 hs = coeffs[:, None, None] * np.eye(dim, dtype=complex)
             else:
-                hs = _hermitians(k, dim, rng)
+                hs = _HermDraw(gaussian_draw(dim, rng, lead=(k,)))
             return {"xs": xs, "ys": ys, "rhos": rhos, "hs": hs}
 
         plans.append(_Plan(f"subentropic-k{k}/dim{dim}", cfg.samples, draw, (_SUB_MIDPOINT, _SUB_HESSIAN)))
@@ -1098,8 +1181,11 @@ def test_equivalence_13_vs_hessian(
         def draw(rng, idx, dim=dim):
             rho = _pd(dim, cfg.eig_range, rng)
             sigma = _pd(dim, cfg.eig_range, rng)
-            hs = _hermitians(2 * _EQUIVALENCE_DIRECTIONS, dim, rng)
-            return {"rho": rho, "sigma": sigma, "h1": hs[0::2], "h2": hs[1::2], "band": band}
+            hs = gaussian_draw(dim, rng, lead=(2 * _EQUIVALENCE_DIRECTIONS,))
+            return {
+                "rho": rho, "sigma": sigma, "h1": _HermDraw(hs[0::2]), "h2": _HermDraw(hs[1::2]),
+                "band": band,
+            }
 
         plans.append(_Plan(f"equivalence/dim{dim}", cfg.samples, draw, (_EQUIVALENCE,)))
 
@@ -1131,8 +1217,8 @@ def test_matrix_entropy(
                 }
             x1 = _pd(dim, cfg.eig_range, rng)
             x2 = _pd(dim, cfg.eig_range, rng)
-            h1, h2 = _hermitians(2, dim, rng)
-            return {"x1": x1, "h1": h1, "x2": x2, "h2": h2}
+            h1, h2 = gaussian_draw(dim, rng, lead=(2,))
+            return {"x1": x1, "h1": _HermDraw(h1), "x2": x2, "h2": _HermDraw(h2)}
 
         plans.append(_Plan(f"matrix-entropy/dim{dim}", cfg.samples, draw, (_MATRIX_ENTROPY,)))
 

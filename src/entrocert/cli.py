@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 all selected suites PASS; 1 at least one FAIL; 2 deviations
-that are only INCONCLUSIVE or SKIPPED; 3 usage or domain errors.
+that are only INCONCLUSIVE or SKIPPED; 3 usage, domain or numerical errors.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from typing import Optional
 from .certify import SUITE_TOKENS, TestConfig, run_suite, worst_exit_code
 from .expr import ParseError, parse
 from .functions import ScalarFunction, lookup, registry
+from .hermitian import EighError
 from .jets import DomainError
 from .report import CertificationReport, write_sweep_csv
 
@@ -191,6 +192,10 @@ def main(argv: Optional[list] = None) -> int:
         return 3
     except DomainError as exc:
         print(f"entrocert: domain error: {exc}", file=sys.stderr)
+        return 3
+    except EighError as exc:
+        # inputs the checked linear algebra cannot handle (e.g. an overflowing norm)
+        print(f"entrocert: numerical error: {exc}", file=sys.stderr)
         return 3
     except KeyError as exc:
         msg = exc.args[0] if exc.args else str(exc)

@@ -30,6 +30,7 @@ __all__ = [
     "psd_margin",
     "adjoint",
     "gaussian_draw",
+    "hermitian_from_draw",
     "pd_draw",
     "pd_from_draw",
     "random_unitary",
@@ -94,7 +95,8 @@ class SpectralDecomposition:
 
 
 def _first_failure(defect: np.ndarray, bound) -> int | None:
-    bad = defect > bound
+    """The first member whose defect is not within its bound (a NaN defect fails)."""
+    bad = ~(defect <= bound)
     if not bad.any():
         return None
     return int(np.flatnonzero(np.broadcast_to(bad, defect.shape))[0])
@@ -113,6 +115,9 @@ def eigh(m: np.ndarray) -> SpectralDecomposition:
     except np.linalg.LinAlgError as exc:
         raise EighError(f"eigendecomposition did not converge: {exc}") from exc
     scale = np.maximum(1.0, np.linalg.norm(m, axis=(-2, -1)))
+    if not np.isfinite(scale).all():
+        # an overflowing norm would make the residual bound vacuous (inf <= inf)
+        raise EighError("matrix norm is not finite; the eigendecomposition cannot be checked")
     residual = np.linalg.norm((v * w[..., None, :]) @ adjoint(v) - m, axis=(-2, -1))
     i = _first_failure(residual, EIGH_RESIDUAL_TOL * scale)
     if i is not None:
@@ -218,20 +223,36 @@ def psd_margin(m: np.ndarray) -> PsdMargin:
 # --------------------------------------------------------------------------
 # random generators (all take an explicit numpy Generator; no global state)
 #
-# Each generator first makes its draws from the Generator and then builds
-# the matrix.  The build step takes stacks, so a batch of trials can draw
-# one trial at a time, from each trial's own stream, and build together.
+# Each generator first takes raw output from the Generator (the *draw*) and
+# then builds the matrix from it.  A draw keeps nothing but the Generator's
+# numbers; all arithmetic on them (exp and clip of a spectrum, complex
+# assembly, QR, U diag(lam) U*, hermitize) is in the build step, which takes
+# stacks.  A batch of trials therefore draws one trial at a time, each from
+# its own stream, and builds the matrices of the whole batch at once.
 
-def gaussian_draw(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """A complex Gaussian dim x dim matrix (real part drawn first)."""
-    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def gaussian_draw(dim: int, rng: np.random.Generator, *, lead: tuple = (), out=None) -> np.ndarray:
+    """Raw draws of complex Gaussian dim x dim matrices, shape lead + (2, dim, dim).
+
+    Axis -3 holds the real part, then the imaginary part, of each matrix in
+    turn.  ``out`` is an optional buffer of that shape to draw into.
+    """
+    return rng.standard_normal((*lead, 2, dim, dim), out=out)
 
 
-def _unitary_from_draw(z: np.ndarray) -> np.ndarray:
+def _complex_from_draw(g: np.ndarray) -> np.ndarray:
+    return g[..., 0, :, :] + 1j * g[..., 1, :, :]
+
+
+def _unitary_from_draw(g: np.ndarray) -> np.ndarray:
     """Haar-like unitary: QR of a complex Gaussian with phase correction."""
-    q, r = np.linalg.qr(z)
+    q, r = np.linalg.qr(_complex_from_draw(g))
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]
+
+
+def hermitian_from_draw(g: np.ndarray) -> np.ndarray:
+    """The Hermitian part of the complex Gaussian of a draw (stacks allowed)."""
+    return hermitize(_complex_from_draw(g))
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -239,27 +260,44 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    return hermitize(gaussian_draw(dim, rng))
+    return hermitian_from_draw(gaussian_draw(dim, rng))
 
 
 def pd_draw(
-    dim: int, eig_range: tuple[float, float], rng: np.random.Generator
+    dim: int, eig_range: tuple[float, float], rng: np.random.Generator, count: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The draws behind :func:`random_pd`: its spectrum and a Gaussian matrix."""
+    """The draws behind :func:`random_pd`: a log-spectrum (dim,) and a Gaussian draw.
+
+    With ``count``, that many (spectrum, Gaussian) pairs are drawn in turn,
+    into arrays with a leading axis of that length.  With lo == hi nothing
+    is drawn for a spectrum; its logs are log(lo), which the clip in
+    :func:`pd_from_draw` turns into exactly lo.
+    """
     lo, hi = float(eig_range[0]), float(eig_range[1])
     if not 0.0 < lo <= hi:
         raise ValueError(f"invalid eigenvalue range [{lo}, {hi}]")
-    if lo == hi:
-        lam = np.full(dim, lo)
-    else:
-        lam = np.exp(rng.uniform(math.log(lo), math.log(hi), size=dim))
-        lam = np.minimum(np.maximum(lam, lo), hi)
-    return lam, gaussian_draw(dim, rng)
+    log_lo, log_hi = math.log(lo), math.log(hi)
+
+    def spectrum():
+        return np.full(dim, log_lo) if lo == hi else rng.uniform(log_lo, log_hi, size=dim)
+
+    if count is None:
+        return spectrum(), gaussian_draw(dim, rng)
+    logs, normals = np.empty((count, dim)), np.empty((count, 2, dim, dim))
+    for i in range(count):
+        logs[i] = spectrum()
+        gaussian_draw(dim, rng, out=normals[i])
+    return logs, normals
 
 
-def pd_from_draw(lam: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """U diag(lam) U* with U the unitary of z; takes stacks of draws."""
-    u = _unitary_from_draw(z)
+def pd_from_draw(logs: np.ndarray, g: np.ndarray, lo, hi) -> np.ndarray:
+    """U diag(lam) U* from the draws of :func:`pd_draw`; takes stacks of draws.
+
+    lam is exp(logs) clipped to [lo, hi] (bounds broadcast against logs, so
+    every trial of a stack may carry its own), and U the unitary of g.
+    """
+    lam = np.minimum(np.maximum(np.exp(logs), lo), hi)
+    u = _unitary_from_draw(g)
     return hermitize((u * lam[..., None, :]) @ adjoint(u))
 
 
@@ -267,7 +305,7 @@ def random_pd(
     dim: int, eig_range: tuple[float, float], rng: np.random.Generator
 ) -> np.ndarray:
     """Random positive definite matrix with log-uniform spectrum in eig_range."""
-    return pd_from_draw(*pd_draw(dim, eig_range, rng))
+    return pd_from_draw(*pd_draw(dim, eig_range, rng), float(eig_range[0]), float(eig_range[1]))
 
 
 # --------------------------------------------------------------------------

@@ -33,9 +33,11 @@ def test_config_validation():
         TestConfig(seed=1, samples=0)
     with pytest.raises(ValueError):
         TestConfig(seed=1, tol=0.0)
-    for tol in (float("inf"), float("nan")):
+    # margins normalised to >= -1 could never fall below -tol for tol >= 1
+    for tol in (float("inf"), float("nan"), 1.0, 2.0):
         with pytest.raises(ValueError):
             TestConfig(seed=1, tol=tol)
+    assert TestConfig(seed=1, tol=0.5).tol == 0.5
     for eig_range in ((0.1, float("inf")), (float("inf"), float("inf")), (0.1, float("nan"))):
         with pytest.raises(ValueError):
             TestConfig(seed=1, eig_range=eig_range)
@@ -387,3 +389,29 @@ def test_run_suite_dispatch(monkeypatch):
         assert (fit is not None) == (token in ("all", "uniqueness"))
         if fit is not None:
             assert outcomes[-1].name == "uniqueness" and outcomes[-1].verdict == PASS
+
+
+def test_stacking_is_unchanged(monkeypatch):
+    # _stack calls per suite of a tlogt `all` run: one per shape group of each
+    # chunk, so a group split in two or a moved chunk boundary changes a count
+    import entrocert.certify as certify
+
+    calls = []
+    real_stack = certify._stack
+
+    def counting_stack(payloads):
+        calls.append(len(payloads))
+        return real_stack(payloads)
+
+    monkeypatch.setattr(certify, "_stack", counting_stack)
+    f, cfg = lookup("tlogt"), TestConfig(seed=42, samples=200)
+    counts = {}
+    for row in certify._SUITES:
+        calls.clear()
+        row.run(f, cfg, None)
+        counts[row.name] = len(calls)
+    assert counts == {
+        "principle1": 2, "gap-superadditive": 3, "condition13": 4, "equivalence": 17,
+        "subentropic:k=2": 3, "subentropic:k=3": 5, "subentropic:k=4": 6,
+        "matrix-entropy": 4, "entropic": 10, "gain": 120, "gap-concavity": 1,
+    }

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
 from entrocert.cli import main
@@ -153,9 +154,26 @@ def test_determinism_modulo_wall_time(capsys):
          "--samples", "2", "--eig-max", "1e400"],
         ["certify", "--function", "tlogt", "--suite", "principle1", "--seed", "1",
          "--samples", "2", "--tol", "inf"],
+        # no normalised PSD margin lies below -1, so such a tol could never refute
+        ["certify", "--function", "square", "--suite", "condition13", "--seed", "1",
+         "--samples", "4", "--tol", "2"],
     ],
 )
 def test_usage_errors_exit_3(capsys, argv):
     rc = main(argv)
     capsys.readouterr()
     assert rc == 3
+
+
+def test_overflowing_spectrum_is_a_numerical_error(capsys):
+    # the Frobenius norms behind eigh's residual check overflow to inf here;
+    # the check must not pass vacuously (inf <= 1e-12 * inf)
+    with np.errstate(over="ignore"):
+        rc, out, err = run(
+            capsys,
+            "certify", "--function", "tlogt", "--suite", "principle1",
+            "--seed", "1", "--samples", "2", "--eig-max", "1e300",
+        )
+    assert rc == 3
+    assert out == "" and "PASS" not in err
+    assert "numerical error" in err and "not finite" in err

@@ -62,6 +62,35 @@ def test_stacked_eigh_checks_every_member():
         eigh(bad)
 
 
+def test_eigh_rejects_non_finite_members():
+    # one member's Frobenius norm overflows: its residual bound would be
+    # 1e-12 * inf, which any residual meets, so the member must fail outright
+    stack = np.stack([random_hermitian(3, RNG) for _ in range(4)])
+    eigh(stack)
+    stack[2] *= 1e300
+    with np.errstate(over="ignore"), pytest.raises(EighError, match="not finite"):
+        eigh(stack)
+    with pytest.raises(EighError):
+        eigh(np.full((2, 2), np.nan, dtype=complex))
+
+
+def test_eigh_rejects_nan_results(monkeypatch):
+    # a finite input whose decomposition comes back with NaN: NaN defects
+    # compare False against any bound, so each check must fail on them
+    stack = np.stack([random_hermitian(3, RNG) for _ in range(4)])
+    real_eigh = np.linalg.eigh
+
+    def nan_member(m):
+        w, v = real_eigh(m)
+        v = v.copy()
+        v[1, 0, 0] = np.nan
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eigh", nan_member)
+    with pytest.raises(EighError, match="residual nan"):
+        eigh(stack)
+
+
 def test_apply_function_square_matches_matmul():
     f = lookup("square")
     m = random_pd(4, (0.2, 5.0), RNG)
