@@ -28,11 +28,13 @@ go through that one margin; re-verification is a batch of one.
 
 Every suite is a list of trial plans, and one aggregator (_drive) turns
 their margins into the outcome.  A sampled trial draws its randomness from an
-independent stream keyed by (seed, stream name, trial index), one trial at a
-time, and keeps only the Generator's raw output; the gap suites' trials are
-fixed grid points and draw nothing.  The matrices are built from the raw
-draws, and the linear algebra runs, on stacks of trials (in chunks under a
-fixed memory ceiling), so outcomes do not depend on how trials are batched.  Growing the
+independent stream keyed by (seed, stream name, trial index): NumPy's
+``default_rng(SeedSequence([seed, token, index]))``, bit for bit, with the
+seed states of a whole plan computed at once.  A trial keeps only the
+Generator's raw output; the gap suites' trials are fixed grid points and
+draw nothing.  The matrices and channels are built from the raw draws, and
+the linear algebra runs, on stacks of trials (in chunks under a fixed memory
+ceiling), so outcomes do not depend on how trials are batched.  Growing the
 sample budget re-runs the same leading trials, so a FAIL can never flip back
 to PASS.
 """
@@ -74,11 +76,12 @@ from .jets import DomainError
 from .quantum import (
     KrausChannel,
     apply_kraus,
+    channel_draw,
+    channel_from_draw,
     channel_from_json,
     channel_to_json,
     partial_trace_1,
     partial_trace_channel,
-    random_channel,
 )
 
 PASS = "PASS"
@@ -115,14 +118,15 @@ _RANK_FLOOR = 1e-8
 # Stretch factors tried when escalating the worst sampled pair.
 _STRETCHES = (2.0, 4.0, 8.0, 16.0)
 
+# Random channels in gain have 2..this many Kraus operators.
+_MAX_KRAUS = 4
+
 # Random direction pairs per equivalence trial.
 _EQUIVALENCE_DIRECTIONS = 16
 
 # Estimated working memory of one stacked chunk of trials.  Chunks stay
 # under it, so batching does not raise the peak memory of a run.
 _CHUNK_BYTES = 1 << 20
-
-_MASK64 = (1 << 64) - 1
 
 __all__ = [
     "PASS",
@@ -168,6 +172,9 @@ class TestConfig:
         object.__setattr__(
             self, "bipartite", tuple((int(a), int(b)) for a, b in self.bipartite)
         )
+        # one stream per 64-bit seed: a wider seed would alias another's trials
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError("seed must lie in [0, 2**64)")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         # normalised PSD margins are >= -1, so tol >= 1 could never refute condition13
@@ -236,10 +243,125 @@ def _stream_token(stream: str) -> int:
     return int.from_bytes(hashlib.blake2b(stream.encode("utf-8"), digest_size=8).digest(), "big")
 
 
-def _trial_rng(seed: int, stream: str, index: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence([seed & _MASK64, _stream_token(stream), index])
-    )
+# NumPy's SeedSequence (NEP 19) hashes its entropy words into a pool of four
+# 32-bit words and expands the pool into the seed of PCG64 (O'Neill 2014).
+# The steps below are that hash and PCG64's set_seed, run over a vector of
+# trial indices at once (one lane per trial; uint32 arithmetic wraps as in C).
+# The constants are SeedSequence's and PCG64's own.
+_M32 = 0xFFFFFFFF
+_M128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _u32_words(n: int) -> list[int]:
+    """n as SeedSequence reads an integer: little-endian 32-bit words, [0] for 0."""
+    words = [n & _M32]
+    while n > _M32:
+        n >>= 32
+        words.append(n & _M32)
+    return words
+
+
+def _hash_constants(init: int, mult: int, steps: int) -> list[int]:
+    """SeedSequence's hash constant before each of ``steps`` hash steps, and after the last."""
+    out = [init]
+    for _ in range(steps):
+        out.append(out[-1] * mult & _M32)
+    return out
+
+
+def _pool_steps(max_words: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per pool-wide step, the (4, 1) columns each pool word is hashed with: xor, then multiply.
+
+    Step 0 hashes the first four entropy words (zeros past the end), steps
+    1-4 mix word ``src`` into every other word (row ``src`` is unused), and
+    each later step mixes one further entropy word into all four.
+    """
+    c = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + max_words))
+    order = list(range(_POOL_SIZE))
+    rows = [order] + [[d for d in order if d != src] for src in order]
+    rows += [order] * (max_words - _POOL_SIZE)
+    xor = np.zeros((len(rows), _POOL_SIZE, 1), dtype=np.uint32)
+    mul = np.zeros_like(xor)
+    k = 0
+    for step, dsts in enumerate(rows):
+        for d in dsts:
+            xor[step, d], mul[step, d] = c[k], c[k + 1]
+            k += 1
+    return xor, mul
+
+
+# seed, stream token and trial index take at most two words each
+_POOL_XOR, _POOL_MUL = _pool_steps(6)
+_OUT_CONSTANTS = np.array(_hash_constants(_INIT_B, _MULT_B, 8), dtype=np.uint32)[:, None]
+
+
+def _seed_sequence_words(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(entropy).generate_state(4, np.uint64), lane-wise.
+
+    ``entropy`` holds one uint32 entropy word per row and one lane per
+    column; the result holds the four uint64 words per column.
+    """
+
+    def hashmix(v, step):
+        v = (v ^ _POOL_XOR[step]) * _POOL_MUL[step]
+        return v ^ (v >> 16)
+
+    def mix(x, y):
+        r = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return r ^ (r >> 16)
+
+    head = np.zeros((_POOL_SIZE, entropy.shape[1]), dtype=np.uint32)
+    head[: min(len(entropy), _POOL_SIZE)] = entropy[:_POOL_SIZE]
+    pool = hashmix(head, 0)
+    for src in range(_POOL_SIZE):
+        mixed = mix(pool, hashmix(pool[src], 1 + src))
+        mixed[src] = pool[src]
+        pool = mixed
+    for step, word in enumerate(entropy[_POOL_SIZE:], start=1 + _POOL_SIZE):
+        pool = mix(pool, hashmix(word, step))
+    # generate_state: eight words from the pool in turn, paired little-endian into uint64
+    v = (np.tile(pool, (2, 1)) ^ _OUT_CONSTANTS[:-1]) * _OUT_CONSTANTS[1:]
+    v = (v ^ (v >> 16)).astype(np.uint64)
+    return v[0::2] | (v[1::2] << 32)
+
+
+def _trial_streams(seed: int, stream: str, indices) -> Iterator[np.random.Generator]:
+    """The Generators of trials ``indices`` of ``stream``, in order.
+
+    Trial i's Generator is bitwise that of
+    ``np.random.default_rng(np.random.SeedSequence([seed, token, i]))``.
+    The seed states of all the indices are computed at once, and one
+    Generator is reset to each in turn: draw from it before advancing.
+    """
+    idx = np.asarray(indices, dtype=np.uint64).reshape(-1)
+    head = _u32_words(seed) + _u32_words(_stream_token(stream))
+    states = [(0, 0)] * idx.size
+    wide = idx > _M32  # SeedSequence reads these indices as two words
+    for lanes in (np.flatnonzero(~wide), np.flatnonzero(wide)):
+        if not lanes.size:
+            continue
+        entropy = np.empty((len(head) + 1 + int(wide[lanes[0]]), lanes.size), dtype=np.uint32)
+        entropy[: len(head)] = np.array(head, dtype=np.uint32)[:, None]
+        entropy[len(head)] = idx[lanes] & _M32
+        entropy[len(head) + 1 :] = idx[lanes] >> 32
+        # PCG64's set_seed of 128-bit (initstate, initseq) from the four words:
+        # inc = 2*initseq + 1 and state = (inc + initstate) * mult + inc
+        words = _seed_sequence_words(entropy).tolist()
+        for lane, s_hi, s_lo, q_hi, q_lo in zip(lanes.tolist(), *words):
+            inc = (((q_hi << 64) | q_lo) << 1 | 1) & _M128
+            states[lane] = (((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _M128, inc)
+    rng = np.random.Generator(np.random.PCG64(0))
+    for state, inc in states:
+        rng.bit_generator.state = {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0,
+        }
+        yield rng
 
 
 class _Draw:
@@ -316,6 +438,41 @@ class _HermDraw(_Draw):
         return hermitian_from_draw(np.stack([d.normals for d in draws]))
 
 
+@dataclass(slots=True)
+class _ChannelDraw(_Draw):
+    """The draw (2, r*out, in) of a random channel, built with _MAX_KRAUS operators.
+
+    Operators past the drawn rank r are exact zeros, which add nothing to
+    the channel's action, so channels of one (in, out) stack together
+    whatever their rank.
+    """
+
+    normals: np.ndarray
+    out_dim: int
+    tag = "channel"
+
+    @property
+    def shape(self) -> tuple:
+        return (_MAX_KRAUS, self.out_dim, self.normals.shape[-1])
+
+    @property
+    def nbytes(self) -> int:
+        # the drawn operators only, as before the padding, so chunks are cut where they were
+        return 8 * self.normals.size
+
+    @staticmethod
+    def build(draws: list) -> np.ndarray:
+        out = np.zeros((len(draws),) + draws[0].shape, dtype=complex)
+        ranks: dict[int, list[int]] = {}
+        for i, d in enumerate(draws):
+            ranks.setdefault(d.normals.shape[-2], []).append(i)
+        for members in ranks.values():
+            normals = np.stack([draws[i].normals for i in members])
+            kraus = channel_from_draw(normals, draws[0].out_dim)
+            out[members, : kraus.shape[-3]] = kraus
+        return out
+
+
 def _pd(dim: int, eig_range: tuple[float, float], rng: np.random.Generator) -> _PdDraw:
     return _PdDraw(*pd_draw(dim, eig_range, rng), *eig_range)
 
@@ -347,8 +504,10 @@ _ENCODE = {
     _DIRS: matrix_to_json,  # the chosen direction of a stack of candidates
     _INT: int,
     _FLOAT: float,
-    _CHANNEL: lambda k: channel_to_json(
-        KrausChannel(in_dim=k.shape[-1], out_dim=k.shape[-2], kraus=tuple(k))
+    _CHANNEL: lambda k: channel_to_json(  # without the zero operators that pad a stack
+        KrausChannel(
+            in_dim=k.shape[-1], out_dim=k.shape[-2], kraus=tuple(op for op in k if op.any())
+        )
     ),
 }
 
@@ -764,8 +923,11 @@ def _chunks(seed: int, plan: _Plan) -> Iterator[list[dict]]:
     """The plan's trial payloads, drawn in order, in chunks under _CHUNK_BYTES."""
     chunk: list[dict] = []
     size = 0
-    for idx in range(plan.count):
-        rng = None if plan.stream is None else _trial_rng(seed, plan.stream, idx)
+    if plan.stream is None:
+        rngs = [None] * plan.count
+    else:
+        rngs = _trial_streams(seed, plan.stream, range(plan.count))
+    for idx, rng in enumerate(rngs):
         payload = plan.draw(rng, idx)
         if not size:
             size = max(1, _CHUNK_BYTES // _trial_bytes(plan.props, payload))
@@ -1087,8 +1249,7 @@ def _derived_hessian_witness(
     )
     for dim in cfg.dims:
         stream = f"subentropic-escalation/k{k}/dim{dim}"
-        for attempt in range(12):
-            rng = _trial_rng(cfg.seed, stream, attempt)
+        for rng in _trial_streams(cfg.seed, stream, range(12)):
             rho = random_pd(dim, cfg.eig_range, rng)
             sigma = random_pd(dim, cfg.eig_range, rng)
             try:
@@ -1249,8 +1410,8 @@ def test_entropy_gain_convexity(
         else:
             n = int(rng.integers(2, 5))
             out_d = int(rng.integers(2, 5))
-            r = int(rng.integers(2, 5))
-            kraus = np.stack(random_channel(n, out_d, r, rng).kraus)
+            r = int(rng.integers(2, _MAX_KRAUS + 1))
+            kraus = _ChannelDraw(channel_draw(n, out_d, r, rng), out_d)
             x = _pd(n, cfg.eig_range, rng)
             y = _pd(n, cfg.eig_range, rng)
         return {"channel": kraus, "x": x, "y": y}

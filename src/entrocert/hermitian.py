@@ -244,7 +244,10 @@ def _complex_from_draw(g: np.ndarray) -> np.ndarray:
 
 
 def _unitary_from_draw(g: np.ndarray) -> np.ndarray:
-    """Haar-like unitary: QR of a complex Gaussian with phase correction."""
+    """Haar-like unitary: QR of a complex Gaussian with phase correction.
+
+    A tall draw gives an isometry (orthonormal columns) the same way.
+    """
     q, r = np.linalg.qr(_complex_from_draw(g))
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]

@@ -3,7 +3,8 @@
 Composite spaces are ordered with the retained factor first: a bipartite
 matrix lives on H1 (x) H2 with combined index i1*dim2 + i2, and
 :func:`partial_trace_1` traces out the second factor.  Partial traces and
-channel application also take stacks of states.
+channel application also take stacks of states, and random channels are
+drawn raw (:func:`channel_draw`) and built as a stack (:func:`channel_from_draw`).
 """
 
 from __future__ import annotations
@@ -13,7 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import ScalarFunction
-from .hermitian import adjoint, hermitize, is_hermitian, psd_margin, trace_of_function
+from .hermitian import (
+    _first_failure,
+    _unitary_from_draw,
+    adjoint,
+    hermitize,
+    is_hermitian,
+    psd_margin,
+    trace_of_function,
+)
 
 __all__ = [
     "kron",
@@ -28,6 +37,8 @@ __all__ = [
     "depolarizing_channel",
     "partial_trace_channel",
     "unitary_channel",
+    "channel_draw",
+    "channel_from_draw",
     "random_channel",
     "harmonic_mean",
     "harmonic_mean_block_margin",
@@ -94,7 +105,7 @@ class KrausChannel:
                 )
             acc = acc + k.conj().T @ k
         defect = float(np.linalg.norm(acc - np.eye(self.in_dim)))
-        if defect > CHANNEL_TOL:
+        if not defect <= CHANNEL_TOL:  # a NaN defect fails too
             raise ValueError(
                 f"Kraus family is not trace preserving (defect {defect:.3e})"
             )
@@ -122,7 +133,7 @@ class StinespringIsometry:
     def __post_init__(self):
         w = self.matrix
         defect = float(np.linalg.norm(w.conj().T @ w - np.eye(w.shape[1])))
-        if defect > CHANNEL_TOL:
+        if not defect <= CHANNEL_TOL:
             raise ValueError(f"not an isometry (W*W defect {defect:.3e})")
 
     @property
@@ -196,25 +207,46 @@ def unitary_channel(u: np.ndarray) -> KrausChannel:
     return KrausChannel(in_dim=u.shape[1], out_dim=u.shape[0], kraus=(u,))
 
 
-def random_channel(
+def channel_draw(
     in_dim: int, out_dim: int, n_kraus: int, rng: np.random.Generator
-) -> KrausChannel:
-    """Random channel from an orthonormalised stack of Gaussian blocks.
+) -> np.ndarray:
+    """The draw behind :func:`random_channel`: shape (2, n_kraus*out_dim, in_dim).
 
-    The stacked (n_kraus*out_dim) x in_dim matrix is orthonormalised by QR,
-    so trace preservation holds by construction (up to rounding, well inside
-    the constructor's tolerance).
+    Axis 0 holds the real, then the imaginary, Gaussian part of the stacked
+    Kraus operators (one call, the same numbers as one call per part).
     """
     rows = n_kraus * out_dim
     if rows < in_dim:
         raise ValueError(
             f"need n_kraus*out_dim >= in_dim ({rows} < {in_dim}) for an isometry"
         )
-    z = rng.standard_normal((rows, in_dim)) + 1j * rng.standard_normal((rows, in_dim))
-    q, r = np.linalg.qr(z)
-    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    ops = tuple(q[m * out_dim : (m + 1) * out_dim, :] for m in range(n_kraus))
-    return KrausChannel(in_dim=in_dim, out_dim=out_dim, kraus=ops)
+    return rng.standard_normal((2, rows, in_dim))
+
+
+def channel_from_draw(g: np.ndarray, out_dim: int) -> np.ndarray:
+    """Kraus operators (..., n_kraus, out_dim, in_dim) from draws of :func:`channel_draw`.
+
+    Takes stacks of draws.  The stacked (n_kraus*out_dim) x in_dim matrix is
+    orthonormalised by QR with the phase fix, so trace preservation holds by
+    construction; it is still checked for every member of the stack.
+    """
+    q = _unitary_from_draw(g)
+    rows, in_dim = q.shape[-2:]
+    defect = np.linalg.norm(adjoint(q) @ q - np.eye(in_dim), axis=(-2, -1))
+    i = _first_failure(defect, CHANNEL_TOL)  # a NaN defect fails too
+    if i is not None:
+        raise ValueError(
+            f"Kraus family is not trace preserving (defect {float(defect.flat[i]):.3e})"
+        )
+    return q.reshape(q.shape[:-2] + (rows // out_dim, out_dim, in_dim))
+
+
+def random_channel(
+    in_dim: int, out_dim: int, n_kraus: int, rng: np.random.Generator
+) -> KrausChannel:
+    """Random channel from an orthonormalised stack of Gaussian blocks."""
+    kraus = channel_from_draw(channel_draw(in_dim, out_dim, n_kraus, rng), out_dim)
+    return KrausChannel(in_dim=in_dim, out_dim=out_dim, kraus=tuple(kraus))
 
 
 # --------------------------------------------------------------------------

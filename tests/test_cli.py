@@ -157,6 +157,11 @@ def test_determinism_modulo_wall_time(capsys):
         # no normalised PSD margin lies below -1, so such a tol could never refute
         ["certify", "--function", "square", "--suite", "condition13", "--seed", "1",
          "--samples", "4", "--tol", "2"],
+        # seeds outside 64 bits would alias a seed inside
+        ["certify", "--function", "tlogt", "--suite", "principle1", "--seed", "-1",
+         "--samples", "2"],
+        ["certify", "--function", "tlogt", "--suite", "principle1",
+         "--seed", "18446744073709551616", "--samples", "2"],
     ],
 )
 def test_usage_errors_exit_3(capsys, argv):

@@ -1,19 +1,22 @@
 """Trials keep raw Generator output and build their matrices per stack.
 
 The reference below draws and builds one trial at a time, the way the
-suites are specified: separate ``standard_normal((n, n))`` calls for the
-real and imaginary parts, complex assembly, QR with the phase fix,
-``U diag(lam) U*`` and the Hermitian part, per matrix.  The stacked payloads
-of every sampled suite's plans must equal it bit for bit.
+suites are specified: each trial from its own
+``default_rng(SeedSequence([seed, token, index]))``, separate
+``standard_normal`` calls for the real and imaginary parts, complex
+assembly, QR with the phase fix, ``U diag(lam) U*`` and the Hermitian part,
+per matrix.  The stacked payloads of every sampled suite's plans must equal
+it bit for bit.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import entrocert.certify as certify
-from entrocert.certify import TestConfig
+from entrocert.certify import TestConfig, reverify_counterexample
 from entrocert.functions import lookup
 from entrocert.hermitian import random_hermitian, random_pd, random_unitary
 from entrocert.quantum import partial_trace_channel, random_channel
@@ -23,9 +26,10 @@ def ref_herm(a):
     return (a + np.swapaxes(a.conj(), -1, -2)) / 2.0
 
 
-def ref_gauss(n, rng):
-    re = rng.standard_normal((n, n))
-    im = rng.standard_normal((n, n))
+def ref_gauss(n, rng, cols=None):
+    shape = (n, n if cols is None else cols)
+    re = rng.standard_normal(shape)
+    im = rng.standard_normal(shape)
     return re + 1j * im
 
 
@@ -52,6 +56,12 @@ def ref_pds(k, n, eig_range, rng):
 
 def ref_hermitians(k, n, rng):
     return np.stack([ref_herm(ref_gauss(n, rng)) for _ in range(k)])
+
+
+def ref_channel(n, out_d, r, rng):
+    """Kraus operators: the stacked (r*out_d) x n isometry split into r blocks."""
+    q = ref_unitary(ref_gauss(r * out_d, rng, cols=n))
+    return np.stack([q[m * out_d : (m + 1) * out_d, :] for m in range(r)])
 
 
 def ref_diag(n, eig_range, rng):
@@ -128,7 +138,10 @@ def ref_gain(cfg, stream, idx, rng):
         x, y = draw(d1 * d2, cfg.eig_range, rng), draw(d1 * d2, cfg.eig_range, rng)
     else:
         n, out_d, r = (int(rng.integers(2, 5)) for _ in range(3))
-        kraus = np.stack(random_channel(n, out_d, r, rng).kraus)
+        # a stack pads every channel with exact zeros to the 4 operators
+        # that rng.integers(2, 5) can draw
+        kraus = np.zeros((4, out_d, n), dtype=complex)
+        kraus[:r] = ref_channel(n, out_d, r, rng)
         x, y = ref_pd(n, cfg.eig_range, rng), ref_pd(n, cfg.eig_range, rng)
     return {"channel": kraus, "x": x, "y": y}
 
@@ -189,7 +202,9 @@ def test_stacked_payloads_match_per_trial_reference(monkeypatch, cfg):
                     P = certify._stack([chunk[i] for i in members])
                     for j, i in enumerate(members):
                         idx = start + i
-                        rng = certify._trial_rng(cfg.seed, plan.stream, idx)
+                        rng = np.random.default_rng(np.random.SeedSequence(
+                            [cfg.seed, certify._stream_token(plan.stream), idx]
+                        ))
                         want = REFERENCE[name](cfg, plan.stream, idx, rng)
                         assert P.keys() == want.keys()
                         for field, value in want.items():
@@ -211,3 +226,55 @@ def test_public_generators_match_reference():
             a, b = np.random.default_rng(seed), np.random.default_rng(seed)
             assert _bitwise_equal(build(a), ref(b)), seed
             assert a.random() == b.random()  # both streams consumed alike
+    for seed, (n, out_d, r) in enumerate(itertools.product(range(2, 5), repeat=3)):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        channel = random_channel(n, out_d, r, a)
+        assert (channel.in_dim, channel.out_dim) == (n, out_d)
+        assert _bitwise_equal(np.stack(channel.kraus), ref_channel(n, out_d, r, b)), (n, out_d, r)
+        assert a.random() == b.random()
+
+
+SEEDS = (0, 42, 2**32, 2**64 - 1)
+INDICES = (0, 199, 2**32 + 5)
+
+
+@pytest.mark.parametrize("token", [None, 12345], ids=["stream-token", "one-word-token"])
+def test_trial_streams_match_seed_sequence(monkeypatch, token):
+    # SeedSequence reads each integer as one 32-bit word or more: seeds and
+    # indices from 0 to 2**64 - 1 and a token below 2**32 cover every count
+    if token is not None:
+        monkeypatch.setattr(certify, "_stream_token", lambda stream: token)
+    stream = "principle1/dim2"
+    key = certify._stream_token(stream)
+    for seed in SEEDS:
+        got = certify._trial_streams(seed, stream, INDICES)
+        for idx, rng in zip(INDICES, got, strict=True):
+            ref = np.random.default_rng(np.random.SeedSequence([seed, key, idx]))
+            assert rng.bit_generator.state == ref.bit_generator.state, (seed, idx)
+            assert _bitwise_equal(rng.standard_normal(5), ref.standard_normal(5))
+            assert rng.integers(2, 5) == ref.integers(2, 5)
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_padded_gain_witness_has_the_drawn_channel(monkeypatch):
+    # every random-channel trial of a gain chunk is built into a stack padded
+    # to 4 operators; its witness drops the padding and re-verifies alone
+    cfg = TestConfig(seed=5, samples=12)
+    (plan,) = _sampled_plans(monkeypatch, cfg)["gain"]
+    chunk = next(certify._chunks(cfg.seed, plan))
+    f = lookup("square")
+    res = certify._run_chunk(f, plan.props, chunk)
+    ranks = []
+    for i, payload in enumerate(chunk):
+        draw = payload["channel"]
+        if not isinstance(draw, certify._ChannelDraw):
+            continue
+        rank = draw.normals.shape[-2] // draw.out_dim
+        trial = res.trial(i)
+        assert trial.payload["channel"].shape[0] == 4
+        witness = trial.witness
+        assert len(witness["channel"]["kraus"]) == rank
+        margin = reverify_counterexample(f, witness)
+        assert margin == pytest.approx(trial.margin, rel=1e-12, abs=1e-15)
+        ranks.append(rank)
+    assert {2, 3} <= set(ranks)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,10 @@ from entrocert.hermitian import (
 )
 from entrocert.quantum import (
     KrausChannel,
+    StinespringIsometry,
     apply_channel,
+    channel_draw,
+    channel_from_draw,
     channel_from_json,
     channel_to_json,
     depolarizing_channel,
@@ -65,6 +70,24 @@ def test_kraus_channel_validation():
         KrausChannel(2, 3, (eye,))  # shape mismatch
     ch = KrausChannel(2, 2, (eye,))
     assert ch.in_dim == ch.out_dim == 2
+
+
+def test_nan_kraus_families_are_rejected():
+    # a NaN trace-preservation defect compares False against the tolerance
+    nan = np.full((2, 2), np.nan + 0j)
+    with pytest.raises(ValueError, match="trace preserving"):
+        KrausChannel(in_dim=2, out_dim=2, kraus=(nan,))
+    with pytest.raises(ValueError, match="isometry"):
+        StinespringIsometry(matrix=np.full((4, 2), np.nan + 0j), out_dim=2, env_dim=2)
+    obj = channel_to_json(random_channel(2, 2, 2, RNG))
+    obj["kraus"][1]["re"][0][1] = float("nan")
+    with pytest.raises(ValueError, match="trace preserving"):
+        channel_from_json(json.loads(json.dumps(obj)))
+    draws = np.stack([channel_draw(3, 2, 2, RNG) for _ in range(3)])
+    assert channel_from_draw(draws, 2).shape == (3, 2, 2, 3)
+    draws[1, 0, 2, 1] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="trace preserving"):
+        channel_from_draw(draws, 2)
 
 
 def test_apply_channel_preserves_state_structure():
