@@ -30,21 +30,23 @@ Every suite is a list of trial plans, and one aggregator (_drive) turns
 their margins into the outcome.  A sampled trial draws its randomness from an
 independent stream keyed by (seed, stream name, trial index): NumPy's
 ``default_rng(SeedSequence([seed, token, index]))``, bit for bit, with the
-seed states of a whole plan computed at once.  A trial keeps only the
-Generator's raw output; the gap suites' trials are fixed grid points and
-draw nothing.  The matrices and channels are built from the raw draws, and
-the linear algebra runs, on stacks of trials (in chunks under a fixed memory
-ceiling), so outcomes do not depend on how trials are batched.  Growing the
-sample budget re-runs the same leading trials, so a FAIL can never flip back
-to PASS.
+seed states computed a block of trials at a time.  Plans are columns: each
+declares, per index class, its fields with their kind and per-trial shape,
+and each trial writes the Generator's raw output straight into its row of
+the class's column buffers.  The gap suites' plans are fixed grids whose
+columns are given.  The matrices and channels are built once per column,
+and the linear algebra runs, on stacks of trials (in chunks under a fixed
+memory ceiling), so outcomes do not depend on how trials are batched.
+Growing the sample budget re-runs the same leading trials, so a FAIL can
+never flip back to PASS.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import math
-from collections.abc import Callable, Iterator
+import itertools
+from collections.abc import Callable, Hashable, Iterator
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
@@ -62,21 +64,19 @@ from .frechet import (
 )
 from .functions import DegenerateFunctionError, ScalarFunction, gap_function
 from .hermitian import (
-    gaussian_draw,
     hermitian_from_draw,
     hermitize,
     matrix_from_json,
     matrix_to_json,
-    pd_draw,
     pd_from_draw,
     random_pd,
     trace_of_function,
+    uniform_from_draw,
 )
 from .jets import DomainError
 from .quantum import (
     KrausChannel,
     apply_kraus,
-    channel_draw,
     channel_from_draw,
     channel_from_json,
     channel_to_json,
@@ -330,160 +330,146 @@ def _seed_sequence_words(entropy: np.ndarray) -> np.ndarray:
     return v[0::2] | (v[1::2] << 32)
 
 
-def _trial_streams(seed: int, stream: str, indices) -> Iterator[np.random.Generator]:
-    """The Generators of trials ``indices`` of ``stream``, in order.
+def _trial_streams(seed: int, segments: list, block: int) -> Iterator[np.random.Generator]:
+    """The Generators of the trials of each (stream, indices) segment, in order.
 
-    Trial i's Generator is bitwise that of
+    Trial i of a stream is bitwise
     ``np.random.default_rng(np.random.SeedSequence([seed, token, i]))``.
-    The seed states of all the indices are computed at once, and one
-    Generator is reset to each in turn: draw from it before advancing.
+    Seed states are computed ``block`` trials at a time, so small segments
+    share a block and the states held at once never exceed one block.  One
+    Generator is reset to each state in turn: draw from it before advancing.
     """
-    idx = np.asarray(indices, dtype=np.uint64).reshape(-1)
-    head = _u32_words(seed) + _u32_words(_stream_token(stream))
-    states = [(0, 0)] * idx.size
-    wide = idx > _M32  # SeedSequence reads these indices as two words
-    for lanes in (np.flatnonzero(~wide), np.flatnonzero(wide)):
-        if not lanes.size:
-            continue
-        entropy = np.empty((len(head) + 1 + int(wide[lanes[0]]), lanes.size), dtype=np.uint32)
-        entropy[: len(head)] = np.array(head, dtype=np.uint32)[:, None]
-        entropy[len(head)] = idx[lanes] & _M32
-        entropy[len(head) + 1 :] = idx[lanes] >> 32
-        # PCG64's set_seed of 128-bit (initstate, initseq) from the four words:
-        # inc = 2*initseq + 1 and state = (inc + initstate) * mult + inc
-        words = _seed_sequence_words(entropy).tolist()
-        for lane, s_hi, s_lo, q_hi, q_lo in zip(lanes.tolist(), *words):
-            inc = (((q_hi << 64) | q_lo) << 1 | 1) & _M128
-            states[lane] = (((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _M128, inc)
+    lanes = itertools.chain.from_iterable(
+        zip(itertools.repeat(_stream_token(stream)), indices) for stream, indices in segments
+    )
     rng = np.random.Generator(np.random.PCG64(0))
-    for state, inc in states:
-        rng.bit_generator.state = {
-            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0,
-        }
-        yield rng
+    while part := list(itertools.islice(lanes, block)):
+        tokens, idx = np.array(part, dtype=np.uint64).T
+        states = [(0, 0)] * idx.size
+        # SeedSequence reads an integer past 2**32 - 1 as two words; the
+        # lanes of each word count are hashed in one call
+        width = 2 * (tokens > _M32) + (idx > _M32)
+        for w in set(width.tolist()):
+            same = np.flatnonzero(width == w)
+            entropy = [np.full(same.size, word) for word in _u32_words(seed)]
+            for values, count in ((tokens[same], 1 + (w >> 1)), (idx[same], 1 + (w & 1))):
+                entropy += [values & _M32, values >> 32][:count]
+            # PCG64's set_seed of 128-bit (initstate, initseq) from the four words:
+            # inc = 2*initseq + 1 and state = (inc + initstate) * mult + inc
+            words = _seed_sequence_words(np.array(entropy, dtype=np.uint32)).tolist()
+            for lane, s_hi, s_lo, q_hi, q_lo in zip(same.tolist(), *words):
+                inc = (((q_hi << 64) | q_lo) << 1 | 1) & _M128
+                states[lane] = (((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _M128, inc)
+        for state, inc in states:
+            rng.bit_generator.state = {
+                "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                "has_uint32": 0, "uinteger": 0,
+            }
+            yield rng
 
 
-class _Draw:
-    """Raw Generator output for one payload field, built as a stack by _stack.
+# --------------------------------------------------------------------------
+# columns: the fields of an index class, drawn raw and built per chunk
 
-    Trials whose fields agree in ``tag`` and built ``shape`` stack together;
-    a draw tagged "array" also stacks with plain arrays of its built shape.
+class _Col(NamedTuple):
+    """Payload fields of an index class and the raw column buffer they are drawn into.
+
+    The Generator ``calls`` fill a trial's row of the buffer (per-trial
+    shape ``raw``) in draw order, each as (method, index within the row);
+    ``build(rows, buffer)`` makes the stacked fields ``names``.  One trial's
+    built size ``nbytes`` and matrix dimension ``dim`` size the chunks.
     """
 
-    __slots__ = ()
-    tag = "array"
-
-    @property
-    def nbytes(self) -> int:
-        """Size of the built complex matrices, for chunk sizing."""
-        return 16 * math.prod(self.shape)
-
-
-@dataclass(slots=True)
-class _PdDraw(_Draw):
-    """Draws of one or more random PD matrices (see hermitian.pd_draw)."""
-
-    logs: np.ndarray
-    normals: np.ndarray
-    lo: float
-    hi: float
-    tag = "pd"
-
-    @property
-    def shape(self) -> tuple:
-        return self.logs.shape + self.logs.shape[-1:]
-
-    @staticmethod
-    def build(draws: list) -> np.ndarray:
-        # every trial keeps its own spectrum bounds (condition13 stretches some)
-        lo, hi = np.array([(d.lo, d.hi) for d in draws]).T
-        per_trial = (-1,) + (1,) * draws[0].logs.ndim
-        logs, normals = np.stack([d.logs for d in draws]), np.stack([d.normals for d in draws])
-        return pd_from_draw(logs, normals, lo.reshape(per_trial), hi.reshape(per_trial))
+    names: tuple[str, ...]
+    raw: tuple[int, ...]
+    calls: tuple[tuple[str, tuple], ...]
+    build: Callable[[int, np.ndarray], tuple[np.ndarray, ...]]
+    nbytes: int
+    dim: int
 
 
-@dataclass(slots=True)
-class _DiagDraw(_Draw):
-    """The log-spectrum (n,) of a diagonal PD state."""
-
-    logs: np.ndarray
-    tag = "diag"
-
-    @property
-    def shape(self) -> tuple:
-        return self.logs.shape + self.logs.shape[-1:]
-
-    @staticmethod
-    def build(draws: list) -> np.ndarray:
-        vals = np.exp(np.stack([d.logs for d in draws]))
-        out = np.zeros(vals.shape + vals.shape[-1:], dtype=complex)
-        i = np.arange(vals.shape[-1])
-        out[..., i, i] = vals
-        return out
-
-
-@dataclass(slots=True)
-class _HermDraw(_Draw):
-    """Gaussian draws (..., 2, n, n) of one or more Hermitian directions."""
-
-    normals: np.ndarray
-
-    @property
-    def shape(self) -> tuple:
-        return self.normals.shape[:-3] + self.normals.shape[-2:]
-
-    @staticmethod
-    def build(draws: list) -> np.ndarray:
-        return hermitian_from_draw(np.stack([d.normals for d in draws]))
-
-
-@dataclass(slots=True)
-class _ChannelDraw(_Draw):
-    """The draw (2, r*out, in) of a random channel, built with _MAX_KRAUS operators.
-
-    Operators past the drawn rank r are exact zeros, which add nothing to
-    the channel's action, so channels of one (in, out) stack together
-    whatever their rank.
-    """
-
-    normals: np.ndarray
-    out_dim: int
-    tag = "channel"
-
-    @property
-    def shape(self) -> tuple:
-        return (_MAX_KRAUS, self.out_dim, self.normals.shape[-1])
-
-    @property
-    def nbytes(self) -> int:
-        # the drawn operators only, as before the padding, so chunks are cut where they were
-        return 8 * self.normals.size
-
-    @staticmethod
-    def build(draws: list) -> np.ndarray:
-        out = np.zeros((len(draws),) + draws[0].shape, dtype=complex)
-        ranks: dict[int, list[int]] = {}
-        for i, d in enumerate(draws):
-            ranks.setdefault(d.normals.shape[-2], []).append(i)
-        for members in ranks.values():
-            normals = np.stack([draws[i].normals for i in members])
-            kraus = channel_from_draw(normals, draws[0].out_dim)
-            out[members, : kraus.shape[-3]] = kraus
-        return out
-
-
-def _pd(dim: int, eig_range: tuple[float, float], rng: np.random.Generator) -> _PdDraw:
-    return _PdDraw(*pd_draw(dim, eig_range, rng), *eig_range)
-
-
-def _pds(k: int, dim: int, eig_range: tuple[float, float], rng: np.random.Generator) -> _PdDraw:
-    return _PdDraw(*pd_draw(dim, eig_range, rng, count=k), *eig_range)
-
-
-def _random_diag_pd(n: int, eig_range: tuple[float, float], rng: np.random.Generator) -> _DiagDraw:
+def _pd_col(name: str, n: int, eig_range: tuple[float, float], k: Optional[int] = None) -> _Col:
+    """k random PD matrices (k=None: one), each drawn as its spectrum's uniforms, then a Gaussian."""
     lo, hi = eig_range
-    return _DiagDraw(rng.uniform(np.log(lo), np.log(hi), size=n))
+    m = k or 1
+    # a one-point range draws no spectrum: its zero uniforms map to exactly lo
+    spectrum = (("random", slice(0, n)),) if lo != hi else ()
+    draws = (*spectrum, ("standard_normal", slice(n, None)))
+    calls = tuple((method, (j, at)) for j in range(m) for method, at in draws)
+
+    def build(rows, raw):
+        u = raw[..., :n] if spectrum else np.zeros((rows, m, n))
+        mats = pd_from_draw(u, raw[..., n:].reshape(rows, m, 2, n, n), lo, hi)
+        return (mats if k else mats[:, 0],)
+
+    return _Col((name,), (m, n + 2 * n * n), calls, build, 16 * m * n * n, n)
+
+
+def _diag_col(name: str, n: int, eig_range: tuple[float, float]) -> _Col:
+    """A diagonal PD state, its spectrum log-uniform in eig_range (drawn even when lo == hi)."""
+    log_lo, log_hi = np.log(eig_range[0]), np.log(eig_range[1])
+
+    def build(rows, u):
+        out = np.zeros((rows, n, n), dtype=complex)
+        out[:, range(n), range(n)] = np.exp(uniform_from_draw(u, log_lo, log_hi))
+        return (out,)
+
+    return _Col((name,), (n,), (("random", ()),), build, 16 * n * n, n)
+
+
+def _herm_col(names: tuple[str, ...], n: int, k: Optional[int] = None) -> _Col:
+    """k Hermitian directions (k=None: one) per name, drawn in one call and dealt to the names in turn."""
+    m = len(names) * (k or 1)
+
+    def build(rows, g):
+        h = hermitian_from_draw(g)
+        picks = [slice(j, None, len(names)) if k else j for j in range(len(names))]
+        return tuple(np.ascontiguousarray(h[:, pick]) for pick in picks)
+
+    return _Col(names, (m, 2, n, n), (("standard_normal", ()),), build, 16 * m * n * n, n)
+
+
+def _channel_col(name: str, n_in: int, n_out: int, rank: int) -> _Col:
+    """A random channel, built with _MAX_KRAUS operators: those past its rank are exact zeros.
+
+    Zero operators add nothing to a channel's action, so channels of one
+    (in, out) stack together whatever their rank; only the drawn operators
+    count toward a chunk.
+    """
+
+    def build(rows, g):
+        out = np.zeros((rows, _MAX_KRAUS, n_out, n_in), dtype=complex)
+        out[:, :rank] = channel_from_draw(g, n_out)
+        return (out,)
+
+    raw = (2, rank * n_out, n_in)
+    return _Col((name,), raw, (("standard_normal", ()),), build, 16 * rank * n_out * n_in, n_in)
+
+
+def _identity_col(
+    names: tuple[str, ...], methods: tuple[str, ...], coefficients: Callable, n: int, k: int = 1
+) -> _Col:
+    """Multiples of the n x n identity, k per name, by ``coefficients(values)``.
+
+    The values are scalar draws, one per method in turn.
+    """
+    eye = np.eye(n, dtype=complex)
+
+    def build(rows, v):
+        return tuple(c[..., None, None] * eye for c in coefficients(v))
+
+    calls = tuple((method, (slice(i, i + 1),)) for i, method in enumerate(methods))
+    return _Col(names, (len(methods),), calls, build, 16 * len(names) * k * n * n, n)
+
+
+def _fixed_col(name: str, value) -> _Col:
+    """A value that every trial of the class shares; only an array counts toward a chunk."""
+    value = np.asarray(value)
+
+    def build(rows, raw):
+        return (np.array(np.broadcast_to(value, (rows, *value.shape))),)
+
+    return _Col((name,), (0,), (), build, value.nbytes if value.ndim else 0, 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -841,102 +827,137 @@ def _single(prop: _Property, f: ScalarFunction, payload: dict) -> Optional[_Tria
     return _Trial(float(res.margins[0]), float(res.scales[0]), prop.dim(full), prop, full)
 
 
-def _build(values: list) -> np.ndarray:
-    first = values[0]
-    return first.build(values) if isinstance(first, _Draw) else np.stack(values)
+class _Plan(NamedTuple):
+    """``count`` trials; each trial is measured by every property of ``props``.
 
-
-def _stack(payloads: list[dict]) -> dict:
-    """Stack trial payloads field by field, building raw draws once per field.
-
-    A field may mix raw draws with plain arrays of the same built shape
-    (subentropic's scalar directions among Gaussian ones); each kind is then
-    built on its own and scattered into place.
-    """
-    out = {}
-    for name, first in payloads[0].items():
-        values = [p[name] for p in payloads]
-        if not isinstance(first, (np.ndarray, _Draw)):
-            out[name] = np.asarray(values)
-            continue
-        kind = type(first)
-        if all(type(v) is kind for v in values):
-            out[name] = _build(values)
-            continue
-        kinds: dict[type, list[int]] = {}
-        for i, v in enumerate(values):
-            kinds.setdefault(type(v), []).append(i)
-        for members in kinds.values():
-            part = _build([values[i] for i in members])
-            if name not in out:
-                out[name] = np.empty((len(values),) + part.shape[1:], dtype=part.dtype)
-            out[name][members] = part
-    return out
-
-
-def _shape_key(payload: dict) -> tuple:
-    """Trials with equal keys stack together."""
-    key = []
-    for name, v in payload.items():
-        if isinstance(v, _Draw):
-            key.append((name, v.tag, v.shape))
-        elif isinstance(v, np.ndarray):
-            key.append((name, "array", v.shape))
-        else:
-            key.append((name, "value", v))
-    return tuple(key)
-
-
-@dataclass(frozen=True)
-class _Plan:
-    """``count`` trials of one stream; each trial is measured by every property.
-
-    A plan without a stream is a fixed grid: its trials draw nothing, and
-    ``excluded`` counts the grid points left out of it, each as one skipped
-    trial.
+    A sampled plan draws trial i from its stream into the columns of its
+    index class: ``classify(i, rng)`` names the class (gain's random channels
+    draw theirs) and ``classes`` maps each class to its columns, in draw
+    order.  A plan without a stream is a fixed grid: trial i takes entry i of
+    every ``grid`` column and draws nothing, and ``excluded`` counts the grid
+    points left out of it, each as one skipped trial.
     """
 
     stream: Optional[str]
     count: int
-    draw: Callable[[Optional[np.random.Generator], int], dict]
     props: tuple[_Property, ...]
+    classes: dict = {}
+    classify: Callable[[int, np.random.Generator], Hashable] = lambda idx, rng: None
+    grid: dict = {}
     excluded: int = 0
 
 
 def _grid_plan(prop: _Property, excluded: int = 0, **columns: np.ndarray) -> _Plan:
     """A grid plan whose trial i takes entry i of every column."""
-
-    def draw(rng, i):
-        return {k: v[i, ...] for k, v in columns.items()}
-
-    return _Plan(None, len(next(iter(columns.values()))), draw, (prop,), excluded)
+    return _Plan(None, len(next(iter(columns.values()))), (prop,), grid=columns, excluded=excluded)
 
 
-def _trial_bytes(props: tuple[_Property, ...], payload: dict) -> int:
-    """Working memory of one trial: its arrays several times over, plus its superoperators."""
-    arrays = [v for v in payload.values() if isinstance(v, (np.ndarray, _Draw))]
-    n = max((a.shape[-1] for a in arrays if a.shape), default=1)
-    return 8 * sum(a.nbytes for a in arrays) + sum(p.superops for p in props) * 16 * n**4
-
-
-def _chunks(seed: int, plan: _Plan) -> Iterator[list[dict]]:
-    """The plan's trial payloads, drawn in order, in chunks under _CHUNK_BYTES."""
-    chunk: list[dict] = []
-    size = 0
+def _class_bytes(plan: _Plan) -> dict:
+    """Working memory of one trial of each class: its fields several times over, and its superoperators."""
     if plan.stream is None:
-        rngs = [None] * plan.count
-    else:
-        rngs = _trial_streams(seed, plan.stream, range(plan.count))
-    for idx, rng in enumerate(rngs):
-        payload = plan.draw(rng, idx)
-        if not size:
-            size = max(1, _CHUNK_BYTES // _trial_bytes(plan.props, payload))
-        chunk.append(payload)
-        if len(chunk) == size:
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk
+        return {None: 8 * sum(v[0].nbytes for v in plan.grid.values())}
+    superops = sum(p.superops for p in plan.props)
+    return {
+        key: 8 * sum(c.nbytes for c in cols) + superops * 16 * max(c.dim for c in cols) ** 4
+        for key, cols in plan.classes.items()
+    }
+
+
+def _capacity(cost: dict) -> int:
+    """The most trials a chunk of a plan can hold."""
+    return max(1, _CHUNK_BYTES // min(cost.values()))
+
+
+class _Rows:
+    """The raw column buffers of one index class, and the chunk positions of the rows drawn."""
+
+    def __init__(self, cols: tuple[_Col, ...]):
+        self.cols = cols
+        self.raw = [np.empty((0, *col.raw)) for col in cols]
+        self.steps: list = []
+        self.members: list[int] = []
+
+    def draw(self, rng: np.random.Generator, position: int) -> None:
+        row = len(self.members)
+        if row == len(self.raw[0]):  # full: double the rows, keeping those drawn
+            more = max(8, row)
+            self.raw = [np.concatenate([b, np.empty((more, *c.raw))]) for b, c in zip(self.raw, self.cols)]
+            self.steps = [
+                (getattr(rng, method), b[(slice(None), *at)])
+                for c, b in zip(self.cols, self.raw) for method, at in c.calls
+            ]
+        for fill, column in self.steps:
+            fill(out=column[row])
+        self.members.append(position)
+
+    def build(self) -> dict:
+        rows, P = len(self.members), {}
+        for col, buf in zip(self.cols, self.raw):
+            P.update(zip(col.names, col.build(rows, buf[:rows])))
+        return P
+
+
+def _stacks(classes: dict) -> list[tuple[np.ndarray, dict]]:
+    """Build each class's fields from its rows; classes whose fields agree in shape form one stack."""
+    groups: dict[tuple, list] = {}
+    for cls in classes.values():
+        if cls.members:
+            P = cls.build()
+            shapes = tuple(sorted((k, v.shape[1:]) for k, v in P.items()))
+            groups.setdefault(shapes, []).append((cls.members, P))
+            cls.members = []
+    stacks = []
+    for parts in groups.values():
+        P = parts[0][1]
+        if len(parts) > 1:
+            P = {k: np.concatenate([p[k] for _, p in parts]) for k in P}
+        stacks.append((np.concatenate([m for m, _ in parts]), P))
+    return stacks
+
+
+def _chunks(plan: _Plan, cost: dict, streams: Iterator) -> Iterator[tuple[int, list]]:
+    """The plan's trials in order, in chunks under _CHUNK_BYTES, each as (size, stacks).
+
+    A stack is (positions in the chunk, stacked fields).  A sampled trial
+    takes the next Generator of ``streams`` and writes its draws straight
+    into its row of its class's raw buffers, which grow as rows are drawn.
+    """
+    if plan.stream is None:
+        step = _capacity(cost)
+        for start in range(0, plan.count, step):
+            size = min(step, plan.count - start)
+            columns = {k: v[start : start + size] for k, v in plan.grid.items()}
+            yield size, [(np.arange(size), columns)]
+        return
+    classes: dict[Hashable, _Rows] = {}
+    size = used = 0
+    for idx in range(plan.count):
+        rng = next(streams)
+        key = plan.classify(idx, rng)
+        if size and used + cost[key] > _CHUNK_BYTES:
+            yield size, _stacks(classes)
+            size = used = 0
+        if key not in classes:
+            classes[key] = _Rows(plan.classes[key])
+        classes[key].draw(rng, size)
+        size += 1
+        used += cost[key]
+    if size:
+        yield size, _stacks(classes)
+
+
+def _suite_chunks(seed: int, plans: list[_Plan]) -> Iterator[tuple[_Plan, int, list]]:
+    """Every plan's chunks in turn, as (plan, size, stacks).
+
+    The sampled plans' seed states are computed in shared blocks of at most
+    one chunk, so small plans share a block.
+    """
+    costs = [_class_bytes(plan) for plan in plans]
+    block = min((_capacity(c) for p, c in zip(plans, costs) if p.stream), default=1)
+    streams = _trial_streams(seed, [(p.stream, range(p.count)) for p in plans if p.stream], block)
+    for plan, cost in zip(plans, costs):
+        for size, stacks in _chunks(plan, cost, streams):
+            yield plan, size, stacks
 
 
 class _Chunk(NamedTuple):
@@ -948,34 +969,28 @@ class _Chunk(NamedTuple):
     trial: Callable[[int], _Trial]
 
 
-def _run_chunk(f: ScalarFunction, props: tuple[_Property, ...], chunk: list[dict]) -> _Chunk:
-    """Measure a chunk of trials, stacked per payload shape.
+def _run_chunk(f: ScalarFunction, props: tuple[_Property, ...], size: int, stacks: list) -> _Chunk:
+    """Measure a chunk of ``size`` trials, one stack at a time.
 
     A trial's margin is the smallest of its properties' margins (the first
     on ties); a trial that any property skips is skipped.
     """
-    size = len(chunk)
     margins, scales = np.full(size, np.nan), np.zeros(size)
     by_prop = np.full((len(props), size), np.nan)
     dims = np.zeros(size, dtype=int)
     notes = [""] * size
     where: list = [None] * size  # trial -> (stacked payload, position, measured, chosen prop)
-    groups: dict[tuple, list[int]] = {}
-    for i, payload in enumerate(chunk):
-        groups.setdefault(_shape_key(payload), []).append(i)
-    for members in groups.values():
-        P = _stack([chunk[i] for i in members])
-        measured = [_measure(prop, f, P, len(members)) for prop in props]
+    for idx, P in stacks:
+        measured = [_measure(prop, f, P, len(idx)) for prop in props]
         m = np.stack([r.margins for r in measured])
         ok = ~np.isnan(m).any(axis=0)
         choice = np.argmin(np.where(np.isnan(m), np.inf, m), axis=0)
-        cols = np.arange(len(members))
-        idx = np.asarray(members)
+        cols = np.arange(len(idx))
         by_prop[:, idx] = m
         dims[idx] = props[0].dim(P)
         margins[idx] = np.where(ok, m[choice, cols], np.nan)
         scales[idx] = np.stack([r.scales for r in measured])[choice, cols]
-        for j, i in enumerate(members):
+        for j, i in enumerate(idx.tolist()):
             where[i] = (P, j, measured, int(choice[j]))
             if not ok[j]:
                 notes[i] = next(r.notes[j] for r in measured if r.notes[j])
@@ -1048,31 +1063,30 @@ def _drive(
     violation: Optional[_Trial] = None
     prop_min: Optional[np.ndarray] = None
     gidx = 0
-    for plan in plans:
-        for chunk in _chunks(cfg.seed, plan):
-            res = _run_chunk(f, plan.props, chunk)
-            ok = ~np.isnan(res.margins)
-            done = np.flatnonzero(ok)
-            skipped += len(chunk) - done.size
-            if not skip_note and done.size < len(chunk):
-                skip_note = next(n for n in res.notes if n)
-            if done.size:
-                run += done.size
-                if recorder is not None:
-                    for i in done:
-                        recorder.append((name, int(res.dims[i]), gidx + int(i),
-                                         float(res.margins[i]), float(res.scales[i])))
-                low = np.min(res.by_prop[:, done], axis=1)
-                prop_min = low if prop_min is None else np.minimum(prop_min, low)
-                if violation is None:
-                    hits = done[res.margins[done] < -cfg.tol]
-                    if hits.size:
-                        violation = res.trial(int(hits[0]))
-                lowest = int(done[np.argmin(res.margins[done])])
-                if res.margins[lowest] < min_margin:
-                    min_margin = float(res.margins[lowest])
-                    worst = res.trial(lowest)
-            gidx += len(chunk)
+    for plan, size, stacks in _suite_chunks(cfg.seed, plans):
+        res = _run_chunk(f, plan.props, size, stacks)
+        ok = ~np.isnan(res.margins)
+        done = np.flatnonzero(ok)
+        skipped += size - done.size
+        if not skip_note and done.size < size:
+            skip_note = next(n for n in res.notes if n)
+        if done.size:
+            run += done.size
+            if recorder is not None:
+                for i in done:
+                    recorder.append((name, int(res.dims[i]), gidx + int(i),
+                                     float(res.margins[i]), float(res.scales[i])))
+            low = np.min(res.by_prop[:, done], axis=1)
+            prop_min = low if prop_min is None else np.minimum(prop_min, low)
+            if violation is None:
+                hits = done[res.margins[done] < -cfg.tol]
+                if hits.size:
+                    violation = res.trial(int(hits[0]))
+            lowest = int(done[np.argmin(res.margins[done])])
+            if res.margins[lowest] < min_margin:
+                min_margin = float(res.margins[lowest])
+                worst = res.trial(lowest)
+        gidx += size
 
     expected_fail = _expects_fail(f.name, name)
     detail = ""
@@ -1192,12 +1206,12 @@ def _scalar_convexity_failure(
 def test_principle1_concavity(
     f: ScalarFunction, cfg: TestConfig, recorder: Optional[list] = None
 ) -> TestOutcome:
-    plans = []
-    for dim in cfg.dims:
-        def draw(rng, idx, dim=dim):
-            return {"x": _pd(dim, cfg.eig_range, rng), "y": _pd(dim, cfg.eig_range, rng)}
-
-        plans.append(_Plan(f"principle1/dim{dim}", cfg.samples, draw, (_PRINCIPLE1,)))
+    plans = [
+        _Plan(f"principle1/dim{dim}", cfg.samples, (_PRINCIPLE1,), {
+            None: (_pd_col("x", dim, cfg.eig_range), _pd_col("y", dim, cfg.eig_range)),
+        })
+        for dim in cfg.dims
+    ]
 
     escalate = _pair_escalation(f, cfg, _PRINCIPLE1)
     return _drive("principle1", f, cfg, plans, escalate=escalate, recorder=recorder)
@@ -1209,20 +1223,15 @@ def test_principle1_concavity(
 def test_entropic(
     f: ScalarFunction, cfg: TestConfig, recorder: Optional[list] = None
 ) -> TestOutcome:
+    r = cfg.eig_range
     plans = []
     for d1, d2 in cfg.bipartite:
-        def draw(rng, idx, d1=d1, d2=d2):
-            n = d1 * d2
-            if idx % 4 == 3:
-                # classical corner: diagonal states exercise the commuting case
-                x = _random_diag_pd(n, cfg.eig_range, rng)
-                y = _random_diag_pd(n, cfg.eig_range, rng)
-            else:
-                x = _pd(n, cfg.eig_range, rng)
-                y = _pd(n, cfg.eig_range, rng)
-            return {"dim1": d1, "dim2": d2, "x": x, "y": y}
-
-        plans.append(_Plan(f"entropic/{d1}x{d2}", cfg.samples, draw, (_ENTROPIC,)))
+        n, dims = d1 * d2, (_fixed_col("dim1", d1), _fixed_col("dim2", d2))
+        plans.append(_Plan(f"entropic/{d1}x{d2}", cfg.samples, (_ENTROPIC,), {
+            False: (*dims, _pd_col("x", n, r), _pd_col("y", n, r)),
+            # classical corner: diagonal states exercise the commuting case
+            True: (*dims, _diag_col("x", n, r), _diag_col("y", n, r)),
+        }, lambda idx, rng: idx % 4 == 3))
 
     escalate = _pair_escalation(f, cfg, _ENTROPIC)
     return _drive("entropic", f, cfg, plans, escalate=escalate, recorder=recorder)
@@ -1249,7 +1258,7 @@ def _derived_hessian_witness(
     )
     for dim in cfg.dims:
         stream = f"subentropic-escalation/k{k}/dim{dim}"
-        for rng in _trial_streams(cfg.seed, stream, range(12)):
+        for rng in _trial_streams(cfg.seed, [(stream, range(12))], 12):
             rho = random_pd(dim, cfg.eig_range, rng)
             sigma = random_pd(dim, cfg.eig_range, rng)
             try:
@@ -1284,19 +1293,13 @@ def test_subentropic_order_k(
 
     plans = []
     for dim in cfg.dims:
-        def draw(rng, idx, dim=dim):
-            xs = _pds(k, dim, cfg.eig_range, rng)
-            ys = _pds(k, dim, cfg.eig_range, rng)
-            rhos = _pds(k, dim, cfg.eig_range, rng)
-            if idx % 4 == 3:
-                # scalar directions catch violations along the identity
-                coeffs = rng.standard_normal(k)
-                hs = coeffs[:, None, None] * np.eye(dim, dtype=complex)
-            else:
-                hs = _HermDraw(gaussian_draw(dim, rng, lead=(k,)))
-            return {"xs": xs, "ys": ys, "rhos": rhos, "hs": hs}
-
-        plans.append(_Plan(f"subentropic-k{k}/dim{dim}", cfg.samples, draw, (_SUB_MIDPOINT, _SUB_HESSIAN)))
+        pds = tuple(_pd_col(field, dim, cfg.eig_range, k) for field in ("xs", "ys", "rhos"))
+        props = (_SUB_MIDPOINT, _SUB_HESSIAN)
+        plans.append(_Plan(f"subentropic-k{k}/dim{dim}", cfg.samples, props, {
+            False: (*pds, _herm_col(("hs",), dim, k)),
+            # scalar directions catch violations along the identity
+            True: (*pds, _identity_col(("hs",), ("standard_normal",) * k, lambda c: (c,), dim, k)),
+        }, lambda idx, rng: idx % 4 == 3))
 
     stretch = _stretch_escalation(f, cfg, _SUB_MIDPOINT, (("xs", "ys"),), ("xs", "ys"))
 
@@ -1315,17 +1318,16 @@ def test_subentropic_order_k(
 def test_condition13(
     f: ScalarFunction, cfg: TestConfig, recorder: Optional[list] = None
 ) -> TestOutcome:
-    plans = []
-    for dim in cfg.dims:
-        def draw(rng, idx, dim=dim):
-            lo, hi = cfg.eig_range
-            if idx % 10 == 9:
-                # stretch the spectrum: margins are often tightest when the
-                # base points are badly conditioned
-                lo, hi = min(lo, 1e-3), max(hi, 1e3)
-            return {"rho": _pd(dim, (lo, hi), rng), "sigma": _pd(dim, (lo, hi), rng)}
-
-        plans.append(_Plan(f"condition13/dim{dim}", cfg.samples, draw, (_CONDITION13,)))
+    lo, hi = cfg.eig_range
+    # every tenth trial stretches the spectrum: margins are often tightest
+    # when the base points are badly conditioned
+    ranges = {False: cfg.eig_range, True: (min(lo, 1e-3), max(hi, 1e3))}
+    plans = [
+        _Plan(f"condition13/dim{dim}", cfg.samples, (_CONDITION13,), {
+            key: (_pd_col("rho", dim, r), _pd_col("sigma", dim, r)) for key, r in ranges.items()
+        }, lambda idx, rng: idx % 10 == 9)
+        for dim in cfg.dims
+    ]
 
     return _drive("condition13", f, cfg, plans, recorder=recorder)
 
@@ -1336,19 +1338,15 @@ def test_condition13(
 def test_equivalence_13_vs_hessian(
     f: ScalarFunction, cfg: TestConfig, recorder: Optional[list] = None
 ) -> TestOutcome:
-    band = 10.0 * cfg.tol
-    plans = []
-    for dim in cfg.dims:
-        def draw(rng, idx, dim=dim):
-            rho = _pd(dim, cfg.eig_range, rng)
-            sigma = _pd(dim, cfg.eig_range, rng)
-            hs = gaussian_draw(dim, rng, lead=(2 * _EQUIVALENCE_DIRECTIONS,))
-            return {
-                "rho": rho, "sigma": sigma, "h1": _HermDraw(hs[0::2]), "h2": _HermDraw(hs[1::2]),
-                "band": band,
-            }
-
-        plans.append(_Plan(f"equivalence/dim{dim}", cfg.samples, draw, (_EQUIVALENCE,)))
+    plans = [
+        _Plan(f"equivalence/dim{dim}", cfg.samples, (_EQUIVALENCE,), {None: (
+            _pd_col("rho", dim, cfg.eig_range),
+            _pd_col("sigma", dim, cfg.eig_range),
+            _herm_col(("h1", "h2"), dim, _EQUIVALENCE_DIRECTIONS),
+            _fixed_col("band", 10.0 * cfg.tol),
+        )})
+        for dim in cfg.dims
+    ]
 
     return _drive("equivalence", f, cfg, plans, recorder=recorder)
 
@@ -1359,29 +1357,29 @@ def test_equivalence_13_vs_hessian(
 def test_matrix_entropy(
     f: ScalarFunction, cfg: TestConfig, recorder: Optional[list] = None
 ) -> TestOutcome:
-    plans = []
-    for dim in cfg.dims:
-        def draw(rng, idx, dim=dim):
-            if idx % 4 == 3:
-                # scalar pairs (tI, sI): the two-variable function s^2 f''(t)
-                # already separates several candidates.  Local directed pairs
-                # around a random center expose indefiniteness of its Hessian.
-                lo, hi = cfg.eig_range
-                t0 = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
-                s0 = t0 * float(rng.standard_normal())
-                dt = float(rng.uniform(-0.45, 0.45)) * t0
-                ds = float(rng.uniform(-0.45, 0.45)) * (abs(s0) + t0)
-                eye = np.eye(dim, dtype=complex)
-                return {
-                    "x1": (t0 - dt) * eye, "h1": (s0 - ds) * eye,
-                    "x2": (t0 + dt) * eye, "h2": (s0 + ds) * eye,
-                }
-            x1 = _pd(dim, cfg.eig_range, rng)
-            x2 = _pd(dim, cfg.eig_range, rng)
-            h1, h2 = gaussian_draw(dim, rng, lead=(2,))
-            return {"x1": x1, "h1": _HermDraw(h1), "x2": x2, "h2": _HermDraw(h2)}
+    log_lo, log_hi = np.log(cfg.eig_range[0]), np.log(cfg.eig_range[1])
 
-        plans.append(_Plan(f"matrix-entropy/dim{dim}", cfg.samples, draw, (_MATRIX_ENTROPY,)))
+    def scalar_pairs(v):
+        # scalar pairs (tI, sI): the two-variable function s^2 f''(t) already
+        # separates several candidates.  Local directed pairs around a random
+        # center expose indefiniteness of its Hessian.
+        t0 = np.exp(uniform_from_draw(v[:, 0], log_lo, log_hi))
+        s0 = t0 * v[:, 1]
+        dt = uniform_from_draw(v[:, 2], -0.45, 0.45) * t0
+        ds = uniform_from_draw(v[:, 3], -0.45, 0.45) * (np.abs(s0) + t0)
+        return t0 - dt, s0 - ds, t0 + dt, s0 + ds
+
+    scalars = ("random", "standard_normal", "random", "random")
+    plans = [
+        _Plan(f"matrix-entropy/dim{dim}", cfg.samples, (_MATRIX_ENTROPY,), {
+            False: (
+                _pd_col("x1", dim, cfg.eig_range), _pd_col("x2", dim, cfg.eig_range),
+                _herm_col(("h1", "h2"), dim),
+            ),
+            True: (_identity_col(("x1", "h1", "x2", "h2"), scalars, scalar_pairs, dim),),
+        }, lambda idx, rng: idx % 4 == 3)
+        for dim in cfg.dims
+    ]
 
     escalate = _stretch_escalation(
         f, cfg, _MATRIX_ENTROPY, (("x1", "x2"), ("h1", "h2")), ("x1", "x2")
@@ -1395,28 +1393,24 @@ def test_matrix_entropy(
 def test_entropy_gain_convexity(
     f: ScalarFunction, cfg: TestConfig, recorder: Optional[list] = None
 ) -> TestOutcome:
-    def draw(rng, idx):
-        if idx % 3 == 2:
-            # partial-trace channels embed the bipartite test
-            d1, d2 = cfg.bipartite[(idx // 3) % len(cfg.bipartite)]
-            kraus = _partial_trace_kraus(d1, d2)
-            n = d1 * d2
-            if idx % 6 == 5:
-                x = _random_diag_pd(n, cfg.eig_range, rng)
-                y = _random_diag_pd(n, cfg.eig_range, rng)
-            else:
-                x = _pd(n, cfg.eig_range, rng)
-                y = _pd(n, cfg.eig_range, rng)
-        else:
-            n = int(rng.integers(2, 5))
-            out_d = int(rng.integers(2, 5))
-            r = int(rng.integers(2, _MAX_KRAUS + 1))
-            kraus = _ChannelDraw(channel_draw(n, out_d, r, rng), out_d)
-            x = _pd(n, cfg.eig_range, rng)
-            y = _pd(n, cfg.eig_range, rng)
-        return {"channel": kraus, "x": x, "y": y}
+    r = cfg.eig_range
+    classes = {}
+    for b, (d1, d2) in enumerate(cfg.bipartite):
+        # partial-trace channels embed the bipartite test
+        kraus, n = _fixed_col("channel", _partial_trace_kraus(d1, d2)), d1 * d2
+        classes[b, False] = (kraus, _pd_col("x", n, r), _pd_col("y", n, r))
+        classes[b, True] = (kraus, _diag_col("x", n, r), _diag_col("y", n, r))
+    for n, out_d, rank in itertools.product(range(2, 5), range(2, 5), range(2, _MAX_KRAUS + 1)):
+        channel = _channel_col("channel", n, out_d, rank)
+        classes[n, out_d, rank] = (channel, _pd_col("x", n, r), _pd_col("y", n, r))
 
-    plans = [_Plan("gain", cfg.samples * len(cfg.dims), draw, (_GAIN,))]
+    def classify(idx, rng):
+        if idx % 3 == 2:
+            return (idx // 3) % len(cfg.bipartite), idx % 6 == 5
+        # a random channel draws its input, output and Kraus dimensions first
+        return int(rng.integers(2, 5)), int(rng.integers(2, 5)), int(rng.integers(2, _MAX_KRAUS + 1))
+
+    plans = [_Plan("gain", cfg.samples * len(cfg.dims), (_GAIN,), classes, classify)]
     escalate = _pair_escalation(f, cfg, _GAIN)
     return _drive("gain", f, cfg, plans, escalate=escalate, recorder=recorder)
 

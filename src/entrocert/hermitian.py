@@ -33,6 +33,7 @@ __all__ = [
     "hermitian_from_draw",
     "pd_draw",
     "pd_from_draw",
+    "uniform_from_draw",
     "random_unitary",
     "random_hermitian",
     "random_pd",
@@ -224,19 +225,21 @@ def psd_margin(m: np.ndarray) -> PsdMargin:
 # random generators (all take an explicit numpy Generator; no global state)
 #
 # Each generator first takes raw output from the Generator (the *draw*) and
-# then builds the matrix from it.  A draw keeps nothing but the Generator's
-# numbers; all arithmetic on them (exp and clip of a spectrum, complex
-# assembly, QR, U diag(lam) U*, hermitize) is in the build step, which takes
-# stacks.  A batch of trials therefore draws one trial at a time, each from
-# its own stream, and builds the matrices of the whole batch at once.
+# then builds the matrix from it.  A draw is nothing but the Generator's
+# numbers: uniforms for a spectrum, and the real and imaginary Gaussian parts
+# of a matrix.  All arithmetic on them (the map of the uniforms onto the
+# log-range, exp and clip of a spectrum, complex assembly, QR,
+# U diag(lam) U*, hermitize) is in the build step, which takes stacks.  The
+# certification suites draw each trial from its own stream straight into its
+# row of raw column buffers shared by a chunk of trials, and build each
+# column of the chunk at once.
 
-def gaussian_draw(dim: int, rng: np.random.Generator, *, lead: tuple = (), out=None) -> np.ndarray:
-    """Raw draws of complex Gaussian dim x dim matrices, shape lead + (2, dim, dim).
+def gaussian_draw(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Raw draws of a complex Gaussian dim x dim matrix, shape (2, dim, dim).
 
-    Axis -3 holds the real part, then the imaginary part, of each matrix in
-    turn.  ``out`` is an optional buffer of that shape to draw into.
+    Axis 0 holds the real part, then the imaginary part.
     """
-    return rng.standard_normal((*lead, 2, dim, dim), out=out)
+    return rng.standard_normal((2, dim, dim))
 
 
 def _complex_from_draw(g: np.ndarray) -> np.ndarray:
@@ -266,42 +269,41 @@ def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     return hermitian_from_draw(gaussian_draw(dim, rng))
 
 
-def pd_draw(
-    dim: int, eig_range: tuple[float, float], rng: np.random.Generator, count: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The draws behind :func:`random_pd`: a log-spectrum (dim,) and a Gaussian draw.
+def uniform_from_draw(u, low, high):
+    """``Generator.uniform(low, high)`` from the Generator's ``random()`` draws u, bit for bit.
 
-    With ``count``, that many (spectrum, Gaussian) pairs are drawn in turn,
-    into arrays with a leading axis of that length.  With lo == hi nothing
-    is drawn for a spectrum; its logs are log(lo), which the clip in
-    :func:`pd_from_draw` turns into exactly lo.
+    uniform computes low + (high - low) * random() in double precision, so
+    drawing random() into a buffer and mapping it afterwards gives the same
+    numbers and leaves the Generator in the same state.
+    """
+    return low + (high - low) * u
+
+
+def pd_draw(
+    dim: int, eig_range: tuple[float, float], rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """The draws behind :func:`random_pd`: uniforms (dim,) for the spectrum and a Gaussian draw.
+
+    With lo == hi nothing is drawn for the spectrum; its uniforms are
+    zeros, which :func:`pd_from_draw` maps to exactly lo.
     """
     lo, hi = float(eig_range[0]), float(eig_range[1])
     if not 0.0 < lo <= hi:
         raise ValueError(f"invalid eigenvalue range [{lo}, {hi}]")
-    log_lo, log_hi = math.log(lo), math.log(hi)
-
-    def spectrum():
-        return np.full(dim, log_lo) if lo == hi else rng.uniform(log_lo, log_hi, size=dim)
-
-    if count is None:
-        return spectrum(), gaussian_draw(dim, rng)
-    logs, normals = np.empty((count, dim)), np.empty((count, 2, dim, dim))
-    for i in range(count):
-        logs[i] = spectrum()
-        gaussian_draw(dim, rng, out=normals[i])
-    return logs, normals
+    u = np.zeros(dim) if lo == hi else rng.random(dim)
+    return u, gaussian_draw(dim, rng)
 
 
-def pd_from_draw(logs: np.ndarray, g: np.ndarray, lo, hi) -> np.ndarray:
+def pd_from_draw(u: np.ndarray, g: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """U diag(lam) U* from the draws of :func:`pd_draw`; takes stacks of draws.
 
-    lam is exp(logs) clipped to [lo, hi] (bounds broadcast against logs, so
-    every trial of a stack may carry its own), and U the unitary of g.
+    lam is exp(uniform(log lo, log hi)) of the uniforms u, clipped to
+    [lo, hi], and U the unitary of g.
     """
-    lam = np.minimum(np.maximum(np.exp(logs), lo), hi)
-    u = _unitary_from_draw(g)
-    return hermitize((u * lam[..., None, :]) @ adjoint(u))
+    log_lo = math.log(lo)
+    lam = np.minimum(np.maximum(np.exp(uniform_from_draw(u, log_lo, math.log(hi))), lo), hi)
+    q = _unitary_from_draw(g)
+    return hermitize((q * lam[..., None, :]) @ adjoint(q))
 
 
 def random_pd(

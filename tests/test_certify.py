@@ -303,14 +303,14 @@ def test_gap_grid_plans(monkeypatch):
         raise AssertionError("a grid trial built a random stream")
 
     stacks = []
-    real_stack = certify._stack
+    real_run_chunk = certify._run_chunk
 
-    def counting_stack(payloads):
-        stacks.append(len(payloads))
-        return real_stack(payloads)
+    def counting_run_chunk(f, props, size, chunk_stacks):
+        stacks.extend(len(members) for members, _ in chunk_stacks)
+        return real_run_chunk(f, props, size, chunk_stacks)
 
-    monkeypatch.setattr(certify, "_trial_streams", no_stream)
-    monkeypatch.setattr(certify, "_stack", counting_stack)
+    monkeypatch.setattr(certify, "_seed_sequence_words", no_stream)
+    monkeypatch.setattr(certify, "_run_chunk", counting_run_chunk)
     # g = 1/f'' is undefined below t=0.005: at 4 of the 25 grid points and at
     # the zero probe.  Each counts once as skipped, and the recorder holds one
     # row per trial run, indexed 0..n-1.
@@ -397,19 +397,22 @@ def test_run_suite_dispatch(monkeypatch):
 
 
 def test_stacking_is_unchanged(monkeypatch):
-    # _stack calls per suite of a tlogt `all` run: one per shape group of each
-    # chunk, so a group split in two or a moved chunk boundary changes a count.
-    # gain's random channels group by (in, out), their Kraus rank padded away
+    # Stacks measured per suite of a tlogt `all` run: one per shape group of
+    # each chunk, so a group split in two or a moved chunk boundary changes a
+    # count.  Index classes whose fields agree in shape share a stack (the
+    # diagonal states of entropic and gain, the scalar pairs of
+    # matrix-entropy), and gain's random channels group by (in, out), their
+    # Kraus rank padded away
     import entrocert.certify as certify
 
     calls = []
-    real_stack = certify._stack
+    real_run_chunk = certify._run_chunk
 
-    def counting_stack(payloads):
-        calls.append(len(payloads))
-        return real_stack(payloads)
+    def counting_run_chunk(f, props, size, stacks):
+        calls.extend(len(members) for members, _ in stacks)
+        return real_run_chunk(f, props, size, stacks)
 
-    monkeypatch.setattr(certify, "_stack", counting_stack)
+    monkeypatch.setattr(certify, "_run_chunk", counting_run_chunk)
     f, cfg = lookup("tlogt"), TestConfig(seed=42, samples=200)
     counts = {}
     for row in certify._SUITES:
@@ -419,5 +422,5 @@ def test_stacking_is_unchanged(monkeypatch):
     assert counts == {
         "principle1": 2, "gap-superadditive": 3, "condition13": 4, "equivalence": 17,
         "subentropic:k=2": 3, "subentropic:k=3": 5, "subentropic:k=4": 6,
-        "matrix-entropy": 4, "entropic": 10, "gain": 60, "gap-concavity": 1,
+        "matrix-entropy": 2, "entropic": 5, "gain": 36, "gap-concavity": 1,
     }

@@ -1,12 +1,12 @@
-"""Trials keep raw Generator output and build their matrices per stack.
+"""Trials draw raw Generator output into column buffers and build their matrices per stack.
 
 The reference below draws and builds one trial at a time, the way the
 suites are specified: each trial from its own
-``default_rng(SeedSequence([seed, token, index]))``, separate
-``standard_normal`` calls for the real and imaginary parts, complex
-assembly, QR with the phase fix, ``U diag(lam) U*`` and the Hermitian part,
-per matrix.  The stacked payloads of every sampled suite's plans must equal
-it bit for bit.
+``default_rng(SeedSequence([seed, token, index]))``, ``uniform`` for each
+spectrum, separate ``standard_normal`` calls for the real and imaginary
+parts, complex assembly, QR with the phase fix, ``U diag(lam) U*`` and the
+Hermitian part, per matrix.  The stacks of every sampled suite's plans must
+equal it bit for bit.
 """
 
 import itertools
@@ -18,7 +18,13 @@ import pytest
 import entrocert.certify as certify
 from entrocert.certify import TestConfig, reverify_counterexample
 from entrocert.functions import lookup
-from entrocert.hermitian import random_hermitian, random_pd, random_unitary
+from entrocert.hermitian import (
+    pd_draw,
+    random_hermitian,
+    random_pd,
+    random_unitary,
+    uniform_from_draw,
+)
 from entrocert.quantum import partial_trace_channel, random_channel
 
 
@@ -192,25 +198,20 @@ def test_stacked_payloads_match_per_trial_reference(monkeypatch, cfg):
     assert sorted(plans) == sorted(REFERENCE)
     compared = 0
     for name, suite_plans in plans.items():
-        for plan in suite_plans:
-            start = 0
-            for chunk in certify._chunks(cfg.seed, plan):
-                groups = {}
-                for i, payload in enumerate(chunk):
-                    groups.setdefault(certify._shape_key(payload), []).append(i)
-                for members in groups.values():
-                    P = certify._stack([chunk[i] for i in members])
-                    for j, i in enumerate(members):
-                        idx = start + i
-                        rng = np.random.default_rng(np.random.SeedSequence(
-                            [cfg.seed, certify._stream_token(plan.stream), idx]
-                        ))
-                        want = REFERENCE[name](cfg, plan.stream, idx, rng)
-                        assert P.keys() == want.keys()
-                        for field, value in want.items():
-                            assert _bitwise_equal(P[field][j], value), (name, plan.stream, idx, field)
-                        compared += 1
-                start += len(chunk)
+        start = dict.fromkeys((plan.stream for plan in suite_plans), 0)
+        for plan, size, stacks in certify._suite_chunks(cfg.seed, suite_plans):
+            for members, P in stacks:
+                for j, i in enumerate(members):
+                    idx = start[plan.stream] + int(i)
+                    rng = np.random.default_rng(np.random.SeedSequence(
+                        [cfg.seed, certify._stream_token(plan.stream), idx]
+                    ))
+                    want = REFERENCE[name](cfg, plan.stream, idx, rng)
+                    assert P.keys() == want.keys()
+                    for field, value in want.items():
+                        assert _bitwise_equal(P[field][j], value), (name, plan.stream, idx, field)
+                    compared += 1
+            start[plan.stream] += size
     assert compared == sum(plan.count for p in plans.values() for plan in p)
 
 
@@ -247,7 +248,7 @@ def test_trial_streams_match_seed_sequence(monkeypatch, token):
     stream = "principle1/dim2"
     key = certify._stream_token(stream)
     for seed in SEEDS:
-        got = certify._trial_streams(seed, stream, INDICES)
+        got = certify._trial_streams(seed, [(stream, INDICES)], len(INDICES))
         for idx, rng in zip(INDICES, got, strict=True):
             ref = np.random.default_rng(np.random.SeedSequence([seed, key, idx]))
             assert rng.bit_generator.state == ref.bit_generator.state, (seed, idx)
@@ -261,15 +262,17 @@ def test_padded_gain_witness_has_the_drawn_channel(monkeypatch):
     # to 4 operators; its witness drops the padding and re-verifies alone
     cfg = TestConfig(seed=5, samples=12)
     (plan,) = _sampled_plans(monkeypatch, cfg)["gain"]
-    chunk = next(certify._chunks(cfg.seed, plan))
+    _, size, stacks = next(certify._suite_chunks(cfg.seed, [plan]))
     f = lookup("square")
-    res = certify._run_chunk(f, plan.props, chunk)
+    res = certify._run_chunk(f, plan.props, size, stacks)
     ranks = []
-    for i, payload in enumerate(chunk):
-        draw = payload["channel"]
-        if not isinstance(draw, certify._ChannelDraw):
+    for i in range(size):
+        if i % 3 == 2:  # a partial-trace trial
             continue
-        rank = draw.normals.shape[-2] // draw.out_dim
+        rng = np.random.default_rng(np.random.SeedSequence(
+            [cfg.seed, certify._stream_token(plan.stream), i]
+        ))
+        rank = [int(rng.integers(2, 5)) for _ in range(3)][2]
         trial = res.trial(i)
         assert trial.payload["channel"].shape[0] == 4
         witness = trial.witness
@@ -278,3 +281,79 @@ def test_padded_gain_witness_has_the_drawn_channel(monkeypatch):
         assert margin == pytest.approx(trial.margin, rel=1e-12, abs=1e-15)
         ranks.append(rank)
     assert {2, 3} <= set(ranks)
+
+
+def test_seed_states_are_computed_a_chunk_at_a_time(monkeypatch):
+    hashed = []
+    real = certify._seed_sequence_words
+
+    def counting(entropy):
+        hashed.append(entropy.shape[1])
+        return real(entropy)
+
+    monkeypatch.setattr(certify, "_seed_sequence_words", counting)
+    # blocks of 4 cut across streams; an index read as two words hashes apart
+    segments = [("principle1/dim2", range(5)), ("condition13/dim3", range(7)), ("gain", (2**32 + 1, 3))]
+    got = certify._trial_streams(42, segments, 4)
+    want = [(stream, i) for stream, indices in segments for i in indices]
+    for (stream, idx), rng in zip(want, got, strict=True):
+        ref = np.random.default_rng(
+            np.random.SeedSequence([42, certify._stream_token(stream), idx])
+        )
+        assert rng.bit_generator.state == ref.bit_generator.state, (stream, idx)
+    assert hashed == [4, 4, 4, 1, 1]
+
+    # a suite's plans share blocks of at most one chunk: here a dim-3 trial
+    # is a third of a chunk and a dim-2 trial a sixth, so blocks hold 3
+    cfg = TestConfig(seed=42, samples=10)
+    plans = _sampled_plans(monkeypatch, cfg)["principle1"]
+    monkeypatch.setattr(certify, "_CHUNK_BYTES", 3 * 8 * 2 * 16 * 9)
+    assert [certify._capacity(certify._class_bytes(p)) for p in plans] == [6, 3]
+    hashed.clear()
+    chunks = [(plan.stream, size) for plan, size, _ in certify._suite_chunks(cfg.seed, plans)]
+    assert chunks == [("principle1/dim2", 6), ("principle1/dim2", 4)] + [("principle1/dim3", 3)] * 3 + [
+        ("principle1/dim3", 1)
+    ]
+    assert hashed == [3, 3, 3, 3, 3, 3, 2]  # the fourth block spans both plans
+
+    # states are computed as trials need them, whatever the sample budget:
+    # the first chunk of 6 and the trial after it, classified before the cut
+    hashed.clear()
+    big = [p._replace(count=10**6) for p in plans]
+    next(certify._suite_chunks(cfg.seed, big))
+    assert hashed == [3, 3, 3]
+
+    # at the default chunk size the two 10-trial plans hash in one call
+    monkeypatch.undo()
+    monkeypatch.setattr(certify, "_seed_sequence_words", counting)
+    hashed.clear()
+    for _ in certify._suite_chunks(cfg.seed, plans):
+        pass
+    assert hashed == [20]
+
+
+@pytest.mark.parametrize(
+    "eig_range", [(0.1, 10.0), (1e-3, 1e3), (1e-8, 1e8), (2.0, 2.0)],
+    ids=["default", "stretched", "wide", "one-point"],
+)
+def test_random_draws_mapped_equal_uniform(eig_range):
+    # the columns draw random() and map it afterwards, where uniform() was
+    # called: the same numbers, and the Generator left in the same state
+    lo, hi = eig_range
+    log_lo, log_hi = math.log(lo), math.log(hi)
+    for seed in range(500):
+        n = 1 + seed % 8
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        if lo == hi:
+            # nothing is drawn for a one-point spectrum; its zeros map to log lo
+            u, _ = pd_draw(n, eig_range, a)
+            want = np.full(n, log_lo)
+            b.standard_normal((2, n, n))
+        else:
+            u = np.empty(n)
+            a.random(out=u)
+            want = b.uniform(log_lo, log_hi, size=n)
+        assert _bitwise_equal(uniform_from_draw(u, log_lo, log_hi), want), seed
+        assert a.bit_generator.state == b.bit_generator.state
+    calls = [method for method, _ in certify._pd_col("x", 3, eig_range).calls]
+    assert calls == (["standard_normal"] if lo == hi else ["random", "standard_normal"])
