@@ -58,6 +58,15 @@ def test_config_validation():
         with pytest.raises(ValueError, match="seed"):
             TestConfig(seed=seed)
     assert TestConfig(seed=2**64 - 1).seed == 2**64 - 1
+    # integers only: truncating 2.7 would silently run another configuration
+    for kwargs in ({"seed": 1.5}, {"samples": 2.5}, {"dims": (2.7,)}, {"bipartite": ((2, 2.5),)}):
+        with pytest.raises(TypeError):
+            TestConfig(**{"seed": 1, **kwargs})
+    cfg = TestConfig(
+        seed=np.uint64(7), samples=np.int32(3), dims=(np.int64(2),), bipartite=((np.int8(2), 3),)
+    )
+    assert (cfg.seed, cfg.samples, cfg.dims, cfg.bipartite) == (7, 3, (2,), ((2, 3),))
+    assert {type(v) for v in (cfg.seed, cfg.samples, *cfg.dims, *cfg.bipartite[0])} == {int}
 
 
 def test_config_dict_round_trip():
@@ -74,19 +83,21 @@ def test_outcomes_are_deterministic():
 
 
 # Every plan of these suites draws `samples` trials, so a recorder row's
-# global trial index splits into (plan, index within the plan).
+# global trial index splits into (plan, index within the plan).  power:1.25
+# first fails subentropic k=2 on a trial of its scalar-direction class, which
+# a chunk stacks after a later trial of its Hermitian class: stack order is
+# not trial order.
 INVARIANCE_RUNS = [("tlogt", s) for s in (
     "principle1", "entropic", "subentropic", "condition13", "equivalence", "matrix-entropy",
-)] + [("exp", "condition13")]
+)] + [("exp", "condition13"), ("power:1.25", "subentropic")]
 
 
 def _invariance_run(samples):
-    outcomes, rows = [], {}
+    outcomes, rows = [], []
     for name, suite in INVARIANCE_RUNS:
         recorder = []
         outcomes += run_suite(lookup(name), suite, TestConfig(seed=5, samples=samples), recorder)[0]
-        for test, _, trial, margin, _ in recorder:
-            rows[(name, test, trial // samples, trial % samples)] = margin
+        rows += [(name, *row) for row in recorder]
     return outcomes, rows
 
 
@@ -95,6 +106,8 @@ def _close(a, b):
 
 
 def test_batch_size_does_not_change_results(monkeypatch):
+    import json
+
     import entrocert.certify as certify
 
     stacked, rows = _invariance_run(50)
@@ -103,15 +116,29 @@ def test_batch_size_does_not_change_results(monkeypatch):
     single, single_rows = _invariance_run(50)
 
     for a, b in zip(stacked, single, strict=True):
-        assert (a.name, a.verdict, a.trials_run, a.trials_skipped) == (
-            b.name, b.verdict, b.trials_run, b.trials_skipped
+        assert (a.name, a.verdict, a.trials_run, a.trials_skipped, a.detail) == (
+            b.name, b.verdict, b.trials_run, b.trials_skipped, b.detail
         )
         assert _close(a.min_margin, b.min_margin)
+        # the same witness trial: its fields bit for bit, its margin to rounding
+        assert (a.counterexample is None) == (b.counterexample is None)
+        if a.counterexample is not None:
+            wa, wb = dict(a.counterexample), dict(b.counterexample)
+            assert _close(wa.pop("margin"), wb.pop("margin"))
+            assert json.dumps(wa) == json.dumps(wb)
+    assert any(o.verdict == FAIL for o in stacked)
     assert [o.verdict for o in stacked] == [o.verdict for o in longer]
-    assert rows.keys() == single_rows.keys()
-    for key, margin in rows.items():
-        # the same trial, measured alone and as the leading part of a larger budget
-        assert _close(margin, single_rows[key]) and _close(margin, longer_rows[key])
+    # the same rows in the same order: (function, suite, dim, trial), then margin and scale
+    assert [row[:4] for row in rows] == [row[:4] for row in single_rows]
+    for a, b in zip(rows, single_rows):
+        assert _close(a[4], b[4]) and _close(a[5], b[5])
+    # each trial measured alone and as the leading part of a larger budget
+    longer_margins = {
+        (name, test, trial // 200, trial % 200): margin
+        for name, test, _, trial, margin, _ in longer_rows
+    }
+    for name, test, _, trial, margin, _ in rows:
+        assert _close(margin, longer_margins[name, test, trial // 50, trial % 50])
 
 
 def test_battery_fail_payloads_reverify_through_shared_margin():
@@ -296,6 +323,20 @@ def test_gap_superadditive_covers_square_example():
     assert out.counterexample["kind"] == "gap-superadditive"
 
 
+def _count_stacks(monkeypatch, sizes):
+    """Append the size of every stack a suite measures to ``sizes``."""
+    import entrocert.certify as certify
+
+    real = certify._suite_stacks
+
+    def counting(seed, plans):
+        for plan, idx, P in real(seed, plans):
+            sizes.append(idx.size)
+            yield plan, idx, P
+
+    monkeypatch.setattr(certify, "_suite_stacks", counting)
+
+
 def test_gap_grid_plans(monkeypatch):
     import entrocert.certify as certify
 
@@ -303,14 +344,8 @@ def test_gap_grid_plans(monkeypatch):
         raise AssertionError("a grid trial built a random stream")
 
     stacks = []
-    real_run_chunk = certify._run_chunk
-
-    def counting_run_chunk(f, props, size, chunk_stacks):
-        stacks.extend(len(members) for members, _ in chunk_stacks)
-        return real_run_chunk(f, props, size, chunk_stacks)
-
     monkeypatch.setattr(certify, "_seed_sequence_words", no_stream)
-    monkeypatch.setattr(certify, "_run_chunk", counting_run_chunk)
+    _count_stacks(monkeypatch, stacks)
     # g = 1/f'' is undefined below t=0.005: at 4 of the 25 grid points and at
     # the zero probe.  Each counts once as skipped, and the recorder holds one
     # row per trial run, indexed 0..n-1.
@@ -406,13 +441,7 @@ def test_stacking_is_unchanged(monkeypatch):
     import entrocert.certify as certify
 
     calls = []
-    real_run_chunk = certify._run_chunk
-
-    def counting_run_chunk(f, props, size, stacks):
-        calls.extend(len(members) for members, _ in stacks)
-        return real_run_chunk(f, props, size, stacks)
-
-    monkeypatch.setattr(certify, "_run_chunk", counting_run_chunk)
+    _count_stacks(monkeypatch, calls)
     f, cfg = lookup("tlogt"), TestConfig(seed=42, samples=200)
     counts = {}
     for row in certify._SUITES:

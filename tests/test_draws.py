@@ -198,20 +198,20 @@ def test_stacked_payloads_match_per_trial_reference(monkeypatch, cfg):
     assert sorted(plans) == sorted(REFERENCE)
     compared = 0
     for name, suite_plans in plans.items():
-        start = dict.fromkeys((plan.stream for plan in suite_plans), 0)
-        for plan, size, stacks in certify._suite_chunks(cfg.seed, suite_plans):
-            for members, P in stacks:
-                for j, i in enumerate(members):
-                    idx = start[plan.stream] + int(i)
-                    rng = np.random.default_rng(np.random.SeedSequence(
-                        [cfg.seed, certify._stream_token(plan.stream), idx]
-                    ))
-                    want = REFERENCE[name](cfg, plan.stream, idx, rng)
-                    assert P.keys() == want.keys()
-                    for field, value in want.items():
-                        assert _bitwise_equal(P[field][j], value), (name, plan.stream, idx, field)
-                    compared += 1
-            start[plan.stream] += size
+        # a suite numbers its trials across its plans in order
+        counts = [plan.count for plan in suite_plans]
+        start = dict(zip((plan.stream for plan in suite_plans), itertools.accumulate(counts, initial=0)))
+        for plan, members, P in certify._suite_stacks(cfg.seed, suite_plans):
+            for j, i in enumerate(members):
+                idx = int(i) - start[plan.stream]
+                rng = np.random.default_rng(np.random.SeedSequence(
+                    [cfg.seed, certify._stream_token(plan.stream), idx]
+                ))
+                want = REFERENCE[name](cfg, plan.stream, idx, rng)
+                assert P.keys() == want.keys()
+                for field, value in want.items():
+                    assert _bitwise_equal(P[field][j], value), (name, plan.stream, idx, field)
+                compared += 1
     assert compared == sum(plan.count for p in plans.values() for plan in p)
 
 
@@ -248,7 +248,7 @@ def test_trial_streams_match_seed_sequence(monkeypatch, token):
     stream = "principle1/dim2"
     key = certify._stream_token(stream)
     for seed in SEEDS:
-        got = certify._trial_streams(seed, [(stream, INDICES)], len(INDICES))
+        got = certify._trial_streams(seed, [(stream, INDICES)])
         for idx, rng in zip(INDICES, got, strict=True):
             ref = np.random.default_rng(np.random.SeedSequence([seed, key, idx]))
             assert rng.bit_generator.state == ref.bit_generator.state, (seed, idx)
@@ -258,32 +258,33 @@ def test_trial_streams_match_seed_sequence(monkeypatch, token):
 
 
 def test_padded_gain_witness_has_the_drawn_channel(monkeypatch):
-    # every random-channel trial of a gain chunk is built into a stack padded
-    # to 4 operators; its witness drops the padding and re-verifies alone
+    # every random-channel trial of gain is built into a stack padded to 4
+    # operators; its witness drops the padding and re-verifies alone
     cfg = TestConfig(seed=5, samples=12)
     (plan,) = _sampled_plans(monkeypatch, cfg)["gain"]
-    _, size, stacks = next(certify._suite_chunks(cfg.seed, [plan]))
     f = lookup("square")
-    res = certify._run_chunk(f, plan.props, size, stacks)
     ranks = []
-    for i in range(size):
-        if i % 3 == 2:  # a partial-trace trial
-            continue
-        rng = np.random.default_rng(np.random.SeedSequence(
-            [cfg.seed, certify._stream_token(plan.stream), i]
-        ))
-        rank = [int(rng.integers(2, 5)) for _ in range(3)][2]
-        trial = res.trial(i)
-        assert trial.payload["channel"].shape[0] == 4
-        witness = trial.witness
-        assert len(witness["channel"]["kraus"]) == rank
-        margin = reverify_counterexample(f, witness)
-        assert margin == pytest.approx(trial.margin, rel=1e-12, abs=1e-15)
-        ranks.append(rank)
-    assert {2, 3} <= set(ranks)
+    for _, members, P in certify._suite_stacks(cfg.seed, [plan]):
+        measured = [certify._measure(prop, f, P, members.size) for prop in plan.props]
+        choice = np.zeros(members.size, dtype=int)
+        for j, i in enumerate(members.tolist()):
+            if i % 3 == 2:  # a partial-trace trial
+                continue
+            rng = np.random.default_rng(np.random.SeedSequence(
+                [cfg.seed, certify._stream_token(plan.stream), i]
+            ))
+            rank = [int(rng.integers(2, 5)) for _ in range(3)][2]
+            trial = certify._stack_trial(plan.props, P, measured, choice, j)
+            assert trial.payload["channel"].shape[0] == 4
+            witness = trial.witness
+            assert len(witness["channel"]["kraus"]) == rank
+            margin = reverify_counterexample(f, witness)
+            assert margin == pytest.approx(trial.margin, rel=1e-12, abs=1e-15)
+            ranks.append(rank)
+    assert len(ranks) == 16 and {2, 3} <= set(ranks)
 
 
-def test_seed_states_are_computed_a_chunk_at_a_time(monkeypatch):
+def test_seed_states_are_computed_a_block_at_a_time(monkeypatch):
     hashed = []
     real = certify._seed_sequence_words
 
@@ -292,9 +293,10 @@ def test_seed_states_are_computed_a_chunk_at_a_time(monkeypatch):
         return real(entropy)
 
     monkeypatch.setattr(certify, "_seed_sequence_words", counting)
+    monkeypatch.setattr(certify, "_SEED_BLOCK", 4)
     # blocks of 4 cut across streams; an index read as two words hashes apart
     segments = [("principle1/dim2", range(5)), ("condition13/dim3", range(7)), ("gain", (2**32 + 1, 3))]
-    got = certify._trial_streams(42, segments, 4)
+    got = certify._trial_streams(42, segments)
     want = [(stream, i) for stream, indices in segments for i in indices]
     for (stream, idx), rng in zip(want, got, strict=True):
         ref = np.random.default_rng(
@@ -303,31 +305,32 @@ def test_seed_states_are_computed_a_chunk_at_a_time(monkeypatch):
         assert rng.bit_generator.state == ref.bit_generator.state, (stream, idx)
     assert hashed == [4, 4, 4, 1, 1]
 
-    # a suite's plans share blocks of at most one chunk: here a dim-3 trial
-    # is a third of a chunk and a dim-2 trial a sixth, so blocks hold 3
+    # a suite's plans share blocks: the third of 4 spans both 10-trial plans
     cfg = TestConfig(seed=42, samples=10)
     plans = _sampled_plans(monkeypatch, cfg)["principle1"]
-    monkeypatch.setattr(certify, "_CHUNK_BYTES", 3 * 8 * 2 * 16 * 9)
-    assert [certify._capacity(certify._class_bytes(p)) for p in plans] == [6, 3]
     hashed.clear()
-    chunks = [(plan.stream, size) for plan, size, _ in certify._suite_chunks(cfg.seed, plans)]
-    assert chunks == [("principle1/dim2", 6), ("principle1/dim2", 4)] + [("principle1/dim3", 3)] * 3 + [
-        ("principle1/dim3", 1)
-    ]
-    assert hashed == [3, 3, 3, 3, 3, 3, 2]  # the fourth block spans both plans
+    for _ in certify._suite_stacks(cfg.seed, plans):
+        pass
+    assert hashed == [4] * 5
 
-    # states are computed as trials need them, whatever the sample budget:
-    # the first chunk of 6 and the trial after it, classified before the cut
+    # states are computed as trials need them, whatever the sample budget
+    first = []
+
+    def classify(idx, rng):
+        if idx == 0:
+            first.append(list(hashed))
+        return None
+
     hashed.clear()
-    big = [p._replace(count=10**6) for p in plans]
-    next(certify._suite_chunks(cfg.seed, big))
-    assert hashed == [3, 3, 3]
+    big = [p._replace(count=10**6, classify=classify) for p in plans]
+    next(certify._suite_stacks(cfg.seed, big))
+    assert first == [[4]] and max(hashed) == 4
 
-    # at the default chunk size the two 10-trial plans hash in one call
+    # at the default block the two plans hash in one call
     monkeypatch.undo()
     monkeypatch.setattr(certify, "_seed_sequence_words", counting)
     hashed.clear()
-    for _ in certify._suite_chunks(cfg.seed, plans):
+    for _ in certify._suite_stacks(cfg.seed, plans):
         pass
     assert hashed == [20]
 
