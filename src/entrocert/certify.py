@@ -35,9 +35,11 @@ seed states computed in fixed blocks of trials.  Plans are columns: each
 declares, per index class, its fields with their kind and per-trial shape,
 and each trial writes the Generator's raw output straight into its row of
 the class's column buffers.  The gap suites' plans are fixed grids whose
-columns are given.  The matrices and channels are built once per column,
-and the linear algebra runs, on stacks of trials (in chunks under a fixed
-memory ceiling).  The witness, the recorded rows and the first skip are
+columns are given.  Trials run in chunks under a fixed memory ceiling.  The
+PD matrices of a chunk are built in one call per dimension and eigenvalue
+range, across fields and index classes; the other matrices and the
+channels are built once per column; the linear algebra runs on stacks of
+trials.  The witness, the recorded rows and the first skip are
 chosen by trial index, so outcomes do not depend on how trials are
 batched.  Growing the sample budget re-runs the same leading trials, so a
 FAIL can never flip back to PASS.
@@ -48,6 +50,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+import math
 import operator
 from collections.abc import Callable, Hashable, Iterator
 from dataclasses import dataclass, field, replace
@@ -67,6 +70,7 @@ from .frechet import (
 )
 from .functions import DegenerateFunctionError, ScalarFunction, gap_function
 from .hermitian import (
+    eigh,
     hermitian_from_draw,
     hermitize,
     matrix_from_json,
@@ -177,9 +181,10 @@ class TestConfig:
         object.__setattr__(self, "seed", index(self.seed))
         object.__setattr__(self, "samples", index(self.samples))
         object.__setattr__(self, "dims", tuple(index(d) for d in self.dims))
-        object.__setattr__(
-            self, "eig_range", (float(self.eig_range[0]), float(self.eig_range[1]))
-        )
+        eig_range = tuple(float(v) for v in self.eig_range)
+        if len(eig_range) != 2:
+            raise ValueError(f"eig_range needs exactly two entries (lo, hi), got {len(eig_range)}")
+        object.__setattr__(self, "eig_range", eig_range)
         object.__setattr__(
             self, "bipartite", tuple((index(a), index(b)) for a, b in self.bipartite)
         )
@@ -383,31 +388,40 @@ class _Col(NamedTuple):
     shape ``raw``) in draw order, each as (method, index within the row);
     ``build(rows, buffer)`` makes the stacked fields ``names``.  One trial's
     built size ``nbytes`` and matrix dimension ``dim`` size the chunks.
+
+    A column with a ``pool`` key holds one field of matrices, one per raw
+    unit (the last axis of ``raw``).  The columns of a chunk that share a
+    key are built together: ``build(units)`` takes all their units, stacked
+    along one axis, and returns one matrix per unit.
     """
 
     names: tuple[str, ...]
     raw: tuple[int, ...]
     calls: tuple[tuple[str, tuple], ...]
-    build: Callable[[int, np.ndarray], tuple[np.ndarray, ...]]
+    build: Callable
     nbytes: int
     dim: int
+    pool: Optional[Hashable] = None
 
 
 def _pd_col(name: str, n: int, eig_range: tuple[float, float], k: Optional[int] = None) -> _Col:
-    """k random PD matrices (k=None: one), each drawn as its spectrum's uniforms, then a Gaussian."""
+    """k random PD matrices (k=None: one), each drawn as its spectrum's uniforms, then a Gaussian.
+
+    PD columns pool their builds by dimension and eigenvalue range.
+    """
     lo, hi = eig_range
-    m = k or 1
+    per = () if k is None else (k,)
     # a one-point range draws no spectrum: its zero uniforms map to exactly lo
     spectrum = (("random", slice(0, n)),) if lo != hi else ()
     draws = (*spectrum, ("standard_normal", slice(n, None)))
-    calls = tuple((method, (j, at)) for j in range(m) for method, at in draws)
+    units = [()] if k is None else [(j,) for j in range(k)]
+    calls = tuple((method, (*j, at)) for j in units for method, at in draws)
 
-    def build(rows, raw):
-        u = raw[..., :n] if spectrum else np.zeros((rows, m, n))
-        mats = pd_from_draw(u, raw[..., n:].reshape(rows, m, 2, n, n), lo, hi)
-        return (mats if k else mats[:, 0],)
+    def build(units):
+        u = units[:, :n] if spectrum else np.zeros((len(units), n))
+        return pd_from_draw(u, units[:, n:].reshape(-1, 2, n, n), lo, hi)
 
-    return _Col((name,), (m, n + 2 * n * n), calls, build, 16 * m * n * n, n)
+    return _Col((name,), (*per, n + 2 * n * n), calls, build, 16 * (k or 1) * n * n, n, (n, lo, hi))
 
 
 def _diag_col(name: str, n: int, eig_range: tuple[float, float]) -> _Col:
@@ -673,10 +687,13 @@ def _gain_margin(f, P):
     # convexity of rho -> S_f(channel(rho)) - S_f(rho) = Tr f(rho) - Tr f(channel(rho))
     mats = _with_midpoint(P["x"], P["y"])
     outs = hermitize(apply_kraus(P["channel"], mats))
-    if f.zero_extension is None and np.min(np.linalg.eigvalsh(outs)[..., 0]) < _RANK_FLOOR:
+    dec = None
+    if f.zero_extension is None:
         # functions unbounded at 0 need full-rank channel outputs
-        raise DomainError(f"channel output too singular for {f.name}")
-    return _convexity(*(trace_of_function(f, mats) - trace_of_function(f, outs)))
+        dec = eigh(outs)
+        if np.min(dec.eigenvalues[..., 0]) < _RANK_FLOOR:
+            raise DomainError(f"channel output too singular for {f.name}")
+    return _convexity(*(trace_of_function(f, mats) - trace_of_function(f, outs, dec)))
 
 
 def _scalar_convexity_margin(f, P):
@@ -879,28 +896,45 @@ class _Rows:
             fill(out=column[row])
         self.members.append(index)
 
-    def build(self) -> dict:
-        rows, P = len(self.members), {}
-        for col, buf in zip(self.cols, self.raw):
-            P.update(zip(col.names, col.build(rows, buf[:rows])))
-        return P
-
 
 def _stacks(classes: dict) -> list[tuple[np.ndarray, dict]]:
-    """Build each class's fields from its rows; classes whose fields agree in shape form one stack."""
-    groups: dict[tuple, list] = {}
+    """Build each class's fields from its rows; classes whose fields agree in shape form one stack.
+
+    The pooled columns of all the classes are built once per pool key, and
+    each field takes its slice of the result.
+    """
+    parts, pools = [], {}
     for cls in classes.values():
-        if cls.members:
-            P = cls.build()
-            shapes = tuple(sorted((k, v.shape[1:]) for k, v in P.items()))
-            groups.setdefault(shapes, []).append((cls.members, P))
-            cls.members = []
+        rows = len(cls.members)
+        if not rows:
+            continue
+        P = {}
+        for col, buf in zip(cls.cols, cls.raw):
+            if col.pool is None:
+                P.update(zip(col.names, col.build(rows, buf[:rows])))
+                continue
+            P[col.names[0]] = None  # set from the pool's build below
+            build, units, fields = pools.setdefault(col.pool, (col.build, [], []))
+            units.append(buf[:rows].reshape(-1, col.raw[-1]))
+            fields.append((P, col.names[0], (rows, *col.raw[:-1])))
+        parts.append((cls.members, P))
+        cls.members = []
+    for build, units, fields in pools.values():
+        mats, start = build(np.concatenate(units)), 0
+        for P, name, shape in fields:
+            size = math.prod(shape)
+            P[name] = mats[start : start + size].reshape(shape + mats.shape[1:])
+            start += size
+    groups: dict[tuple, list] = {}
+    for members, P in parts:
+        shapes = tuple(sorted((k, v.shape[1:]) for k, v in P.items()))
+        groups.setdefault(shapes, []).append((members, P))
     stacks = []
-    for parts in groups.values():
-        P = parts[0][1]
-        if len(parts) > 1:
-            P = {k: np.concatenate([p[k] for _, p in parts]) for k in P}
-        stacks.append((np.concatenate([m for m, _ in parts]), P))
+    for group in groups.values():
+        P = group[0][1]
+        if len(group) > 1:
+            P = {k: np.concatenate([p[k] for _, p in group]) for k in P}
+        stacks.append((np.concatenate([m for m, _ in group]), P))
     return stacks
 
 

@@ -70,7 +70,7 @@ def loewner_matrix(f: ScalarFunction, eigenvalues: np.ndarray) -> np.ndarray:
     :func:`entrocert.functions.divided_difference`.
     """
     lam = np.asarray(eigenvalues, dtype=float)
-    vals, slopes = f.jet(lam)[:2]
+    vals, slopes = f.jet(lam, 1)
     t, s = np.broadcast_arrays(lam[..., :, None], lam[..., None, :])
     return divided_differences(f, t, s, vals[..., :, None], vals[..., None, :], slopes[..., :, None])
 

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .jets import ORDER, DomainError, Jet
+from .jets import DomainError, Jet, top_order, truncated
 
 __all__ = [
     "ScalarFunction",
@@ -65,25 +65,27 @@ class ScalarFunction:
     domain_min: float = 0.0
     expression: Optional[str] = None
 
-    def _series(self, t) -> Jet:
+    def _series(self, t, top: int) -> Jet:
+        """The series at t, built only to order ``top`` (coefficients 0..top)."""
         t = _points(t)
         if isinstance(t, float):
             if not t > self.domain_min:
                 self._outside(t)
-            return self.taylor(t)
+            return truncated(top, self.taylor, t)
         outside = ~(t > self.domain_min)
         if outside.any():
             self._outside(float(t[outside].flat[0]))
         try:
-            series = self.taylor(t)
+            series = truncated(top, self.taylor, t)
         except TypeError:  # a float-only taylor
             series = None
+        n = top + 1
         if series is None or series.c.shape[1:] not in ((), t.shape):
-            coeffs = [self.taylor(float(x)).c for x in t.ravel()]
-            return Jet._raw(np.stack(coeffs, axis=-1).reshape((ORDER + 1,) + t.shape))
+            coeffs = [truncated(top, self.taylor, float(x)).c[:n] for x in t.ravel()]
+            return Jet._raw(np.stack(coeffs, axis=-1).reshape((n,) + t.shape))
         if series.c.ndim == 1:  # a constant series takes the batch shape
-            c = series.c.reshape((ORDER + 1,) + (1,) * t.ndim)
-            return Jet._raw(np.broadcast_to(c, (ORDER + 1,) + t.shape).copy())
+            c = series.c[:n].reshape((n,) + (1,) * t.ndim)
+            return Jet._raw(np.broadcast_to(c, (n,) + t.shape).copy())
         return series
 
     def _outside(self, t: float):
@@ -91,43 +93,43 @@ class ScalarFunction:
             f"{self.name} evaluated at t={t:.6g}, outside its domain (t > {self.domain_min:g})"
         )
 
-    def jet(self, t) -> tuple:
-        """(f, f', f'', f''') at t."""
-        return self._series(t).jet4()
+    def jet(self, t, order: int = 3) -> tuple:
+        """(f, f', ..., f^(order)) at t; by default (f, f', f'', f''')."""
+        return self._series(t, order).derivatives(order)
 
     def __call__(self, t):
         t = _points(t)
         if self.zero_extension is None:
-            return self._series(t).value
+            return self._series(t, 0).value
         if isinstance(t, float):
-            return self.zero_extension if t == self.domain_min else self._series(t).value
+            return self.zero_extension if t == self.domain_min else self._series(t, 0).value
         at_zero = t == self.domain_min
         if not at_zero.any():
-            return self._series(t).value
+            return self._series(t, 0).value
         out = np.full(t.shape, float(self.zero_extension))
-        out[~at_zero] = self._series(t[~at_zero]).value
+        out[~at_zero] = self._series(t[~at_zero], 0).value
         return out
 
     def d1(self, t):
-        return self._series(t).derivative(1)
+        return self._series(t, 1).derivative(1)
 
     def d2(self, t):
-        return self._series(t).derivative(2)
+        return self._series(t, 2).derivative(2)
 
     def d3(self, t):
-        return self._series(t).derivative(3)
+        return self._series(t, 3).derivative(3)
 
     def derivative(self) -> "ScalarFunction":
         """The derivative as a function in its own right.
 
-        Exact through third order for registry/parsed functions (the extra
-        internal series order pays for the shift).  No zero extension is
-        assumed for f'.
+        Its series to order k is the shift of f's series to order k + 1, so
+        every coefficient it reports is exact.  No zero extension is assumed
+        for f'.
         """
         base = self.taylor
         return ScalarFunction(
             name=f"d({self.name})",
-            taylor=lambda t: base(t).shift(),
+            taylor=lambda t: truncated(top_order() + 1, base, t).shift(),
             zero_extension=None,
             domain_min=self.domain_min,
         )
@@ -279,9 +281,9 @@ def gap_function(f: ScalarFunction) -> ScalarFunction:
 
     Raises :class:`DegenerateFunctionError` when f'' vanishes somewhere on a
     sampling grid (affine or degenerate candidates have no gap function).
-    The returned jets are exact through third order: they come from the
-    reciprocal of f's second-derivative series, which the extra internal
-    series order keeps exact.
+    Its series to order k is the reciprocal of f's second-derivative series,
+    shifted twice out of f's series to order k + 2, so every coefficient it
+    reports is exact.
     """
     try:
         curvature = f.d2(_GAP_CHECK_GRID)
@@ -297,7 +299,7 @@ def gap_function(f: ScalarFunction) -> ScalarFunction:
     base = f.taylor
 
     def series(t: float) -> Jet:
-        spp = base(t).shift().shift()
+        spp = truncated(top_order() + 2, base, t).shift().shift()
         flat = np.abs(spp.c[0]) < DEGENERACY_FLOOR
         if np.any(flat):
             where = np.broadcast_to(t, flat.shape)[flat].flat[0] if np.ndim(flat) else t

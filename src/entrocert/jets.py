@@ -6,28 +6,36 @@ A :class:`Jet` holds the Taylor coefficients of a scalar function at a point,
 ``Jet.variable(t0)`` yields the expression's derivatives at ``t0``.
 
 The expansion point may also be an array of points: ``c`` then has shape
-``(ORDER + 1, *points.shape)`` and every operation acts on all points at
-once.  A constant jet (shape ``(ORDER + 1,)``) combines with any batch.  An
+``(n, *points.shape)`` for n coefficients, and every operation acts on all
+points at once.  A constant jet (shape ``(n,)``) combines with any batch.  An
 elementary function raises :class:`DomainError` when any point lies outside
 its domain.
 
-Jets expose derivatives up to third order.  Internally two extra orders are
-retained so that derived functions (derivative shifts ``f -> f'`` and
-reciprocals of second derivatives) still carry exact third-order jets.
+Jets carry coefficients 0..ORDER unless built inside :func:`truncated`, which
+sets the highest order that ``Jet.variable``, ``Jet.constant`` and ``Jet(...)``
+build.  Every operation returns as many coefficients as its shortest operand
+carries.  Coefficient k of each recurrence depends only on the coefficients
+up to k (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008,
+ch. 13), so a truncated series agrees bit for bit with the leading
+coefficients of a longer one.  :class:`~entrocert.functions.ScalarFunction`
+evaluates its series only to the order that the caller reads.
+
+A jet exponent counts as constant only when :meth:`Jet.constant` built it,
+so ``x ** e`` takes the same path whatever orders ``e`` carries.
 """
 
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 
 import numpy as np
 
-# Highest retained Taylor order.  Third-order output plus two orders of
-# headroom for derivative shifts.
+# Highest Taylor order of jets built outside :func:`truncated`.
 ORDER = 5
 
-_FACTORIALS = np.array([math.factorial(k) for k in range(ORDER + 1)], dtype=float)
-_SHIFT = np.arange(1.0, ORDER + 1)
+# The highest order that the jet constructors build at present.
+_TOP: ContextVar[int] = ContextVar("entrocert_jet_order", default=ORDER)
 
 # exp overflows double precision above this argument.
 _EXP_LIMIT = math.log(np.finfo(float).max)
@@ -35,6 +43,20 @@ _EXP_LIMIT = math.log(np.finfo(float).max)
 
 class DomainError(ValueError):
     """Evaluation outside the domain where a function is defined."""
+
+
+def truncated(order: int, fn, *args):
+    """``fn(*args)``, with the jets built inside it carrying coefficients 0..order."""
+    token = _TOP.set(order)
+    try:
+        return fn(*args)
+    finally:
+        _TOP.reset(token)
+
+
+def top_order() -> int:
+    """The highest order that the jet constructors build here."""
+    return _TOP.get()
 
 
 def _lift(x) -> "Jet":
@@ -75,24 +97,26 @@ class Jet:
 
     def __init__(self, coeffs):
         src = np.asarray(coeffs, dtype=float)
-        c = np.zeros((ORDER + 1,) + src.shape[1:])
-        k = min(src.shape[0], ORDER + 1)
+        n = _TOP.get() + 1
+        c = np.zeros((n,) + src.shape[1:])
+        k = min(src.shape[0], n)
         c[:k] = src[:k]
         self.c = c
 
     @classmethod
     def constant(cls, value) -> "Jet":
         value = np.asarray(value, dtype=float)
-        c = np.zeros((ORDER + 1,) + value.shape)
+        c = np.zeros((_TOP.get() + 1,) + value.shape)
         c[0] = value
-        return cls._raw(c)
+        return _Constant._raw(c)
 
     @classmethod
     def variable(cls, t0) -> "Jet":
         t0 = np.asarray(t0, dtype=float)
-        c = np.zeros((ORDER + 1,) + t0.shape)
+        c = np.zeros((_TOP.get() + 1,) + t0.shape)
         c[0] = t0
-        c[1] = 1.0
+        if len(c) > 1:
+            c[1] = 1.0
         return cls._raw(c)
 
     @classmethod
@@ -110,14 +134,17 @@ class Jet:
 
     def derivative(self, k: int):
         """k-th derivative at the expansion point."""
-        if not 0 <= k <= ORDER:
-            raise ValueError(f"derivative order {k} outside jet order {ORDER}")
-        return _scalar(self.c[k] * _FACTORIALS[k])
+        if not 0 <= k < len(self.c):
+            raise ValueError(f"derivative order {k} outside jet order {len(self.c) - 1}")
+        return _scalar(self.c[k] * float(math.factorial(k)))
+
+    def derivatives(self, order: int) -> tuple:
+        """(f, f', ..., f^(order)) at the expansion point."""
+        return (self.value, *(self.derivative(k) for k in range(1, order + 1)))
 
     def jet4(self) -> tuple:
         """(f, f', f'', f''') at the expansion point."""
-        c = self.c
-        return _scalar(c[0]), _scalar(c[1]), _scalar(2.0 * c[2]), _scalar(6.0 * c[3])
+        return self.derivatives(3)
 
     # -- ring operations ----------------------------------------------------
 
@@ -138,7 +165,7 @@ class Jet:
     def __mul__(self, other) -> "Jet":
         a, b = _terms(self.c), _terms(_lift(other).c)
         out = []
-        for k in range(ORDER + 1):
+        for k in range(min(len(a), len(b))):
             acc = a[0] * b[k]
             for j in range(1, k + 1):
                 acc = acc + a[j] * b[k - j]
@@ -151,7 +178,7 @@ class Jet:
         a, b = _terms(self.c), _terms(_lift(other).c)
         _check(b[0] != 0.0, b[0], "division by zero (divisor %g)")
         q = []
-        for k in range(ORDER + 1):
+        for k in range(min(len(a), len(b))):
             acc = a[k]
             for j in range(1, k + 1):
                 acc = acc - b[j] * q[k - j]
@@ -163,8 +190,8 @@ class Jet:
 
     def __pow__(self, p) -> "Jet":
         if isinstance(p, Jet):
-            if np.any(p.c[1:] != 0.0) or p.c.ndim > 1:
-                # genuinely variable exponent: b^e = exp(e * log b)
+            if not isinstance(p, _Constant) or p.c.ndim > 1:
+                # variable exponent: b^e = exp(e * log b)
                 return (p * self.log()).exp()
             p = p.value
         p = float(p)
@@ -195,7 +222,7 @@ class Jet:
         _check(~(a[0] > _EXP_LIMIT) if isinstance(a[0], np.ndarray) else not a[0] > _EXP_LIMIT,
                a[0], "exp overflows double precision at t=%.6g")
         e = [math.exp(a[0]) if isinstance(a[0], float) else np.exp(a[0])]
-        for k in range(1, ORDER + 1):
+        for k in range(1, len(a)):
             acc = a[1] * e[k - 1]
             for j in range(2, k + 1):
                 acc = acc + j * a[j] * e[k - j]
@@ -206,7 +233,7 @@ class Jet:
         a = _terms(self.c)
         _check(a[0] > 0.0, a[0], "log of non-positive value %.6g")
         l = [math.log(a[0]) if isinstance(a[0], float) else np.log(a[0])]
-        for k in range(1, ORDER + 1):
+        for k in range(1, len(a)):
             acc = a[k]
             for j in range(1, k):
                 acc = acc - (j / k) * l[j] * a[k - j]
@@ -217,7 +244,7 @@ class Jet:
         a = _terms(self.c)
         _check(a[0] > 0.0, a[0], "sqrt of non-positive value %.6g")
         s = [math.sqrt(a[0]) if isinstance(a[0], float) else np.sqrt(a[0])]
-        for k in range(1, ORDER + 1):
+        for k in range(1, len(a)):
             acc = a[k]
             for j in range(1, k):
                 acc = acc - s[j] * s[k - j]
@@ -227,10 +254,16 @@ class Jet:
     # -- calculus helpers -----------------------------------------------------
 
     def shift(self) -> "Jet":
-        """Taylor series of the derivative (drops the top coefficient)."""
-        b = np.zeros_like(self.c)
-        b[:ORDER] = self.c[1:] * _SHIFT.reshape((ORDER,) + (1,) * (self.c.ndim - 1))
-        return Jet._raw(b)
+        """Taylor series of the derivative: one coefficient fewer."""
+        n = len(self.c) - 1
+        k = np.arange(1.0, n + 1).reshape((n,) + (1,) * (self.c.ndim - 1))
+        return Jet._raw(self.c[1:] * k)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Jet({self.c.tolist()})"
+
+
+class _Constant(Jet):
+    """A jet built by :meth:`Jet.constant`, which as an exponent does not vary."""
+
+    __slots__ = ()

@@ -45,6 +45,14 @@ def test_config_validation():
         TestConfig(seed=1, eig_range=(0.0, 1.0))
     with pytest.raises(ValueError):
         TestConfig(seed=1, eig_range=(5.0, 1.0))
+    # exactly (lo, hi): a third entry is not dropped, nor does a lone one index past the end
+    from entrocert.certify import config_from_dict
+
+    for eig_range in ((0.1, 10.0, 99.0), (0.1,)):
+        with pytest.raises(ValueError, match="eig_range"):
+            TestConfig(seed=1, eig_range=eig_range)
+        with pytest.raises(ValueError, match="eig_range"):
+            config_from_dict({**TestConfig(seed=1).as_dict(), "eig_range": list(eig_range)})
     with pytest.raises(ValueError):
         TestConfig(seed=1, dims=())
     with pytest.raises(ValueError):
@@ -453,3 +461,35 @@ def test_stacking_is_unchanged(monkeypatch):
         "subentropic:k=2": 3, "subentropic:k=3": 5, "subentropic:k=4": 6,
         "matrix-entropy": 2, "entropic": 5, "gain": 36, "gap-concavity": 1,
     }
+
+
+def test_one_pd_build_per_chunk_and_key(monkeypatch):
+    # The PD columns of a chunk that share a dimension and an eigenvalue
+    # range are built in one call, across fields and index classes: one call
+    # per chunk and key.  condition13 draws two ranges per chunk; gain's
+    # random channels take inputs of 2, 3 and 4, and its partial traces 4
+    # and 6.  Building each field of each class on its own took 328 calls.
+    import entrocert.certify as certify
+
+    calls = []
+    real = certify.pd_from_draw
+
+    def counting(u, g, lo, hi):
+        calls.append((u.shape[-1], lo, hi))
+        return real(u, g, lo, hi)
+
+    monkeypatch.setattr(certify, "pd_from_draw", counting)
+    f, cfg = lookup("tlogt"), TestConfig(seed=42, samples=200)
+    counts = {}
+    for row in certify._SUITES:
+        calls.clear()
+        row.run(f, cfg, None)
+        counts[row.name] = len(calls)
+        if row.name == "gain":
+            assert sorted(set(calls)) == [(n, 0.1, 10.0) for n in (2, 3, 4, 6)]
+    assert counts == {
+        "principle1": 2, "gap-superadditive": 0, "condition13": 8, "equivalence": 17,
+        "subentropic:k=2": 3, "subentropic:k=3": 5, "subentropic:k=4": 6,
+        "matrix-entropy": 2, "entropic": 5, "gain": 12, "gap-concavity": 0,
+    }
+    assert sum(counts.values()) == 60

@@ -13,7 +13,7 @@ from entrocert.functions import (
     registry,
 )
 from entrocert.expr import parse
-from entrocert.jets import DomainError, Jet
+from entrocert.jets import ORDER, DomainError, Jet
 
 EXPECTED_NAMES = {
     "tlogt",
@@ -188,3 +188,67 @@ def test_float_only_taylor_is_evaluated_pointwise():
     f = ScalarFunction("log1p", lambda t: (Jet.variable(t) + 1.0).log() + 0.0 * math.log(t))
     ts = np.array([0.5, 2.0])
     assert np.array_equal(f.d2(ts), [f.d2(0.5), f.d2(2.0)])
+
+
+# Registry functions, both --expr twins and a variable exponent, each with
+# its derivative and (where f'' does not vanish) its gap function.
+TRUNCATION_BASES = [
+    *registry(),
+    parse("t*log(t)").as_function(zero_extension=0.0),
+    parse("-log(t)").as_function(),
+    parse("t^t").as_function(),
+]
+TRUNCATION_CASES = [
+    *TRUNCATION_BASES,
+    *(f.derivative() for f in TRUNCATION_BASES),
+    *(gap_function(f) for f in TRUNCATION_BASES if f.name != "affine"),
+]
+# integral points too: t^t must keep its variable exponent at every order
+TRUNCATION_POINTS = np.concatenate([np.logspace(-2.0, 2.0, 13), [1.0, 2.0, 3.0]])
+
+
+@pytest.mark.parametrize("f", TRUNCATION_CASES, ids=lambda f: f.name)
+def test_truncated_series_match_full_series(f):
+    # a caller that reads orders 0..k gets a series built to order k; its
+    # coefficients are the leading ones of the full series, bit for bit
+    # an array and each of its points as a float (NumPy's vectorised log and
+    # exp may differ from the scalar path by an ulp, so each has its own reference)
+    for points in (TRUNCATION_POINTS, *map(float, TRUNCATION_POINTS)):
+        full = f.taylor(points).c
+        assert len(full) == ORDER + 1
+        want = [full[k] * math.factorial(k) for k in range(4)]
+        got = [f(points), f.d1(points), f.d2(points), f.d3(points)]
+        for k in range(4):
+            assert np.array_equal(got[k], want[k]), (f.name, points, k)
+        for order in (1, 3):
+            got = f.jet(points, order)
+            assert len(got) == order + 1
+            for k in range(order + 1):
+                assert np.array_equal(got[k], want[k]), (f.name, points, order, k)
+        assert np.array_equal(f.jet(points)[:2], want[:2])
+
+
+def test_series_are_built_to_the_order_read():
+    built = []
+
+    def taylor(t):
+        series = lookup("tlogt").taylor(t)
+        built.append(len(series.c))
+        return series
+
+    f = ScalarFunction("spy", taylor, zero_extension=0.0)
+    for read, coefficients in (
+        (f, 1), (f.d1, 2), (f.d2, 3), (f.d3, 4),
+        (lambda t: f.jet(t, 1), 2), (f.jet, 4),
+        (f.derivative(), 2), (f.derivative().d2, 4),
+    ):
+        for t in (2.0, np.array([0.5, 2.0])):
+            built.clear()
+            read(t)
+            assert built == [coefficients], (read, t)
+    g = gap_function(f)
+    built.clear()
+    g(np.array([0.5, 2.0]))
+    assert built == [3]  # 1/f'' to order 0 reads f to order 2
+    # jets built outside a ScalarFunction carry every order up to ORDER
+    assert len(Jet.variable(2.0).c) == len(Jet.constant(2.0).c) == ORDER + 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entrocert.jets import ORDER, DomainError, Jet
+from entrocert.jets import ORDER, DomainError, Jet, truncated
 
 
 # step proportional to t and tolerance per derivative order: the truncation
@@ -118,3 +118,23 @@ def test_product_rule_holds(t, a, b):
     lhs = (u * v).derivative(1)
     rhs = u.derivative(1) * v.value + u.value * v.derivative(1)
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
+
+
+def test_truncated_jets_keep_the_leading_coefficients():
+    # coefficient k of every recurrence reads only coefficients up to k
+    def series(t):
+        x = Jet.variable(t)
+        return ((x**1.5 / (x.exp() + 2.0)).sqrt() + 3.0 * x**-2).log() - 2.0**x
+
+    for t in (1.7, np.array([0.5, 1.0, 2.0])):
+        full = series(t).c
+        assert len(full) == ORDER + 1
+        for order in range(ORDER + 1):
+            assert np.array_equal(truncated(order, series, t).c, full[: order + 1]), order
+            assert len(truncated(order, Jet.constant, 2.0).c) == order + 1
+    # an operation carries as many coefficients as its shorter operand
+    short = truncated(1, Jet.variable, 1.7)
+    assert len((Jet.variable(1.7) * short).c) == len((short + Jet.variable(1.7)).c) == 2
+    assert len(short.shift().c) == 1
+    with pytest.raises(ValueError, match="outside jet order 1"):
+        short.derivative(2)
