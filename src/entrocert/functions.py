@@ -72,20 +72,19 @@ class ScalarFunction:
             if not t > self.domain_min:
                 self._outside(t)
             return truncated(top, self.taylor, t)
-        outside = ~(t > self.domain_min)
-        if outside.any():
-            self._outside(float(t[outside].flat[0]))
+        if t.size and not t.min() > self.domain_min:  # NaN fails too; scan for the first
+            self._outside(float(t[~(t > self.domain_min)].flat[0]))
         try:
             series = truncated(top, self.taylor, t)
         except TypeError:  # a float-only taylor
             series = None
         n = top + 1
-        if series is None or series.c.shape[1:] not in ((), t.shape):
+        shape = None if series is None else np.shape(series.terms[0])
+        if shape not in ((), t.shape):
             coeffs = [truncated(top, self.taylor, float(x)).c[:n] for x in t.ravel()]
-            return Jet._raw(np.stack(coeffs, axis=-1).reshape((n,) + t.shape))
-        if series.c.ndim == 1:  # a constant series takes the batch shape
-            c = series.c[:n].reshape((n,) + (1,) * t.ndim)
-            return Jet._raw(np.broadcast_to(c, (n,) + t.shape).copy())
+            return Jet._raw(list(np.stack(coeffs, axis=-1).reshape((n,) + t.shape)))
+        if shape == ():  # a constant series takes the batch shape
+            return Jet._raw([np.full(t.shape, x) for x in series.terms[:n]])
         return series
 
     def _outside(self, t: float):
@@ -300,7 +299,7 @@ def gap_function(f: ScalarFunction) -> ScalarFunction:
 
     def series(t: float) -> Jet:
         spp = truncated(top_order() + 2, base, t).shift().shift()
-        flat = np.abs(spp.c[0]) < DEGENERACY_FLOOR
+        flat = np.abs(spp.value) < DEGENERACY_FLOOR
         if np.any(flat):
             where = np.broadcast_to(t, flat.shape)[flat].flat[0] if np.ndim(flat) else t
             raise DegenerateFunctionError(

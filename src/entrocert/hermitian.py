@@ -103,37 +103,108 @@ def _first_failure(defect: np.ndarray, bound) -> int | None:
     return int(np.flatnonzero(np.broadcast_to(bad, defect.shape))[0])
 
 
+def _squares(a: np.ndarray) -> np.ndarray:
+    """Sum of |entry|^2 over the last axis of a float view.
+
+    einsum, unlike the ufuncs, does not warn when a square overflows; the
+    overflow shows as an infinite sum instead.
+    """
+    return np.einsum("...i,...i->...", a, a)
+
+
+def _eigh2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a stack of 2 x 2 Hermitian matrices by one complex Jacobi rotation.
+
+    Like LAPACK, reads the real diagonal a, d and the lower entry b.  With
+    the phase p = b / |b| (1 when b = 0), m = D S D* for D = diag(1, p) and
+    the real symmetric S = [[a, |b|], [|b|, d]].  The rotation that
+    diagonalises S is the symmetric Schur decomposition (Golub & Van Loan,
+    *Matrix Computations*, 4th ed., Alg. 8.5.1) with
+    t = copysign(2|b|, d - a) / (|d - a| + hypot(d - a, 2|b|)), which never
+    divides by a small |b|.  Its eigenvalues are a - t|b| and d + t|b|, that
+    is min(a, d) - |t||b| and max(a, d) + |t||b| in ascending order.  The
+    inputs must be finite.
+    """
+    a, d, b = m[..., 0, 0].real, m[..., 1, 1].real, m[..., 1, 0]
+    r = np.abs(b)
+    gap = d - a
+    r2 = r + r
+    flat = r == 0.0
+    # |t|; the added 1 keeps 0 / 0 away when b = 0 and a = d
+    t = r2 / (np.abs(gap) + np.hypot(gap, r2) + flat)
+    c = 1.0 / np.hypot(1.0, t)
+    s = t * c
+    tr = t * r
+    w = np.empty(a.shape + (2,))
+    np.subtract(np.minimum(a, d), tr, out=w[..., 0])
+    np.add(np.maximum(a, d), tr, out=w[..., 1])
+    # columns (x, -p y) for the lower and (y, p x) for the upper eigenvalue
+    swap = gap < 0.0
+    x, y = np.where(swap, s, c), np.where(swap, c, s)
+    p = np.divide(b, r, out=np.ones(b.shape, dtype=complex), where=~flat)
+    v = np.empty(m.shape, dtype=complex)
+    v[..., 0, 0] = x
+    v[..., 0, 1] = y
+    v[..., 1, 0] = -p * y
+    v[..., 1, 1] = p * x
+    return w, v
+
+
 def eigh(m: np.ndarray) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian matrix, with residual checks.
 
-    Accepts a stack of matrices as well; every member is checked on its own
-    (residual relative to its own norm, orthogonality of its own
-    eigenvectors) and one failing member raises :class:`EighError`.
+    Accepts a stack of matrices as well.  A stack of 2 x 2 matrices takes a
+    closed-form rotation (:func:`_eigh2`); other sizes take LAPACK.  Before
+    any decomposition, every member's Frobenius norm must be finite: an
+    overflowing norm would make the residual bound vacuous (inf <= inf).
+    Then every member is checked on its own, from one product
+    [M; V*] V = [M V; V* V]:
+
+    * residual ||M V - V diag(w)||_F <= 1e-12 * max(1, ||M||_F).  This is
+      the per-eigenpair form that eigenvalue perturbation bounds read: for
+      unit v_j, some eigenvalue of M lies within ||M v_j - w_j v_j|| of w_j;
+    * orthogonality ||V* V - I||_F <= 1e-12 * n.
+
+    A NaN defect fails both.  One failing member raises :class:`EighError`.
     """
-    m = np.asarray(m, dtype=complex)
-    try:
-        w, v = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise EighError(f"eigendecomposition did not converge: {exc}") from exc
-    scale = np.maximum(1.0, np.linalg.norm(m, axis=(-2, -1)))
-    if not np.isfinite(scale).all():
-        # an overflowing norm would make the residual bound vacuous (inf <= inf)
+    m = np.asarray(m, dtype=complex, order="C")  # the norm reads a float view
+    norm2 = _squares(m.reshape(m.shape[:-2] + (-1,)).view(float))
+    if not math.isfinite(norm2.max(initial=0.0)):  # max propagates NaN
         raise EighError("matrix norm is not finite; the eigendecomposition cannot be checked")
-    residual = np.linalg.norm((v * w[..., None, :]) @ adjoint(v) - m, axis=(-2, -1))
-    i = _first_failure(residual, EIGH_RESIDUAL_TOL * scale)
+    if m.shape[-2:] == (2, 2):
+        w, v = _eigh2(m)
+    else:
+        try:
+            w, v = np.linalg.eigh(m)
+        except np.linalg.LinAlgError as exc:
+            raise EighError(f"eigendecomposition did not converge: {exc}") from exc
+    n = m.shape[-1]
+    defect = np.concatenate((m, adjoint(v)), axis=-2) @ v
+    defect[..., :n, :] -= v * w[..., None, :]
+    defect[..., n:, :] -= np.eye(n)
+    # squared residual and orthogonality defects side by side, shape (..., 2)
+    sq = _squares(defect.reshape(defect.shape[:-2] + (2, n * n)).view(float))
+    bound = np.empty(sq.shape)
+    np.maximum(norm2, 1.0, out=bound[..., 0])
+    bound[..., 1] = n * n
+    ok = sq <= EIGH_RESIDUAL_TOL**2 * bound
+    if not ok.all():
+        _raise_defect(sq, norm2, n)
+    return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
+
+
+def _raise_defect(sq: np.ndarray, norm2: np.ndarray, n: int):
+    """The EighError of the first member failing the residual check, else the orthogonality one."""
+    scale2 = np.maximum(norm2, 1.0)
+    i = _first_failure(sq[..., 0], EIGH_RESIDUAL_TOL**2 * scale2)
     if i is not None:
-        res, sc = float(residual.flat[i]), float(np.broadcast_to(scale, residual.shape).flat[i])
+        res, sc = math.sqrt(sq[..., 0].flat[i]), math.sqrt(scale2.flat[i])
         raise EighError(
             f"eigendecomposition residual {res:.3e} exceeds {EIGH_RESIDUAL_TOL:g} * {sc:g}",
             residual=res,
         )
-    n = m.shape[-1]
-    ortho = np.linalg.norm(adjoint(v) @ v - np.eye(n), axis=(-2, -1))
-    i = _first_failure(ortho, EIGH_RESIDUAL_TOL * n)
-    if i is not None:
-        defect = float(ortho.flat[i])
-        raise EighError(f"eigenvector matrix not unitary (defect {defect:.3e})", residual=defect)
-    return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
+    defect = math.sqrt(sq[..., 1].flat[_first_failure(sq[..., 1], EIGH_RESIDUAL_TOL**2 * (n * n))])
+    raise EighError(f"eigenvector matrix not unitary (defect {defect:.3e})", residual=defect)
 
 
 def _function_values(f: ScalarFunction, eigenvalues: np.ndarray) -> np.ndarray:
@@ -146,11 +217,16 @@ def _function_values(f: ScalarFunction, eigenvalues: np.ndarray) -> np.ndarray:
     O(sqrt(eps)) errors through functions with unbounded slope at 0.
     """
     lam = np.asarray(eigenvalues, dtype=float)
-    out = np.zeros(lam.shape)
     if lam.size == 0:
-        return out
+        return np.zeros(lam.shape)
+    clamp = f.zero_extension is not None and f.domain_min == 0.0
+    lo = lam.min()
+    # the clamp threshold of every spectrum is at most that of the largest one
+    if lo > f.domain_min and not (clamp and lo <= ZERO_CLAMP_TOL * max(1.0, lam.max())):
+        return np.asarray(f(lam), dtype=float)
+    out = np.zeros(lam.shape)
     zero = np.zeros(lam.shape, dtype=bool)
-    if f.zero_extension is not None and f.domain_min == 0.0:
+    if clamp:
         scale = np.max(np.abs(lam), axis=-1, keepdims=True)
         zero = np.abs(lam) <= ZERO_CLAMP_TOL * np.maximum(1.0, scale)
         out[zero] = f.zero_extension

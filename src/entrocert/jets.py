@@ -5,11 +5,14 @@ A :class:`Jet` holds the Taylor coefficients of a scalar function at a point,
 ``+ - * / **``, ``exp``, ``log`` and ``sqrt``, so evaluating an expression on
 ``Jet.variable(t0)`` yields the expression's derivatives at ``t0``.
 
-The expansion point may also be an array of points: ``c`` then has shape
-``(n, *points.shape)`` for n coefficients, and every operation acts on all
-points at once.  A constant jet (shape ``(n,)``) combines with any batch.  An
-elementary function raises :class:`DomainError` when any point lies outside
-its domain.
+A jet keeps its coefficients as a list of per-order terms, ``terms[k]``.  At
+one point each term is a Python float.  The expansion point may also be an
+array of points; each term is then an array of the points' shape, and every
+operation acts on all points at once.  A constant jet (float terms) combines
+with any batch.  The recurrences run term by term on these lists, so no
+operation stacks its result into one array; :attr:`Jet.c` does that on
+request, with shape ``(n, *points.shape)`` for n coefficients.  An elementary
+function raises :class:`DomainError` when any point lies outside its domain.
 
 Jets carry coefficients 0..ORDER unless built inside :func:`truncated`, which
 sets the highest order that ``Jet.variable``, ``Jet.constant`` and ``Jet(...)``
@@ -66,16 +69,8 @@ def _lift(x) -> "Jet":
 
 
 def _terms(c: np.ndarray) -> list:
-    """Per-order coefficients: Python floats at one point, arrays for a batch.
-
-    The series recurrences run on these lists unchanged in both cases; a
-    constant (float) term broadcasts against a batch.
-    """
+    """Per-order terms of a coefficient array: Python floats at one point, rows for a batch."""
     return c.tolist() if c.ndim == 1 else list(c)
-
-
-def _jet(terms: list) -> "Jet":
-    return Jet._raw(np.array(terms, dtype=float))
 
 
 def _check(ok, values, message: str) -> None:
@@ -93,7 +88,7 @@ def _scalar(x):
 
 
 class Jet:
-    __slots__ = ("c",)
+    __slots__ = ("terms",)
 
     def __init__(self, coeffs):
         src = np.asarray(coeffs, dtype=float)
@@ -101,14 +96,14 @@ class Jet:
         c = np.zeros((n,) + src.shape[1:])
         k = min(src.shape[0], n)
         c[:k] = src[:k]
-        self.c = c
+        self.terms = _terms(c)
 
     @classmethod
     def constant(cls, value) -> "Jet":
         value = np.asarray(value, dtype=float)
         c = np.zeros((_TOP.get() + 1,) + value.shape)
         c[0] = value
-        return _Constant._raw(c)
+        return _Constant._raw(_terms(c))
 
     @classmethod
     def variable(cls, t0) -> "Jet":
@@ -117,26 +112,31 @@ class Jet:
         c[0] = t0
         if len(c) > 1:
             c[1] = 1.0
-        return cls._raw(c)
+        return cls._raw(_terms(c))
 
     @classmethod
-    def _raw(cls, c: np.ndarray) -> "Jet":
+    def _raw(cls, terms: list) -> "Jet":
         j = cls.__new__(cls)
-        j.c = c
+        j.terms = terms
         return j
 
     # -- inspection ---------------------------------------------------------
 
     @property
+    def c(self) -> np.ndarray:
+        """The coefficients stacked into one array, shape ``(n, *points.shape)``."""
+        return np.array(self.terms, dtype=float)
+
+    @property
     def value(self):
         """Value at the expansion point (a float, or an array for a batch)."""
-        return _scalar(self.c[0])
+        return _scalar(self.terms[0])
 
     def derivative(self, k: int):
         """k-th derivative at the expansion point."""
-        if not 0 <= k < len(self.c):
-            raise ValueError(f"derivative order {k} outside jet order {len(self.c) - 1}")
-        return _scalar(self.c[k] * float(math.factorial(k)))
+        if not 0 <= k < len(self.terms):
+            raise ValueError(f"derivative order {k} outside jet order {len(self.terms) - 1}")
+        return _scalar(self.terms[k] * float(math.factorial(k)))
 
     def derivatives(self, order: int) -> tuple:
         """(f, f', ..., f^(order)) at the expansion point."""
@@ -149,33 +149,33 @@ class Jet:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other) -> "Jet":
-        return _jet([x + y for x, y in zip(_terms(self.c), _terms(_lift(other).c))])
+        return Jet._raw([x + y for x, y in zip(self.terms, _lift(other).terms)])
 
     __radd__ = __add__
 
     def __neg__(self) -> "Jet":
-        return Jet._raw(-self.c)
+        return Jet._raw([-x for x in self.terms])
 
     def __sub__(self, other) -> "Jet":
-        return _jet([x - y for x, y in zip(_terms(self.c), _terms(_lift(other).c))])
+        return Jet._raw([x - y for x, y in zip(self.terms, _lift(other).terms)])
 
     def __rsub__(self, other) -> "Jet":
         return _lift(other).__sub__(self)
 
     def __mul__(self, other) -> "Jet":
-        a, b = _terms(self.c), _terms(_lift(other).c)
+        a, b = self.terms, _lift(other).terms
         out = []
         for k in range(min(len(a), len(b))):
             acc = a[0] * b[k]
             for j in range(1, k + 1):
                 acc = acc + a[j] * b[k - j]
             out.append(acc)
-        return _jet(out)
+        return Jet._raw(out)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Jet":
-        a, b = _terms(self.c), _terms(_lift(other).c)
+        a, b = self.terms, _lift(other).terms
         _check(b[0] != 0.0, b[0], "division by zero (divisor %g)")
         q = []
         for k in range(min(len(a), len(b))):
@@ -183,14 +183,14 @@ class Jet:
             for j in range(1, k + 1):
                 acc = acc - b[j] * q[k - j]
             q.append(acc / b[0])
-        return _jet(q)
+        return Jet._raw(q)
 
     def __rtruediv__(self, other) -> "Jet":
         return _lift(other).__truediv__(self)
 
     def __pow__(self, p) -> "Jet":
         if isinstance(p, Jet):
-            if not isinstance(p, _Constant) or p.c.ndim > 1:
+            if not isinstance(p, _Constant) or isinstance(p.terms[0], np.ndarray):
                 # variable exponent: b^e = exp(e * log b)
                 return (p * self.log()).exp()
             p = p.value
@@ -218,7 +218,7 @@ class Jet:
     # -- elementary functions -----------------------------------------------
 
     def exp(self) -> "Jet":
-        a = _terms(self.c)
+        a = self.terms
         _check(~(a[0] > _EXP_LIMIT) if isinstance(a[0], np.ndarray) else not a[0] > _EXP_LIMIT,
                a[0], "exp overflows double precision at t=%.6g")
         e = [math.exp(a[0]) if isinstance(a[0], float) else np.exp(a[0])]
@@ -227,10 +227,10 @@ class Jet:
             for j in range(2, k + 1):
                 acc = acc + j * a[j] * e[k - j]
             e.append(acc / k)
-        return _jet(e)
+        return Jet._raw(e)
 
     def log(self) -> "Jet":
-        a = _terms(self.c)
+        a = self.terms
         _check(a[0] > 0.0, a[0], "log of non-positive value %.6g")
         l = [math.log(a[0]) if isinstance(a[0], float) else np.log(a[0])]
         for k in range(1, len(a)):
@@ -238,10 +238,10 @@ class Jet:
             for j in range(1, k):
                 acc = acc - (j / k) * l[j] * a[k - j]
             l.append(acc / a[0])
-        return _jet(l)
+        return Jet._raw(l)
 
     def sqrt(self) -> "Jet":
-        a = _terms(self.c)
+        a = self.terms
         _check(a[0] > 0.0, a[0], "sqrt of non-positive value %.6g")
         s = [math.sqrt(a[0]) if isinstance(a[0], float) else np.sqrt(a[0])]
         for k in range(1, len(a)):
@@ -249,15 +249,13 @@ class Jet:
             for j in range(1, k):
                 acc = acc - s[j] * s[k - j]
             s.append(acc / (2.0 * s[0]))
-        return _jet(s)
+        return Jet._raw(s)
 
     # -- calculus helpers -----------------------------------------------------
 
     def shift(self) -> "Jet":
         """Taylor series of the derivative: one coefficient fewer."""
-        n = len(self.c) - 1
-        k = np.arange(1.0, n + 1).reshape((n,) + (1,) * (self.c.ndim - 1))
-        return Jet._raw(self.c[1:] * k)
+        return Jet._raw([x * float(k) for k, x in enumerate(self.terms[1:], 1)])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Jet({self.c.tolist()})"

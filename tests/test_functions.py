@@ -184,6 +184,19 @@ def test_array_evaluation_keeps_zero_extension_and_domain():
         tlogt.d2(np.array([1.0, -0.5]))
 
 
+def test_domain_test_names_the_first_point_outside():
+    # one min decides; a failing min falls back to the elementwise scan, so
+    # the first point outside (NaN included) is the one reported
+    with pytest.raises(DomainError, match=r"tlogt evaluated at t=nan, outside its domain \(t > 0\)"):
+        lookup("tlogt")(np.array([1.0, np.nan, -1.0]))
+    with pytest.raises(DomainError, match=r"evaluated at t=-1,"):
+        lookup("neglog").d1(np.array([[2.0, 3.0], [-1.0, -2.0]]))
+    with pytest.raises(DomainError, match=r"log of non-positive value -0\.2"):
+        parse("log(t-0.5)").as_function()(np.array([0.3, 1.0]))
+    # every point at the zero extension leaves nothing to evaluate
+    assert np.array_equal(lookup("tlogt")(np.zeros(3)), np.zeros(3))
+
+
 def test_float_only_taylor_is_evaluated_pointwise():
     f = ScalarFunction("log1p", lambda t: (Jet.variable(t) + 1.0).log() + 0.0 * math.log(t))
     ts = np.array([0.5, 2.0])

@@ -1,12 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from entrocert.expr import parse
 from entrocert.functions import lookup
 from entrocert.hermitian import (
     EighError,
+    _function_values,
     apply_function,
     eigh,
     entropy,
@@ -197,3 +200,81 @@ def test_matrix_json_round_trip():
     m = random_hermitian(3, RNG)
     back = matrix_from_json(matrix_to_json(m))
     assert np.array_equal(back, m)
+
+
+def test_eigh_orthogonality_check_alone_rejects(monkeypatch):
+    # for M = 2 I every V satisfies M V = V diag(2, 2, 2) exactly, so the
+    # residual check passes and only the orthogonality check can refuse V
+    m = 2.0 * np.eye(3, dtype=complex)
+    v = np.eye(3, dtype=complex)
+    v[0, 1] = 1.0
+
+    def not_unitary(a):
+        return np.full(3, 2.0), v.copy()
+
+    monkeypatch.setattr(np.linalg, "eigh", not_unitary)
+    with pytest.raises(EighError):
+        eigh(m)
+
+
+CLOSED_FORM_CASES = [
+    np.array([[2.0, 0.0], [0.0, 1.0]], dtype=complex),  # unsorted diagonal
+    3.0 * np.eye(2, dtype=complex),  # b = 0 and a = d
+    np.array([[1.0, -1e-300j], [1e-300j, 1.0]]),
+    np.array([[1.0, -1e-300j], [1e-300j, 2.0]]),
+    np.array([[1e-20, 1.0 - 2.0j], [1.0 + 2.0j, 1e20]]),
+    np.array([[1e20, 1.0 - 2.0j], [1.0 + 2.0j, 1e-20]]),
+    np.array([[5.0, 1e-17], [1e-17, 5.0]], dtype=complex),
+    *np.stack([random_pd(2, (1e-3, 10.0), RNG) for _ in range(20)]),
+    *np.stack([random_hermitian(2, RNG) for _ in range(20)]),
+]
+
+
+def test_eigh_2x2_closed_form_against_lapack():
+    eps = np.finfo(float).eps
+    for m in CLOSED_FORM_CASES:
+        dec = eigh(m)
+        norm = np.linalg.norm(m)
+        w = dec.eigenvalues
+        assert w[0] <= w[1], m
+        assert np.all(np.abs(w - np.linalg.eigvalsh(m)) <= 4.0 * eps * norm), m
+        assert np.linalg.norm(dec.reconstruct() - m) <= 1e-12 * max(1.0, norm), m
+    # a stack gives each member's own result, bit for bit
+    stack = np.stack(CLOSED_FORM_CASES)
+    dec = eigh(stack)
+    for i, m in enumerate(CLOSED_FORM_CASES):
+        one = eigh(m)
+        assert np.array_equal(dec.eigenvalues[i], one.eigenvalues), i
+        assert np.array_equal(dec.eigenvectors[i], one.eigenvectors), i
+
+
+@pytest.mark.parametrize("value", [np.nan, 1e300])
+def test_eigh_2x2_rejects_non_finite_member_without_warning(value):
+    stack = np.stack(CLOSED_FORM_CASES[:4])
+    stack[2, 0, 0] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EighError, match="not finite"):
+            eigh(stack)
+
+
+def test_function_values_stack_clamps_each_spectrum_on_its_own():
+    # the largest spectrum's clamp threshold (1e-12 * 1e6) exceeds 1e-7, so
+    # the stack cannot be evaluated without the per-spectrum clamp; 1e-7 is
+    # far above its own spectrum's threshold and must not be clamped
+    f = lookup("tlogt")
+    stack = np.array([[0.5, 1e6], [1e-7, 1.0]])
+    got = _function_values(f, stack)
+    for i, lam in enumerate(stack):
+        assert np.array_equal(got[i], _function_values(f, lam)), i
+    assert got[1, 0] == pytest.approx(1e-7 * math.log(1e-7), rel=1e-14)
+    # an exact zero eigenvalue still takes the zero extension
+    assert np.array_equal(_function_values(lookup("affine"), np.array([[0.0, 1.0]])), [[1.0, 3.0]])
+    assert np.array_equal(_function_values(f, np.array([[0.0, 2.0], [1.0, 3.0]]))[:, 0], [0.0, 0.0])
+
+
+def test_function_values_keep_their_domain_errors():
+    with pytest.raises(DomainError, match=r"log of non-positive value -0\.2"):
+        _function_values(parse("log(t-0.5)").as_function(), np.array([[0.3, 1.0]]))
+    with pytest.raises(DomainError, match="outside the domain of neglog"):
+        _function_values(lookup("neglog"), np.array([[1.0, 2.0], [0.0, 1.0]]))
