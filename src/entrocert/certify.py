@@ -23,11 +23,14 @@ claims are convexity claims of the negated functional.
 
 Each property is defined once, as a :class:`_Property` record: the fields of
 its counterexample payload and a ``margin(f, payloads)`` that measures a
-whole stack of trials.  Sampling, escalation and reverify_counterexample all
-go through that one margin; re-verification is a batch of one.
+whole stack of trials.  Sampling, the witness search and
+reverify_counterexample all go through that one margin; a trial whose margin
+is not finite is skipped.  Re-verification is a batch of one.
 
 Every suite is a list of trial plans, and one aggregator (_drive) folds
-the margins of each stack of trials straight into the outcome.  A sampled
+the margins of each stack of trials straight into the outcome.  When an
+expected failure is not sampled, subentropic's search hook constructs a
+witness from the superoperator inequality.  A sampled
 trial draws its randomness from an independent stream keyed by (seed,
 stream name, trial index): NumPy's
 ``default_rng(SeedSequence([seed, token, index]))``, bit for bit, with the
@@ -96,20 +99,6 @@ FAIL = "FAIL"
 SKIPPED = "SKIPPED"
 INCONCLUSIVE = "INCONCLUSIVE"
 
-#: suite tokens accepted by run_suite / the CLI
-SUITE_TOKENS = (
-    "all",
-    "principle1",
-    "entropic",
-    "subentropic",
-    "condition13",
-    "equivalence",
-    "matrix-entropy",
-    "gain",
-    "gap",
-    "uniqueness",
-)
-
 _SUBENTROPIC_ORDERS = (2, 3, 4)
 
 # Grid used by the scalar convexity precheck and the gap-function tests.
@@ -121,9 +110,6 @@ _GAP_ZERO_CEILING = 1e-3
 # Minimum eigenvalue demanded of states fed to functions without a zero
 # extension (and of channel outputs for such functions).
 _RANK_FLOOR = 1e-8
-
-# Stretch factors tried when escalating the worst sampled pair.
-_STRETCHES = (2.0, 4.0, 8.0, 16.0)
 
 # Random channels in gain have 2..this many Kraus operators.
 _MAX_KRAUS = 4
@@ -793,9 +779,13 @@ class _Measured(NamedTuple):
 
 
 def _margin(prop: _Property, f: ScalarFunction, P: dict) -> tuple:
+    """prop's (margins, scales, extras) on a stack; a non-finite margin is a DomainError."""
     out = prop.margin(f, P)
     extras = out[2] if len(out) > 2 else {}
-    return np.asarray(out[0], dtype=float).reshape(-1), np.asarray(out[1], dtype=float).reshape(-1), extras
+    margins = np.asarray(out[0], dtype=float).reshape(-1)
+    if not np.isfinite(margins).all():
+        raise DomainError(f"non-finite {prop.kind} margin")
+    return margins, np.asarray(out[1], dtype=float).reshape(-1), extras
 
 
 def _measure(prop: _Property, f: ScalarFunction, P: dict, size: int) -> _Measured:
@@ -826,7 +816,7 @@ def _measure(prop: _Property, f: ScalarFunction, P: dict, size: int) -> _Measure
 
 @dataclass(frozen=True)
 class _Trial:
-    """One measured trial: enough to report, record and escalate it."""
+    """One measured trial: enough to report and record it and to write its witness."""
 
     margin: float
     scale: float
@@ -1017,7 +1007,7 @@ def _expects_fail(function_name: str, outcome_name: str) -> bool:
 
 
 # --------------------------------------------------------------------------
-# sampling, aggregation and escalation
+# sampling, aggregation and the search for expected failures
 
 def _drive(
     name: str,
@@ -1025,14 +1015,17 @@ def _drive(
     cfg: TestConfig,
     plans: list[_Plan] | Callable[[], list[_Plan]],
     *,
-    escalate: Optional[Callable[[_Trial], Optional[_Trial]]] = None,
+    search: Optional[Callable[[], Optional[_Trial]]] = None,
     recorder: Optional[list] = None,
 ) -> TestOutcome:
-    """Run the trials of every plan, aggregate margins, escalate expected failures.
+    """Run the trials of every plan, aggregate margins, search for expected failures.
 
     The scalar convexity precheck runs first.  Plans given as a function are
     built after it; if building them raises DegenerateFunctionError or
     DomainError, the property does not apply and the outcome is SKIPPED.
+
+    ``search`` runs when the failure is expected, no sampled trial violates
+    and some trial ran; a violating witness it returns is trial ``total``.
     """
     bad = _scalar_convexity_failure(name, f, cfg)
     if bad is not None:
@@ -1050,7 +1043,6 @@ def _drive(
     # the first violation and the first skip go by trial index, the worst
     # trial by margin and then index, whatever order the stacks come in
     violation: Optional[_Trial] = None
-    worst: Optional[_Trial] = None
     first_hit = first_skip = total
     worst_key = (np.inf, total)
     skip_note = ""
@@ -1081,11 +1073,10 @@ def _drive(
             j = hits[np.argmin(idx[hits])]
             first_hit, violation = idx[j], _stack_trial(plan.props, P, measured, choice, j)
         j = done[np.lexsort((idx[done], margins[done]))[0]]
-        if (margins[j], idx[j]) < worst_key:
-            worst_key, worst = (margins[j], idx[j]), _stack_trial(plan.props, P, measured, choice, j)
+        worst_key = min(worst_key, (float(margins[j]), idx[j]))
     if recorder is not None:
         recorder.extend((name, dim, i, margin, scale) for i, dim, margin, scale in sorted(rows))
-    min_margin = worst.margin if worst is not None else np.inf
+    min_margin = worst_key[0]
 
     expected_fail = _expects_fail(f.name, name)
     detail = ""
@@ -1094,15 +1085,15 @@ def _drive(
             f"min {p.label} margin {v:.3e}" for p, v in zip(plans[0].props, prop_min)
         )
 
-    if violation is None and expected_fail and escalate is not None and worst is not None:
-        extra = escalate(worst)
+    if violation is None and expected_fail and search is not None and run:
+        extra = search()
         if extra is not None and extra.margin < -cfg.tol:
             violation = extra
             run += 1
             min_margin = min(min_margin, extra.margin)
             if recorder is not None:
                 recorder.append((name, extra.dim, total, extra.margin, extra.scale))
-            detail = _join(detail, extra.note or "violation found by escalation of the worst sampled trial")
+            detail = _join(detail, extra.note)
 
     if violation is not None:
         return TestOutcome(name, f.name, FAIL, min_margin, run, skipped, violation.witness, detail)
@@ -1116,37 +1107,6 @@ def _drive(
             _join(detail, "expected a violation but found none within the sampling budget"),
         )
     return TestOutcome(name, f.name, PASS, min_margin, run, skipped, None, detail)
-
-
-def _pd_floor(m: np.ndarray) -> float:
-    return float(np.min(np.linalg.eigvalsh(m)[..., 0]))
-
-
-def _stretch_escalation(
-    f: ScalarFunction, cfg: TestConfig, prop: _Property,
-    pairs: tuple[tuple[str, str], ...] = (("x", "y"),),
-) -> Callable[[_Trial], Optional[_Trial]]:
-    """Stretch the worst sampled pair(s) around their midpoint and re-test.
-
-    The first pair holds PD states: a stretch that takes either below
-    _RANK_FLOOR is not tried.
-    """
-
-    def escalate(worst: _Trial) -> Optional[_Trial]:
-        base = worst.payload
-        for s in _STRETCHES:
-            cand = dict(base)
-            for a, b in pairs:
-                mid, d = (base[a] + base[b]) / 2.0, (base[b] - base[a]) / 2.0
-                cand[a], cand[b] = hermitize(mid - s * d), hermitize(mid + s * d)
-            if any(_pd_floor(cand[k]) < _RANK_FLOOR for k in pairs[0]):
-                continue
-            found = _single(prop, f, {k: cand[k] for k, _ in prop.fields})
-            if found is not None and found.margin < -cfg.tol:
-                return found
-        return None
-
-    return escalate
 
 
 # --------------------------------------------------------------------------
@@ -1212,8 +1172,7 @@ def test_principle1_concavity(
         for dim in cfg.dims
     ]
 
-    escalate = _stretch_escalation(f, cfg, _PRINCIPLE1)
-    return _drive("principle1", f, cfg, plans, escalate=escalate, recorder=recorder)
+    return _drive("principle1", f, cfg, plans, recorder=recorder)
 
 
 # --------------------------------------------------------------------------
@@ -1232,8 +1191,7 @@ def test_entropic(
             True: (*dims, _diag_col("x", n, r), _diag_col("y", n, r)),
         }, lambda idx, rng: idx % 4 == 3))
 
-    escalate = _stretch_escalation(f, cfg, _ENTROPIC)
-    return _drive("entropic", f, cfg, plans, escalate=escalate, recorder=recorder)
+    return _drive("entropic", f, cfg, plans, recorder=recorder)
 
 
 # --------------------------------------------------------------------------
@@ -1300,15 +1258,8 @@ def test_subentropic_order_k(
             True: (*pds, _identity_col(("hs",), ("standard_normal",) * k, lambda c: (c,), dim, k)),
         }, lambda idx, rng: idx % 4 == 3))
 
-    stretch = _stretch_escalation(f, cfg, _SUB_MIDPOINT, (("xs", "ys"),))
-
-    def escalate(worst: _Trial) -> Optional[_Trial]:
-        extra = _derived_hessian_witness(f, cfg, k)
-        if extra is not None:
-            return extra
-        return stretch(worst) if worst.prop is _SUB_MIDPOINT else None
-
-    return _drive(name, f, cfg, plans, escalate=escalate, recorder=recorder)
+    search = functools.partial(_derived_hessian_witness, f, cfg, k)
+    return _drive(name, f, cfg, plans, search=search, recorder=recorder)
 
 
 # --------------------------------------------------------------------------
@@ -1380,8 +1331,7 @@ def test_matrix_entropy(
         for dim in cfg.dims
     ]
 
-    escalate = _stretch_escalation(f, cfg, _MATRIX_ENTROPY, (("x1", "x2"), ("h1", "h2")))
-    return _drive("matrix-entropy", f, cfg, plans, escalate=escalate, recorder=recorder)
+    return _drive("matrix-entropy", f, cfg, plans, recorder=recorder)
 
 
 # --------------------------------------------------------------------------
@@ -1408,8 +1358,7 @@ def test_entropy_gain_convexity(
         return int(rng.integers(2, 5)), int(rng.integers(2, 5)), int(rng.integers(2, _MAX_KRAUS + 1))
 
     plans = [_Plan("gain", cfg.samples * len(cfg.dims), (_GAIN,), classes, classify)]
-    escalate = _stretch_escalation(f, cfg, _GAIN)
-    return _drive("gain", f, cfg, plans, escalate=escalate, recorder=recorder)
+    return _drive("gain", f, cfg, plans, recorder=recorder)
 
 
 # --------------------------------------------------------------------------
@@ -1478,6 +1427,9 @@ _SUITES = (
     _Suite("gain", "gain", "test_entropy_gain_convexity"),
     _Suite("gap-concavity", "gap", "test_gap_concavity", stage=True),
 )
+
+#: suite tokens accepted by run_suite / the CLI, in report order
+SUITE_TOKENS = ("all", *dict.fromkeys(row.token for row in _SUITES), "uniqueness")
 
 
 # --------------------------------------------------------------------------

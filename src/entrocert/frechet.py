@@ -152,7 +152,7 @@ def frechet_superoperator(f: ScalarFunction, rho: np.ndarray) -> Superoperator:
 
 def _inverse_kernel(f: ScalarFunction, kernel: np.ndarray) -> np.ndarray:
     smallest = float(np.min(kernel))
-    if smallest <= INVERTIBILITY_FLOOR:
+    if not smallest > INVERTIBILITY_FLOOR:  # NaN fails too
         raise NotInvertibleError(
             f"differential of {f.name} is not invertible as a positive operator: "
             f"smallest divided difference {smallest:.3e} <= {INVERTIBILITY_FLOOR:g}"

@@ -270,6 +270,43 @@ def test_subentropic_padding_orders():
         assert reverify_counterexample(f, payload) < -CFG.tol / 2
 
 
+def test_derived_witness_joins_the_sampled_trials():
+    # power:1.25 is expected to fail subentropic; none of the 20 sampled
+    # trials violates, so the derived-Hessian search supplies trial 20
+    cfg, recorder = TestConfig(seed=42, samples=10), []
+    f = lookup("power:1.25")
+    out = test_subentropic_order_k(f, 3, cfg, recorder)
+    assert out.verdict == FAIL
+    assert (out.trials_run, out.trials_skipped) == (21, 0)
+    assert out.detail.endswith(
+        "violation constructed from a negative direction of the "
+        "inverse-differential superoperator inequality"
+    )
+    assert [row[2] for row in recorder] == list(range(21))
+    name, dim, _, margin, _ = recorder[-1]
+    assert (name, dim) == ("subentropic:k=3", 2)
+    assert margin == out.min_margin == out.counterexample["margin"]
+    assert reverify_counterexample(f, out.counterexample) < -cfg.tol / 2
+
+
+def test_non_finite_margins_skip_their_trials():
+    # t^384 overflows on these spectra, so margins come out inf - inf; they
+    # must skip their trials, not crash the suite or pass as non-finite
+    # numbers.  The overflow is deliberate, hence errstate
+    from entrocert.report import CertificationReport
+
+    f = parse("t^128*t^128*t^128").as_function(zero_extension=0.0)
+    cfg = TestConfig(seed=1, samples=5)
+    with np.errstate(all="ignore"):
+        outcomes, fit = run_suite(f, "all", cfg)
+        outcomes.append(test_equivalence_13_vs_hessian(f, cfg))
+    assert all(o.min_margin is None or np.isfinite(o.min_margin) for o in outcomes)
+    sub3 = next(o for o in outcomes if o.name == "subentropic:k=3")
+    assert sub3.verdict == SKIPPED
+    assert "non-finite" in sub3.detail and "margin" in sub3.detail
+    CertificationReport(f.describe(), cfg.as_dict(), tuple(outcomes), 0.0, fit).to_json()
+
+
 def test_subentropic_order_validation():
     with pytest.raises(ValueError):
         test_subentropic_order_k(lookup("tlogt"), 1, CFG)
