@@ -25,16 +25,17 @@ Each property is defined once, as a :class:`_Property` record: the fields of
 its counterexample payload and a ``margin(f, payloads)`` that measures a
 whole stack of trials.  Sampling, the witness search and
 reverify_counterexample all go through that one margin; a trial whose margin
-is not finite is skipped.  Re-verification is a batch of one.
+is not finite is skipped.  Re-verification is a batch of one, and every FAIL
+payload is written by the record that re-verifies it (_witness).
 
-Every suite is a list of trial plans, and one aggregator (_drive) folds
-the margins of each stack of trials straight into the outcome.  When an
-expected failure is not sampled, subentropic's search hook constructs a
-witness from the superoperator inequality.  A sampled
-trial draws its randomness from an independent stream keyed by (seed,
-stream name, trial index): NumPy's
-``default_rng(SeedSequence([seed, token, index]))``, bit for bit, with the
-seed states computed in fixed blocks of trials.  Plans are columns: each
+Every suite is a list of trial plans, and one aggregator (_drive) folds the
+margins of each stack of trials straight into the outcome.  A FAIL's witness
+is the first violating sampled trial by index or, when an expected failure
+is not sampled, subentropic's search hook constructs one from the
+superoperator inequality, counted as one extra trial.  A sampled trial draws
+its randomness from an independent stream keyed by (seed, stream name, trial
+index): NumPy's ``default_rng(SeedSequence([seed, token, index]))``, bit for
+bit, with the seed states computed in fixed blocks of trials.  Plans are columns: each
 declares, per index class, its fields with their kind and per-trial shape,
 and each trial writes the Generator's raw output straight into its row of
 the class's column buffers.  The gap suites' plans are fixed grids whose
@@ -56,7 +57,7 @@ import itertools
 import math
 import operator
 from collections.abc import Callable, Hashable, Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -191,6 +192,9 @@ class TestConfig:
             not (1 <= a <= 8 and 1 <= b <= 8) for a, b in self.bipartite
         ):
             raise ValueError("bipartite factors must lie in 1..8")
+        # a repeat would re-run the same trial streams and count them twice
+        if len(set(self.dims)) < len(self.dims) or len(set(self.bipartite)) < len(self.bipartite):
+            raise ValueError("dims and bipartite splits must not repeat")
 
     def as_dict(self) -> dict:
         return {
@@ -201,10 +205,6 @@ class TestConfig:
             "eig_range": list(self.eig_range),
             "bipartite": [list(p) for p in self.bipartite],
         }
-
-
-def config_from_dict(obj: dict) -> TestConfig:
-    return TestConfig(**obj)
 
 
 @dataclass(frozen=True)
@@ -716,7 +716,11 @@ def _gap_zero_margin(f, P):
 
 
 def _uniqueness_fit_margin(f, P):
-    return np.array([-_gap_fit(f)["relative_residual"]]), np.ones(1)
+    # a fit has no trial fields: its witness records the worst-fitting grid point
+    fit, ts = _gap_fit(f), _FIT_GRID
+    t = ts[np.argmax(np.abs(np.asarray(gap_function(f)(ts)) - fit["slope"] * ts))]
+    extras = {"t": [t], "slope": [fit["slope"]], "relative_residual": [fit["relative_residual"]]}
+    return np.array([-fit["relative_residual"]]), np.ones(1), extras
 
 
 _PAIR = (("x", _MAT), ("y", _MAT))
@@ -752,7 +756,9 @@ _GAP_SUPERADDITIVE = _Property("gap-superadditive", _SCALAR_PAIR, _gap_superaddi
 _GAP_MONOTONE = _Property("gap-monotone", _SCALAR_PAIR, _gap_monotone_margin)
 _GAP_ZERO = _Property("gap-zero", (("t", _FLOAT),), _gap_zero_margin)
 _GAP_CONCAVITY = _Property("gap-concavity", _SCALAR_PAIR, _gap_concavity_margin)
-_UNIQUENESS_FIT = _Property("uniqueness-fit", (), _uniqueness_fit_margin)
+_UNIQUENESS_FIT = _Property(
+    "uniqueness-fit", (), _uniqueness_fit_margin, extras=("t", "slope", "relative_residual")
+)
 
 _PROPERTIES: dict[str, _Property] = {
     p.kind: p
@@ -814,29 +820,9 @@ def _measure(prop: _Property, f: ScalarFunction, P: dict, size: int) -> _Measure
     return _Measured(margins, scales, extras, notes)
 
 
-@dataclass(frozen=True)
-class _Trial:
-    """One measured trial: enough to report and record it and to write its witness."""
-
-    margin: float
-    scale: float
-    dim: int
-    prop: _Property
-    payload: dict
-    note: str = ""
-
-    @property
-    def witness(self) -> dict:
-        return self.prop.witness(self.payload, self.margin)
-
-
-def _single(prop: _Property, f: ScalarFunction, payload: dict) -> Optional[_Trial]:
-    """Measure one trial given as plain (unstacked) fields; None when it is skipped."""
-    res = _measure(prop, f, {k: np.asarray(v)[None] for k, v in payload.items()}, 1)
-    if np.isnan(res.margins[0]):
-        return None
-    full = {**payload, **res.extras[0]}
-    return _Trial(float(res.margins[0]), float(res.scales[0]), prop.dim(full), prop, full)
+def _witness(prop: _Property, P: dict, res: _Measured, j: int) -> dict:
+    """The witness of trial j of a stack P that prop measured as res (every FAIL payload)."""
+    return prop.witness({**{k: v[j] for k, v in P.items()}, **res.extras[j]}, res.margins[j])
 
 
 class _Plan(NamedTuple):
@@ -974,17 +960,8 @@ def _suite_stacks(seed: int, plans: list[_Plan]) -> Iterator[tuple[_Plan, np.nda
         start += plan.count
 
 
-def _stack_trial(props: tuple, P: dict, measured: list, choice: np.ndarray, j: int) -> _Trial:
-    """Trial j of a measured stack, under the property that set its margin."""
-    c = int(choice[j])
-    res, prop = measured[c], props[c]
-    payload = {k: np.array(v[j]) for k, v in P.items()}
-    payload.update(res.extras[j])
-    return _Trial(float(res.margins[j]), float(res.scales[j]), prop.dim(payload), prop, payload)
-
-
 # --------------------------------------------------------------------------
-# expectations for registry functions (drives INCONCLUSIVE and escalation)
+# expectations for registry functions (drives INCONCLUSIVE and the search)
 
 _SUB_ALL = tuple(f"subentropic:k={k}" for k in _SUBENTROPIC_ORDERS)
 
@@ -1015,7 +992,7 @@ def _drive(
     cfg: TestConfig,
     plans: list[_Plan] | Callable[[], list[_Plan]],
     *,
-    search: Optional[Callable[[], Optional[_Trial]]] = None,
+    search: Optional[Callable[[], Optional[tuple]]] = None,
     recorder: Optional[list] = None,
 ) -> TestOutcome:
     """Run the trials of every plan, aggregate margins, search for expected failures.
@@ -1025,7 +1002,8 @@ def _drive(
     DomainError, the property does not apply and the outcome is SKIPPED.
 
     ``search`` runs when the failure is expected, no sampled trial violates
-    and some trial ran; a violating witness it returns is trial ``total``.
+    and some trial ran.  It returns None or a violating (witness, scale,
+    dim, note), which counts as trial ``total``.
     """
     bad = _scalar_convexity_failure(name, f, cfg)
     if bad is not None:
@@ -1040,11 +1018,10 @@ def _drive(
     run, skipped = 0, sum(plan.excluded for plan in plans)
     prop_min: Optional[np.ndarray] = None
     rows: list = []
-    # the first violation and the first skip go by trial index, the worst
-    # trial by margin and then index, whatever order the stacks come in
-    violation: Optional[_Trial] = None
+    # the first violation and the first skip go by trial index, whatever
+    # order the stacks come in
+    violation: Optional[dict] = None
     first_hit = first_skip = total
-    worst_key = (np.inf, total)
     skip_note = ""
     for plan, idx, P in _suite_stacks(cfg.seed, plans):
         measured = [_measure(prop, f, P, idx.size) for prop in plan.props]
@@ -1071,12 +1048,12 @@ def _drive(
         hits = done[margins[done] < -cfg.tol]
         if hits.size and idx[hits].min() < first_hit:
             j = hits[np.argmin(idx[hits])]
-            first_hit, violation = idx[j], _stack_trial(plan.props, P, measured, choice, j)
-        j = done[np.lexsort((idx[done], margins[done]))[0]]
-        worst_key = min(worst_key, (float(margins[j]), idx[j]))
+            c = choice[j]
+            first_hit, violation = idx[j], _witness(plan.props[c], P, measured[c], j)
     if recorder is not None:
         recorder.extend((name, dim, i, margin, scale) for i, dim, margin, scale in sorted(rows))
-    min_margin = worst_key[0]
+    # a trial's margin is its smallest property margin
+    min_margin = None if prop_min is None else float(prop_min.min())
 
     expected_fail = _expects_fail(f.name, name)
     detail = ""
@@ -1086,17 +1063,17 @@ def _drive(
         )
 
     if violation is None and expected_fail and search is not None and run:
-        extra = search()
-        if extra is not None and extra.margin < -cfg.tol:
-            violation = extra
+        found = search()
+        if found is not None:
+            violation, scale, dim, note = found
             run += 1
-            min_margin = min(min_margin, extra.margin)
+            min_margin = min(min_margin, violation["margin"])
             if recorder is not None:
-                recorder.append((name, extra.dim, total, extra.margin, extra.scale))
-            detail = _join(detail, extra.note)
+                recorder.append((name, dim, total, violation["margin"], scale))
+            detail = _join(detail, note)
 
     if violation is not None:
-        return TestOutcome(name, f.name, FAIL, min_margin, run, skipped, violation.witness, detail)
+        return TestOutcome(name, f.name, FAIL, min_margin, run, skipped, violation, detail)
     if not run:
         return TestOutcome(
             name, f.name, SKIPPED, None, 0, skipped, None, skip_note or "no admissible trials",
@@ -1151,9 +1128,8 @@ def _scalar_convexity_failure(
     m = np.where(np.isnan(res.margins), np.inf, res.margins)
     b = int(np.argmin(m))
     if m[b] < -cfg.tol:
-        payload = _SCALAR_CONVEXITY.witness({k: v[b] for k, v in P.items()}, m[b])
         return TestOutcome(
-            name, f.name, FAIL, float(m[b]), 1, 0, payload,
+            name, f.name, FAIL, float(m[b]), 1, 0, _witness(_SCALAR_CONVEXITY, P, res, b),
             f"scalar convexity fails near t={worst_t:.6g} (f''={worst_d2:.3e})",
         )
     return None  # negativity too shallow to certify scalar-side; sample anyway
@@ -1197,16 +1173,15 @@ def test_entropic(
 # --------------------------------------------------------------------------
 # suite: convexity of G(rho_1..rho_k), sampled two ways per trial
 
-def _derived_hessian_witness(
-    f: ScalarFunction, cfg: TestConfig, k: int
-) -> Optional[_Trial]:
+def _derived_hessian_witness(f: ScalarFunction, cfg: TestConfig, k: int) -> Optional[tuple]:
     """Turn a superoperator-inequality violation into a negative Hessian.
 
     If d = df'(rho+sigma)^-1 - df'(rho)^-1 - df'(sigma)^-1 has a negative
     direction w, then the directions h1 = df'(rho)^-1 w, h2 = df'(sigma)^-1 w
     make the order-two Hessian of G negative (Cauchy-Schwarz in the inner
     product weighted by df'(rho+sigma)).  Orders k > 2 are reached by padding
-    with small multiples of the identity and zero directions.
+    with small multiples of the identity and zero directions.  Returns the
+    (witness, scale, dim, note) of the first violating padding, or None.
     """
     fp = f.derivative()
     note = (
@@ -1231,13 +1206,16 @@ def _derived_hessian_witness(
             h1, h2 = h1s[best], h2s[best]
             base_scale = float(np.trace(rho + sigma).real) / (2 * dim)
             zero = np.zeros((dim, dim), dtype=complex)
-            for eps in (1e-2, 1e-3, 1e-4):
-                pad = eps * base_scale * np.eye(dim, dtype=complex)
-                rhos = np.stack([rho, sigma] + [pad] * (k - 2))
-                hs = np.stack([h1, h2] + [zero] * (k - 2))
-                found = _single(_SUB_HESSIAN, f, {"rhos": rhos, "hs": hs})
-                if found is not None and found.margin < -cfg.tol:
-                    return replace(found, note=note)
+            pads = [eps * base_scale * np.eye(dim, dtype=complex) for eps in (1e-2, 1e-3, 1e-4)]
+            P = {  # one trial per padding
+                "rhos": np.stack([np.stack([rho, sigma] + [pad] * (k - 2)) for pad in pads]),
+                "hs": np.stack([np.stack([h1, h2] + [zero] * (k - 2))] * len(pads)),
+            }
+            res = _measure(_SUB_HESSIAN, f, P, len(pads))
+            hits = np.flatnonzero(res.margins < -cfg.tol)
+            if hits.size:
+                j = hits[0]
+                return _witness(_SUB_HESSIAN, P, res, j), float(res.scales[j]), dim, note
     return None
 
 
@@ -1503,19 +1481,10 @@ def uniqueness_pipeline(
             % (fit["slope"], fit["relative_residual"]),
         )
     else:
-        ts = _FIT_GRID
-        devs = np.abs(np.asarray(gap_function(f)(ts)) - fit["slope"] * ts)
-        worst = int(np.argmax(devs))
-        payload = {
-            "kind": "uniqueness-fit",
-            "t": float(ts[worst]),
-            "slope": fit["slope"],
-            "relative_residual": fit["relative_residual"],
-            "margin": -float(fit["relative_residual"]),
-        }
+        res = _measure(_UNIQUENESS_FIT, f, {}, 1)
         final = TestOutcome(
             "uniqueness", f.name, FAIL, -float(fit["relative_residual"]),
-            len(ts), 0, payload,
+            len(_FIT_GRID), 0, _witness(_UNIQUENESS_FIT, {}, res, 0),
             "stages passed but g(t) is not proportional to t "
             "(residual %.3e, slope deviation %.3e)" % (fit["relative_residual"], slope_dev),
         )

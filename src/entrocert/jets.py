@@ -142,10 +142,6 @@ class Jet:
         """(f, f', ..., f^(order)) at the expansion point."""
         return (self.value, *(self.derivative(k) for k in range(1, order + 1)))
 
-    def jet4(self) -> tuple:
-        """(f, f', f'', f''') at the expansion point."""
-        return self.derivatives(3)
-
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other) -> "Jet":

@@ -23,7 +23,7 @@ from entrocert.certify import (
     worst_exit_code,
 )
 from entrocert.expr import parse
-from entrocert.functions import lookup
+from entrocert.functions import lookup, registry
 
 CFG = TestConfig(seed=99, samples=12)
 
@@ -46,19 +46,23 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TestConfig(seed=1, eig_range=(5.0, 1.0))
     # exactly (lo, hi): a third entry is not dropped, nor does a lone one index past the end
-    from entrocert.certify import config_from_dict
-
     for eig_range in ((0.1, 10.0, 99.0), (0.1,)):
         with pytest.raises(ValueError, match="eig_range"):
             TestConfig(seed=1, eig_range=eig_range)
         with pytest.raises(ValueError, match="eig_range"):
-            config_from_dict({**TestConfig(seed=1).as_dict(), "eig_range": list(eig_range)})
+            TestConfig(**{**TestConfig(seed=1).as_dict(), "eig_range": list(eig_range)})
     with pytest.raises(ValueError):
         TestConfig(seed=1, dims=())
     with pytest.raises(ValueError):
         TestConfig(seed=1, dims=(9,))
     with pytest.raises(ValueError):
         TestConfig(seed=1, bipartite=((2, 9),))
+    # a repeat would re-run the same trial streams and count them twice
+    with pytest.raises(ValueError, match="dims"):
+        TestConfig(seed=1, dims=(2, 3, 2))
+    with pytest.raises(ValueError, match="bipartite"):
+        TestConfig(seed=1, bipartite=((2, 2), [2, 2]))
+    assert TestConfig(seed=1, bipartite=((2, 3), (3, 2))).bipartite == ((2, 3), (3, 2))
     cfg = TestConfig(seed=1, dims=[2, 4], bipartite=[[2, 2]])
     assert cfg.dims == (2, 4) and cfg.bipartite == ((2, 2),)
     # trials are keyed by the 64-bit seed; a seed outside it would alias one inside
@@ -78,10 +82,8 @@ def test_config_validation():
 
 
 def test_config_dict_round_trip():
-    from entrocert.certify import config_from_dict
-
     cfg = TestConfig(seed=5, dims=(3,), samples=7, tol=1e-7, eig_range=(0.5, 2.0))
-    assert config_from_dict(cfg.as_dict()) == cfg
+    assert TestConfig(**cfg.as_dict()) == cfg
 
 
 def test_outcomes_are_deterministic():
@@ -264,10 +266,12 @@ def test_subentropic_padding_orders():
     f = lookup("square")
     for k in (2, 3, 4):
         res = _derived_hessian_witness(f, CFG, k)
-        assert res is not None and res.margin < -CFG.tol
-        payload = res.witness
+        assert res is not None
+        payload, scale, dim, note = res
+        assert payload["kind"] == "subentropic-hessian" and payload["margin"] < -CFG.tol
         assert len(payload["rhos"]) == k and len(payload["hs"]) == k
-        assert reverify_counterexample(f, payload) < -CFG.tol / 2
+        assert dim == payload["rhos"][0]["dim"] and scale >= 1.0 and "constructed from" in note
+        assert reverify_counterexample(f, payload) == pytest.approx(payload["margin"], rel=1e-9)
 
 
 def test_derived_witness_joins_the_sampled_trials():
@@ -287,6 +291,37 @@ def test_derived_witness_joins_the_sampled_trials():
     assert (name, dim) == ("subentropic:k=3", 2)
     assert margin == out.min_margin == out.counterexample["margin"]
     assert reverify_counterexample(f, out.counterexample) < -cfg.tol / 2
+
+
+def test_uniqueness_fit_witness():
+    # every stage passes at this tol, but g = 1/f'' is not proportional to t;
+    # the fit's witness is written by its property record, key order included
+    f = parse("t*log(t) - 0.001*t^2").as_function(zero_extension=0.0)
+    outcomes, fit = run_suite(f, "uniqueness", TestConfig(seed=1, samples=20, tol=0.5))
+    out = outcomes[-1]
+    assert (out.name, out.verdict, out.trials_run) == ("uniqueness", FAIL, 100)
+    payload = out.counterexample
+    assert list(payload) == ["kind", "t", "slope", "relative_residual", "margin"]
+    assert payload["kind"] == "uniqueness-fit" and payload["t"] == 100.0
+    assert payload["slope"] == fit["slope"]
+    assert payload["margin"] == out.min_margin == -fit["relative_residual"]
+    assert reverify_counterexample(f, payload) == payload["margin"]
+
+
+def test_min_margin_is_the_smallest_recorded_margin():
+    # a trial's margin is the smallest of its property margins, and a
+    # suite's min margin the smallest trial margin it recorded
+    cfg = TestConfig(seed=3, samples=4)
+    twins = [parse("t*log(t)").as_function(zero_extension=0.0), parse("-log(t)").as_function()]
+    for f in (*registry(), *twins):
+        recorder = []
+        outcomes, _ = run_suite(f, "all", cfg, recorder)
+        for out in outcomes[:-1]:  # the last is the pipeline's summary
+            margins = [row[3] for row in recorder if row[0] == out.name]
+            if margins:
+                assert out.min_margin == min(margins), (f.name, out.name)
+            else:  # skipped, or refuted by the scalar precheck before any trial
+                assert out.verdict == SKIPPED or out.detail.startswith("scalar convexity fails")
 
 
 def test_non_finite_margins_skip_their_trials():

@@ -162,6 +162,11 @@ def test_determinism_modulo_wall_time(capsys):
          "--samples", "2"],
         ["certify", "--function", "tlogt", "--suite", "principle1",
          "--seed", "18446744073709551616", "--samples", "2"],
+        # a repeated dimension or split would count the same trials twice
+        ["certify", "--function", "tlogt", "--dim", "2", "--dim", "2", "--seed", "1",
+         "--samples", "3"],
+        ["certify", "--function", "tlogt", "--bipartite", "2x2", "--bipartite", "2x2",
+         "--seed", "1", "--samples", "3"],
     ],
 )
 def test_usage_errors_exit_3(capsys, argv):

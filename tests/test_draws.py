@@ -265,8 +265,8 @@ def test_padded_gain_witness_has_the_drawn_channel(monkeypatch):
     f = lookup("square")
     ranks = []
     for _, members, P in certify._suite_stacks(cfg.seed, [plan]):
-        measured = [certify._measure(prop, f, P, members.size) for prop in plan.props]
-        choice = np.zeros(members.size, dtype=int)
+        (prop,) = plan.props
+        res = certify._measure(prop, f, P, members.size)
         for j, i in enumerate(members.tolist()):
             if i % 3 == 2:  # a partial-trace trial
                 continue
@@ -274,12 +274,11 @@ def test_padded_gain_witness_has_the_drawn_channel(monkeypatch):
                 [cfg.seed, certify._stream_token(plan.stream), i]
             ))
             rank = [int(rng.integers(2, 5)) for _ in range(3)][2]
-            trial = certify._stack_trial(plan.props, P, measured, choice, j)
-            assert trial.payload["channel"].shape[0] == 4
-            witness = trial.witness
+            assert P["channel"][j].shape[0] == 4
+            witness = certify._witness(prop, P, res, j)
             assert len(witness["channel"]["kraus"]) == rank
             margin = reverify_counterexample(f, witness)
-            assert margin == pytest.approx(trial.margin, rel=1e-12, abs=1e-15)
+            assert margin == pytest.approx(res.margins[j], rel=1e-12, abs=1e-15)
             ranks.append(rank)
     assert len(ranks) == 16 and {2, 3} <= set(ranks)
 

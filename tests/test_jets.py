@@ -59,7 +59,7 @@ def test_variable_and_constant_layout():
 
 
 def test_jet4_tuple():
-    f, d1, d2, d3 = (Jet.variable(2.0) ** 2).jet4()
+    f, d1, d2, d3 = (Jet.variable(2.0) ** 2).derivatives(3)
     assert (f, d1, d2, d3) == (4.0, 4.0, 2.0, 0.0)
 
 
