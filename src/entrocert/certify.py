@@ -32,10 +32,12 @@ Every suite is a list of trial plans, and one aggregator (_drive) folds the
 margins of each stack of trials straight into the outcome.  A FAIL's witness
 is the first violating sampled trial by index or, when an expected failure
 is not sampled, subentropic's search hook constructs one from the
-superoperator inequality, counted as one extra trial.  A sampled trial draws
-its randomness from an independent stream keyed by (seed, stream name, trial
-index): NumPy's ``default_rng(SeedSequence([seed, token, index]))``, bit for
-bit, with the seed states computed in fixed blocks of trials.  Plans are columns: each
+superoperator inequality, counted as one extra trial; it draws its base
+pairs as a plan of its own, through the same columns as sampling.  A
+sampled trial draws its randomness from an independent stream keyed by
+(seed, stream name, trial index): NumPy's
+``default_rng(SeedSequence([seed, token, index]))``, bit for bit, with the
+seed states computed in fixed blocks of trials.  Plans are columns: each
 declares, per index class, its fields with their kind and per-trial shape,
 and each trial writes the Generator's raw output straight into its row of
 the class's column buffers.  The gap suites' plans are fixed grids whose
@@ -80,7 +82,6 @@ from .hermitian import (
     matrix_from_json,
     matrix_to_json,
     pd_from_draw,
-    random_pd,
     trace_of_function,
     uniform_from_draw,
 )
@@ -1189,10 +1190,11 @@ def _derived_hessian_witness(f: ScalarFunction, cfg: TestConfig, k: int) -> Opti
         "inverse-differential superoperator inequality"
     )
     for dim in cfg.dims:
-        stream = f"subentropic-escalation/k{k}/dim{dim}"
-        for rng in _trial_streams(cfg.seed, [(stream, range(12))]):
-            rho = random_pd(dim, cfg.eig_range, rng)
-            sigma = random_pd(dim, cfg.eig_range, rng)
+        cols = (_pd_col("rho", dim, cfg.eig_range), _pd_col("sigma", dim, cfg.eig_range))
+        plan = _Plan(f"subentropic-escalation/k{k}/dim{dim}", 12, (_SUB_HESSIAN,), {None: cols})
+        # one index class: the stacks hold the rows in trial order
+        stacks = _suite_stacks(cfg.seed, [plan])
+        for rho, sigma in (row for *_, P in stacks for row in zip(P["rho"], P["sigma"])):
             try:
                 inv = frechet_inverse(fp, np.stack([hermitize(rho + sigma), rho, sigma])).matrix
             except (NotInvertibleError, DomainError):

@@ -16,6 +16,7 @@ raised lazily at evaluation time.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -158,7 +159,9 @@ class _Parser:
     def atom(self) -> Node:
         kind, text, pos = self.advance()
         if kind == "num":
-            return Literal(float(text))
+            if not math.isfinite(value := float(text)):  # overflows to inf
+                raise ParseError(f"literal {text} is out of the float range", pos)
+            return Literal(value)
         if kind == "name":
             if text == "t":
                 return Variable()

@@ -8,6 +8,7 @@ rejected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -64,6 +65,11 @@ class ScalarFunction:
     zero_extension: Optional[float] = None
     domain_min: float = 0.0
     expression: Optional[str] = None
+
+    def __post_init__(self):
+        # f(0) enters traces and the JSON report, which admit finite numbers only
+        if self.zero_extension is not None and not math.isfinite(self.zero_extension):
+            raise ValueError(f"{self.name}: zero extension {self.zero_extension} is not finite")
 
     def _series(self, t, top: int) -> Jet:
         """The series at t, built only to order ``top`` (coefficients 0..top)."""

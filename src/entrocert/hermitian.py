@@ -23,15 +23,12 @@ __all__ = [
     "EighError",
     "eigh",
     "apply_function",
-    "trace",
     "trace_of_function",
     "entropy",
     "PsdMargin",
     "psd_margin",
     "adjoint",
-    "gaussian_draw",
     "hermitian_from_draw",
-    "pd_draw",
     "pd_from_draw",
     "uniform_from_draw",
     "random_unitary",
@@ -85,10 +82,6 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[-1]
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
@@ -250,10 +243,6 @@ def apply_function(
     return hermitize((v * vals[..., None, :]) @ adjoint(v))
 
 
-def trace(m: np.ndarray) -> complex:
-    return complex(np.trace(np.asarray(m)))
-
-
 def trace_of_function(
     f: ScalarFunction, m: np.ndarray, decomp: SpectralDecomposition | None = None
 ):
@@ -303,20 +292,13 @@ def psd_margin(m: np.ndarray) -> PsdMargin:
 # Each generator first takes raw output from the Generator (the *draw*) and
 # then builds the matrix from it.  A draw is nothing but the Generator's
 # numbers: uniforms for a spectrum, and the real and imaginary Gaussian parts
-# of a matrix.  All arithmetic on them (the map of the uniforms onto the
-# log-range, exp and clip of a spectrum, complex assembly, QR,
-# U diag(lam) U*, hermitize) is in the build step, which takes stacks.  The
-# certification suites draw each trial from its own stream straight into its
-# row of raw column buffers shared by a chunk of trials, and build each
-# column of the chunk at once.
-
-def gaussian_draw(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Raw draws of a complex Gaussian dim x dim matrix, shape (2, dim, dim).
-
-    Axis 0 holds the real part, then the imaginary part.
-    """
-    return rng.standard_normal((2, dim, dim))
-
+# of a matrix, shape (2, rows, cols).  All arithmetic on them (the map of the
+# uniforms onto the log-range, exp and clip of a spectrum, complex assembly,
+# QR, U diag(lam) U*, hermitize) is in the ``*_from_draw`` builders, which
+# take stacks; the one-trial generators call them on a single draw.  The
+# certification suites, the derived-Hessian search included, draw each trial
+# from its own stream straight into its row of raw column buffers shared by
+# a chunk of trials, and build each column of the chunk at once.
 
 def _complex_from_draw(g: np.ndarray) -> np.ndarray:
     return g[..., 0, :, :] + 1j * g[..., 1, :, :]
@@ -338,11 +320,11 @@ def hermitian_from_draw(g: np.ndarray) -> np.ndarray:
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    return _unitary_from_draw(gaussian_draw(dim, rng))
+    return _unitary_from_draw(rng.standard_normal((2, dim, dim)))
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    return hermitian_from_draw(gaussian_draw(dim, rng))
+    return hermitian_from_draw(rng.standard_normal((2, dim, dim)))
 
 
 def uniform_from_draw(u, low, high):
@@ -355,23 +337,8 @@ def uniform_from_draw(u, low, high):
     return low + (high - low) * u
 
 
-def pd_draw(
-    dim: int, eig_range: tuple[float, float], rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """The draws behind :func:`random_pd`: uniforms (dim,) for the spectrum and a Gaussian draw.
-
-    With lo == hi nothing is drawn for the spectrum; its uniforms are
-    zeros, which :func:`pd_from_draw` maps to exactly lo.
-    """
-    lo, hi = float(eig_range[0]), float(eig_range[1])
-    if not 0.0 < lo <= hi:
-        raise ValueError(f"invalid eigenvalue range [{lo}, {hi}]")
-    u = np.zeros(dim) if lo == hi else rng.random(dim)
-    return u, gaussian_draw(dim, rng)
-
-
 def pd_from_draw(u: np.ndarray, g: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """U diag(lam) U* from the draws of :func:`pd_draw`; takes stacks of draws.
+    """U diag(lam) U* from spectrum uniforms u and a Gaussian draw g; takes stacks of draws.
 
     lam is exp(uniform(log lo, log hi)) of the uniforms u, clipped to
     [lo, hi], and U the unitary of g.
@@ -385,8 +352,15 @@ def pd_from_draw(u: np.ndarray, g: np.ndarray, lo: float, hi: float) -> np.ndarr
 def random_pd(
     dim: int, eig_range: tuple[float, float], rng: np.random.Generator
 ) -> np.ndarray:
-    """Random positive definite matrix with log-uniform spectrum in eig_range."""
-    return pd_from_draw(*pd_draw(dim, eig_range, rng), float(eig_range[0]), float(eig_range[1]))
+    """Random positive definite matrix with log-uniform spectrum in eig_range.
+
+    Draws the spectrum's uniforms (none when lo == hi), then a Gaussian.
+    """
+    lo, hi = float(eig_range[0]), float(eig_range[1])
+    if not 0.0 < lo <= hi:
+        raise ValueError(f"invalid eigenvalue range [{lo}, {hi}]")
+    u = np.zeros(dim) if lo == hi else rng.random(dim)
+    return pd_from_draw(u, rng.standard_normal((2, dim, dim)), lo, hi)
 
 
 # --------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Composite spaces are ordered with the retained factor first: a bipartite
 matrix lives on H1 (x) H2 with combined index i1*dim2 + i2, and
 :func:`partial_trace_1` traces out the second factor.  Partial traces and
 channel application also take stacks of states, and random channels are
-drawn raw (:func:`channel_draw`) and built as a stack (:func:`channel_from_draw`).
+built from raw Gaussian draws as a stack (:func:`channel_from_draw`).
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ __all__ = [
     "depolarizing_channel",
     "partial_trace_channel",
     "unitary_channel",
-    "channel_draw",
     "channel_from_draw",
     "random_channel",
     "harmonic_mean",
@@ -207,24 +206,8 @@ def unitary_channel(u: np.ndarray) -> KrausChannel:
     return KrausChannel(in_dim=u.shape[1], out_dim=u.shape[0], kraus=(u,))
 
 
-def channel_draw(
-    in_dim: int, out_dim: int, n_kraus: int, rng: np.random.Generator
-) -> np.ndarray:
-    """The draw behind :func:`random_channel`: shape (2, n_kraus*out_dim, in_dim).
-
-    Axis 0 holds the real, then the imaginary, Gaussian part of the stacked
-    Kraus operators (one call, the same numbers as one call per part).
-    """
-    rows = n_kraus * out_dim
-    if rows < in_dim:
-        raise ValueError(
-            f"need n_kraus*out_dim >= in_dim ({rows} < {in_dim}) for an isometry"
-        )
-    return rng.standard_normal((2, rows, in_dim))
-
-
 def channel_from_draw(g: np.ndarray, out_dim: int) -> np.ndarray:
-    """Kraus operators (..., n_kraus, out_dim, in_dim) from draws of :func:`channel_draw`.
+    """Kraus operators (..., n_kraus, out_dim, in_dim) from draws (..., 2, n_kraus*out_dim, in_dim).
 
     Takes stacks of draws.  The stacked (n_kraus*out_dim) x in_dim matrix is
     orthonormalised by QR with the phase fix, so trace preservation holds by
@@ -244,8 +227,11 @@ def channel_from_draw(g: np.ndarray, out_dim: int) -> np.ndarray:
 def random_channel(
     in_dim: int, out_dim: int, n_kraus: int, rng: np.random.Generator
 ) -> KrausChannel:
-    """Random channel from an orthonormalised stack of Gaussian blocks."""
-    kraus = channel_from_draw(channel_draw(in_dim, out_dim, n_kraus, rng), out_dim)
+    """Random channel from an orthonormalised stack of Gaussian blocks (one draw for both parts)."""
+    rows = n_kraus * out_dim
+    if rows < in_dim:
+        raise ValueError(f"need n_kraus*out_dim >= in_dim ({rows} < {in_dim}) for an isometry")
+    kraus = channel_from_draw(rng.standard_normal((2, rows, in_dim)), out_dim)
     return KrausChannel(in_dim=in_dim, out_dim=out_dim, kraus=tuple(kraus))
 
 

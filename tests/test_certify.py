@@ -8,6 +8,7 @@ from entrocert.certify import (
     SKIPPED,
     TestConfig,
     _derived_hessian_witness,
+    _stream_token,
     reverify_counterexample,
     run_suite,
     test_condition13,
@@ -24,6 +25,7 @@ from entrocert.certify import (
 )
 from entrocert.expr import parse
 from entrocert.functions import lookup, registry
+from entrocert.hermitian import matrix_from_json, random_pd
 
 CFG = TestConfig(seed=99, samples=12)
 
@@ -291,6 +293,15 @@ def test_derived_witness_joins_the_sampled_trials():
     assert (name, dim) == ("subentropic:k=3", 2)
     assert margin == out.min_margin == out.counterexample["margin"]
     assert reverify_counterexample(f, out.counterexample) < -cfg.tol / 2
+    # the search's trial i draws its (rho, sigma) pair from the stream keyed
+    # (seed, "subentropic-escalation/k{k}/dim{dim}", i); trial 0 supplies this
+    # witness.  random_pd equals the per-trial reference bit for bit
+    # (test_public_generators_match_reference)
+    key = _stream_token("subentropic-escalation/k3/dim2")
+    rng = np.random.default_rng(np.random.SeedSequence([42, key, 0]))
+    pair = [random_pd(2, cfg.eig_range, rng) for _ in range(2)]
+    rhos = [matrix_from_json(m) for m in out.counterexample["rhos"][:2]]
+    assert [a.tobytes() for a in rhos] == [b.tobytes() for b in pair]
 
 
 def test_uniqueness_fit_witness():

@@ -167,6 +167,12 @@ def test_determinism_modulo_wall_time(capsys):
          "--samples", "3"],
         ["certify", "--function", "tlogt", "--bipartite", "2x2", "--bipartite", "2x2",
          "--seed", "1", "--samples", "3"],
+        # a literal that overflows to inf, and a non-finite f(0), fail before any suite runs
+        ["certify", "--expr", "t^1e400", "--suite", "principle1", "--seed", "1", "--samples", "2"],
+        ["certify", "--expr", "t*log(t)", "--zero-extension", "nan", "--suite", "principle1",
+         "--seed", "1", "--samples", "2"],
+        ["certify", "--expr", "t*log(t)", "--zero-extension", "inf", "--suite", "principle1",
+         "--seed", "1", "--samples", "2"],
     ],
 )
 def test_usage_errors_exit_3(capsys, argv):

@@ -19,7 +19,6 @@ import entrocert.certify as certify
 from entrocert.certify import TestConfig, reverify_counterexample
 from entrocert.functions import lookup
 from entrocert.hermitian import (
-    pd_draw,
     random_hermitian,
     random_pd,
     random_unitary,
@@ -348,9 +347,8 @@ def test_random_draws_mapped_equal_uniform(eig_range):
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
         if lo == hi:
             # nothing is drawn for a one-point spectrum; its zeros map to log lo
-            u, _ = pd_draw(n, eig_range, a)
-            want = np.full(n, log_lo)
-            b.standard_normal((2, n, n))
+            assert _bitwise_equal(random_pd(n, eig_range, a), ref_pd(n, eig_range, b)), seed
+            u, want = np.zeros(n), np.full(n, log_lo)
         else:
             u = np.empty(n)
             a.random(out=u)

@@ -79,6 +79,9 @@ def test_parse_errors_carry_offsets():
         parse("")
     with pytest.raises(ParseError):
         parse("log t")
+    with pytest.raises(ParseError) as e:
+        parse("t^1e400")  # the literal overflows to inf
+    assert e.value.position == 2
 
 
 def test_domain_errors_surface_at_evaluation():

@@ -84,6 +84,9 @@ def test_zero_extension_and_domain():
     with pytest.raises(DomainError):
         tlogt(-0.5)
     assert lookup("exp")(0.0) == 1.0
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="not finite"):
+            ScalarFunction("bad", tlogt.taylor, zero_extension=bad)
 
 
 def test_derivative_shifts_orders():

@@ -17,7 +17,6 @@ from entrocert.quantum import (
     KrausChannel,
     StinespringIsometry,
     apply_channel,
-    channel_draw,
     channel_from_draw,
     channel_from_json,
     channel_to_json,
@@ -83,7 +82,7 @@ def test_nan_kraus_families_are_rejected():
     obj["kraus"][1]["re"][0][1] = float("nan")
     with pytest.raises(ValueError, match="trace preserving"):
         channel_from_json(json.loads(json.dumps(obj)))
-    draws = np.stack([channel_draw(3, 2, 2, RNG) for _ in range(3)])
+    draws = RNG.standard_normal((3, 2, 4, 3))
     assert channel_from_draw(draws, 2).shape == (3, 2, 2, 3)
     draws[1, 0, 2, 1] = np.nan
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="trace preserving"):
