@@ -67,21 +67,25 @@ import numpy as np
 from .frechet import (
     NotInvertibleError,
     Superoperator,
+    _flat_with_sums,
     _frechet_pair,
     _pairing,
     _second_diff_terms,
+    _split_sums,
     frechet_inverse,
     unvec,
     vec,
 )
 from .functions import DegenerateFunctionError, ScalarFunction, gap_function
 from .hermitian import (
+    SpectralDecomposition,
     eigh,
     hermitian_from_draw,
     hermitize,
     matrix_from_json,
     matrix_to_json,
     pd_from_draw,
+    spectrum_trace,
     trace_of_function,
     uniform_from_draw,
 )
@@ -376,10 +380,14 @@ class _Col(NamedTuple):
     ``build(rows, buffer)`` makes the stacked fields ``names``.  One trial's
     built size ``nbytes`` and matrix dimension ``dim`` size the chunks.
 
-    A column with a ``pool`` key holds one field of matrices, one per raw
+    A state field (a PD, diagonal or scalar matrix) comes with the
+    eigenpairs its build knows, under the two keys of :func:`_state`, so
+    the margins hand them to ``eigh`` instead of decomposing it again.
+
+    A column with a ``pool`` key holds one field of states, one per raw
     unit (the last axis of ``raw``).  The columns of a chunk that share a
     key are built together: ``build(units)`` takes all their units, stacked
-    along one axis, and returns one matrix per unit.
+    along one axis, and returns each of ``names`` with one entry per unit.
     """
 
     names: tuple[str, ...]
@@ -389,6 +397,23 @@ class _Col(NamedTuple):
     nbytes: int
     dim: int
     pool: Optional[Hashable] = None
+
+
+def _state(name: str) -> tuple[str, str, str]:
+    """A state field's name, then the keys of its build's eigenvalues and eigenvectors."""
+    return name, f"{name}.eigenvalues", f"{name}.eigenvectors"
+
+
+def _known(P: dict, *names: str) -> Optional[SpectralDecomposition]:
+    """The built eigenpairs of the state fields ``names``, one field after another.
+
+    None for a payload without them (one decoded from JSON): eigh then
+    decomposes every member.
+    """
+    keys = [_state(name) for name in names]
+    if keys[0][1] not in P:
+        return None
+    return SpectralDecomposition(*(np.concatenate([P[key[i]] for key in keys]) for i in (1, 2)))
 
 
 def _pd_col(name: str, n: int, eig_range: tuple[float, float], k: Optional[int] = None) -> _Col:
@@ -406,21 +431,25 @@ def _pd_col(name: str, n: int, eig_range: tuple[float, float], k: Optional[int] 
 
     def build(units):
         u = units[:, :n] if spectrum else np.zeros((len(units), n))
-        return pd_from_draw(u, units[:, n:].reshape(-1, 2, n, n), lo, hi)
+        m, dec = pd_from_draw(u, units[:, n:].reshape(-1, 2, n, n), lo, hi)
+        return m, dec.eigenvalues, dec.eigenvectors
 
-    return _Col((name,), (*per, n + 2 * n * n), calls, build, 16 * (k or 1) * n * n, n, (n, lo, hi))
+    raw = (*per, n + 2 * n * n)
+    return _Col(_state(name), raw, calls, build, 16 * (k or 1) * n * n, n, (n, lo, hi))
 
 
 def _diag_col(name: str, n: int, eig_range: tuple[float, float]) -> _Col:
     """A diagonal PD state, its spectrum log-uniform in eig_range (drawn even when lo == hi)."""
     log_lo, log_hi = np.log(eig_range[0]), np.log(eig_range[1])
+    eye = np.eye(n, dtype=complex)[None]
 
     def build(rows, u):
+        lam = np.exp(uniform_from_draw(u, log_lo, log_hi))
         out = np.zeros((rows, n, n), dtype=complex)
-        out[:, range(n), range(n)] = np.exp(uniform_from_draw(u, log_lo, log_hi))
-        return (out,)
+        out[:, range(n), range(n)] = lam
+        return out, lam, eye.repeat(rows, axis=0)
 
-    return _Col((name,), (n,), (("random", ()),), build, 16 * n * n, n)
+    return _Col(_state(name), (n,), (("random", ()),), build, 16 * n * n, n)
 
 
 def _herm_col(names: tuple[str, ...], n: int, k: Optional[int] = None) -> _Col:
@@ -453,19 +482,32 @@ def _channel_col(name: str, n_in: int, n_out: int, rank: int) -> _Col:
 
 
 def _identity_col(
-    names: tuple[str, ...], methods: tuple[str, ...], coefficients: Callable, n: int, k: int = 1
+    names: tuple[str, ...],
+    methods: tuple[str, ...],
+    coefficients: Callable,
+    n: int,
+    k: int = 1,
+    states: tuple[str, ...] = (),
 ) -> _Col:
     """Multiples of the n x n identity, k per name, by ``coefficients(values)``.
 
-    The values are scalar draws, one per method in turn.
+    The values are scalar draws, one per method in turn.  The fields named
+    in ``states`` carry their eigenpairs: the coefficient n times, and I.
     """
     eye = np.eye(n, dtype=complex)
 
     def build(rows, v):
-        return tuple(c[..., None, None] * eye for c in coefficients(v))
+        out = []
+        for name, c in zip(names, coefficients(v)):
+            out.append(c[..., None, None] * eye)
+            if name in states:
+                units = eye[None].repeat(c.size, axis=0).reshape(out[-1].shape)
+                out += [c[..., None].repeat(n, axis=-1), units]
+        return tuple(out)
 
+    fields = tuple(key for name in names for key in (_state(name) if name in states else (name,)))
     calls = tuple((method, (slice(i, i + 1),)) for i, method in enumerate(methods))
-    return _Col(names, (len(methods),), calls, build, 16 * len(names) * k * n * n, n)
+    return _Col(fields, (len(methods),), calls, build, 16 * len(names) * k * n * n, n)
 
 
 def _fixed_col(name: str, value) -> _Col:
@@ -564,40 +606,49 @@ def _with_midpoint(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.stack([x, y, hermitize((x + y) / 2.0)])
 
 
+def _with_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Stack (x, y, hermitize(x+y)) along a new leading axis."""
+    return np.stack([x, y, hermitize(x + y)])
+
+
 def _principle1_margin(f, P):
     # Concavity of -Tr f equals midpoint convexity of Tr f.
-    return _convexity(*trace_of_function(f, _with_midpoint(P["x"], P["y"])))
+    mats = _with_midpoint(P["x"], P["y"])
+    return _convexity(*trace_of_function(f, mats, _known(P, "x", "y")))
 
 
 def _entropic_margin(f, P):
     d1, d2 = int(P["dim1"][0]), int(P["dim2"][0])
     mats = _with_midpoint(P["x"], P["y"])
-    phi = trace_of_function(f, mats) - trace_of_function(f, partial_trace_1(mats, d1, d2))
-    return _convexity(*phi)
+    tr = trace_of_function(f, mats, _known(P, "x", "y"))
+    return _convexity(*(tr - trace_of_function(f, partial_trace_1(mats, d1, d2))))
 
 
-def _g_values(f, mats):
-    """G(rho_1..rho_k) = sum_i Tr f(rho_i) - Tr f(sum_i rho_i); the k matrices along axis -3."""
-    k = mats.shape[-3]
-    tr = trace_of_function(f, np.concatenate([mats, np.sum(mats, axis=-3, keepdims=True)], axis=-3))
-    return np.sum(tr[..., :k], axis=-1) - tr[..., k]
+def _g_values(f, mats, known=None):
+    """G(rho_1..rho_k) = sum_i Tr f(rho_i) - Tr f(sum_i rho_i); the k matrices along axis -3.
+
+    ``known`` holds eigenpairs of the leading rho_i, in C order.
+    """
+    single, joint = _split_sums(trace_of_function(f, _flat_with_sums(mats), known), mats.shape[:-2])
+    return np.sum(single, axis=-1) - joint
 
 
 def _subentropic_midpoint_margin(f, P):
     xs, ys = P["xs"], P["ys"]
-    return _convexity(*_g_values(f, np.stack([xs, ys, (xs + ys) / 2.0])))
+    return _convexity(*_g_values(f, np.stack([xs, ys, (xs + ys) / 2.0]), _known(P, "xs", "ys")))
 
 
 def _subentropic_hessian_margin(f, P):
-    single, joint = _second_diff_terms(f, P["rhos"], P["hs"])
+    single, joint = _second_diff_terms(f, P["rhos"], P["hs"], _known(P, "rhos"))
     scale = np.maximum(1.0, np.sum(np.abs(single), axis=-1) + np.abs(joint))
     return (np.sum(single, axis=-1) - joint) / scale, scale
 
 
 def _condition13_margin(f, P):
-    rho, sigma = P["rho"], P["sigma"]
-    inv = frechet_inverse(f.derivative(), np.stack([hermitize(rho + sigma), rho, sigma])).matrix
-    pm = Superoperator(rho.shape[-1], inv[0] - inv[1] - inv[2]).psd_margin()
+    fp = f.derivative()
+    inv = frechet_inverse(fp, _with_sum(P["rho"], P["sigma"]), _known(P, "rho", "sigma"))
+    r, s, total = inv.matrix
+    pm = Superoperator(inv.dim, total - r - s).psd_margin()
     return pm.normalized, pm.scale
 
 
@@ -635,11 +686,13 @@ def _equivalence_margin(f, P):
     most negative superoperator direction, transferred to a direction pair.
     Both margins must clear ``band`` before a sign disagreement counts.
     """
-    rho, sigma, h1, h2, band = P["rho"], P["sigma"], P["h1"], P["h2"], P["band"]
-    fwd, inv = _frechet_pair(f.derivative(), np.stack([hermitize(rho + sigma), rho, sigma]))
-    a, b, c = fwd.matrix
-    inv_r, inv_s = inv.matrix[1], inv.matrix[2]
-    d = hermitize(inv.matrix[0] - inv_r - inv_s)
+    h1, h2, band = P["h1"], P["h2"], P["band"]
+    fwd, inv = _frechet_pair(
+        f.derivative(), _with_sum(P["rho"], P["sigma"]), _known(P, "rho", "sigma")
+    )
+    b, c, a = fwd.matrix
+    inv_r, inv_s, inv_sum = inv.matrix
+    d = hermitize(inv_sum - inv_r - inv_s)
     eigs, t1, t2, _, usable = _negative_pairs(d, inv_r, inv_s)
     m13 = eigs[:, 0] / np.maximum(1.0, np.max(np.abs(eigs), axis=-1))
 
@@ -667,20 +720,19 @@ def _matrix_entropy_margin(f, P):
     # Q(rho, h) = Tr h df'(rho) h, the quadratic form behind matrix entropies
     x1, h1, x2, h2 = P["x1"], P["h1"], P["x2"], P["h2"]
     hs = np.stack([h1, h2, (h1 + h2) / 2.0])
-    return _convexity(*_pairing(f.derivative(), _with_midpoint(x1, x2), hs))
+    q = _pairing(f.derivative(), _with_midpoint(x1, x2), hs, _known(P, "x1", "x2"))
+    return _convexity(*q)
 
 
 def _gain_margin(f, P):
     # convexity of rho -> S_f(channel(rho)) - S_f(rho) = Tr f(rho) - Tr f(channel(rho))
     mats = _with_midpoint(P["x"], P["y"])
-    outs = hermitize(apply_kraus(P["channel"], mats))
-    dec = None
-    if f.zero_extension is None:
-        # functions unbounded at 0 need full-rank channel outputs
-        dec = eigh(outs)
-        if np.min(dec.eigenvalues[..., 0]) < _RANK_FLOOR:
-            raise DomainError(f"channel output too singular for {f.name}")
-    return _convexity(*(trace_of_function(f, mats) - trace_of_function(f, outs, dec)))
+    spectra = eigh(hermitize(apply_kraus(P["channel"], mats))).eigenvalues
+    # functions unbounded at 0 need full-rank channel outputs
+    if f.zero_extension is None and np.min(spectra[..., 0]) < _RANK_FLOOR:
+        raise DomainError(f"channel output too singular for {f.name}")
+    tr = trace_of_function(f, mats, _known(P, "x", "y"))
+    return _convexity(*(tr - spectrum_trace(f, spectra)))
 
 
 def _scalar_convexity_margin(f, P):
@@ -890,17 +942,18 @@ def _stacks(classes: dict) -> list[tuple[np.ndarray, dict]]:
             if col.pool is None:
                 P.update(zip(col.names, col.build(rows, buf[:rows])))
                 continue
-            P[col.names[0]] = None  # set from the pool's build below
+            P.update(dict.fromkeys(col.names))  # set from the pool's build below
             build, units, fields = pools.setdefault(col.pool, (col.build, [], []))
             units.append(buf[:rows].reshape(-1, col.raw[-1]))
-            fields.append((P, col.names[0], (rows, *col.raw[:-1])))
+            fields.append((P, col.names, (rows, *col.raw[:-1])))
         parts.append((cls.members, P))
         cls.members = []
     for build, units, fields in pools.values():
-        mats, start = build(np.concatenate(units)), 0
-        for P, name, shape in fields:
+        built, start = build(np.concatenate(units)), 0
+        for P, names, shape in fields:
             size = math.prod(shape)
-            P[name] = mats[start : start + size].reshape(shape + mats.shape[1:])
+            for name, a in zip(names, built):
+                P[name] = a[start : start + size].reshape(shape + a.shape[1:])
             start += size
     groups: dict[tuple, list] = {}
     for members, P in parts:
@@ -1194,14 +1247,19 @@ def _derived_hessian_witness(f: ScalarFunction, cfg: TestConfig, k: int) -> Opti
         plan = _Plan(f"subentropic-escalation/k{k}/dim{dim}", 12, (_SUB_HESSIAN,), {None: cols})
         # one index class: the stacks hold the rows in trial order
         stacks = _suite_stacks(cfg.seed, [plan])
-        for rho, sigma in (row for *_, P in stacks for row in zip(P["rho"], P["sigma"])):
+        rows = (
+            {key: v[j : j + 1] for key, v in P.items()}
+            for *_, P in stacks for j in range(len(P["rho"]))
+        )
+        for row in rows:
+            rho, sigma = row["rho"][0], row["sigma"][0]
             try:
-                inv = frechet_inverse(fp, np.stack([hermitize(rho + sigma), rho, sigma])).matrix
+                r, s, total = frechet_inverse(
+                    fp, _with_sum(rho, sigma), _known(row, "rho", "sigma")
+                ).matrix
             except (NotInvertibleError, DomainError):
                 return None
-            eigs, h1s, h2s, quad, usable = _negative_pairs(
-                hermitize(inv[0] - inv[1] - inv[2]), inv[1], inv[2]
-            )
+            eigs, h1s, h2s, quad, usable = _negative_pairs(hermitize(total - r - s), r, s)
             if float(eigs[0]) >= 0.0 or not usable.any():
                 continue
             best = int(np.argmin(np.where(usable, quad, np.inf)))
@@ -1306,7 +1364,9 @@ def test_matrix_entropy(
                 _pd_col("x1", dim, cfg.eig_range), _pd_col("x2", dim, cfg.eig_range),
                 _herm_col(("h1", "h2"), dim),
             ),
-            True: (_identity_col(("x1", "h1", "x2", "h2"), scalars, scalar_pairs, dim),),
+            True: (_identity_col(
+                ("x1", "h1", "x2", "h2"), scalars, scalar_pairs, dim, states=("x1", "x2")
+            ),),
         }, lambda idx, rng: idx % 4 == 3)
         for dim in cfg.dims
     ]

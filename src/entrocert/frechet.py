@@ -15,6 +15,7 @@ how the certification suites evaluate many trials in one call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,30 +84,38 @@ def frechet_diff(
     f: ScalarFunction,
     rho: np.ndarray,
     h: np.ndarray,
-    decomp: SpectralDecomposition | None = None,
+    known: SpectralDecomposition | None = None,
 ) -> np.ndarray:
     """Directional derivative of rho -> f(rho) at rho in direction h.
 
     Linear in h; maps Hermitian h to (exactly) Hermitian output.  General
     square h is accepted as well, in which case no symmetrisation happens.
+    ``known`` eigenpairs of rho are checked as in :func:`entrocert.hermitian.eigh`.
     """
-    dec = decomp if decomp is not None else eigh(rho)
-    kernel = loewner_matrix(f, dec.eigenvalues)
-    out = _hadamard_conjugate(kernel, dec.eigenvectors, np.asarray(h, dtype=complex))
+    kernel, u = _kernel(f, rho, known)
+    out = _hadamard_conjugate(kernel, u, np.asarray(h, dtype=complex))
     if is_hermitian(h):
         return hermitize(out)
     return out
 
 
-def _kernel(f: ScalarFunction, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Loewner matrix of f over rho's spectrum, and rho's eigenvectors."""
-    dec = eigh(rho)
+def _kernel(
+    f: ScalarFunction, rho: np.ndarray, known: SpectralDecomposition | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The Loewner matrix of f over rho's spectrum, and rho's eigenvectors.
+
+    ``known`` holds the eigenpairs of rho's leading members, as in
+    :func:`entrocert.hermitian.eigh`, which checks them.
+    """
+    dec = eigh(rho, known)
     return loewner_matrix(f, dec.eigenvalues), dec.eigenvectors
 
 
-def _pairing(f: ScalarFunction, rho: np.ndarray, h: np.ndarray) -> np.ndarray:
+def _pairing(
+    f: ScalarFunction, rho: np.ndarray, h: np.ndarray, known: SpectralDecomposition | None = None
+) -> np.ndarray:
     """Re Tr h df(rho)[h], computed in the eigenbasis of rho (stacks allowed)."""
-    kernel, u = _kernel(f, rho)
+    kernel, u = _kernel(f, rho, known)
     g = adjoint(u) @ np.asarray(h, dtype=complex) @ u
     return np.sum(kernel * g * np.swapaxes(g, -1, -2), axis=(-2, -1)).real
 
@@ -160,26 +169,53 @@ def _inverse_kernel(f: ScalarFunction, kernel: np.ndarray) -> np.ndarray:
     return 1.0 / kernel
 
 
-def frechet_inverse(f: ScalarFunction, rho: np.ndarray) -> Superoperator:
+def frechet_inverse(
+    f: ScalarFunction, rho: np.ndarray, known: SpectralDecomposition | None = None
+) -> Superoperator:
     """Inverse of the differential of f at rho (entrywise reciprocal kernel).
 
     For a stack, one member that is not invertible raises for the stack.
+    ``known`` eigenpairs of rho's leading members are checked as in
+    :func:`entrocert.hermitian.eigh`.
     """
-    kernel, u = _kernel(f, rho)
+    kernel, u = _kernel(f, rho, known)
     return _kronecker_form(_inverse_kernel(f, kernel), u)
 
 
-def _frechet_pair(f: ScalarFunction, rho: np.ndarray) -> tuple[Superoperator, Superoperator]:
+def _frechet_pair(
+    f: ScalarFunction, rho: np.ndarray, known: SpectralDecomposition | None = None
+) -> tuple[Superoperator, Superoperator]:
     """(differential, inverse differential) of f at rho from one decomposition."""
-    kernel, u = _kernel(f, rho)
+    kernel, u = _kernel(f, rho, known)
     return _kronecker_form(kernel, u), _kronecker_form(_inverse_kernel(f, kernel), u)
 
 
-def _second_diff_terms(f: ScalarFunction, rhos, hs) -> tuple[np.ndarray, np.ndarray]:
+def _flat_with_sums(ms: np.ndarray) -> np.ndarray:
+    """The k matrices along axis -3 of every stack member, then their sums, as one flat stack.
+
+    Known eigenpairs of the k matrices (in C order) are a prefix of it.
+    """
+    n = ms.shape[-1]
+    return np.concatenate([ms.reshape(-1, n, n), np.sum(ms, axis=-3).reshape(-1, n, n)])
+
+
+def _split_sums(values: np.ndarray, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Values over a :func:`_flat_with_sums` stack: the matrices' as ``shape``, then the sums'.
+
+    ``shape`` is the stack shape (..., k) of the matrices; the sums take (...).
+    """
+    split = values.size - math.prod(shape[:-1])
+    return values[:split].reshape(shape), values[split:].reshape(shape[:-1])
+
+
+def _second_diff_terms(
+    f: ScalarFunction, rhos, hs, known: SpectralDecomposition | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-point terms Tr h_i df'(rho_i) h_i and the joint term of the sums.
 
     ``rhos`` and ``hs`` hold k matrices along axis -3 (lists are stacked),
-    with any leading stack axes before it.
+    with any leading stack axes before it; ``known`` eigenpairs of the
+    leading rho_i, in C order.
     """
     rhos = np.asarray(rhos, dtype=complex)
     hs = np.asarray(hs, dtype=complex)
@@ -187,10 +223,8 @@ def _second_diff_terms(f: ScalarFunction, rhos, hs) -> tuple[np.ndarray, np.ndar
         raise ValueError("second_diff_G needs equally many base points and directions")
     if rhos.shape[-1] != rhos.shape[-2]:
         raise ValueError("second_diff_G arguments must share one dimension")
-    k = rhos.shape[-3]
-    both = lambda ms: np.concatenate([ms, np.sum(ms, axis=-3, keepdims=True)], axis=-3)
-    q = _pairing(f.derivative(), both(rhos), both(hs))
-    return q[..., :k], q[..., k]
+    q = _pairing(f.derivative(), _flat_with_sums(rhos), _flat_with_sums(hs), known)
+    return _split_sums(q, rhos.shape[:-2])
 
 
 def second_diff_G(f: ScalarFunction, rhos, hs):

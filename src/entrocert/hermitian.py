@@ -23,6 +23,7 @@ __all__ = [
     "EighError",
     "eigh",
     "apply_function",
+    "spectrum_trace",
     "trace_of_function",
     "entropy",
     "PsdMargin",
@@ -75,9 +76,15 @@ class EighError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues (ascending) and a unitary of eigenvectors (columns).
+    """Eigenvalues and a unitary of eigenvectors (columns).
 
     For a stack of matrices both arrays carry the stack's leading axes.
+    Eigenvalues that :func:`eigh` computes are ascending; those a build
+    supplies (``known``) keep the order they were drawn in.  The spectral
+    calculus, the Loewner kernel and the Frechet maps read a decomposition
+    only through functions of its eigenpairs, so a joint permutation of
+    eigenvalues and eigenvectors leaves them unchanged; a reader of the
+    smallest eigenvalue as ``eigenvalues[..., 0]`` needs computed ones.
     """
 
     eigenvalues: np.ndarray
@@ -143,14 +150,27 @@ def _eigh2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def eigh(m: np.ndarray) -> SpectralDecomposition:
+def _decompose(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unchecked eigenpairs of a stack: the closed form for 2 x 2, else LAPACK."""
+    if m.shape[-2:] == (2, 2):
+        return _eigh2(m)
+    try:
+        return np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise EighError(f"eigendecomposition did not converge: {exc}") from exc
+
+
+def eigh(m: np.ndarray, known: SpectralDecomposition | None = None) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian matrix, with residual checks.
 
-    Accepts a stack of matrices as well.  A stack of 2 x 2 matrices takes a
-    closed-form rotation (:func:`_eigh2`); other sizes take LAPACK.  Before
-    any decomposition, every member's Frobenius norm must be finite: an
-    overflowing norm would make the residual bound vacuous (inf <= inf).
-    Then every member is checked on its own, from one product
+    Accepts a stack of matrices as well.  ``known`` supplies the eigenpairs
+    of the leading members of the stack, in the C order of its stack axes
+    (all of a single matrix); only the other members are decomposed.  A
+    stack of 2 x 2 matrices takes a closed-form rotation (:func:`_eigh2`);
+    other sizes take LAPACK.  Before any decomposition, every member's
+    Frobenius norm must be finite: an overflowing norm would make the
+    residual bound vacuous (inf <= inf).  Then every member, supplied or
+    computed, is checked on its own, from one product
     [M; V*] V = [M V; V* V]:
 
     * residual ||M V - V diag(w)||_F <= 1e-12 * max(1, ||M||_F).  This is
@@ -158,20 +178,29 @@ def eigh(m: np.ndarray) -> SpectralDecomposition:
       unit v_j, some eigenvalue of M lies within ||M v_j - w_j v_j|| of w_j;
     * orthogonality ||V* V - I||_F <= 1e-12 * n.
 
-    A NaN defect fails both.  One failing member raises :class:`EighError`.
+    A NaN defect fails both.  One failing member raises :class:`EighError`,
+    so a supplied decomposition of another matrix does too.
     """
     m = np.asarray(m, dtype=complex, order="C")  # the norm reads a float view
     norm2 = _squares(m.reshape(m.shape[:-2] + (-1,)).view(float))
     if not math.isfinite(norm2.max(initial=0.0)):  # max propagates NaN
         raise EighError("matrix norm is not finite; the eigendecomposition cannot be checked")
-    if m.shape[-2:] == (2, 2):
-        w, v = _eigh2(m)
-    else:
-        try:
-            w, v = np.linalg.eigh(m)
-        except np.linalg.LinAlgError as exc:
-            raise EighError(f"eigendecomposition did not converge: {exc}") from exc
     n = m.shape[-1]
+    if known is None:
+        w, v = _decompose(m)
+    else:
+        flat = m.reshape(-1, n, n)
+        kw, kv = np.asarray(known.eigenvalues), np.asarray(known.eigenvectors)
+        k = kw.size // max(n, 1)
+        if kw.shape[-1:] != (n,) or kv.shape != kw.shape + (n,) or k > len(flat):
+            raise ValueError(
+                f"known eigenpairs of shape {kw.shape} do not fit a stack of shape {m.shape}"
+            )
+        if k < len(flat):
+            fw, fv = _decompose(flat[k:])
+            kw = np.concatenate((kw.reshape(-1, n), fw))
+            kv = np.concatenate((kv.reshape(-1, n, n), fv))
+        w, v = kw.reshape(m.shape[:-1]), kv.reshape(m.shape)
     defect = np.concatenate((m, adjoint(v)), axis=-2) @ v
     defect[..., :n, :] -= v * w[..., None, :]
     defect[..., n:, :] -= np.eye(n)
@@ -234,22 +263,32 @@ def _function_values(f: ScalarFunction, eigenvalues: np.ndarray) -> np.ndarray:
 
 
 def apply_function(
-    f: ScalarFunction, m: np.ndarray, decomp: SpectralDecomposition | None = None
+    f: ScalarFunction, m: np.ndarray, known: SpectralDecomposition | None = None
 ) -> np.ndarray:
-    """f(m) by spectral calculus; the result is exactly Hermitian."""
-    dec = decomp if decomp is not None else eigh(m)
+    """f(m) by spectral calculus; the result is exactly Hermitian.
+
+    ``known`` eigenpairs are checked against m as in :func:`eigh`.
+    """
+    dec = eigh(m, known)
     vals = _function_values(f, dec.eigenvalues)
     v = dec.eigenvectors
     return hermitize((v * vals[..., None, :]) @ adjoint(v))
 
 
-def trace_of_function(
-    f: ScalarFunction, m: np.ndarray, decomp: SpectralDecomposition | None = None
-):
-    """Tr f(m) = sum of f over the spectrum (an array of traces for a stack)."""
-    dec = decomp if decomp is not None else eigh(m)
-    total = np.sum(_function_values(f, dec.eigenvalues), axis=-1)
+def spectrum_trace(f: ScalarFunction, eigenvalues: np.ndarray):
+    """The sum of f over a checked spectrum (an array of sums for a stack)."""
+    total = np.sum(_function_values(f, eigenvalues), axis=-1)
     return float(total) if total.ndim == 0 else total
+
+
+def trace_of_function(
+    f: ScalarFunction, m: np.ndarray, known: SpectralDecomposition | None = None
+):
+    """Tr f(m) = sum of f over the spectrum (an array of traces for a stack).
+
+    ``known`` eigenpairs are checked against m as in :func:`eigh`.
+    """
+    return spectrum_trace(f, eigh(m, known).eigenvalues)
 
 
 def entropy(f: ScalarFunction, m: np.ndarray):
@@ -337,16 +376,20 @@ def uniform_from_draw(u, low, high):
     return low + (high - low) * u
 
 
-def pd_from_draw(u: np.ndarray, g: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """U diag(lam) U* from spectrum uniforms u and a Gaussian draw g; takes stacks of draws.
+def pd_from_draw(
+    u: np.ndarray, g: np.ndarray, lo: float, hi: float
+) -> tuple[np.ndarray, SpectralDecomposition]:
+    """U diag(lam) U* from spectrum uniforms u and a Gaussian draw g, with (lam, U); takes stacks.
 
     lam is exp(uniform(log lo, log hi)) of the uniforms u, clipped to
-    [lo, hi], and U the unitary of g.
+    [lo, hi], in draw order, and U the unitary of g.  The pair is
+    unchecked until it is given to :func:`eigh` as ``known``.
     """
     log_lo = math.log(lo)
     lam = np.minimum(np.maximum(np.exp(uniform_from_draw(u, log_lo, math.log(hi))), lo), hi)
     q = _unitary_from_draw(g)
-    return hermitize((q * lam[..., None, :]) @ adjoint(q))
+    m = hermitize((q * lam[..., None, :]) @ adjoint(q))
+    return m, SpectralDecomposition(eigenvalues=lam, eigenvectors=q)
 
 
 def random_pd(
@@ -357,10 +400,10 @@ def random_pd(
     Draws the spectrum's uniforms (none when lo == hi), then a Gaussian.
     """
     lo, hi = float(eig_range[0]), float(eig_range[1])
-    if not 0.0 < lo <= hi:
+    if not 0.0 < lo <= hi < math.inf:
         raise ValueError(f"invalid eigenvalue range [{lo}, {hi}]")
     u = np.zeros(dim) if lo == hi else rng.random(dim)
-    return pd_from_draw(u, rng.standard_normal((2, dim, dim)), lo, hi)
+    return pd_from_draw(u, rng.standard_normal((2, dim, dim)), lo, hi)[0]
 
 
 # --------------------------------------------------------------------------

@@ -576,3 +576,36 @@ def test_one_pd_build_per_chunk_and_key(monkeypatch):
         "matrix-entropy": 2, "entropic": 5, "gain": 12, "gap-concavity": 0,
     }
     assert sum(counts.values()) == 60
+
+
+def test_built_states_are_not_decomposed_again(monkeypatch):
+    # Every PD, diagonal and scalar state hands the eigenpairs of its build
+    # to eigh, which decomposes only the midpoints, sums, partial traces and
+    # channel outputs (and _negative_pairs its superoperators): 14 400 of
+    # the 30 400 members that were decomposed when every state was.  The
+    # eigh calls and the PD builds stay as many as before.
+    import entrocert.certify as certify
+    import entrocert.frechet as frechet
+    import entrocert.hermitian as hermitian
+
+    counts = {"closed_form": 0, "lapack": 0, "eigh": 0, "pd_from_draw": 0}
+
+    def counted(key, fn, members=lambda *a: 1):
+        def wrapper(*args, **kwargs):
+            counts[key] += members(*args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def stack_size(m, *_):
+        m = np.asarray(m)
+        return m.size // (m.shape[-1] ** 2)
+
+    monkeypatch.setattr(hermitian, "_eigh2", counted("closed_form", hermitian._eigh2, stack_size))
+    monkeypatch.setattr(np.linalg, "eigh", counted("lapack", np.linalg.eigh, stack_size))
+    eigh = counted("eigh", hermitian.eigh)
+    for module in (hermitian, frechet, certify):
+        monkeypatch.setattr(module, "eigh", eigh)
+    monkeypatch.setattr(certify, "pd_from_draw", counted("pd_from_draw", certify.pd_from_draw))
+    outcomes, _ = run_suite(lookup("tlogt"), "all", TestConfig(seed=42, samples=200))
+    assert {o.verdict for o in outcomes} == {PASS}
+    assert counts == {"closed_form": 6810, "lapack": 7590, "eigh": 135, "pd_from_draw": 60}

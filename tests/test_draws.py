@@ -10,6 +10,7 @@ equal it bit for bit.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -19,6 +20,8 @@ import entrocert.certify as certify
 from entrocert.certify import TestConfig, reverify_counterexample
 from entrocert.functions import lookup
 from entrocert.hermitian import (
+    SpectralDecomposition,
+    eigh,
     random_hermitian,
     random_pd,
     random_unitary,
@@ -162,6 +165,18 @@ REFERENCE = {
 }
 
 
+# The state fields of each sampled suite: PD, diagonal and scalar states.
+STATES = {
+    "principle1": ("x", "y"),
+    "entropic": ("x", "y"),
+    **{f"subentropic:k={k}": ("xs", "ys", "rhos") for k in certify._SUBENTROPIC_ORDERS},
+    "condition13": ("rho", "sigma"),
+    "equivalence": ("rho", "sigma"),
+    "matrix-entropy": ("x1", "x2"),
+    "gain": ("x", "y"),
+}
+
+
 def _bitwise_equal(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b) and (
@@ -169,17 +184,22 @@ def _bitwise_equal(a, b):
     )
 
 
-def _sampled_plans(monkeypatch, cfg):
-    """Every sampled suite's plans, captured where the suite hands them to _drive."""
+def _suite_plans(monkeypatch, cfg, f):
+    """Every suite's plans for f, captured where the suite hands them to _drive."""
     plans = {}
 
     def capture(name, f, cfg, suite_plans, **kwargs):
         plans[name] = suite_plans() if callable(suite_plans) else suite_plans
 
     monkeypatch.setattr(certify, "_drive", capture)
-    f = lookup("tlogt")
     for row in certify._SUITES:
         row.run(f, cfg, None)
+    return plans
+
+
+def _sampled_plans(monkeypatch, cfg):
+    """Every sampled suite's plans."""
+    plans = _suite_plans(monkeypatch, cfg, lookup("tlogt"))
     return {name: p for name, p in plans.items() if all(plan.stream for plan in p)}
 
 
@@ -201,17 +221,44 @@ def test_stacked_payloads_match_per_trial_reference(monkeypatch, cfg):
         counts = [plan.count for plan in suite_plans]
         start = dict(zip((plan.stream for plan in suite_plans), itertools.accumulate(counts, initial=0)))
         for plan, members, P in certify._suite_stacks(cfg.seed, suite_plans):
+            # every state field comes with the eigenpairs of its build, and
+            # they pass eigh's residual and orthogonality check against it
+            spectra = {key for state in STATES[name] for key in certify._state(state)[1:]}
+            for state in STATES[name]:
+                known = SpectralDecomposition(*(P[key] for key in certify._state(state)[1:]))
+                eigh(P[state], known)
             for j, i in enumerate(members):
                 idx = int(i) - start[plan.stream]
                 rng = np.random.default_rng(np.random.SeedSequence(
                     [cfg.seed, certify._stream_token(plan.stream), idx]
                 ))
                 want = REFERENCE[name](cfg, plan.stream, idx, rng)
-                assert P.keys() == want.keys()
+                assert P.keys() == want.keys() | spectra
                 for field, value in want.items():
                     assert _bitwise_equal(P[field][j], value), (name, plan.stream, idx, field)
                 compared += 1
     assert compared == sum(plan.count for p in plans.values() for plan in p)
+
+
+@pytest.mark.parametrize("name", ["tlogt", "power:1.5", "neglog"])
+def test_sampled_margins_match_reverification(monkeypatch, name):
+    # Sampling hands the built eigenpairs of its states to eigh; re-verifying
+    # a payload read from JSON decomposes every matrix afresh.  Both paths
+    # give every trial of every property kind the same margin, to rounding.
+    f, cfg = lookup(name), TestConfig(seed=5, samples=6)
+    kinds = set()
+    for plans in _suite_plans(monkeypatch, cfg, f).values():
+        for plan, members, P in certify._suite_stacks(cfg.seed, plans):
+            for prop in plan.props:
+                res = certify._measure(prop, f, P, members.size)
+                for j in np.flatnonzero(~np.isnan(res.margins)):
+                    payload = json.loads(json.dumps(certify._witness(prop, P, res, j)))
+                    margin = res.margins[j]
+                    again = reverify_counterexample(f, payload)
+                    assert abs(again - margin) <= 1e-12 * max(1.0, abs(margin)), (prop.kind, j)
+                kinds.add(prop.kind)
+    # the scalar precheck and the uniqueness fit measure no plan
+    assert kinds == set(certify._PROPERTIES) - {"scalar-convexity", "uniqueness-fit"}
 
 
 def test_public_generators_match_reference():

@@ -17,11 +17,14 @@ from entrocert.functions import (
     lookup,
 )
 from entrocert.hermitian import (
+    SpectralDecomposition,
     apply_function,
     hermitize,
     is_hermitian,
+    pd_from_draw,
     random_hermitian,
     random_pd,
+    trace_of_function,
 )
 
 RNG = np.random.default_rng(77)
@@ -218,3 +221,25 @@ def test_second_diff_G_matches_finite_differences(k):
     got = second_diff_G(f, rhos, hs)
     ref = fd_second_diff(f, rhos, hs)
     assert got == pytest.approx(ref, rel=1e-5, abs=1e-7)
+
+
+@pytest.mark.parametrize("name", ["tlogt", "square", "neglog"])
+def test_supplied_spectra_keep_no_order(name):
+    # builds supply their eigenpairs in draw order, not ascending: what reads
+    # them must not depend on the order, only on the pairing
+    f, n = lookup(name), 4
+    rng = np.random.default_rng(5)
+    rho, known = pd_from_draw(rng.random(n), rng.standard_normal((2, n, n)), 0.1, 10.0)
+    h = random_hermitian(n, rng)
+    perm = rng.permutation(n)
+    shuffled = SpectralDecomposition(known.eigenvalues[perm], known.eigenvectors[:, perm])
+    assert not np.array_equal(perm, np.arange(n))
+
+    def close(a, b):
+        return np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+    t, tp = trace_of_function(f, rho, known), trace_of_function(f, rho, shuffled)
+    assert abs(t - tp) <= 1e-13 * abs(t)
+    assert close(frechet_diff(f, rho, h, shuffled), frechet_diff(f, rho, h, known))
+    fp = f.derivative()
+    assert close(frechet_inverse(fp, rho, shuffled).matrix, frechet_inverse(fp, rho, known).matrix)

@@ -9,6 +9,7 @@ from entrocert.expr import parse
 from entrocert.functions import lookup
 from entrocert.hermitian import (
     EighError,
+    SpectralDecomposition,
     _function_values,
     apply_function,
     eigh,
@@ -17,6 +18,7 @@ from entrocert.hermitian import (
     is_hermitian,
     matrix_from_json,
     matrix_to_json,
+    pd_from_draw,
     psd_margin,
     random_hermitian,
     random_pd,
@@ -194,6 +196,67 @@ def test_random_pd_degenerate_range():
         random_pd(3, (0.0, 1.0), RNG)
     with pytest.raises(ValueError):
         random_pd(3, (2.0, 1.0), RNG)
+
+
+@pytest.mark.parametrize(
+    "bounds", [(0.1, math.inf), (math.inf, math.inf), (-math.inf, 1.0), (0.1, math.nan)]
+)
+def test_random_pd_rejects_non_finite_bounds(bounds):
+    # an infinite bound made a non-finite matrix after a matmul warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="invalid eigenvalue range"):
+            random_pd(3, bounds, RNG)
+
+
+def _built_pd(n, seed):
+    """A PD matrix and the (lam, U) it was built from."""
+    rng = np.random.default_rng(seed)
+    return pd_from_draw(rng.random(n), rng.standard_normal((2, n, n)), 0.1, 10.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_supplied_decomposition_matches_a_fresh_one(n):
+    m, known = _built_pd(n, n)
+    f = lookup("tlogt")
+    want = trace_of_function(f, m)
+    assert abs(trace_of_function(f, m, known) - want) <= 1e-13 * abs(want)
+    assert np.allclose(apply_function(f, m, known), apply_function(f, m), rtol=0, atol=1e-13)
+    # a stack takes eigenpairs for its leading members only
+    stack = np.stack([m, hermitize(2.0 * m + np.eye(n)), random_pd(n, (0.1, 10.0), RNG)])
+    lead = SpectralDecomposition(known.eigenvalues[None], known.eigenvectors[None])
+    got = trace_of_function(f, stack, lead)
+    assert np.allclose(got, trace_of_function(f, stack), rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_foreign_or_perturbed_decomposition_raises(n):
+    # the decomposition of another matrix gave Tr f of the wrong matrix
+    m, known = _built_pd(n, n)
+    _, foreign = _built_pd(n, n + 100)
+    f = lookup("tlogt")
+    lam, u = known.eigenvalues, known.eigenvectors
+    wrong = [
+        foreign,
+        SpectralDecomposition(lam * (1 + 1e-9), u),
+        SpectralDecomposition(lam, u @ np.diag(np.exp(1j * np.arange(n))) + 1e-9),
+        SpectralDecomposition(lam[::-1], u),  # eigenvalues out of step with eigenvectors
+    ]
+    for dec in wrong:
+        for call in (
+            lambda: eigh(m, dec),
+            lambda: trace_of_function(f, m, dec),
+            lambda: apply_function(f, m, dec),
+            lambda: trace_of_function(f, np.stack([m, m]), SpectralDecomposition(
+                dec.eigenvalues[None], dec.eigenvectors[None]
+            )),
+        ):
+            with pytest.raises(EighError):
+                call()
+    with pytest.raises(ValueError, match="do not fit"):
+        eigh(m, _built_pd(n + 1, 0)[1])
+    with pytest.raises(ValueError, match="do not fit"):
+        eigh(m[None], SpectralDecomposition(np.stack([lam, lam]), np.stack([u, u])))
 
 
 def test_matrix_json_round_trip():
