@@ -404,16 +404,15 @@ def _state(name: str) -> tuple[str, str, str]:
     return name, f"{name}.eigenvalues", f"{name}.eigenvectors"
 
 
-def _known(P: dict, *names: str) -> Optional[SpectralDecomposition]:
-    """The built eigenpairs of the state fields ``names``, one field after another.
+def _known(P: dict, *names: str) -> list[SpectralDecomposition]:
+    """The built eigenpairs of the state fields ``names``, one decomposition per field.
 
-    None for a payload without them (one decoded from JSON): eigh then
+    Empty for a payload without them (one decoded from JSON): eigh then
     decomposes every member.
     """
-    keys = [_state(name) for name in names]
-    if keys[0][1] not in P:
-        return None
-    return SpectralDecomposition(*(np.concatenate([P[key[i]] for key in keys]) for i in (1, 2)))
+    if _state(names[0])[1] not in P:
+        return []
+    return [SpectralDecomposition(P[w], P[v]) for _, w, v in map(_state, names)]
 
 
 def _pd_col(name: str, n: int, eig_range: tuple[float, float], k: Optional[int] = None) -> _Col:
@@ -624,7 +623,7 @@ def _entropic_margin(f, P):
     return _convexity(*(tr - trace_of_function(f, partial_trace_1(mats, d1, d2))))
 
 
-def _g_values(f, mats, known=None):
+def _g_values(f, mats, known=()):
     """G(rho_1..rho_k) = sum_i Tr f(rho_i) - Tr f(sum_i rho_i); the k matrices along axis -3.
 
     ``known`` holds eigenpairs of the leading rho_i, in C order.

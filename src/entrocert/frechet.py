@@ -16,6 +16,7 @@ how the certification suites evaluate many trials in one call.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,19 +81,13 @@ def _hadamard_conjugate(kernel: np.ndarray, u: np.ndarray, h: np.ndarray) -> np.
     return u @ (kernel * (adjoint(u) @ h @ u)) @ adjoint(u)
 
 
-def frechet_diff(
-    f: ScalarFunction,
-    rho: np.ndarray,
-    h: np.ndarray,
-    known: SpectralDecomposition | None = None,
-) -> np.ndarray:
+def frechet_diff(f: ScalarFunction, rho: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Directional derivative of rho -> f(rho) at rho in direction h.
 
     Linear in h; maps Hermitian h to (exactly) Hermitian output.  General
     square h is accepted as well, in which case no symmetrisation happens.
-    ``known`` eigenpairs of rho are checked as in :func:`entrocert.hermitian.eigh`.
     """
-    kernel, u = _kernel(f, rho, known)
+    kernel, u = _kernel(f, rho)
     out = _hadamard_conjugate(kernel, u, np.asarray(h, dtype=complex))
     if is_hermitian(h):
         return hermitize(out)
@@ -100,7 +95,7 @@ def frechet_diff(
 
 
 def _kernel(
-    f: ScalarFunction, rho: np.ndarray, known: SpectralDecomposition | None = None
+    f: ScalarFunction, rho: np.ndarray, known: Sequence[SpectralDecomposition] = ()
 ) -> tuple[np.ndarray, np.ndarray]:
     """The Loewner matrix of f over rho's spectrum, and rho's eigenvectors.
 
@@ -112,7 +107,10 @@ def _kernel(
 
 
 def _pairing(
-    f: ScalarFunction, rho: np.ndarray, h: np.ndarray, known: SpectralDecomposition | None = None
+    f: ScalarFunction,
+    rho: np.ndarray,
+    h: np.ndarray,
+    known: Sequence[SpectralDecomposition] = (),
 ) -> np.ndarray:
     """Re Tr h df(rho)[h], computed in the eigenbasis of rho (stacks allowed)."""
     kernel, u = _kernel(f, rho, known)
@@ -170,7 +168,7 @@ def _inverse_kernel(f: ScalarFunction, kernel: np.ndarray) -> np.ndarray:
 
 
 def frechet_inverse(
-    f: ScalarFunction, rho: np.ndarray, known: SpectralDecomposition | None = None
+    f: ScalarFunction, rho: np.ndarray, known: Sequence[SpectralDecomposition] = ()
 ) -> Superoperator:
     """Inverse of the differential of f at rho (entrywise reciprocal kernel).
 
@@ -183,7 +181,7 @@ def frechet_inverse(
 
 
 def _frechet_pair(
-    f: ScalarFunction, rho: np.ndarray, known: SpectralDecomposition | None = None
+    f: ScalarFunction, rho: np.ndarray, known: Sequence[SpectralDecomposition] = ()
 ) -> tuple[Superoperator, Superoperator]:
     """(differential, inverse differential) of f at rho from one decomposition."""
     kernel, u = _kernel(f, rho, known)
@@ -209,7 +207,7 @@ def _split_sums(values: np.ndarray, shape: tuple) -> tuple[np.ndarray, np.ndarra
 
 
 def _second_diff_terms(
-    f: ScalarFunction, rhos, hs, known: SpectralDecomposition | None = None
+    f: ScalarFunction, rhos, hs, known: Sequence[SpectralDecomposition] = ()
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-point terms Tr h_i df'(rho_i) h_i and the joint term of the sums.
 

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .jets import DomainError, Jet, top_order, truncated
+from .jets import DomainError, Jet, _scalar, top_order, truncated
 
 __all__ = [
     "ScalarFunction",
@@ -40,13 +40,6 @@ class DegenerateFunctionError(ValueError):
     """1/f'' requested for a function whose f'' vanishes."""
 
 
-def _points(t):
-    """A scalar argument as a float, anything else as a float array."""
-    if isinstance(t, float) or np.ndim(t) == 0:
-        return float(t)
-    return np.asarray(t, dtype=float)
-
-
 @dataclass(frozen=True)
 class ScalarFunction:
     """A scalar function of t > 0 together with its derivative jets.
@@ -55,9 +48,10 @@ class ScalarFunction:
     there (a :class:`Jet`).  ``expression`` is set when the function came from
     the expression parser, so it can be reconstructed from a JSON dump.
 
-    Every evaluation method takes a float or an array of points.  An array is
-    handed to ``taylor`` in one call; a ``taylor`` that only understands
-    floats is evaluated point by point instead.
+    Every evaluation method hands a float or an array of points to ``taylor``
+    in one call, a float as an array of shape ``()`` (its result is a Python
+    float); a ``taylor`` that only understands floats is evaluated point by
+    point instead.
     """
 
     name: str
@@ -73,11 +67,7 @@ class ScalarFunction:
 
     def _series(self, t, top: int) -> Jet:
         """The series at t, built only to order ``top`` (coefficients 0..top)."""
-        t = _points(t)
-        if isinstance(t, float):
-            if not t > self.domain_min:
-                self._outside(t)
-            return truncated(top, self.taylor, t)
+        t = np.asarray(t, dtype=float)
         if t.size and not t.min() > self.domain_min:  # NaN fails too; scan for the first
             self._outside(float(t[~(t > self.domain_min)].flat[0]))
         try:
@@ -88,9 +78,9 @@ class ScalarFunction:
         shape = None if series is None else np.shape(series.terms[0])
         if shape not in ((), t.shape):
             coeffs = [truncated(top, self.taylor, float(x)).c[:n] for x in t.ravel()]
-            return Jet._raw(list(np.stack(coeffs, axis=-1).reshape((n,) + t.shape)))
-        if shape == ():  # a constant series takes the batch shape
-            return Jet._raw([np.full(t.shape, x) for x in series.terms[:n]])
+            return Jet(list(np.stack(coeffs, axis=-1).reshape((n,) + t.shape)))
+        if shape != t.shape:  # a constant series takes the batch shape
+            return Jet([np.full(t.shape, x) for x in series.terms[:n]])
         return series
 
     def _outside(self, t: float):
@@ -103,17 +93,14 @@ class ScalarFunction:
         return self._series(t, order).derivatives(order)
 
     def __call__(self, t):
-        t = _points(t)
-        if self.zero_extension is None:
-            return self._series(t, 0).value
-        if isinstance(t, float):
-            return self.zero_extension if t == self.domain_min else self._series(t, 0).value
+        t = np.asarray(t, dtype=float)
         at_zero = t == self.domain_min
-        if not at_zero.any():
+        if self.zero_extension is None or not at_zero.any():
             return self._series(t, 0).value
         out = np.full(t.shape, float(self.zero_extension))
-        out[~at_zero] = self._series(t[~at_zero], 0).value
-        return out
+        if not at_zero.all():
+            out[~at_zero] = self._series(t[~at_zero], 0).value
+        return _scalar(out)
 
     def d1(self, t):
         return self._series(t, 1).derivative(1)
@@ -307,9 +294,9 @@ def gap_function(f: ScalarFunction) -> ScalarFunction:
         spp = truncated(top_order() + 2, base, t).shift().shift()
         flat = np.abs(spp.value) < DEGENERACY_FLOOR
         if np.any(flat):
-            where = np.broadcast_to(t, flat.shape)[flat].flat[0] if np.ndim(flat) else t
+            where = np.broadcast_to(t, np.shape(flat))[flat].flat[0]
             raise DegenerateFunctionError(
-                f"{f.name} is affine or degenerate at t={float(where):.6g}; "
+                f"{f.name} is affine or degenerate at t={where:.6g}; "
                 "gap function undefined"
             )
         return Jet.constant(1.0) / spp

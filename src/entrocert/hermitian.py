@@ -9,6 +9,7 @@ dense eigendecompositions.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,6 @@ __all__ = [
     "matrix_to_json",
     "matrix_from_json",
 ]
-
-MAX_DIM = 8  # per tensor factor; composites may be larger
 
 # Residual bounds for the eigendecomposition, relative to max(1, scale).
 EIGH_RESIDUAL_TOL = 1e-12
@@ -160,16 +159,17 @@ def _decompose(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise EighError(f"eigendecomposition did not converge: {exc}") from exc
 
 
-def eigh(m: np.ndarray, known: SpectralDecomposition | None = None) -> SpectralDecomposition:
+def eigh(m: np.ndarray, known: Sequence[SpectralDecomposition] = ()) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian matrix, with residual checks.
 
     Accepts a stack of matrices as well.  ``known`` supplies the eigenpairs
     of the leading members of the stack, in the C order of its stack axes
-    (all of a single matrix); only the other members are decomposed.  A
-    stack of 2 x 2 matrices takes a closed-form rotation (:func:`_eigh2`);
-    other sizes take LAPACK.  Before any decomposition, every member's
-    Frobenius norm must be finite: an overflowing norm would make the
-    residual bound vacuous (inf <= inf).  Then every member, supplied or
+    (all of a single matrix), as one decomposition per run of members;
+    only the other members are decomposed, and all eigenpairs are joined
+    in one copy.  A stack of 2 x 2 matrices takes a closed-form rotation
+    (:func:`_eigh2`); other sizes take LAPACK.  Before any decomposition,
+    every member's Frobenius norm must be finite: an overflowing norm would
+    make the residual bound vacuous (inf <= inf).  Then every member, supplied or
     computed, is checked on its own, from one product
     [M; V*] V = [M V; V* V]:
 
@@ -186,21 +186,29 @@ def eigh(m: np.ndarray, known: SpectralDecomposition | None = None) -> SpectralD
     if not math.isfinite(norm2.max(initial=0.0)):  # max propagates NaN
         raise EighError("matrix norm is not finite; the eigendecomposition cannot be checked")
     n = m.shape[-1]
-    if known is None:
+    if not known:
         w, v = _decompose(m)
     else:
         flat = m.reshape(-1, n, n)
-        kw, kv = np.asarray(known.eigenvalues), np.asarray(known.eigenvectors)
-        k = kw.size // max(n, 1)
-        if kw.shape[-1:] != (n,) or kv.shape != kw.shape + (n,) or k > len(flat):
+        ws, vs = [], []
+        for dec in known:
+            kw, kv = np.asarray(dec.eigenvalues), np.asarray(dec.eigenvectors)
+            if kw.shape[-1:] != (n,) or kv.shape != kw.shape + (n,):
+                break  # reported below
+            ws.append(kw.reshape(-1, n))
+            vs.append(kv.reshape(-1, n, n))
+        k = sum(map(len, ws))
+        if len(ws) < len(known) or k > len(flat):
+            shapes = ", ".join(str(np.shape(dec.eigenvalues)) for dec in known)
             raise ValueError(
-                f"known eigenpairs of shape {kw.shape} do not fit a stack of shape {m.shape}"
+                f"known eigenpairs of shapes {shapes} do not fit a stack of shape {m.shape}"
             )
         if k < len(flat):
             fw, fv = _decompose(flat[k:])
-            kw = np.concatenate((kw.reshape(-1, n), fw))
-            kv = np.concatenate((kv.reshape(-1, n, n), fv))
-        w, v = kw.reshape(m.shape[:-1]), kv.reshape(m.shape)
+            ws.append(fw)
+            vs.append(fv)
+        w = np.concatenate(ws).reshape(m.shape[:-1])
+        v = np.concatenate(vs).reshape(m.shape)
     defect = np.concatenate((m, adjoint(v)), axis=-2) @ v
     defect[..., :n, :] -= v * w[..., None, :]
     defect[..., n:, :] -= np.eye(n)
@@ -262,14 +270,9 @@ def _function_values(f: ScalarFunction, eigenvalues: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_function(
-    f: ScalarFunction, m: np.ndarray, known: SpectralDecomposition | None = None
-) -> np.ndarray:
-    """f(m) by spectral calculus; the result is exactly Hermitian.
-
-    ``known`` eigenpairs are checked against m as in :func:`eigh`.
-    """
-    dec = eigh(m, known)
+def apply_function(f: ScalarFunction, m: np.ndarray) -> np.ndarray:
+    """f(m) by spectral calculus; the result is exactly Hermitian."""
+    dec = eigh(m)
     vals = _function_values(f, dec.eigenvalues)
     v = dec.eigenvectors
     return hermitize((v * vals[..., None, :]) @ adjoint(v))
@@ -282,7 +285,7 @@ def spectrum_trace(f: ScalarFunction, eigenvalues: np.ndarray):
 
 
 def trace_of_function(
-    f: ScalarFunction, m: np.ndarray, known: SpectralDecomposition | None = None
+    f: ScalarFunction, m: np.ndarray, known: Sequence[SpectralDecomposition] = ()
 ):
     """Tr f(m) = sum of f over the spectrum (an array of traces for a stack).
 

@@ -5,23 +5,23 @@ A :class:`Jet` holds the Taylor coefficients of a scalar function at a point,
 ``+ - * / **``, ``exp``, ``log`` and ``sqrt``, so evaluating an expression on
 ``Jet.variable(t0)`` yields the expression's derivatives at ``t0``.
 
-A jet keeps its coefficients as a list of per-order terms, ``terms[k]``.  At
-one point each term is a Python float.  The expansion point may also be an
-array of points; each term is then an array of the points' shape, and every
-operation acts on all points at once.  A constant jet (float terms) combines
-with any batch.  The recurrences run term by term on these lists, so no
-operation stacks its result into one array; :attr:`Jet.c` does that on
-request, with shape ``(n, *points.shape)`` for n coefficients.  An elementary
-function raises :class:`DomainError` when any point lies outside its domain.
+A jet keeps its coefficients as a list of per-order terms, ``terms[k]``, each
+a NumPy value of the points' shape.  The expansion point may be an array of
+points, and every operation acts on all points at once; a lone point is a
+batch of shape ``()``, so it gets the same bits as in an array.  A constant
+jet of shape ``()`` combines with any batch.  No operation stacks its terms
+into one array; :attr:`Jet.c` does that on request, with shape
+``(n, *points.shape)`` for n coefficients.  An elementary function raises
+:class:`DomainError` when any point lies outside its domain.
 
-Jets carry coefficients 0..ORDER unless built inside :func:`truncated`, which
-sets the highest order that ``Jet.variable``, ``Jet.constant`` and ``Jet(...)``
-build.  Every operation returns as many coefficients as its shortest operand
-carries.  Coefficient k of each recurrence depends only on the coefficients
-up to k (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008,
-ch. 13), so a truncated series agrees bit for bit with the leading
-coefficients of a longer one.  :class:`~entrocert.functions.ScalarFunction`
-evaluates its series only to the order that the caller reads.
+Only ``Jet.variable`` and ``Jet.constant`` read the truncation order: they
+build coefficients 0..ORDER unless called inside :func:`truncated`.  Every
+operation returns as many coefficients as its shortest operand carries.
+Coefficient k of each recurrence depends only on the coefficients up to k
+(Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13),
+so a truncated series agrees bit for bit with the leading coefficients of a
+longer one.  :class:`~entrocert.functions.ScalarFunction` evaluates its
+series only to the order that the caller reads.
 
 A jet exponent counts as constant only when :meth:`Jet.constant` built it,
 so ``x ** e`` takes the same path whatever orders ``e`` carries.
@@ -41,7 +41,7 @@ ORDER = 5
 _TOP: ContextVar[int] = ContextVar("entrocert_jet_order", default=ORDER)
 
 # exp overflows double precision above this argument.
-_EXP_LIMIT = math.log(np.finfo(float).max)
+_EXP_LIMIT = float(np.log(np.finfo(float).max))
 
 
 class DomainError(ValueError):
@@ -68,18 +68,10 @@ def _lift(x) -> "Jet":
     return Jet.constant(x)
 
 
-def _terms(c: np.ndarray) -> list:
-    """Per-order terms of a coefficient array: Python floats at one point, rows for a batch."""
-    return c.tolist() if c.ndim == 1 else list(c)
-
-
 def _check(ok, values, message: str) -> None:
     """Raise DomainError(message % first failing value) unless ok holds everywhere."""
-    if isinstance(ok, bool):
-        if not ok:
-            raise DomainError(message % values)
-    elif not ok.all():
-        raise DomainError(message % float(values[~ok].flat[0]))
+    if not ok.all():
+        raise DomainError(message % float(np.asarray(values)[~ok].flat[0]))
 
 
 def _scalar(x):
@@ -90,20 +82,16 @@ def _scalar(x):
 class Jet:
     __slots__ = ("terms",)
 
-    def __init__(self, coeffs):
-        src = np.asarray(coeffs, dtype=float)
-        n = _TOP.get() + 1
-        c = np.zeros((n,) + src.shape[1:])
-        k = min(src.shape[0], n)
-        c[:k] = src[:k]
-        self.terms = _terms(c)
+    def __init__(self, terms: list):
+        """A jet whose ``terms[k]`` is coefficient k, a NumPy value of the points' shape."""
+        self.terms = terms
 
     @classmethod
     def constant(cls, value) -> "Jet":
         value = np.asarray(value, dtype=float)
         c = np.zeros((_TOP.get() + 1,) + value.shape)
         c[0] = value
-        return _Constant._raw(_terms(c))
+        return _Constant(list(c))
 
     @classmethod
     def variable(cls, t0) -> "Jet":
@@ -112,13 +100,7 @@ class Jet:
         c[0] = t0
         if len(c) > 1:
             c[1] = 1.0
-        return cls._raw(_terms(c))
-
-    @classmethod
-    def _raw(cls, terms: list) -> "Jet":
-        j = cls.__new__(cls)
-        j.terms = terms
-        return j
+        return cls(list(c))
 
     # -- inspection ---------------------------------------------------------
 
@@ -145,15 +127,15 @@ class Jet:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other) -> "Jet":
-        return Jet._raw([x + y for x, y in zip(self.terms, _lift(other).terms)])
+        return Jet([x + y for x, y in zip(self.terms, _lift(other).terms)])
 
     __radd__ = __add__
 
     def __neg__(self) -> "Jet":
-        return Jet._raw([-x for x in self.terms])
+        return Jet([-x for x in self.terms])
 
     def __sub__(self, other) -> "Jet":
-        return Jet._raw([x - y for x, y in zip(self.terms, _lift(other).terms)])
+        return Jet([x - y for x, y in zip(self.terms, _lift(other).terms)])
 
     def __rsub__(self, other) -> "Jet":
         return _lift(other).__sub__(self)
@@ -166,7 +148,7 @@ class Jet:
             for j in range(1, k + 1):
                 acc = acc + a[j] * b[k - j]
             out.append(acc)
-        return Jet._raw(out)
+        return Jet(out)
 
     __rmul__ = __mul__
 
@@ -179,14 +161,14 @@ class Jet:
             for j in range(1, k + 1):
                 acc = acc - b[j] * q[k - j]
             q.append(acc / b[0])
-        return Jet._raw(q)
+        return Jet(q)
 
     def __rtruediv__(self, other) -> "Jet":
         return _lift(other).__truediv__(self)
 
     def __pow__(self, p) -> "Jet":
         if isinstance(p, Jet):
-            if not isinstance(p, _Constant) or isinstance(p.terms[0], np.ndarray):
+            if not isinstance(p, _Constant) or np.ndim(p.terms[0]):
                 # variable exponent: b^e = exp(e * log b)
                 return (p * self.log()).exp()
             p = p.value
@@ -215,43 +197,42 @@ class Jet:
 
     def exp(self) -> "Jet":
         a = self.terms
-        _check(~(a[0] > _EXP_LIMIT) if isinstance(a[0], np.ndarray) else not a[0] > _EXP_LIMIT,
-               a[0], "exp overflows double precision at t=%.6g")
-        e = [math.exp(a[0]) if isinstance(a[0], float) else np.exp(a[0])]
+        _check(~(a[0] > _EXP_LIMIT), a[0], "exp overflows double precision at t=%.6g")
+        e = [np.exp(a[0])]
         for k in range(1, len(a)):
             acc = a[1] * e[k - 1]
             for j in range(2, k + 1):
                 acc = acc + j * a[j] * e[k - j]
             e.append(acc / k)
-        return Jet._raw(e)
+        return Jet(e)
 
     def log(self) -> "Jet":
         a = self.terms
         _check(a[0] > 0.0, a[0], "log of non-positive value %.6g")
-        l = [math.log(a[0]) if isinstance(a[0], float) else np.log(a[0])]
+        l = [np.log(a[0])]
         for k in range(1, len(a)):
             acc = a[k]
             for j in range(1, k):
                 acc = acc - (j / k) * l[j] * a[k - j]
             l.append(acc / a[0])
-        return Jet._raw(l)
+        return Jet(l)
 
     def sqrt(self) -> "Jet":
         a = self.terms
         _check(a[0] > 0.0, a[0], "sqrt of non-positive value %.6g")
-        s = [math.sqrt(a[0]) if isinstance(a[0], float) else np.sqrt(a[0])]
+        s = [np.sqrt(a[0])]
         for k in range(1, len(a)):
             acc = a[k]
             for j in range(1, k):
                 acc = acc - s[j] * s[k - j]
             s.append(acc / (2.0 * s[0]))
-        return Jet._raw(s)
+        return Jet(s)
 
     # -- calculus helpers -----------------------------------------------------
 
     def shift(self) -> "Jet":
         """Taylor series of the derivative: one coefficient fewer."""
-        return Jet._raw([x * float(k) for k, x in enumerate(self.terms[1:], 1)])
+        return Jet([x * float(k) for k, x in enumerate(self.terms[1:], 1)])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Jet({self.c.tolist()})"

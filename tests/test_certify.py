@@ -25,7 +25,9 @@ from entrocert.certify import (
 )
 from entrocert.expr import parse
 from entrocert.functions import lookup, registry
-from entrocert.hermitian import matrix_from_json, random_pd
+from entrocert.hermitian import matrix_from_json, matrix_to_json, random_pd
+from entrocert.jets import DomainError
+from entrocert.quantum import KrausChannel, channel_to_json
 
 CFG = TestConfig(seed=99, samples=12)
 
@@ -609,3 +611,26 @@ def test_built_states_are_not_decomposed_again(monkeypatch):
     outcomes, _ = run_suite(lookup("tlogt"), "all", TestConfig(seed=42, samples=200))
     assert {o.verdict for o in outcomes} == {PASS}
     assert counts == {"closed_form": 6810, "lapack": 7590, "eigh": 135, "pd_from_draw": 60}
+
+
+def test_function_undefined_on_the_scalar_grid_is_skipped():
+    f = parse("log(t-200)").as_function()
+    (out,), _ = run_suite(f, "principle1", TestConfig(seed=1, samples=2))
+    assert (out.verdict, out.trials_run, out.trials_skipped) == (SKIPPED, 0, 41)
+    assert out.detail == "function undefined on the scalar test grid"
+
+
+def test_gain_reverification_rejects_singular_channel_outputs():
+    # the replacement channel K0 = |0><0|, K1 = |0><1| sends every state to |0><0|
+    k0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+    k1 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    rng = np.random.default_rng(4)
+    payload = {
+        "kind": "gain",
+        "channel": channel_to_json(KrausChannel(in_dim=2, out_dim=2, kraus=(k0, k1))),
+        "x": matrix_to_json(random_pd(2, CFG.eig_range, rng)),
+        "y": matrix_to_json(random_pd(2, CFG.eig_range, rng)),
+    }
+    with pytest.raises(DomainError, match="channel output too singular for neglog"):
+        reverify_counterexample(lookup("neglog"), payload)
+    assert np.isfinite(reverify_counterexample(lookup("tlogt"), payload))

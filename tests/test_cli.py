@@ -98,6 +98,20 @@ def test_sweep_stdout(capsys):
         assert float(row[3]) == pytest.approx(-0.5, abs=1e-12)
 
 
+def test_sweep_out_file(capsys, tmp_path):
+    csv_path = tmp_path / "sweep.csv"
+    rc, out, _ = run(
+        capsys,
+        "sweep", "--function", "square", "--suite", "condition13",
+        "--seed", "1", "--samples", "2", "--out", str(csv_path),
+    )
+    assert rc == 1
+    assert out == ""  # the CSV went to the file
+    rows = list(csv.reader(io.StringIO(csv_path.read_text())))
+    assert rows[0] == ["test", "dim", "trial", "margin", "scale"]
+    assert len(rows) > 1 and all(row[0] == "condition13" for row in rows[1:])
+
+
 def test_expr_selection(capsys):
     rc, out, _ = run(
         capsys,
@@ -141,6 +155,7 @@ def test_determinism_modulo_wall_time(capsys):
         ["certify", "--expr", "log(t", "--seed", "1"],
         ["certify", "--function", "tlogt", "--zero-extension", "0", "--seed", "1"],
         ["certify", "--function", "tlogt", "--bipartite", "2y3", "--seed", "1"],
+        ["certify", "--function", "tlogt", "--bipartite", "2xa", "--seed", "1"],
         ["certify", "--function", "tlogt", "--samples", "0", "--seed", "1"],
         ["certify", "--function", "tlogt"],  # --seed is mandatory
         ["certify", "--function", "tlogt", "--suite", "bogus", "--seed", "1"],

@@ -226,7 +226,7 @@ def test_stacked_payloads_match_per_trial_reference(monkeypatch, cfg):
             spectra = {key for state in STATES[name] for key in certify._state(state)[1:]}
             for state in STATES[name]:
                 known = SpectralDecomposition(*(P[key] for key in certify._state(state)[1:]))
-                eigh(P[state], known)
+                eigh(P[state], [known])
             for j, i in enumerate(members):
                 idx = int(i) - start[plan.stream]
                 rng = np.random.default_rng(np.random.SeedSequence(

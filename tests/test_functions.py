@@ -142,6 +142,20 @@ def test_gap_function_degenerate():
         gap_function(lookup("affine"))
 
 
+def test_gap_function_names_the_first_point_outside():
+    # the grid check reaches sqrt(0.01 - 0.5) before anything else
+    with pytest.raises(DomainError, match=r"sqrt of non-positive value -0\.49"):
+        gap_function(parse("sqrt(t-0.5)^3").as_function())
+
+
+def test_constant_series_takes_the_batch_shape():
+    f = ScalarFunction("c", lambda t: Jet.constant(3.0))
+    ts = np.array([0.5, 2.0])
+    assert np.array_equal(f(ts), [3.0, 3.0])
+    assert np.array_equal(f.d1(ts), [0.0, 0.0])
+    assert f(2.0) == 3.0 and type(f(2.0)) is float
+
+
 def test_custom_function_via_dataclass():
     f = ScalarFunction("cosh-ish", lambda t: (Jet.variable(t).exp() + (-Jet.variable(t)).exp()) / 2.0)
     assert f(1.0) == pytest.approx(math.cosh(1.0), rel=1e-13)
@@ -167,8 +181,9 @@ ARRAY_POINTS = np.logspace(-2.0, 2.0, 17)
 
 @pytest.mark.parametrize("f", ARRAY_CASES, ids=lambda f: f.name)
 def test_array_evaluation_matches_pointwise(f):
-    # one call on an array against one call per point; NumPy's vectorised
-    # log/exp may differ from its scalar path by an ulp
+    # one call on an array against one call per point; a point alone is
+    # checked bit for bit against a one-point array below, but a SIMD loop
+    # may treat a point inside a longer array differently by an ulp
     got = f.jet(ARRAY_POINTS)
     for k in range(4):
         want = np.array([f.jet(float(t))[k] for t in ARRAY_POINTS])
@@ -227,8 +242,7 @@ TRUNCATION_POINTS = np.concatenate([np.logspace(-2.0, 2.0, 13), [1.0, 2.0, 3.0]]
 def test_truncated_series_match_full_series(f):
     # a caller that reads orders 0..k gets a series built to order k; its
     # coefficients are the leading ones of the full series, bit for bit
-    # an array and each of its points as a float (NumPy's vectorised log and
-    # exp may differ from the scalar path by an ulp, so each has its own reference)
+    # an array and each of its points as a float, each against its own reference
     for points in (TRUNCATION_POINTS, *map(float, TRUNCATION_POINTS)):
         full = f.taylor(points).c
         assert len(full) == ORDER + 1
@@ -268,3 +282,25 @@ def test_series_are_built_to_the_order_read():
     assert built == [3]  # 1/f'' to order 0 reads f to order 2
     # jets built outside a ScalarFunction carry every order up to ORDER
     assert len(Jet.variable(2.0).c) == len(Jet.constant(2.0).c) == ORDER + 1
+
+
+# Registry functions and both --expr twins, at log-uniform points.
+ONE_PATH_CASES = [
+    *registry(),
+    parse("t*log(t)").as_function(zero_extension=0.0),
+    parse("-log(t)").as_function(),
+]
+ONE_PATH_POINTS = np.exp(np.random.default_rng(0).uniform(math.log(1e-3), math.log(5e2), 200))
+
+
+@pytest.mark.parametrize("f", ONE_PATH_CASES, ids=lambda f: f.name)
+def test_a_lone_point_is_a_batch_of_one(f):
+    # a float is evaluated by the same NumPy operations as an array, so a
+    # point gives the same bits alone as in a one-point array, as a Python float
+    for method in (f, f.d1, f.d2, f.d3):
+        for t in ONE_PATH_POINTS:
+            got = method(float(t))
+            assert type(got) is float
+            assert got == method(np.array([t]))[0], (f.name, method, t)
+    if f.zero_extension is not None:
+        assert f(0.0) == f.zero_extension and type(f(0.0)) is float

@@ -220,13 +220,21 @@ def test_supplied_decomposition_matches_a_fresh_one(n):
     m, known = _built_pd(n, n)
     f = lookup("tlogt")
     want = trace_of_function(f, m)
-    assert abs(trace_of_function(f, m, known) - want) <= 1e-13 * abs(want)
-    assert np.allclose(apply_function(f, m, known), apply_function(f, m), rtol=0, atol=1e-13)
-    # a stack takes eigenpairs for its leading members only
-    stack = np.stack([m, hermitize(2.0 * m + np.eye(n)), random_pd(n, (0.1, 10.0), RNG)])
+    assert abs(trace_of_function(f, m, [known]) - want) <= 1e-13 * abs(want)
+    # the supplied pairs come back as they were given
+    dec = eigh(m, [known])
+    assert np.array_equal(dec.eigenvalues, known.eigenvalues)
+    assert np.array_equal(dec.eigenvectors, known.eigenvectors)
+    # a stack takes eigenpairs for its leading members only, one run per decomposition
+    m2, known2 = _built_pd(n, n + 50)
+    stack = np.stack([m, m2, hermitize(2.0 * m + np.eye(n)), random_pd(n, (0.1, 10.0), RNG)])
     lead = SpectralDecomposition(known.eigenvalues[None], known.eigenvectors[None])
-    got = trace_of_function(f, stack, lead)
-    assert np.allclose(got, trace_of_function(f, stack), rtol=1e-13, atol=0)
+    for supplied in ([lead], [lead, known2]):
+        got = trace_of_function(f, stack, supplied)
+        assert np.allclose(got, trace_of_function(f, stack), rtol=1e-13, atol=0)
+    dec = eigh(stack, [lead, known2])
+    assert np.array_equal(dec.eigenvalues[1], known2.eigenvalues)
+    assert np.array_equal(dec.eigenvectors[1], known2.eigenvectors)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -244,19 +252,22 @@ def test_foreign_or_perturbed_decomposition_raises(n):
     ]
     for dec in wrong:
         for call in (
-            lambda: eigh(m, dec),
-            lambda: trace_of_function(f, m, dec),
-            lambda: apply_function(f, m, dec),
-            lambda: trace_of_function(f, np.stack([m, m]), SpectralDecomposition(
+            lambda: eigh(m, [dec]),
+            lambda: trace_of_function(f, m, [dec]),
+            lambda: trace_of_function(f, np.stack([m, m]), [SpectralDecomposition(
                 dec.eigenvalues[None], dec.eigenvectors[None]
-            )),
+            )]),
+            # every run is checked, not only the first
+            lambda: eigh(np.stack([m, m]), [known, dec]),
         ):
             with pytest.raises(EighError):
                 call()
     with pytest.raises(ValueError, match="do not fit"):
-        eigh(m, _built_pd(n + 1, 0)[1])
+        eigh(m, [_built_pd(n + 1, 0)[1]])
     with pytest.raises(ValueError, match="do not fit"):
-        eigh(m[None], SpectralDecomposition(np.stack([lam, lam]), np.stack([u, u])))
+        eigh(m[None], [SpectralDecomposition(np.stack([lam, lam]), np.stack([u, u]))])
+    with pytest.raises(ValueError, match="do not fit"):
+        eigh(m[None], [known, known])
 
 
 def test_matrix_json_round_trip():
