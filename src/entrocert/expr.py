@@ -257,7 +257,6 @@ def _to_str(node: Node, parent_prec: int = 0, right_of_same: bool = False) -> st
 class FunctionExpression:
     """Parsed expression: evaluate on jets or render canonically."""
 
-    source: str
     root: Node
 
     def canonical(self) -> str:
@@ -273,10 +272,9 @@ class FunctionExpression:
             name=canon,
             taylor=self.taylor,
             zero_extension=zero_extension,
-            domain_min=0.0,
             expression=canon,
         )
 
 
 def parse(text: str) -> FunctionExpression:
-    return FunctionExpression(source=text, root=_Parser(text).parse())
+    return FunctionExpression(_Parser(text).parse())

@@ -44,8 +44,10 @@ class DegenerateFunctionError(ValueError):
 class ScalarFunction:
     """A scalar function of t > 0 together with its derivative jets.
 
-    ``taylor`` maps a point t > domain_min to the function's Taylor series
-    there (a :class:`Jet`).  ``expression`` is set when the function came from
+    ``taylor`` maps a point t > 0 to the function's Taylor series there (a
+    :class:`Jet`).  ``zero_extension``, when set, is the value f(0): calling
+    the function maps exact zeros to it, and this is the only place where the
+    extension is applied.  ``expression`` is set when the function came from
     the expression parser, so it can be reconstructed from a JSON dump.
 
     Every evaluation method hands a float or an array of points to ``taylor``
@@ -57,7 +59,6 @@ class ScalarFunction:
     name: str
     taylor: Callable[[float], Jet] = field(compare=False)
     zero_extension: Optional[float] = None
-    domain_min: float = 0.0
     expression: Optional[str] = None
 
     def __post_init__(self):
@@ -68,8 +69,9 @@ class ScalarFunction:
     def _series(self, t, top: int) -> Jet:
         """The series at t, built only to order ``top`` (coefficients 0..top)."""
         t = np.asarray(t, dtype=float)
-        if t.size and not t.min() > self.domain_min:  # NaN fails too; scan for the first
-            self._outside(float(t[~(t > self.domain_min)].flat[0]))
+        if t.size and not t.min() > 0.0:  # NaN fails too; scan for the first
+            bad = float(t[~(t > 0.0)].flat[0])
+            raise DomainError(f"{self.name} evaluated at t={bad:.6g}, outside its domain (t > 0)")
         try:
             series = truncated(top, self.taylor, t)
         except TypeError:  # a float-only taylor
@@ -78,15 +80,10 @@ class ScalarFunction:
         shape = None if series is None else np.shape(series.terms[0])
         if shape not in ((), t.shape):
             coeffs = [truncated(top, self.taylor, float(x)).c[:n] for x in t.ravel()]
-            return Jet(list(np.stack(coeffs, axis=-1).reshape((n,) + t.shape)))
+            return Jet(list(np.array(coeffs, dtype=float).T.reshape((n,) + t.shape)))
         if shape != t.shape:  # a constant series takes the batch shape
             return Jet([np.full(t.shape, x) for x in series.terms[:n]])
         return series
-
-    def _outside(self, t: float):
-        raise DomainError(
-            f"{self.name} evaluated at t={t:.6g}, outside its domain (t > {self.domain_min:g})"
-        )
 
     def jet(self, t, order: int = 3) -> tuple:
         """(f, f', ..., f^(order)) at t; by default (f, f', f'', f''')."""
@@ -94,7 +91,7 @@ class ScalarFunction:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        at_zero = t == self.domain_min
+        at_zero = t == 0.0
         if self.zero_extension is None or not at_zero.any():
             return self._series(t, 0).value
         out = np.full(t.shape, float(self.zero_extension))
@@ -120,10 +117,7 @@ class ScalarFunction:
         """
         base = self.taylor
         return ScalarFunction(
-            name=f"d({self.name})",
-            taylor=lambda t: truncated(top_order() + 1, base, t).shift(),
-            zero_extension=None,
-            domain_min=self.domain_min,
+            f"d({self.name})", lambda t: truncated(top_order() + 1, base, t).shift()
         )
 
     def describe(self) -> dict:
@@ -301,9 +295,4 @@ def gap_function(f: ScalarFunction) -> ScalarFunction:
             )
         return Jet.constant(1.0) / spp
 
-    return ScalarFunction(
-        name=f"gap({f.name})",
-        taylor=series,
-        zero_extension=None,
-        domain_min=f.domain_min,
-    )
+    return ScalarFunction(f"gap({f.name})", series)  # 1/f'' has no zero extension

@@ -238,36 +238,27 @@ def _raise_defect(sq: np.ndarray, norm2: np.ndarray, n: int):
 
 
 def _function_values(f: ScalarFunction, eigenvalues: np.ndarray) -> np.ndarray:
-    """f applied to a spectrum (or a stack of spectra), honouring the zero extension and domain.
+    """f applied to a spectrum (or a stack of spectra) in one call of f.
 
-    Eigenvalues within ZERO_CLAMP_TOL * max(1, scale) of zero are treated as
-    exact zeros when the function has a zero extension; the scale is the
-    spectral radius of each spectrum.  Without the clamp, the
-    numerically-zero spectrum of embeddings like W rho W^dagger would leak
-    O(sqrt(eps)) errors through functions with unbounded slope at 0.
+    When f has a zero extension, eigenvalues within ZERO_CLAMP_TOL * max(1,
+    scale) of zero become exact zeros, which f maps to f(0); the scale is the
+    spectral radius of each spectrum.  Without the clamp, the numerically-zero
+    spectrum of embeddings like W rho W^dagger would leak O(sqrt(eps)) errors
+    through functions with unbounded slope at 0.  Any other eigenvalue that is
+    not positive raises DomainError.
     """
     lam = np.asarray(eigenvalues, dtype=float)
-    if lam.size == 0:
-        return np.zeros(lam.shape)
-    clamp = f.zero_extension is not None and f.domain_min == 0.0
-    lo = lam.min()
+    clamp = f.zero_extension is not None
+    lo = lam.min(initial=np.inf)
     # the clamp threshold of every spectrum is at most that of the largest one
-    if lo > f.domain_min and not (clamp and lo <= ZERO_CLAMP_TOL * max(1.0, lam.max())):
-        return np.asarray(f(lam), dtype=float)
-    out = np.zeros(lam.shape)
-    zero = np.zeros(lam.shape, dtype=bool)
-    if clamp:
-        scale = np.max(np.abs(lam), axis=-1, keepdims=True)
-        zero = np.abs(lam) <= ZERO_CLAMP_TOL * np.maximum(1.0, scale)
-        out[zero] = f.zero_extension
-    inside = ~zero & (lam > f.domain_min)
-    if not np.all(zero | inside):
-        bad = float(lam[~(zero | inside)][0])
-        raise DomainError(f"eigenvalue {bad:.6g} outside the domain of {f.name}")
-    if inside.all():
-        return np.asarray(f(lam), dtype=float)
-    out[inside] = f(lam[inside])
-    return out
+    if not lo > 0.0 or clamp and lo <= ZERO_CLAMP_TOL * max(1.0, lam.max(initial=0.0)):
+        if clamp:
+            scale = np.max(np.abs(lam), axis=-1, keepdims=True)
+            lam = np.where(np.abs(lam) <= ZERO_CLAMP_TOL * np.maximum(1.0, scale), 0.0, lam)
+        ok = lam >= 0.0 if clamp else lam > 0.0  # NaN fails both
+        if not ok.all():
+            raise DomainError(f"eigenvalue {float(lam[~ok][0]):.6g} outside the domain of {f.name}")
+    return np.asarray(f(lam), dtype=float)
 
 
 def apply_function(f: ScalarFunction, m: np.ndarray) -> np.ndarray:

@@ -245,3 +245,27 @@ def test_supplied_spectra_keep_no_order(name):
     assert close(
         frechet_inverse(fp, rho, [shuffled]).matrix, frechet_inverse(fp, rho, [known]).matrix
     )
+
+
+def test_frechet_diff_of_non_hermitian_direction_is_not_symmetrised():
+    # at rho = diag(1, 2) the derivative in direction E_01 is the Loewner
+    # entry (f(1) - f(2)) / (1 - 2) = 2 log 2 for t log t, in place
+    rho = np.diag([1.0, 2.0]).astype(complex)
+    h = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    out = frechet_diff(lookup("tlogt"), rho, h)
+    assert not is_hermitian(out)
+    assert np.allclose(out, 2.0 * np.log(2.0) * h, rtol=1e-14, atol=1e-15)
+
+
+def test_second_diff_G_rejects_mismatched_shapes():
+    rho = np.eye(2, dtype=complex)
+    f = lookup("tlogt")
+    for rhos, hs in [
+        (rho, rho),  # no axis of base points
+        ([rho, rho], [rho]),
+        (np.zeros((0, 2, 2)), np.zeros((0, 2, 2))),
+    ]:
+        with pytest.raises(ValueError, match="equally many base points and directions"):
+            second_diff_G(f, rhos, hs)
+    with pytest.raises(ValueError, match="share one dimension"):
+        second_diff_G(f, np.ones((2, 2, 3)), np.ones((2, 2, 3)))

@@ -219,6 +219,8 @@ def test_float_only_taylor_is_evaluated_pointwise():
     f = ScalarFunction("log1p", lambda t: (Jet.variable(t) + 1.0).log() + 0.0 * math.log(t))
     ts = np.array([0.5, 2.0])
     assert np.array_equal(f.d2(ts), [f.d2(0.5), f.d2(2.0)])
+    for shape in [(0,), (2, 0)]:
+        assert f(np.zeros(shape)).shape == shape
 
 
 # Registry functions, both --expr twins and a variable exponent, each with

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from entrocert.expr import parse
 from entrocert.functions import lookup
 from entrocert.hermitian import (
+    ZERO_CLAMP_TOL,
     EighError,
     SpectralDecomposition,
     _function_values,
@@ -274,6 +275,17 @@ def test_matrix_json_round_trip():
     m = random_hermitian(3, RNG)
     back = matrix_from_json(matrix_to_json(m))
     assert np.array_equal(back, m)
+    with pytest.raises(ValueError, match="shape mismatch for dim 2"):
+        matrix_from_json({**matrix_to_json(m), "dim": 2})
+
+
+def test_eigh_reports_lapack_failure(monkeypatch):
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    with pytest.raises(EighError, match="eigendecomposition did not converge"):
+        eigh(np.diag([1.0, 2.0, 3.0]).astype(complex))
 
 
 def test_eigh_orthogonality_check_alone_rejects(monkeypatch):
@@ -352,3 +364,21 @@ def test_function_values_keep_their_domain_errors():
         _function_values(parse("log(t-0.5)").as_function(), np.array([[0.3, 1.0]]))
     with pytest.raises(DomainError, match="outside the domain of neglog"):
         _function_values(lookup("neglog"), np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+def test_function_values_zero_clamp_boundary():
+    # the clamp threshold of a spectrum with largest eigenvalue 4 is tau
+    f = lookup("tlogt")
+    tau = ZERO_CLAMP_TOL * 4.0
+    above = np.nextafter(tau, 1.0)
+    got = _function_values(f, np.array([tau, above, 4.0]))
+    assert got[0] == f.zero_extension
+    assert got[1] == f(above) != f.zero_extension
+    assert np.array_equal(_function_values(f, np.array([-tau, 4.0])), [0.0, f(4.0)])
+    with pytest.raises(DomainError, match="eigenvalue -8e-12 outside the domain of tlogt"):
+        _function_values(f, np.array([-2.0 * tau, 4.0]))
+    with pytest.raises(DomainError, match="eigenvalue 0 outside the domain"):
+        _function_values(parse("t*log(t)").as_function(), np.array([0.0, 4.0]))
+    for shape in [(0,), (2, 0)]:
+        empty = _function_values(f, np.zeros(shape))
+        assert empty.shape == shape

@@ -138,3 +138,15 @@ def test_truncated_jets_keep_the_leading_coefficients():
     assert len(short.shift().c) == 1
     with pytest.raises(ValueError, match="outside jet order 1"):
         short.derivative(2)
+
+
+def test_reflected_operations_and_constant_exponent_match_closed_forms():
+    # Taylor coefficients at t: 1 - t is (1 - t, -1, 0, ...), 1/t has
+    # c[k] = (-1)^k / t^(k+1), and t^2 is (t^2, 2t, 1, 0, ...)
+    t = 0.7
+    x = Jet.variable(t)
+    zeros = [0.0] * (ORDER - 1)
+    assert np.array_equal((1.0 - x).c, [1.0 - t, -1.0, *zeros])
+    reciprocal = [(-1.0) ** k / t ** (k + 1) for k in range(ORDER + 1)]
+    assert np.allclose((1.0 / x).c, reciprocal, rtol=1e-14, atol=0.0)
+    assert np.allclose((x ** Jet.constant(2.0)).c, [t * t, 2.0 * t, 1.0, *zeros[1:]], rtol=1e-15)

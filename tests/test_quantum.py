@@ -247,3 +247,19 @@ def test_channel_json_round_trip():
     assert len(back.kraus) == len(ch.kraus)
     for k1, k2 in zip(back.kraus, ch.kraus):
         assert np.array_equal(k1, k2)
+
+
+def test_channel_apply_keeps_non_hermitian_inputs_unsymmetrised():
+    ch = random_channel(2, 3, 2, RNG)
+    x = RNG.standard_normal((2, 2)) + 1j * RNG.standard_normal((2, 2))
+    want = sum(k @ x @ k.conj().T for k in ch.kraus)
+    got = ch.apply(x)
+    assert not is_hermitian(got)
+    assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
+def test_channel_json_rejects_mismatched_shapes():
+    obj = channel_to_json(random_channel(2, 3, 2, RNG))
+    obj["out_dim"] = 2
+    with pytest.raises(ValueError, match=r"Kraus JSON shape \(3, 2\) does not match 2x2"):
+        channel_from_json(obj)

@@ -1,5 +1,6 @@
-"""The example scripts and ``python -m entrocert`` run end to end at a tiny budget."""
+"""The example scripts, the README's library example and ``python -m entrocert`` run end to end."""
 
+import math
 import os
 import subprocess
 import sys
@@ -40,3 +41,13 @@ def test_module_entry_point_exit_code(selection, code):
     )
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(compile(block, "README.md", "exec"), names)
+    assert {o.verdict for o in names["outcomes"]} == {"PASS"}
+    want = -sum(p * math.log(p) for p in (0.2, 0.3, 0.5))
+    assert names["S"] == pytest.approx(want, rel=1e-12)
