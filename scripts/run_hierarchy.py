@@ -12,7 +12,7 @@ import sys
 import time
 
 from entrocert.certify import TestConfig, run_suite
-from entrocert.functions import lookup, registry
+from entrocert.expr import lookup, registry
 
 MARK = {"PASS": "+", "FAIL": "-", "INCONCLUSIVE": "?", "SKIPPED": "."}
 

@@ -15,8 +15,8 @@ import sys
 import numpy as np
 
 from entrocert.certify import TestConfig, uniqueness_pipeline
-from entrocert.expr import parse
-from entrocert.functions import gap_function, lookup
+from entrocert.expr import lookup, parse
+from entrocert.functions import gap_function
 
 
 def main() -> int:

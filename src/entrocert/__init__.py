@@ -29,7 +29,7 @@ from .certify import (
     uniqueness_pipeline,
     worst_exit_code,
 )
-from .expr import FunctionExpression, ParseError, parse
+from .expr import FunctionExpression, ParseError, lookup, parse, registry
 from .frechet import (
     NotInvertibleError,
     Superoperator,
@@ -45,8 +45,6 @@ from .functions import (
     ScalarFunction,
     divided_difference,
     gap_function,
-    lookup,
-    registry,
 )
 from .hermitian import (
     EighError,

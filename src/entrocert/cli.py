@@ -2,6 +2,7 @@
 
 Exit codes: 0 all selected suites PASS; 1 at least one FAIL; 2 deviations
 that are only INCONCLUSIVE or SKIPPED; 3 usage, domain or numerical errors.
+``reverify`` exits 0 when every FAIL of a report re-verifies, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -11,9 +12,9 @@ import sys
 import time
 from typing import Optional
 
-from .certify import SUITE_TOKENS, TestConfig, run_suite, worst_exit_code
-from .expr import ParseError, parse
-from .functions import ScalarFunction, lookup, registry
+from .certify import FAIL, SUITE_TOKENS, TestConfig, reverify_counterexample, run_suite, worst_exit_code
+from .expr import ParseError, lookup, parse, registry
+from .functions import ScalarFunction
 from .hermitian import EighError
 from .jets import DomainError
 from .report import CertificationReport, write_sweep_csv
@@ -79,6 +80,9 @@ def _build_parser() -> _ArgumentParser:
     sp_sweep.add_argument("--out", metavar="PATH", help="CSV file (default: stdout)")
 
     sub.add_parser("list", help="list built-in candidate functions")
+
+    sp_rev = sub.add_parser("reverify", help="re-verify every FAIL witness of a JSON report")
+    sp_rev.add_argument("report", metavar="REPORT", help="report written by `certify`")
     return p
 
 
@@ -171,8 +175,31 @@ def cmd_sweep(args) -> int:
 def cmd_list(_args) -> int:
     for f in registry():
         ext = "undefined at 0" if f.zero_extension is None else f"f(0)={f.zero_extension:g}"
-        print(f"{f.name:<12} {ext}")
+        print(f"{f.name:<12} {f.expression:<10} {ext}")
     return 0
+
+
+def cmd_reverify(args) -> int:
+    """Rebuild f from the report's expression alone and re-verify each FAIL."""
+    try:
+        with open(args.report, encoding="utf-8") as fh:
+            report = CertificationReport.from_json(fh.read())
+        described, bound = report.function, -float(report.config["tol"]) / 2.0
+        if described["expression"] is None:
+            raise ValueError(f"{args.report}: the report names no expression to rebuild f from")
+        f = parse(described["expression"]).as_function(described["zero_extension"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{args.report}: malformed report ({exc!r})") from None
+    failed = False
+    for o in report.outcomes:
+        if o.verdict == FAIL:
+            margin = reverify_counterexample(f, o.counterexample)
+            ok = margin < bound
+            failed |= not ok
+            note = "" if ok else f" -- not below -tol/2 = {bound!r}"
+            print(f"[{o.verdict}] {o.name}: payload margin {o.counterexample.get('margin')!r}, "
+                  f"re-verified {margin!r}{note}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -186,6 +213,8 @@ def main(argv: Optional[list] = None) -> int:
             return cmd_certify(args)
         if args.command == "sweep":
             return cmd_sweep(args)
+        if args.command == "reverify":
+            return cmd_reverify(args)
         return cmd_list(args)
     except ParseError as exc:
         print(f"entrocert: expression error: {exc}", file=sys.stderr)

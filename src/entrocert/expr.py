@@ -9,22 +9,26 @@ Grammar (usual precedence; ``^`` binds tightest and is right-associative)::
     atom   := NUMBER | 't' | ('log' | 'exp' | 'sqrt') '(' expr ')' | '(' expr ')'
 
 Parsing produces a :class:`FunctionExpression`; evaluation runs on jets, so
-parsed functions carry the same derivative information as registry ones.
-Domain violations (log of a negative quantity, division by zero, ...) are
-raised lazily at evaluation time.
+a parsed function carries its exact derivatives.  Domain violations (log of
+a negative quantity, division by zero, ...) are raised lazily at evaluation
+time.
+
+The built-in candidates (:func:`registry`, :func:`lookup`) are named
+expressions parsed here once, so a registry function and its ``--expr`` twin
+evaluate the same jets and differ only in name.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
 from .functions import ScalarFunction
 from .jets import Jet
 
-__all__ = ["ParseError", "FunctionExpression", "parse"]
+__all__ = ["ParseError", "FunctionExpression", "parse", "registry", "lookup"]
 
 
 class ParseError(ValueError):
@@ -212,8 +216,10 @@ def _eval(node: Node, x: Jet) -> Jet:
     if node.op == "/":
         return _eval(node.left, x) / _eval(node.right, x)
     # '^': constant exponents keep exact polynomial arithmetic where possible
-    if not _contains_var(node.right):
-        return _eval(node.left, x) ** _eval(node.right, Jet.constant(0.0)).value
+    if isinstance(node.right, Literal):
+        return _eval(node.left, x) ** node.right.value
+    if not _contains_var(node.right):  # reads no x, so any jet will do
+        return _eval(node.left, x) ** _eval(node.right, x).value
     return _eval(node.left, x) ** _eval(node.right, x)
 
 
@@ -278,3 +284,35 @@ class FunctionExpression:
 
 def parse(text: str) -> FunctionExpression:
     return FunctionExpression(_Parser(text).parse())
+
+
+# --------------------------------------------------------------------------
+# registry: (name, expression, zero extension) rows
+
+_REGISTRY: tuple[ScalarFunction, ...] = tuple(
+    replace(parse(text).as_function(zero_extension), name=name)
+    for name, text, zero_extension in (
+        ("tlogt", "t*log(t)", 0.0),
+        ("neglog", "-log(t)", None),
+        ("square", "t^2", 0.0),
+        ("power:1.25", "t^1.25", 0.0),
+        ("power:1.5", "t^1.5", 0.0),
+        ("power:1.75", "t^1.75", 0.0),
+        ("affine", "2*t+1", 1.0),
+        ("exp", "exp(t)", 1.0),
+        ("negsqrt", "-sqrt(t)", 0.0),
+    )
+)
+
+
+def registry() -> tuple[ScalarFunction, ...]:
+    """The built-in candidate functions."""
+    return _REGISTRY
+
+
+def lookup(name: str) -> ScalarFunction:
+    for f in _REGISTRY:
+        if f.name == name:
+            return f
+    known = ", ".join(f.name for f in _REGISTRY)
+    raise KeyError(f"unknown function {name!r} (known: {known})")

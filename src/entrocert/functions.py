@@ -3,7 +3,8 @@
 All functions live on the open half line (0, inf).  A function may declare a
 continuous extension at 0 (``zero_extension``), which the matrix layer uses
 for positive semidefinite arguments; without one, singular matrices are
-rejected.
+rejected.  The built-in candidates are named expressions, parsed by
+:mod:`entrocert.expr`, which also holds their registry.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ __all__ = [
     "ScalarFunction",
     "DomainError",
     "DegenerateFunctionError",
-    "registry",
-    "lookup",
     "divided_differences",
     "divided_difference",
     "divided_difference_quadrature_check",
@@ -48,7 +47,8 @@ class ScalarFunction:
     :class:`Jet`).  ``zero_extension``, when set, is the value f(0): calling
     the function maps exact zeros to it, and this is the only place where the
     extension is applied.  ``expression`` is set when the function came from
-    the expression parser, so it can be reconstructed from a JSON dump.
+    the expression parser, as every registry function does, so it can be
+    reconstructed from a JSON dump.
 
     Every evaluation method hands a float or an array of points to ``taylor``
     in one call, a float as an array of shape ``()`` (its result is a Python
@@ -121,74 +121,16 @@ class ScalarFunction:
         )
 
     def describe(self) -> dict:
-        """JSON-ready descriptor sufficient to reconstruct the function."""
+        """JSON-ready descriptor sufficient to reconstruct the function.
+
+        For every parsed function, the registry's included,
+        ``parse(expression).as_function(zero_extension)`` rebuilds it.
+        """
         return {
             "name": self.name,
             "expression": self.expression,
             "zero_extension": self.zero_extension,
         }
-
-
-# --------------------------------------------------------------------------
-# registry
-
-def _tlogt(t: float) -> Jet:
-    x = Jet.variable(t)
-    return x * x.log()
-
-
-def _neglog(t: float) -> Jet:
-    return -Jet.variable(t).log()
-
-
-def _square(t: float) -> Jet:
-    x = Jet.variable(t)
-    return x * x
-
-
-def _power(p: float) -> Callable[[float], Jet]:
-    def series(t: float) -> Jet:
-        return Jet.variable(t) ** p
-
-    return series
-
-
-def _affine(t: float) -> Jet:
-    return 2.0 * Jet.variable(t) + 1.0
-
-
-def _exp(t: float) -> Jet:
-    return Jet.variable(t).exp()
-
-
-def _negsqrt(t: float) -> Jet:
-    return -Jet.variable(t).sqrt()
-
-
-_REGISTRY: tuple[ScalarFunction, ...] = (
-    ScalarFunction("tlogt", _tlogt, zero_extension=0.0),
-    ScalarFunction("neglog", _neglog, zero_extension=None),
-    ScalarFunction("square", _square, zero_extension=0.0),
-    ScalarFunction("power:1.25", _power(1.25), zero_extension=0.0),
-    ScalarFunction("power:1.5", _power(1.5), zero_extension=0.0),
-    ScalarFunction("power:1.75", _power(1.75), zero_extension=0.0),
-    ScalarFunction("affine", _affine, zero_extension=1.0),
-    ScalarFunction("exp", _exp, zero_extension=1.0),
-    ScalarFunction("negsqrt", _negsqrt, zero_extension=0.0),
-)
-
-
-def registry() -> tuple[ScalarFunction, ...]:
-    """The built-in candidate functions."""
-    return _REGISTRY
-
-
-def lookup(name: str) -> ScalarFunction:
-    for f in _REGISTRY:
-        if f.name == name:
-            return f
-    known = ", ".join(f.name for f in _REGISTRY)
-    raise KeyError(f"unknown function {name!r} (known: {known})")
 
 
 # --------------------------------------------------------------------------

@@ -184,14 +184,14 @@ class Jet:
     def _int_pow(self, k: int) -> "Jet":
         if k < 0:
             return Jet.constant(1.0) / self._int_pow(-k)
-        out = Jet.constant(1.0)
-        base = self
+        out, base = None, self
         while k:
             if k & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             k >>= 1
-        return out
+            if k:
+                base = base * base
+        return Jet.constant(1.0) if out is None else out
 
     # -- elementary functions -----------------------------------------------
 

@@ -18,7 +18,7 @@ from entrocert.certify import (
     test_condition13,
 )
 from entrocert.frechet import frechet_diff, frechet_inverse, second_diff_G
-from entrocert.functions import lookup, registry
+from entrocert.expr import lookup, registry
 from entrocert.hermitian import (
     apply_function,
     entropy,

@@ -23,8 +23,7 @@ from entrocert.certify import (
     uniqueness_pipeline,
     worst_exit_code,
 )
-from entrocert.expr import parse
-from entrocert.functions import lookup, registry
+from entrocert.expr import lookup, parse, registry
 from entrocert.hermitian import matrix_from_json, matrix_to_json, random_pd
 from entrocert.jets import DomainError
 from entrocert.quantum import KrausChannel, channel_to_json
@@ -175,6 +174,29 @@ def test_battery_fail_payloads_reverify_through_shared_margin():
             assert margin < -cfg.tol / 2
             assert margin == pytest.approx(payload["margin"], rel=1e-9, abs=1e-12)
     assert len(kinds) >= 4
+
+
+@pytest.mark.parametrize("name", [f.name for f in registry()])
+def test_registry_function_is_its_expression_twin(name):
+    # a registry row is a named expression: its twin built from the row's
+    # expression and zero extension alone has the same jets bit for bit and
+    # the same outcomes, except where the name gates what runs
+    from entrocert.certify import _expects_fail
+
+    f = lookup(name)
+    twin = parse(f.expression).as_function(f.zero_extension)
+    points = np.geomspace(1e-3, 1e2, 25)
+    for a, b in zip(f.jet(points), twin.jet(points), strict=True):
+        assert a.tobytes() == b.tobytes()
+    cfg = TestConfig(seed=42, samples=10)
+    named, _ = run_suite(f, "all", cfg)
+    unnamed, _ = run_suite(twin, "all", cfg)
+    gated = [o.name for o in named if _expects_fail(name, o.name)]
+    for a, b in zip(named, unnamed, strict=True):
+        if a.name in gated or (a.name == "uniqueness" and gated):
+            continue
+        fields = ("name", "verdict", "trials_run", "trials_skipped", "min_margin", "counterexample")
+        assert [getattr(a, k) for k in fields] == [getattr(b, k) for k in fields], a.name
 
 
 def test_square_condition13_constant_margin():

@@ -21,6 +21,7 @@ def test_list_names(capsys):
     for name in ("tlogt", "neglog", "square", "power:1.5", "affine", "exp", "negsqrt"):
         assert name in out
     assert "undefined at 0" in out  # neglog has no zero extension
+    assert "t*log(t)" in out  # each row shows the expression it runs
 
 
 def test_certify_pass_report_round_trip(capsys):
@@ -208,3 +209,41 @@ def test_overflowing_spectrum_is_a_numerical_error(capsys):
     assert rc == 3
     assert out == "" and "PASS" not in err
     assert "numerical error" in err and "not finite" in err
+
+
+def _square_condition13_report(capsys, tmp_path):
+    path = tmp_path / "square.json"
+    rc, _, _ = run(
+        capsys, "certify", "--function", "square", "--suite", "condition13",
+        "--samples", "4", "--seed", "1", "--out", str(path),
+    )
+    assert rc == 1
+    return path
+
+
+def test_reverify_rebuilds_the_function_from_its_expression(capsys, tmp_path):
+    path = _square_condition13_report(capsys, tmp_path)
+    rc, _, err = run(capsys, "reverify", str(path))
+    assert rc == 0
+    assert err.startswith("[FAIL] condition13: payload margin -0.5")
+    assert "re-verified -0.5" in err
+
+    # the name plays no part: under t*log(t) the square witness does not hold
+    obj = json.loads(path.read_text())
+    obj["function"]["expression"] = "t*log(t)"
+    path.write_text(json.dumps(obj))
+    rc, _, err = run(capsys, "reverify", str(path))
+    assert rc == 1
+    assert "not below -tol/2" in err
+
+
+def test_reverify_usage_errors(capsys, tmp_path):
+    path = _square_condition13_report(capsys, tmp_path)
+    obj = json.loads(path.read_text())
+    obj["function"]["expression"] = None
+    path.write_text(json.dumps(obj))
+    rc, _, err = run(capsys, "reverify", str(path))
+    assert rc == 3
+    assert "no expression" in err
+    rc, _, _ = run(capsys, "reverify", str(tmp_path / "missing.json"))
+    assert rc == 3

@@ -18,7 +18,7 @@ import pytest
 
 import entrocert.certify as certify
 from entrocert.certify import TestConfig, reverify_counterexample
-from entrocert.functions import lookup
+from entrocert.expr import lookup
 from entrocert.hermitian import (
     SpectralDecomposition,
     eigh,

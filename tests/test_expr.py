@@ -24,6 +24,7 @@ def ev(text, t):
         ("t^2/(t+1)", lambda t: t * t / (t + 1.0)),
         ("1/t + t", lambda t: 1.0 / t + t),
         ("t^-0.5", lambda t: t**-0.5),
+        ("t^(3/2)", lambda t: t**1.5),
         ("2^t", lambda t: 2.0**t),
         ("t*(t - 3) + 4", lambda t: t * (t - 3.0) + 4.0),
         ("1e-2 * t", lambda t: 0.01 * t),

@@ -11,11 +11,8 @@ from entrocert.frechet import (
     unvec,
     vec,
 )
-from entrocert.functions import (
-    divided_difference,
-    divided_difference_quadrature_check,
-    lookup,
-)
+from entrocert.expr import lookup
+from entrocert.functions import divided_difference, divided_difference_quadrature_check
 from entrocert.hermitian import (
     SpectralDecomposition,
     apply_function,

@@ -9,10 +9,8 @@ from entrocert.functions import (
     divided_difference,
     divided_difference_quadrature_check,
     gap_function,
-    lookup,
-    registry,
 )
-from entrocert.expr import parse
+from entrocert.expr import lookup, parse, registry
 from entrocert.jets import ORDER, DomainError, Jet
 
 EXPECTED_NAMES = {
@@ -104,7 +102,7 @@ def test_derivative_shifts_orders():
 def test_describe_round_trip_fields():
     f = lookup("neglog")
     d = f.describe()
-    assert d == {"name": "neglog", "expression": None, "zero_extension": None}
+    assert d == {"name": "neglog", "expression": "-log(t)", "zero_extension": None}
 
 
 def test_divided_difference_symmetric_and_diagonal():

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entrocert.expr import parse
-from entrocert.functions import lookup
+from entrocert.expr import lookup, parse
 from entrocert.hermitian import (
     ZERO_CLAMP_TOL,
     EighError,

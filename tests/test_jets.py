@@ -105,6 +105,20 @@ def test_int_pow_negative():
     assert j.derivative(1) == pytest.approx(-2 * t**-3, rel=1e-12)
 
 
+def test_int_pow_is_the_bare_square_and_multiply_product():
+    # no factor of one and no unused squaring: x**k has the bits of the
+    # products written out, terms that overflow to inf included
+    def bits(j):
+        return [np.asarray(x).tobytes() for x in j.terms]
+
+    with np.errstate(over="ignore"):
+        for x in (Jet.variable(np.geomspace(1e-3, 1e3, 7)), Jet.variable(400.0).exp()):
+            x2 = x * x
+            for k, want in ((1, x), (2, x2), (3, x * x2), (5, x * (x2 * x2))):
+                assert bits(x**k) == bits(want), k
+    assert bits(Jet.variable(2.0) ** 0) == bits(Jet.constant(1.0))
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     t=st.floats(0.1, 5.0),

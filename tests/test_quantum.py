@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entrocert.functions import lookup
+from entrocert.expr import lookup
 from entrocert.hermitian import (
     hermitize,
     is_hermitian,
