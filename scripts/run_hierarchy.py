@@ -32,6 +32,8 @@ def main() -> int:
 
     results = {}
     suite_names = None
+    # the first function draws and builds the trials; the others reuse them
+    start = time.perf_counter()
     for f in fns:
         t0 = time.perf_counter()
         outcomes, fit = run_suite(f, "all", cfg)
@@ -41,6 +43,7 @@ def main() -> int:
             suite_names = [o.name for o in outcomes]
         b = "" if fit is None else f"  g(t) ~ {fit['slope']:.6g}*t"
         print(f"# {f.name}: {dt:.2f}s{b}", file=sys.stderr)
+    print(f"# total: {time.perf_counter() - start:.2f}s", file=sys.stderr)
 
     width = max(len(s) for s in suite_names) + 2
     header = " " * width + "".join(f"{f.name:>12}" for f in fns)

@@ -1013,6 +1013,46 @@ def _suite_stacks(seed: int, plans: list[_Plan]) -> Iterator[tuple[_Plan, np.nda
         start += plan.count
 
 
+# (cfg, the plans' (stream, count)) -> their stacks as (stream, trial indices, fields)
+_KEPT: dict[tuple, list] = {}
+
+
+def _held_bytes() -> int:
+    """The bytes of the arrays that _KEPT holds."""
+    return sum(a.nbytes for kept in _KEPT.values() for _, idx, P in kept for a in (idx, *P.values()))
+
+
+def _kept_stacks(cfg: TestConfig, plans: list[_Plan]) -> Iterator[tuple[_Plan, np.ndarray, dict]]:
+    """_suite_stacks(cfg.seed, plans), kept for later calls with the same cfg and plans.
+
+    Trials never depend on f, so every function measured under one cfg
+    reuses them; a call under another cfg drops all that is kept.  A plan
+    set is kept only when its iteration completes and all that is kept
+    stays within _CHUNK_BYTES.  The arrays are read-only.  Grid plans
+    depend on f and are not kept.
+    """
+    if not all(p.stream for p in plans):
+        yield from _suite_stacks(cfg.seed, plans)
+        return
+    if any(key[0] != cfg for key in _KEPT):
+        _KEPT.clear()
+    key = (cfg, tuple((p.stream, p.count) for p in plans))
+    if key in _KEPT:
+        by_stream = {p.stream: p for p in plans}
+        yield from ((by_stream[stream], idx, P) for stream, idx, P in _KEPT[key])
+        return
+    kept, room = [], _CHUNK_BYTES - _held_bytes()
+    for plan, idx, P in _suite_stacks(cfg.seed, plans):
+        for a in (idx, *P.values()):
+            a.flags.writeable = False
+            room -= a.nbytes
+        if room >= 0:
+            kept.append((plan.stream, idx, P))
+        yield plan, idx, P
+    if room >= 0:
+        _KEPT[key] = kept
+
+
 # --------------------------------------------------------------------------
 # expectations for registry functions (drives INCONCLUSIVE and the search)
 
@@ -1076,7 +1116,7 @@ def _drive(
     violation: Optional[dict] = None
     first_hit = first_skip = total
     skip_note = ""
-    for plan, idx, P in _suite_stacks(cfg.seed, plans):
+    for plan, idx, P in _kept_stacks(cfg, plans):
         measured = [_measure(prop, f, P, idx.size) for prop in plan.props]
         m = np.stack([r.margins for r in measured])
         # a trial's margin is the smallest of its properties' margins (the
@@ -1245,7 +1285,7 @@ def _derived_hessian_witness(f: ScalarFunction, cfg: TestConfig, k: int) -> Opti
         cols = (_pd_col("rho", dim, cfg.eig_range), _pd_col("sigma", dim, cfg.eig_range))
         plan = _Plan(f"subentropic-escalation/k{k}/dim{dim}", 12, (_SUB_HESSIAN,), {None: cols})
         # one index class: the stacks hold the rows in trial order
-        stacks = _suite_stacks(cfg.seed, [plan])
+        stacks = _kept_stacks(cfg, [plan])
         rows = (
             {key: v[j : j + 1] for key, v in P.items()}
             for *_, P in stacks for j in range(len(P["rho"]))

@@ -106,6 +106,10 @@ INVARIANCE_RUNS = [("tlogt", s) for s in (
 
 
 def _invariance_run(samples):
+    import entrocert.certify as certify
+
+    # each run draws its own stacks: none is served from an earlier run
+    certify._KEPT.clear()
     outcomes, rows = [], []
     for name, suite in INVARIANCE_RUNS:
         recorder = []
@@ -656,3 +660,119 @@ def test_gain_reverification_rejects_singular_channel_outputs():
     with pytest.raises(DomainError, match="channel output too singular for neglog"):
         reverify_counterexample(lookup("neglog"), payload)
     assert np.isfinite(reverify_counterexample(lookup("tlogt"), payload))
+
+
+# The built trial stacks of a config are kept for the next function measured
+# under it (certify._kept_stacks).  A test starts with none kept (conftest).
+
+def _battery_functions():
+    return [*registry(), parse("t*log(t)").as_function(0.0), parse("-log(t)").as_function()]
+
+
+@pytest.mark.parametrize("seed", [0, 3, 42])
+def test_kept_stacks_give_the_outcomes_of_fresh_ones(seed):
+    import entrocert.certify as certify
+
+    cfg = TestConfig(seed=seed, samples=10)
+
+    def run(f):
+        recorder = []
+        outcomes, fit = run_suite(f, "all", cfg, recorder)
+        # repr tells -0.0 from 0.0 and compares NaN; outcomes hold the witnesses
+        return repr((outcomes, fit, recorder))
+
+    cold = []
+    for f in _battery_functions():
+        certify._KEPT.clear()
+        cold.append(run(f))
+    # the last cold run leaves its stacks kept: every warm run reuses them
+    assert certify._KEPT
+    assert [run(f) for f in _battery_functions()] == cold
+
+
+def _count_draws(monkeypatch):
+    """Count the PD builds and the trial streams (one Generator state per trial) a run makes."""
+    import entrocert.certify as certify
+
+    counts = {"pd_from_draw": 0, "streams": 0}
+    build, streams = certify.pd_from_draw, certify._trial_streams
+
+    def counted_build(*args):
+        counts["pd_from_draw"] += 1
+        return build(*args)
+
+    def counted_streams(*args):
+        for rng in streams(*args):
+            counts["streams"] += 1
+            yield rng
+
+    monkeypatch.setattr(certify, "pd_from_draw", counted_build)
+    monkeypatch.setattr(certify, "_trial_streams", counted_streams)
+    return counts
+
+
+def test_second_function_draws_and_builds_nothing(monkeypatch):
+    counts = _count_draws(monkeypatch)
+    cfg = TestConfig(seed=8, samples=10)
+    run_suite(lookup("tlogt"), "all", cfg)
+    assert counts["pd_from_draw"] > 0 and counts["streams"] > 0
+    counts.update(dict.fromkeys(counts, 0))
+    outcomes, _ = run_suite(lookup("neglog"), "all", cfg)
+    assert any(o.verdict != PASS for o in outcomes)
+    assert counts == {"pd_from_draw": 0, "streams": 0}
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"tol": 1e-7}, {"eig_range": (0.2, 5.0)}, {"bipartite": ((2, 2), (2, 3))}, {"samples": 11}],
+    ids=["tol", "eig_range", "bipartite", "samples"],
+)
+def test_another_config_reuses_nothing(monkeypatch, change):
+    counts = _count_draws(monkeypatch)
+    base = TestConfig(seed=8, samples=10)
+    test_entropic(lookup("tlogt"), base)
+    for cfg in (TestConfig(**{**base.as_dict(), **change}), base):
+        counts.update(dict.fromkeys(counts, 0))
+        assert test_entropic(lookup("tlogt"), cfg).verdict == PASS
+        # the base config redraws too: the switch dropped its stacks
+        assert counts["pd_from_draw"] > 0 and counts["streams"] == cfg.samples * len(cfg.bipartite)
+
+
+def test_kept_stacks_stay_within_the_chunk_budget():
+    import entrocert.certify as certify
+
+    run_suite(lookup("tlogt"), "all", TestConfig(seed=42, samples=200))
+    # some of the 9 sampled suites' plan sets fit and are kept; the others
+    # are drawn afresh each time
+    assert 0 < certify._held_bytes() <= certify._CHUNK_BYTES
+    assert 0 < len(certify._KEPT) < 9
+
+
+def test_kept_arrays_are_read_only():
+    import entrocert.certify as certify
+
+    run_suite(lookup("tlogt"), "principle1", TestConfig(seed=2, samples=5))
+    (stacks,) = certify._KEPT.values()
+    for _, idx, P in stacks:
+        for a in (idx, *P.values()):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = a.flat[0]
+
+
+def test_abandoned_iteration_keeps_nothing():
+    import entrocert.certify as certify
+
+    cfg = TestConfig(seed=2, samples=5)
+    cols = (certify._pd_col("x", 2, cfg.eig_range), certify._pd_col("y", 2, cfg.eig_range))
+    plans = [certify._Plan("principle1/dim2", cfg.samples, (certify._PRINCIPLE1,), {None: cols})]
+    stacks = certify._kept_stacks(cfg, plans)
+    next(stacks)
+    stacks.close()
+    assert not certify._KEPT
+    assert len(list(certify._kept_stacks(cfg, plans))) == 1 and len(certify._KEPT) == 1
+    # the derived-Hessian search returns from within its dim-2 stacks
+    certify._KEPT.clear()
+    cfg = TestConfig(seed=42, samples=10)
+    assert _derived_hessian_witness(lookup("power:1.25"), cfg, 3)[2] == 2
+    assert not certify._KEPT

@@ -303,6 +303,28 @@ def test_trial_streams_match_seed_sequence(monkeypatch, token):
             assert rng.bit_generator.state == ref.bit_generator.state
 
 
+def test_stream_names_are_unique(monkeypatch):
+    # A stream's trials are keyed by its name's token, and the kept stacks
+    # by the names of a suite's plans: no two sampled plans of a config,
+    # the derived-Hessian search's included, may share a name or a token
+    streams = []
+
+    def capture(cfg, plans):
+        streams.extend(plan.stream for plan in plans if plan.stream)
+        return iter(())
+
+    monkeypatch.setattr(certify, "_kept_stacks", capture)
+    f, cfg = lookup("tlogt"), TestConfig(seed=7, samples=3)
+    for row in certify._SUITES:
+        row.run(f, cfg, None)
+    for k in certify._SUBENTROPIC_ORDERS:
+        certify._derived_hessian_witness(f, cfg, k)
+    assert sum(name.startswith("subentropic-escalation/") for name in streams) == 3 * len(cfg.dims)
+    assert len(streams) == len(set(streams)) == len({certify._stream_token(s) for s in streams})
+    # seven suites and three search orders per dim, entropic per split, one gain stream
+    assert len(streams) == 10 * len(cfg.dims) + len(cfg.bipartite) + 1
+
+
 def test_padded_gain_witness_has_the_drawn_channel(monkeypatch):
     # every random-channel trial of gain is built into a stack padded to 4
     # operators; its witness drops the padding and re-verifies alone

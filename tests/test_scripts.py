@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,11 @@ def _run(*args):
 def test_script_exits_zero(script):
     proc = _run(str(ROOT / "scripts" / script), "--samples", "3")
     assert proc.returncode == 0, proc.stderr
+    if script == "run_hierarchy.py":
+        # one line per function, then the whole run's time
+        lines = proc.stderr.splitlines()
+        assert len(lines) > 1 and all(line.startswith("# ") for line in lines)
+        assert re.fullmatch(r"# total: \d+\.\d\ds", lines[-1])
 
 
 @pytest.mark.parametrize(
