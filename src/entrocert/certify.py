@@ -22,11 +22,13 @@ use min_eigenvalue / max(1, spectral radius) of the difference.  Concavity
 claims are convexity claims of the negated functional.
 
 Each property is defined once, as a :class:`_Property` record: the fields of
-its counterexample payload and a ``margin(f, payloads)`` that measures a
-whole stack of trials.  Sampling, the witness search and
-reverify_counterexample all go through that one margin; a trial whose margin
-is not finite is skipped.  Re-verification is a batch of one, and every FAIL
-payload is written by the record that re-verifies it (_witness).
+its counterexample payload, a ``derive(payloads)`` that forms and decomposes
+the matrices of a whole stack of trials, and a ``margin(f, payloads,
+derived)`` that applies f to them.  Sampling, the witness search and
+reverify_counterexample all go through that one derive and margin; a trial
+whose margin is not finite is skipped.  Re-verification is a batch of one,
+and every FAIL payload is written by the record that re-verifies it
+(_witness).
 
 Every suite is a list of trial plans, and one aggregator (_drive) folds the
 margins of each stack of trials straight into the outcome.  A FAIL's witness
@@ -69,10 +71,9 @@ from .frechet import (
     Superoperator,
     _flat_with_sums,
     _frechet_pair,
+    _inverse_form,
     _pairing,
-    _second_diff_terms,
     _split_sums,
-    frechet_inverse,
     unvec,
     vec,
 )
@@ -86,7 +87,6 @@ from .hermitian import (
     matrix_to_json,
     pd_from_draw,
     spectrum_trace,
-    trace_of_function,
     uniform_from_draw,
 )
 from .jets import DomainError
@@ -382,7 +382,8 @@ class _Col(NamedTuple):
 
     A state field (a PD, diagonal or scalar matrix) comes with the
     eigenpairs its build knows, under the two keys of :func:`_state`, so
-    the margins hand them to ``eigh`` instead of decomposing it again.
+    the properties' derive hands them to ``eigh`` instead of decomposing it
+    again.
 
     A column with a ``pool`` key holds one field of states, one per raw
     unit (the last axis of ``raw``).  The columns of a chunk that share a
@@ -405,10 +406,10 @@ def _state(name: str) -> tuple[str, str, str]:
 
 
 def _known(P: dict, *names: str) -> list[SpectralDecomposition]:
-    """The built eigenpairs of the state fields ``names``, one decomposition per field.
+    """The eigenpairs kept under the keys of :func:`_state` for ``names``, one decomposition each.
 
-    Empty for a payload without them (one decoded from JSON): eigh then
-    decomposes every member.
+    Those of a build's state fields, or of a derive's.  Empty for a payload
+    without them (one decoded from JSON): eigh then decomposes every member.
     """
     if _state(names[0])[1] not in P:
         return []
@@ -558,15 +559,23 @@ _DECODE = {
 class _Property:
     """How one kind of trial is measured, and how its witness reads and writes.
 
-    ``margin(f, P)`` takes a dict of stacked payload fields (leading axis =
-    trials) and returns ``(margins, scales)``, or ``(margins, scales,
-    extras)`` where ``extras`` holds per-trial values that the witness
-    records next to the payload.
+    ``derive(P)`` takes a dict of stacked payload fields (leading axis =
+    trials) and returns the f-independent data its margin reads, each array
+    with a leading trial axis too: the states and the matrices the property
+    forms of them (midpoints, sums, partial traces, channel outputs),
+    decomposed by one checked :func:`eigh` call per matrix size; eigenvalues
+    for a trace property, eigenpairs for a Frechet one.  ``margin(f, P, D)``
+    applies f to that derived data ``D`` and returns ``(margins, scales)``,
+    or ``(margins, scales, extras)`` where ``extras`` holds per-trial values
+    that the witness records next to the payload.  A sampled stack is
+    derived once, however many functions measure it (_drive); a
+    payload decoded from JSON is derived on its own (_margin).
     """
 
     kind: str
     fields: tuple[tuple[str, str], ...]
     margin: Callable
+    derive: Callable[[dict], dict] = lambda P: {}  # scalar properties read P alone
     extras: tuple[str, ...] = ()
     defaults: dict = field(default_factory=dict)  # for fields older payloads lack
     label: str = ""  # names the margin in a detail line when a trial has several
@@ -610,42 +619,91 @@ def _with_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.stack([x, y, hermitize(x + y)])
 
 
-def _principle1_margin(f, P):
+def _trial_first(a: np.ndarray) -> np.ndarray:
+    """Swap the two leading axes, (k, trials, ...) <-> (trials, k, ...), as a view."""
+    return np.swapaxes(a, 0, 1)
+
+
+def _by_trial(dec: SpectralDecomposition) -> dict:
+    """A checked decomposition of a (k, trials, n, n) stack, stored trial-first."""
+    return {
+        "eigenvalues": _trial_first(dec.eigenvalues),
+        "eigenvectors": _trial_first(dec.eigenvectors),
+    }
+
+
+def _members(D: dict) -> SpectralDecomposition:
+    """The decomposition that _by_trial stored, its members first again."""
+    return SpectralDecomposition(_trial_first(D["eigenvalues"]), _trial_first(D["eigenvectors"]))
+
+
+def _traces(f, D: dict, key: str) -> np.ndarray:
+    """Tr f over the trial-first spectra ``D[key]``, (k, trials)."""
+    return spectrum_trace(f, _trial_first(D[key]))
+
+
+def _pair_spectra(P: dict) -> dict:
+    """The checked spectra of the (x, y, midpoint) of each trial, as ``spectra``."""
+    mats = _with_midpoint(P["x"], P["y"])
+    return {"spectra": _trial_first(eigh(mats, _known(P, "x", "y")).eigenvalues)}
+
+
+def _principle1_margin(f, P, D):
     # Concavity of -Tr f equals midpoint convexity of Tr f.
-    mats = _with_midpoint(P["x"], P["y"])
-    return _convexity(*trace_of_function(f, mats, _known(P, "x", "y")))
+    return _convexity(*_traces(f, D, "spectra"))
 
 
-def _entropic_margin(f, P):
-    d1, d2 = int(P["dim1"][0]), int(P["dim2"][0])
-    mats = _with_midpoint(P["x"], P["y"])
-    tr = trace_of_function(f, mats, _known(P, "x", "y"))
-    return _convexity(*(tr - trace_of_function(f, partial_trace_1(mats, d1, d2))))
+def _entropic_derive(P):
+    reduced = partial_trace_1(_with_midpoint(P["x"], P["y"]), int(P["dim1"][0]), int(P["dim2"][0]))
+    return {**_pair_spectra(P), "reduced": _trial_first(eigh(reduced).eigenvalues)}
 
 
-def _g_values(f, mats, known=()):
-    """G(rho_1..rho_k) = sum_i Tr f(rho_i) - Tr f(sum_i rho_i); the k matrices along axis -3.
-
-    ``known`` holds eigenpairs of the leading rho_i, in C order.
-    """
-    single, joint = _split_sums(trace_of_function(f, _flat_with_sums(mats), known), mats.shape[:-2])
-    return np.sum(single, axis=-1) - joint
+def _entropic_margin(f, P, D):
+    return _convexity(*(_traces(f, D, "spectra") - _traces(f, D, "reduced")))
 
 
-def _subentropic_midpoint_margin(f, P):
+# The subentropic margins meet every rho_i before the sums, in the order of
+# the flat stack they were decomposed in, so a domain error of f names the
+# same first failing value for a stack, a trial or a payload.
+
+def _subentropic_midpoint_derive(P):
     xs, ys = P["xs"], P["ys"]
-    return _convexity(*_g_values(f, np.stack([xs, ys, (xs + ys) / 2.0]), _known(P, "xs", "ys")))
+    ms = np.stack([xs, ys, (xs + ys) / 2.0])
+    lam = eigh(_flat_with_sums(ms), _known(P, "xs", "ys")).eigenvalues
+    single, joint = _split_sums(lam, ms.shape[:-2])
+    return {"spectra": _trial_first(single), "sums": _trial_first(joint)}
 
 
-def _subentropic_hessian_margin(f, P):
-    single, joint = _second_diff_terms(f, P["rhos"], P["hs"], _known(P, "rhos"))
+def _subentropic_midpoint_margin(f, P, D):
+    # G(rho_1..rho_k) = sum_i Tr f(rho_i) - Tr f(sum_i rho_i) at xs, ys and their midpoint
+    return _convexity(*(np.sum(_traces(f, D, "spectra"), axis=-1) - _traces(f, D, "sums")))
+
+
+def _subentropic_hessian_derive(P):
+    rhos = P["rhos"]
+    dec = eigh(_flat_with_sums(rhos), _known(P, "rhos"))
+    (w, sum_w), (v, sum_v) = (
+        _split_sums(a, rhos.shape[:-2]) for a in (dec.eigenvalues, dec.eigenvectors)
+    )
+    # the rho_i and their sums, each under the keys of _state
+    return dict(zip((*_state("rhos")[1:], *_state("sums")[1:]), (w, v, sum_w, sum_v)))
+
+
+def _subentropic_hessian_margin(f, P, D):
+    # per-point terms Tr h_i df'(rho_i) h_i and the joint term of the sums
+    fp, hs = f.derivative(), P["hs"]
+    rhos, sums = _known(D, "rhos", "sums")
+    single, joint = _pairing(fp, rhos, hs), _pairing(fp, sums, np.sum(hs, axis=-3))
     scale = np.maximum(1.0, np.sum(np.abs(single), axis=-1) + np.abs(joint))
     return (np.sum(single, axis=-1) - joint) / scale, scale
 
 
-def _condition13_margin(f, P):
-    fp = f.derivative()
-    inv = frechet_inverse(fp, _with_sum(P["rho"], P["sigma"]), _known(P, "rho", "sigma"))
+def _pair_sum_derive(P):
+    return _by_trial(eigh(_with_sum(P["rho"], P["sigma"]), _known(P, "rho", "sigma")))
+
+
+def _condition13_margin(f, P, D):
+    inv = _inverse_form(f.derivative(), _members(D))
     r, s, total = inv.matrix
     pm = Superoperator(inv.dim, total - r - s).psd_margin()
     return pm.normalized, pm.scale
@@ -678,7 +736,7 @@ def _negative_pairs(d, inv_r, inv_s):
     return eigs, h1, h2, quad, usable
 
 
-def _equivalence_margin(f, P):
+def _equivalence_margin(f, P, D):
     """Per-instance agreement of the condition13 verdict with the Hessian verdict.
 
     The Hessian margin is the worst over the drawn direction pairs and the
@@ -686,9 +744,7 @@ def _equivalence_margin(f, P):
     Both margins must clear ``band`` before a sign disagreement counts.
     """
     h1, h2, band = P["h1"], P["h2"], P["band"]
-    fwd, inv = _frechet_pair(
-        f.derivative(), _with_sum(P["rho"], P["sigma"]), _known(P, "rho", "sigma")
-    )
+    fwd, inv = _frechet_pair(f.derivative(), _members(D))
     b, c, a = fwd.matrix
     inv_r, inv_s, inv_sum = inv.matrix
     d = hermitize(inv_sum - inv_r - inv_s)
@@ -715,26 +771,31 @@ def _equivalence_margin(f, P):
     return margin, np.maximum(np.abs(m13), np.abs(mh)), extras
 
 
-def _matrix_entropy_margin(f, P):
+def _matrix_entropy_derive(P):
+    return _by_trial(eigh(_with_midpoint(P["x1"], P["x2"]), _known(P, "x1", "x2")))
+
+
+def _matrix_entropy_margin(f, P, D):
     # Q(rho, h) = Tr h df'(rho) h, the quadratic form behind matrix entropies
-    x1, h1, x2, h2 = P["x1"], P["h1"], P["x2"], P["h2"]
-    hs = np.stack([h1, h2, (h1 + h2) / 2.0])
-    q = _pairing(f.derivative(), _with_midpoint(x1, x2), hs, _known(P, "x1", "x2"))
-    return _convexity(*q)
+    h1, h2 = P["h1"], P["h2"]
+    return _convexity(*_pairing(f.derivative(), _members(D), np.stack([h1, h2, (h1 + h2) / 2.0])))
 
 
-def _gain_margin(f, P):
+def _gain_derive(P):
+    outputs = hermitize(apply_kraus(P["channel"], _with_midpoint(P["x"], P["y"])))
+    return {**_pair_spectra(P), "outputs": _trial_first(eigh(outputs).eigenvalues)}
+
+
+def _gain_margin(f, P, D):
     # convexity of rho -> S_f(channel(rho)) - S_f(rho) = Tr f(rho) - Tr f(channel(rho))
-    mats = _with_midpoint(P["x"], P["y"])
-    spectra = eigh(hermitize(apply_kraus(P["channel"], mats))).eigenvalues
+    outputs = _trial_first(D["outputs"])
     # functions unbounded at 0 need full-rank channel outputs
-    if f.zero_extension is None and np.min(spectra[..., 0]) < _RANK_FLOOR:
+    if f.zero_extension is None and np.min(outputs[..., 0]) < _RANK_FLOOR:
         raise DomainError(f"channel output too singular for {f.name}")
-    tr = trace_of_function(f, mats, _known(P, "x", "y"))
-    return _convexity(*(tr - spectrum_trace(f, spectra)))
+    return _convexity(*(_traces(f, D, "spectra") - spectrum_trace(f, outputs)))
 
 
-def _scalar_convexity_margin(f, P):
+def _scalar_convexity_margin(f, P, D):
     t, s = P["t"], P["s"]
     return _convexity(f(t), f(s), f((t + s) / 2.0))
 
@@ -746,28 +807,28 @@ def _gap_terms(f, P):
     return g, t, s, gt, gs, np.maximum(1.0, np.abs(gt) + np.abs(gs))
 
 
-def _gap_superadditive_margin(f, P):
+def _gap_superadditive_margin(f, P, D):
     g, t, s, gt, gs, scale = _gap_terms(f, P)
     return (g(t + s) - gt - gs) / scale, scale
 
 
-def _gap_monotone_margin(f, P):
+def _gap_monotone_margin(f, P, D):
     _, _, _, gt, gs, scale = _gap_terms(f, P)
     return (gs - gt) / scale, scale
 
 
-def _gap_concavity_margin(f, P):
+def _gap_concavity_margin(f, P, D):
     g, t, s, gt, gs, scale = _gap_terms(f, P)
     return (g((t + s) / 2.0) - (gt + gs) / 2.0) / scale, scale
 
 
-def _gap_zero_margin(f, P):
+def _gap_zero_margin(f, P, D):
     # g must vanish at 0+ (f'' must blow up)
     margin = _GAP_ZERO_CEILING - gap_function(f)(P["t"])
     return margin, np.ones_like(margin)
 
 
-def _uniqueness_fit_margin(f, P):
+def _uniqueness_fit_margin(f, P, D):
     # a fit has no trial fields: its witness records the worst-fitting grid point
     fit, ts = _gap_fit(f), _FIT_GRID
     t = ts[np.argmax(np.abs(np.asarray(gap_function(f)(ts)) - fit["slope"] * ts))]
@@ -776,32 +837,36 @@ def _uniqueness_fit_margin(f, P):
 
 
 _PAIR = (("x", _MAT), ("y", _MAT))
-_PRINCIPLE1 = _Property("principle1", _PAIR, _principle1_margin)
-_ENTROPIC = _Property("entropic", (("dim1", _INT), ("dim2", _INT), *_PAIR), _entropic_margin)
+_PRINCIPLE1 = _Property("principle1", _PAIR, _principle1_margin, _pair_spectra)
+_ENTROPIC = _Property(
+    "entropic", (("dim1", _INT), ("dim2", _INT), *_PAIR), _entropic_margin, _entropic_derive
+)
 _SUB_MIDPOINT = _Property(
     "subentropic-midpoint", (("xs", _MATS), ("ys", _MATS)), _subentropic_midpoint_margin,
-    label="midpoint",
+    _subentropic_midpoint_derive, label="midpoint",
 )
 _SUB_HESSIAN = _Property(
     "subentropic-hessian", (("rhos", _MATS), ("hs", _MATS)), _subentropic_hessian_margin,
-    label="Hessian",
+    _subentropic_hessian_derive, label="Hessian",
 )
 _CONDITION13 = _Property(
-    "condition13", (("rho", _MAT), ("sigma", _MAT)), _condition13_margin, superops=10
+    "condition13", (("rho", _MAT), ("sigma", _MAT)), _condition13_margin, _pair_sum_derive,
+    superops=10,
 )
 _EQUIVALENCE = _Property(
     "equivalence",
     (("rho", _MAT), ("sigma", _MAT), ("h1", _DIRS), ("h2", _DIRS), ("band", _FLOAT)),
     _equivalence_margin,
+    _pair_sum_derive,
     extras=("margin13", "margin_hessian"),
     defaults={"band": 0.0},
     superops=16,
 )
 _MATRIX_ENTROPY = _Property(
     "matrix-entropy", (("x1", _MAT), ("h1", _MAT), ("x2", _MAT), ("h2", _MAT)),
-    _matrix_entropy_margin,
+    _matrix_entropy_margin, _matrix_entropy_derive,
 )
-_GAIN = _Property("gain", (("channel", _CHANNEL), *_PAIR), _gain_margin)
+_GAIN = _Property("gain", (("channel", _CHANNEL), *_PAIR), _gain_margin, _gain_derive)
 _SCALAR_PAIR = (("t", _FLOAT), ("s", _FLOAT))
 _SCALAR_CONVEXITY = _Property("scalar-convexity", _SCALAR_PAIR, _scalar_convexity_margin)
 _GAP_SUPERADDITIVE = _Property("gap-superadditive", _SCALAR_PAIR, _gap_superadditive_margin)
@@ -836,9 +901,12 @@ class _Measured(NamedTuple):
     notes: list  # per trial: why it was skipped, or ""
 
 
-def _margin(prop: _Property, f: ScalarFunction, P: dict) -> tuple:
-    """prop's (margins, scales, extras) on a stack; a non-finite margin is a DomainError."""
-    out = prop.margin(f, P)
+def _margin(prop: _Property, f: ScalarFunction, P: dict, D: Optional[dict] = None) -> tuple:
+    """prop's (margins, scales, extras) on a stack; a non-finite margin is a DomainError.
+
+    ``D`` is what prop derived of the stack; without it, the stack is derived here.
+    """
+    out = prop.margin(f, P, prop.derive(P) if D is None else D)
     extras = out[2] if len(out) > 2 else {}
     margins = np.asarray(out[0], dtype=float).reshape(-1)
     if not np.isfinite(margins).all():
@@ -846,14 +914,25 @@ def _margin(prop: _Property, f: ScalarFunction, P: dict) -> tuple:
     return margins, np.asarray(out[1], dtype=float).reshape(-1), extras
 
 
-def _measure(prop: _Property, f: ScalarFunction, P: dict, size: int) -> _Measured:
-    """prop's margin on a stack of ``size`` trials.
+def _trial(A: dict, i: int) -> dict:
+    """Trial i of a stack's fields or derived data, as a stack of one."""
+    return {k: v[i : i + 1] for k, v in A.items()}
 
-    If the stack raises a skippable error, the trials are measured one at a
-    time through the same code, so only the offending ones are skipped.
+
+def _measure(
+    prop: _Property, f: ScalarFunction, P: dict, size: int, D: Optional[dict] = None
+) -> _Measured:
+    """prop's margin on a stack of ``size`` trials, from its derived data ``D``.
+
+    Without ``D``, the stack is derived here.  If the stack raises a
+    skippable error, the trials are measured one at a time through the same
+    code, from trial slices of ``P`` and ``D``, so only the offending ones
+    are skipped.
     """
+    if D is None:
+        D = prop.derive(P)
     try:
-        m, s, ex = _margin(prop, f, P)
+        m, s, ex = _margin(prop, f, P, D)
         per_trial = [{k: v[i] for k, v in ex.items()} for i in range(size)] if ex else [{}] * size
         return _Measured(m, s, per_trial, [""] * size)
     except _SKIPPABLE as exc:
@@ -863,7 +942,7 @@ def _measure(prop: _Property, f: ScalarFunction, P: dict, size: int) -> _Measure
     extras, notes = [{}] * size, [""] * size
     for i in range(size):
         try:
-            m, s, ex = _margin(prop, f, {k: v[i : i + 1] for k, v in P.items()})
+            m, s, ex = _margin(prop, f, _trial(P, i), _trial(D, i))
         except _SKIPPABLE as exc:
             notes[i] = str(exc)
             continue
@@ -1013,44 +1092,75 @@ def _suite_stacks(seed: int, plans: list[_Plan]) -> Iterator[tuple[_Plan, np.nda
         start += plan.count
 
 
-# (cfg, the plans' (stream, count)) -> their stacks as (stream, trial indices, fields)
+# (cfg, the plans' (stream, count)) -> their stacks as (stream, trial indices, fields, derived)
 _KEPT: dict[tuple, list] = {}
+
+
+def _arrays(idx: np.ndarray, P: dict, D: dict) -> list[np.ndarray]:
+    """The arrays of a stack: its trial indices, fields and derived data (property kind -> dict)."""
+    return [idx, *P.values(), *(a for derived in D.values() for a in derived.values())]
 
 
 def _held_bytes() -> int:
     """The bytes of the arrays that _KEPT holds."""
-    return sum(a.nbytes for kept in _KEPT.values() for _, idx, P in kept for a in (idx, *P.values()))
+    return sum(a.nbytes for kept in _KEPT.values() for _, *stack in kept for a in _arrays(*stack))
 
 
-def _kept_stacks(cfg: TestConfig, plans: list[_Plan]) -> Iterator[tuple[_Plan, np.ndarray, dict]]:
-    """_suite_stacks(cfg.seed, plans), kept for later calls with the same cfg and plans.
+def _kept_stacks(
+    cfg: TestConfig, plans: list[_Plan]
+) -> Iterator[tuple[_Plan, np.ndarray, dict, dict]]:
+    """_suite_stacks(cfg.seed, plans) with each stack's derived data, kept for later calls.
 
-    Trials never depend on f, so every function measured under one cfg
-    reuses them; a call under another cfg drops all that is kept.  A plan
-    set is kept only when its iteration completes and all that is kept
-    stays within _CHUNK_BYTES.  The arrays are read-only.  Grid plans
-    depend on f and are not kept.
+    Yields (plan, trial indices, fields, derived), where the caller fills
+    ``derived`` (property kind -> what its derive made of the stack) on the
+    stack's first use.  Trials never depend on f, so every function
+    measured under one cfg reuses them and their derived data; a call under
+    another cfg drops all that is kept.  A derived stack keeps only its
+    payload fields beside its derived data: the builds' eigenpairs served
+    the derive alone.  A plan set is kept only when its iteration completes
+    and all that is kept stays within _CHUNK_BYTES; one whose payload fields
+    alone exceed that is not gathered.  The arrays are read-only.  Grid
+    plans depend on f and are not kept.
     """
     if not all(p.stream for p in plans):
-        yield from _suite_stacks(cfg.seed, plans)
+        yield from ((plan, idx, P, {}) for plan, idx, P in _suite_stacks(cfg.seed, plans))
         return
     if any(key[0] != cfg for key in _KEPT):
         _KEPT.clear()
     key = (cfg, tuple((p.stream, p.count) for p in plans))
     if key in _KEPT:
         by_stream = {p.stream: p for p in plans}
-        yield from ((by_stream[stream], idx, P) for stream, idx, P in _KEPT[key])
+        yield from ((by_stream[stream], idx, P, D) for stream, idx, P, D in _KEPT[key])
         return
-    kept, room = [], _CHUNK_BYTES - _held_bytes()
+    room = _CHUNK_BYTES - _held_bytes()
+    # the payload fields of every trial, each of the smallest index class
+    least = sum(
+        p.count * min(sum(c.nbytes for c in cols) for cols in p.classes.values()) for p in plans
+    )
+    kept: Optional[list] = [] if least <= room else None  # None: not kept
     for plan, idx, P in _suite_stacks(cfg.seed, plans):
-        for a in (idx, *P.values()):
-            a.flags.writeable = False
-            room -= a.nbytes
-        if room >= 0:
-            kept.append((plan.stream, idx, P))
-        yield plan, idx, P
-    if room >= 0:
+        _freeze(idx, *P.values())
+        D: dict = {}
+        yield plan, idx, P, D
+        if kept is None:
+            continue
+        if len(D) == len(plan.props):
+            fields = {name for prop in plan.props for name, _ in prop.fields}
+            P = {k: v for k, v in P.items() if k in fields}
+        room -= _freeze(*_arrays(idx, P, D))
+        if room < 0:
+            kept = None  # released now, not at the end of the plan set
+        else:
+            kept.append((plan.stream, idx, P, D))
+    if kept is not None:
         _KEPT[key] = kept
+
+
+def _freeze(*arrays: np.ndarray) -> int:
+    """Make the arrays read-only; returns their bytes."""
+    for a in arrays:
+        a.flags.writeable = False
+    return sum(a.nbytes for a in arrays)
 
 
 # --------------------------------------------------------------------------
@@ -1116,8 +1226,11 @@ def _drive(
     violation: Optional[dict] = None
     first_hit = first_skip = total
     skip_note = ""
-    for plan, idx, P in _kept_stacks(cfg, plans):
-        measured = [_measure(prop, f, P, idx.size) for prop in plan.props]
+    for plan, idx, P, D in _kept_stacks(cfg, plans):
+        for prop in plan.props:
+            if prop.kind not in D:  # the stack's first use
+                D[prop.kind] = prop.derive(P)
+        measured = [_measure(prop, f, P, idx.size, D[prop.kind]) for prop in plan.props]
         m = np.stack([r.margins for r in measured])
         # a trial's margin is the smallest of its properties' margins (the
         # first on ties); a trial that any property skips is skipped
@@ -1286,16 +1399,13 @@ def _derived_hessian_witness(f: ScalarFunction, cfg: TestConfig, k: int) -> Opti
         plan = _Plan(f"subentropic-escalation/k{k}/dim{dim}", 12, (_SUB_HESSIAN,), {None: cols})
         # one index class: the stacks hold the rows in trial order
         stacks = _kept_stacks(cfg, [plan])
-        rows = (
-            {key: v[j : j + 1] for key, v in P.items()}
-            for *_, P in stacks for j in range(len(P["rho"]))
-        )
+        rows = (_trial(P, j) for _, _, P, _ in stacks for j in range(len(P["rho"])))
         for row in rows:
             rho, sigma = row["rho"][0], row["sigma"][0]
             try:
-                r, s, total = frechet_inverse(
-                    fp, _with_sum(rho, sigma), _known(row, "rho", "sigma")
-                ).matrix
+                # the row is a condition13 payload: its inverse differentials
+                # at rho, sigma and rho+sigma
+                r, s, total = _inverse_form(fp, _members(_pair_sum_derive(row))).matrix[:, 0]
             except (NotInvertibleError, DomainError):
                 return None
             eigs, h1s, h2s, quad, usable = _negative_pairs(hermitize(total - r - s), r, s)

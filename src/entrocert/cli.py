@@ -2,7 +2,8 @@
 
 Exit codes: 0 all selected suites PASS; 1 at least one FAIL; 2 deviations
 that are only INCONCLUSIVE or SKIPPED; 3 usage, domain or numerical errors.
-``reverify`` exits 0 when every FAIL of a report re-verifies, 1 otherwise.
+``reverify`` exits 0 when every FAIL of a report re-verifies, 1 when one does
+not, and 3 on a malformed report.
 """
 
 from __future__ import annotations
@@ -190,15 +191,26 @@ def cmd_reverify(args) -> int:
         f = parse(described["expression"]).as_function(described["zero_extension"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{args.report}: malformed report ({exc!r})") from None
+    fails = [o for o in report.outcomes if o.verdict == FAIL]
+    for o in fails:
+        if not isinstance(o.counterexample, dict):
+            raise ValueError(
+                f"{args.report}: malformed report (FAIL {o.name} has no counterexample "
+                f"payload, only {o.counterexample!r})"
+            )
     failed = False
-    for o in report.outcomes:
-        if o.verdict == FAIL:
+    for o in fails:
+        try:
             margin = reverify_counterexample(f, o.counterexample)
-            ok = margin < bound
-            failed |= not ok
-            note = "" if ok else f" -- not below -tol/2 = {bound!r}"
-            print(f"[{o.verdict}] {o.name}: payload margin {o.counterexample.get('margin')!r}, "
-                  f"re-verified {margin!r}{note}", file=sys.stderr)
+        except KeyError as exc:
+            raise ValueError(
+                f"{args.report}: malformed report (FAIL {o.name} payload lacks {exc})"
+            ) from None
+        ok = margin < bound
+        failed |= not ok
+        note = "" if ok else f" -- not below -tol/2 = {bound!r}"
+        print(f"[{o.verdict}] {o.name}: payload margin {o.counterexample.get('margin')!r}, "
+              f"re-verified {margin!r}{note}", file=sys.stderr)
     return 1 if failed else 0
 
 

@@ -16,7 +16,6 @@ how the certification suites evaluate many trials in one call.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,33 +86,24 @@ def frechet_diff(f: ScalarFunction, rho: np.ndarray, h: np.ndarray) -> np.ndarra
     Linear in h; maps Hermitian h to (exactly) Hermitian output.  General
     square h is accepted as well, in which case no symmetrisation happens.
     """
-    kernel, u = _kernel(f, rho)
+    kernel, u = _kernel(f, eigh(rho))
     out = _hadamard_conjugate(kernel, u, np.asarray(h, dtype=complex))
     if is_hermitian(h):
         return hermitize(out)
     return out
 
 
-def _kernel(
-    f: ScalarFunction, rho: np.ndarray, known: Sequence[SpectralDecomposition] = ()
-) -> tuple[np.ndarray, np.ndarray]:
-    """The Loewner matrix of f over rho's spectrum, and rho's eigenvectors.
-
-    ``known`` holds the eigenpairs of rho's leading members, as in
-    :func:`entrocert.hermitian.eigh`, which checks them.
-    """
-    dec = eigh(rho, known)
+def _kernel(f: ScalarFunction, dec: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]:
+    """The Loewner matrix of f over a checked decomposition's spectrum, and its eigenvectors."""
     return loewner_matrix(f, dec.eigenvalues), dec.eigenvectors
 
 
-def _pairing(
-    f: ScalarFunction,
-    rho: np.ndarray,
-    h: np.ndarray,
-    known: Sequence[SpectralDecomposition] = (),
-) -> np.ndarray:
-    """Re Tr h df(rho)[h], computed in the eigenbasis of rho (stacks allowed)."""
-    kernel, u = _kernel(f, rho, known)
+def _pairing(f: ScalarFunction, dec: SpectralDecomposition, h: np.ndarray) -> np.ndarray:
+    """Re Tr h df(rho)[h] at the rho of a checked decomposition, in its eigenbasis.
+
+    Stacks allowed.
+    """
+    kernel, u = _kernel(f, dec)
     g = adjoint(u) @ np.asarray(h, dtype=complex) @ u
     return np.sum(kernel * g * np.swapaxes(g, -1, -2), axis=(-2, -1)).real
 
@@ -154,7 +144,7 @@ def frechet_superoperator(f: ScalarFunction, rho: np.ndarray) -> Superoperator:
     Loewner-matrix entries, so it is positive definite whenever the divided
     differences of f are strictly positive.
     """
-    return _kronecker_form(*_kernel(f, rho))
+    return _kronecker_form(*_kernel(f, eigh(rho)))
 
 
 def _inverse_kernel(f: ScalarFunction, kernel: np.ndarray) -> np.ndarray:
@@ -167,24 +157,25 @@ def _inverse_kernel(f: ScalarFunction, kernel: np.ndarray) -> np.ndarray:
     return 1.0 / kernel
 
 
-def frechet_inverse(
-    f: ScalarFunction, rho: np.ndarray, known: Sequence[SpectralDecomposition] = ()
-) -> Superoperator:
-    """Inverse of the differential of f at rho (entrywise reciprocal kernel).
-
-    For a stack, one member that is not invertible raises for the stack.
-    ``known`` eigenpairs of rho's leading members are checked as in
-    :func:`entrocert.hermitian.eigh`.
-    """
-    kernel, u = _kernel(f, rho, known)
+def _inverse_form(f: ScalarFunction, dec: SpectralDecomposition) -> Superoperator:
+    """Inverse differential of f at the rho of a checked decomposition (stacks allowed)."""
+    kernel, u = _kernel(f, dec)
     return _kronecker_form(_inverse_kernel(f, kernel), u)
 
 
+def frechet_inverse(f: ScalarFunction, rho: np.ndarray) -> Superoperator:
+    """Inverse of the differential of f at rho (entrywise reciprocal kernel).
+
+    For a stack, one member that is not invertible raises for the stack.
+    """
+    return _inverse_form(f, eigh(rho))
+
+
 def _frechet_pair(
-    f: ScalarFunction, rho: np.ndarray, known: Sequence[SpectralDecomposition] = ()
+    f: ScalarFunction, dec: SpectralDecomposition
 ) -> tuple[Superoperator, Superoperator]:
-    """(differential, inverse differential) of f at rho from one decomposition."""
-    kernel, u = _kernel(f, rho, known)
+    """(differential, inverse differential) of f at the rho of a checked decomposition."""
+    kernel, u = _kernel(f, dec)
     return _kronecker_form(kernel, u), _kronecker_form(_inverse_kernel(f, kernel), u)
 
 
@@ -200,29 +191,12 @@ def _flat_with_sums(ms: np.ndarray) -> np.ndarray:
 def _split_sums(values: np.ndarray, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Values over a :func:`_flat_with_sums` stack: the matrices' as ``shape``, then the sums'.
 
-    ``shape`` is the stack shape (..., k) of the matrices; the sums take (...).
+    ``values`` runs over the members along its leading axis; trailing axes
+    (a spectrum per member) are kept.  ``shape`` is the stack shape
+    (..., k) of the matrices; the sums take (...).
     """
-    split = values.size - math.prod(shape[:-1])
-    return values[:split].reshape(shape), values[split:].reshape(shape[:-1])
-
-
-def _second_diff_terms(
-    f: ScalarFunction, rhos, hs, known: Sequence[SpectralDecomposition] = ()
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point terms Tr h_i df'(rho_i) h_i and the joint term of the sums.
-
-    ``rhos`` and ``hs`` hold k matrices along axis -3 (lists are stacked),
-    with any leading stack axes before it; ``known`` eigenpairs of the
-    leading rho_i, in C order.
-    """
-    rhos = np.asarray(rhos, dtype=complex)
-    hs = np.asarray(hs, dtype=complex)
-    if rhos.ndim < 3 or rhos.shape != hs.shape or rhos.shape[-3] == 0:
-        raise ValueError("second_diff_G needs equally many base points and directions")
-    if rhos.shape[-1] != rhos.shape[-2]:
-        raise ValueError("second_diff_G arguments must share one dimension")
-    q = _pairing(f.derivative(), _flat_with_sums(rhos), _flat_with_sums(hs), known)
-    return _split_sums(q, rhos.shape[:-2])
+    split, tail = math.prod(shape), values.shape[1:]
+    return values[:split].reshape(shape + tail), values[split:].reshape(shape[:-1] + tail)
 
 
 def second_diff_G(f: ScalarFunction, rhos, hs):
@@ -231,7 +205,16 @@ def second_diff_G(f: ScalarFunction, rhos, hs):
     Returns ``sum_i Tr h_i df'(rho_i) h_i  -  Tr (sum h_i) df'(sum rho_i) (sum h_i)``,
     the quadratic form whose nonnegativity for all Hermitian directions is
     midpoint convexity of G to second order.  For k=1 this is exactly 0.
+    ``rhos`` and ``hs`` hold k matrices along axis -3 (lists are stacked),
+    with any leading stack axes before it.
     """
-    single, joint = _second_diff_terms(f, rhos, hs)
+    rhos = np.asarray(rhos, dtype=complex)
+    hs = np.asarray(hs, dtype=complex)
+    if rhos.ndim < 3 or rhos.shape != hs.shape or rhos.shape[-3] == 0:
+        raise ValueError("second_diff_G needs equally many base points and directions")
+    if rhos.shape[-1] != rhos.shape[-2]:
+        raise ValueError("second_diff_G arguments must share one dimension")
+    q = _pairing(f.derivative(), eigh(_flat_with_sums(rhos)), _flat_with_sums(hs))
+    single, joint = _split_sums(q, rhos.shape[:-2])
     out = np.sum(single, axis=-1) - joint
     return float(out) if out.ndim == 0 else out

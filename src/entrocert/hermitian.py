@@ -275,14 +275,9 @@ def spectrum_trace(f: ScalarFunction, eigenvalues: np.ndarray):
     return float(total) if total.ndim == 0 else total
 
 
-def trace_of_function(
-    f: ScalarFunction, m: np.ndarray, known: Sequence[SpectralDecomposition] = ()
-):
-    """Tr f(m) = sum of f over the spectrum (an array of traces for a stack).
-
-    ``known`` eigenpairs are checked against m as in :func:`eigh`.
-    """
-    return spectrum_trace(f, eigh(m, known).eigenvalues)
+def trace_of_function(f: ScalarFunction, m: np.ndarray):
+    """Tr f(m) = sum of f over the spectrum (an array of traces for a stack)."""
+    return spectrum_trace(f, eigh(m).eigenvalues)
 
 
 def entropy(f: ScalarFunction, m: np.ndarray):

@@ -691,11 +691,13 @@ def test_kept_stacks_give_the_outcomes_of_fresh_ones(seed):
 
 
 def _count_draws(monkeypatch):
-    """Count the PD builds and the trial streams (one Generator state per trial) a run makes."""
+    """Count the PD builds, the trial streams (one Generator state per trial) and the
+    decompositions (closed form or LAPACK, each call on a stack) a run makes."""
     import entrocert.certify as certify
+    import entrocert.hermitian as hermitian
 
-    counts = {"pd_from_draw": 0, "streams": 0}
-    build, streams = certify.pd_from_draw, certify._trial_streams
+    counts = {"pd_from_draw": 0, "streams": 0, "decompositions": 0}
+    build, streams, decompose = certify.pd_from_draw, certify._trial_streams, hermitian._decompose
 
     def counted_build(*args):
         counts["pd_from_draw"] += 1
@@ -706,8 +708,13 @@ def _count_draws(monkeypatch):
             counts["streams"] += 1
             yield rng
 
+    def counted_decompose(m):
+        counts["decompositions"] += 1
+        return decompose(m)
+
     monkeypatch.setattr(certify, "pd_from_draw", counted_build)
     monkeypatch.setattr(certify, "_trial_streams", counted_streams)
+    monkeypatch.setattr(hermitian, "_decompose", counted_decompose)
     return counts
 
 
@@ -715,11 +722,13 @@ def test_second_function_draws_and_builds_nothing(monkeypatch):
     counts = _count_draws(monkeypatch)
     cfg = TestConfig(seed=8, samples=10)
     run_suite(lookup("tlogt"), "all", cfg)
-    assert counts["pd_from_draw"] > 0 and counts["streams"] > 0
+    assert min(counts.values()) > 0
     counts.update(dict.fromkeys(counts, 0))
+    # nor decomposes anything: the stacks keep their checked spectra, and
+    # neglog's expected failures start no derived-Hessian search
     outcomes, _ = run_suite(lookup("neglog"), "all", cfg)
     assert any(o.verdict != PASS for o in outcomes)
-    assert counts == {"pd_from_draw": 0, "streams": 0}
+    assert counts == {"pd_from_draw": 0, "streams": 0, "decompositions": 0}
 
 
 @pytest.mark.parametrize(
@@ -745,7 +754,8 @@ def test_kept_stacks_stay_within_the_chunk_budget():
     # some of the 9 sampled suites' plan sets fit and are kept; the others
     # are drawn afresh each time
     assert 0 < certify._held_bytes() <= certify._CHUNK_BYTES
-    assert 0 < len(certify._KEPT) < 9
+    kept = sorted(plans[0][0].split("/")[0] for _, plans in certify._KEPT)
+    assert kept == ["condition13", "principle1", "subentropic-k2"]
 
 
 def test_kept_arrays_are_read_only():
@@ -753,11 +763,72 @@ def test_kept_arrays_are_read_only():
 
     run_suite(lookup("tlogt"), "principle1", TestConfig(seed=2, samples=5))
     (stacks,) = certify._KEPT.values()
-    for _, idx, P in stacks:
-        for a in (idx, *P.values()):
+    for _, idx, P, D in stacks:
+        # the derived spectra are kept, and the builds' eigenpairs that only
+        # the derive read are dropped
+        assert set(P) == {"x", "y"} and set(D) == {"principle1"}
+        for a in certify._arrays(idx, P, D):
             assert not a.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 a.flat[0] = a.flat[0]
+
+
+def test_underived_stacks_keep_the_builds_eigenpairs():
+    import entrocert.certify as certify
+
+    # the derived-Hessian search reads the built eigenpairs of its rows
+    # itself: its stacks are kept as built, and a second search reuses them
+    cfg = TestConfig(seed=2, samples=5)
+    assert _derived_hessian_witness(lookup("tlogt"), cfg, 2) is None
+    kept = dict(certify._KEPT)
+    assert len(kept) == len(cfg.dims)
+    for stacks in kept.values():
+        for _, _, P, D in stacks:
+            assert D == {} and set(P) == {*certify._state("rho"), *certify._state("sigma")}
+    assert _derived_hessian_witness(lookup("tlogt"), cfg, 2) is None
+    assert certify._KEPT.keys() == kept.keys()
+    assert all(certify._KEPT[key] is stacks for key, stacks in kept.items())
+
+
+@pytest.mark.parametrize("chunk", [None, 1], ids=["stacked", "one-trial-chunks"])
+def test_per_trial_fallback_reads_the_kept_derived_data(monkeypatch, chunk):
+    # affine's differential is singular on every stack of condition13 and
+    # equivalence, and on states this small some channel outputs of gain
+    # fall below the rank floor of neglog and -log(t): those stacks are
+    # measured again one trial at a time, from trial slices of the derived data
+    import entrocert.certify as certify
+
+    if chunk is not None:
+        monkeypatch.setattr(certify, "_CHUNK_BYTES", chunk)
+    cfg = TestConfig(seed=42, samples=10)
+    small = TestConfig(seed=42, samples=10, eig_range=(1e-9, 1e-6))
+    runs = [
+        (lookup("affine"), "condition13", cfg), (lookup("affine"), "equivalence", cfg),
+        (lookup("neglog"), "gain", small), (parse("-log(t)").as_function(), "gain", small),
+    ]
+
+    def run(f, suite, cfg):
+        recorder = []
+        outcomes, _ = run_suite(f, suite, cfg, recorder)
+        return outcomes[0], repr((outcomes, recorder))
+
+    cold = []
+    for f, suite, cfg in runs:
+        certify._KEPT.clear()
+        cold.append(run(f, suite, cfg)[1])
+    counts, warm = _count_draws(monkeypatch), []
+    for f, suite, cfg in runs:
+        run_suite(lookup("tlogt"), suite, cfg)  # derives (and, in budget, keeps) every stack
+        counts["decompositions"] = 0
+        warm.append(run(f, suite, cfg))
+        # in one-trial chunks nothing fits the budget: every stack is derived again
+        assert (counts["decompositions"] == 0) == (chunk is None)
+    assert [r for _, r in warm] == cold
+    for out, _ in warm[:2]:
+        assert (out.verdict, out.trials_run, out.trials_skipped) == (SKIPPED, 0, 20)
+        assert out.detail.startswith("differential of d(affine) is not invertible")
+    for out, _ in warm[2:]:
+        assert (out.trials_run, out.trials_skipped) == (13, 7)
 
 
 def test_abandoned_iteration_keeps_nothing():

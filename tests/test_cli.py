@@ -247,3 +247,24 @@ def test_reverify_usage_errors(capsys, tmp_path):
     assert "no expression" in err
     rc, _, _ = run(capsys, "reverify", str(tmp_path / "missing.json"))
     assert rc == 3
+
+
+@pytest.mark.parametrize(
+    "payload", [None, "not a payload", "missing rho"], ids=["null", "string", "missing-field"]
+)
+def test_reverify_malformed_payload_is_a_usage_error(capsys, tmp_path, payload):
+    # exit 1 means "did not re-verify"; a FAIL without a readable payload is
+    # a malformed report (exit 3), not a traceback
+    path = _square_condition13_report(capsys, tmp_path)
+    obj = json.loads(path.read_text())
+    (outcome,) = obj["outcomes"]
+    if payload == "missing rho":
+        del outcome["counterexample"]["rho"]
+    else:
+        outcome["counterexample"] = payload
+    path.write_text(json.dumps(obj))
+    rc, out, err = run(capsys, "reverify", str(path))
+    assert rc == 3
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("entrocert: error:")
+    assert "malformed report" in err and "condition13" in err

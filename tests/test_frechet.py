@@ -3,6 +3,9 @@ import pytest
 
 from entrocert.frechet import (
     NotInvertibleError,
+    _frechet_pair,
+    _inverse_form,
+    _pairing,
     frechet_diff,
     frechet_inverse,
     frechet_superoperator,
@@ -22,6 +25,7 @@ from entrocert.hermitian import (
     pd_from_draw,
     random_hermitian,
     random_pd,
+    spectrum_trace,
     trace_of_function,
 )
 
@@ -224,24 +228,30 @@ def test_second_diff_G_matches_finite_differences(k):
 @pytest.mark.parametrize("name", ["tlogt", "square", "neglog"])
 def test_supplied_spectra_keep_no_order(name):
     # builds supply their eigenpairs in draw order, not ascending: what reads
-    # them must not depend on the order, only on the pairing
+    # a checked decomposition must not depend on the order, only on the pairing
     f, n = lookup(name), 4
     rng = np.random.default_rng(5)
     rho, known = pd_from_draw(rng.random(n), rng.standard_normal((2, n, n)), 0.1, 10.0)
     perm = rng.permutation(n)
     shuffled = SpectralDecomposition(known.eigenvalues[perm], known.eigenvectors[:, perm])
     assert not np.array_equal(perm, np.arange(n))
+    drawn, permuted = eigh(rho, [known]), eigh(rho, [shuffled])
+    h = random_hermitian(n, rng)
 
     def close(a, b):
         return np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
 
-    t, tp = trace_of_function(f, rho, [known]), trace_of_function(f, rho, [shuffled])
+    t, tp = spectrum_trace(f, drawn.eigenvalues), spectrum_trace(f, permuted.eigenvalues)
     assert abs(t - tp) <= 1e-13 * abs(t)
-    assert close(eigh(rho, [shuffled]).reconstruct(), eigh(rho, [known]).reconstruct())
+    assert abs(t - trace_of_function(f, rho)) <= 1e-13 * abs(t)
+    assert close(permuted.reconstruct(), drawn.reconstruct())
     fp = f.derivative()
-    assert close(
-        frechet_inverse(fp, rho, [shuffled]).matrix, frechet_inverse(fp, rho, [known]).matrix
-    )
+    assert close(_inverse_form(fp, permuted).matrix, _inverse_form(fp, drawn).matrix)
+    assert close(_inverse_form(fp, drawn).matrix, frechet_inverse(fp, rho).matrix)
+    for a, b in zip(_frechet_pair(fp, permuted), _frechet_pair(fp, drawn)):
+        assert close(a.matrix, b.matrix)
+    q, qp = _pairing(fp, drawn, h), _pairing(fp, permuted, h)
+    assert abs(q - qp) <= 1e-13 * abs(q)
 
 
 def test_frechet_diff_of_non_hermitian_direction_is_not_symmetrised():
