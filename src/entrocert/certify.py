@@ -61,7 +61,7 @@ import itertools
 import math
 import operator
 from collections.abc import Callable, Hashable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -70,23 +70,34 @@ from .frechet import (
     NotInvertibleError,
     Superoperator,
     _flat_with_sums,
-    _frechet_pair,
-    _inverse_form,
-    _pairing,
+    _inverse_kernel,
+    _kronecker_form,
+    _layout,
+    _loewner,
+    _shared_weights,
     _split_sums,
+    _weighted,
+    _weights,
     unvec,
     vec,
 )
-from .functions import DegenerateFunctionError, ScalarFunction, gap_function
+from .functions import (
+    DegenerateFunctionError,
+    ScalarFunction,
+    _gap_series,
+    _joint_values,
+    gap_function,
+)
 from .hermitian import (
     SpectralDecomposition,
+    _spectra_values,
+    _zero_clamp,
     eigh,
     hermitian_from_draw,
     hermitize,
     matrix_from_json,
     matrix_to_json,
     pd_from_draw,
-    spectrum_trace,
     uniform_from_draw,
 )
 from .jets import DomainError
@@ -563,13 +574,23 @@ class _Property:
     trials) and returns the f-independent data its margin reads, each array
     with a leading trial axis too: the states and the matrices the property
     forms of them (midpoints, sums, partial traces, channel outputs),
-    decomposed by one checked :func:`eigh` call per matrix size; eigenvalues
-    for a trace property, eigenpairs for a Frechet one.  ``margin(f, P, D)``
-    applies f to that derived data ``D`` and returns ``(margins, scales)``,
-    or ``(margins, scales, extras)`` where ``extras`` holds per-trial values
-    that the witness records next to the payload.  A sampled stack is
-    derived once, however many functions measure it (_drive); a
-    payload decoded from JSON is derived on its own (_margin).
+    decomposed by one checked :func:`eigh` call per matrix size, and every
+    factor of the margin that does not depend on f.  A trace property keeps
+    the spectra with their zero-clamp masks; a Frechet one the spectra's
+    divided-difference layout, and the pairing weights Re(g o g^T), g = U* h
+    U, of its drawn directions h in place of the eigenvectors wherever only
+    a pairing reads them.  ``margin(f, P, D)`` applies f to that derived
+    data ``D`` and returns ``(margins, scales)``, or ``(margins, scales,
+    extras)`` where ``extras`` holds per-trial values that the witness
+    records next to the payload.
+
+    A margin evaluates f's series once: at all of its points (every
+    spectrum and near midpoint, or every scalar point), in the order that
+    separate evaluations would take them, up to the highest order it reads.
+    When that one evaluation fails, the separate evaluations run in turn, so
+    a domain error names the value it always named.  A sampled stack is
+    derived once, however many functions measure it (_drive); a payload
+    decoded from JSON is derived on its own (_margin).
     """
 
     kind: str
@@ -624,42 +645,60 @@ def _trial_first(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, 0, 1)
 
 
-def _by_trial(dec: SpectralDecomposition) -> dict:
-    """A checked decomposition of a (k, trials, n, n) stack, stored trial-first."""
-    return {
-        "eigenvalues": _trial_first(dec.eigenvalues),
-        "eigenvectors": _trial_first(dec.eigenvectors),
-    }
+# What a derive keeps of a spectrum, under its name: for a trace, the
+# spectra as ``name`` and their zero-clamp masks as ``name.clamp``; for a
+# Loewner matrix, frechet._layout as ``name.eigenvalues``, ``name.gaps``,
+# ..., and the pairing weights ``name.weights`` that its quadratic forms
+# Re Tr h df'(rho)[h] read instead of the eigenvectors.
+
+def _trace_spectra(name: str, lam: np.ndarray) -> dict:
+    """Checked spectra (trial-first) under ``name``, with their zero-clamp masks."""
+    return {name: lam, f"{name}.clamp": _zero_clamp(lam)}
 
 
-def _members(D: dict) -> SpectralDecomposition:
-    """The decomposition that _by_trial stored, its members first again."""
-    return SpectralDecomposition(_trial_first(D["eigenvalues"]), _trial_first(D["eigenvectors"]))
+def _traces(f, D: dict, *names: str) -> list[np.ndarray]:
+    """Tr f over the spectra of each name, member-first ((k, trials) for (trials, k, n)).
+
+    One call of f covers every spectrum of every name.
+    """
+    spectra = tuple(_trial_first(D[name]) for name in names)
+    clamps = tuple(_trial_first(D[f"{name}.clamp"]) for name in names)
+    return [np.sum(v, axis=-1) for v in _spectra_values(f, spectra, clamps)]
 
 
-def _traces(f, D: dict, key: str) -> np.ndarray:
-    """Tr f over the trial-first spectra ``D[key]``, (k, trials)."""
-    return spectrum_trace(f, _trial_first(D[key]))
+def _kept_layout(name: str, lam: np.ndarray) -> dict:
+    """The divided-difference layout of the checked spectra ``lam`` under ``name``."""
+    return {f"{name}.{key}": a for key, a in _layout(lam).items()}
+
+
+def _kernels(fp: ScalarFunction, D: dict, *names: str) -> list[np.ndarray]:
+    """The Loewner matrices of fp over the kept spectra of each name, from one evaluation of fp."""
+    return _loewner(fp, [
+        {key[len(name) + 1 :]: a for key, a in D.items() if key.startswith(name + ".")}
+        for name in names
+    ])
 
 
 def _pair_spectra(P: dict) -> dict:
     """The checked spectra of the (x, y, midpoint) of each trial, as ``spectra``."""
     mats = _with_midpoint(P["x"], P["y"])
-    return {"spectra": _trial_first(eigh(mats, _known(P, "x", "y")).eigenvalues)}
+    return _trace_spectra("spectra", _trial_first(eigh(mats, _known(P, "x", "y")).eigenvalues))
 
 
 def _principle1_margin(f, P, D):
     # Concavity of -Tr f equals midpoint convexity of Tr f.
-    return _convexity(*_traces(f, D, "spectra"))
+    return _convexity(*_traces(f, D, "spectra")[0])
 
 
 def _entropic_derive(P):
     reduced = partial_trace_1(_with_midpoint(P["x"], P["y"]), int(P["dim1"][0]), int(P["dim2"][0]))
-    return {**_pair_spectra(P), "reduced": _trial_first(eigh(reduced).eigenvalues)}
+    reduced = _trial_first(eigh(reduced).eigenvalues)
+    return {**_pair_spectra(P), **_trace_spectra("reduced", reduced)}
 
 
 def _entropic_margin(f, P, D):
-    return _convexity(*(_traces(f, D, "spectra") - _traces(f, D, "reduced")))
+    whole, reduced = _traces(f, D, "spectra", "reduced")
+    return _convexity(*(whole - reduced))
 
 
 # The subentropic margins meet every rho_i before the sums, in the order of
@@ -671,41 +710,60 @@ def _subentropic_midpoint_derive(P):
     ms = np.stack([xs, ys, (xs + ys) / 2.0])
     lam = eigh(_flat_with_sums(ms), _known(P, "xs", "ys")).eigenvalues
     single, joint = _split_sums(lam, ms.shape[:-2])
-    return {"spectra": _trial_first(single), "sums": _trial_first(joint)}
+    return {
+        **_trace_spectra("spectra", _trial_first(single)),
+        **_trace_spectra("sums", _trial_first(joint)),
+    }
 
 
 def _subentropic_midpoint_margin(f, P, D):
     # G(rho_1..rho_k) = sum_i Tr f(rho_i) - Tr f(sum_i rho_i) at xs, ys and their midpoint
-    return _convexity(*(np.sum(_traces(f, D, "spectra"), axis=-1) - _traces(f, D, "sums")))
+    single, joint = _traces(f, D, "spectra", "sums")
+    return _convexity(*(np.sum(single, axis=-1) - joint))
 
 
 def _subentropic_hessian_derive(P):
-    rhos = P["rhos"]
+    rhos, hs = P["rhos"], P["hs"]
     dec = eigh(_flat_with_sums(rhos), _known(P, "rhos"))
     (w, sum_w), (v, sum_v) = (
         _split_sums(a, rhos.shape[:-2]) for a in (dec.eigenvalues, dec.eigenvectors)
     )
-    # the rho_i and their sums, each under the keys of _state
-    return dict(zip((*_state("rhos")[1:], *_state("sums")[1:]), (w, v, sum_w, sum_v)))
+    return {
+        **_kept_layout("rhos", w), "rhos.weights": _weights(v, hs),
+        **_kept_layout("sums", sum_w), "sums.weights": _weights(sum_v, np.sum(hs, axis=-3)),
+    }
 
 
 def _subentropic_hessian_margin(f, P, D):
     # per-point terms Tr h_i df'(rho_i) h_i and the joint term of the sums
-    fp, hs = f.derivative(), P["hs"]
-    rhos, sums = _known(D, "rhos", "sums")
-    single, joint = _pairing(fp, rhos, hs), _pairing(fp, sums, np.sum(hs, axis=-3))
+    at_rhos, at_sums = _kernels(f.derivative(), D, "rhos", "sums")
+    single, joint = _weighted(at_rhos, D["rhos.weights"]), _weighted(at_sums, D["sums.weights"])
     scale = np.maximum(1.0, np.sum(np.abs(single), axis=-1) + np.abs(joint))
     return (np.sum(single, axis=-1) - joint) / scale, scale
 
 
 def _pair_sum_derive(P):
-    return _by_trial(eigh(_with_sum(P["rho"], P["sigma"]), _known(P, "rho", "sigma")))
+    """(rho, sigma, rho + sigma) of each trial: their layout and eigenvectors, as ``states``."""
+    dec = eigh(_with_sum(P["rho"], P["sigma"]), _known(P, "rho", "sigma"))
+    return {
+        **_kept_layout("states", _trial_first(dec.eigenvalues)),
+        "states.eigenvectors": _trial_first(dec.eigenvectors),
+    }
+
+
+def _inverse_differentials(fp: ScalarFunction, D: dict) -> tuple[np.ndarray, np.ndarray]:
+    """fp's Loewner matrices at the ``states`` of _pair_sum_derive, and its inverse differentials.
+
+    The inverse differentials come member-first, (3, trials, n^2, n^2).
+    """
+    (kernel,) = _kernels(fp, D, "states")
+    u = _trial_first(D["states.eigenvectors"])
+    return kernel, _kronecker_form(_inverse_kernel(fp, _trial_first(kernel)), u).matrix
 
 
 def _condition13_margin(f, P, D):
-    inv = _inverse_form(f.derivative(), _members(D))
-    r, s, total = inv.matrix
-    pm = Superoperator(inv.dim, total - r - s).psd_margin()
+    r, s, total = _inverse_differentials(f.derivative(), D)[1]
+    pm = Superoperator(P["rho"].shape[-1], total - r - s).psd_margin()
     return pm.normalized, pm.scale
 
 
@@ -736,6 +794,14 @@ def _negative_pairs(d, inv_r, inv_s):
     return eigs, h1, h2, quad, usable
 
 
+def _equivalence_derive(P):
+    D = _pair_sum_derive(P)
+    u, h1, h2 = D["states.eigenvectors"], P["h1"], P["h2"]
+    # the drawn pairs' forms: h1 at rho, h2 at sigma and h1 + h2 at rho + sigma
+    forms = [_shared_weights(u[:, j], h) for j, h in enumerate((h1, h2, h1 + h2))]
+    return {**D, "states.weights": np.stack(forms, axis=1)}
+
+
 def _equivalence_margin(f, P, D):
     """Per-instance agreement of the condition13 verdict with the Hessian verdict.
 
@@ -744,20 +810,26 @@ def _equivalence_margin(f, P, D):
     Both margins must clear ``band`` before a sign disagreement counts.
     """
     h1, h2, band = P["h1"], P["h2"], P["band"]
-    fwd, inv = _frechet_pair(f.derivative(), _members(D))
-    b, c, a = fwd.matrix
-    inv_r, inv_s, inv_sum = inv.matrix
+    kernel, (inv_r, inv_s, inv_sum) = _inverse_differentials(f.derivative(), D)
     d = hermitize(inv_sum - inv_r - inv_s)
     eigs, t1, t2, _, usable = _negative_pairs(d, inv_r, inv_s)
     m13 = eigs[:, 0] / np.maximum(1.0, np.max(np.abs(eigs), axis=-1))
 
-    def hess(g1, g2):
-        v1, v2 = vec(g1), vec(g2)
-        q1, q2, qt = _quad(b, v1), _quad(c, v2), _quad(a, v1 + v2)
+    def hess(q1, q2, qt):
         return (q1 + q2 - qt) / np.maximum(1.0, np.abs(q1) + np.abs(q2) + np.abs(qt))
 
+    # Tr h df'(rho)[h] is the Loewner matrix at rho weighed with h's weights;
+    # the transferred pairs depend on f, so their weights are formed here
+    drawn = _weighted(kernel[:, :, None], D["states.weights"])
+    u = D["states.eigenvectors"]
+    moved = [
+        _weighted(kernel[:, j, None], _shared_weights(u[:, j], g))
+        for j, g in enumerate((t1, t2, t1 + t2))
+    ]
     all1, all2 = np.concatenate([h1, t1], axis=1), np.concatenate([h2, t2], axis=1)
-    hm = np.concatenate([hess(h1, h2), np.where(usable, hess(t1, t2), np.inf)], axis=1)
+    hm = np.concatenate(
+        [hess(*_trial_first(drawn)), np.where(usable, hess(*moved), np.inf)], axis=1
+    )
     rows = np.arange(hm.shape[0])
     best = np.argmin(hm, axis=1)
     mh = hm[rows, best]
@@ -772,66 +844,80 @@ def _equivalence_margin(f, P, D):
 
 
 def _matrix_entropy_derive(P):
-    return _by_trial(eigh(_with_midpoint(P["x1"], P["x2"]), _known(P, "x1", "x2")))
+    h1, h2 = P["h1"], P["h2"]
+    dec = eigh(_with_midpoint(P["x1"], P["x2"]), _known(P, "x1", "x2"))
+    weights = _weights(dec.eigenvectors, np.stack([h1, h2, (h1 + h2) / 2.0]))
+    return {
+        **_kept_layout("states", _trial_first(dec.eigenvalues)),
+        "states.weights": _trial_first(weights),
+    }
 
 
 def _matrix_entropy_margin(f, P, D):
     # Q(rho, h) = Tr h df'(rho) h, the quadratic form behind matrix entropies
-    h1, h2 = P["h1"], P["h2"]
-    return _convexity(*_pairing(f.derivative(), _members(D), np.stack([h1, h2, (h1 + h2) / 2.0])))
+    (kernel,) = _kernels(f.derivative(), D, "states")
+    return _convexity(*_trial_first(_weighted(kernel, D["states.weights"])))
 
 
 def _gain_derive(P):
     outputs = hermitize(apply_kraus(P["channel"], _with_midpoint(P["x"], P["y"])))
-    return {**_pair_spectra(P), "outputs": _trial_first(eigh(outputs).eigenvalues)}
+    outputs = _trial_first(eigh(outputs).eigenvalues)
+    return {**_pair_spectra(P), **_trace_spectra("outputs", outputs)}
 
 
 def _gain_margin(f, P, D):
     # convexity of rho -> S_f(channel(rho)) - S_f(rho) = Tr f(rho) - Tr f(channel(rho))
-    outputs = _trial_first(D["outputs"])
     # functions unbounded at 0 need full-rank channel outputs
-    if f.zero_extension is None and np.min(outputs[..., 0]) < _RANK_FLOOR:
+    if f.zero_extension is None and np.min(D["outputs"][..., 0]) < _RANK_FLOOR:
         raise DomainError(f"channel output too singular for {f.name}")
-    return _convexity(*(_traces(f, D, "spectra") - spectrum_trace(f, outputs)))
+    states, outputs = _traces(f, D, "spectra", "outputs")
+    return _convexity(*(states - outputs))
 
 
 def _scalar_convexity_margin(f, P, D):
     t, s = P["t"], P["s"]
-    return _convexity(f(t), f(s), f((t + s) / 2.0))
+    return _convexity(*_joint_values(f, t, s, (t + s) / 2.0))
 
 
-def _gap_terms(f, P):
-    g = gap_function(f)
-    t, s = P["t"], P["s"]
-    gt, gs = g(t), g(s)
-    return g, t, s, gt, gs, np.maximum(1.0, np.abs(gt) + np.abs(gs))
+def _gap_values(f, *parts) -> list[np.ndarray]:
+    """g = 1/f'' at each array of points, from one evaluation of f."""
+    return [1.0 / series.derivative(2) for series in _gap_series(f, *parts)]
+
+
+def _gap_scale(gt, gs):
+    return np.maximum(1.0, np.abs(gt) + np.abs(gs))
 
 
 def _gap_superadditive_margin(f, P, D):
-    g, t, s, gt, gs, scale = _gap_terms(f, P)
-    return (g(t + s) - gt - gs) / scale, scale
+    t, s = P["t"], P["s"]
+    gt, gs, g_sum = _gap_values(f, t, s, t + s)
+    scale = _gap_scale(gt, gs)
+    return (g_sum - gt - gs) / scale, scale
 
 
 def _gap_monotone_margin(f, P, D):
-    _, _, _, gt, gs, scale = _gap_terms(f, P)
+    gt, gs = _gap_values(f, P["t"], P["s"])
+    scale = _gap_scale(gt, gs)
     return (gs - gt) / scale, scale
 
 
 def _gap_concavity_margin(f, P, D):
-    g, t, s, gt, gs, scale = _gap_terms(f, P)
-    return (g((t + s) / 2.0) - (gt + gs) / 2.0) / scale, scale
+    t, s = P["t"], P["s"]
+    gt, gs, g_mid = _gap_values(f, t, s, (t + s) / 2.0)
+    scale = _gap_scale(gt, gs)
+    return (g_mid - (gt + gs) / 2.0) / scale, scale
 
 
 def _gap_zero_margin(f, P, D):
     # g must vanish at 0+ (f'' must blow up)
-    margin = _GAP_ZERO_CEILING - gap_function(f)(P["t"])
+    margin = _GAP_ZERO_CEILING - _gap_values(f, P["t"])[0]
     return margin, np.ones_like(margin)
 
 
 def _uniqueness_fit_margin(f, P, D):
     # a fit has no trial fields: its witness records the worst-fitting grid point
-    fit, ts = _gap_fit(f), _FIT_GRID
-    t = ts[np.argmax(np.abs(np.asarray(gap_function(f)(ts)) - fit["slope"] * ts))]
+    (fit, gv), ts = _gap_fit(f), _FIT_GRID
+    t = ts[np.argmax(np.abs(gv - fit["slope"] * ts))]
     extras = {"t": [t], "slope": [fit["slope"]], "relative_residual": [fit["relative_residual"]]}
     return np.array([-fit["relative_residual"]]), np.ones(1), extras
 
@@ -857,7 +943,7 @@ _EQUIVALENCE = _Property(
     "equivalence",
     (("rho", _MAT), ("sigma", _MAT), ("h1", _DIRS), ("h2", _DIRS), ("band", _FLOAT)),
     _equivalence_margin,
-    _pair_sum_derive,
+    _equivalence_derive,
     extras=("margin13", "margin_hessian"),
     defaults={"band": 0.0},
     superops=16,
@@ -1314,13 +1400,28 @@ def _grid_values(fn: Callable, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, ok
 
 
+# The precheck of the last function checked, as [f, tol, its outcome or
+# None].  Every suite of a run_suite call starts with the same precheck, so
+# it is computed once per function and tol; f is matched by identity, since
+# ScalarFunction equality ignores taylor.
+_PRECHECKED: list = [None, None, None]
+
+
 def _scalar_convexity_failure(
     name: str, f: ScalarFunction, cfg: TestConfig
 ) -> Optional[TestOutcome]:
+    if _PRECHECKED[0] is not f or _PRECHECKED[1] != cfg.tol:
+        _PRECHECKED[:] = f, cfg.tol, _scalar_precheck(f, cfg.tol)
+    bad = _PRECHECKED[2]
+    return None if bad is None else replace(bad, name=name)
+
+
+def _scalar_precheck(f: ScalarFunction, tol: float) -> Optional[TestOutcome]:
+    """The outcome of the scalar convexity precheck when it decides one (under an empty name)."""
     d2, usable = _grid_values(f.d2, _SCALAR_GRID)
     if not usable.any():
         return TestOutcome(
-            name, f.name, SKIPPED, None, 0, len(_SCALAR_GRID), None,
+            "", f.name, SKIPPED, None, 0, len(_SCALAR_GRID), None,
             "function undefined on the scalar test grid",
         )
     concave = np.where(usable & (d2 < -1e-10), d2, np.inf)
@@ -1333,9 +1434,9 @@ def _scalar_convexity_failure(
     res = _measure(_SCALAR_CONVEXITY, f, P, etas.size)
     m = np.where(np.isnan(res.margins), np.inf, res.margins)
     b = int(np.argmin(m))
-    if m[b] < -cfg.tol:
+    if m[b] < -tol:
         return TestOutcome(
-            name, f.name, FAIL, float(m[b]), 1, 0, _witness(_SCALAR_CONVEXITY, P, res, b),
+            "", f.name, FAIL, float(m[b]), 1, 0, _witness(_SCALAR_CONVEXITY, P, res, b),
             f"scalar convexity fails near t={worst_t:.6g} (f''={worst_d2:.3e})",
         )
     return None  # negativity too shallow to certify scalar-side; sample anyway
@@ -1405,7 +1506,7 @@ def _derived_hessian_witness(f: ScalarFunction, cfg: TestConfig, k: int) -> Opti
             try:
                 # the row is a condition13 payload: its inverse differentials
                 # at rho, sigma and rho+sigma
-                r, s, total = _inverse_form(fp, _members(_pair_sum_derive(row))).matrix[:, 0]
+                r, s, total = _inverse_differentials(fp, _pair_sum_derive(row))[1][:, 0]
             except (NotInvertibleError, DomainError):
                 return None
             eigs, h1s, h2s, quad, usable = _negative_pairs(hermitize(total - r - s), r, s)
@@ -1555,7 +1656,11 @@ def test_entropy_gain_convexity(
 
 def _defined_gap_grid(f: ScalarFunction) -> tuple[np.ndarray, int]:
     """The grid points where g = 1/f'' is defined, and how many it is undefined at."""
-    _, ok = _grid_values(gap_function(f), _GAP_GRID)
+    try:
+        _gap_series(f, _GAP_GRID)
+        return _GAP_GRID, 0
+    except DomainError:  # mark exactly the offending points
+        _, ok = _grid_values(gap_function(f), _GAP_GRID)
     return _GAP_GRID[ok], int(np.count_nonzero(~ok))
 
 
@@ -1629,22 +1734,26 @@ _FIT_RESIDUAL_TOL = 1e-6
 _FIT_SLOPE_TOL = 1e-6
 
 
-def _gap_fit(f: ScalarFunction) -> dict:
-    """Least-squares fit of g(t) = 1/f'' against b*t on a fixed log grid."""
-    g = gap_function(f)
+def _gap_fit(f: ScalarFunction) -> tuple[dict, np.ndarray]:
+    """Least-squares fit of g(t) = 1/f'' against b*t on a fixed log grid, and g on that grid.
+
+    One evaluation of f serves the grid and the normalisation at t = 1.
+    """
     ts = _FIT_GRID
-    gv = np.asarray(g(ts), dtype=float)
+    at_grid, at_one = _gap_series(f, ts, np.array(1.0))
+    gv = 1.0 / at_grid.derivative(2)
     b = float(gv @ ts / (ts @ ts))
     norm = float(np.linalg.norm(gv))
     resid = float(np.linalg.norm(gv - b * ts)) / max(norm, 1e-300)
-    curv = f.d2(1.0)
-    return {
+    value, slope, curv = at_one.derivatives(2)
+    fit = {
         "slope": b,
         "relative_residual": resid,
-        "normalization": {"f(1)": f(1.0), "df(1)": f.d1(1.0), "d2f(1)": curv},
+        "normalization": {"f(1)": value, "df(1)": slope, "d2f(1)": curv},
         "slope_minus_inverse_curvature": b - 1.0 / curv,
         "grid": [float(ts[0]), float(ts[-1]), len(ts)],
     }
+    return fit, gv
 
 
 def uniqueness_pipeline(
@@ -1678,7 +1787,7 @@ def uniqueness_pipeline(
             )
             return PipelineResult(tuple(stages), None, final)
 
-    fit = _gap_fit(f)
+    fit = _gap_fit(f)[0]
     slope_dev = abs(fit["slope_minus_inverse_curvature"])
     ok = fit["relative_residual"] <= _FIT_RESIDUAL_TOL and slope_dev <= _FIT_SLOPE_TOL
     if ok:

@@ -214,10 +214,25 @@ def cmd_reverify(args) -> int:
     return 1 if failed else 0
 
 
+def _attach_expressions(argv: list) -> list:
+    """``--expr VALUE`` as ``--expr=VALUE`` when VALUE starts with one minus.
+
+    argparse reads an argument such as ``-log(t)`` as an option and rejects
+    the ``--expr`` before it; attached with ``=`` it is the flag's value.
+    """
+    out: list = []
+    for arg in argv:
+        if out and out[-1] == "--expr" and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] = f"--expr={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[list] = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_expressions(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # --help exits 0, usage errors exit 3
         return int(exc.code or 0)
     try:

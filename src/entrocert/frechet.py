@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import ScalarFunction, divided_differences
+from .functions import ScalarFunction, _difference_layout, _joined, _split
 from .hermitian import (
     PsdMargin,
     SpectralDecomposition,
@@ -29,6 +29,7 @@ from .hermitian import (
     hermitize,
     is_hermitian,
 )
+from .jets import DomainError
 
 __all__ = [
     "NotInvertibleError",
@@ -67,13 +68,87 @@ def loewner_matrix(f: ScalarFunction, eigenvalues: np.ndarray) -> np.ndarray:
     """Matrix of first divided differences of f over a spectrum (or a stack).
 
     Real symmetric; diagonal entries are f'(lambda_i).  Built with
-    :func:`entrocert.functions.divided_differences`, the same rule as
-    :func:`entrocert.functions.divided_difference`.
+    :func:`entrocert.functions._difference_layout`, the rule of
+    :func:`entrocert.functions.divided_difference` as well.
+    """
+    return _loewner(f, [_layout(eigenvalues)])[0]
+
+
+def _layout(eigenvalues: np.ndarray) -> dict:
+    """What the Loewner matrices over a spectrum (or a stack) read of it, whatever f is.
+
+    The eigenvalues, the divisors and the coincident pairs of
+    :func:`entrocert.functions._difference_layout`, and, only when there
+    are any, the other nearly coincident pairs and a matrix holding their
+    midpoints.  Every array keeps the spectrum's leading axes.
     """
     lam = np.asarray(eigenvalues, dtype=float)
-    vals, slopes = f.jet(lam, 1)
     t, s = np.broadcast_arrays(lam[..., :, None], lam[..., None, :])
-    return divided_differences(f, t, s, vals[..., :, None], vals[..., None, :], slopes[..., :, None])
+    gaps, same, near = _difference_layout(t, s)
+    out = {"eigenvalues": lam, "gaps": gaps, "same": same}
+    if near.any():
+        out.update(near=near, mids=np.where(near, 0.5 * (t + s), 0.0))
+    return out
+
+
+def _loewner(f: ScalarFunction, layouts: list[dict]) -> list[np.ndarray]:
+    """The Loewner matrix of f over the spectra of each :func:`_layout`, from one evaluation of f.
+
+    f and f' are evaluated in one call at every spectrum and then its near
+    midpoints, layout by layout.  A pair of distinct eigenvalues reads the
+    difference quotient, an exactly coincident pair f'(t) and a nearly
+    coincident one f'((t+s)/2).  If that call fails, each spectrum and each
+    set of midpoints is evaluated on its own, in turn, so the error raised
+    is the one that those separate calls raise first.
+    """
+    parts = []
+    for lay in layouts:
+        parts.append(lay["eigenvalues"])
+        if "near" in lay:
+            parts.append(lay["mids"][lay["near"]])
+    try:
+        vals, slopes = (_split(a, parts) for a in f.jet(_joined(parts), 1))
+    except DomainError:
+        vals, slopes = zip(*(f.jet(p, 1) for p in parts))
+    out, i = [], 0
+    for lay in layouts:
+        v = vals[i]
+        quotients = (v[..., :, None] - v[..., None, :]) / lay["gaps"]
+        k = np.where(lay["same"], slopes[i][..., :, None], quotients)
+        if "near" in lay:
+            i += 1
+            k[lay["near"]] = slopes[i]
+        out.append(k)
+        i += 1
+    return out
+
+
+def _weights(u: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Re(g o g^T) with g = U* h U, the weights of a Loewner matrix K in Re Tr h df(rho)[h].
+
+    For rho = U diag(lambda) U*, Re Tr h df(rho)[h] = sum_ij K_ij Re(g_ij g_ji)
+    (Daleckii-Krein); the weights do not depend on f.  Stacks allowed.
+    """
+    g = adjoint(u) @ np.asarray(h, dtype=complex) @ u
+    return (g * np.swapaxes(g, -1, -2)).real.copy()
+
+
+def _shared_weights(u: np.ndarray, hs: np.ndarray) -> np.ndarray:
+    """:func:`_weights` of m directions hs (..., m, n, n) at each u (..., n, n).
+
+    The directions are conjugated side by side, in two matrix products per
+    u rather than two per direction.
+    """
+    *lead, m, n, _ = hs.shape
+    side = np.swapaxes(hs, -3, -2).reshape(*lead, n, m * n)  # [h_1 ... h_m]
+    left = np.swapaxes((adjoint(u) @ side).reshape(*lead, n, m, n), -3, -2)
+    g = (left.reshape(*lead, m * n, n) @ u).reshape(hs.shape)
+    return (g * np.swapaxes(g, -1, -2)).real.copy()
+
+
+def _weighted(kernel: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_ij K_ij W_ij over the last two axes."""
+    return np.sum(kernel * weights, axis=(-2, -1))
 
 
 def _hadamard_conjugate(kernel: np.ndarray, u: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -104,8 +179,7 @@ def _pairing(f: ScalarFunction, dec: SpectralDecomposition, h: np.ndarray) -> np
     Stacks allowed.
     """
     kernel, u = _kernel(f, dec)
-    g = adjoint(u) @ np.asarray(h, dtype=complex) @ u
-    return np.sum(kernel * g * np.swapaxes(g, -1, -2), axis=(-2, -1)).real
+    return _weighted(kernel, _weights(u, h))
 
 
 @dataclass(frozen=True)
@@ -169,14 +243,6 @@ def frechet_inverse(f: ScalarFunction, rho: np.ndarray) -> Superoperator:
     For a stack, one member that is not invertible raises for the stack.
     """
     return _inverse_form(f, eigh(rho))
-
-
-def _frechet_pair(
-    f: ScalarFunction, dec: SpectralDecomposition
-) -> tuple[Superoperator, Superoperator]:
-    """(differential, inverse differential) of f at the rho of a checked decomposition."""
-    kernel, u = _kernel(f, dec)
-    return _kronecker_form(kernel, u), _kronecker_form(_inverse_kernel(f, kernel), u)
 
 
 def _flat_with_sums(ms: np.ndarray) -> np.ndarray:

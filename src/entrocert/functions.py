@@ -136,6 +136,21 @@ class ScalarFunction:
 # --------------------------------------------------------------------------
 # divided differences
 
+def _difference_layout(t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What :func:`divided_differences` reads of the points alone, whatever f is.
+
+    Returns the divisors (t - s, or 1 where the midpoint rule or a
+    coincident pair takes over), the exactly coincident pairs, and the
+    other nearly coincident pairs (relative gap at most 1e-6).
+    """
+    gap = t - s
+    near = np.abs(gap) <= DIVIDED_DIFFERENCE_GAP * np.maximum(
+        np.maximum(np.abs(t), np.abs(s)), 1.0
+    )
+    same = gap == 0.0
+    return np.where(near, 1.0, gap), same, near & ~same
+
+
 def divided_differences(
     f: ScalarFunction,
     t: np.ndarray,
@@ -149,19 +164,16 @@ def divided_differences(
     Coincident or nearly coincident arguments (relative gap at most 1e-6)
     use f'((t+s)/2), which is second-order accurate in the gap; all of them
     are evaluated in one call.  ``dt = f'(t)``, when given, serves the exactly
-    coincident ones.  The result is exactly symmetric in (t, s).  This is
-    the one divided-difference rule: the Loewner matrices of
-    :mod:`entrocert.frechet` are built with it as well.
+    coincident ones.  The result is exactly symmetric in (t, s).  Its rule,
+    :func:`_difference_layout`, builds the Loewner matrices of
+    :mod:`entrocert.frechet` as well.
     """
-    gap = t - s
-    near = np.abs(gap) <= DIVIDED_DIFFERENCE_GAP * np.maximum(
-        np.maximum(np.abs(t), np.abs(s)), 1.0
-    )
-    out = (ft - fs) / np.where(near, 1.0, gap)
-    if dt is not None:
-        same = gap == 0.0
+    gaps, same, near = _difference_layout(t, s)
+    out = (ft - fs) / gaps
+    if dt is None:
+        near |= same
+    else:
         out[same] = np.broadcast_to(dt, out.shape)[same]
-        near &= ~same
     if near.any():
         out[near] = f.d1(0.5 * (t[near] + s[near]))
     return out
@@ -238,3 +250,60 @@ def gap_function(f: ScalarFunction) -> ScalarFunction:
         return Jet.constant(1.0) / spp
 
     return ScalarFunction(f"gap({f.name})", series)  # 1/f'' has no zero extension
+
+
+# --------------------------------------------------------------------------
+# one evaluation of f at the points of several calls
+
+def _joined(parts: tuple) -> np.ndarray:
+    """The points of every array of ``parts``, in turn, as one flat array (a lone part as it is)."""
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate([p.ravel() for p in parts])
+
+
+def _split(values: np.ndarray, parts: tuple) -> list[np.ndarray]:
+    """Values over the :func:`_joined` points of ``parts``, shaped as each part."""
+    if len(parts) == 1:
+        return [values]
+    out, start = [], 0
+    for p in parts:
+        stop = start + p.size
+        out.append(values[start:stop].reshape(p.shape))
+        start = stop
+    return out
+
+
+def _joint_values(f: ScalarFunction, *parts) -> list[np.ndarray]:
+    """f at each array of points of ``parts``, from one call of f.
+
+    Each result is bit for bit ``f(part)``.  If the joined call fails, the
+    parts are evaluated one call each, in turn, so the error raised is the
+    one that those separate calls raise first.
+    """
+    try:
+        return _split(np.asarray(f(_joined(parts)), dtype=float), parts)
+    except DomainError:
+        return [np.asarray(f(p), dtype=float) for p in parts]
+
+
+def _gap_series(f: ScalarFunction, *parts) -> list[Jet]:
+    """f's series to order 2 at each array of points of ``parts``, where g = 1/f'' is defined.
+
+    One evaluation of f covers the points of every part and the grid that
+    :func:`gap_function` checks, so g at a part is ``1.0 / f''`` there, bit
+    for bit ``gap_function(f)(part)``.  If the points fail, gap_function(f)
+    is built and evaluated at each part in turn, so the error raised is the
+    one that it raises first.
+    """
+    points = (_GAP_CHECK_GRID, *(np.asarray(p, dtype=float) for p in parts))
+    try:
+        series = f._series(_joined(points), 2)
+        if (np.abs(series.derivative(2)) < DEGENERACY_FLOOR).any():
+            raise DegenerateFunctionError(f"{f.name}: gap function undefined")
+        return [Jet(list(t)) for t in zip(*(_split(x, points) for x in series.terms))][1:]
+    except (DomainError, DegenerateFunctionError):
+        g = gap_function(f)
+        for p in points[1:]:
+            g(p)
+        raise

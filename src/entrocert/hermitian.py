@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import ScalarFunction
+from .functions import ScalarFunction, _joined, _split
 from .jets import DomainError
 
 __all__ = [
@@ -237,6 +237,16 @@ def _raise_defect(sq: np.ndarray, norm2: np.ndarray, n: int):
     raise EighError(f"eigenvector matrix not unitary (defect {defect:.3e})", residual=defect)
 
 
+def _zero_clamp(eigenvalues: np.ndarray) -> np.ndarray:
+    """Which eigenvalues lie within ZERO_CLAMP_TOL * max(1, scale) of zero.
+
+    The scale is the spectral radius of each spectrum (the last axis).
+    """
+    lam = np.asarray(eigenvalues, dtype=float)
+    scale = np.max(np.abs(lam), axis=-1, keepdims=True)
+    return np.abs(lam) <= ZERO_CLAMP_TOL * np.maximum(1.0, scale)
+
+
 def _function_values(f: ScalarFunction, eigenvalues: np.ndarray) -> np.ndarray:
     """f applied to a spectrum (or a stack of spectra) in one call of f.
 
@@ -253,12 +263,32 @@ def _function_values(f: ScalarFunction, eigenvalues: np.ndarray) -> np.ndarray:
     # the clamp threshold of every spectrum is at most that of the largest one
     if not lo > 0.0 or clamp and lo <= ZERO_CLAMP_TOL * max(1.0, lam.max(initial=0.0)):
         if clamp:
-            scale = np.max(np.abs(lam), axis=-1, keepdims=True)
-            lam = np.where(np.abs(lam) <= ZERO_CLAMP_TOL * np.maximum(1.0, scale), 0.0, lam)
+            lam = np.where(_zero_clamp(lam), 0.0, lam)
         ok = lam >= 0.0 if clamp else lam > 0.0  # NaN fails both
         if not ok.all():
             raise DomainError(f"eigenvalue {float(lam[~ok][0]):.6g} outside the domain of {f.name}")
     return np.asarray(f(lam), dtype=float)
+
+
+def _spectra_values(f: ScalarFunction, spectra: tuple, clamps: tuple) -> list[np.ndarray]:
+    """f over each stack of checked spectra, given their :func:`_zero_clamp` masks, in one call of f.
+
+    Each result is bit for bit ``_function_values(f, spectrum)``.  If the
+    joined call fails, the spectra are evaluated one call each, in turn, so
+    the error raised is the one that those separate calls raise first.
+    """
+    lam = _joined(spectra)
+    if f.zero_extension is not None:
+        lam = np.where(_joined(clamps), 0.0, lam)
+        ok = lam >= 0.0
+    else:
+        ok = lam > 0.0
+    try:
+        if ok.all():  # NaN fails
+            return _split(np.asarray(f(lam), dtype=float), spectra)
+    except DomainError:
+        pass
+    return [_function_values(f, spectrum) for spectrum in spectra]
 
 
 def apply_function(f: ScalarFunction, m: np.ndarray) -> np.ndarray:

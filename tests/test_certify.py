@@ -847,3 +847,117 @@ def test_abandoned_iteration_keeps_nothing():
     cfg = TestConfig(seed=42, samples=10)
     assert _derived_hessian_witness(lookup("power:1.25"), cfg, 3)[2] == 2
     assert not certify._KEPT
+
+
+# A margin applies f once: its derive keeps every f-independent factor (the
+# divided-difference layout, the pairing weights, the zero-clamp masks), and
+# the margin evaluates f at all of its points in one call.
+
+def _coincident_stack():
+    """Order-2 subentropic Hessian trials whose states repeat eigenvalues exactly or nearly.
+
+    Identity-class and diagonal states repeat exactly; rotated states have
+    eigenvalues at a relative gap of 1e-7, where the midpoint rule serves.
+    """
+    rng = np.random.default_rng(17)
+    n = 3
+
+    def rotated(lam):
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        m = (q * np.asarray(lam)) @ q.conj().T
+        return (m + m.conj().T) / 2.0
+
+    eye = np.eye(n, dtype=complex)
+    near = [1.0, 1.0 + 1e-7, 2.5]
+    rhos = np.array([
+        [2.0 * eye, np.diag([1.0, 1.0, 3.0]).astype(complex)],
+        [rotated(near), rotated([0.5, 0.5 * (1.0 + 1e-7), 4.0])],
+        [0.7 * eye, rotated(near)],
+        [np.diag([2.0, 2.0 * (1.0 + 1e-7), 2.0]).astype(complex), 3.0 * eye],
+    ])
+    hs = rng.standard_normal((*rhos.shape, 2)) @ np.array([1.0, 1j])
+    return rhos, (hs + np.swapaxes(hs, -1, -2).conj()) / 2.0
+
+
+@pytest.mark.parametrize("name", ["tlogt", "square", "power:1.5", "neglog", "exp"])
+def test_kept_pairings_match_the_superoperator_and_second_diff_G(name):
+    import entrocert.certify as certify
+    from entrocert.frechet import frechet_superoperator, second_diff_G
+
+    f = lookup(name)
+    fp = f.derivative()
+    rhos, hs = _coincident_stack()
+    D = certify._SUB_HESSIAN.derive({"rhos": rhos, "hs": hs})
+    # the stack has exact repeats beyond the diagonals, and near pairs
+    assert (D["rhos.same"].sum() + D["sums.same"].sum()) > rhos.shape[0] * 3 * 3
+    assert "rhos.near" in D and "sums.near" in D
+    at_rhos, at_sums = certify._kernels(fp, D, "rhos", "sums")
+    single = certify._weighted(at_rhos, D["rhos.weights"])
+    joint = certify._weighted(at_sums, D["sums.weights"])
+
+    def close(kept, oracle, scale):
+        return abs(kept - oracle) <= 1e-13 * scale
+
+    for i in range(rhos.shape[0]):
+        for j in range(rhos.shape[1]):
+            q = frechet_superoperator(fp, rhos[i, j]).quadratic_form(hs[i, j])
+            assert close(single[i, j], q, abs(q)), (i, j)
+        q = frechet_superoperator(fp, rhos[i].sum(axis=0)).quadratic_form(hs[i].sum(axis=0))
+        assert close(joint[i], q, abs(q)), i
+        scale = np.abs(single[i]).sum() + abs(joint[i])
+        assert close(single[i].sum() - joint[i], second_diff_G(f, rhos[i], hs[i]), scale), i
+
+
+def _counting(f):
+    """f with a taylor that records the points of every call."""
+    from entrocert.functions import ScalarFunction
+
+    calls = []
+
+    def taylor(t):
+        calls.append(np.array(t, dtype=float))
+        return f.taylor(t)
+
+    return ScalarFunction(f.name, taylor, f.zero_extension, f.expression), calls
+
+
+def test_every_margin_evaluates_f_once(monkeypatch):
+    import entrocert.certify as certify
+
+    margin, counts = certify._margin, {}
+
+    def counted(prop, f, P, D=None):
+        before = len(calls)
+        out = margin(prop, f, P, D)
+        counts.setdefault(prop.kind, set()).add(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(certify, "_margin", counted)
+    # every property's margin runs on tlogt, the fit's on re-verification
+    f, calls = _counting(lookup("tlogt"))
+    run_suite(f, "all", TestConfig(seed=5, samples=6))
+    reverify_counterexample(f, {"kind": "uniqueness-fit"})
+    # a concave f is refuted by the scalar convexity precheck
+    f, calls = _counting(parse("sqrt(t)").as_function(0.0))
+    assert run_suite(f, "principle1", TestConfig(seed=5, samples=6))[0][0].verdict == FAIL
+    assert set(counts) == set(certify._PROPERTIES)
+    assert all(seen == {1} for seen in counts.values()), counts
+
+
+def test_precheck_grid_is_evaluated_once_per_function():
+    from entrocert.certify import _SCALAR_GRID
+
+    def grid_calls(calls):
+        return sum(t.shape == _SCALAR_GRID.shape and np.array_equal(t, _SCALAR_GRID) for t in calls)
+
+    cfg = TestConfig(seed=5, samples=4)
+    f, calls = _counting(lookup("square"))
+    outcomes, _ = run_suite(f, "all", cfg)
+    assert len(outcomes) == 12 and grid_calls(calls) == 1
+    # it is kept for the function object itself: an equal function (equality
+    # ignores taylor) checks again, and so does another tol
+    g, g_calls = _counting(lookup("square"))
+    assert g == f
+    run_suite(g, "principle1", cfg)
+    run_suite(g, "principle1", TestConfig(seed=5, samples=4, tol=1e-7))
+    assert grid_calls(g_calls) == 2

@@ -136,6 +136,23 @@ def test_expr_zero_extension(capsys):
     assert report.function["zero_extension"] == 0.0
 
 
+@pytest.mark.parametrize("expression", ["-log(t)", "-sqrt(t)"])
+def test_expr_may_start_with_a_minus(capsys, expression):
+    # argparse would read "-log(t)" as an option; both spellings select it
+    argv = ("--suite", "principle1", "--seed", "1", "--samples", "2")
+    rc, out, _ = run(capsys, "certify", "--expr", expression, *argv)
+    assert rc == 0
+    report = CertificationReport.from_json(out)
+    assert report.function["expression"] == expression
+    rc_eq, out_eq, _ = run(capsys, "certify", f"--expr={expression}", *argv)
+    assert rc_eq == 0
+    d1, d2 = json.loads(out), json.loads(out_eq)
+    d1.pop("wall_time_ms"), d2.pop("wall_time_ms")
+    assert d1 == d2
+    rc, out, _ = run(capsys, "sweep", "--expr", expression, *argv)
+    assert rc == 0 and out.splitlines()[0] == "test,dim,trial,margin,scale"
+
+
 def test_determinism_modulo_wall_time(capsys):
     argv = (
         "certify", "--function", "neglog", "--suite", "condition13",

@@ -3,9 +3,12 @@ import pytest
 
 from entrocert.frechet import (
     NotInvertibleError,
-    _frechet_pair,
     _inverse_form,
+    _layout,
+    _loewner,
     _pairing,
+    _weighted,
+    _weights,
     frechet_diff,
     frechet_inverse,
     frechet_superoperator,
@@ -248,10 +251,12 @@ def test_supplied_spectra_keep_no_order(name):
     fp = f.derivative()
     assert close(_inverse_form(fp, permuted).matrix, _inverse_form(fp, drawn).matrix)
     assert close(_inverse_form(fp, drawn).matrix, frechet_inverse(fp, rho).matrix)
-    for a, b in zip(_frechet_pair(fp, permuted), _frechet_pair(fp, drawn)):
-        assert close(a.matrix, b.matrix)
     q, qp = _pairing(fp, drawn, h), _pairing(fp, permuted, h)
     assert abs(q - qp) <= 1e-13 * abs(q)
+    # the kept path: a layout's Loewner matrix weighed with the pairing weights
+    for dec in (drawn, permuted):
+        (kernel,) = _loewner(fp, [_layout(dec.eigenvalues)])
+        assert abs(_weighted(kernel, _weights(dec.eigenvectors, h)) - q) <= 1e-13 * abs(q)
 
 
 def test_frechet_diff_of_non_hermitian_direction_is_not_symmetrised():

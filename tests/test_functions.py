@@ -304,3 +304,39 @@ def test_a_lone_point_is_a_batch_of_one(f):
             assert got == method(np.array([t]))[0], (f.name, method, t)
     if f.zero_extension is not None:
         assert f(0.0) == f.zero_extension and type(f(0.0)) is float
+
+
+def _raised(call):
+    try:
+        call()
+    except (DomainError, DegenerateFunctionError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "text, parts",
+    [
+        ("-log(5-t)", [np.array([1.0])]),  # the checked grid leaves the domain
+        ("t", [np.array([1.0])]),  # degenerate on the checked grid
+        ("1/(200-t)", [np.array([1.0, 2.0]), np.array([3.0, 200.0])]),  # a later part
+        ("log(t-0.001)*t^3", [np.array([0.05, 2.0]), np.array([0.0005, 1.0])]),
+        ("t*log(t)", [np.array([0.5, 2.0]), np.array([3.0])]),  # no error
+    ],
+)
+def test_joint_gap_series_raise_what_separate_calls_raise(text, parts):
+    # one evaluation serves every part; when it fails, the error is the one
+    # that gap_function(f) and then g at each part in turn raise first
+    from entrocert.functions import _gap_series
+
+    f = parse(text).as_function()
+
+    def separate():
+        g = gap_function(f)
+        return [g(p) for p in parts]
+
+    want = _raised(separate)
+    assert _raised(lambda: _gap_series(f, *parts)) == want
+    if want is None:
+        got = [1.0 / s.derivative(2) for s in _gap_series(f, *parts)]
+        assert all(np.array_equal(a, b) for a, b in zip(got, separate()))

@@ -380,3 +380,25 @@ def test_function_values_zero_clamp_boundary():
     for shape in [(0,), (2, 0)]:
         empty = _function_values(f, np.zeros(shape))
         assert empty.shape == shape
+
+
+def test_joint_spectra_raise_what_separate_calls_raise():
+    # the first spectrum fails inside f (log of 0.4 - 0.5), the second the
+    # eigenvalue domain check; one joined call would report the second
+    from entrocert.hermitian import _spectra_values, _zero_clamp
+
+    f = parse("log(t-0.5)").as_function()
+    spectra = (np.array([[0.4, 2.0]]), np.array([[-1.0, 1.0]]))
+    clamps = tuple(map(_zero_clamp, spectra))
+    with pytest.raises(DomainError) as separate:
+        for lam in spectra:
+            _function_values(f, lam)
+    with pytest.raises(DomainError) as joint:
+        _spectra_values(f, spectra, clamps)
+    assert str(joint.value) == str(separate.value)
+    assert "log of non-positive" in str(joint.value)
+    # and where they succeed, the values are bit for bit the separate ones
+    ok = (np.array([[0.6, 2.0]]), np.array([[1.5, 3.0], [0.7, 9.0]]))
+    g = parse("t*log(t)").as_function(0.0)
+    for got, lam in zip(_spectra_values(g, ok, tuple(map(_zero_clamp, ok))), ok):
+        assert np.array_equal(got, _function_values(g, lam))
