@@ -24,9 +24,10 @@ claims are convexity claims of the negated functional.
 Each property is defined once, as a :class:`_Property` record: the fields of
 its counterexample payload, a ``derive(payloads)`` that forms and decomposes
 the matrices of a whole stack of trials, and a ``margin(f, payloads,
-derived)`` that applies f to them.  Sampling, the witness search and
-reverify_counterexample all go through that one derive and margin; a trial
-whose margin is not finite is skipped.  Re-verification is a batch of one,
+derived)`` that applies f to them.  A sampled stack is derived where it
+is built, once however many functions measure it; the witness search reads
+the condition13 derive of its rows, and reverify_counterexample derives its
+payload as a batch of one.  A trial whose margin is not finite is skipped,
 and every FAIL payload is written by the record that re-verifies it
 (_witness).
 
@@ -85,7 +86,7 @@ from .functions import (
     DegenerateFunctionError,
     ScalarFunction,
     _gap_series,
-    _joint_values,
+    _jointly,
     gap_function,
 )
 from .hermitian import (
@@ -587,10 +588,11 @@ class _Property:
     A margin evaluates f's series once: at all of its points (every
     spectrum and near midpoint, or every scalar point), in the order that
     separate evaluations would take them, up to the highest order it reads.
-    When that one evaluation fails, the separate evaluations run in turn, so
-    a domain error names the value it always named.  A sampled stack is
-    derived once, however many functions measure it (_drive); a payload
-    decoded from JSON is derived on its own (_margin).
+    When that one evaluation fails, the separate evaluations run in turn
+    (functions._jointly), so a domain error names the value it always
+    named.  A sampled stack is derived where it is built (_kept_stacks),
+    however many functions measure it; a payload decoded from JSON is
+    derived on its own (reverify_counterexample).
     """
 
     kind: str
@@ -612,10 +614,14 @@ class _Property:
         return obj
 
     def decode(self, obj: dict) -> dict:
-        return {
-            name: _DECODE[codec](obj[name] if name in obj else self.defaults[name])[None]
-            for name, codec in self.fields
-        }
+        P = {}
+        for name, codec in self.fields:
+            value = obj[name] if name in obj else self.defaults[name]
+            try:
+                P[name] = _DECODE[codec](value)[None]
+            except TypeError as exc:  # a JSON value of the wrong type
+                raise ValueError(f"{self.kind} field {name!r} is malformed: {exc}") from None
+        return P
 
     def dim(self, payload: dict) -> int:
         """Matrix dimension of a trial (that of its first matrix field)."""
@@ -876,7 +882,7 @@ def _gain_margin(f, P, D):
 
 def _scalar_convexity_margin(f, P, D):
     t, s = P["t"], P["s"]
-    return _convexity(*_joint_values(f, t, s, (t + s) / 2.0))
+    return _convexity(*_jointly(f, (t, s, (t + s) / 2.0)))
 
 
 def _gap_values(f, *parts) -> list[np.ndarray]:
@@ -987,12 +993,12 @@ class _Measured(NamedTuple):
     notes: list  # per trial: why it was skipped, or ""
 
 
-def _margin(prop: _Property, f: ScalarFunction, P: dict, D: Optional[dict] = None) -> tuple:
-    """prop's (margins, scales, extras) on a stack; a non-finite margin is a DomainError.
+def _margin(prop: _Property, f: ScalarFunction, P: dict, D: dict) -> tuple:
+    """prop's (margins, scales, extras) on a stack from what prop derived of it, ``D``.
 
-    ``D`` is what prop derived of the stack; without it, the stack is derived here.
+    A non-finite margin is a DomainError.
     """
-    out = prop.margin(f, P, prop.derive(P) if D is None else D)
+    out = prop.margin(f, P, D)
     extras = out[2] if len(out) > 2 else {}
     margins = np.asarray(out[0], dtype=float).reshape(-1)
     if not np.isfinite(margins).all():
@@ -1005,18 +1011,13 @@ def _trial(A: dict, i: int) -> dict:
     return {k: v[i : i + 1] for k, v in A.items()}
 
 
-def _measure(
-    prop: _Property, f: ScalarFunction, P: dict, size: int, D: Optional[dict] = None
-) -> _Measured:
+def _measure(prop: _Property, f: ScalarFunction, P: dict, size: int, D: dict) -> _Measured:
     """prop's margin on a stack of ``size`` trials, from its derived data ``D``.
 
-    Without ``D``, the stack is derived here.  If the stack raises a
-    skippable error, the trials are measured one at a time through the same
-    code, from trial slices of ``P`` and ``D``, so only the offending ones
-    are skipped.
+    If the stack raises a skippable error, the trials are measured one at a
+    time through the same code, from trial slices of ``P`` and ``D``, so
+    only the offending ones are skipped.
     """
-    if D is None:
-        D = prop.derive(P)
     try:
         m, s, ex = _margin(prop, f, P, D)
         per_trial = [{k: v[i] for k, v in ex.items()} for i in range(size)] if ex else [{}] * size
@@ -1192,24 +1193,30 @@ def _held_bytes() -> int:
     return sum(a.nbytes for kept in _KEPT.values() for _, *stack in kept for a in _arrays(*stack))
 
 
+def _derived(plan: _Plan, P: dict) -> tuple[dict, dict]:
+    """A stack's payload fields, and what each property of the plan derives of it (by kind)."""
+    fields = {name for prop in plan.props for name, _ in prop.fields}
+    return {k: v for k, v in P.items() if k in fields}, {p.kind: p.derive(P) for p in plan.props}
+
+
 def _kept_stacks(
     cfg: TestConfig, plans: list[_Plan]
 ) -> Iterator[tuple[_Plan, np.ndarray, dict, dict]]:
-    """_suite_stacks(cfg.seed, plans) with each stack's derived data, kept for later calls.
+    """_suite_stacks(cfg.seed, plans), each stack derived where it is built, kept for later calls.
 
-    Yields (plan, trial indices, fields, derived), where the caller fills
-    ``derived`` (property kind -> what its derive made of the stack) on the
-    stack's first use.  Trials never depend on f, so every function
-    measured under one cfg reuses them and their derived data; a call under
-    another cfg drops all that is kept.  A derived stack keeps only its
-    payload fields beside its derived data: the builds' eigenpairs served
-    the derive alone.  A plan set is kept only when its iteration completes
-    and all that is kept stays within _CHUNK_BYTES; one whose payload fields
-    alone exceed that is not gathered.  The arrays are read-only.  Grid
-    plans depend on f and are not kept.
+    Yields (plan, trial indices, fields, derived), where ``derived`` maps
+    each property kind of the plan to what its derive made of the stack.
+    The fields are the payload fields alone: the builds' eigenpairs serve
+    the derive only.  Trials never depend on f, so every function measured
+    under one cfg reuses them and their derived data; a call under another
+    cfg drops all that is kept.  A plan set is kept only when its iteration
+    completes and all that is kept stays within _CHUNK_BYTES; one whose
+    payload fields alone exceed that is not gathered.  The arrays are
+    read-only.  Grid plans depend on f and are not kept.
     """
+    stacks = ((plan, idx, *_derived(plan, P)) for plan, idx, P in _suite_stacks(cfg.seed, plans))
     if not all(p.stream for p in plans):
-        yield from ((plan, idx, P, {}) for plan, idx, P in _suite_stacks(cfg.seed, plans))
+        yield from stacks
         return
     if any(key[0] != cfg for key in _KEPT):
         _KEPT.clear()
@@ -1224,19 +1231,12 @@ def _kept_stacks(
         p.count * min(sum(c.nbytes for c in cols) for cols in p.classes.values()) for p in plans
     )
     kept: Optional[list] = [] if least <= room else None  # None: not kept
-    for plan, idx, P in _suite_stacks(cfg.seed, plans):
-        _freeze(idx, *P.values())
-        D: dict = {}
-        yield plan, idx, P, D
-        if kept is None:
-            continue
-        if len(D) == len(plan.props):
-            fields = {name for prop in plan.props for name, _ in prop.fields}
-            P = {k: v for k, v in P.items() if k in fields}
+    for plan, idx, P, D in stacks:
         room -= _freeze(*_arrays(idx, P, D))
+        yield plan, idx, P, D
         if room < 0:
             kept = None  # released now, not at the end of the plan set
-        else:
+        elif kept is not None:
             kept.append((plan.stream, idx, P, D))
     if kept is not None:
         _KEPT[key] = kept
@@ -1313,9 +1313,6 @@ def _drive(
     first_hit = first_skip = total
     skip_note = ""
     for plan, idx, P, D in _kept_stacks(cfg, plans):
-        for prop in plan.props:
-            if prop.kind not in D:  # the stack's first use
-                D[prop.kind] = prop.derive(P)
         measured = [_measure(prop, f, P, idx.size, D[prop.kind]) for prop in plan.props]
         m = np.stack([r.margins for r in measured])
         # a trial's margin is the smallest of its properties' margins (the
@@ -1431,7 +1428,7 @@ def _scalar_precheck(f: ScalarFunction, tol: float) -> Optional[TestOutcome]:
     worst_t, worst_d2 = float(_SCALAR_GRID[w]), float(d2[w])
     etas = np.array([0.99, 0.75, 0.5, 0.25, 0.1, 0.02])
     P = {"t": worst_t * (1.0 - etas), "s": worst_t * (1.0 + etas)}
-    res = _measure(_SCALAR_CONVEXITY, f, P, etas.size)
+    res = _measure(_SCALAR_CONVEXITY, f, P, etas.size, _SCALAR_CONVEXITY.derive(P))
     m = np.where(np.isnan(res.margins), np.inf, res.margins)
     b = int(np.argmin(m))
     if m[b] < -tol:
@@ -1497,16 +1494,16 @@ def _derived_hessian_witness(f: ScalarFunction, cfg: TestConfig, k: int) -> Opti
     )
     for dim in cfg.dims:
         cols = (_pd_col("rho", dim, cfg.eig_range), _pd_col("sigma", dim, cfg.eig_range))
-        plan = _Plan(f"subentropic-escalation/k{k}/dim{dim}", 12, (_SUB_HESSIAN,), {None: cols})
-        # one index class: the stacks hold the rows in trial order
+        plan = _Plan(f"subentropic-escalation/k{k}/dim{dim}", 12, (_CONDITION13,), {None: cols})
+        # one index class: the stacks hold the rows in trial order, each a
+        # condition13 payload derived with its stack
         stacks = _kept_stacks(cfg, [plan])
-        rows = (_trial(P, j) for _, _, P, _ in stacks for j in range(len(P["rho"])))
-        for row in rows:
-            rho, sigma = row["rho"][0], row["sigma"][0]
+        rows = ((fields, D, j) for _, _, fields, D in stacks for j in range(len(fields["rho"])))
+        for fields, D, j in rows:
+            rho, sigma = fields["rho"][j], fields["sigma"][j]
             try:
-                # the row is a condition13 payload: its inverse differentials
-                # at rho, sigma and rho+sigma
-                r, s, total = _inverse_differentials(fp, _pair_sum_derive(row))[1][:, 0]
+                # the inverse differentials at rho, sigma and rho+sigma
+                r, s, total = _inverse_differentials(fp, _trial(D["condition13"], j))[1][:, 0]
             except (NotInvertibleError, DomainError):
                 return None
             eigs, h1s, h2s, quad, usable = _negative_pairs(hermitize(total - r - s), r, s)
@@ -1521,7 +1518,7 @@ def _derived_hessian_witness(f: ScalarFunction, cfg: TestConfig, k: int) -> Opti
                 "rhos": np.stack([np.stack([rho, sigma] + [pad] * (k - 2)) for pad in pads]),
                 "hs": np.stack([np.stack([h1, h2] + [zero] * (k - 2))] * len(pads)),
             }
-            res = _measure(_SUB_HESSIAN, f, P, len(pads))
+            res = _measure(_SUB_HESSIAN, f, P, len(pads), _SUB_HESSIAN.derive(P))
             hits = np.flatnonzero(res.margins < -cfg.tol)
             if hits.size:
                 j = hits[0]
@@ -1801,7 +1798,7 @@ def uniqueness_pipeline(
             % (fit["slope"], fit["relative_residual"]),
         )
     else:
-        res = _measure(_UNIQUENESS_FIT, f, {}, 1)
+        res = _measure(_UNIQUENESS_FIT, f, {}, 1, _UNIQUENESS_FIT.derive({}))
         final = TestOutcome(
             "uniqueness", f.name, FAIL, -float(fit["relative_residual"]),
             len(_FIT_GRID), 0, _witness(_UNIQUENESS_FIT, {}, res, 0),
@@ -1860,10 +1857,11 @@ def reverify_counterexample(f: ScalarFunction, payload: dict) -> float:
     payload and the function it was found for.
     """
     kind = payload["kind"]
-    prop = _PROPERTIES.get(kind)
+    prop = _PROPERTIES.get(kind) if isinstance(kind, str) else None
     if prop is None:
         raise ValueError(f"unknown counterexample kind {kind!r}")
-    return float(_margin(prop, f, prop.decode(payload))[0][0])
+    P = prop.decode(payload)
+    return float(_margin(prop, f, P, prop.derive(P))[0][0])
 
 
 # The suite entry points are library API, not pytest cases; keep pytest from

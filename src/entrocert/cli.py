@@ -133,41 +133,33 @@ def _print_summary(outcomes) -> None:
 
 
 def cmd_certify(args) -> int:
+    """Run the suites and write the JSON report; ``sweep`` writes only the per-trial CSV."""
     f = _resolve_function(args)
     cfg = _build_config(args)
-    recorder = [] if args.sweep_csv else None
+    sweep = args.command == "sweep"
+    csv_path = args.out if sweep else args.sweep_csv
+    recorder = [] if sweep or csv_path else None
     start = time.perf_counter()
     outcomes, fit = run_suite(f, args.suite, cfg, recorder)
     wall_ms = (time.perf_counter() - start) * 1000.0
-    report = CertificationReport(
-        function=f.describe(),
-        config=cfg.as_dict(),
-        outcomes=tuple(outcomes),
-        wall_time_ms=wall_ms,
-        fit=fit,
-    )
-    text = report.to_json()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    if args.sweep_csv:
-        with open(args.sweep_csv, "w", encoding="utf-8", newline="") as fh:
+    if not sweep:
+        report = CertificationReport(
+            function=f.describe(),
+            config=cfg.as_dict(),
+            outcomes=tuple(outcomes),
+            wall_time_ms=wall_ms,
+            fit=fit,
+        )
+        text = report.to_json()
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text)
+    if csv_path:
+        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
             write_sweep_csv(recorder, fh)
-    _print_summary(outcomes)
-    return worst_exit_code(outcomes)
-
-
-def cmd_sweep(args) -> int:
-    f = _resolve_function(args)
-    cfg = _build_config(args)
-    recorder: list = []
-    outcomes, _ = run_suite(f, args.suite, cfg, recorder)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            write_sweep_csv(recorder, fh)
-    else:
+    elif sweep:
         write_sweep_csv(recorder, sys.stdout)
     _print_summary(outcomes)
     return worst_exit_code(outcomes)
@@ -236,10 +228,8 @@ def main(argv: Optional[list] = None) -> int:
     except SystemExit as exc:  # --help exits 0, usage errors exit 3
         return int(exc.code or 0)
     try:
-        if args.command == "certify":
+        if args.command in ("certify", "sweep"):
             return cmd_certify(args)
-        if args.command == "sweep":
-            return cmd_sweep(args)
         if args.command == "reverify":
             return cmd_reverify(args)
         return cmd_list(args)

@@ -20,16 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import ScalarFunction, _difference_layout, _joined, _split
+from .functions import ScalarFunction, _difference_layout, _jointly
 from .hermitian import (
     PsdMargin,
-    SpectralDecomposition,
     adjoint,
     eigh,
     hermitize,
     is_hermitian,
 )
-from .jets import DomainError
 
 __all__ = [
     "NotInvertibleError",
@@ -97,29 +95,23 @@ def _loewner(f: ScalarFunction, layouts: list[dict]) -> list[np.ndarray]:
     f and f' are evaluated in one call at every spectrum and then its near
     midpoints, layout by layout.  A pair of distinct eigenvalues reads the
     difference quotient, an exactly coincident pair f'(t) and a nearly
-    coincident one f'((t+s)/2).  If that call fails, each spectrum and each
-    set of midpoints is evaluated on its own, in turn, so the error raised
-    is the one that those separate calls raise first.
+    coincident one f'((t+s)/2).  The spectra and midpoints are evaluated
+    as by :func:`entrocert.functions._jointly`.
     """
     parts = []
     for lay in layouts:
         parts.append(lay["eigenvalues"])
         if "near" in lay:
             parts.append(lay["mids"][lay["near"]])
-    try:
-        vals, slopes = (_split(a, parts) for a in f.jet(_joined(parts), 1))
-    except DomainError:
-        vals, slopes = zip(*(f.jet(p, 1) for p in parts))
-    out, i = [], 0
+    jets = iter(_jointly(lambda t: f.jet(t, 1), parts))
+    out = []
     for lay in layouts:
-        v = vals[i]
+        v, slope = next(jets)
         quotients = (v[..., :, None] - v[..., None, :]) / lay["gaps"]
-        k = np.where(lay["same"], slopes[i][..., :, None], quotients)
+        k = np.where(lay["same"], slope[..., :, None], quotients)
         if "near" in lay:
-            i += 1
-            k[lay["near"]] = slopes[i]
+            k[lay["near"]] = next(jets)[1]
         out.append(k)
-        i += 1
     return out
 
 
@@ -151,35 +143,19 @@ def _weighted(kernel: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.sum(kernel * weights, axis=(-2, -1))
 
 
-def _hadamard_conjugate(kernel: np.ndarray, u: np.ndarray, h: np.ndarray) -> np.ndarray:
-    return u @ (kernel * (adjoint(u) @ h @ u)) @ adjoint(u)
-
-
 def frechet_diff(f: ScalarFunction, rho: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Directional derivative of rho -> f(rho) at rho in direction h.
 
     Linear in h; maps Hermitian h to (exactly) Hermitian output.  General
     square h is accepted as well, in which case no symmetrisation happens.
     """
-    kernel, u = _kernel(f, eigh(rho))
-    out = _hadamard_conjugate(kernel, u, np.asarray(h, dtype=complex))
+    dec = eigh(rho)
+    u = dec.eigenvectors
+    g = adjoint(u) @ np.asarray(h, dtype=complex) @ u
+    out = u @ (loewner_matrix(f, dec.eigenvalues) * g) @ adjoint(u)
     if is_hermitian(h):
         return hermitize(out)
     return out
-
-
-def _kernel(f: ScalarFunction, dec: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]:
-    """The Loewner matrix of f over a checked decomposition's spectrum, and its eigenvectors."""
-    return loewner_matrix(f, dec.eigenvalues), dec.eigenvectors
-
-
-def _pairing(f: ScalarFunction, dec: SpectralDecomposition, h: np.ndarray) -> np.ndarray:
-    """Re Tr h df(rho)[h] at the rho of a checked decomposition, in its eigenbasis.
-
-    Stacks allowed.
-    """
-    kernel, u = _kernel(f, dec)
-    return _weighted(kernel, _weights(u, h))
 
 
 @dataclass(frozen=True)
@@ -218,7 +194,8 @@ def frechet_superoperator(f: ScalarFunction, rho: np.ndarray) -> Superoperator:
     Loewner-matrix entries, so it is positive definite whenever the divided
     differences of f are strictly positive.
     """
-    return _kronecker_form(*_kernel(f, eigh(rho)))
+    dec = eigh(rho)
+    return _kronecker_form(loewner_matrix(f, dec.eigenvalues), dec.eigenvectors)
 
 
 def _inverse_kernel(f: ScalarFunction, kernel: np.ndarray) -> np.ndarray:
@@ -231,18 +208,13 @@ def _inverse_kernel(f: ScalarFunction, kernel: np.ndarray) -> np.ndarray:
     return 1.0 / kernel
 
 
-def _inverse_form(f: ScalarFunction, dec: SpectralDecomposition) -> Superoperator:
-    """Inverse differential of f at the rho of a checked decomposition (stacks allowed)."""
-    kernel, u = _kernel(f, dec)
-    return _kronecker_form(_inverse_kernel(f, kernel), u)
-
-
 def frechet_inverse(f: ScalarFunction, rho: np.ndarray) -> Superoperator:
     """Inverse of the differential of f at rho (entrywise reciprocal kernel).
 
     For a stack, one member that is not invertible raises for the stack.
     """
-    return _inverse_form(f, eigh(rho))
+    dec = eigh(rho)
+    return _kronecker_form(_inverse_kernel(f, loewner_matrix(f, dec.eigenvalues)), dec.eigenvectors)
 
 
 def _flat_with_sums(ms: np.ndarray) -> np.ndarray:
@@ -280,7 +252,10 @@ def second_diff_G(f: ScalarFunction, rhos, hs):
         raise ValueError("second_diff_G needs equally many base points and directions")
     if rhos.shape[-1] != rhos.shape[-2]:
         raise ValueError("second_diff_G arguments must share one dimension")
-    q = _pairing(f.derivative(), eigh(_flat_with_sums(rhos)), _flat_with_sums(hs))
+    dec = eigh(_flat_with_sums(rhos))
+    # Re Tr h df'(rho)[h] in the eigenbasis of each rho (Daleckii-Krein)
+    kernel = loewner_matrix(f.derivative(), dec.eigenvalues)
+    q = _weighted(kernel, _weights(dec.eigenvectors, _flat_with_sums(hs)))
     single, joint = _split_sums(q, rhos.shape[:-2])
     out = np.sum(single, axis=-1) - joint
     return float(out) if out.ndim == 0 else out

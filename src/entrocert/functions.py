@@ -21,7 +21,6 @@ __all__ = [
     "ScalarFunction",
     "DomainError",
     "DegenerateFunctionError",
-    "divided_differences",
     "divided_difference",
     "divided_difference_quadrature_check",
     "gap_function",
@@ -137,7 +136,7 @@ class ScalarFunction:
 # divided differences
 
 def _difference_layout(t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What :func:`divided_differences` reads of the points alone, whatever f is.
+    """What :func:`divided_difference` reads of the points alone, whatever f is.
 
     Returns the divisors (t - s, or 1 where the midpoint rule or a
     coincident pair takes over), the exactly coincident pairs, and the
@@ -151,45 +150,25 @@ def _difference_layout(t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.nda
     return np.where(near, 1.0, gap), same, near & ~same
 
 
-def divided_differences(
-    f: ScalarFunction,
-    t: np.ndarray,
-    s: np.ndarray,
-    ft: np.ndarray,
-    fs: np.ndarray,
-    dt: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """(ft - fs) / (t - s) elementwise, given ft = f(t) and fs = f(s).
-
-    Coincident or nearly coincident arguments (relative gap at most 1e-6)
-    use f'((t+s)/2), which is second-order accurate in the gap; all of them
-    are evaluated in one call.  ``dt = f'(t)``, when given, serves the exactly
-    coincident ones.  The result is exactly symmetric in (t, s).  Its rule,
-    :func:`_difference_layout`, builds the Loewner matrices of
-    :mod:`entrocert.frechet` as well.
-    """
-    gaps, same, near = _difference_layout(t, s)
-    out = (ft - fs) / gaps
-    if dt is None:
-        near |= same
-    else:
-        out[same] = np.broadcast_to(dt, out.shape)[same]
-    if near.any():
-        out[near] = f.d1(0.5 * (t[near] + s[near]))
-    return out
-
-
 def divided_difference(f: ScalarFunction, t, s):
     """First divided difference (f(t) - f(s)) / (t - s).
 
-    Takes floats or broadcastable arrays of points; see
-    :func:`divided_differences` for the rule at nearly coincident points.
+    Takes floats or broadcastable arrays of points.  Coincident or nearly
+    coincident arguments (relative gap at most 1e-6) use f'((t+s)/2), which
+    is second-order accurate in the gap; all of them are evaluated in one
+    call.  The result is exactly symmetric in (t, s).  Its rule,
+    :func:`_difference_layout`, builds the Loewner matrices of
+    :mod:`entrocert.frechet` as well.
     """
     scalar = np.ndim(t) == 0 and np.ndim(s) == 0
     t, s = np.broadcast_arrays(
         np.atleast_1d(np.asarray(t, dtype=float)), np.atleast_1d(np.asarray(s, dtype=float))
     )
-    out = divided_differences(f, t, s, f(t), f(s))
+    gaps, same, near = _difference_layout(t, s)
+    out = (f(t) - f(s)) / gaps
+    near |= same
+    if near.any():
+        out[near] = f.d1(0.5 * (t[near] + s[near]))
     return float(out[0]) if scalar else out
 
 
@@ -274,17 +253,22 @@ def _split(values: np.ndarray, parts: tuple) -> list[np.ndarray]:
     return out
 
 
-def _joint_values(f: ScalarFunction, *parts) -> list[np.ndarray]:
-    """f at each array of points of ``parts``, from one call of f.
+def _jointly(evaluate: Callable, parts: tuple) -> list:
+    """``[evaluate(part) for part in parts]`` from one call of evaluate at the points of every part.
 
-    Each result is bit for bit ``f(part)``.  If the joined call fails, the
-    parts are evaluated one call each, in turn, so the error raised is the
-    one that those separate calls raise first.
+    evaluate maps an array of points to an array of values of its shape, or
+    to a tuple of such arrays; it must act point by point, so each result
+    is bit for bit ``evaluate(part)``.  If the joined call raises
+    DomainError, the parts are evaluated one call each, in turn, so the
+    error raised is the one that those separate calls raise first.
     """
     try:
-        return _split(np.asarray(f(_joined(parts)), dtype=float), parts)
+        values = evaluate(_joined(parts))
     except DomainError:
-        return [np.asarray(f(p), dtype=float) for p in parts]
+        return [evaluate(p) for p in parts]
+    if isinstance(values, tuple):
+        return list(zip(*(_split(v, parts) for v in values)))
+    return _split(values, parts)
 
 
 def _gap_series(f: ScalarFunction, *parts) -> list[Jet]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import ScalarFunction, _joined, _split
+from .functions import ScalarFunction, _jointly
 from .jets import DomainError
 
 __all__ = [
@@ -243,52 +243,38 @@ def _zero_clamp(eigenvalues: np.ndarray) -> np.ndarray:
     The scale is the spectral radius of each spectrum (the last axis).
     """
     lam = np.asarray(eigenvalues, dtype=float)
-    scale = np.max(np.abs(lam), axis=-1, keepdims=True)
+    scale = np.max(np.abs(lam), axis=-1, keepdims=True, initial=0.0)
     return np.abs(lam) <= ZERO_CLAMP_TOL * np.maximum(1.0, scale)
 
 
 def _function_values(f: ScalarFunction, eigenvalues: np.ndarray) -> np.ndarray:
-    """f applied to a spectrum (or a stack of spectra) in one call of f.
-
-    When f has a zero extension, eigenvalues within ZERO_CLAMP_TOL * max(1,
-    scale) of zero become exact zeros, which f maps to f(0); the scale is the
-    spectral radius of each spectrum.  Without the clamp, the numerically-zero
-    spectrum of embeddings like W rho W^dagger would leak O(sqrt(eps)) errors
-    through functions with unbounded slope at 0.  Any other eigenvalue that is
-    not positive raises DomainError.
-    """
+    """f over a spectrum (or a stack of spectra) in one call of f; see :func:`_spectra_values`."""
     lam = np.asarray(eigenvalues, dtype=float)
-    clamp = f.zero_extension is not None
-    lo = lam.min(initial=np.inf)
-    # the clamp threshold of every spectrum is at most that of the largest one
-    if not lo > 0.0 or clamp and lo <= ZERO_CLAMP_TOL * max(1.0, lam.max(initial=0.0)):
-        if clamp:
-            lam = np.where(_zero_clamp(lam), 0.0, lam)
-        ok = lam >= 0.0 if clamp else lam > 0.0  # NaN fails both
-        if not ok.all():
-            raise DomainError(f"eigenvalue {float(lam[~ok][0]):.6g} outside the domain of {f.name}")
-    return np.asarray(f(lam), dtype=float)
+    return _spectra_values(f, (lam,), (_zero_clamp(lam),))[0]
 
 
 def _spectra_values(f: ScalarFunction, spectra: tuple, clamps: tuple) -> list[np.ndarray]:
     """f over each stack of checked spectra, given their :func:`_zero_clamp` masks, in one call of f.
 
-    Each result is bit for bit ``_function_values(f, spectrum)``.  If the
-    joined call fails, the spectra are evaluated one call each, in turn, so
-    the error raised is the one that those separate calls raise first.
+    When f has a zero extension, the masked eigenvalues (within
+    ZERO_CLAMP_TOL * max(1, spectral radius) of zero) become exact zeros,
+    which f maps to f(0).  Without the clamp, the numerically-zero spectrum
+    of embeddings like W rho W^dagger would leak O(sqrt(eps)) errors through
+    functions with unbounded slope at 0.  Any other eigenvalue that is not
+    positive raises DomainError, and the spectra are evaluated as by
+    :func:`entrocert.functions._jointly`.
     """
-    lam = _joined(spectra)
-    if f.zero_extension is not None:
-        lam = np.where(_joined(clamps), 0.0, lam)
-        ok = lam >= 0.0
-    else:
-        ok = lam > 0.0
-    try:
-        if ok.all():  # NaN fails
-            return _split(np.asarray(f(lam), dtype=float), spectra)
-    except DomainError:
-        pass
-    return [_function_values(f, spectrum) for spectrum in spectra]
+    clamp = f.zero_extension is not None
+    if clamp:
+        spectra = tuple(np.where(mask, 0.0, lam) for lam, mask in zip(spectra, clamps))
+
+    def evaluate(lam):
+        ok = lam >= 0.0 if clamp else lam > 0.0  # NaN fails both
+        if not ok.all():
+            raise DomainError(f"eigenvalue {float(lam[~ok][0]):.6g} outside the domain of {f.name}")
+        return np.asarray(f(lam), dtype=float)
+
+    return _jointly(evaluate, spectra)
 
 
 def apply_function(f: ScalarFunction, m: np.ndarray) -> np.ndarray:

@@ -304,6 +304,12 @@ def test_subentropic_padding_orders():
         assert reverify_counterexample(f, payload) == pytest.approx(payload["margin"], rel=1e-9)
 
 
+def test_search_gives_up_without_an_invertible_differential():
+    # affine's f' is constant: its Loewner matrices vanish, so no row of
+    # the search has inverse differentials to take a direction from
+    assert _derived_hessian_witness(lookup("affine"), TestConfig(seed=2, samples=5), 2) is None
+
+
 def test_derived_witness_joins_the_sampled_trials():
     # power:1.25 is expected to fail subentropic; none of the 20 sampled
     # trials violates, so the derived-Hessian search supplies trial 20
@@ -773,18 +779,18 @@ def test_kept_arrays_are_read_only():
                 a.flat[0] = a.flat[0]
 
 
-def test_underived_stacks_keep_the_builds_eigenpairs():
+def test_search_stacks_keep_the_condition13_derive():
     import entrocert.certify as certify
 
-    # the derived-Hessian search reads the built eigenpairs of its rows
-    # itself: its stacks are kept as built, and a second search reuses them
+    # the derived-Hessian search's rows are condition13 payloads: its stacks
+    # are kept derived, like a suite's, and a second search reuses them
     cfg = TestConfig(seed=2, samples=5)
     assert _derived_hessian_witness(lookup("tlogt"), cfg, 2) is None
     kept = dict(certify._KEPT)
     assert len(kept) == len(cfg.dims)
     for stacks in kept.values():
         for _, _, P, D in stacks:
-            assert D == {} and set(P) == {*certify._state("rho"), *certify._state("sigma")}
+            assert set(P) == {"rho", "sigma"} and set(D) == {"condition13"}
     assert _derived_hessian_witness(lookup("tlogt"), cfg, 2) is None
     assert certify._KEPT.keys() == kept.keys()
     assert all(certify._KEPT[key] is stacks for key, stacks in kept.items())

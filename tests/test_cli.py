@@ -285,3 +285,23 @@ def test_reverify_malformed_payload_is_a_usage_error(capsys, tmp_path, payload):
     assert out == "" and "Traceback" not in err
     assert err.startswith("entrocert: error:")
     assert "malformed report" in err and "condition13" in err
+
+
+@pytest.mark.parametrize(
+    "field, value, named",
+    [("rho", [1, 2], "field 'rho'"), ("kind", [1], "kind [1]")],
+    ids=["rho-list", "kind-list"],
+)
+def test_reverify_payload_field_of_the_wrong_json_type_is_a_usage_error(
+    capsys, tmp_path, field, value, named
+):
+    # a payload field of the wrong JSON type is a usage error (exit 3) that
+    # names the field or kind, not a traceback (exit 1, "did not re-verify")
+    path = _square_condition13_report(capsys, tmp_path)
+    obj = json.loads(path.read_text())
+    obj["outcomes"][0]["counterexample"][field] = value
+    path.write_text(json.dumps(obj))
+    rc, out, err = run(capsys, "reverify", str(path))
+    assert rc == 3
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("entrocert: error:") and named in err

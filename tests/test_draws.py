@@ -263,7 +263,7 @@ def test_sampled_margins_match_reverification(monkeypatch, name):
     for plans in _suite_plans(monkeypatch, cfg, f).values():
         for plan, members, P in certify._suite_stacks(cfg.seed, plans):
             for prop in plan.props:
-                res = certify._measure(prop, f, P, members.size)
+                res = certify._measure(prop, f, P, members.size, prop.derive(P))
                 for j in np.flatnonzero(~np.isnan(res.margins)):
                     payload = json.loads(json.dumps(certify._witness(prop, P, res, j)))
                     margin = res.margins[j]
@@ -351,7 +351,7 @@ def test_padded_gain_witness_has_the_drawn_channel(monkeypatch):
     ranks = []
     for _, members, P in certify._suite_stacks(cfg.seed, [plan]):
         (prop,) = plan.props
-        res = certify._measure(prop, f, P, members.size)
+        res = certify._measure(prop, f, P, members.size, prop.derive(P))
         for j, i in enumerate(members.tolist()):
             if i % 3 == 2:  # a partial-trace trial
                 continue

@@ -3,10 +3,8 @@ import pytest
 
 from entrocert.frechet import (
     NotInvertibleError,
-    _inverse_form,
-    _layout,
-    _loewner,
-    _pairing,
+    _inverse_kernel,
+    _kronecker_form,
     _weighted,
     _weights,
     frechet_diff,
@@ -249,14 +247,18 @@ def test_supplied_spectra_keep_no_order(name):
     assert abs(t - trace_of_function(f, rho)) <= 1e-13 * abs(t)
     assert close(permuted.reconstruct(), drawn.reconstruct())
     fp = f.derivative()
-    assert close(_inverse_form(fp, permuted).matrix, _inverse_form(fp, drawn).matrix)
-    assert close(_inverse_form(fp, drawn).matrix, frechet_inverse(fp, rho).matrix)
-    q, qp = _pairing(fp, drawn, h), _pairing(fp, permuted, h)
+
+    def inverse(dec):
+        kernel = _inverse_kernel(fp, loewner_matrix(fp, dec.eigenvalues))
+        return _kronecker_form(kernel, dec.eigenvectors).matrix
+
+    def pairing(dec):  # Re Tr h df'(rho)[h], as the kept margins weigh it
+        return _weighted(loewner_matrix(fp, dec.eigenvalues), _weights(dec.eigenvectors, h))
+
+    assert close(inverse(permuted), inverse(drawn))
+    assert close(inverse(drawn), frechet_inverse(fp, rho).matrix)
+    q, qp = pairing(drawn), pairing(permuted)
     assert abs(q - qp) <= 1e-13 * abs(q)
-    # the kept path: a layout's Loewner matrix weighed with the pairing weights
-    for dec in (drawn, permuted):
-        (kernel,) = _loewner(fp, [_layout(dec.eigenvalues)])
-        assert abs(_weighted(kernel, _weights(dec.eigenvectors, h)) - q) <= 1e-13 * abs(q)
 
 
 def test_frechet_diff_of_non_hermitian_direction_is_not_symmetrised():

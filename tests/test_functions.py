@@ -340,3 +340,24 @@ def test_joint_gap_series_raise_what_separate_calls_raise(text, parts):
     if want is None:
         got = [1.0 / s.derivative(2) for s in _gap_series(f, *parts)]
         assert all(np.array_equal(a, b) for a, b in zip(got, separate()))
+
+
+@pytest.mark.parametrize("route", ["scalar margin", "trace", "Loewner matrix"])
+def test_joined_evaluation_raises_the_first_parts_error(route):
+    # the first part fails inside f (log of 0.4 - 0.5); the later part fails
+    # the domain check t > 0, which one joined call would meet first
+    from entrocert.certify import reverify_counterexample
+    from entrocert.frechet import _layout, _loewner
+    from entrocert.hermitian import _spectra_values, _zero_clamp
+
+    f = parse("log(t-0.5)").as_function()
+    first, later = np.array([[0.4, 2.0]]), np.array([[-1.0, 1.0]])
+    calls = {
+        "scalar margin": lambda: reverify_counterexample(
+            f, {"kind": "scalar-convexity", "t": 0.4, "s": -1.0}
+        ),
+        "trace": lambda: _spectra_values(f, (first, later), tuple(map(_zero_clamp, (first, later)))),
+        "Loewner matrix": lambda: _loewner(f, [_layout(first), _layout(later)]),
+    }
+    with pytest.raises(DomainError, match=r"log of non-positive value -0\.1"):
+        calls[route]()
