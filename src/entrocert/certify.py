@@ -23,9 +23,11 @@ claims are convexity claims of the negated functional.
 
 Each property is defined once, as a :class:`_Property` record: the fields of
 its counterexample payload, a ``derive(payloads)`` that forms and decomposes
-the matrices of a whole stack of trials, and a ``margin(f, payloads,
-derived)`` that applies f to them.  A sampled stack is derived where it
-is built, once however many functions measure it; the witness search reads
+the matrices of a whole stack of trials, and a ``margin(f, derived)`` that
+applies f to what the derive made, never to the payloads.  A sampled stack
+is derived where it is built, once however many functions measure it, and
+only its derived data are kept: a witness on a kept stack draws and builds
+its one trial again from (seed, stream, index).  The witness search reads
 the condition13 derive of its rows, and reverify_counterexample derives its
 payload as a batch of one.  A trial whose margin is not finite is skipped,
 and every FAIL payload is written by the record that re-verifies it
@@ -91,6 +93,7 @@ from .functions import (
 )
 from .hermitian import (
     SpectralDecomposition,
+    _json_integer,
     _spectra_values,
     _zero_clamp,
     eigh,
@@ -138,6 +141,11 @@ _EQUIVALENCE_DIRECTIONS = 16
 # Estimated working memory of one stacked chunk of trials.  Chunks stay
 # under it, so batching does not raise the peak memory of a run.
 _CHUNK_BYTES = 1 << 20
+
+# Bytes of derived data and rebuilt payloads kept for later calls under one
+# configuration (_kept_stacks): all the sampled suites of samples=200 at
+# dims (2, 3) keep about 2.8 MB.
+_KEPT_BYTES = 4 << 20
 
 # Trials whose seed states are computed at once: about 150 bytes each.
 _SEED_BLOCK = 1024
@@ -428,6 +436,7 @@ def _known(P: dict, *names: str) -> list[SpectralDecomposition]:
     return [SpectralDecomposition(P[w], P[v]) for _, w, v in map(_state, names)]
 
 
+@functools.lru_cache(maxsize=None)
 def _pd_col(name: str, n: int, eig_range: tuple[float, float], k: Optional[int] = None) -> _Col:
     """k random PD matrices (k=None: one), each drawn as its spectrum's uniforms, then a Gaussian.
 
@@ -450,6 +459,7 @@ def _pd_col(name: str, n: int, eig_range: tuple[float, float], k: Optional[int] 
     return _Col(_state(name), raw, calls, build, 16 * (k or 1) * n * n, n, (n, lo, hi))
 
 
+@functools.lru_cache(maxsize=None)
 def _diag_col(name: str, n: int, eig_range: tuple[float, float]) -> _Col:
     """A diagonal PD state, its spectrum log-uniform in eig_range (drawn even when lo == hi)."""
     log_lo, log_hi = np.log(eig_range[0]), np.log(eig_range[1])
@@ -464,6 +474,7 @@ def _diag_col(name: str, n: int, eig_range: tuple[float, float]) -> _Col:
     return _Col(_state(name), (n,), (("random", ()),), build, 16 * n * n, n)
 
 
+@functools.lru_cache(maxsize=None)
 def _herm_col(names: tuple[str, ...], n: int, k: Optional[int] = None) -> _Col:
     """k Hermitian directions (k=None: one) per name, drawn in one call and dealt to the names in turn."""
     m = len(names) * (k or 1)
@@ -476,6 +487,7 @@ def _herm_col(names: tuple[str, ...], n: int, k: Optional[int] = None) -> _Col:
     return _Col(names, (m, 2, n, n), (("standard_normal", ()),), build, 16 * m * n * n, n)
 
 
+@functools.lru_cache(maxsize=None)
 def _channel_col(name: str, n_in: int, n_out: int, rank: int) -> _Col:
     """A random channel, built with _MAX_KRAUS operators: those past its rank are exact zeros.
 
@@ -561,7 +573,7 @@ _DECODE = {
     _MAT: matrix_from_json,
     _MATS: lambda objs: np.stack([matrix_from_json(o) for o in objs]),
     _DIRS: lambda obj: matrix_from_json(obj)[None],
-    _INT: lambda v: np.asarray(int(v)),
+    _INT: lambda v: np.asarray(_json_integer(v)),
     _FLOAT: lambda v: np.asarray(float(v)),
     _CHANNEL: lambda obj: np.stack(channel_from_json(obj).kraus),
 }
@@ -580,10 +592,12 @@ class _Property:
     the spectra with their zero-clamp masks; a Frechet one the spectra's
     divided-difference layout, and the pairing weights Re(g o g^T), g = U* h
     U, of its drawn directions h in place of the eigenvectors wherever only
-    a pairing reads them.  ``margin(f, P, D)`` applies f to that derived
-    data ``D`` and returns ``(margins, scales)``, or ``(margins, scales,
-    extras)`` where ``extras`` holds per-trial values that the witness
-    records next to the payload.
+    a pairing reads them.  A scalar property's derived data are its payload
+    fields.  ``margin(f, D)`` applies f to that derived data ``D`` alone,
+    never to the payload, and returns ``(margins, scales)``, or ``(margins,
+    scales, extras)`` where ``extras`` holds per-trial values that the
+    witness records next to the payload, after ``select`` picks from the
+    payload what the margin chose.
 
     A margin evaluates f's series once: at all of its points (every
     spectrum and near midpoint, or every scalar point), in the order that
@@ -598,13 +612,15 @@ class _Property:
     kind: str
     fields: tuple[tuple[str, str], ...]
     margin: Callable
-    derive: Callable[[dict], dict] = lambda P: {}  # scalar properties read P alone
+    derive: Callable[[dict], dict] = lambda P: P  # scalar properties measure their fields
     extras: tuple[str, ...] = ()
+    select: Callable[[dict], dict] = lambda trial: trial  # a witness's fields from its trial
     defaults: dict = field(default_factory=dict)  # for fields older payloads lack
     label: str = ""  # names the margin in a detail line when a trial has several
     superops: int = 0  # n^2 x n^2 matrices a trial holds at once, for chunk sizes
 
     def witness(self, payload: dict, margin: float) -> dict:
+        payload = self.select(payload)
         obj = {"kind": self.kind}
         for name, codec in self.fields:
             obj[name] = _ENCODE[codec](payload[name])
@@ -619,7 +635,7 @@ class _Property:
             value = obj[name] if name in obj else self.defaults[name]
             try:
                 P[name] = _DECODE[codec](value)[None]
-            except TypeError as exc:  # a JSON value of the wrong type
+            except (TypeError, ValueError) as exc:  # a JSON value of the wrong type or value
                 raise ValueError(f"{self.kind} field {name!r} is malformed: {exc}") from None
         return P
 
@@ -691,7 +707,7 @@ def _pair_spectra(P: dict) -> dict:
     return _trace_spectra("spectra", _trial_first(eigh(mats, _known(P, "x", "y")).eigenvalues))
 
 
-def _principle1_margin(f, P, D):
+def _principle1_margin(f, D):
     # Concavity of -Tr f equals midpoint convexity of Tr f.
     return _convexity(*_traces(f, D, "spectra")[0])
 
@@ -702,7 +718,7 @@ def _entropic_derive(P):
     return {**_pair_spectra(P), **_trace_spectra("reduced", reduced)}
 
 
-def _entropic_margin(f, P, D):
+def _entropic_margin(f, D):
     whole, reduced = _traces(f, D, "spectra", "reduced")
     return _convexity(*(whole - reduced))
 
@@ -722,7 +738,7 @@ def _subentropic_midpoint_derive(P):
     }
 
 
-def _subentropic_midpoint_margin(f, P, D):
+def _subentropic_midpoint_margin(f, D):
     # G(rho_1..rho_k) = sum_i Tr f(rho_i) - Tr f(sum_i rho_i) at xs, ys and their midpoint
     single, joint = _traces(f, D, "spectra", "sums")
     return _convexity(*(np.sum(single, axis=-1) - joint))
@@ -740,7 +756,7 @@ def _subentropic_hessian_derive(P):
     }
 
 
-def _subentropic_hessian_margin(f, P, D):
+def _subentropic_hessian_margin(f, D):
     # per-point terms Tr h_i df'(rho_i) h_i and the joint term of the sums
     at_rhos, at_sums = _kernels(f.derivative(), D, "rhos", "sums")
     single, joint = _weighted(at_rhos, D["rhos.weights"]), _weighted(at_sums, D["sums.weights"])
@@ -767,9 +783,9 @@ def _inverse_differentials(fp: ScalarFunction, D: dict) -> tuple[np.ndarray, np.
     return kernel, _kronecker_form(_inverse_kernel(fp, _trial_first(kernel)), u).matrix
 
 
-def _condition13_margin(f, P, D):
+def _condition13_margin(f, D):
     r, s, total = _inverse_differentials(f.derivative(), D)[1]
-    pm = Superoperator(P["rho"].shape[-1], total - r - s).psd_margin()
+    pm = Superoperator(D["states.eigenvectors"].shape[-1], total - r - s).psd_margin()
     return pm.normalized, pm.scale
 
 
@@ -805,17 +821,19 @@ def _equivalence_derive(P):
     u, h1, h2 = D["states.eigenvectors"], P["h1"], P["h2"]
     # the drawn pairs' forms: h1 at rho, h2 at sigma and h1 + h2 at rho + sigma
     forms = [_shared_weights(u[:, j], h) for j, h in enumerate((h1, h2, h1 + h2))]
-    return {**D, "states.weights": np.stack(forms, axis=1)}
+    return {**D, "states.weights": np.stack(forms, axis=1), "band": P["band"]}
 
 
-def _equivalence_margin(f, P, D):
+def _equivalence_margin(f, D):
     """Per-instance agreement of the condition13 verdict with the Hessian verdict.
 
     The Hessian margin is the worst over the drawn direction pairs and the
     most negative superoperator direction, transferred to a direction pair.
-    Both margins must clear ``band`` before a sign disagreement counts.
+    Both margins must clear ``band`` before a sign disagreement counts.  The
+    extras name the winning candidate (``direction``: a drawn pair's index,
+    or past them a transferred pair) and hold the transferred pair it would
+    take (``moved1``, ``moved2``).
     """
-    h1, h2, band = P["h1"], P["h2"], P["band"]
     kernel, (inv_r, inv_s, inv_sum) = _inverse_differentials(f.derivative(), D)
     d = hermitize(inv_sum - inv_r - inv_s)
     eigs, t1, t2, _, usable = _negative_pairs(d, inv_r, inv_s)
@@ -826,13 +844,12 @@ def _equivalence_margin(f, P, D):
 
     # Tr h df'(rho)[h] is the Loewner matrix at rho weighed with h's weights;
     # the transferred pairs depend on f, so their weights are formed here
-    drawn = _weighted(kernel[:, :, None], D["states.weights"])
+    drawn = _weighted(kernel[:, :, None], D["states.weights"])  # (trials, 3, drawn pairs)
     u = D["states.eigenvectors"]
     moved = [
         _weighted(kernel[:, j, None], _shared_weights(u[:, j], g))
         for j, g in enumerate((t1, t2, t1 + t2))
     ]
-    all1, all2 = np.concatenate([h1, t1], axis=1), np.concatenate([h2, t2], axis=1)
     hm = np.concatenate(
         [hess(*_trial_first(drawn)), np.where(usable, hess(*moved), np.inf)], axis=1
     )
@@ -840,13 +857,23 @@ def _equivalence_margin(f, P, D):
     best = np.argmin(hm, axis=1)
     mh = hm[rows, best]
 
-    solid = (np.abs(m13) > band) & (np.abs(mh) > band)
+    solid = (np.abs(m13) > D["band"]) & (np.abs(mh) > D["band"])
     disagree = solid & ((m13 < 0.0) != (mh < 0.0))
     margin = np.minimum(np.abs(m13), np.abs(mh)) * np.where(disagree, -1.0, 1.0)
+    pair = np.maximum(best - drawn.shape[-1], 0)  # the transferred pair, when best names one
     extras = {
-        "h1": all1[rows, best], "h2": all2[rows, best], "margin13": m13, "margin_hessian": mh,
+        "direction": best, "moved1": t1[rows, pair], "moved2": t2[rows, pair],
+        "margin13": m13, "margin_hessian": mh,
     }
     return margin, np.maximum(np.abs(m13), np.abs(mh)), extras
+
+
+def _equivalence_pair(trial: dict) -> dict:
+    """The trial's direction pair that its margin chose: a drawn pair, or the transferred one."""
+    j, h1, h2 = int(trial["direction"]), trial["h1"], trial["h2"]
+    if j < len(h1):
+        return {**trial, "h1": h1[j], "h2": h2[j]}
+    return {**trial, "h1": trial["moved1"], "h2": trial["moved2"]}
 
 
 def _matrix_entropy_derive(P):
@@ -859,7 +886,7 @@ def _matrix_entropy_derive(P):
     }
 
 
-def _matrix_entropy_margin(f, P, D):
+def _matrix_entropy_margin(f, D):
     # Q(rho, h) = Tr h df'(rho) h, the quadratic form behind matrix entropies
     (kernel,) = _kernels(f.derivative(), D, "states")
     return _convexity(*_trial_first(_weighted(kernel, D["states.weights"])))
@@ -871,7 +898,7 @@ def _gain_derive(P):
     return {**_pair_spectra(P), **_trace_spectra("outputs", outputs)}
 
 
-def _gain_margin(f, P, D):
+def _gain_margin(f, D):
     # convexity of rho -> S_f(channel(rho)) - S_f(rho) = Tr f(rho) - Tr f(channel(rho))
     # functions unbounded at 0 need full-rank channel outputs
     if f.zero_extension is None and np.min(D["outputs"][..., 0]) < _RANK_FLOOR:
@@ -880,8 +907,8 @@ def _gain_margin(f, P, D):
     return _convexity(*(states - outputs))
 
 
-def _scalar_convexity_margin(f, P, D):
-    t, s = P["t"], P["s"]
+def _scalar_convexity_margin(f, D):
+    t, s = D["t"], D["s"]
     return _convexity(*_jointly(f, (t, s, (t + s) / 2.0)))
 
 
@@ -894,33 +921,33 @@ def _gap_scale(gt, gs):
     return np.maximum(1.0, np.abs(gt) + np.abs(gs))
 
 
-def _gap_superadditive_margin(f, P, D):
-    t, s = P["t"], P["s"]
+def _gap_superadditive_margin(f, D):
+    t, s = D["t"], D["s"]
     gt, gs, g_sum = _gap_values(f, t, s, t + s)
     scale = _gap_scale(gt, gs)
     return (g_sum - gt - gs) / scale, scale
 
 
-def _gap_monotone_margin(f, P, D):
-    gt, gs = _gap_values(f, P["t"], P["s"])
+def _gap_monotone_margin(f, D):
+    gt, gs = _gap_values(f, D["t"], D["s"])
     scale = _gap_scale(gt, gs)
     return (gs - gt) / scale, scale
 
 
-def _gap_concavity_margin(f, P, D):
-    t, s = P["t"], P["s"]
+def _gap_concavity_margin(f, D):
+    t, s = D["t"], D["s"]
     gt, gs, g_mid = _gap_values(f, t, s, (t + s) / 2.0)
     scale = _gap_scale(gt, gs)
     return (g_mid - (gt + gs) / 2.0) / scale, scale
 
 
-def _gap_zero_margin(f, P, D):
+def _gap_zero_margin(f, D):
     # g must vanish at 0+ (f'' must blow up)
-    margin = _GAP_ZERO_CEILING - _gap_values(f, P["t"])[0]
+    margin = _GAP_ZERO_CEILING - _gap_values(f, D["t"])[0]
     return margin, np.ones_like(margin)
 
 
-def _uniqueness_fit_margin(f, P, D):
+def _uniqueness_fit_margin(f, D):
     # a fit has no trial fields: its witness records the worst-fitting grid point
     (fit, gv), ts = _gap_fit(f), _FIT_GRID
     t = ts[np.argmax(np.abs(gv - fit["slope"] * ts))]
@@ -951,6 +978,7 @@ _EQUIVALENCE = _Property(
     _equivalence_margin,
     _equivalence_derive,
     extras=("margin13", "margin_hessian"),
+    select=_equivalence_pair,
     defaults={"band": 0.0},
     superops=16,
 )
@@ -993,12 +1021,12 @@ class _Measured(NamedTuple):
     notes: list  # per trial: why it was skipped, or ""
 
 
-def _margin(prop: _Property, f: ScalarFunction, P: dict, D: dict) -> tuple:
+def _margin(prop: _Property, f: ScalarFunction, D: dict) -> tuple:
     """prop's (margins, scales, extras) on a stack from what prop derived of it, ``D``.
 
     A non-finite margin is a DomainError.
     """
-    out = prop.margin(f, P, D)
+    out = prop.margin(f, D)
     extras = out[2] if len(out) > 2 else {}
     margins = np.asarray(out[0], dtype=float).reshape(-1)
     if not np.isfinite(margins).all():
@@ -1011,15 +1039,20 @@ def _trial(A: dict, i: int) -> dict:
     return {k: v[i : i + 1] for k, v in A.items()}
 
 
-def _measure(prop: _Property, f: ScalarFunction, P: dict, size: int, D: dict) -> _Measured:
+def _row(P: dict, j: int) -> dict:
+    """The fields of trial j of a stack."""
+    return {k: v[j] for k, v in P.items()}
+
+
+def _measure(prop: _Property, f: ScalarFunction, size: int, D: dict) -> _Measured:
     """prop's margin on a stack of ``size`` trials, from its derived data ``D``.
 
     If the stack raises a skippable error, the trials are measured one at a
-    time through the same code, from trial slices of ``P`` and ``D``, so
-    only the offending ones are skipped.
+    time through the same code, from trial slices of ``D``, so only the
+    offending ones are skipped.
     """
     try:
-        m, s, ex = _margin(prop, f, P, D)
+        m, s, ex = _margin(prop, f, D)
         per_trial = [{k: v[i] for k, v in ex.items()} for i in range(size)] if ex else [{}] * size
         return _Measured(m, s, per_trial, [""] * size)
     except _SKIPPABLE as exc:
@@ -1029,7 +1062,7 @@ def _measure(prop: _Property, f: ScalarFunction, P: dict, size: int, D: dict) ->
     extras, notes = [{}] * size, [""] * size
     for i in range(size):
         try:
-            m, s, ex = _margin(prop, f, _trial(P, i), _trial(D, i))
+            m, s, ex = _margin(prop, f, _trial(D, i))
         except _SKIPPABLE as exc:
             notes[i] = str(exc)
             continue
@@ -1038,9 +1071,9 @@ def _measure(prop: _Property, f: ScalarFunction, P: dict, size: int, D: dict) ->
     return _Measured(margins, scales, extras, notes)
 
 
-def _witness(prop: _Property, P: dict, res: _Measured, j: int) -> dict:
-    """The witness of trial j of a stack P that prop measured as res (every FAIL payload)."""
-    return prop.witness({**{k: v[j] for k, v in P.items()}, **res.extras[j]}, res.margins[j])
+def _witness(prop: _Property, fields: dict, res: _Measured, j: int) -> dict:
+    """The witness of trial j, whose payload ``fields`` prop measured as res (every FAIL payload)."""
+    return prop.witness({**fields, **res.extras[j]}, res.margins[j])
 
 
 class _Plan(NamedTuple):
@@ -1179,65 +1212,100 @@ def _suite_stacks(seed: int, plans: list[_Plan]) -> Iterator[tuple[_Plan, np.nda
         start += plan.count
 
 
-# (cfg, the plans' (stream, count)) -> their stacks as (stream, trial indices, fields, derived)
+class _Stack(NamedTuple):
+    """A stack of trials of one plan, as measured: what its properties derived, and its payloads."""
+
+    plan: _Plan
+    idx: np.ndarray  # the trials' indices in the suite
+    dim: int  # their matrix dimension
+    derived: dict  # property kind -> what its derive made of the stack
+    payload: Callable[[int], dict]  # j -> the payload fields of trial j
+
+
+# Data kept for later calls under one cfg: (cfg, the plans' (stream, count))
+# -> their stacks as (stream, trial indices, dim, derived), and (cfg, stream,
+# index) -> the payload fields of a trial rebuilt alone (_rebuilt).
 _KEPT: dict[tuple, list] = {}
+_REBUILT: dict[tuple, dict] = {}
 
 
-def _arrays(idx: np.ndarray, P: dict, D: dict) -> list[np.ndarray]:
-    """The arrays of a stack: its trial indices, fields and derived data (property kind -> dict)."""
-    return [idx, *P.values(), *(a for derived in D.values() for a in derived.values())]
+def _arrays(idx: np.ndarray, derived: dict) -> list[np.ndarray]:
+    """The arrays of a kept stack: its trial indices and derived data (property kind -> dict)."""
+    return [idx, *(a for D in derived.values() for a in D.values())]
 
 
 def _held_bytes() -> int:
-    """The bytes of the arrays that _KEPT holds."""
-    return sum(a.nbytes for kept in _KEPT.values() for _, *stack in kept for a in _arrays(*stack))
+    """The bytes of the arrays that _KEPT and _REBUILT hold."""
+    kept = (a for stacks in _KEPT.values() for _, idx, _, D in stacks for a in _arrays(idx, D))
+    rebuilt = (a for fields in _REBUILT.values() for a in fields.values())
+    return sum(a.nbytes for a in itertools.chain(kept, rebuilt))
 
 
-def _derived(plan: _Plan, P: dict) -> tuple[dict, dict]:
-    """A stack's payload fields, and what each property of the plan derives of it (by kind)."""
-    fields = {name for prop in plan.props for name, _ in prop.fields}
-    return {k: v for k, v in P.items() if k in fields}, {p.kind: p.derive(P) for p in plan.props}
+def _rebuilt(cfg: TestConfig, plan: _Plan, start: int, idx: np.ndarray, j: int) -> dict:
+    """The payload fields of trial j of a kept stack, drawn and built alone and kept.
+
+    ``idx[j] - start`` is the trial's index in its plan.  Draws do not
+    depend on batching, so these are the fields its stack had, bit for bit.
+    """
+    i = int(idx[j]) - start
+    key = (cfg, plan.stream, i)
+    if key not in _REBUILT:
+        rng = next(_trial_streams(cfg.seed, [(plan.stream, [i])]))
+        rows = _Rows(plan.classes[plan.classify(i, rng)])
+        rows.draw(rng, i)
+        ((_, P),) = _stacks({None: rows})
+        names = {name for prop in plan.props for name, _ in prop.fields}
+        fields = {k: v for k, v in P.items() if k in names}  # a stack of one
+        if _held_bytes() + _freeze(*fields.values()) > _KEPT_BYTES:
+            return _row(fields, 0)
+        _REBUILT[key] = fields
+    return _row(_REBUILT[key], 0)
 
 
-def _kept_stacks(
-    cfg: TestConfig, plans: list[_Plan]
-) -> Iterator[tuple[_Plan, np.ndarray, dict, dict]]:
+def _kept_stacks(cfg: TestConfig, plans: list[_Plan]) -> Iterator[_Stack]:
     """_suite_stacks(cfg.seed, plans), each stack derived where it is built, kept for later calls.
 
-    Yields (plan, trial indices, fields, derived), where ``derived`` maps
-    each property kind of the plan to what its derive made of the stack.
-    The fields are the payload fields alone: the builds' eigenpairs serve
-    the derive only.  Trials never depend on f, so every function measured
-    under one cfg reuses them and their derived data; a call under another
-    cfg drops all that is kept.  A plan set is kept only when its iteration
-    completes and all that is kept stays within _CHUNK_BYTES; one whose
-    payload fields alone exceed that is not gathered.  The arrays are
-    read-only.  Grid plans depend on f and are not kept.
+    Every property of a plan derives each stack when it is built, and the
+    margins read that derived data alone.  Trials never depend on f, so
+    every function measured under one cfg reuses the derived data; a call
+    under another cfg drops all that is kept.  What is kept of a stack is
+    its trial indices, dimension and derived data, not its payload fields:
+    a stack served from _KEPT rebuilds the fields of a trial that it is
+    asked for (a witness, a row of the derived-Hessian search) by drawing
+    that trial alone (_rebuilt).  A plan set is kept only when its
+    iteration completes and all that is kept stays within _KEPT_BYTES.  The
+    kept arrays are read-only.  Grid plans depend on f and are not kept.
     """
-    stacks = ((plan, idx, *_derived(plan, P)) for plan, idx, P in _suite_stacks(cfg.seed, plans))
+    fresh = (
+        _Stack(
+            plan, idx, plan.props[0].dim(P), {p.kind: p.derive(P) for p in plan.props},
+            functools.partial(_row, P),
+        )
+        for plan, idx, P in _suite_stacks(cfg.seed, plans)
+    )
     if not all(p.stream for p in plans):
-        yield from stacks
+        yield from fresh
         return
-    if any(key[0] != cfg for key in _KEPT):
+    if any(key[0] != cfg for key in itertools.chain(_KEPT, _REBUILT)):
         _KEPT.clear()
+        _REBUILT.clear()
     key = (cfg, tuple((p.stream, p.count) for p in plans))
     if key in _KEPT:
-        by_stream = {p.stream: p for p in plans}
-        yield from ((by_stream[stream], idx, P, D) for stream, idx, P, D in _KEPT[key])
+        starts = itertools.accumulate((p.count for p in plans), initial=0)
+        by_stream = {p.stream: (p, start) for p, start in zip(plans, starts)}
+        for stream, idx, dim, derived in _KEPT[key]:
+            plan, start = by_stream[stream]
+            yield _Stack(plan, idx, dim, derived, functools.partial(_rebuilt, cfg, plan, start, idx))
         return
-    room = _CHUNK_BYTES - _held_bytes()
-    # the payload fields of every trial, each of the smallest index class
-    least = sum(
-        p.count * min(sum(c.nbytes for c in cols) for cols in p.classes.values()) for p in plans
-    )
-    kept: Optional[list] = [] if least <= room else None  # None: not kept
-    for plan, idx, P, D in stacks:
-        room -= _freeze(*_arrays(idx, P, D))
-        yield plan, idx, P, D
+    room = _KEPT_BYTES - _held_bytes()
+    kept: Optional[list] = []  # None: not kept
+    for stack in fresh:
+        room -= _freeze(*_arrays(stack.idx, stack.derived))
+        yield stack
         if room < 0:
             kept = None  # released now, not at the end of the plan set
         elif kept is not None:
-            kept.append((plan.stream, idx, P, D))
+            kept.append((stack.plan.stream, stack.idx, stack.dim, stack.derived))
     if kept is not None:
         _KEPT[key] = kept
 
@@ -1308,12 +1376,13 @@ def _drive(
     prop_min: Optional[np.ndarray] = None
     rows: list = []
     # the first violation and the first skip go by trial index, whatever
-    # order the stacks come in
-    violation: Optional[dict] = None
+    # order the stacks come in; the violation's payload is read once it is known
+    hit: Optional[tuple] = None
     first_hit = first_skip = total
     skip_note = ""
-    for plan, idx, P, D in _kept_stacks(cfg, plans):
-        measured = [_measure(prop, f, P, idx.size, D[prop.kind]) for prop in plan.props]
+    for stack in _kept_stacks(cfg, plans):
+        plan, idx = stack.plan, stack.idx
+        measured = [_measure(prop, f, idx.size, stack.derived[prop.kind]) for prop in plan.props]
         m = np.stack([r.margins for r in measured])
         # a trial's margin is the smallest of its properties' margins (the
         # first on ties); a trial that any property skips is skipped
@@ -1332,13 +1401,16 @@ def _drive(
         prop_min = low if prop_min is None else np.minimum(prop_min, low)
         if recorder is not None:
             scales = np.stack([r.scales for r in measured])[choice, np.arange(idx.size)]
-            dim = plan.props[0].dim(P)
-            rows += [(int(idx[j]), dim, float(margins[j]), float(scales[j])) for j in done]
+            rows += [(int(idx[j]), stack.dim, float(margins[j]), float(scales[j])) for j in done]
         hits = done[margins[done] < -cfg.tol]
         if hits.size and idx[hits].min() < first_hit:
             j = hits[np.argmin(idx[hits])]
             c = choice[j]
-            first_hit, violation = idx[j], _witness(plan.props[c], P, measured[c], j)
+            first_hit, hit = idx[j], (plan.props[c], stack.payload, measured[c], j)
+    violation = None
+    if hit is not None:
+        prop, payload, res, j = hit
+        violation = _witness(prop, payload(j), res, j)
     if recorder is not None:
         recorder.extend((name, dim, i, margin, scale) for i, dim, margin, scale in sorted(rows))
     # a trial's margin is its smallest property margin
@@ -1428,12 +1500,12 @@ def _scalar_precheck(f: ScalarFunction, tol: float) -> Optional[TestOutcome]:
     worst_t, worst_d2 = float(_SCALAR_GRID[w]), float(d2[w])
     etas = np.array([0.99, 0.75, 0.5, 0.25, 0.1, 0.02])
     P = {"t": worst_t * (1.0 - etas), "s": worst_t * (1.0 + etas)}
-    res = _measure(_SCALAR_CONVEXITY, f, P, etas.size, _SCALAR_CONVEXITY.derive(P))
+    res = _measure(_SCALAR_CONVEXITY, f, etas.size, _SCALAR_CONVEXITY.derive(P))
     m = np.where(np.isnan(res.margins), np.inf, res.margins)
     b = int(np.argmin(m))
     if m[b] < -tol:
         return TestOutcome(
-            "", f.name, FAIL, float(m[b]), 1, 0, _witness(_SCALAR_CONVEXITY, P, res, b),
+            "", f.name, FAIL, float(m[b]), 1, 0, _witness(_SCALAR_CONVEXITY, _row(P, b), res, b),
             f"scalar convexity fails near t={worst_t:.6g} (f''={worst_d2:.3e})",
         )
     return None  # negativity too shallow to certify scalar-side; sample anyway
@@ -1496,14 +1568,14 @@ def _derived_hessian_witness(f: ScalarFunction, cfg: TestConfig, k: int) -> Opti
         cols = (_pd_col("rho", dim, cfg.eig_range), _pd_col("sigma", dim, cfg.eig_range))
         plan = _Plan(f"subentropic-escalation/k{k}/dim{dim}", 12, (_CONDITION13,), {None: cols})
         # one index class: the stacks hold the rows in trial order, each a
-        # condition13 payload derived with its stack
-        stacks = _kept_stacks(cfg, [plan])
-        rows = ((fields, D, j) for _, _, fields, D in stacks for j in range(len(fields["rho"])))
-        for fields, D, j in rows:
-            rho, sigma = fields["rho"][j], fields["sigma"][j]
+        # condition13 payload derived with its stack.  The plan set is read
+        # to its end first, so it is kept whatever the search finds.
+        rows = [(stack, j) for stack in _kept_stacks(cfg, [plan]) for j in range(stack.idx.size)]
+        for stack, j in rows:
+            D = _trial(stack.derived["condition13"], j)
             try:
                 # the inverse differentials at rho, sigma and rho+sigma
-                r, s, total = _inverse_differentials(fp, _trial(D["condition13"], j))[1][:, 0]
+                r, s, total = _inverse_differentials(fp, D)[1][:, 0]
             except (NotInvertibleError, DomainError):
                 return None
             eigs, h1s, h2s, quad, usable = _negative_pairs(hermitize(total - r - s), r, s)
@@ -1511,6 +1583,8 @@ def _derived_hessian_witness(f: ScalarFunction, cfg: TestConfig, k: int) -> Opti
                 continue
             best = int(np.argmin(np.where(usable, quad, np.inf)))
             h1, h2 = h1s[best], h2s[best]
+            fields = stack.payload(j)
+            rho, sigma = fields["rho"], fields["sigma"]
             base_scale = float(np.trace(rho + sigma).real) / (2 * dim)
             zero = np.zeros((dim, dim), dtype=complex)
             pads = [eps * base_scale * np.eye(dim, dtype=complex) for eps in (1e-2, 1e-3, 1e-4)]
@@ -1518,11 +1592,11 @@ def _derived_hessian_witness(f: ScalarFunction, cfg: TestConfig, k: int) -> Opti
                 "rhos": np.stack([np.stack([rho, sigma] + [pad] * (k - 2)) for pad in pads]),
                 "hs": np.stack([np.stack([h1, h2] + [zero] * (k - 2))] * len(pads)),
             }
-            res = _measure(_SUB_HESSIAN, f, P, len(pads), _SUB_HESSIAN.derive(P))
+            res = _measure(_SUB_HESSIAN, f, len(pads), _SUB_HESSIAN.derive(P))
             hits = np.flatnonzero(res.margins < -cfg.tol)
             if hits.size:
                 j = hits[0]
-                return _witness(_SUB_HESSIAN, P, res, j), float(res.scales[j]), dim, note
+                return _witness(_SUB_HESSIAN, _row(P, j), res, j), float(res.scales[j]), dim, note
     return None
 
 
@@ -1798,7 +1872,7 @@ def uniqueness_pipeline(
             % (fit["slope"], fit["relative_residual"]),
         )
     else:
-        res = _measure(_UNIQUENESS_FIT, f, {}, 1, _UNIQUENESS_FIT.derive({}))
+        res = _measure(_UNIQUENESS_FIT, f, 1, _UNIQUENESS_FIT.derive({}))
         final = TestOutcome(
             "uniqueness", f.name, FAIL, -float(fit["relative_residual"]),
             len(_FIT_GRID), 0, _witness(_UNIQUENESS_FIT, {}, res, 0),
@@ -1861,7 +1935,7 @@ def reverify_counterexample(f: ScalarFunction, payload: dict) -> float:
     if prop is None:
         raise ValueError(f"unknown counterexample kind {kind!r}")
     P = prop.decode(payload)
-    return float(_margin(prop, f, P, prop.derive(P))[0][0])
+    return float(_margin(prop, f, prop.derive(P))[0][0])
 
 
 # The suite entry points are library API, not pytest cases; keep pytest from

@@ -9,6 +9,7 @@ dense eigendecompositions.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -423,8 +424,21 @@ def matrix_to_json(m: np.ndarray) -> dict:
     }
 
 
+def _json_integer(value) -> int:
+    """A JSON number of integral value (2 or 2.0) as an int; ValueError for any other value.
+
+    int() would read 2.9 as 2.
+    """
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"expected an integer, got {value!r}") from None
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
-    n = int(obj["dim"])
+    n = _json_integer(obj["dim"])
     re = np.asarray(obj["re"], dtype=float)
     im = np.asarray(obj["im"], dtype=float)
     if re.shape != (n, n) or im.shape != (n, n):

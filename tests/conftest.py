@@ -9,8 +9,9 @@ ACCEPTANCE_LINES: list = []
 
 @pytest.fixture(autouse=True)
 def cold_trial_stacks():
-    """Start every test with no kept trial stacks and no kept precheck: each one computes its own."""
+    """Start every test with no kept trial stacks, rebuilt payloads or precheck: each one computes its own."""
     certify._KEPT.clear()
+    certify._REBUILT.clear()
     certify._PRECHECKED[:] = None, None, None
 
 

@@ -724,16 +724,30 @@ def _count_draws(monkeypatch):
     return counts
 
 
-def test_second_function_draws_and_builds_nothing(monkeypatch):
+def test_second_function_draws_only_its_witness_trials(monkeypatch):
+    import entrocert.certify as certify
+
     counts = _count_draws(monkeypatch)
     cfg = TestConfig(seed=8, samples=10)
     run_suite(lookup("tlogt"), "all", cfg)
     assert min(counts.values()) > 0
     counts.update(dict.fromkeys(counts, 0))
-    # nor decomposes anything: the stacks keep their checked spectra, and
+    # the kept stacks hold derived data, not payloads: a sampled FAIL draws
+    # and builds its one trial again for its witness, and nothing is
+    # decomposed, since the derived data hold the checked spectra and
     # neglog's expected failures start no derived-Hessian search
     outcomes, _ = run_suite(lookup("neglog"), "all", cfg)
-    assert any(o.verdict != PASS for o in outcomes)
+    fails = {o.name: o.counterexample["kind"] for o in outcomes if o.verdict == FAIL}
+    assert fails == {
+        "matrix-entropy": "matrix-entropy", "gain": "gain",
+        "gap-concavity": "gap-concavity", "uniqueness": "matrix-entropy",
+    }
+    # matrix-entropy's witness is a trial of scalar states, which no PD build makes
+    assert counts == {"pd_from_draw": 1, "streams": 2, "decompositions": 0}
+    assert [key[1:] for key in certify._REBUILT] == [("matrix-entropy/dim2", 3), ("gain", 6)]
+    # a repeat reads the rebuilt payloads it kept
+    counts.update(dict.fromkeys(counts, 0))
+    assert run_suite(lookup("neglog"), "all", cfg)[0] == outcomes
     assert counts == {"pd_from_draw": 0, "streams": 0, "decompositions": 0}
 
 
@@ -753,30 +767,52 @@ def test_another_config_reuses_nothing(monkeypatch, change):
         assert counts["pd_from_draw"] > 0 and counts["streams"] == cfg.samples * len(cfg.bipartite)
 
 
-def test_kept_stacks_stay_within_the_chunk_budget():
+def test_kept_stacks_stay_within_the_kept_bound():
     import entrocert.certify as certify
 
     run_suite(lookup("tlogt"), "all", TestConfig(seed=42, samples=200))
-    # some of the 9 sampled suites' plan sets fit and are kept; the others
-    # are drawn afresh each time
-    assert 0 < certify._held_bytes() <= certify._CHUNK_BYTES
+    # the plan sets of all 9 sampled suites fit as derived data
+    assert 0 < certify._held_bytes() <= certify._KEPT_BYTES
     kept = sorted(plans[0][0].split("/")[0] for _, plans in certify._KEPT)
-    assert kept == ["condition13", "principle1", "subentropic-k2"]
+    assert kept == [
+        "condition13", "entropic", "equivalence", "gain", "matrix-entropy", "principle1",
+        "subentropic-k2", "subentropic-k3", "subentropic-k4",
+    ]
+    # no payload matrix or channel is kept: only the trial indices, the
+    # dimension and what each property derived (its spectra, layouts and
+    # weights), and no witness was rebuilt
+    matrices = {
+        name for prop in certify._PROPERTIES.values() for name, codec in prop.fields
+        if codec in (certify._MAT, certify._MATS, certify._DIRS, certify._CHANNEL)
+    }
+    for stacks in certify._KEPT.values():
+        for _, idx, dim, derived in stacks:
+            assert idx.ndim == 1 and dim in (2, 3, 4, 6)
+            assert not matrices & {key for D in derived.values() for key in D}
+    assert not certify._REBUILT
 
 
 def test_kept_arrays_are_read_only():
     import entrocert.certify as certify
 
-    run_suite(lookup("tlogt"), "principle1", TestConfig(seed=2, samples=5))
+    cfg = TestConfig(seed=2, samples=5, dims=(2,))
+    run_suite(lookup("tlogt"), "principle1", cfg)
     (stacks,) = certify._KEPT.values()
-    for _, idx, P, D in stacks:
-        # the derived spectra are kept, and the builds' eigenpairs that only
-        # the derive read are dropped
-        assert set(P) == {"x", "y"} and set(D) == {"principle1"}
-        for a in certify._arrays(idx, P, D):
-            assert not a.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                a.flat[0] = a.flat[0]
+    arrays = []
+    for _, idx, dim, derived in stacks:
+        # the derived spectra are kept, not the payload fields
+        assert dim == 2 and set(derived) == {"principle1"}
+        assert set(derived["principle1"]) == {"spectra", "spectra.clamp"}
+        arrays += certify._arrays(idx, derived)
+    # and so is a payload rebuilt for a kept stack
+    cols = (certify._pd_col("x", 2, cfg.eig_range), certify._pd_col("y", 2, cfg.eig_range))
+    plans = [certify._Plan("principle1/dim2", cfg.samples, (certify._PRINCIPLE1,), {None: cols})]
+    payload = next(certify._kept_stacks(cfg, plans)).payload(4)
+    assert set(payload) == {"x", "y"} and len(certify._REBUILT) == 1
+    for a in [*arrays, *payload.values()]:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = a.flat[0]
 
 
 def test_search_stacks_keep_the_condition13_derive():
@@ -789,23 +825,27 @@ def test_search_stacks_keep_the_condition13_derive():
     kept = dict(certify._KEPT)
     assert len(kept) == len(cfg.dims)
     for stacks in kept.values():
-        for _, _, P, D in stacks:
-            assert set(P) == {"rho", "sigma"} and set(D) == {"condition13"}
+        for stack in stacks:
+            # (stream, trial indices, dim, derived): no payload fields
+            assert len(stack) == 4 and set(stack[3]) == {"condition13"}
     assert _derived_hessian_witness(lookup("tlogt"), cfg, 2) is None
     assert certify._KEPT.keys() == kept.keys()
     assert all(certify._KEPT[key] is stacks for key, stacks in kept.items())
 
 
-@pytest.mark.parametrize("chunk", [None, 1], ids=["stacked", "one-trial-chunks"])
-def test_per_trial_fallback_reads_the_kept_derived_data(monkeypatch, chunk):
+@pytest.mark.parametrize(
+    "bounds", [{}, {"_CHUNK_BYTES": 1}, {"_KEPT_BYTES": 0}],
+    ids=["stacked", "one-trial-chunks", "nothing-kept"],
+)
+def test_per_trial_fallback_reads_the_kept_derived_data(monkeypatch, bounds):
     # affine's differential is singular on every stack of condition13 and
     # equivalence, and on states this small some channel outputs of gain
     # fall below the rank floor of neglog and -log(t): those stacks are
     # measured again one trial at a time, from trial slices of the derived data
     import entrocert.certify as certify
 
-    if chunk is not None:
-        monkeypatch.setattr(certify, "_CHUNK_BYTES", chunk)
+    for name, value in bounds.items():
+        monkeypatch.setattr(certify, name, value)
     cfg = TestConfig(seed=42, samples=10)
     small = TestConfig(seed=42, samples=10, eig_range=(1e-9, 1e-6))
     runs = [
@@ -827,8 +867,8 @@ def test_per_trial_fallback_reads_the_kept_derived_data(monkeypatch, chunk):
         run_suite(lookup("tlogt"), suite, cfg)  # derives (and, in budget, keeps) every stack
         counts["decompositions"] = 0
         warm.append(run(f, suite, cfg))
-        # in one-trial chunks nothing fits the budget: every stack is derived again
-        assert (counts["decompositions"] == 0) == (chunk is None)
+        # with no room to keep anything, every stack is derived again
+        assert (counts["decompositions"] == 0) == ("_KEPT_BYTES" not in bounds)
     assert [r for _, r in warm] == cold
     for out, _ in warm[:2]:
         assert (out.verdict, out.trials_run, out.trials_skipped) == (SKIPPED, 0, 20)
@@ -848,11 +888,12 @@ def test_abandoned_iteration_keeps_nothing():
     stacks.close()
     assert not certify._KEPT
     assert len(list(certify._kept_stacks(cfg, plans))) == 1 and len(certify._KEPT) == 1
-    # the derived-Hessian search returns from within its dim-2 stacks
+    # the derived-Hessian search finds its witness in its dim-2 stacks, but
+    # reads that plan set to its end first, so the set is kept
     certify._KEPT.clear()
     cfg = TestConfig(seed=42, samples=10)
     assert _derived_hessian_witness(lookup("power:1.25"), cfg, 3)[2] == 2
-    assert not certify._KEPT
+    assert [plans for _, plans in certify._KEPT] == [(("subentropic-escalation/k3/dim2", 12),)]
 
 
 # A margin applies f once: its derive keeps every f-independent factor (the
@@ -932,9 +973,9 @@ def test_every_margin_evaluates_f_once(monkeypatch):
 
     margin, counts = certify._margin, {}
 
-    def counted(prop, f, P, D=None):
+    def counted(prop, f, D):
         before = len(calls)
-        out = margin(prop, f, P, D)
+        out = margin(prop, f, D)
         counts.setdefault(prop.kind, set()).add(len(calls) - before)
         return out
 

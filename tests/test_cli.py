@@ -305,3 +305,31 @@ def test_reverify_payload_field_of_the_wrong_json_type_is_a_usage_error(
     assert rc == 3
     assert out == "" and "Traceback" not in err
     assert err.startswith("entrocert: error:") and named in err
+
+
+@pytest.mark.parametrize(
+    "suite, field, key, added",
+    [("entropic", "dim1", None, 0.9), ("condition13", "rho", "dim", 0.5)],
+    ids=["entropic-dim1", "matrix-dim"],
+)
+def test_reverify_non_integral_payload_number_is_a_usage_error(
+    capsys, tmp_path, suite, field, key, added
+):
+    # an integer field written as 2.9 is malformed (exit 3); truncated to 2
+    # it would re-verify as the payload it is not
+    path = tmp_path / "square.json"
+    rc, _, _ = run(
+        capsys, "certify", "--function", "square", "--suite", suite,
+        "--samples", "4", "--seed", "1", "--out", str(path),
+    )
+    assert rc == 1
+    obj = json.loads(path.read_text())
+    payload = obj["outcomes"][0]["counterexample"]
+    holder = payload if key is None else payload[field]
+    holder[key or field] += added
+    path.write_text(json.dumps(obj))
+    rc, out, err = run(capsys, "reverify", str(path))
+    assert rc == 3
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("entrocert: error:") and f"field {field!r}" in err
+    assert "expected an integer" in err

@@ -263,9 +263,9 @@ def test_sampled_margins_match_reverification(monkeypatch, name):
     for plans in _suite_plans(monkeypatch, cfg, f).values():
         for plan, members, P in certify._suite_stacks(cfg.seed, plans):
             for prop in plan.props:
-                res = certify._measure(prop, f, P, members.size, prop.derive(P))
+                res = certify._measure(prop, f, members.size, prop.derive(P))
                 for j in np.flatnonzero(~np.isnan(res.margins)):
-                    payload = json.loads(json.dumps(certify._witness(prop, P, res, j)))
+                    payload = json.loads(json.dumps(certify._witness(prop, certify._row(P, j), res, j)))
                     margin = res.margins[j]
                     again = reverify_counterexample(f, payload)
                     assert abs(again - margin) <= 1e-12 * max(1.0, abs(margin)), (prop.kind, j)
@@ -276,6 +276,55 @@ def test_sampled_margins_match_reverification(monkeypatch, name):
     if name == "affine":
         unmeasured |= {"gap-superadditive", "gap-monotone", "gap-zero", "gap-concavity"}
     assert kinds == set(certify._PROPERTIES) - unmeasured
+
+
+@pytest.mark.parametrize("seed", [0, 3, 42])
+def test_rebuilt_payloads_write_the_witnesses_of_fresh_stacks(monkeypatch, seed):
+    # A kept stack holds derived data alone, and rebuilds the payload of a
+    # trial it is asked for by drawing that trial alone.  Every trial's
+    # witness, for every sampled property kind and function, is then written
+    # byte for byte as from its freshly built stack.
+    cfg = TestConfig(seed=seed, samples=10)
+    plans = _sampled_plans(monkeypatch, cfg)
+
+    def witnesses(suite_plans):
+        out = []
+        for stack in certify._kept_stacks(cfg, suite_plans):
+            for prop, f in itertools.product(stack.plan.props, FUNCTIONS.values()):
+                res = certify._measure(prop, f, stack.idx.size, stack.derived[prop.kind])
+                for j in np.flatnonzero(~np.isnan(res.margins)):
+                    witness = certify._witness(prop, stack.payload(j), res, j)
+                    out.append((f.name, prop.kind, int(stack.idx[j]), json.dumps(witness)))
+        return out
+
+    cold = {name: witnesses(p) for name, p in plans.items()}
+    assert len(certify._KEPT) == len(plans) and not certify._REBUILT
+    warm = {name: witnesses(p) for name, p in plans.items()}
+    assert warm == cold
+    kinds = {kind for rows in cold.values() for _, kind, _, _ in rows}
+    assert kinds == {prop.kind for p in plans.values() for plan in p for prop in plan.props}
+    assert len(kinds) == 8
+    # each trial was rebuilt once, however many functions and kinds it wrote
+    trials = sum(plan.count for p in plans.values() for plan in p)
+    assert len(certify._REBUILT) == trials
+
+
+def test_rebuilt_payloads_are_keyed_by_the_whole_config():
+    # The same seed and stream draw the same numbers under two eigenvalue
+    # ranges, into other matrices: a payload rebuilt under one config never
+    # serves the other.  (A switch of config also drops every rebuilt payload.)
+    configs = [TestConfig(seed=4, samples=5, dims=(2,), eig_range=r) for r in ((0.1, 10.0), (0.5, 2.0))]
+    rebuilt, fresh = [], []
+    for cfg in configs:
+        cols = tuple(certify._pd_col(name, 2, cfg.eig_range) for name in ("x", "y"))
+        plan = certify._Plan("principle1/dim2", cfg.samples, (certify._PRINCIPLE1,), {None: cols})
+        ((_, idx, P),) = certify._suite_stacks(cfg.seed, [plan])
+        rebuilt.append(certify._rebuilt(cfg, plan, 0, idx, 3))
+        fresh.append(P)
+    assert len(certify._REBUILT) == 2
+    for payload, P in zip(rebuilt, fresh):
+        assert _bitwise_equal(payload["x"], P["x"][3]) and _bitwise_equal(payload["y"], P["y"][3])
+    assert not np.array_equal(rebuilt[0]["x"], rebuilt[1]["x"])
 
 
 def test_public_generators_match_reference():
@@ -351,7 +400,7 @@ def test_padded_gain_witness_has_the_drawn_channel(monkeypatch):
     ranks = []
     for _, members, P in certify._suite_stacks(cfg.seed, [plan]):
         (prop,) = plan.props
-        res = certify._measure(prop, f, P, members.size, prop.derive(P))
+        res = certify._measure(prop, f, members.size, prop.derive(P))
         for j, i in enumerate(members.tolist()):
             if i % 3 == 2:  # a partial-trace trial
                 continue
@@ -360,7 +409,7 @@ def test_padded_gain_witness_has_the_drawn_channel(monkeypatch):
             ))
             rank = [int(rng.integers(2, 5)) for _ in range(3)][2]
             assert P["channel"][j].shape[0] == 4
-            witness = certify._witness(prop, P, res, j)
+            witness = certify._witness(prop, certify._row(P, j), res, j)
             assert len(witness["channel"]["kraus"]) == rank
             margin = reverify_counterexample(f, witness)
             assert margin == pytest.approx(res.margins[j], rel=1e-12, abs=1e-15)
