@@ -138,8 +138,9 @@ _MAX_KRAUS = 4
 # Random direction pairs per equivalence trial.
 _EQUIVALENCE_DIRECTIONS = 16
 
-# Estimated working memory of one stacked chunk of trials.  Chunks stay
-# under it, so batching does not raise the peak memory of a run.
+# Estimated working memory of one stack of trials.  Chunks are drawn and
+# built under it (_chunks), and kept stacks are merged under it for their
+# margins (_coalesced), so batching does not raise the peak memory of a run.
 _CHUNK_BYTES = 1 << 20
 
 # Bytes of derived data and rebuilt payloads kept for later calls under one
@@ -1017,8 +1018,12 @@ _SKIPPABLE = (DomainError, NotInvertibleError)
 class _Measured(NamedTuple):
     margins: np.ndarray  # NaN where the trial was skipped
     scales: np.ndarray
-    extras: list  # per trial: dict of the margin's extra values
+    extras: dict | list  # the stack's extra values by name, or per trial a dict of its own
     notes: list  # per trial: why it was skipped, or ""
+
+    def extra(self, j: int) -> dict:
+        """Trial j's extra values."""
+        return self.extras[j] if isinstance(self.extras, list) else _row(self.extras, j)
 
 
 def _margin(prop: _Property, f: ScalarFunction, D: dict) -> tuple:
@@ -1053,8 +1058,7 @@ def _measure(prop: _Property, f: ScalarFunction, size: int, D: dict) -> _Measure
     """
     try:
         m, s, ex = _margin(prop, f, D)
-        per_trial = [{k: v[i] for k, v in ex.items()} for i in range(size)] if ex else [{}] * size
-        return _Measured(m, s, per_trial, [""] * size)
+        return _Measured(m, s, ex, [""] * size)
     except _SKIPPABLE as exc:
         if size == 1:
             return _Measured(np.full(1, np.nan), np.zeros(1), [{}], [str(exc)])
@@ -1073,7 +1077,7 @@ def _measure(prop: _Property, f: ScalarFunction, size: int, D: dict) -> _Measure
 
 def _witness(prop: _Property, fields: dict, res: _Measured, j: int) -> dict:
     """The witness of trial j, whose payload ``fields`` prop measured as res (every FAIL payload)."""
-    return prop.witness({**fields, **res.extras[j]}, res.margins[j])
+    return prop.witness({**fields, **res.extra(j)}, res.margins[j])
 
 
 class _Plan(NamedTuple):
@@ -1223,8 +1227,8 @@ class _Stack(NamedTuple):
 
 
 # Data kept for later calls under one cfg: (cfg, the plans' (stream, count))
-# -> their stacks as (stream, trial indices, dim, derived), and (cfg, stream,
-# index) -> the payload fields of a trial rebuilt alone (_rebuilt).
+# -> their merged stacks as (stream, trial indices, dim, derived), and (cfg,
+# stream, index) -> the payload fields of a trial rebuilt alone (_rebuilt).
 _KEPT: dict[tuple, list] = {}
 _REBUILT: dict[tuple, dict] = {}
 
@@ -1273,8 +1277,10 @@ def _kept_stacks(cfg: TestConfig, plans: list[_Plan]) -> Iterator[_Stack]:
     a stack served from _KEPT rebuilds the fields of a trial that it is
     asked for (a witness, a row of the derived-Hessian search) by drawing
     that trial alone (_rebuilt).  A plan set is kept only when its
-    iteration completes and all that is kept stays within _KEPT_BYTES.  The
-    kept arrays are read-only.  Grid plans depend on f and are not kept.
+    iteration completes and all that is kept stays within _KEPT_BYTES, and
+    its stacks are then merged into as few as their margins' working memory
+    allows (_coalesced).  The kept arrays are read-only.  Grid plans depend
+    on f and are not kept.
     """
     fresh = (
         _Stack(
@@ -1286,7 +1292,8 @@ def _kept_stacks(cfg: TestConfig, plans: list[_Plan]) -> Iterator[_Stack]:
     if not all(p.stream for p in plans):
         yield from fresh
         return
-    if any(key[0] != cfg for key in itertools.chain(_KEPT, _REBUILT)):
+    held = next(itertools.chain(_KEPT, _REBUILT), None)  # every key holds the one kept cfg
+    if held is not None and held[0] != cfg:
         _KEPT.clear()
         _REBUILT.clear()
     key = (cfg, tuple((p.stream, p.count) for p in plans))
@@ -1307,7 +1314,55 @@ def _kept_stacks(cfg: TestConfig, plans: list[_Plan]) -> Iterator[_Stack]:
         elif kept is not None:
             kept.append((stack.plan.stream, stack.idx, stack.dim, stack.derived))
     if kept is not None:
-        _KEPT[key] = kept
+        _KEPT[key] = _coalesced(kept)
+
+
+def _coalesced(kept: list) -> list:
+    """A plan set's kept stacks, merged into the fewest that their margins' working memory allows.
+
+    The stacks of one stream whose dimension and derived arrays' trailing
+    shapes agree are merged, in turn, while the merged stack stays within
+    _CHUNK_BYTES of estimated working memory: its derived bytes and its
+    properties' superoperators.  A built stack is never split.  A merged
+    stack holds its trials in trial order, in read-only arrays.  A trial's
+    margin does not depend on the stack it is measured in.
+    """
+    groups: dict[tuple, list] = {}
+    for stream, idx, dim, derived in kept:
+        shapes = tuple(
+            (kind, name, a.shape[1:])
+            for kind, D in derived.items() for name, a in D.items()
+        )
+        groups.setdefault((stream, dim, shapes), []).append((idx, derived))
+    merged = []
+    for (stream, dim, _), parts in groups.items():
+        superops = sum(_PROPERTIES[kind].superops for kind in parts[0][1])
+        runs, used = [[]], 0
+        for idx, derived in parts:
+            cost = sum(a.nbytes for D in derived.values() for a in D.values())
+            cost += idx.size * superops * 16 * dim**4
+            if runs[-1] and used + cost > _CHUNK_BYTES:
+                runs.append([])
+                used = 0
+            runs[-1].append((idx, derived))
+            used += cost
+        for run in runs:
+            idx, derived = _merged(run)
+            merged.append((stream, idx, dim, derived))
+    return merged
+
+
+def _merged(parts: list) -> tuple[np.ndarray, dict]:
+    """The trial indices and derived data of the stacks ``parts`` as one stack, in trial order."""
+    idx = np.concatenate([i for i, _ in parts])
+    order = np.argsort(idx)
+    derived = {
+        kind: {name: np.concatenate([d[kind][name] for _, d in parts])[order] for name in D}
+        for kind, D in parts[0][1].items()
+    }
+    idx = idx[order]
+    _freeze(*_arrays(idx, derived))
+    return idx, derived
 
 
 def _freeze(*arrays: np.ndarray) -> int:

@@ -150,7 +150,7 @@ def cmd_certify(args) -> int:
             wall_time_ms=wall_ms,
             fit=fit,
         )
-        text = report.to_json()
+        text = report.to_json(indent=2)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")

@@ -63,7 +63,8 @@ class CertificationReport:
             obj["fit"] = self.fit
         return obj
 
-    def to_json(self, indent: int = 2) -> str:
+    def to_json(self, indent: Optional[int] = None) -> str:
+        """The report as JSON text: compact by default, which json writes with its C encoder."""
         return json.dumps(self.to_dict(), indent=indent, allow_nan=False)
 
     @staticmethod

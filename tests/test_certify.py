@@ -792,6 +792,91 @@ def test_kept_stacks_stay_within_the_kept_bound():
     assert not certify._REBUILT
 
 
+def _kept_entries():
+    import entrocert.certify as certify
+
+    return [stack for stacks in certify._KEPT.values() for stack in stacks]
+
+
+def _working_set(idx, dim, derived):
+    """A kept stack's estimated margin working memory: its derived bytes and its superoperators."""
+    import entrocert.certify as certify
+
+    superops = sum(certify._PROPERTIES[kind].superops for kind in derived)
+    derived_bytes = sum(a.nbytes for D in derived.values() for a in D.values())
+    return derived_bytes + idx.size * superops * 16 * dim**4
+
+
+def test_kept_plan_sets_are_recut_by_their_working_set(monkeypatch):
+    import entrocert.certify as certify
+
+    cfg = TestConfig(seed=42, samples=200)
+    # the stacks as built, kept as they are
+    with monkeypatch.context() as m:
+        m.setattr(certify, "_coalesced", lambda kept: kept)
+        run_suite(lookup("tlogt"), "all", cfg)
+    built, held = _kept_entries(), certify._held_bytes()
+    certify._KEPT.clear()
+    run_suite(lookup("tlogt"), "all", cfg)
+    merged = _kept_entries()
+    assert len(built) == 80 and len(merged) <= 40
+    assert certify._held_bytes() == held
+    built_trials = {(stream, tuple(np.sort(idx))) for stream, idx, _, _ in built}
+    for stream, idx, dim, derived in merged:
+        assert np.all(np.diff(idx) > 0)
+        assert all(a.shape[0] == idx.size for D in derived.values() for a in D.values())
+        assert (
+            _working_set(idx, dim, derived) <= certify._CHUNK_BYTES
+            or (stream, tuple(idx)) in built_trials
+        )
+    # the same trials of each stream, each once
+    assert sorted(
+        (stream, int(i)) for stream, idx, _, _ in merged for i in idx
+    ) == sorted((stream, int(i)) for stream, idx, _, _ in built for i in idx)
+    # one-trial chunks stay one-trial stacks
+    monkeypatch.setattr(certify, "_CHUNK_BYTES", 1)
+    certify._KEPT.clear()
+    run_suite(lookup("tlogt"), "all", TestConfig(seed=42, samples=10))
+    assert _kept_entries() and all(idx.size == 1 for _, idx, _, _ in _kept_entries())
+
+
+@pytest.mark.parametrize("suite, eig_range", [("all", (0.1, 10.0)), ("gain", (1e-9, 1e-6))])
+def test_recut_stacks_give_the_outcomes_of_built_ones(monkeypatch, suite, eig_range):
+    # on states this small, some channel outputs of gain fall below the rank
+    # floor of neglog and -log(t): a merged stack that holds one is measured
+    # one trial at a time, and every trial reads as it did in its built stack
+    import entrocert.certify as certify
+
+    cfg = TestConfig(seed=42, samples=200, eig_range=eig_range)
+    functions = [lookup(name) for name in ("tlogt", "power:1.5", "neglog")]
+    functions.append(parse("-log(t)").as_function())
+
+    def run(f):
+        recorder = []
+        outcomes, fit = run_suite(f, suite, cfg, recorder)
+        return repr((outcomes, fit, recorder))
+
+    def cold():
+        out = []
+        for f in functions:
+            certify._KEPT.clear()
+            certify._REBUILT.clear()
+            out.append(run(f))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(certify, "_coalesced", lambda kept: kept)
+        built = cold()
+        built_stacks = len(_kept_entries())
+    assert cold() == built
+    # the last cold run leaves its plan sets kept, merged: every warm run reads them
+    assert len(_kept_entries()) <= built_stacks // 2
+    assert [run(f) for f in functions] == built
+    if suite == "gain":
+        # tlogt, with its zero extension, skips none of the trials that neglog skips
+        assert "trials_skipped=0" in built[0] and "trials_skipped=0" not in built[2]
+
+
 def test_kept_arrays_are_read_only():
     import entrocert.certify as certify
 

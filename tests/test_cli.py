@@ -333,3 +333,38 @@ def test_reverify_non_integral_payload_number_is_a_usage_error(
     assert out == "" and "Traceback" not in err
     assert err.startswith("entrocert: error:") and f"field {field!r}" in err
     assert "expected an integer" in err
+
+
+def test_report_to_json_is_compact_and_round_trips():
+    from entrocert.certify import TestConfig, run_suite
+    from entrocert.expr import lookup
+
+    f, cfg = lookup("square"), TestConfig(seed=1, samples=4)
+    outcomes, fit = run_suite(f, "all", cfg)
+    report = CertificationReport(f.describe(), cfg.as_dict(), tuple(outcomes), 12.5, fit)
+    text = report.to_json()
+    assert "\n" not in text
+    assert CertificationReport.from_json(text) == report
+    assert CertificationReport.from_json(report.to_json(indent=2)) == report
+
+
+def test_certify_out_writes_the_indented_report(capsys, tmp_path):
+    from entrocert.certify import TestConfig, run_suite
+    from entrocert.expr import lookup
+
+    out_path = tmp_path / "square.json"
+    rc, _, _ = run(
+        capsys,
+        "certify", "--function", "square", "--suite", "condition13",
+        "--seed", "1", "--samples", "4", "--out", str(out_path),
+    )
+    assert rc == 1
+    text = out_path.read_text()
+    f, cfg = lookup("square"), TestConfig(seed=1, samples=4)
+    outcomes, fit = run_suite(f, "condition13", cfg)
+    # the same report, with the wall time the run measured
+    report = CertificationReport(
+        f.describe(), cfg.as_dict(), tuple(outcomes), json.loads(text)["wall_time_ms"], fit
+    )
+    assert text == json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n"
+    assert text.splitlines()[1].startswith('  "tool_version"')

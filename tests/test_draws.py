@@ -300,7 +300,9 @@ def test_rebuilt_payloads_write_the_witnesses_of_fresh_stacks(monkeypatch, seed)
     cold = {name: witnesses(p) for name, p in plans.items()}
     assert len(certify._KEPT) == len(plans) and not certify._REBUILT
     warm = {name: witnesses(p) for name, p in plans.items()}
-    assert warm == cold
+    # a kept plan set is merged and re-cut (certify._coalesced): its stacks
+    # hold the same trials in another order
+    assert {k: sorted(v) for k, v in warm.items()} == {k: sorted(v) for k, v in cold.items()}
     kinds = {kind for rows in cold.values() for _, kind, _, _ in rows}
     assert kinds == {prop.kind for p in plans.values() for plan in p for prop in plan.props}
     assert len(kinds) == 8
