@@ -24,14 +24,14 @@ claims are convexity claims of the negated functional.
 Each property is defined once, as a :class:`_Property` record: the fields of
 its counterexample payload, a ``derive(payloads)`` that forms and decomposes
 the matrices of a whole stack of trials, and a ``margin(f, derived)`` that
-applies f to what the derive made, never to the payloads.  A sampled stack
-is derived where it is built, once however many functions measure it, and
-only its derived data are kept: a witness on a kept stack draws and builds
-its one trial again from (seed, stream, index).  The witness search reads
-the condition13 derive of its rows, and reverify_counterexample derives its
-payload as a batch of one.  A trial whose margin is not finite is skipped,
-and every FAIL payload is written by the record that re-verifies it
-(_witness).
+applies f to what the derive made, never to the payloads.  Every stack is a
+_Stack of trial indices and derived data, derived where it is built, once
+however many functions measure it; no stack holds payload fields.  Every
+witness reads its trial's through _trial_fields: a grid plan's row, or the
+sampled trial drawn and built alone from (seed, stream, index).
+reverify_counterexample derives a payload as a batch of one.  A trial whose
+margin is not finite is skipped, and every FAIL payload is written by the
+record that re-verifies it (_witness).
 
 Every suite is a list of trial plans, and one aggregator (_drive) folds the
 margins of each stack of trials straight into the outcome.  A FAIL's witness
@@ -971,7 +971,7 @@ _SUB_HESSIAN = _Property(
 )
 _CONDITION13 = _Property(
     "condition13", (("rho", _MAT), ("sigma", _MAT)), _condition13_margin, _pair_sum_derive,
-    superops=10,
+    superops=13,  # its traced margin peak, derived data included, stays below this at dims 2-8
 )
 _EQUIVALENCE = _Property(
     "equivalence",
@@ -1018,12 +1018,8 @@ _SKIPPABLE = (DomainError, NotInvertibleError)
 class _Measured(NamedTuple):
     margins: np.ndarray  # NaN where the trial was skipped
     scales: np.ndarray
-    extras: dict | list  # the stack's extra values by name, or per trial a dict of its own
+    extras: dict  # the stack's extra values by name, with a leading trial axis
     notes: list  # per trial: why it was skipped, or ""
-
-    def extra(self, j: int) -> dict:
-        """Trial j's extra values."""
-        return self.extras[j] if isinstance(self.extras, list) else _row(self.extras, j)
 
 
 def _margin(prop: _Property, f: ScalarFunction, D: dict) -> tuple:
@@ -1054,16 +1050,16 @@ def _measure(prop: _Property, f: ScalarFunction, size: int, D: dict) -> _Measure
 
     If the stack raises a skippable error, the trials are measured one at a
     time through the same code, from trial slices of ``D``, so only the
-    offending ones are skipped.
+    offending ones are skipped; their extras fill stacked arrays.
     """
     try:
         m, s, ex = _margin(prop, f, D)
         return _Measured(m, s, ex, [""] * size)
     except _SKIPPABLE as exc:
         if size == 1:
-            return _Measured(np.full(1, np.nan), np.zeros(1), [{}], [str(exc)])
+            return _Measured(np.full(1, np.nan), np.zeros(1), {}, [str(exc)])
     margins, scales = np.full(size, np.nan), np.zeros(size)
-    extras, notes = [{}] * size, [""] * size
+    extras, notes = {}, [""] * size
     for i in range(size):
         try:
             m, s, ex = _margin(prop, f, _trial(D, i))
@@ -1071,13 +1067,14 @@ def _measure(prop: _Property, f: ScalarFunction, size: int, D: dict) -> _Measure
             notes[i] = str(exc)
             continue
         margins[i], scales[i] = m[0], s[0]
-        extras[i] = {k: v[0] for k, v in ex.items()}
+        for k, v in ex.items():
+            extras.setdefault(k, np.zeros((size, *v.shape[1:]), v.dtype))[i] = v[0]
     return _Measured(margins, scales, extras, notes)
 
 
 def _witness(prop: _Property, fields: dict, res: _Measured, j: int) -> dict:
     """The witness of trial j, whose payload ``fields`` prop measured as res (every FAIL payload)."""
-    return prop.witness({**fields, **res.extra(j)}, res.margins[j])
+    return prop.witness({**fields, **_row(res.extras, j)}, res.margins[j])
 
 
 class _Plan(NamedTuple):
@@ -1120,11 +1117,11 @@ class _Rows:
             more = max(8, row)
             self.raw = [np.concatenate([b, np.empty((more, *c.raw))]) for b, c in zip(self.raw, self.cols)]
             self.steps = [
-                (getattr(rng, method), b[(slice(None), *at)])
+                (method, b[(slice(None), *at)])
                 for c, b in zip(self.cols, self.raw) for method, at in c.calls
             ]
-        for fill, column in self.steps:
-            fill(out=column[row])
+        for method, column in self.steps:
+            getattr(rng, method)(out=column[row])
         self.members.append(index)
 
 
@@ -1170,6 +1167,11 @@ def _stacks(classes: dict) -> list[tuple[np.ndarray, dict]]:
     return stacks
 
 
+def _working_set(plan: _Plan, dim: int, trials: int, nbytes: int) -> int:
+    """Estimated working memory of trials of plan: their arrays' ``nbytes`` and their superoperators."""
+    return nbytes + trials * sum(p.superops for p in plan.props) * 16 * dim**4
+
+
 def _chunks(plan: _Plan, streams: Iterator, start: int) -> Iterator[tuple[np.ndarray, dict]]:
     """A sampled plan's stacks, chunk by chunk, as (trial indices in the suite, stacked fields).
 
@@ -1179,9 +1181,8 @@ def _chunks(plan: _Plan, streams: Iterator, start: int) -> Iterator[tuple[np.nda
     working memory (a trial's fields several times over, and its
     superoperators), and each chunk's classes are built into stacks.
     """
-    superops = sum(p.superops for p in plan.props)
     cost = {
-        key: 8 * sum(c.nbytes for c in cols) + superops * 16 * max(c.dim for c in cols) ** 4
+        key: _working_set(plan, max(c.dim for c in cols), 1, 8 * sum(c.nbytes for c in cols))
         for key, cols in plan.classes.items()
     }
     classes: dict[Hashable, _Rows] = {}
@@ -1199,59 +1200,61 @@ def _chunks(plan: _Plan, streams: Iterator, start: int) -> Iterator[tuple[np.nda
     yield from _stacks(classes)
 
 
-def _suite_stacks(seed: int, plans: list[_Plan]) -> Iterator[tuple[_Plan, np.ndarray, dict]]:
-    """Every plan's stacks in turn, as (plan, trial indices in the suite, stacked fields).
+def _suite_stacks(seed: int, plans: list[_Plan]) -> Iterator[tuple[_Plan, int, np.ndarray, dict]]:
+    """Every plan's stacks in turn, as (plan, start, trial indices in the suite, stacked fields).
 
-    A suite numbers its trials across its plans in order.  A grid plan is
-    one stack; the sampled plans draw from one run of trial streams.
+    A suite numbers its trials across its plans in order, and ``start`` is
+    the index of the plan's first trial.  A grid plan is one stack; the
+    sampled plans draw from one run of trial streams.
     """
     streams = _trial_streams(seed, [(p.stream, range(p.count)) for p in plans if p.stream])
     start = 0
     for plan in plans:
         if plan.stream:
             for idx, P in _chunks(plan, streams, start):
-                yield plan, idx, P
+                yield plan, start, idx, P
         elif plan.count:
-            yield plan, np.arange(start, start + plan.count), plan.grid
+            yield plan, start, np.arange(start, start + plan.count), plan.grid
         start += plan.count
 
 
 class _Stack(NamedTuple):
-    """A stack of trials of one plan, as measured: what its properties derived, and its payloads."""
+    """Trials of one plan: their indices and derived data, never their payload fields (_trial_fields)."""
 
     plan: _Plan
+    start: int  # the suite index of the plan's first trial
     idx: np.ndarray  # the trials' indices in the suite
     dim: int  # their matrix dimension
     derived: dict  # property kind -> what its derive made of the stack
-    payload: Callable[[int], dict]  # j -> the payload fields of trial j
+
+    def arrays(self) -> list[np.ndarray]:
+        """The stack's trial indices and derived arrays."""
+        return [self.idx, *(a for D in self.derived.values() for a in D.values())]
 
 
 # Data kept for later calls under one cfg: (cfg, the plans' (stream, count))
-# -> their merged stacks as (stream, trial indices, dim, derived), and (cfg,
-# stream, index) -> the payload fields of a trial rebuilt alone (_rebuilt).
-_KEPT: dict[tuple, list] = {}
+# -> their merged stacks, and (cfg, stream, index) -> the payload fields of a
+# trial drawn and built alone (_trial_fields).
+_KEPT: dict[tuple, list[_Stack]] = {}
 _REBUILT: dict[tuple, dict] = {}
-
-
-def _arrays(idx: np.ndarray, derived: dict) -> list[np.ndarray]:
-    """The arrays of a kept stack: its trial indices and derived data (property kind -> dict)."""
-    return [idx, *(a for D in derived.values() for a in D.values())]
 
 
 def _held_bytes() -> int:
     """The bytes of the arrays that _KEPT and _REBUILT hold."""
-    kept = (a for stacks in _KEPT.values() for _, idx, _, D in stacks for a in _arrays(idx, D))
-    rebuilt = (a for fields in _REBUILT.values() for a in fields.values())
-    return sum(a.nbytes for a in itertools.chain(kept, rebuilt))
+    kept = sum(a.nbytes for stacks in _KEPT.values() for stack in stacks for a in stack.arrays())
+    return kept + sum(a.nbytes for fields in _REBUILT.values() for a in fields.values())
 
 
-def _rebuilt(cfg: TestConfig, plan: _Plan, start: int, idx: np.ndarray, j: int) -> dict:
-    """The payload fields of trial j of a kept stack, drawn and built alone and kept.
+def _trial_fields(cfg: TestConfig, stack: _Stack, j: int) -> dict:
+    """The payload fields of trial j of a stack: a grid plan's row, or the trial drawn and built alone.
 
-    ``idx[j] - start`` is the trial's index in its plan.  Draws do not
-    depend on batching, so these are the fields its stack had, bit for bit.
+    Draws and builds do not depend on batching, so a sampled trial drawn
+    from (seed, stream, index) has the fields its stack was built from, bit
+    for bit.  They are kept while all that is kept stays within _KEPT_BYTES.
     """
-    i = int(idx[j]) - start
+    plan, i = stack.plan, int(stack.idx[j]) - stack.start
+    if not plan.stream:
+        return _row(plan.grid, i)
     key = (cfg, plan.stream, i)
     if key not in _REBUILT:
         rng = next(_trial_streams(cfg.seed, [(plan.stream, [i])]))
@@ -1267,102 +1270,84 @@ def _rebuilt(cfg: TestConfig, plan: _Plan, start: int, idx: np.ndarray, j: int) 
 
 
 def _kept_stacks(cfg: TestConfig, plans: list[_Plan]) -> Iterator[_Stack]:
-    """_suite_stacks(cfg.seed, plans), each stack derived where it is built, kept for later calls.
+    """_suite_stacks(cfg.seed, plans) as _Stacks, each derived where it is built, kept for later calls.
 
     Every property of a plan derives each stack when it is built, and the
-    margins read that derived data alone.  Trials never depend on f, so
-    every function measured under one cfg reuses the derived data; a call
-    under another cfg drops all that is kept.  What is kept of a stack is
-    its trial indices, dimension and derived data, not its payload fields:
-    a stack served from _KEPT rebuilds the fields of a trial that it is
-    asked for (a witness, a row of the derived-Hessian search) by drawing
-    that trial alone (_rebuilt).  A plan set is kept only when its
-    iteration completes and all that is kept stays within _KEPT_BYTES, and
-    its stacks are then merged into as few as their margins' working memory
-    allows (_coalesced).  The kept arrays are read-only.  Grid plans depend
-    on f and are not kept.
+    margins read that derived data alone; a stack keeps no payload fields,
+    and every witness reads its trial's through _trial_fields.  Trials never
+    depend on f, so every function measured under one cfg reuses the stacks
+    of the first; a call under another cfg drops all that is kept.  A plan
+    set is kept only when its iteration completes and all that is kept
+    stays within _KEPT_BYTES, and its stacks are then merged into as few as
+    their margins' working memory allows (_coalesced).  The kept arrays are
+    read-only.  Grid plans depend on f and are not kept.
     """
     fresh = (
-        _Stack(
-            plan, idx, plan.props[0].dim(P), {p.kind: p.derive(P) for p in plan.props},
-            functools.partial(_row, P),
-        )
-        for plan, idx, P in _suite_stacks(cfg.seed, plans)
+        _Stack(plan, start, idx, plan.props[0].dim(P), {p.kind: p.derive(P) for p in plan.props})
+        for plan, start, idx, P in _suite_stacks(cfg.seed, plans)
     )
     if not all(p.stream for p in plans):
         yield from fresh
         return
-    held = next(itertools.chain(_KEPT, _REBUILT), None)  # every key holds the one kept cfg
-    if held is not None and held[0] != cfg:
+    if next(itertools.chain(_KEPT, _REBUILT), (cfg,))[0] != cfg:  # every key holds the one kept cfg
         _KEPT.clear()
         _REBUILT.clear()
     key = (cfg, tuple((p.stream, p.count) for p in plans))
     if key in _KEPT:
-        starts = itertools.accumulate((p.count for p in plans), initial=0)
-        by_stream = {p.stream: (p, start) for p, start in zip(plans, starts)}
-        for stream, idx, dim, derived in _KEPT[key]:
-            plan, start = by_stream[stream]
-            yield _Stack(plan, idx, dim, derived, functools.partial(_rebuilt, cfg, plan, start, idx))
+        yield from _KEPT[key]
         return
     room = _KEPT_BYTES - _held_bytes()
     kept: Optional[list] = []  # None: not kept
     for stack in fresh:
-        room -= _freeze(*_arrays(stack.idx, stack.derived))
+        room -= _freeze(*stack.arrays())
         yield stack
         if room < 0:
             kept = None  # released now, not at the end of the plan set
         elif kept is not None:
-            kept.append((stack.plan.stream, stack.idx, stack.dim, stack.derived))
+            kept.append(stack)
     if kept is not None:
         _KEPT[key] = _coalesced(kept)
 
 
-def _coalesced(kept: list) -> list:
+def _coalesced(kept: list[_Stack]) -> list[_Stack]:
     """A plan set's kept stacks, merged into the fewest that their margins' working memory allows.
 
     The stacks of one stream whose dimension and derived arrays' trailing
-    shapes agree are merged, in turn, while the merged stack stays within
-    _CHUNK_BYTES of estimated working memory: its derived bytes and its
-    properties' superoperators.  A built stack is never split.  A merged
+    shapes agree are merged, in turn, while the merged stack's _working_set
+    stays within _CHUNK_BYTES.  A built stack is never split.  A merged
     stack holds its trials in trial order, in read-only arrays.  A trial's
     margin does not depend on the stack it is measured in.
     """
-    groups: dict[tuple, list] = {}
-    for stream, idx, dim, derived in kept:
-        shapes = tuple(
-            (kind, name, a.shape[1:])
-            for kind, D in derived.items() for name, a in D.items()
-        )
-        groups.setdefault((stream, dim, shapes), []).append((idx, derived))
+    groups: dict[tuple, list[_Stack]] = {}
+    for stack in kept:
+        shapes = [(kind, name, a.shape[1:]) for kind, D in stack.derived.items() for name, a in D.items()]
+        groups.setdefault((stack.plan.stream, stack.dim, tuple(shapes)), []).append(stack)
     merged = []
-    for (stream, dim, _), parts in groups.items():
-        superops = sum(_PROPERTIES[kind].superops for kind in parts[0][1])
+    for parts in groups.values():
         runs, used = [[]], 0
-        for idx, derived in parts:
-            cost = sum(a.nbytes for D in derived.values() for a in D.values())
-            cost += idx.size * superops * 16 * dim**4
+        for stack in parts:
+            nbytes = sum(a.nbytes for a in stack.arrays())
+            cost = _working_set(stack.plan, stack.dim, stack.idx.size, nbytes)
             if runs[-1] and used + cost > _CHUNK_BYTES:
                 runs.append([])
                 used = 0
-            runs[-1].append((idx, derived))
+            runs[-1].append(stack)
             used += cost
-        for run in runs:
-            idx, derived = _merged(run)
-            merged.append((stream, idx, dim, derived))
+        merged += map(_merged, runs)
     return merged
 
 
-def _merged(parts: list) -> tuple[np.ndarray, dict]:
-    """The trial indices and derived data of the stacks ``parts`` as one stack, in trial order."""
-    idx = np.concatenate([i for i, _ in parts])
+def _merged(parts: list[_Stack]) -> _Stack:
+    """The stacks ``parts`` of one plan as one stack, in trial order, in read-only arrays."""
+    idx = np.concatenate([s.idx for s in parts])
     order = np.argsort(idx)
     derived = {
-        kind: {name: np.concatenate([d[kind][name] for _, d in parts])[order] for name in D}
-        for kind, D in parts[0][1].items()
+        kind: {name: np.concatenate([s.derived[kind][name] for s in parts])[order] for name in D}
+        for kind, D in parts[0].derived.items()
     }
-    idx = idx[order]
-    _freeze(*_arrays(idx, derived))
-    return idx, derived
+    stack = parts[0]._replace(idx=idx[order], derived=derived)
+    _freeze(*stack.arrays())
+    return stack
 
 
 def _freeze(*arrays: np.ndarray) -> int:
@@ -1461,11 +1446,11 @@ def _drive(
         if hits.size and idx[hits].min() < first_hit:
             j = hits[np.argmin(idx[hits])]
             c = choice[j]
-            first_hit, hit = idx[j], (plan.props[c], stack.payload, measured[c], j)
+            first_hit, hit = idx[j], (plan.props[c], stack, measured[c], j)
     violation = None
     if hit is not None:
-        prop, payload, res, j = hit
-        violation = _witness(prop, payload(j), res, j)
+        prop, stack, res, j = hit
+        violation = _witness(prop, _trial_fields(cfg, stack, j), res, j)
     if recorder is not None:
         recorder.extend((name, dim, i, margin, scale) for i, dim, margin, scale in sorted(rows))
     # a trial's margin is its smallest property margin
@@ -1638,7 +1623,7 @@ def _derived_hessian_witness(f: ScalarFunction, cfg: TestConfig, k: int) -> Opti
                 continue
             best = int(np.argmin(np.where(usable, quad, np.inf)))
             h1, h2 = h1s[best], h2s[best]
-            fields = stack.payload(j)
+            fields = _trial_fields(cfg, stack, j)
             rho, sigma = fields["rho"], fields["sigma"]
             base_scale = float(np.trace(rho + sigma).real) / (2 * dim)
             zero = np.zeros((dim, dim), dtype=complex)

@@ -16,6 +16,7 @@ import numpy as np
 from .functions import ScalarFunction
 from .hermitian import (
     _first_failure,
+    _json_integer,
     _unitary_from_draw,
     adjoint,
     hermitize,
@@ -279,8 +280,8 @@ def channel_to_json(channel: KrausChannel) -> dict:
 
 
 def channel_from_json(obj: dict) -> KrausChannel:
-    in_dim = int(obj["in_dim"])
-    out_dim = int(obj["out_dim"])
+    in_dim = _json_integer(obj["in_dim"])
+    out_dim = _json_integer(obj["out_dim"])
     ops = []
     for entry in obj["kraus"]:
         re = np.asarray(entry["re"], dtype=float)

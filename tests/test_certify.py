@@ -455,9 +455,9 @@ def _count_stacks(monkeypatch, sizes):
     real = certify._suite_stacks
 
     def counting(seed, plans):
-        for plan, idx, P in real(seed, plans):
+        for plan, start, idx, P in real(seed, plans):
             sizes.append(idx.size)
-            yield plan, idx, P
+            yield plan, start, idx, P
 
     monkeypatch.setattr(certify, "_suite_stacks", counting)
 
@@ -574,7 +574,7 @@ def test_stacking_is_unchanged(monkeypatch):
         row.run(f, cfg, None)
         counts[row.name] = len(calls)
     assert counts == {
-        "principle1": 2, "gap-superadditive": 3, "condition13": 4, "equivalence": 17,
+        "principle1": 2, "gap-superadditive": 3, "condition13": 5, "equivalence": 17,
         "subentropic:k=2": 3, "subentropic:k=3": 5, "subentropic:k=4": 6,
         "matrix-entropy": 2, "entropic": 5, "gain": 36, "gap-concavity": 1,
     }
@@ -605,11 +605,11 @@ def test_one_pd_build_per_chunk_and_key(monkeypatch):
         if row.name == "gain":
             assert sorted(set(calls)) == [(n, 0.1, 10.0) for n in (2, 3, 4, 6)]
     assert counts == {
-        "principle1": 2, "gap-superadditive": 0, "condition13": 8, "equivalence": 17,
+        "principle1": 2, "gap-superadditive": 0, "condition13": 10, "equivalence": 17,
         "subentropic:k=2": 3, "subentropic:k=3": 5, "subentropic:k=4": 6,
         "matrix-entropy": 2, "entropic": 5, "gain": 12, "gap-concavity": 0,
     }
-    assert sum(counts.values()) == 60
+    assert sum(counts.values()) == 62
 
 
 def test_built_states_are_not_decomposed_again(monkeypatch):
@@ -642,7 +642,7 @@ def test_built_states_are_not_decomposed_again(monkeypatch):
     monkeypatch.setattr(certify, "pd_from_draw", counted("pd_from_draw", certify.pd_from_draw))
     outcomes, _ = run_suite(lookup("tlogt"), "all", TestConfig(seed=42, samples=200))
     assert {o.verdict for o in outcomes} == {PASS}
-    assert counts == {"closed_form": 6810, "lapack": 7590, "eigh": 135, "pd_from_draw": 60}
+    assert counts == {"closed_form": 6810, "lapack": 7590, "eigh": 136, "pd_from_draw": 62}
 
 
 def test_function_undefined_on_the_scalar_grid_is_skipped():
@@ -785,10 +785,9 @@ def test_kept_stacks_stay_within_the_kept_bound():
         name for prop in certify._PROPERTIES.values() for name, codec in prop.fields
         if codec in (certify._MAT, certify._MATS, certify._DIRS, certify._CHANNEL)
     }
-    for stacks in certify._KEPT.values():
-        for _, idx, dim, derived in stacks:
-            assert idx.ndim == 1 and dim in (2, 3, 4, 6)
-            assert not matrices & {key for D in derived.values() for key in D}
+    for stack in _kept_entries():
+        assert stack.idx.ndim == 1 and stack.dim in (2, 3, 4, 6)
+        assert not matrices & {key for D in stack.derived.values() for key in D}
     assert not certify._REBUILT
 
 
@@ -798,13 +797,12 @@ def _kept_entries():
     return [stack for stacks in certify._KEPT.values() for stack in stacks]
 
 
-def _working_set(idx, dim, derived):
-    """A kept stack's estimated margin working memory: its derived bytes and its superoperators."""
+def _working_set(stack):
+    """A kept stack's estimated margin working memory: its arrays and its superoperators."""
     import entrocert.certify as certify
 
-    superops = sum(certify._PROPERTIES[kind].superops for kind in derived)
-    derived_bytes = sum(a.nbytes for D in derived.values() for a in D.values())
-    return derived_bytes + idx.size * superops * 16 * dim**4
+    nbytes = sum(a.nbytes for a in stack.arrays())
+    return certify._working_set(stack.plan, stack.dim, stack.idx.size, nbytes)
 
 
 def test_kept_plan_sets_are_recut_by_their_working_set(monkeypatch):
@@ -819,25 +817,62 @@ def test_kept_plan_sets_are_recut_by_their_working_set(monkeypatch):
     certify._KEPT.clear()
     run_suite(lookup("tlogt"), "all", cfg)
     merged = _kept_entries()
-    assert len(built) == 80 and len(merged) <= 40
+    assert len(built) == 81 and len(merged) <= 40
     assert certify._held_bytes() == held
-    built_trials = {(stream, tuple(np.sort(idx))) for stream, idx, _, _ in built}
-    for stream, idx, dim, derived in merged:
-        assert np.all(np.diff(idx) > 0)
-        assert all(a.shape[0] == idx.size for D in derived.values() for a in D.values())
+    built_trials = {(s.plan.stream, tuple(np.sort(s.idx))) for s in built}
+    for stack in merged:
+        assert np.all(np.diff(stack.idx) > 0)
+        assert all(a.shape[0] == stack.idx.size for a in stack.arrays())
         assert (
-            _working_set(idx, dim, derived) <= certify._CHUNK_BYTES
-            or (stream, tuple(idx)) in built_trials
+            _working_set(stack) <= certify._CHUNK_BYTES
+            or (stack.plan.stream, tuple(stack.idx)) in built_trials
         )
     # the same trials of each stream, each once
     assert sorted(
-        (stream, int(i)) for stream, idx, _, _ in merged for i in idx
-    ) == sorted((stream, int(i)) for stream, idx, _, _ in built for i in idx)
+        (s.plan.stream, int(i)) for s in merged for i in s.idx
+    ) == sorted((s.plan.stream, int(i)) for s in built for i in s.idx)
     # one-trial chunks stay one-trial stacks
     monkeypatch.setattr(certify, "_CHUNK_BYTES", 1)
     certify._KEPT.clear()
     run_suite(lookup("tlogt"), "all", TestConfig(seed=42, samples=10))
-    assert _kept_entries() and all(idx.size == 1 for _, idx, _, _ in _kept_entries())
+    assert _kept_entries() and all(s.idx.size == 1 for s in _kept_entries())
+
+
+@pytest.mark.parametrize(
+    "suites, cfg",
+    [
+        (("all",), TestConfig(seed=42, samples=200)),
+        (("condition13", "equivalence"), TestConfig(seed=42, samples=100, dims=(6, 8))),
+    ],
+    ids=["all-200", "superoperators-dims-6-8"],
+)
+def test_kept_stacks_stay_within_the_chunk_bound(suites, cfg):
+    # a kept stack of several trials was merged under _CHUNK_BYTES of
+    # estimated working memory (certify._coalesced): its arrays and the
+    # traced peak of measuring it stay within that bound.  A built stack of
+    # one trial is never cut, whatever its size (condition13 at dim 8), and
+    # equivalence at dims 6 and 8 exceeds _KEPT_BYTES, so nothing of it is kept.
+    import tracemalloc
+
+    import entrocert.certify as certify
+
+    f = lookup("tlogt")
+    for suite in suites:
+        run_suite(f, suite, cfg)
+    merged = [stack for stack in _kept_entries() if stack.idx.size > 1]
+    assert {stack.plan.stream.split("/")[0] for stack in merged} >= {"condition13"}
+    tracemalloc.start()
+    try:
+        for stack in merged:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            for prop in stack.plan.props:
+                certify._measure(prop, f, stack.idx.size, stack.derived[prop.kind])
+            peak = tracemalloc.get_traced_memory()[1] - start
+            held = sum(a.nbytes for a in stack.arrays())
+            assert held + peak <= certify._CHUNK_BYTES, (stack.plan.stream, stack.idx.size)
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("suite, eig_range", [("all", (0.1, 10.0)), ("gain", (1e-9, 1e-6))])
@@ -884,15 +919,15 @@ def test_kept_arrays_are_read_only():
     run_suite(lookup("tlogt"), "principle1", cfg)
     (stacks,) = certify._KEPT.values()
     arrays = []
-    for _, idx, dim, derived in stacks:
+    for stack in stacks:
         # the derived spectra are kept, not the payload fields
-        assert dim == 2 and set(derived) == {"principle1"}
-        assert set(derived["principle1"]) == {"spectra", "spectra.clamp"}
-        arrays += certify._arrays(idx, derived)
+        assert stack.dim == 2 and set(stack.derived) == {"principle1"}
+        assert set(stack.derived["principle1"]) == {"spectra", "spectra.clamp"}
+        arrays += stack.arrays()
     # and so is a payload rebuilt for a kept stack
     cols = (certify._pd_col("x", 2, cfg.eig_range), certify._pd_col("y", 2, cfg.eig_range))
     plans = [certify._Plan("principle1/dim2", cfg.samples, (certify._PRINCIPLE1,), {None: cols})]
-    payload = next(certify._kept_stacks(cfg, plans)).payload(4)
+    payload = certify._trial_fields(cfg, next(certify._kept_stacks(cfg, plans)), 4)
     assert set(payload) == {"x", "y"} and len(certify._REBUILT) == 1
     for a in [*arrays, *payload.values()]:
         assert not a.flags.writeable
@@ -911,8 +946,8 @@ def test_search_stacks_keep_the_condition13_derive():
     assert len(kept) == len(cfg.dims)
     for stacks in kept.values():
         for stack in stacks:
-            # (stream, trial indices, dim, derived): no payload fields
-            assert len(stack) == 4 and set(stack[3]) == {"condition13"}
+            # trial indices, dim and derived data: no payload fields
+            assert isinstance(stack, certify._Stack) and set(stack.derived) == {"condition13"}
     assert _derived_hessian_witness(lookup("tlogt"), cfg, 2) is None
     assert certify._KEPT.keys() == kept.keys()
     assert all(certify._KEPT[key] is stacks for key, stacks in kept.items())

@@ -309,8 +309,11 @@ def test_reverify_payload_field_of_the_wrong_json_type_is_a_usage_error(
 
 @pytest.mark.parametrize(
     "suite, field, key, added",
-    [("entropic", "dim1", None, 0.9), ("condition13", "rho", "dim", 0.5)],
-    ids=["entropic-dim1", "matrix-dim"],
+    [
+        ("entropic", "dim1", None, 0.9), ("condition13", "rho", "dim", 0.5),
+        ("gain", "channel", "in_dim", 0.5),
+    ],
+    ids=["entropic-dim1", "matrix-dim", "channel-in_dim"],
 )
 def test_reverify_non_integral_payload_number_is_a_usage_error(
     capsys, tmp_path, suite, field, key, added

@@ -224,7 +224,7 @@ def test_stacked_payloads_match_per_trial_reference(monkeypatch, cfg):
         # a suite numbers its trials across its plans in order
         counts = [plan.count for plan in suite_plans]
         start = dict(zip((plan.stream for plan in suite_plans), itertools.accumulate(counts, initial=0)))
-        for plan, members, P in certify._suite_stacks(cfg.seed, suite_plans):
+        for plan, _, members, P in certify._suite_stacks(cfg.seed, suite_plans):
             # every state field comes with the eigenpairs of its build, and
             # they pass eigh's residual and orthogonality check against it
             spectra = {key for state in STATES[name] for key in certify._state(state)[1:]}
@@ -261,7 +261,7 @@ def test_sampled_margins_match_reverification(monkeypatch, name):
     f, cfg = FUNCTIONS[name], TestConfig(seed=5, samples=6)
     kinds = set()
     for plans in _suite_plans(monkeypatch, cfg, f).values():
-        for plan, members, P in certify._suite_stacks(cfg.seed, plans):
+        for plan, _, members, P in certify._suite_stacks(cfg.seed, plans):
             for prop in plan.props:
                 res = certify._measure(prop, f, members.size, prop.derive(P))
                 for j in np.flatnonzero(~np.isnan(res.margins)):
@@ -280,30 +280,49 @@ def test_sampled_margins_match_reverification(monkeypatch, name):
 
 @pytest.mark.parametrize("seed", [0, 3, 42])
 def test_rebuilt_payloads_write_the_witnesses_of_fresh_stacks(monkeypatch, seed):
-    # A kept stack holds derived data alone, and rebuilds the payload of a
-    # trial it is asked for by drawing that trial alone.  Every trial's
-    # witness, for every sampled property kind and function, is then written
-    # byte for byte as from its freshly built stack.
+    # No stack holds payload fields: a witness reads its trial's through
+    # certify._trial_fields, which draws and builds that trial alone.  They
+    # equal the built rows of every trial bit for bit, on fresh stacks and
+    # on kept (merged) ones, and every trial's witness, for every sampled
+    # property kind and function, is written byte for byte as from its
+    # built stack.
     cfg = TestConfig(seed=seed, samples=10)
     plans = _sampled_plans(monkeypatch, cfg)
 
-    def witnesses(suite_plans):
+    def built(suite_plans):
+        rows, out = {}, []
+        for plan, _, members, P in certify._suite_stacks(cfg.seed, suite_plans):
+            names = {name for prop in plan.props for name, _ in prop.fields}
+            for j, i in enumerate(members.tolist()):
+                rows[plan.stream, i] = {k: v[j] for k, v in P.items() if k in names}
+            for prop, f in itertools.product(plan.props, FUNCTIONS.values()):
+                res = certify._measure(prop, f, members.size, prop.derive(P))
+                for j in np.flatnonzero(~np.isnan(res.margins)):
+                    witness = certify._witness(prop, certify._row(P, j), res, j)
+                    out.append((f.name, prop.kind, int(members[j]), json.dumps(witness)))
+        return rows, sorted(out)
+
+    def read(suite_plans, rows):
         out = []
         for stack in certify._kept_stacks(cfg, suite_plans):
+            for j, i in enumerate(stack.idx.tolist()):
+                fields, want = certify._trial_fields(cfg, stack, j), rows[stack.plan.stream, i]
+                assert fields.keys() == want.keys()
+                assert all(_bitwise_equal(fields[k], want[k]) for k in want), (stack.plan.stream, i)
             for prop, f in itertools.product(stack.plan.props, FUNCTIONS.values()):
                 res = certify._measure(prop, f, stack.idx.size, stack.derived[prop.kind])
                 for j in np.flatnonzero(~np.isnan(res.margins)):
-                    witness = certify._witness(prop, stack.payload(j), res, j)
+                    witness = certify._witness(prop, certify._trial_fields(cfg, stack, j), res, j)
                     out.append((f.name, prop.kind, int(stack.idx[j]), json.dumps(witness)))
-        return out
+        return sorted(out)
 
-    cold = {name: witnesses(p) for name, p in plans.items()}
-    assert len(certify._KEPT) == len(plans) and not certify._REBUILT
-    warm = {name: witnesses(p) for name, p in plans.items()}
-    # a kept plan set is merged and re-cut (certify._coalesced): its stacks
-    # hold the same trials in another order
-    assert {k: sorted(v) for k, v in warm.items()} == {k: sorted(v) for k, v in cold.items()}
-    kinds = {kind for rows in cold.values() for _, kind, _, _ in rows}
+    kinds = set()
+    for suite_plans in plans.values():
+        rows, want = built(suite_plans)
+        assert read(suite_plans, rows) == want  # fresh stacks, then kept
+        assert read(suite_plans, rows) == want  # kept and merged (certify._coalesced)
+        kinds |= {kind for _, kind, _, _ in want}
+    assert len(certify._KEPT) == len(plans)
     assert kinds == {prop.kind for p in plans.values() for plan in p for prop in plan.props}
     assert len(kinds) == 8
     # each trial was rebuilt once, however many functions and kinds it wrote
@@ -320,13 +339,48 @@ def test_rebuilt_payloads_are_keyed_by_the_whole_config():
     for cfg in configs:
         cols = tuple(certify._pd_col(name, 2, cfg.eig_range) for name in ("x", "y"))
         plan = certify._Plan("principle1/dim2", cfg.samples, (certify._PRINCIPLE1,), {None: cols})
-        ((_, idx, P),) = certify._suite_stacks(cfg.seed, [plan])
-        rebuilt.append(certify._rebuilt(cfg, plan, 0, idx, 3))
+        ((_, start, idx, P),) = certify._suite_stacks(cfg.seed, [plan])
+        rebuilt.append(certify._trial_fields(cfg, certify._Stack(plan, start, idx, 2, {}), 3))
         fresh.append(P)
     assert len(certify._REBUILT) == 2
     for payload, P in zip(rebuilt, fresh):
         assert _bitwise_equal(payload["x"], P["x"][3]) and _bitwise_equal(payload["y"], P["y"][3])
     assert not np.array_equal(rebuilt[0]["x"], rebuilt[1]["x"])
+
+
+def test_rows_drawn_from_per_trial_generators_equal_shared_stream_rows(monkeypatch):
+    # _Rows.draw fills a row from the Generator it is given: a fresh
+    # default_rng(SeedSequence([seed, token, i])) per trial gives the rows
+    # that _trial_streams' one reset Generator gives, bit for bit, across
+    # the growths of the row buffers (8 rows, then doubling)
+    cfg = TestConfig(seed=11, samples=20)
+    compared = 0
+    for suite_plans in _sampled_plans(monkeypatch, cfg).values():
+        for plan in suite_plans:
+            token = certify._stream_token(plan.stream)
+            fresh = (
+                np.random.default_rng(np.random.SeedSequence([cfg.seed, token, i]))
+                for i in range(plan.count)
+            )
+            shared = certify._trial_streams(cfg.seed, [(plan.stream, range(plan.count))])
+            drawn = []
+            for streams in (shared, fresh):
+                classes = {}
+                for i, rng in enumerate(streams):
+                    key = plan.classify(i, rng)
+                    classes.setdefault(key, certify._Rows(plan.classes[key])).draw(rng, i)
+                drawn.append({
+                    key: (rows.members, [b[: len(rows.members)] for b in rows.raw])
+                    for key, rows in classes.items()
+                })
+            want, got = drawn
+            assert got.keys() == want.keys()
+            for key, (members, raw) in want.items():
+                assert got[key][0] == members
+                assert all(map(_bitwise_equal, got[key][1], raw)), (plan.stream, key)
+            compared += plan.count
+    # seven suites per dim, entropic per split, and gain's samples per dim
+    assert compared == cfg.samples * (8 * len(cfg.dims) + len(cfg.bipartite))
 
 
 def test_public_generators_match_reference():
@@ -400,7 +454,7 @@ def test_padded_gain_witness_has_the_drawn_channel(monkeypatch):
     (plan,) = _sampled_plans(monkeypatch, cfg)["gain"]
     f = lookup("square")
     ranks = []
-    for _, members, P in certify._suite_stacks(cfg.seed, [plan]):
+    for _, _, members, P in certify._suite_stacks(cfg.seed, [plan]):
         (prop,) = plan.props
         res = certify._measure(prop, f, members.size, prop.derive(P))
         for j, i in enumerate(members.tolist()):
