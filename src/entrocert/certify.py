@@ -784,9 +784,20 @@ def _inverse_differentials(fp: ScalarFunction, D: dict) -> tuple[np.ndarray, np.
     return kernel, _kronecker_form(_inverse_kernel(fp, _trial_first(kernel)), u).matrix
 
 
+def _condition13_spectrum(fp: ScalarFunction, D: dict) -> tuple:
+    """Condition (13)'s superoperator at the ``states`` of _pair_sum_derive, and its PSD margin.
+
+    d = hermitize(df'(rho+sigma)^-1 - df'(rho)^-1 - df'(sigma)^-1), with
+    fp = f'.  Returns fp's Loewner matrices, df'(rho)^-1, df'(sigma)^-1, d
+    and d's PsdMargin.  Both superoperator margins read it.
+    """
+    kernel, (r, s, total) = _inverse_differentials(fp, D)
+    d = hermitize(total - r - s)
+    return kernel, r, s, d, Superoperator(D["states.eigenvectors"].shape[-1], d).psd_margin()
+
+
 def _condition13_margin(f, D):
-    r, s, total = _inverse_differentials(f.derivative(), D)[1]
-    pm = Superoperator(D["states.eigenvectors"].shape[-1], total - r - s).psd_margin()
+    pm = _condition13_spectrum(f.derivative(), D)[-1]
     return pm.normalized, pm.scale
 
 
@@ -803,7 +814,10 @@ def _negative_pairs(d, inv_r, inv_s):
     gives h1 = df'(rho)^-1 c and h2 = df'(sigma)^-1 c.  Returns d's
     eigenvalues, then per candidate (an axis of two) h1, h2, the quadratic
     form of d normalised by |c|^2, and whether c is usable: |c|^2 >= 1e-20
-    and a negative form.
+    and a negative form.  _equivalence_margin calls it only on the trials
+    whose condition (13) margin lies below -band: a Rayleigh quotient is
+    never below the lowest eigenvalue, so elsewhere no candidate is usable
+    beyond rounding, and a trial within band of zero cannot disagree.
     """
     n = round(d.shape[-1] ** 0.5)
     eigs, vecs = np.linalg.eigh(d)
@@ -825,45 +839,51 @@ def _equivalence_derive(P):
     return {**D, "states.weights": np.stack(forms, axis=1), "band": P["band"]}
 
 
+def _hessian(q1, q2, qt):
+    """The normalised Hessian margin of condition (13)'s direction pairs from their forms."""
+    return (q1 + q2 - qt) / np.maximum(1.0, np.abs(q1) + np.abs(q2) + np.abs(qt))
+
+
 def _equivalence_margin(f, D):
     """Per-instance agreement of the condition13 verdict with the Hessian verdict.
 
-    The Hessian margin is the worst over the drawn direction pairs and the
-    most negative superoperator direction, transferred to a direction pair.
-    Both margins must clear ``band`` before a sign disagreement counts.  The
-    extras name the winning candidate (``direction``: a drawn pair's index,
-    or past them a transferred pair) and hold the transferred pair it would
-    take (``moved1``, ``moved2``).
+    The condition13 margin is condition13's own (_condition13_spectrum).
+    The Hessian margin is the worst over the drawn direction pairs and, on a
+    trial whose condition13 margin lies below -band, the most negative
+    superoperator direction transferred to a direction pair
+    (_negative_pairs).  Both margins must clear ``band`` before a sign
+    disagreement counts, so the transfer is needed nowhere else: above
+    band, d is positive definite and no transferred form is negative, and
+    within band of zero the trial cannot disagree, whatever its Hessian
+    margin.  The extras name the winning candidate (``direction``: a drawn
+    pair's index, or past them a transferred pair) and hold the transferred
+    pair it would take (``moved1``, ``moved2``; zero where none was formed).
     """
-    kernel, (inv_r, inv_s, inv_sum) = _inverse_differentials(f.derivative(), D)
-    d = hermitize(inv_sum - inv_r - inv_s)
-    eigs, t1, t2, _, usable = _negative_pairs(d, inv_r, inv_s)
-    m13 = eigs[:, 0] / np.maximum(1.0, np.max(np.abs(eigs), axis=-1))
-
-    def hess(q1, q2, qt):
-        return (q1 + q2 - qt) / np.maximum(1.0, np.abs(q1) + np.abs(q2) + np.abs(qt))
-
-    # Tr h df'(rho)[h] is the Loewner matrix at rho weighed with h's weights;
-    # the transferred pairs depend on f, so their weights are formed here
+    kernel, inv_r, inv_s, d, pm = _condition13_spectrum(f.derivative(), D)
+    m13, u = pm.normalized, D["states.eigenvectors"]
+    # Tr h df'(rho)[h] is the Loewner matrix at rho weighed with h's weights
     drawn = _weighted(kernel[:, :, None], D["states.weights"])  # (trials, 3, drawn pairs)
-    u = D["states.eigenvectors"]
-    moved = [
-        _weighted(kernel[:, j, None], _shared_weights(u[:, j], g))
-        for j, g in enumerate((t1, t2, t1 + t2))
-    ]
-    hm = np.concatenate(
-        [hess(*_trial_first(drawn)), np.where(usable, hess(*moved), np.inf)], axis=1
-    )
-    rows = np.arange(hm.shape[0])
-    best = np.argmin(hm, axis=1)
-    mh = hm[rows, best]
+    hm = np.concatenate([_hessian(*_trial_first(drawn)), np.full((m13.size, 2), np.inf)], axis=1)
+    moved = np.zeros((2, m13.size, *u.shape[-2:]), complex)  # the transferred pair of each trial
+    neg = np.flatnonzero(m13 < -D["band"])
+    if neg.size:
+        # the transferred pairs depend on f, so their weights are formed here
+        _, t1, t2, _, usable = _negative_pairs(d[neg], inv_r[neg], inv_s[neg])
+        forms = [
+            _weighted(kernel[neg, j, None], _shared_weights(u[neg, j], g))
+            for j, g in enumerate((t1, t2, t1 + t2))
+        ]
+        hm[neg, drawn.shape[-1] :] = np.where(usable, _hessian(*forms), np.inf)
+        pair = np.maximum(np.argmin(hm[neg], axis=1) - drawn.shape[-1], 0)  # when best names one
+        at = np.arange(neg.size)
+        moved[0, neg], moved[1, neg] = t1[at, pair], t2[at, pair]
+    best, mh = np.argmin(hm, axis=1), np.min(hm, axis=1)
 
     solid = (np.abs(m13) > D["band"]) & (np.abs(mh) > D["band"])
     disagree = solid & ((m13 < 0.0) != (mh < 0.0))
     margin = np.minimum(np.abs(m13), np.abs(mh)) * np.where(disagree, -1.0, 1.0)
-    pair = np.maximum(best - drawn.shape[-1], 0)  # the transferred pair, when best names one
     extras = {
-        "direction": best, "moved1": t1[rows, pair], "moved2": t2[rows, pair],
+        "direction": best, "moved1": moved[0], "moved2": moved[1],
         "margin13": m13, "margin_hessian": mh,
     }
     return margin, np.maximum(np.abs(m13), np.abs(mh)), extras
@@ -1231,6 +1251,21 @@ class _Stack(NamedTuple):
         """The stack's trial indices and derived arrays."""
         return [self.idx, *(a for D in self.derived.values() for a in D.values())]
 
+    def working_set(self) -> int:
+        """The estimated working memory of measuring the stack: its arrays and its margins' temporaries.
+
+        A margin holds its superoperators at once (_working_set).  One that
+        holds none forms temporaries in proportion to the derived arrays it
+        reads, counted as three times their bytes: that bounds the Frechet
+        margins' (up to 2.1 times at all@200), not the trace margins' (up to
+        5.4 times their spectra).  A chunk's estimate, its fields eight times
+        over, covers them already.
+        """
+        nbytes = sum(a.nbytes for a in self.arrays())
+        if not any(p.superops for p in self.plan.props):
+            nbytes *= 4
+        return _working_set(self.plan, self.dim, self.idx.size, nbytes)
+
 
 # Data kept for later calls under one cfg: (cfg, the plans' (stream, count))
 # -> their merged stacks, and (cfg, stream, index) -> the payload fields of a
@@ -1313,7 +1348,7 @@ def _coalesced(kept: list[_Stack]) -> list[_Stack]:
     """A plan set's kept stacks, merged into the fewest that their margins' working memory allows.
 
     The stacks of one stream whose dimension and derived arrays' trailing
-    shapes agree are merged, in turn, while the merged stack's _working_set
+    shapes agree are merged, in turn, while the merged stack's working_set
     stays within _CHUNK_BYTES.  A built stack is never split.  A merged
     stack holds its trials in trial order, in read-only arrays.  A trial's
     margin does not depend on the stack it is measured in.
@@ -1326,8 +1361,7 @@ def _coalesced(kept: list[_Stack]) -> list[_Stack]:
     for parts in groups.values():
         runs, used = [[]], 0
         for stack in parts:
-            nbytes = sum(a.nbytes for a in stack.arrays())
-            cost = _working_set(stack.plan, stack.dim, stack.idx.size, nbytes)
+            cost = stack.working_set()
             if runs[-1] and used + cost > _CHUNK_BYTES:
                 runs.append([])
                 used = 0

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -441,6 +443,99 @@ def test_reverify_equivalence_agreement_sign():
     assert reverify_counterexample(lookup("square"), payload) > 0
 
 
+def _full_transfer_margin(f, D):
+    """The equivalence margin that transfers a direction pair on every trial, as a reference."""
+    import entrocert.certify as certify
+    from entrocert.frechet import _shared_weights, _weighted
+
+    kernel, inv_r, inv_s, d, pm = certify._condition13_spectrum(f.derivative(), D)
+    _, t1, t2, _, usable = certify._negative_pairs(d, inv_r, inv_s)
+    m13, u = pm.normalized, D["states.eigenvectors"]
+    drawn = _weighted(kernel[:, :, None], D["states.weights"])
+    moved = [
+        _weighted(kernel[:, j, None], _shared_weights(u[:, j], g))
+        for j, g in enumerate((t1, t2, t1 + t2))
+    ]
+    hm = np.concatenate(
+        [certify._hessian(*np.swapaxes(drawn, 0, 1)), np.where(usable, certify._hessian(*moved), np.inf)],
+        axis=1,
+    )
+    rows = np.arange(hm.shape[0])
+    best = np.argmin(hm, axis=1)
+    mh = hm[rows, best]
+    solid = (np.abs(m13) > D["band"]) & (np.abs(mh) > D["band"])
+    disagree = solid & ((m13 < 0.0) != (mh < 0.0))
+    margin = np.minimum(np.abs(m13), np.abs(mh)) * np.where(disagree, -1.0, 1.0)
+    pair = np.maximum(best - drawn.shape[-1], 0)
+    extras = {
+        "direction": best, "moved1": t1[rows, pair], "moved2": t2[rows, pair],
+        "margin13": m13, "margin_hessian": mh,
+    }
+    return margin, np.maximum(np.abs(m13), np.abs(mh)), extras
+
+
+@pytest.mark.parametrize("seed", [0, 3, 42])
+def test_equivalence_transfers_only_where_condition13_is_violated(seed):
+    # The transfer of d's lowest eigenvector runs only on trials whose
+    # condition (13) margin lies below -band.  There the margins and extras
+    # are those of a transfer on every trial, bit for bit; above band no
+    # transferred form is negative, so the margins are those too; within
+    # band of zero neither can disagree, and both margins lie in [0, |m13|].
+    # Every trial of a function here lies on one side (square, power:1.5
+    # and exp below, neglog above, tlogt within), so a band of 1 on every
+    # other trial mixes both sides in one stack.
+    import entrocert.certify as certify
+
+    cfg = TestConfig(seed=seed, samples=10)
+    run_suite(lookup("tlogt"), "equivalence", cfg)
+    stacks = [s for s in _kept_entries() if s.plan.stream.startswith("equivalence/")]
+    assert sum(s.idx.size for s in stacks) == 20
+    indefinite = 0
+    for name, mixed in itertools.product(("square", "power:1.5", "exp", "neglog", "tlogt"), (0, 1)):
+        f = lookup(name)
+        for stack in stacks:
+            D = stack.derived["equivalence"]
+            if mixed:
+                D = {**D, "band": np.where(np.arange(stack.idx.size) % 2, 1.0, D["band"])}
+            margin, scale, extras = certify._equivalence_margin(f, D)
+            ref_margin, ref_scale, ref_extras = _full_transfer_margin(f, D)
+            m13, band = ref_extras["margin13"], D["band"]
+            below, above = m13 < -band, m13 > band
+            indefinite += int(np.sum(below))
+            assert np.array_equal(extras["margin13"], m13)
+            assert np.array_equal(margin[below], ref_margin[below])
+            assert np.array_equal(scale[below], ref_scale[below])
+            for key, value in extras.items():
+                assert np.array_equal(value[below], ref_extras[key][below]), key
+            assert np.array_equal(margin[above], ref_margin[above])
+            assert np.all(np.abs(margin - ref_margin) <= band)
+            assert np.all(extras["moved1"][~below] == 0) and np.all(extras["moved2"][~below] == 0)
+            if name == "square":  # d = -I/2: every trial is indefinite
+                assert np.array_equal(below, band < 1.0)
+            if name == "neglog":
+                assert np.array_equal(above, band < 1.0)
+            if name == "tlogt":  # d vanishes up to rounding
+                assert not np.any(below | above)
+    assert indefinite == 3 * 20 + 3 * 10
+
+
+def test_equivalence_of_tlogt_decomposes_no_superoperator(monkeypatch):
+    # condition (13) holds for tlogt with d = 0 up to rounding, so no trial
+    # lies below -band and no n^2 x n^2 matrix is handed to eigh
+    cfg = TestConfig(seed=42, samples=200)
+    shapes = []
+    real = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a)[-1])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    (out,), _ = run_suite(lookup("tlogt"), "equivalence", cfg)
+    assert out.verdict == PASS and out.trials_run == 400
+    assert shapes and not {n * n for n in cfg.dims} & set(shapes)
+
+
 def test_gap_superadditive_covers_square_example():
     out = test_gap_superadditive(lookup("square"), CFG)
     assert out.verdict == FAIL
@@ -615,9 +710,11 @@ def test_one_pd_build_per_chunk_and_key(monkeypatch):
 def test_built_states_are_not_decomposed_again(monkeypatch):
     # Every PD, diagonal and scalar state hands the eigenpairs of its build
     # to eigh, which decomposes only the midpoints, sums, partial traces and
-    # channel outputs (and _negative_pairs its superoperators): 14 400 of
-    # the 30 400 members that were decomposed when every state was.  The
-    # eigh calls and the PD builds stay as many as before.
+    # channel outputs: 14 000 of the 30 000 members that were decomposed
+    # when every state was.  The eigh calls and the PD builds stay as many
+    # as before.  Equivalence decomposes none of its 400 superoperators:
+    # condition (13) holds for tlogt, so no trial lies below -band and
+    # _negative_pairs never runs (its margins read eigvalsh).
     import entrocert.certify as certify
     import entrocert.frechet as frechet
     import entrocert.hermitian as hermitian
@@ -642,7 +739,7 @@ def test_built_states_are_not_decomposed_again(monkeypatch):
     monkeypatch.setattr(certify, "pd_from_draw", counted("pd_from_draw", certify.pd_from_draw))
     outcomes, _ = run_suite(lookup("tlogt"), "all", TestConfig(seed=42, samples=200))
     assert {o.verdict for o in outcomes} == {PASS}
-    assert counts == {"closed_form": 6810, "lapack": 7590, "eigh": 136, "pd_from_draw": 62}
+    assert counts == {"closed_form": 6810, "lapack": 7190, "eigh": 136, "pd_from_draw": 62}
 
 
 def test_function_undefined_on_the_scalar_grid_is_skipped():
@@ -797,14 +894,6 @@ def _kept_entries():
     return [stack for stacks in certify._KEPT.values() for stack in stacks]
 
 
-def _working_set(stack):
-    """A kept stack's estimated margin working memory: its arrays and its superoperators."""
-    import entrocert.certify as certify
-
-    nbytes = sum(a.nbytes for a in stack.arrays())
-    return certify._working_set(stack.plan, stack.dim, stack.idx.size, nbytes)
-
-
 def test_kept_plan_sets_are_recut_by_their_working_set(monkeypatch):
     import entrocert.certify as certify
 
@@ -824,7 +913,7 @@ def test_kept_plan_sets_are_recut_by_their_working_set(monkeypatch):
         assert np.all(np.diff(stack.idx) > 0)
         assert all(a.shape[0] == stack.idx.size for a in stack.arrays())
         assert (
-            _working_set(stack) <= certify._CHUNK_BYTES
+            stack.working_set() <= certify._CHUNK_BYTES
             or (stack.plan.stream, tuple(stack.idx)) in built_trials
         )
     # the same trials of each stream, each once
@@ -839,19 +928,28 @@ def test_kept_plan_sets_are_recut_by_their_working_set(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "suites, cfg",
+    "suites, cfg, streams",
     [
-        (("all",), TestConfig(seed=42, samples=200)),
-        (("condition13", "equivalence"), TestConfig(seed=42, samples=100, dims=(6, 8))),
+        (("all",), TestConfig(seed=42, samples=200), {"condition13", "subentropic-k4"}),
+        (
+            ("condition13", "equivalence"), TestConfig(seed=42, samples=100, dims=(6, 8)),
+            {"condition13"},
+        ),
+        (
+            ("subentropic",), TestConfig(seed=42, samples=100, dims=(6, 8)),
+            {"subentropic-k2", "subentropic-k3", "subentropic-k4"},
+        ),
     ],
-    ids=["all-200", "superoperators-dims-6-8"],
+    ids=["all-200", "superoperators-dims-6-8", "subentropic-dims-6-8"],
 )
-def test_kept_stacks_stay_within_the_chunk_bound(suites, cfg):
+def test_kept_stacks_stay_within_the_chunk_bound(suites, cfg, streams):
     # a kept stack of several trials was merged under _CHUNK_BYTES of
     # estimated working memory (certify._coalesced): its arrays and the
     # traced peak of measuring it stay within that bound.  A built stack of
     # one trial is never cut, whatever its size (condition13 at dim 8), and
-    # equivalence at dims 6 and 8 exceeds _KEPT_BYTES, so nothing of it is kept.
+    # equivalence at dims 6 and 8 exceeds _KEPT_BYTES, so nothing of it is
+    # kept.  The subentropic margins hold no superoperators: their
+    # temporaries are counted on the derived arrays they read.
     import tracemalloc
 
     import entrocert.certify as certify
@@ -860,7 +958,7 @@ def test_kept_stacks_stay_within_the_chunk_bound(suites, cfg):
     for suite in suites:
         run_suite(f, suite, cfg)
     merged = [stack for stack in _kept_entries() if stack.idx.size > 1]
-    assert {stack.plan.stream.split("/")[0] for stack in merged} >= {"condition13"}
+    assert {stack.plan.stream.split("/")[0] for stack in merged} >= streams
     tracemalloc.start()
     try:
         for stack in merged:
