@@ -71,12 +71,13 @@ import numpy as np
 
 from .frechet import (
     NotInvertibleError,
-    Superoperator,
+    _basis_pairs,
     _flat_with_sums,
     _inverse_kernel,
     _kronecker_form,
     _layout,
     _loewner,
+    _real_conjugation,
     _shared_weights,
     _split_sums,
     _weighted,
@@ -92,10 +93,12 @@ from .functions import (
     gap_function,
 )
 from .hermitian import (
+    PsdMargin,
     SpectralDecomposition,
     _json_integer,
     _spectra_values,
     _zero_clamp,
+    adjoint,
     eigh,
     hermitian_from_draw,
     hermitize,
@@ -766,34 +769,66 @@ def _subentropic_hessian_margin(f, D):
 
 
 def _pair_sum_derive(P):
-    """(rho, sigma, rho + sigma) of each trial: their layout and eigenvectors, as ``states``."""
+    """(rho, sigma, rho + sigma) of each trial: their layout and eigenvectors, as ``states``.
+
+    ``states.rotations`` holds R = U* V for the eigenvectors U of rho + sigma
+    and V of rho and of sigma: the eigenbases of rho and sigma seen from
+    that of rho + sigma, where _condition13_spectrum works.
+    """
     dec = eigh(_with_sum(P["rho"], P["sigma"]), _known(P, "rho", "sigma"))
+    u = dec.eigenvectors
     return {
         **_kept_layout("states", _trial_first(dec.eigenvalues)),
-        "states.eigenvectors": _trial_first(dec.eigenvectors),
+        "states.eigenvectors": _trial_first(u),
+        "states.rotations": _trial_first(adjoint(u[2]) @ u[:2]),
     }
 
 
-def _inverse_differentials(fp: ScalarFunction, D: dict) -> tuple[np.ndarray, np.ndarray]:
-    """fp's Loewner matrices at the ``states`` of _pair_sum_derive, and its inverse differentials.
+def _inverse_differentials(fp: ScalarFunction, kernel: np.ndarray, u: np.ndarray) -> tuple:
+    """df'(rho)^-1, df'(sigma)^-1 and d as complex n^2 x n^2 matrices, from fp's Loewner matrices.
 
-    The inverse differentials come member-first, (3, trials, n^2, n^2).
+    ``kernel`` and ``u`` are the Loewner matrices and eigenvectors of (rho,
+    sigma, rho + sigma), trial-first (trials, 3, n, n), with fp = f'; d =
+    hermitize(df'(rho+sigma)^-1 - df'(rho)^-1 - df'(sigma)^-1).  Only the
+    trials whose negative direction is transferred form them.
     """
-    (kernel,) = _kernels(fp, D, "states")
-    u = _trial_first(D["states.eigenvectors"])
-    return kernel, _kronecker_form(_inverse_kernel(fp, _trial_first(kernel)), u).matrix
+    r, s, total = _kronecker_form(_inverse_kernel(fp, _trial_first(kernel)), _trial_first(u)).matrix
+    return r, s, hermitize(total - r - s)
+
+
+def _condition13_form(inverse: np.ndarray, rotations: np.ndarray) -> np.ndarray:
+    """Condition (13)'s d as a real symmetric n^2 x n^2 matrix, with the eigenvalues of d.
+
+    ``inverse`` holds the reciprocal Loewner matrices of (rho, sigma, rho +
+    sigma), (trials, 3, n, n), and ``rotations`` the ``states.rotations`` of
+    _pair_sum_derive.  In the Hermitian basis of frechet._basis_pairs and the
+    eigenbasis of rho + sigma, d = diag(k_t) - O_r diag(k_r) O_r^T - O_s
+    diag(k_s) O_s^T: each k is its reciprocal kernel read at the basis pairs,
+    and each O the real orthogonal matrix of X -> R X R*.  The two rotated
+    terms are one product of [O_r O_s], symmetric up to rounding (eigvalsh
+    reads the lower triangle).
+    """
+    n = inverse.shape[-1]
+    rows, cols = _basis_pairs(n)
+    k = inverse[..., rows, cols]  # (trials, 3, n^2)
+    o = _real_conjugation(rotations)
+    side = np.concatenate([o[:, 0], o[:, 1]], axis=-1)  # [O_r O_s], (trials, n^2, 2 n^2)
+    d = -(side * k[:, None, :2].reshape(-1, 1, 2 * n * n)) @ np.swapaxes(side, -1, -2)
+    diagonal = np.arange(n * n)
+    d[:, diagonal, diagonal] += k[:, 2]
+    return d
 
 
 def _condition13_spectrum(fp: ScalarFunction, D: dict) -> tuple:
-    """Condition (13)'s superoperator at the ``states`` of _pair_sum_derive, and its PSD margin.
+    """fp's Loewner matrices at the ``states`` of _pair_sum_derive, and condition (13)'s PSD margin.
 
-    d = hermitize(df'(rho+sigma)^-1 - df'(rho)^-1 - df'(sigma)^-1), with
-    fp = f'.  Returns fp's Loewner matrices, df'(rho)^-1, df'(sigma)^-1, d
-    and d's PsdMargin.  Both superoperator margins read it.
+    The margin is that of d = df'(rho+sigma)^-1 - df'(rho)^-1 - df'(sigma)^-1,
+    with fp = f', taken from its real form (_condition13_form) by one real
+    eigvalsh.  Both superoperator margins read it.
     """
-    kernel, (r, s, total) = _inverse_differentials(fp, D)
-    d = hermitize(total - r - s)
-    return kernel, r, s, d, Superoperator(D["states.eigenvectors"].shape[-1], d).psd_margin()
+    (kernel,) = _kernels(fp, D, "states")
+    d = _condition13_form(_inverse_kernel(fp, kernel), D["states.rotations"])
+    return kernel, PsdMargin.of_spectrum(np.linalg.eigvalsh(d))
 
 
 def _condition13_margin(f, D):
@@ -859,25 +894,30 @@ def _equivalence_margin(f, D):
     pair's index, or past them a transferred pair) and hold the transferred
     pair it would take (``moved1``, ``moved2``; zero where none was formed).
     """
-    kernel, inv_r, inv_s, d, pm = _condition13_spectrum(f.derivative(), D)
+    fp = f.derivative()
+    kernel, pm = _condition13_spectrum(fp, D)
     m13, u = pm.normalized, D["states.eigenvectors"]
-    # Tr h df'(rho)[h] is the Loewner matrix at rho weighed with h's weights
-    drawn = _weighted(kernel[:, :, None], D["states.weights"])  # (trials, 3, drawn pairs)
-    hm = np.concatenate([_hessian(*_trial_first(drawn)), np.full((m13.size, 2), np.inf)], axis=1)
-    moved = np.zeros((2, m13.size, *u.shape[-2:]), complex)  # the transferred pair of each trial
+    transferred = np.full((m13.size, 2), np.inf)
     neg = np.flatnonzero(m13 < -D["band"])
     if neg.size:
-        # the transferred pairs depend on f, so their weights are formed here
-        _, t1, t2, _, usable = _negative_pairs(d[neg], inv_r[neg], inv_s[neg])
+        # the transferred pairs depend on f, so their complex superoperators
+        # are formed here, before the drawn pairs' forms: they are the peak
+        inv_r, inv_s, d = _inverse_differentials(fp, kernel[neg], u[neg])
+        _, t1, t2, _, usable = _negative_pairs(d, inv_r, inv_s)
         forms = [
             _weighted(kernel[neg, j, None], _shared_weights(u[neg, j], g))
             for j, g in enumerate((t1, t2, t1 + t2))
         ]
-        hm[neg, drawn.shape[-1] :] = np.where(usable, _hessian(*forms), np.inf)
-        pair = np.maximum(np.argmin(hm[neg], axis=1) - drawn.shape[-1], 0)  # when best names one
+        transferred[neg] = np.where(usable, _hessian(*forms), np.inf)
+    # Tr h df'(rho)[h] is the Loewner matrix at rho weighed with h's weights
+    drawn = _weighted(kernel[:, :, None], D["states.weights"])  # (trials, 3, drawn pairs)
+    hm = np.concatenate([_hessian(*_trial_first(drawn)), transferred], axis=1)
+    best, mh = np.argmin(hm, axis=1), np.min(hm, axis=1)
+    moved = np.zeros((2, m13.size, *u.shape[-2:]), complex)  # the transferred pair of each trial
+    if neg.size:
+        pair = np.maximum(best[neg] - drawn.shape[-1], 0)  # when best names one
         at = np.arange(neg.size)
         moved[0, neg], moved[1, neg] = t1[at, pair], t2[at, pair]
-    best, mh = np.argmin(hm, axis=1), np.min(hm, axis=1)
 
     solid = (np.abs(m13) > D["band"]) & (np.abs(mh) > D["band"])
     disagree = solid & ((m13 < 0.0) != (mh < 0.0))
@@ -991,7 +1031,9 @@ _SUB_HESSIAN = _Property(
 )
 _CONDITION13 = _Property(
     "condition13", (("rho", _MAT), ("sigma", _MAT)), _condition13_margin, _pair_sum_derive,
-    superops=13,  # its traced margin peak, derived data included, stays below this at dims 2-8
+    # its traced margin peak reads 7.1-8.2 of these per trial at dims 2-8;
+    # 13 keeps the chunk and merge cuts it was sized for
+    superops=13,
 )
 _EQUIVALENCE = _Property(
     "equivalence",
@@ -1001,6 +1043,8 @@ _EQUIVALENCE = _Property(
     extras=("margin13", "margin_hessian"),
     select=_equivalence_pair,
     defaults={"band": 0.0},
+    # its traced margin peak at dims 2-8: 7.1-8.5 of these where no trial is
+    # transferred (tlogt), 12.2-14.6 where every trial is (square)
     superops=16,
 )
 _MATRIX_ENTROPY = _Property(
@@ -1648,11 +1692,12 @@ def _derived_hessian_witness(f: ScalarFunction, cfg: TestConfig, k: int) -> Opti
         for stack, j in rows:
             D = _trial(stack.derived["condition13"], j)
             try:
-                # the inverse differentials at rho, sigma and rho+sigma
-                r, s, total = _inverse_differentials(fp, D)[1][:, 0]
+                (kernel,) = _kernels(fp, D, "states")
+                # the inverse differentials at rho and sigma, and d
+                r, s, d = _inverse_differentials(fp, kernel, D["states.eigenvectors"])
             except (NotInvertibleError, DomainError):
                 return None
-            eigs, h1s, h2s, quad, usable = _negative_pairs(hermitize(total - r - s), r, s)
+            eigs, h1s, h2s, quad, usable = _negative_pairs(d[0], r[0], s[0])
             if float(eigs[0]) >= 0.0 or not usable.any():
                 continue
             best = int(np.argmin(np.where(usable, quad, np.inf)))

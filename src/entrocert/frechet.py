@@ -8,6 +8,16 @@ Daleckii-Krein / Kronecker form ``(conj(U) (x) U) diag(vec K) (conj(U) (x) U)*``
 (Higham, *Functions of Matrices*, SIAM 2008, ch. 3), on which operator
 inequalities between different base points can be tested directly.
 
+A differential of the spectral calculus, and its inverse, is self-adjoint and
+maps Hermitian matrices to Hermitian ones, so it is equally a real symmetric
+n^2 x n^2 matrix on the real space of Hermitian matrices, with the same
+eigenvalues.  Its orthonormal basis here (:func:`_basis_pairs`) is ``E_ii``
+for each i, then for each i < j ``(E_ij + E_ji)/sqrt 2`` and
+``i(E_ij - E_ji)/sqrt 2``.  In the eigenbasis of rho the differential is
+diagonal in that basis, with the Loewner matrix read at the basis pairs
+``(i, i), (i, j), (i, j)``; a change of eigenbasis ``X -> R X R*`` is a real
+orthogonal matrix (:func:`_real_conjugation`).
+
 Vectorisation convention: column stacking, i.e. ``vec(m)[i + n*j] = m[i, j]``.
 Every function here also takes stacks of matrices (leading axes), which is
 how the certification suites evaluate many trials in one call.
@@ -15,6 +25,7 @@ how the certification suites evaluate many trials in one call.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -178,13 +189,78 @@ class Superoperator:
         return PsdMargin.of_spectrum(np.linalg.eigvalsh(hermitize(self.matrix)))
 
 
-def _kronecker_form(kernel: np.ndarray, u: np.ndarray) -> Superoperator:
-    """h -> U (kernel o U* h U) U* as W diag(vec kernel) W*, with W = conj(U) (x) U."""
+def _conjugation(u: np.ndarray) -> np.ndarray:
+    """conj(U) (x) U, the matrix of h -> U h U* on vec(h) (stacks allowed)."""
     n = u.shape[-1]
-    w = (u.conj()[..., :, None, :, None] * u[..., None, :, None, :]).reshape(
+    return (u.conj()[..., :, None, :, None] * u[..., None, :, None, :]).reshape(
         u.shape[:-2] + (n * n, n * n)
     )
-    return Superoperator(dim=n, matrix=(w * vec(kernel)[..., None, :]) @ adjoint(w))
+
+
+def _kronecker_form(kernel: np.ndarray, u: np.ndarray) -> Superoperator:
+    """h -> U (kernel o U* h U) U* as W diag(vec kernel) W*, with W = conj(U) (x) U."""
+    w = _conjugation(u)
+    return Superoperator(dim=u.shape[-1], matrix=(w * vec(kernel)[..., None, :]) @ adjoint(w))
+
+
+def _read_only(*arrays: np.ndarray) -> tuple:
+    """The arrays, made read-only: a cached result is shared by every caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.cache
+def _basis_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The entry (i, j) that each of the n^2 Hermitian basis matrices occupies, as (rows, cols).
+
+    The basis is E_ii for each i, then for each i < j (E_ij + E_ji)/sqrt 2
+    and i(E_ij - E_ji)/sqrt 2, which both read (i, j).  In the eigenbasis of
+    rho a Loewner matrix K read at these pairs, ``K[rows, cols]``, is the
+    diagonal of the differential in this basis.
+    """
+    i, j = np.triu_indices(n, 1)
+    rows = np.concatenate([np.arange(n), np.repeat(i, 2)])
+    cols = np.concatenate([np.arange(n), np.repeat(j, 2)])
+    return _read_only(rows, cols)
+
+
+@functools.cache
+def _real_gather(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where each entry of Re(T* W T) reads W = conj(R) (x) R, and with what weight.
+
+    T holds vec of the :func:`_basis_pairs` basis as columns, two nonzero
+    entries at most each, so entry (a, b) sums four products at most; each
+    weight conj(T_pa) T_qb is real or imaginary and reads Re W_pq or Im W_pq
+    alone.  Returns indices into W viewed as interleaved (re, im) floats,
+    shape (n^2, n^2, 4), and their weights (zero on padding).
+    """
+    rows, cols = _basis_pairs(n)
+    r2 = 0.5**0.5
+    # the (up to) two vec positions of each basis matrix and their entries
+    pos = np.stack([rows + n * cols, cols + n * rows], axis=-1)
+    val = np.zeros((n * n, 2), complex)
+    val[:n, 0] = 1.0
+    val[n::2] = (r2, r2)
+    val[n + 1 :: 2] = (1j * r2, -1j * r2)
+    weight = (val.conj()[:, None, :, None] * val[None, :, None, :]).reshape(n * n, n * n, 4)
+    imag = weight.imag != 0.0
+    p = np.broadcast_to(pos[:, None, :, None], (n * n, n * n, 2, 2)).reshape(n * n, n * n, 4)
+    q = np.broadcast_to(pos[None, :, None, :], (n * n, n * n, 2, 2)).reshape(n * n, n * n, 4)
+    return _read_only(2 * (p * n * n + q) + imag, np.where(imag, -weight.imag, weight.real))
+
+
+def _real_conjugation(r: np.ndarray) -> np.ndarray:
+    """X -> R X R* on Hermitian X as a real orthogonal n^2 x n^2 matrix, for unitary R.
+
+    Re(T* (conj(R) (x) R) T) in the :func:`_basis_pairs` basis, gathered
+    from the entries of conj(R) (x) R (stacks allowed).
+    """
+    n = r.shape[-1]
+    index, weight = _real_gather(n)
+    w = _conjugation(np.asarray(r, dtype=complex))
+    flat = w.view(float).reshape(r.shape[:-2] + (2 * n**4,))  # (re, im) of each entry in turn
+    return np.einsum("...abt,abt->...ab", flat[..., index], weight)
 
 
 def frechet_superoperator(f: ScalarFunction, rho: np.ndarray) -> Superoperator:

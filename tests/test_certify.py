@@ -448,9 +448,11 @@ def _full_transfer_margin(f, D):
     import entrocert.certify as certify
     from entrocert.frechet import _shared_weights, _weighted
 
-    kernel, inv_r, inv_s, d, pm = certify._condition13_spectrum(f.derivative(), D)
-    _, t1, t2, _, usable = certify._negative_pairs(d, inv_r, inv_s)
+    fp = f.derivative()
+    kernel, pm = certify._condition13_spectrum(fp, D)
     m13, u = pm.normalized, D["states.eigenvectors"]
+    inv_r, inv_s, d = certify._inverse_differentials(fp, kernel, u)
+    _, t1, t2, _, usable = certify._negative_pairs(d, inv_r, inv_s)
     drawn = _weighted(kernel[:, :, None], D["states.weights"])
     moved = [
         _weighted(kernel[:, j, None], _shared_weights(u[:, j], g))
@@ -521,19 +523,127 @@ def test_equivalence_transfers_only_where_condition13_is_violated(seed):
 
 def test_equivalence_of_tlogt_decomposes_no_superoperator(monkeypatch):
     # condition (13) holds for tlogt with d = 0 up to rounding, so no trial
-    # lies below -band and no n^2 x n^2 matrix is handed to eigh
+    # lies below -band and no n^2 x n^2 matrix is handed to eigh.  Both
+    # superoperator margins read condition (13) in its real form, so a whole
+    # run forms no n^2 x n^2 matrix in complex arithmetic either: no Kronecker
+    # form, and no complex eigvalsh
+    import entrocert.certify as certify
+    import entrocert.frechet as frechet
+
     cfg = TestConfig(seed=42, samples=200)
-    shapes = []
-    real = np.linalg.eigh
+    shapes, spectra, forms = [], [], []
+    real_eigh, real_eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+    real_form = frechet._kronecker_form
 
-    def recording(a, *args, **kwargs):
+    def eigh(a, *args, **kwargs):
         shapes.append(np.shape(a)[-1])
-        return real(a, *args, **kwargs)
+        return real_eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", recording)
+    def eigvalsh(a, *args, **kwargs):
+        spectra.append((np.shape(a)[-1], np.iscomplexobj(a)))
+        return real_eigvalsh(a, *args, **kwargs)
+
+    def kronecker_form(*args):
+        forms.append(args)
+        return real_form(*args)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
     (out,), _ = run_suite(lookup("tlogt"), "equivalence", cfg)
     assert out.verdict == PASS and out.trials_run == 400
-    assert shapes and not {n * n for n in cfg.dims} & set(shapes)
+    squares = {n * n for n in cfg.dims}
+    assert shapes and not squares & set(shapes)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    for module in (certify, frechet):
+        monkeypatch.setattr(module, "_kronecker_form", kronecker_form)
+    outcomes, _ = run_suite(lookup("tlogt"), "all", cfg)
+    assert all(o.verdict == PASS for o in outcomes)
+    assert squares <= {n for n, is_complex in spectra if not is_complex}
+    assert not {n for n, is_complex in spectra if is_complex} & squares
+    assert not forms
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
+def test_condition13_real_form_has_the_eigenvalues_of_d(n):
+    # the real symmetric form of d in the Hermitian basis against the
+    # complex combination of the public inverse differentials, for every
+    # registry function whose differential is invertible
+    import entrocert.certify as certify
+    from entrocert.frechet import NotInvertibleError, _inverse_kernel, frechet_inverse
+    from entrocert.hermitian import PsdMargin, hermitize
+
+    rng = np.random.default_rng(n)
+    rho, sigma = random_pd(n, (0.1, 10.0), rng), random_pd(n, (0.1, 10.0), rng)
+    D = certify._pair_sum_derive({"rho": rho[None], "sigma": sigma[None]})
+    measured = 0
+    for f in registry():
+        fp = f.derivative()
+        try:
+            inv = [frechet_inverse(fp, m).matrix for m in (rho, sigma, hermitize(rho + sigma))]
+        except NotInvertibleError:
+            continue
+        expected = np.linalg.eigvalsh(hermitize(inv[2] - inv[0] - inv[1]))
+        kernel, pm = certify._condition13_spectrum(fp, D)
+        d = certify._condition13_form(_inverse_kernel(fp, kernel), D["states.rotations"])[0]
+        largest = max(np.max(np.abs(m)) for m in inv)
+        assert np.max(np.abs(np.linalg.eigvalsh(d) - expected)) <= 1e-13 * largest, f.name
+        reference = PsdMargin.of_spectrum(expected)
+        assert abs(pm.min_eigenvalue[0] - reference.min_eigenvalue) <= 1e-13 * largest
+        assert abs(pm.scale[0] - reference.scale) <= 1e-13 * largest
+        measured += 1
+    assert measured == len(registry()) - 1  # affine's differential is singular
+
+
+@pytest.mark.parametrize("seed", [0, 3, 42])
+def test_condition13_real_form_is_no_farther_from_a_50_digit_oracle(seed):
+    # neglog: df'(rho)^-1 X = rho X rho, so d X = rho X sigma + sigma X rho.
+    # That d, rebuilt in 50 digits from the derived eigenpairs of rho and
+    # sigma, is the oracle for the real form's margin and for the complex
+    # form's that it replaced.  Both form d as a difference of inverse
+    # differentials whose entries reach max |1/K|, so each margin carries a
+    # rounding error of a few eps * max|1/K| / max(1, scale): on every trial
+    # the real form is no farther from the oracle than the complex one, up
+    # to that rounding (on the stretched spectra the complex form loses
+    # digits: 2.3e-12 against 7.7e-16 at seed 42, samples 200, dim 3).
+    mpmath = pytest.importorskip("mpmath")
+    import entrocert.certify as certify
+    from entrocert.frechet import _inverse_kernel
+    from entrocert.hermitian import PsdMargin
+
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    fp = lookup("neglog").derivative()
+
+    def oracle(lam, u):
+        rho, sigma = (
+            mp.matrix(u[c].tolist()) * mp.diag(lam[c].tolist()) * mp.matrix(u[c].tolist()).H
+            for c in (0, 1)
+        )
+        n = len(lam[0])
+        d = mp.matrix(n * n, n * n)  # vec(rho X sigma) = (sigma^T (x) rho) vec X, column stacking
+        for i, j, k, l in itertools.product(range(n), repeat=4):
+            d[i + n * j, k + n * l] = sigma[l, j] * rho[i, k] + rho[l, j] * sigma[i, k]
+        w = mp.eigh(d, eigvals_only=True)
+        return min(w) / max(1, max(abs(x) for x in w))
+
+    run_suite(lookup("neglog"), "condition13", TestConfig(seed=seed, samples=10))
+    trials = 0
+    for stack in _kept_entries():
+        D = stack.derived["condition13"]
+        kernel, real_form = certify._condition13_spectrum(fp, D)
+        u = D["states.eigenvectors"]
+        complex_form = PsdMargin.of_spectrum(
+            np.linalg.eigvalsh(certify._inverse_differentials(fp, kernel, u)[-1])
+        )
+        largest = np.max(np.abs(_inverse_kernel(fp, kernel)), axis=(1, 2, 3))
+        rounding = 8 * np.finfo(float).eps * largest / np.maximum(1.0, real_form.scale)
+        for j in range(stack.idx.size):
+            exact = oracle(D["states.eigenvalues"][j], u[j])
+            real_error = float(abs(mpmath.mpf(real_form.normalized[j]) - exact))
+            complex_error = float(abs(mpmath.mpf(complex_form.normalized[j]) - exact))
+            assert real_error <= complex_error + rounding[j]
+            trials += 1
+    assert trials == 20
 
 
 def test_gap_superadditive_covers_square_example():

@@ -3,8 +3,10 @@ import pytest
 
 from entrocert.frechet import (
     NotInvertibleError,
+    _basis_pairs,
     _inverse_kernel,
     _kronecker_form,
+    _real_conjugation,
     _weighted,
     _weights,
     frechet_diff,
@@ -26,6 +28,7 @@ from entrocert.hermitian import (
     pd_from_draw,
     random_hermitian,
     random_pd,
+    random_unitary,
     spectrum_trace,
     trace_of_function,
 )
@@ -283,3 +286,48 @@ def test_second_diff_G_rejects_mismatched_shapes():
             second_diff_G(f, rhos, hs)
     with pytest.raises(ValueError, match="share one dimension"):
         second_diff_G(f, np.ones((2, 2, 3)), np.ones((2, 2, 3)))
+
+
+def _hermitian_basis(n):
+    """T: vec of E_ii, then per i < j (E_ij + E_ji)/sqrt 2 and i(E_ij - E_ji)/sqrt 2, as columns."""
+    mats = []
+    for i in range(n):
+        m = np.zeros((n, n), complex)
+        m[i, i] = 1.0
+        mats.append(m)
+    for i in range(n):
+        for j in range(i + 1, n):
+            e = np.zeros((n, n), complex)
+            e[i, j] = 1.0
+            mats += [(e + e.T) / np.sqrt(2), 1j * (e - e.T) / np.sqrt(2)]
+    return np.stack([vec(m) for m in mats], axis=-1)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_real_conjugation_is_orthogonal_in_the_hermitian_basis(n):
+    t = _hermitian_basis(n)
+    assert np.allclose(t.conj().T @ t, np.eye(n * n), atol=1e-15)
+    rows, cols = _basis_pairs(n)
+    for a in range(n * n):  # each basis matrix occupies the entry its pair names
+        m = unvec(t[:, a], n)
+        assert is_hermitian(m) and m[rows[a], cols[a]] != 0
+    rs = np.stack([random_unitary(n, RNG) for _ in range(3)])
+    o = _real_conjugation(rs)
+    assert o.shape == (3, n * n, n * n) and o.dtype == float
+    for r, oi in zip(rs, o):
+        reference = t.conj().T @ np.kron(r.conj(), r) @ t
+        assert np.max(np.abs(oi - reference.real)) < 1e-14
+        assert np.max(np.abs(reference.imag)) < 1e-14
+        assert np.max(np.abs(oi @ oi.T - np.eye(n * n))) < 1e-14
+
+
+@pytest.mark.parametrize("name", ["tlogt", "neglog", "exp"])
+def test_differential_is_diagonal_in_the_hermitian_basis(name):
+    # in the eigenbasis of rho the differential multiplies each Hermitian
+    # basis matrix by the Loewner matrix read at its basis pair
+    f = lookup(name)
+    lam = np.array([0.3, 1.7, 1.7, 4.0])
+    t = _hermitian_basis(4)
+    real = t.conj().T @ frechet_superoperator(f, np.diag(lam).astype(complex)).matrix @ t
+    rows, cols = _basis_pairs(4)
+    assert np.allclose(real, np.diag(loewner_matrix(f, lam)[rows, cols]), atol=1e-13, rtol=0)
