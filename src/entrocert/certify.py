@@ -23,18 +23,20 @@ claims are convexity claims of the negated functional.
 
 Each property is defined once, as a :class:`_Property` record: the fields of
 its counterexample payload, a ``derive(payloads)`` that forms and decomposes
-the matrices of a whole stack of trials, and a ``margin(f, derived)`` that
-applies f to what the derive made, never to the payloads.  Every stack is a
+the matrices of a whole stack of trials, the points of what the derive made
+at which it ``reads`` f, and a ``margin`` of the derived data and the values
+read there, never of the payloads.  Every stack is a
 _Stack of trial indices and derived data, derived where it is built, once
 however many functions measure it; no stack holds payload fields.  Every
 witness reads its trial's through _trial_fields: a grid plan's row, or the
 sampled trial drawn and built alone from (seed, stream, index).
-reverify_counterexample derives a payload as a batch of one.  A trial whose
+reverify_counterexample measures a payload as a stack of one.  A trial whose
 margin is not finite is skipped, and every FAIL payload is written by the
 record that re-verifies it (_witness).
 
 Every suite is a list of trial plans, and one aggregator (_drive) folds the
-margins of each stack of trials straight into the outcome.  A FAIL's witness
+margins of each list of stacks measured together (_measure: one evaluation
+of f per reading) straight into the outcome.  A FAIL's witness
 is the first violating sampled trial by index or, when an expected failure
 is not sampled, subentropic's search hook constructs one from the
 superoperator inequality, counted as one extra trial; it draws its base
@@ -583,6 +585,15 @@ _DECODE = {
 }
 
 
+class _Reading(NamedTuple):
+    """Where a margin reads f: ``points(D)`` lists the f-independent inputs of a stack's
+    derived data, and ``values(f, inputs)`` returns one value per input, from one evaluation.
+    """
+
+    values: Callable[[ScalarFunction, list], list]
+    points: Callable[[dict], list]
+
+
 @dataclass(frozen=True)
 class _Property:
     """How one kind of trial is measured, and how its witness reads and writes.
@@ -597,26 +608,22 @@ class _Property:
     divided-difference layout, and the pairing weights Re(g o g^T), g = U* h
     U, of its drawn directions h in place of the eigenvectors wherever only
     a pairing reads them.  A scalar property's derived data are its payload
-    fields.  ``margin(f, D)`` applies f to that derived data ``D`` alone,
-    never to the payload, and returns ``(margins, scales)``, or ``(margins,
+    fields.  ``margin(f, D, values)`` takes that derived data ``D`` and the
+    values of f its reading ``reads`` evaluated at the points of ``D``,
+    never the payload, and returns ``(margins, scales)``, or ``(margins,
     scales, extras)`` where ``extras`` holds per-trial values that the
     witness records next to the payload, after ``select`` picks from the
-    payload what the margin chose.
-
-    A margin evaluates f's series once: at all of its points (every
-    spectrum and near midpoint, or every scalar point), in the order that
-    separate evaluations would take them, up to the highest order it reads.
-    When that one evaluation fails, the separate evaluations run in turn
-    (functions._jointly), so a domain error names the value it always
-    named.  A sampled stack is derived where it is built (_kept_stacks),
-    however many functions measure it; a payload decoded from JSON is
-    derived on its own (reverify_counterexample).
+    payload what the margin chose.  ``outside(f, D)`` returns the trials f
+    cannot be measured at, and the error that skips them.  _measure
+    evaluates f once for all the stacks it is given.
     """
 
     kind: str
     fields: tuple[tuple[str, str], ...]
     margin: Callable
+    reads: _Reading = _Reading(lambda f, inputs: [], lambda D: [])  # default: f is read by the margin
     derive: Callable[[dict], dict] = lambda P: P  # scalar properties measure their fields
+    outside: Optional[Callable] = None
     extras: tuple[str, ...] = ()
     select: Callable[[dict], dict] = lambda trial: trial  # a witness's fields from its trial
     defaults: dict = field(default_factory=dict)  # for fields older payloads lack
@@ -682,14 +689,17 @@ def _trace_spectra(name: str, lam: np.ndarray) -> dict:
     return {name: lam, f"{name}.clamp": _zero_clamp(lam)}
 
 
-def _traces(f, D: dict, *names: str) -> list[np.ndarray]:
-    """Tr f over the spectra of each name, member-first ((k, trials) for (trials, k, n)).
-
-    One call of f covers every spectrum of every name.
-    """
-    spectra = tuple(_trial_first(D[name]) for name in names)
-    clamps = tuple(_trial_first(D[f"{name}.clamp"]) for name in names)
+def _trace_values(f: ScalarFunction, inputs: list) -> list[np.ndarray]:
+    """Tr f over each (spectra, zero-clamp masks) input, member-first ((k, trials) for (trials, k, n))."""
+    spectra, clamps = zip(*inputs)
     return [np.sum(v, axis=-1) for v in _spectra_values(f, spectra, clamps)]
+
+
+def _traces(*names: str) -> _Reading:
+    """Tr f over the kept spectra of each name."""
+    return _Reading(_trace_values, lambda D: [
+        (_trial_first(D[name]), _trial_first(D[f"{name}.clamp"])) for name in names
+    ])
 
 
 def _kept_layout(name: str, lam: np.ndarray) -> dict:
@@ -697,9 +707,14 @@ def _kept_layout(name: str, lam: np.ndarray) -> dict:
     return {f"{name}.{key}": a for key, a in _layout(lam).items()}
 
 
-def _kernels(fp: ScalarFunction, D: dict, *names: str) -> list[np.ndarray]:
-    """The Loewner matrices of fp over the kept spectra of each name, from one evaluation of fp."""
-    return _loewner(fp, [
+def _kernel_values(f: ScalarFunction, layouts: list[dict]) -> list[np.ndarray]:
+    """The Loewner matrices of f' over each layout."""
+    return _loewner(f.derivative(), layouts)
+
+
+def _kernels(*names: str) -> _Reading:
+    """The Loewner matrices of f' over the kept layout of each name."""
+    return _Reading(_kernel_values, lambda D: [
         {key[len(name) + 1 :]: a for key, a in D.items() if key.startswith(name + ".")}
         for name in names
     ])
@@ -711,19 +726,16 @@ def _pair_spectra(P: dict) -> dict:
     return _trace_spectra("spectra", _trial_first(eigh(mats, _known(P, "x", "y")).eigenvalues))
 
 
-def _principle1_margin(f, D):
-    # Concavity of -Tr f equals midpoint convexity of Tr f.
-    return _convexity(*_traces(f, D, "spectra")[0])
-
-
 def _entropic_derive(P):
     reduced = partial_trace_1(_with_midpoint(P["x"], P["y"]), int(P["dim1"][0]), int(P["dim2"][0]))
     reduced = _trial_first(eigh(reduced).eigenvalues)
     return {**_pair_spectra(P), **_trace_spectra("reduced", reduced)}
 
 
-def _entropic_margin(f, D):
-    whole, reduced = _traces(f, D, "spectra", "reduced")
+def _difference_margin(f, D, values):
+    # midpoint convexity of Tr f(rho) - Tr f(Phi(rho)): entropic's Phi is a
+    # partial trace, gain's a channel (S_f(Phi(rho)) - S_f(rho) is convex)
+    whole, reduced = values
     return _convexity(*(whole - reduced))
 
 
@@ -742,9 +754,9 @@ def _subentropic_midpoint_derive(P):
     }
 
 
-def _subentropic_midpoint_margin(f, D):
+def _subentropic_midpoint_margin(f, D, values):
     # G(rho_1..rho_k) = sum_i Tr f(rho_i) - Tr f(sum_i rho_i) at xs, ys and their midpoint
-    single, joint = _traces(f, D, "spectra", "sums")
+    single, joint = values
     return _convexity(*(np.sum(single, axis=-1) - joint))
 
 
@@ -760,9 +772,9 @@ def _subentropic_hessian_derive(P):
     }
 
 
-def _subentropic_hessian_margin(f, D):
+def _subentropic_hessian_margin(f, D, values):
     # per-point terms Tr h_i df'(rho_i) h_i and the joint term of the sums
-    at_rhos, at_sums = _kernels(f.derivative(), D, "rhos", "sums")
+    at_rhos, at_sums = values
     single, joint = _weighted(at_rhos, D["rhos.weights"]), _weighted(at_sums, D["sums.weights"])
     scale = np.maximum(1.0, np.sum(np.abs(single), axis=-1) + np.abs(joint))
     return (np.sum(single, axis=-1) - joint) / scale, scale
@@ -819,20 +831,19 @@ def _condition13_form(inverse: np.ndarray, rotations: np.ndarray) -> np.ndarray:
     return d
 
 
-def _condition13_spectrum(fp: ScalarFunction, D: dict) -> tuple:
-    """fp's Loewner matrices at the ``states`` of _pair_sum_derive, and condition (13)'s PSD margin.
+def _condition13_spectrum(fp: ScalarFunction, kernel: np.ndarray, D: dict) -> PsdMargin:
+    """Condition (13)'s PSD margin from fp's Loewner matrices at the ``states`` of _pair_sum_derive.
 
     The margin is that of d = df'(rho+sigma)^-1 - df'(rho)^-1 - df'(sigma)^-1,
     with fp = f', taken from its real form (_condition13_form) by one real
     eigvalsh.  Both superoperator margins read it.
     """
-    (kernel,) = _kernels(fp, D, "states")
     d = _condition13_form(_inverse_kernel(fp, kernel), D["states.rotations"])
-    return kernel, PsdMargin.of_spectrum(np.linalg.eigvalsh(d))
+    return PsdMargin.of_spectrum(np.linalg.eigvalsh(d))
 
 
-def _condition13_margin(f, D):
-    pm = _condition13_spectrum(f.derivative(), D)[-1]
+def _condition13_margin(f, D, values):
+    pm = _condition13_spectrum(f.derivative(), values[0], D)
     return pm.normalized, pm.scale
 
 
@@ -879,7 +890,7 @@ def _hessian(q1, q2, qt):
     return (q1 + q2 - qt) / np.maximum(1.0, np.abs(q1) + np.abs(q2) + np.abs(qt))
 
 
-def _equivalence_margin(f, D):
+def _equivalence_margin(f, D, values):
     """Per-instance agreement of the condition13 verdict with the Hessian verdict.
 
     The condition13 margin is condition13's own (_condition13_spectrum).
@@ -894,9 +905,8 @@ def _equivalence_margin(f, D):
     pair's index, or past them a transferred pair) and hold the transferred
     pair it would take (``moved1``, ``moved2``; zero where none was formed).
     """
-    fp = f.derivative()
-    kernel, pm = _condition13_spectrum(fp, D)
-    m13, u = pm.normalized, D["states.eigenvectors"]
+    (kernel,), fp = values, f.derivative()
+    m13, u = _condition13_spectrum(fp, kernel, D).normalized, D["states.eigenvectors"]
     transferred = np.full((m13.size, 2), np.inf)
     neg = np.flatnonzero(m13 < -D["band"])
     if neg.size:
@@ -947,10 +957,9 @@ def _matrix_entropy_derive(P):
     }
 
 
-def _matrix_entropy_margin(f, D):
+def _matrix_entropy_margin(f, D, values):
     # Q(rho, h) = Tr h df'(rho) h, the quadratic form behind matrix entropies
-    (kernel,) = _kernels(f.derivative(), D, "states")
-    return _convexity(*_trial_first(_weighted(kernel, D["states.weights"])))
+    return _convexity(*_trial_first(_weighted(values[0], D["states.weights"])))
 
 
 def _gain_derive(P):
@@ -959,56 +968,43 @@ def _gain_derive(P):
     return {**_pair_spectra(P), **_trace_spectra("outputs", outputs)}
 
 
-def _gain_margin(f, D):
-    # convexity of rho -> S_f(channel(rho)) - S_f(rho) = Tr f(rho) - Tr f(channel(rho))
+def _gain_outside(f, D):
     # functions unbounded at 0 need full-rank channel outputs
-    if f.zero_extension is None and np.min(D["outputs"][..., 0]) < _RANK_FLOOR:
-        raise DomainError(f"channel output too singular for {f.name}")
-    states, outputs = _traces(f, D, "spectra", "outputs")
-    return _convexity(*(states - outputs))
+    singular = np.min(D["outputs"][..., 0], axis=-1) < _RANK_FLOOR
+    return singular & (f.zero_extension is None), DomainError(f"channel output too singular for {f.name}")
 
 
-def _scalar_convexity_margin(f, D):
-    t, s = D["t"], D["s"]
-    return _convexity(*_jointly(f, (t, s, (t + s) / 2.0)))
-
-
-def _gap_values(f, *parts) -> list[np.ndarray]:
+def _gap_values(f: ScalarFunction, parts: list) -> list[np.ndarray]:
     """g = 1/f'' at each array of points, from one evaluation of f."""
     return [1.0 / series.derivative(2) for series in _gap_series(f, *parts)]
 
 
-def _gap_scale(gt, gs):
-    return np.maximum(1.0, np.abs(gt) + np.abs(gs))
+def _gaps(points: Callable) -> _Reading:
+    """g = 1/f'' at the scalar points ``points(t, s)`` of each stack."""
+    return _Reading(_gap_values, lambda D: points(D["t"], D.get("s")))
 
 
-def _gap_superadditive_margin(f, D):
-    t, s = D["t"], D["s"]
-    gt, gs, g_sum = _gap_values(f, t, s, t + s)
-    scale = _gap_scale(gt, gs)
-    return (g_sum - gt - gs) / scale, scale
+def _midpoints(t, s):
+    return [t, s, (t + s) / 2.0]
 
 
-def _gap_monotone_margin(f, D):
-    gt, gs = _gap_values(f, D["t"], D["s"])
-    scale = _gap_scale(gt, gs)
-    return (gs - gt) / scale, scale
+def _gap_margin(defect: Callable) -> Callable:
+    """The margin defect(g(t), g(s), ...) / max(1, |g(t)| + |g(s)|) of a pair's gap values."""
+
+    def margin(f, D, values):
+        scale = np.maximum(1.0, np.abs(values[0]) + np.abs(values[1]))
+        return defect(*values) / scale, scale
+
+    return margin
 
 
-def _gap_concavity_margin(f, D):
-    t, s = D["t"], D["s"]
-    gt, gs, g_mid = _gap_values(f, t, s, (t + s) / 2.0)
-    scale = _gap_scale(gt, gs)
-    return (g_mid - (gt + gs) / 2.0) / scale, scale
-
-
-def _gap_zero_margin(f, D):
+def _gap_zero_margin(f, D, values):
     # g must vanish at 0+ (f'' must blow up)
-    margin = _GAP_ZERO_CEILING - _gap_values(f, D["t"])[0]
+    margin = _GAP_ZERO_CEILING - values[0]
     return margin, np.ones_like(margin)
 
 
-def _uniqueness_fit_margin(f, D):
+def _uniqueness_fit_margin(f, D, values):
     # a fit has no trial fields: its witness records the worst-fitting grid point
     (fit, gv), ts = _gap_fit(f), _FIT_GRID
     t = ts[np.argmax(np.abs(gv - fit["slope"] * ts))]
@@ -1017,20 +1013,25 @@ def _uniqueness_fit_margin(f, D):
 
 
 _PAIR = (("x", _MAT), ("y", _MAT))
-_PRINCIPLE1 = _Property("principle1", _PAIR, _principle1_margin, _pair_spectra)
+# concavity of -Tr f equals midpoint convexity of Tr f
+_PRINCIPLE1 = _Property(
+    "principle1", _PAIR, lambda f, D, values: _convexity(*values[0]), _traces("spectra"), _pair_spectra
+)
 _ENTROPIC = _Property(
-    "entropic", (("dim1", _INT), ("dim2", _INT), *_PAIR), _entropic_margin, _entropic_derive
+    "entropic", (("dim1", _INT), ("dim2", _INT), *_PAIR), _difference_margin,
+    _traces("spectra", "reduced"), _entropic_derive,
 )
 _SUB_MIDPOINT = _Property(
     "subentropic-midpoint", (("xs", _MATS), ("ys", _MATS)), _subentropic_midpoint_margin,
-    _subentropic_midpoint_derive, label="midpoint",
+    _traces("spectra", "sums"), _subentropic_midpoint_derive, label="midpoint",
 )
 _SUB_HESSIAN = _Property(
     "subentropic-hessian", (("rhos", _MATS), ("hs", _MATS)), _subentropic_hessian_margin,
-    _subentropic_hessian_derive, label="Hessian",
+    _kernels("rhos", "sums"), _subentropic_hessian_derive, label="Hessian",
 )
 _CONDITION13 = _Property(
-    "condition13", (("rho", _MAT), ("sigma", _MAT)), _condition13_margin, _pair_sum_derive,
+    "condition13", (("rho", _MAT), ("sigma", _MAT)), _condition13_margin, _kernels("states"),
+    _pair_sum_derive,
     # its traced margin peak reads 7.1-8.2 of these per trial at dims 2-8;
     # 13 keeps the chunk and merge cuts it was sized for
     superops=13,
@@ -1039,6 +1040,7 @@ _EQUIVALENCE = _Property(
     "equivalence",
     (("rho", _MAT), ("sigma", _MAT), ("h1", _DIRS), ("h2", _DIRS), ("band", _FLOAT)),
     _equivalence_margin,
+    _kernels("states"),
     _equivalence_derive,
     extras=("margin13", "margin_hessian"),
     select=_equivalence_pair,
@@ -1049,15 +1051,29 @@ _EQUIVALENCE = _Property(
 )
 _MATRIX_ENTROPY = _Property(
     "matrix-entropy", (("x1", _MAT), ("h1", _MAT), ("x2", _MAT), ("h2", _MAT)),
-    _matrix_entropy_margin, _matrix_entropy_derive,
+    _matrix_entropy_margin, _kernels("states"), _matrix_entropy_derive,
 )
-_GAIN = _Property("gain", (("channel", _CHANNEL), *_PAIR), _gain_margin, _gain_derive)
+_GAIN = _Property(
+    "gain", (("channel", _CHANNEL), *_PAIR), _difference_margin, _traces("spectra", "outputs"),
+    _gain_derive, outside=_gain_outside,
+)
 _SCALAR_PAIR = (("t", _FLOAT), ("s", _FLOAT))
-_SCALAR_CONVEXITY = _Property("scalar-convexity", _SCALAR_PAIR, _scalar_convexity_margin)
-_GAP_SUPERADDITIVE = _Property("gap-superadditive", _SCALAR_PAIR, _gap_superadditive_margin)
-_GAP_MONOTONE = _Property("gap-monotone", _SCALAR_PAIR, _gap_monotone_margin)
-_GAP_ZERO = _Property("gap-zero", (("t", _FLOAT),), _gap_zero_margin)
-_GAP_CONCAVITY = _Property("gap-concavity", _SCALAR_PAIR, _gap_concavity_margin)
+_SCALAR_CONVEXITY = _Property(
+    "scalar-convexity", _SCALAR_PAIR, lambda f, D, values: _convexity(*values),
+    _Reading(_jointly, lambda D: _midpoints(D["t"], D["s"])),
+)
+_GAP_SUPERADDITIVE = _Property(
+    "gap-superadditive", _SCALAR_PAIR, _gap_margin(lambda gt, gs, g_sum: g_sum - gt - gs),
+    _gaps(lambda t, s: [t, s, t + s]),
+)
+_GAP_MONOTONE = _Property(
+    "gap-monotone", _SCALAR_PAIR, _gap_margin(lambda gt, gs: gs - gt), _gaps(lambda t, s: [t, s])
+)
+_GAP_ZERO = _Property("gap-zero", (("t", _FLOAT),), _gap_zero_margin, _gaps(lambda t, s: [t]))
+_GAP_CONCAVITY = _Property(
+    "gap-concavity", _SCALAR_PAIR, _gap_margin(lambda gt, gs, g_mid: g_mid - (gt + gs) / 2.0),
+    _gaps(_midpoints),
+)
 _UNIQUENESS_FIT = _Property(
     "uniqueness-fit", (), _uniqueness_fit_margin, extras=("t", "slope", "relative_residual")
 )
@@ -1082,21 +1098,12 @@ _SKIPPABLE = (DomainError, NotInvertibleError)
 class _Measured(NamedTuple):
     margins: np.ndarray  # NaN where the trial was skipped
     scales: np.ndarray
-    extras: dict  # the stack's extra values by name, with a leading trial axis
-    notes: list  # per trial: why it was skipped, or ""
+    extras: list  # (rows, the extra values by name of those rows)
+    notes: list  # per trial: the skippable error that skipped it, or None
 
-
-def _margin(prop: _Property, f: ScalarFunction, D: dict) -> tuple:
-    """prop's (margins, scales, extras) on a stack from what prop derived of it, ``D``.
-
-    A non-finite margin is a DomainError.
-    """
-    out = prop.margin(f, D)
-    extras = out[2] if len(out) > 2 else {}
-    margins = np.asarray(out[0], dtype=float).reshape(-1)
-    if not np.isfinite(margins).all():
-        raise DomainError(f"non-finite {prop.kind} margin")
-    return margins, np.asarray(out[1], dtype=float).reshape(-1), extras
+    def extra(self, j: int) -> dict:
+        """The extra values of trial j by name."""
+        return {k: np.asarray(v)[rows == j][0] for rows, ex in self.extras if j in rows for k, v in ex.items()}
 
 
 def _trial(A: dict, i: int) -> dict:
@@ -1109,36 +1116,82 @@ def _row(P: dict, j: int) -> dict:
     return {k: v[j] for k, v in P.items()}
 
 
-def _measure(prop: _Property, f: ScalarFunction, size: int, D: dict) -> _Measured:
-    """prop's margin on a stack of ``size`` trials, from its derived data ``D``.
+def _measure(f: ScalarFunction, jobs: list[tuple[_Property, int, dict]]) -> _Measured:
+    """The margins of the trials of every job in turn: a property, a stack's trial count and its derived data.
 
-    If the stack raises a skippable error, the trials are measured one at a
-    time through the same code, from trial slices of ``D``, so only the
-    offending ones are skipped; their extras fill stacked arrays.
+    The jobs' properties read f alike (one ``reads.values``), and one
+    evaluation of f serves every stack (_readings): a kept plan set whole,
+    the grid plans of a suite together, a stack not kept as it is built, or
+    a payload decoded from JSON as a stack of one.  The trials outside f's
+    domain (_Property.outside) are skipped first and left out of it.
+    """
+    size = sum(n for _, n, _ in jobs)
+    res = _Measured(np.full(size, np.nan), np.zeros(size), [], [None] * size)
+    runs, start = [], 0
+    for prop, n, D in jobs:
+        rows, start = np.arange(start, start + n), start + n
+        if prop.outside is not None and (skip := prop.outside(f, D))[0].any():
+            for i in rows[skip[0]]:
+                res.notes[i] = skip[1]
+            D, rows = {k: v[~skip[0]] for k, v in D.items()}, rows[~skip[0]]
+        if rows.size:
+            runs.append((prop, rows, D))
+    if runs:
+        _measure_runs(f, runs, res)
+    return res
+
+
+def _readings(f: ScalarFunction, runs: list) -> list[list]:
+    """The values of f that the margin of each (prop, rows, D) run reads, from one evaluation."""
+    points = [prop.reads.points(D) for prop, _, D in runs]
+    values = iter(runs[0][0].reads.values(f, [p for ps in points for p in ps]))
+    return [[next(values) for _ in ps] for ps in points]
+
+
+def _measure_runs(f: ScalarFunction, runs: list, res: _Measured) -> None:
+    """Measure each (prop, rows, D) run into its rows of res.
+
+    If the one evaluation of f raises a skippable error, each run is
+    measured alone, and a lone run trial by trial, each alone, so a domain
+    error names the value that evaluating the trial alone names
+    (functions._jointly).  The runs whose margins raise are measured trial
+    by trial, from one evaluation.  A non-finite margin is a DomainError.
     """
     try:
-        m, s, ex = _margin(prop, f, D)
-        return _Measured(m, s, ex, [""] * size)
+        readings = _readings(f, runs)
     except _SKIPPABLE as exc:
-        if size == 1:
-            return _Measured(np.full(1, np.nan), np.zeros(1), {}, [str(exc)])
-    margins, scales = np.full(size, np.nan), np.zeros(size)
-    extras, notes = {}, [""] * size
-    for i in range(size):
+        parts = [[run] for run in runs] if len(runs) > 1 else [[t] for t in _trials(runs[0], res, exc)]
+        for part in parts:
+            _measure_runs(f, part, res)
+        return
+    trials = []
+    for run, values in zip(runs, readings):
+        prop, rows, D = run
         try:
-            m, s, ex = _margin(prop, f, _trial(D, i))
+            m, s, *extras = prop.margin(f, D, values)
+            if not np.isfinite(m).all():
+                raise DomainError(f"non-finite {prop.kind} margin")
         except _SKIPPABLE as exc:
-            notes[i] = str(exc)
+            trials += _trials(run, res, exc)
             continue
-        margins[i], scales[i] = m[0], s[0]
-        for k, v in ex.items():
-            extras.setdefault(k, np.zeros((size, *v.shape[1:]), v.dtype))[i] = v[0]
-    return _Measured(margins, scales, extras, notes)
+        res.margins[rows], res.scales[rows] = m, s
+        res.extras.extend((rows, e) for e in extras)
+    if trials:
+        _measure_runs(f, trials, res)
+
+
+def _trials(run: tuple, res: _Measured, exc: Exception) -> list:
+    """The trials of a run that raised exc, as runs of one; a lone trial is skipped, exc its note."""
+    prop, rows, D = run
+    if rows.size == 1:
+        res.notes[rows[0]] = exc
+        return []
+    return [(prop, rows[i : i + 1], _trial(D, i)) for i in range(rows.size)]
 
 
 def _witness(prop: _Property, fields: dict, res: _Measured, j: int) -> dict:
     """The witness of trial j, whose payload ``fields`` prop measured as res (every FAIL payload)."""
-    return prop.witness({**fields, **_row(res.extras, j)}, res.margins[j])
+    return prop.witness({**fields, **res.extra(j)}, res.margins[j])
 
 
 class _Plan(NamedTuple):
@@ -1348,8 +1401,8 @@ def _trial_fields(cfg: TestConfig, stack: _Stack, j: int) -> dict:
     return _row(_REBUILT[key], 0)
 
 
-def _kept_stacks(cfg: TestConfig, plans: list[_Plan]) -> Iterator[_Stack]:
-    """_suite_stacks(cfg.seed, plans) as _Stacks, each derived where it is built, kept for later calls.
+def _kept_stacks(cfg: TestConfig, plans: list[_Plan]) -> Iterator[list[_Stack]]:
+    """_suite_stacks(cfg.seed, plans) as lists of _Stacks measured together, each derived where built.
 
     Every property of a plan derives each stack when it is built, and the
     margins read that derived data alone; a stack keeps no payload fields,
@@ -1359,27 +1412,31 @@ def _kept_stacks(cfg: TestConfig, plans: list[_Plan]) -> Iterator[_Stack]:
     set is kept only when its iteration completes and all that is kept
     stays within _KEPT_BYTES, and its stacks are then merged into as few as
     their margins' working memory allows (_coalesced).  The kept arrays are
-    read-only.  Grid plans depend on f and are not kept.
+    read-only.  Grid plans depend on f and are not kept.  A kept plan set
+    comes as one list, the grid plans as another, and the stacks of a plan
+    set being built one at a time, so peak memory stays under _CHUNK_BYTES.
     """
     fresh = (
         _Stack(plan, start, idx, plan.props[0].dim(P), {p.kind: p.derive(P) for p in plan.props})
         for plan, start, idx, P in _suite_stacks(cfg.seed, plans)
     )
     if not all(p.stream for p in plans):
-        yield from fresh
+        stacks = list(fresh)
+        if stacks:
+            yield stacks
         return
     if next(itertools.chain(_KEPT, _REBUILT), (cfg,))[0] != cfg:  # every key holds the one kept cfg
         _KEPT.clear()
         _REBUILT.clear()
     key = (cfg, tuple((p.stream, p.count) for p in plans))
     if key in _KEPT:
-        yield from _KEPT[key]
+        yield _KEPT[key]
         return
     room = _KEPT_BYTES - _held_bytes()
     kept: Optional[list] = []  # None: not kept
     for stack in fresh:
         room -= _freeze(*stack.arrays())
-        yield stack
+        yield [stack]
         if room < 0:
             kept = None  # released now, not at the end of the plan set
         elif kept is not None:
@@ -1498,9 +1555,14 @@ def _drive(
     hit: Optional[tuple] = None
     first_hit = first_skip = total
     skip_note = ""
-    for stack in _kept_stacks(cfg, plans):
-        plan, idx = stack.plan, stack.idx
-        measured = [_measure(prop, f, idx.size, stack.derived[prop.kind]) for prop in plan.props]
+    for stacks in _kept_stacks(cfg, plans):
+        # the stacks of a list are measured together: per property of their
+        # plans (as many for every plan of a suite), one evaluation of f
+        measured = [
+            _measure(f, [(p, s.idx.size, s.derived[p.kind]) for p, s in zip(props, stacks)])
+            for props in zip(*(s.plan.props for s in stacks))
+        ]
+        idx = np.concatenate([s.idx for s in stacks])
         m = np.stack([r.margins for r in measured])
         # a trial's margin is the smallest of its properties' margins (the
         # first on ties); a trial that any property skips is skipped
@@ -1511,7 +1573,7 @@ def _drive(
         skipped += skips.size
         if skips.size and idx[skips].min() < first_skip:
             j = skips[np.argmin(idx[skips])]
-            first_skip, skip_note = idx[j], next(r.notes[j] for r in measured if r.notes[j])
+            first_skip, skip_note = idx[j], str(next(r.notes[j] for r in measured if r.notes[j]))
         if not done.size:
             continue
         run += done.size
@@ -1519,16 +1581,18 @@ def _drive(
         prop_min = low if prop_min is None else np.minimum(prop_min, low)
         if recorder is not None:
             scales = np.stack([r.scales for r in measured])[choice, np.arange(idx.size)]
-            rows += [(int(idx[j]), stack.dim, float(margins[j]), float(scales[j])) for j in done]
+            dims = np.concatenate([np.full(s.idx.size, s.dim) for s in stacks])
+            rows += [(int(idx[j]), int(dims[j]), float(margins[j]), float(scales[j])) for j in done]
         hits = done[margins[done] < -cfg.tol]
         if hits.size and idx[hits].min() < first_hit:
             j = hits[np.argmin(idx[hits])]
-            c = choice[j]
-            first_hit, hit = idx[j], (plan.props[c], stack, measured[c], j)
+            first_hit, hit = idx[j], (stacks, choice[j], measured[choice[j]], j)
     violation = None
     if hit is not None:
-        prop, stack, res, j = hit
-        violation = _witness(prop, _trial_fields(cfg, stack, j), res, j)
+        stacks, c, res, j = hit
+        b = int(np.searchsorted(np.cumsum([s.idx.size for s in stacks]), j, "right"))
+        i = j - sum(s.idx.size for s in stacks[:b])  # the row of trial j in stacks[b]
+        violation = _witness(stacks[b].plan.props[c], _trial_fields(cfg, stacks[b], i), res, j)
     if recorder is not None:
         recorder.extend((name, dim, i, margin, scale) for i, dim, margin, scale in sorted(rows))
     # a trial's margin is its smallest property margin
@@ -1618,7 +1682,7 @@ def _scalar_precheck(f: ScalarFunction, tol: float) -> Optional[TestOutcome]:
     worst_t, worst_d2 = float(_SCALAR_GRID[w]), float(d2[w])
     etas = np.array([0.99, 0.75, 0.5, 0.25, 0.1, 0.02])
     P = {"t": worst_t * (1.0 - etas), "s": worst_t * (1.0 + etas)}
-    res = _measure(_SCALAR_CONVEXITY, f, etas.size, _SCALAR_CONVEXITY.derive(P))
+    res = _measure(f, [(_SCALAR_CONVEXITY, etas.size, P)])
     m = np.where(np.isnan(res.margins), np.inf, res.margins)
     b = int(np.argmin(m))
     if m[b] < -tol:
@@ -1688,11 +1752,12 @@ def _derived_hessian_witness(f: ScalarFunction, cfg: TestConfig, k: int) -> Opti
         # one index class: the stacks hold the rows in trial order, each a
         # condition13 payload derived with its stack.  The plan set is read
         # to its end first, so it is kept whatever the search finds.
-        rows = [(stack, j) for stack in _kept_stacks(cfg, [plan]) for j in range(stack.idx.size)]
+        stacks = itertools.chain.from_iterable(_kept_stacks(cfg, [plan]))
+        rows = [(stack, j) for stack in stacks for j in range(stack.idx.size)]
         for stack, j in rows:
             D = _trial(stack.derived["condition13"], j)
             try:
-                (kernel,) = _kernels(fp, D, "states")
+                (kernel,) = _kernel_values(f, _CONDITION13.reads.points(D))
                 # the inverse differentials at rho and sigma, and d
                 r, s, d = _inverse_differentials(fp, kernel, D["states.eigenvectors"])
             except (NotInvertibleError, DomainError):
@@ -1711,7 +1776,7 @@ def _derived_hessian_witness(f: ScalarFunction, cfg: TestConfig, k: int) -> Opti
                 "rhos": np.stack([np.stack([rho, sigma] + [pad] * (k - 2)) for pad in pads]),
                 "hs": np.stack([np.stack([h1, h2] + [zero] * (k - 2))] * len(pads)),
             }
-            res = _measure(_SUB_HESSIAN, f, len(pads), _SUB_HESSIAN.derive(P))
+            res = _measure(f, [(_SUB_HESSIAN, len(pads), _SUB_HESSIAN.derive(P))])
             hits = np.flatnonzero(res.margins < -cfg.tol)
             if hits.size:
                 j = hits[0]
@@ -1991,7 +2056,7 @@ def uniqueness_pipeline(
             % (fit["slope"], fit["relative_residual"]),
         )
     else:
-        res = _measure(_UNIQUENESS_FIT, f, 1, _UNIQUENESS_FIT.derive({}))
+        res = _measure(f, [(_UNIQUENESS_FIT, 1, {})])
         final = TestOutcome(
             "uniqueness", f.name, FAIL, -float(fit["relative_residual"]),
             len(_FIT_GRID), 0, _witness(_UNIQUENESS_FIT, {}, res, 0),
@@ -2045,16 +2110,19 @@ def reverify_counterexample(f: ScalarFunction, payload: dict) -> float:
     """Recompute the normalized margin of a dumped counterexample.
 
     The payload's kind selects its property record; the margin comes from
-    the same definition the suites sample with, on a batch of one.  A sound
-    FAIL payload re-verifies to a margin below -tol/2 with nothing but the
+    the same definition and measurement the suites sample with, on a stack
+    of one, and the error that would skip it is raised.  A sound FAIL
+    payload re-verifies to a margin below -tol/2 with nothing but the
     payload and the function it was found for.
     """
     kind = payload["kind"]
     prop = _PROPERTIES.get(kind) if isinstance(kind, str) else None
     if prop is None:
         raise ValueError(f"unknown counterexample kind {kind!r}")
-    P = prop.decode(payload)
-    return float(_margin(prop, f, prop.derive(P))[0][0])
+    res = _measure(f, [(prop, 1, prop.derive(prop.decode(payload)))])
+    if res.notes[0] is not None:
+        raise res.notes[0]
+    return float(res.margins[0])
 
 
 # The suite entry points are library API, not pytest cases; keep pytest from

@@ -22,7 +22,6 @@ __all__ = [
     "DomainError",
     "DegenerateFunctionError",
     "divided_difference",
-    "divided_difference_quadrature_check",
     "gap_function",
 ]
 
@@ -172,23 +171,6 @@ def divided_difference(f: ScalarFunction, t, s):
     return float(out[0]) if scalar else out
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-# map from [-1, 1] to [0, 1]
-_GL_X = 0.5 * (_GL_NODES + 1.0)
-_GL_W = 0.5 * _GL_WEIGHTS
-
-
-def divided_difference_quadrature_check(f: ScalarFunction, t: float, s: float) -> float:
-    """Independent quadrature route: integral of f'(x t + (1-x) s) over [0, 1].
-
-    32-node Gauss-Legendre.  Used only as a test oracle for
-    :func:`divided_difference`; never on the production path.
-    """
-    t = float(t)
-    s = float(s)
-    return float(_GL_W @ f.d1(_GL_X * t + (1.0 - _GL_X) * s))
-
-
 # --------------------------------------------------------------------------
 # gap function
 
@@ -265,6 +247,8 @@ def _jointly(evaluate: Callable, parts: tuple) -> list:
     try:
         values = evaluate(_joined(parts))
     except DomainError:
+        if len(parts) == 1:  # the separate call is the joined one
+            raise
         return [evaluate(p) for p in parts]
     if isinstance(values, tuple):
         return list(zip(*(_split(v, parts) for v in values)))

@@ -9,6 +9,7 @@ from entrocert.certify import (
     PASS,
     SKIPPED,
     TestConfig,
+    TestOutcome,
     _derived_hessian_witness,
     _stream_token,
     reverify_counterexample,
@@ -449,8 +450,8 @@ def _full_transfer_margin(f, D):
     from entrocert.frechet import _shared_weights, _weighted
 
     fp = f.derivative()
-    kernel, pm = certify._condition13_spectrum(fp, D)
-    m13, u = pm.normalized, D["states.eigenvectors"]
+    (kernel,) = certify._kernel_values(f, certify._EQUIVALENCE.reads.points(D))
+    m13, u = certify._condition13_spectrum(fp, kernel, D).normalized, D["states.eigenvectors"]
     inv_r, inv_s, d = certify._inverse_differentials(fp, kernel, u)
     _, t1, t2, _, usable = certify._negative_pairs(d, inv_r, inv_s)
     drawn = _weighted(kernel[:, :, None], D["states.weights"])
@@ -499,7 +500,8 @@ def test_equivalence_transfers_only_where_condition13_is_violated(seed):
             D = stack.derived["equivalence"]
             if mixed:
                 D = {**D, "band": np.where(np.arange(stack.idx.size) % 2, 1.0, D["band"])}
-            margin, scale, extras = certify._equivalence_margin(f, D)
+            values = certify._kernel_values(f, certify._EQUIVALENCE.reads.points(D))
+            margin, scale, extras = certify._equivalence_margin(f, D, values)
             ref_margin, ref_scale, ref_extras = _full_transfer_margin(f, D)
             m13, band = ref_extras["margin13"], D["band"]
             below, above = m13 < -band, m13 > band
@@ -583,7 +585,8 @@ def test_condition13_real_form_has_the_eigenvalues_of_d(n):
         except NotInvertibleError:
             continue
         expected = np.linalg.eigvalsh(hermitize(inv[2] - inv[0] - inv[1]))
-        kernel, pm = certify._condition13_spectrum(fp, D)
+        (kernel,) = certify._kernel_values(f, certify._CONDITION13.reads.points(D))
+        pm = certify._condition13_spectrum(fp, kernel, D)
         d = certify._condition13_form(_inverse_kernel(fp, kernel), D["states.rotations"])[0]
         largest = max(np.max(np.abs(m)) for m in inv)
         assert np.max(np.abs(np.linalg.eigvalsh(d) - expected)) <= 1e-13 * largest, f.name
@@ -612,7 +615,8 @@ def test_condition13_real_form_is_no_farther_from_a_50_digit_oracle(seed):
 
     mp = mpmath.mp.clone()
     mp.dps = 50
-    fp = lookup("neglog").derivative()
+    f = lookup("neglog")
+    fp = f.derivative()
 
     def oracle(lam, u):
         rho, sigma = (
@@ -630,7 +634,8 @@ def test_condition13_real_form_is_no_farther_from_a_50_digit_oracle(seed):
     trials = 0
     for stack in _kept_entries():
         D = stack.derived["condition13"]
-        kernel, real_form = certify._condition13_spectrum(fp, D)
+        (kernel,) = certify._kernel_values(f, certify._CONDITION13.reads.points(D))
+        real_form = certify._condition13_spectrum(fp, kernel, D)
         u = D["states.eigenvectors"]
         complex_form = PsdMargin.of_spectrum(
             np.linalg.eigvalsh(certify._inverse_differentials(fp, kernel, u)[-1])
@@ -1074,8 +1079,10 @@ def test_kept_stacks_stay_within_the_chunk_bound(suites, cfg, streams):
         for stack in merged:
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
-            for prop in stack.plan.props:
-                certify._measure(prop, f, stack.idx.size, stack.derived[prop.kind])
+            measured = [  # as _drive measures them, one property after another
+                certify._measure(f, [(prop, stack.idx.size, stack.derived[prop.kind])])
+                for prop in stack.plan.props
+            ]
             peak = tracemalloc.get_traced_memory()[1] - start
             held = sum(a.nbytes for a in stack.arrays())
             assert held + peak <= certify._CHUNK_BYTES, (stack.plan.stream, stack.idx.size)
@@ -1135,7 +1142,7 @@ def test_kept_arrays_are_read_only():
     # and so is a payload rebuilt for a kept stack
     cols = (certify._pd_col("x", 2, cfg.eig_range), certify._pd_col("y", 2, cfg.eig_range))
     plans = [certify._Plan("principle1/dim2", cfg.samples, (certify._PRINCIPLE1,), {None: cols})]
-    payload = certify._trial_fields(cfg, next(certify._kept_stacks(cfg, plans)), 4)
+    payload = certify._trial_fields(cfg, next(certify._kept_stacks(cfg, plans))[0], 4)
     assert set(payload) == {"x", "y"} and len(certify._REBUILT) == 1
     for a in [*arrays, *payload.values()]:
         assert not a.flags.writeable
@@ -1266,7 +1273,7 @@ def test_kept_pairings_match_the_superoperator_and_second_diff_G(name):
     # the stack has exact repeats beyond the diagonals, and near pairs
     assert (D["rhos.same"].sum() + D["sums.same"].sum()) > rhos.shape[0] * 3 * 3
     assert "rhos.near" in D and "sums.near" in D
-    at_rhos, at_sums = certify._kernels(fp, D, "rhos", "sums")
+    at_rhos, at_sums = certify._kernel_values(f, certify._SUB_HESSIAN.reads.points(D))
     single = certify._weighted(at_rhos, D["rhos.weights"])
     joint = certify._weighted(at_sums, D["sums.weights"])
 
@@ -1297,17 +1304,31 @@ def _counting(f):
 
 
 def test_every_margin_evaluates_f_once(monkeypatch):
+    # a margin reads f through its property's reading, whose one evaluation
+    # serves every stack and property measured with it (certify._readings);
+    # the margins evaluate nothing themselves, except the uniqueness fit's
     import entrocert.certify as certify
 
-    margin, counts = certify._margin, {}
+    measure, readings, counts = certify._measure, certify._readings, {}
+    read = []
 
-    def counted(prop, f, D):
+    def counted_readings(f, runs):
         before = len(calls)
-        out = margin(prop, f, D)
-        counts.setdefault(prop.kind, set()).add(len(calls) - before)
+        out = readings(f, runs)
+        read.append(len(calls) - before)
+        for prop, *_ in runs:
+            counts.setdefault(("reads", prop.kind), set()).add(read[-1])
         return out
 
-    monkeypatch.setattr(certify, "_margin", counted)
+    def counted_measure(f, jobs):
+        before, read[:] = len(calls), []
+        out = measure(f, jobs)
+        for prop, *_ in jobs:  # what the margins evaluated besides their readings
+            counts.setdefault(("margin", prop.kind), set()).add(len(calls) - before - sum(read))
+        return out
+
+    monkeypatch.setattr(certify, "_readings", counted_readings)
+    monkeypatch.setattr(certify, "_measure", counted_measure)
     # every property's margin runs on tlogt, the fit's on re-verification
     f, calls = _counting(lookup("tlogt"))
     run_suite(f, "all", TestConfig(seed=5, samples=6))
@@ -1315,8 +1336,162 @@ def test_every_margin_evaluates_f_once(monkeypatch):
     # a concave f is refuted by the scalar convexity precheck
     f, calls = _counting(parse("sqrt(t)").as_function(0.0))
     assert run_suite(f, "principle1", TestConfig(seed=5, samples=6))[0][0].verdict == FAIL
-    assert set(counts) == set(certify._PROPERTIES)
-    assert all(seen == {1} for seen in counts.values()), counts
+    kinds = set(certify._PROPERTIES)
+    assert {kind for _, kind in counts} == kinds
+    assert counts.pop(("reads", "uniqueness-fit")) == {0}
+    assert counts.pop(("margin", "uniqueness-fit")) == {1}
+    assert all(seen == {int(step == "reads")} for (step, _), seen in counts.items()), counts
+
+
+def _battery_series_calls(monkeypatch, f, cfg):
+    """The series orders f is evaluated at per suite by a warm run_suite(f, "all", cfg), as a Counter.
+
+    The calls of the derived-Hessian search count under "search".
+    """
+    import collections
+
+    import entrocert.certify as certify
+    from entrocert.functions import ScalarFunction
+
+    run_suite(f, "all", cfg)
+    calls, suite = collections.Counter(), [None]
+    series = ScalarFunction._series
+
+    def counted(self, t, top):
+        calls[suite[0], top] += 1
+        return series(self, t, top)
+
+    def within(name, run):
+        def wrapped(*args, **kwargs):
+            outer, suite[0] = suite[0], name(args)
+            try:
+                return run(*args, **kwargs)
+            finally:
+                suite[0] = outer
+        return wrapped
+
+    monkeypatch.setattr(ScalarFunction, "_series", counted)
+    monkeypatch.setattr(certify, "_drive", within(lambda args: args[0], certify._drive))
+    monkeypatch.setattr(
+        certify, "_derived_hessian_witness",
+        within(lambda args: "search", certify._derived_hessian_witness),
+    )
+    run_suite(f, "all", cfg)
+    return calls
+
+
+@pytest.mark.parametrize("f", _battery_functions(), ids=lambda f: f.name)
+def test_a_warm_suite_evaluates_f_once_per_series_order(monkeypatch, f):
+    # a kept plan set is measured whole: a sampled suite evaluates f's
+    # series once per order its properties read, whatever its stacks.  A
+    # trial-by-trial fallback is one more evaluation (affine's differential
+    # is singular on every trial), and a gap suite evaluates its grid once
+    # to find where g is defined, then every grid plan of it at once
+    import entrocert.certify as certify
+
+    calls = _battery_series_calls(monkeypatch, f, TestConfig(seed=42, samples=10))
+    orders = {
+        "principle1": 0, "entropic": 0, "gain": 0, "condition13": 1, "equivalence": 1,
+        "matrix-entropy": 1, **{name: (0, 1) for name in certify._SUB_ALL},
+        "gap-superadditive": 2, "gap-concavity": 2,
+    }
+    want = {(name, top): 1 for name, tops in orders.items() for top in np.atleast_1d(tops)}
+    for name in ("gap-superadditive", "gap-concavity"):
+        want[name, 2] = 2
+    if f.name == "affine":
+        want["condition13", 1] = want["equivalence", 1] = 2
+    # outside the suites: the uniqueness fit, and the precheck's grid for
+    # a function with a zero extension (an exact zero checks it once more)
+    got = {key: n for key, n in calls.items() if key[0] not in (None, "search")}
+    assert got == want
+
+
+def _all_close(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+    return a.shape == b.shape and bool(np.all(np.abs(a - b) <= 1e-12 * scale))
+
+
+@pytest.mark.parametrize(
+    "f",
+    # and two functions whose spectra leave their domain: their joined
+    # evaluations fail, and every stack falls back to its trials
+    [*_battery_functions(), parse("-log(5-t)").as_function(), parse("-sqrt(6-t)").as_function()],
+    ids=lambda f: f.name,
+)
+def test_joined_margins_equal_one_trial_margins(f):
+    # each kept plan set measured whole, from one evaluation of f per
+    # reading, gives every trial the skip, margin, scale and extras of that
+    # trial measured alone, as a stack of one
+    import entrocert.certify as certify
+
+    cfg = TestConfig(seed=42, samples=10)
+    run_suite(f, "all", cfg)
+    assert len(certify._KEPT) >= 9  # and the derived-Hessian search's, where it ran
+    for stacks in certify._KEPT.values():
+        for c in range(len(stacks[0].plan.props)):
+            jobs = [(s.plan.props[c], s.idx.size, s.derived[s.plan.props[c].kind]) for s in stacks]
+            res, j = certify._measure(f, jobs), 0
+            for prop, size, D in jobs:
+                for i in range(size):
+                    alone = certify._measure(f, [(prop, 1, certify._trial(D, i))])
+                    assert repr(res.notes[j]) == repr(alone.notes[0])
+                    if alone.notes[0] is None:
+                        assert _all_close(res.margins[j], alone.margins[0])
+                        assert _all_close(res.scales[j], alone.scales[0])
+                        want = alone.extra(0)
+                        assert res.extra(j).keys() == want.keys()
+                        for key, value in res.extra(j).items():
+                            assert _all_close(value, want[key]), key
+                    else:
+                        assert np.isnan(res.margins[j])
+                    j += 1
+
+
+@pytest.mark.parametrize("name", ["condition13", "equivalence"])
+def test_a_singular_differential_skips_every_trial_with_its_note(name):
+    # affine's f' is constant: every trial's differential is singular, so
+    # each kept stack falls back to its trials, and each is skipped
+    out = run_suite(lookup("affine"), name, TestConfig(seed=42, samples=10))[0][0]
+    assert out == TestOutcome(
+        name, "affine", SKIPPED, None, 0, 20, None,
+        "differential of d(affine) is not invertible as a positive operator: "
+        "smallest divided difference 0.000e+00 <= 1e-12",
+    )
+
+
+def test_gain_skips_only_the_singular_trials_of_a_stack():
+    # neglog has no zero extension, and on states this small 143 of 400
+    # channel outputs fall below the rank floor.  Their trials are skipped
+    # inside their stack, with the error that measuring one alone raises,
+    # and left out of its evaluation; the outcome, and the witness bit for
+    # bit, are those of measuring each trial of such a stack alone
+    import hashlib
+    import json
+
+    import entrocert.certify as certify
+
+    f, cfg = lookup("neglog"), TestConfig(seed=42, samples=200, eig_range=(1e-9, 1e-6))
+    out = test_entropy_gain_convexity(f, cfg)
+    assert (out.verdict, out.trials_run, out.trials_skipped, out.detail) == (FAIL, 257, 143, "")
+    assert _close(out.min_margin, -0.1448892520002983)
+    witness = dict(out.counterexample)
+    assert _close(witness.pop("margin"), -0.008910877482428248)
+    assert hashlib.sha256(json.dumps(witness).encode()).hexdigest() == (
+        "9236cf5a4ae5a55d26a3caec08894bbe7e7ecdf3d80defad0c83f5c75a0d1b52"
+    )
+    notes = {}
+    for stack in _kept_entries():
+        res = certify._measure(f, [(certify._GAIN, stack.idx.size, stack.derived["gain"])])
+        notes.update(zip(stack.idx.tolist(), res.notes))
+    skipped = sorted(i for i, note in notes.items() if note is not None)
+    assert len(skipped) == 143 and skipped[0] == 3
+    assert repr(notes[3]) == repr(DomainError("channel output too singular for neglog"))
+    # where every output is singular, that error is the outcome's detail
+    out = test_entropy_gain_convexity(f, TestConfig(seed=42, samples=10, eig_range=(1e-12, 1e-11)))
+    assert out == TestOutcome(
+        "gain", "neglog", SKIPPED, None, 0, 20, None, "channel output too singular for neglog"
+    )
 
 
 def test_precheck_grid_is_evaluated_once_per_function():

@@ -263,7 +263,7 @@ def test_sampled_margins_match_reverification(monkeypatch, name):
     for plans in _suite_plans(monkeypatch, cfg, f).values():
         for plan, _, members, P in certify._suite_stacks(cfg.seed, plans):
             for prop in plan.props:
-                res = certify._measure(prop, f, members.size, prop.derive(P))
+                res = certify._measure(f, [(prop, members.size, prop.derive(P))])
                 for j in np.flatnonzero(~np.isnan(res.margins)):
                     payload = json.loads(json.dumps(certify._witness(prop, certify._row(P, j), res, j)))
                     margin = res.margins[j]
@@ -296,7 +296,7 @@ def test_rebuilt_payloads_write_the_witnesses_of_fresh_stacks(monkeypatch, seed)
             for j, i in enumerate(members.tolist()):
                 rows[plan.stream, i] = {k: v[j] for k, v in P.items() if k in names}
             for prop, f in itertools.product(plan.props, FUNCTIONS.values()):
-                res = certify._measure(prop, f, members.size, prop.derive(P))
+                res = certify._measure(f, [(prop, members.size, prop.derive(P))])
                 for j in np.flatnonzero(~np.isnan(res.margins)):
                     witness = certify._witness(prop, certify._row(P, j), res, j)
                     out.append((f.name, prop.kind, int(members[j]), json.dumps(witness)))
@@ -304,13 +304,13 @@ def test_rebuilt_payloads_write_the_witnesses_of_fresh_stacks(monkeypatch, seed)
 
     def read(suite_plans, rows):
         out = []
-        for stack in certify._kept_stacks(cfg, suite_plans):
+        for stack in itertools.chain.from_iterable(certify._kept_stacks(cfg, suite_plans)):
             for j, i in enumerate(stack.idx.tolist()):
                 fields, want = certify._trial_fields(cfg, stack, j), rows[stack.plan.stream, i]
                 assert fields.keys() == want.keys()
                 assert all(_bitwise_equal(fields[k], want[k]) for k in want), (stack.plan.stream, i)
             for prop, f in itertools.product(stack.plan.props, FUNCTIONS.values()):
-                res = certify._measure(prop, f, stack.idx.size, stack.derived[prop.kind])
+                res = certify._measure(f, [(prop, stack.idx.size, stack.derived[prop.kind])])
                 for j in np.flatnonzero(~np.isnan(res.margins)):
                     witness = certify._witness(prop, certify._trial_fields(cfg, stack, j), res, j)
                     out.append((f.name, prop.kind, int(stack.idx[j]), json.dumps(witness)))
@@ -456,7 +456,7 @@ def test_padded_gain_witness_has_the_drawn_channel(monkeypatch):
     ranks = []
     for _, _, members, P in certify._suite_stacks(cfg.seed, [plan]):
         (prop,) = plan.props
-        res = certify._measure(prop, f, members.size, prop.derive(P))
+        res = certify._measure(f, [(prop, members.size, prop.derive(P))])
         for j, i in enumerate(members.tolist()):
             if i % 3 == 2:  # a partial-trace trial
                 continue

@@ -18,7 +18,7 @@ from entrocert.frechet import (
     vec,
 )
 from entrocert.expr import lookup
-from entrocert.functions import divided_difference, divided_difference_quadrature_check
+from entrocert.functions import divided_difference
 from entrocert.hermitian import (
     SpectralDecomposition,
     apply_function,
@@ -34,6 +34,15 @@ from entrocert.hermitian import (
 )
 
 RNG = np.random.default_rng(77)
+
+# 32-node Gauss-Legendre nodes and weights, mapped from [-1, 1] to [0, 1]
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+_GL_X, _GL_W = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS
+
+
+def divided_difference_quadrature_check(f, t: float, s: float) -> float:
+    """Independent quadrature oracle for divided differences: the integral of f'(x t + (1-x) s) over [0, 1]."""
+    return float(_GL_W @ f.d1(_GL_X * float(t) + (1.0 - _GL_X) * float(s)))
 
 
 def fd_frechet(f, rho, h, eps=1e-5):

@@ -20,6 +20,15 @@ def _run(*args):
     )
 
 
+def test_importing_entrocert_loads_no_numpy_polynomial():
+    # numpy.polynomial adds about 0.75 MB of resident memory to every
+    # process that loads it; only the tests' quadrature oracle needs it
+    code = "import sys, entrocert; print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
+    proc = _run("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("script", ["run_hierarchy.py", "uniqueness_demo.py"])
 def test_script_exits_zero(script):
     proc = _run(str(ROOT / "scripts" / script), "--samples", "3")
