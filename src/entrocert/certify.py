@@ -37,12 +37,15 @@ record that re-verifies it (_witness).
 Every suite is a list of trial plans, and one aggregator (_drive) folds the
 margins of each list of stacks measured together (_measure: one evaluation
 of f per reading) straight into the outcome.  A FAIL's witness
-is the first violating sampled trial by index or, when an expected failure
-is not sampled, subentropic's search hook constructs one from the
-superoperator inequality, counted as one extra trial; it draws its base
-pairs as a plan of its own, through the same columns as sampling.  A
-sampled trial draws its randomness from an independent stream keyed by
-(seed, stream name, trial index): NumPy's
+is the violating sampled trial with the smallest margin, the lowest index
+on ties, or, when an expected failure is not sampled, subentropic's search
+hook constructs one from the superoperator inequality, counted as one
+extra trial; it draws its base pairs as a plan of its own, through the
+same columns as sampling.  Condition (13) is tested in one arithmetic: a
+real symmetric matrix in a basis of Hermitian matrices, whose lowest
+eigenvector both equivalence and the search transfer to a direction pair
+(_transfer).  A sampled trial draws its randomness from an independent
+stream keyed by (seed, stream name, trial index): NumPy's
 ``default_rng(SeedSequence([seed, token, index]))``, bit for bit, with the
 seed states computed in fixed blocks of trials.  Plans are columns: each
 declares, per index class, its fields with their kind and per-trial shape,
@@ -52,10 +55,11 @@ columns are given.  Trials run in chunks under a fixed memory ceiling.  The
 PD matrices of a chunk are built in one call per dimension and eigenvalue
 range, across fields and index classes; the other matrices and the
 channels are built once per column; the linear algebra runs on stacks of
-trials.  The witness, the recorded rows and the first skip are
-chosen by trial index, so outcomes do not depend on how trials are
-batched.  Growing the sample budget re-runs the same leading trials, so a
-FAIL can never flip back to PASS.
+trials.  The witness is chosen by margin and trial index, the recorded
+rows and the first skip by trial index, so outcomes do not depend on how
+trials are batched.  Growing the sample budget re-runs the same leading
+trials, so a FAIL can never flip back to PASS; its witness can only get
+stronger.
 """
 
 from __future__ import annotations
@@ -75,8 +79,8 @@ from .frechet import (
     NotInvertibleError,
     _basis_pairs,
     _flat_with_sums,
+    _hermitian_of,
     _inverse_kernel,
-    _kronecker_form,
     _layout,
     _loewner,
     _real_conjugation,
@@ -84,8 +88,6 @@ from .frechet import (
     _split_sums,
     _weighted,
     _weights,
-    unvec,
-    vec,
 )
 from .functions import (
     DegenerateFunctionError,
@@ -796,19 +798,7 @@ def _pair_sum_derive(P):
     }
 
 
-def _inverse_differentials(fp: ScalarFunction, kernel: np.ndarray, u: np.ndarray) -> tuple:
-    """df'(rho)^-1, df'(sigma)^-1 and d as complex n^2 x n^2 matrices, from fp's Loewner matrices.
-
-    ``kernel`` and ``u`` are the Loewner matrices and eigenvectors of (rho,
-    sigma, rho + sigma), trial-first (trials, 3, n, n), with fp = f'; d =
-    hermitize(df'(rho+sigma)^-1 - df'(rho)^-1 - df'(sigma)^-1).  Only the
-    trials whose negative direction is transferred form them.
-    """
-    r, s, total = _kronecker_form(_inverse_kernel(fp, _trial_first(kernel)), _trial_first(u)).matrix
-    return r, s, hermitize(total - r - s)
-
-
-def _condition13_form(inverse: np.ndarray, rotations: np.ndarray) -> np.ndarray:
+def _condition13_form(inverse: np.ndarray, rotations: np.ndarray) -> tuple:
     """Condition (13)'s d as a real symmetric n^2 x n^2 matrix, with the eigenvalues of d.
 
     ``inverse`` holds the reciprocal Loewner matrices of (rho, sigma, rho +
@@ -818,7 +808,8 @@ def _condition13_form(inverse: np.ndarray, rotations: np.ndarray) -> np.ndarray:
     diag(k_s) O_s^T: each k is its reciprocal kernel read at the basis pairs,
     and each O the real orthogonal matrix of X -> R X R*.  The two rotated
     terms are one product of [O_r O_s], symmetric up to rounding (eigvalsh
-    reads the lower triangle).
+    reads the lower triangle).  Returns d, [O_r O_s], (trials, n^2, 2 n^2),
+    and the k, (trials, 3, n^2), that _transfer reads too.
     """
     n = inverse.shape[-1]
     rows, cols = _basis_pairs(n)
@@ -828,53 +819,58 @@ def _condition13_form(inverse: np.ndarray, rotations: np.ndarray) -> np.ndarray:
     d = -(side * k[:, None, :2].reshape(-1, 1, 2 * n * n)) @ np.swapaxes(side, -1, -2)
     diagonal = np.arange(n * n)
     d[:, diagonal, diagonal] += k[:, 2]
-    return d
+    return d, side, k
 
 
-def _condition13_spectrum(fp: ScalarFunction, kernel: np.ndarray, D: dict) -> PsdMargin:
+def _condition13_spectrum(fp: ScalarFunction, kernel: np.ndarray, D: dict) -> tuple[PsdMargin, tuple]:
     """Condition (13)'s PSD margin from fp's Loewner matrices at the ``states`` of _pair_sum_derive.
 
     The margin is that of d = df'(rho+sigma)^-1 - df'(rho)^-1 - df'(sigma)^-1,
     with fp = f', taken from its real form (_condition13_form) by one real
-    eigvalsh.  Both superoperator margins read it.
+    eigvalsh.  Both superoperator margins read it.  Returns the margin and
+    the form.
     """
-    d = _condition13_form(_inverse_kernel(fp, kernel), D["states.rotations"])
-    return PsdMargin.of_spectrum(np.linalg.eigvalsh(d))
+    form = _condition13_form(_inverse_kernel(fp, kernel), D["states.rotations"])
+    return PsdMargin.of_spectrum(np.linalg.eigvalsh(form[0])), form
 
 
 def _condition13_margin(f, D, values):
-    pm = _condition13_spectrum(f.derivative(), values[0], D)
+    pm, _ = _condition13_spectrum(f.derivative(), values[0], D)
     return pm.normalized, pm.scale
 
 
-def _quad(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Re v* m v for each vector of v (..., j, N) against its matrix m (..., N, N)."""
-    return np.sum(v.conj() * (v @ np.swapaxes(m, -1, -2)), axis=-1).real
+def _hessian(q1, q2, qt):
+    """The normalised Hessian margin of condition (13)'s direction pairs from their forms."""
+    return (q1 + q2 - qt) / np.maximum(1.0, np.abs(q1) + np.abs(q2) + np.abs(qt))
 
 
-def _negative_pairs(d, inv_r, inv_s):
-    """Direction pairs from the lowest eigenvector w of d (stacks allowed).
+def _transfer(form: tuple, u: np.ndarray) -> tuple:
+    """Condition (13)'s most negative direction as a direction pair, for each trial (stacks allowed).
 
-    d = df'(rho+sigma)^-1 - df'(rho)^-1 - df'(sigma)^-1, and inv_r, inv_s are
-    df'(rho)^-1 and df'(sigma)^-1.  Each candidate c in (herm(w), herm(-iw))
-    gives h1 = df'(rho)^-1 c and h2 = df'(sigma)^-1 c.  Returns d's
-    eigenvalues, then per candidate (an axis of two) h1, h2, the quadratic
-    form of d normalised by |c|^2, and whether c is usable: |c|^2 >= 1e-20
-    and a negative form.  _equivalence_margin calls it only on the trials
-    whose condition (13) margin lies below -band: a Rayleigh quotient is
-    never below the lowest eigenvalue, so elsewhere no candidate is usable
-    beyond rounding, and a trial within band of zero cannot disagree.
+    ``form`` is what _condition13_form returns and ``u`` holds the
+    eigenvectors of rho + sigma.  The lowest eigenvector v of d is a unit
+    real vector: the coordinates of a Hermitian direction C in the eigenbasis
+    of rho + sigma.  The pair h1 = df'(rho)^-1 C, h2 = df'(sigma)^-1 C makes
+    the order-two Hessian of G negative wherever <C, d C> < 0
+    (Cauchy-Schwarz in the inner product weighted by df'(rho+sigma)).  It
+    stays in real arithmetic: a = O^T v and g = k o a at rho and at sigma,
+    their forms Tr h df'(.)[h] = sum a g, the pair's coordinates h' = O g,
+    and the joint form sum (h1' + h2')^2 / k_t.  Returns d's lowest
+    eigenvalue, the pair's Hessian margin (_hessian), and the pair, (2,
+    trials, n, n), as the matrices U T(h') U*.  v is fixed up to its sign,
+    and every form is quadratic in it.
     """
-    n = round(d.shape[-1] ** 0.5)
+    d, side, k = form
+    trials, n2 = k.shape[0], k.shape[-1]
     eigs, vecs = np.linalg.eigh(d)
-    w = unvec(vecs[..., 0], n)
-    cands = vec(np.stack([hermitize(w), hermitize(-1j * w)], axis=-3))
-    norm = np.sum(cands.conj() * cands, axis=-1).real
-    quad = _quad(d, cands) / np.maximum(norm, 1e-20)
-    usable = ~(norm < 1e-20) & ~(quad >= 0.0)
-    h1 = hermitize(unvec(cands @ np.swapaxes(inv_r, -1, -2), n))
-    h2 = hermitize(unvec(cands @ np.swapaxes(inv_s, -1, -2), n))
-    return eigs, h1, h2, quad, usable
+    a = (vecs[:, None, :, 0] @ side)[:, 0]  # (trials, 2 n^2)
+    g = k[:, :2].reshape(trials, 2 * n2) * a
+    q = np.sum((a * g).reshape(trials, 2, n2), axis=-1)
+    o = np.swapaxes(side.reshape(trials, n2, 2, n2), 1, 2)  # (trials, 2, n^2, n^2): O_r, O_s
+    h = _trial_first((o @ g.reshape(trials, 2, n2, 1))[..., 0])  # (2, trials, n^2)
+    joint = np.sum((h[0] + h[1]) ** 2 / k[:, 2], axis=-1)
+    pair = hermitize(u @ _hermitian_of(h) @ adjoint(u))
+    return eigs[:, 0], _hessian(q[:, 0], q[:, 1], joint), pair
 
 
 def _equivalence_derive(P):
@@ -885,49 +881,35 @@ def _equivalence_derive(P):
     return {**D, "states.weights": np.stack(forms, axis=1), "band": P["band"]}
 
 
-def _hessian(q1, q2, qt):
-    """The normalised Hessian margin of condition (13)'s direction pairs from their forms."""
-    return (q1 + q2 - qt) / np.maximum(1.0, np.abs(q1) + np.abs(q2) + np.abs(qt))
-
-
 def _equivalence_margin(f, D, values):
     """Per-instance agreement of the condition13 verdict with the Hessian verdict.
 
     The condition13 margin is condition13's own (_condition13_spectrum).
     The Hessian margin is the worst over the drawn direction pairs and, on a
-    trial whose condition13 margin lies below -band, the most negative
-    superoperator direction transferred to a direction pair
-    (_negative_pairs).  Both margins must clear ``band`` before a sign
-    disagreement counts, so the transfer is needed nowhere else: above
-    band, d is positive definite and no transferred form is negative, and
-    within band of zero the trial cannot disagree, whatever its Hessian
-    margin.  The extras name the winning candidate (``direction``: a drawn
-    pair's index, or past them a transferred pair) and hold the transferred
-    pair it would take (``moved1``, ``moved2``; zero where none was formed).
+    trial whose condition13 margin lies below -band, the pair that condition
+    (13)'s lowest eigenvector transfers to (_transfer), from the real form
+    the margin was read from.  Both margins must clear ``band`` before a
+    sign disagreement counts, so the transfer is needed nowhere else: above
+    band, d is positive definite and the transferred form is not negative,
+    and within band of zero the trial cannot disagree, whatever its Hessian
+    margin.  The extras name the winning pair (``direction``: a drawn
+    pair's index, or past them the transferred pair) and hold the
+    transferred pair (``moved1``, ``moved2``; zero where none was formed).
     """
-    (kernel,), fp = values, f.derivative()
-    m13, u = _condition13_spectrum(fp, kernel, D).normalized, D["states.eigenvectors"]
-    transferred = np.full((m13.size, 2), np.inf)
+    (kernel,) = values
+    # Tr h df'(rho)[h] is the Loewner matrix at rho weighed with h's weights;
+    # formed first, so their temporaries and condition (13)'s form never
+    # coexist (at dim 2 the drawn pairs' are the peak)
+    drawn = _hessian(*_trial_first(_weighted(kernel[:, :, None], D["states.weights"])))
+    pm, form = _condition13_spectrum(f.derivative(), kernel, D)
+    m13, u = pm.normalized, D["states.eigenvectors"]
+    transferred = np.full(m13.size, np.inf)
+    moved = np.zeros((2, m13.size, *u.shape[-2:]), complex)  # the transferred pair of each trial
     neg = np.flatnonzero(m13 < -D["band"])
     if neg.size:
-        # the transferred pairs depend on f, so their complex superoperators
-        # are formed here, before the drawn pairs' forms: they are the peak
-        inv_r, inv_s, d = _inverse_differentials(fp, kernel[neg], u[neg])
-        _, t1, t2, _, usable = _negative_pairs(d, inv_r, inv_s)
-        forms = [
-            _weighted(kernel[neg, j, None], _shared_weights(u[neg, j], g))
-            for j, g in enumerate((t1, t2, t1 + t2))
-        ]
-        transferred[neg] = np.where(usable, _hessian(*forms), np.inf)
-    # Tr h df'(rho)[h] is the Loewner matrix at rho weighed with h's weights
-    drawn = _weighted(kernel[:, :, None], D["states.weights"])  # (trials, 3, drawn pairs)
-    hm = np.concatenate([_hessian(*_trial_first(drawn)), transferred], axis=1)
+        _, transferred[neg], moved[:, neg] = _transfer([a[neg] for a in form], u[neg, 2])
+    hm = np.concatenate([drawn, transferred[:, None]], axis=1)
     best, mh = np.argmin(hm, axis=1), np.min(hm, axis=1)
-    moved = np.zeros((2, m13.size, *u.shape[-2:]), complex)  # the transferred pair of each trial
-    if neg.size:
-        pair = np.maximum(best[neg] - drawn.shape[-1], 0)  # when best names one
-        at = np.arange(neg.size)
-        moved[0, neg], moved[1, neg] = t1[at, pair], t2[at, pair]
 
     solid = (np.abs(m13) > D["band"]) & (np.abs(mh) > D["band"])
     disagree = solid & ((m13 < 0.0) != (mh < 0.0))
@@ -1045,9 +1027,10 @@ _EQUIVALENCE = _Property(
     extras=("margin13", "margin_hessian"),
     select=_equivalence_pair,
     defaults={"band": 0.0},
-    # its traced margin peak at dims 2-8: 7.1-8.5 of these where no trial is
-    # transferred (tlogt), 12.2-14.6 where every trial is (square)
-    superops=16,
+    # its traced margin peak reads 7.1-7.6 of these per trial at dims 3-8 and
+    # 11.2 at dim 2 (its drawn pairs'), whether a trial transfers or not;
+    # condition13's 13 covers it
+    superops=13,
 )
 _MATRIX_ENTROPY = _Property(
     "matrix-entropy", (("x1", _MAT), ("h1", _MAT), ("x2", _MAT), ("h2", _MAT)),
@@ -1550,10 +1533,11 @@ def _drive(
     run, skipped = 0, sum(plan.excluded for plan in plans)
     prop_min: Optional[np.ndarray] = None
     rows: list = []
-    # the first violation and the first skip go by trial index, whatever
-    # order the stacks come in; the violation's payload is read once it is known
+    # the strongest violation (the lowest index on ties) and the first skip
+    # do not depend on the order the stacks come in; the violation's payload
+    # is read once it is known
     hit: Optional[tuple] = None
-    first_hit = first_skip = total
+    strongest, first_skip = (np.inf, total), total
     skip_note = ""
     for stacks in _kept_stacks(cfg, plans):
         # the stacks of a list are measured together: per property of their
@@ -1584,9 +1568,10 @@ def _drive(
             dims = np.concatenate([np.full(s.idx.size, s.dim) for s in stacks])
             rows += [(int(idx[j]), int(dims[j]), float(margins[j]), float(scales[j])) for j in done]
         hits = done[margins[done] < -cfg.tol]
-        if hits.size and idx[hits].min() < first_hit:
-            j = hits[np.argmin(idx[hits])]
-            first_hit, hit = idx[j], (stacks, choice[j], measured[choice[j]], j)
+        if hits.size:
+            j = hits[np.lexsort((idx[hits], margins[hits]))[0]]
+            if (margins[j], idx[j]) < strongest:
+                strongest, hit = (margins[j], idx[j]), (stacks, choice[j], measured[choice[j]], j)
     violation = None
     if hit is not None:
         stacks, c, res, j = hit
@@ -1735,11 +1720,11 @@ def _derived_hessian_witness(f: ScalarFunction, cfg: TestConfig, k: int) -> Opti
     """Turn a superoperator-inequality violation into a negative Hessian.
 
     If d = df'(rho+sigma)^-1 - df'(rho)^-1 - df'(sigma)^-1 has a negative
-    direction w, then the directions h1 = df'(rho)^-1 w, h2 = df'(sigma)^-1 w
-    make the order-two Hessian of G negative (Cauchy-Schwarz in the inner
-    product weighted by df'(rho+sigma)).  Orders k > 2 are reached by padding
-    with small multiples of the identity and zero directions.  Returns the
-    (witness, scale, dim, note) of the first violating padding, or None.
+    eigenvalue, its lowest eigenvector transfers to a direction pair h1, h2
+    that makes the order-two Hessian of G negative (_transfer, from the real
+    form of condition (13)).  Orders k > 2 are reached by padding with small
+    multiples of the identity and zero directions.  Returns the (witness,
+    scale, dim, note) of the first violating padding, or None.
     """
     fp = f.derivative()
     note = (
@@ -1758,15 +1743,12 @@ def _derived_hessian_witness(f: ScalarFunction, cfg: TestConfig, k: int) -> Opti
             D = _trial(stack.derived["condition13"], j)
             try:
                 (kernel,) = _kernel_values(f, _CONDITION13.reads.points(D))
-                # the inverse differentials at rho and sigma, and d
-                r, s, d = _inverse_differentials(fp, kernel, D["states.eigenvectors"])
+                form = _condition13_form(_inverse_kernel(fp, kernel), D["states.rotations"])
             except (NotInvertibleError, DomainError):
                 return None
-            eigs, h1s, h2s, quad, usable = _negative_pairs(d[0], r[0], s[0])
-            if float(eigs[0]) >= 0.0 or not usable.any():
+            low, _, ((h1,), (h2,)) = _transfer(form, D["states.eigenvectors"][:, 2])
+            if low[0] >= 0.0:
                 continue
-            best = int(np.argmin(np.where(usable, quad, np.inf)))
-            h1, h2 = h1s[best], h2s[best]
             fields = _trial_fields(cfg, stack, j)
             rho, sigma = fields["rho"], fields["sigma"]
             base_scale = float(np.trace(rho + sigma).real) / (2 * dim)

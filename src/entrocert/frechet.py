@@ -250,6 +250,18 @@ def _real_gather(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(2 * (p * n * n + q) + imag, np.where(imag, -weight.imag, weight.real))
 
 
+def _hermitian_of(x: np.ndarray) -> np.ndarray:
+    """The Hermitian matrices whose coordinates in the :func:`_basis_pairs` basis are x (..., n^2)."""
+    n = math.isqrt(x.shape[-1])
+    rows, cols = _basis_pairs(n)
+    i, j = rows[n::2], cols[n::2]
+    m = np.zeros(x.shape[:-1] + (n, n), complex)
+    m[..., rows[:n], cols[:n]] = x[..., :n]
+    m[..., i, j] = (x[..., n::2] + 1j * x[..., n + 1 :: 2]) * 0.5**0.5
+    m[..., j, i] = m[..., i, j].conj()
+    return m
+
+
 def _real_conjugation(r: np.ndarray) -> np.ndarray:
     """X -> R X R* on Hermitian X as a real orthogonal n^2 x n^2 matrix, for unitary R.
 

@@ -222,8 +222,29 @@ def test_fail_witness_stays_stable_as_budget_grows():
     small = test_condition13(lookup("square"), TestConfig(seed=3, samples=4))
     large = test_condition13(lookup("square"), TestConfig(seed=3, samples=30))
     assert small.verdict == large.verdict == FAIL
-    # the first violating trial is unchanged, so the dumped witness is too
-    assert small.counterexample == large.counterexample
+    # a larger budget re-runs the same leading trials, so the witness, the
+    # most violating trial, can only get stronger
+    assert large.counterexample["margin"] <= small.counterexample["margin"]
+    assert [o.counterexample["margin"] for o in (small, large)] == [small.min_margin, large.min_margin]
+
+
+@pytest.mark.parametrize("seed", [0, 3, 42])
+def test_every_fail_hands_out_its_strongest_witness(seed):
+    # a sampled FAIL's witness is its most violating trial (the lowest index
+    # on ties), and a searched one states its own margin, below every sampled
+    # one: either way the payload re-verifies to the outcome's min_margin
+    cfg = TestConfig(seed=seed, samples=10)
+    fails = 0
+    for f in _battery_functions():
+        outcomes, _ = run_suite(f, "all", cfg)
+        for out in outcomes:
+            if out.verdict != FAIL:
+                continue
+            assert out.counterexample["margin"] == out.min_margin, (f.name, out.name)
+            margin = reverify_counterexample(f, out.counterexample)
+            assert margin == pytest.approx(out.min_margin, rel=1e-12, abs=0), (f.name, out.name)
+            fails += 1
+    assert fails == {0: 48, 3: 51, 42: 47}[seed]
 
 
 def test_tlogt_quick_battery_all_pass():
@@ -444,50 +465,74 @@ def test_reverify_equivalence_agreement_sign():
     assert reverify_counterexample(lookup("square"), payload) > 0
 
 
-def _full_transfer_margin(f, D):
-    """The equivalence margin that transfers a direction pair on every trial, as a reference."""
-    import entrocert.certify as certify
-    from entrocert.frechet import _shared_weights, _weighted
+def _states(D):
+    """(rho, sigma, rho + sigma) of each trial, rebuilt from the derived eigenpairs."""
+    from entrocert.hermitian import adjoint, hermitize
 
-    fp = f.derivative()
+    u = D["states.eigenvectors"]
+    return hermitize((u * D["states.eigenvalues"][..., None, :]) @ adjoint(u))
+
+
+def _full_transfer_margin(f, D):
+    """The equivalence margin from the public complex superoperators, as a reference.
+
+    d = Inv(rho+sigma) - Inv(rho) - Inv(sigma) from frechet_inverse.  Its
+    lowest eigenvector is w = vec(C1) + i vec(C2) with Hermitian C1, C2 in
+    the lowest eigenspace, so herm(w) = C1 and herm(-iw) = C2; the larger,
+    scaled to unit norm, is the direction C.  Every trial whose d has a
+    negative eigenvalue transfers C to h1 = Inv(rho) C, h2 = Inv(sigma) C,
+    and the forms are the public quadratic forms of df'.  Returns the
+    margins, scales and extras, and per trial d's lowest eigenvalue,
+    d and the differentials df' at (rho, sigma, rho + sigma), as Superoperators.
+    """
+    import entrocert.certify as certify
+    from entrocert.frechet import Superoperator, frechet_inverse, frechet_superoperator, unvec
+    from entrocert.hermitian import PsdMargin, hermitize
+
+    fp, states = f.derivative(), _states(D)
+    n, rows = states.shape[-1], np.arange(states.shape[0])
+    inverse = frechet_inverse(fp, states)
+    inv_r, inv_s, inv_t = (inverse.matrix[:, c] for c in range(3))
+    d = hermitize(inv_t - inv_r - inv_s)
+    w, vecs = np.linalg.eigh(d)
+    m13 = PsdMargin.of_spectrum(w).normalized
+    cands = hermitize(np.stack([unvec(vecs[..., 0], n), unvec(-1j * vecs[..., 0], n)]))
+    norms = np.linalg.norm(cands, axis=(-2, -1))
+    larger = np.argmax(norms, axis=0)
+    c = cands[larger, rows] / norms[larger, rows][:, None, None]
+    h1, h2 = (hermitize(Superoperator(n, inv).apply(c)) for inv in (inv_r, inv_s))
+    diff = [frechet_superoperator(fp, states[:, j]) for j in range(3)]
+    moved = certify._hessian(*(q.quadratic_form(h) for q, h in zip(diff, (h1, h2, h1 + h2))))
     (kernel,) = certify._kernel_values(f, certify._EQUIVALENCE.reads.points(D))
-    m13, u = certify._condition13_spectrum(fp, kernel, D).normalized, D["states.eigenvectors"]
-    inv_r, inv_s, d = certify._inverse_differentials(fp, kernel, u)
-    _, t1, t2, _, usable = certify._negative_pairs(d, inv_r, inv_s)
-    drawn = _weighted(kernel[:, :, None], D["states.weights"])
-    moved = [
-        _weighted(kernel[:, j, None], _shared_weights(u[:, j], g))
-        for j, g in enumerate((t1, t2, t1 + t2))
-    ]
+    drawn = certify._weighted(kernel[:, :, None], D["states.weights"])
     hm = np.concatenate(
-        [certify._hessian(*np.swapaxes(drawn, 0, 1)), np.where(usable, certify._hessian(*moved), np.inf)],
+        [certify._hessian(*np.swapaxes(drawn, 0, 1)), np.where(w[:, 0] < 0.0, moved, np.inf)[:, None]],
         axis=1,
     )
-    rows = np.arange(hm.shape[0])
     best = np.argmin(hm, axis=1)
     mh = hm[rows, best]
     solid = (np.abs(m13) > D["band"]) & (np.abs(mh) > D["band"])
     disagree = solid & ((m13 < 0.0) != (mh < 0.0))
     margin = np.minimum(np.abs(m13), np.abs(mh)) * np.where(disagree, -1.0, 1.0)
-    pair = np.maximum(best - drawn.shape[-1], 0)
-    extras = {
-        "direction": best, "moved1": t1[rows, pair], "moved2": t2[rows, pair],
-        "margin13": m13, "margin_hessian": mh,
-    }
-    return margin, np.maximum(np.abs(m13), np.abs(mh)), extras
+    extras = {"direction": best, "margin13": m13, "margin_hessian": mh}
+    return margin, np.maximum(np.abs(m13), np.abs(mh)), extras, (w[:, 0], Superoperator(n, d), diff)
 
 
 @pytest.mark.parametrize("seed", [0, 3, 42])
 def test_equivalence_transfers_only_where_condition13_is_violated(seed):
     # The transfer of d's lowest eigenvector runs only on trials whose
     # condition (13) margin lies below -band.  There the margins and extras
-    # are those of a transfer on every trial, bit for bit; above band no
+    # are those of the public complex superoperators' transfer, up to
+    # rounding, and the transferred pair is df'(rho)^-1 C, df'(sigma)^-1 C
+    # for a unit direction C of d's lowest eigenvalue; above band no
     # transferred form is negative, so the margins are those too; within
     # band of zero neither can disagree, and both margins lie in [0, |m13|].
     # Every trial of a function here lies on one side (square, power:1.5
     # and exp below, neglog above, tlogt within), so a band of 1 on every
     # other trial mixes both sides in one stack.
     import entrocert.certify as certify
+    from entrocert.frechet import Superoperator
+    from entrocert.hermitian import is_hermitian
 
     cfg = TestConfig(seed=seed, samples=10)
     run_suite(lookup("tlogt"), "equivalence", cfg)
@@ -502,18 +547,28 @@ def test_equivalence_transfers_only_where_condition13_is_violated(seed):
                 D = {**D, "band": np.where(np.arange(stack.idx.size) % 2, 1.0, D["band"])}
             values = certify._kernel_values(f, certify._EQUIVALENCE.reads.points(D))
             margin, scale, extras = certify._equivalence_margin(f, D, values)
-            ref_margin, ref_scale, ref_extras = _full_transfer_margin(f, D)
+            ref_margin, ref_scale, ref_extras, (low, d, diff) = _full_transfer_margin(f, D)
             m13, band = ref_extras["margin13"], D["band"]
             below, above = m13 < -band, m13 > band
             indefinite += int(np.sum(below))
-            assert np.array_equal(extras["margin13"], m13)
-            assert np.array_equal(margin[below], ref_margin[below])
-            assert np.array_equal(scale[below], ref_scale[below])
-            for key, value in extras.items():
-                assert np.array_equal(value[below], ref_extras[key][below]), key
-            assert np.array_equal(margin[above], ref_margin[above])
+            assert np.allclose(extras["margin13"], m13, rtol=0, atol=1e-13)
+            for got, want in ((margin, ref_margin), (scale, ref_scale)):
+                assert np.allclose(got[below | above], want[below | above], rtol=1e-12, atol=1e-13)
+            assert np.allclose(extras["margin_hessian"][below], ref_extras["margin_hessian"][below],
+                               rtol=1e-12, atol=1e-13)
+            assert np.array_equal(extras["direction"][below], ref_extras["direction"][below])
             assert np.all(np.abs(margin - ref_margin) <= band)
             assert np.all(extras["moved1"][~below] == 0) and np.all(extras["moved2"][~below] == 0)
+            # the transferred pair is df'(rho)^-1 C, df'(sigma)^-1 C for one unit
+            # Hermitian C with <C, d C> the lowest eigenvalue of d
+            moved = extras["moved1"][below], extras["moved2"][below]
+            assert all(is_hermitian(m) for pair in moved for m in pair)
+            if below.any():
+                c1, c2 = (Superoperator(q.dim, q.matrix[below]).apply(m) for q, m in zip(diff, moved))
+                assert np.allclose(c1, c2, rtol=0, atol=1e-12)
+                assert np.allclose(np.linalg.norm(c1, axis=(-2, -1)), 1.0, rtol=0, atol=1e-12)
+                form = Superoperator(d.dim, d.matrix[below]).quadratic_form(c1)
+                assert np.allclose(form, low[below], rtol=0, atol=1e-12)
             if name == "square":  # d = -I/2: every trial is indefinite
                 assert np.array_equal(below, band < 1.0)
             if name == "neglog":
@@ -523,45 +578,99 @@ def test_equivalence_transfers_only_where_condition13_is_violated(seed):
     assert indefinite == 3 * 20 + 3 * 10
 
 
+def test_transfer_does_not_depend_on_the_eigenvector_sign(monkeypatch):
+    # d's lowest eigenvector is fixed up to its sign, and every form of the
+    # pair it transfers to is quadratic in it: with eigh's eigenvectors
+    # negated, no equivalence margin and no searched witness's margin moves,
+    # and the searched witness's directions are negated.  The stacks are
+    # kept from the first run, so the patch reaches the transfers' eigh.
+    import entrocert.certify as certify
+
+    cfg = TestConfig(seed=42, samples=10)
+
+    def run():
+        rows = []
+        for name in ("square", "power:1.5", "exp"):
+            test_equivalence_13_vs_hessian(lookup(name), cfg, rows)
+        witness, *_ = certify._derived_hessian_witness(lookup("power:1.25"), cfg, 3)
+        return rows, witness
+
+    (rows, witness), real_eigh = run(), np.linalg.eigh
+
+    def negated(a, *args, **kwargs):
+        w, v = real_eigh(a, *args, **kwargs)
+        return w, -v
+
+    monkeypatch.setattr(np.linalg, "eigh", negated)
+    flipped_rows, flipped = run()
+    assert len(rows) == 3 * 20 and flipped_rows == rows
+    assert flipped["margin"] == witness["margin"] < -cfg.tol
+    for a, b in zip(witness["hs"][:2], flipped["hs"][:2]):
+        assert np.array_equal(matrix_from_json(b), -matrix_from_json(a))
+
+
 def test_equivalence_of_tlogt_decomposes_no_superoperator(monkeypatch):
     # condition (13) holds for tlogt with d = 0 up to rounding, so no trial
     # lies below -band and no n^2 x n^2 matrix is handed to eigh.  Both
-    # superoperator margins read condition (13) in its real form, so a whole
-    # run forms no n^2 x n^2 matrix in complex arithmetic either: no Kronecker
-    # form, and no complex eigvalsh
+    # superoperator margins read condition (13) in its real form, and the
+    # transfer takes d's lowest eigenvector from that form, so no run forms
+    # an n^2 x n^2 matrix in complex arithmetic: no Kronecker form, and no
+    # complex eigh or eigvalsh of one.  square's d = -I/2 is indefinite on
+    # every trial, so its equivalence transfers on every trial, and
+    # power:1.25's subentropic:k=3 witness comes from the search's transfer.
+    # The states' own decompositions (hermitian.eigh, 4 x 4 for the 2x2
+    # bipartite split) are not superoperators.
+    import sys
+
     import entrocert.certify as certify
     import entrocert.frechet as frechet
 
     cfg = TestConfig(seed=42, samples=200)
-    shapes, spectra, forms = [], [], []
+    calls, forms = [], []
     real_eigh, real_eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
     real_form = frechet._kronecker_form
 
-    def eigh(a, *args, **kwargs):
-        shapes.append(np.shape(a)[-1])
-        return real_eigh(a, *args, **kwargs)
+    def recorded(name, real):
+        def decompose(a, *args, **kwargs):
+            caller = sys._getframe(1).f_globals["__name__"]
+            calls.append((name, np.shape(a)[-1], np.iscomplexobj(a), caller))
+            return real(a, *args, **kwargs)
 
-    def eigvalsh(a, *args, **kwargs):
-        spectra.append((np.shape(a)[-1], np.iscomplexobj(a)))
-        return real_eigvalsh(a, *args, **kwargs)
+        return decompose
 
     def kronecker_form(*args):
         forms.append(args)
         return real_form(*args)
 
-    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    def superoperators(complex_only):
+        return {
+            (name, n) for name, n, is_complex, caller in calls
+            if caller != "entrocert.hermitian" and n in squares and (is_complex or not complex_only)
+        }
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded("eigh", real_eigh))
     (out,), _ = run_suite(lookup("tlogt"), "equivalence", cfg)
     assert out.verdict == PASS and out.trials_run == 400
     squares = {n * n for n in cfg.dims}
-    assert shapes and not squares & set(shapes)
+    assert calls and not {n for _, n, _, _ in calls} & squares
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-    for module in (certify, frechet):
-        monkeypatch.setattr(module, "_kronecker_form", kronecker_form)
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded("eigvalsh", real_eigvalsh))
+    monkeypatch.setattr(frechet, "_kronecker_form", kronecker_form)
+    assert not {"_kronecker_form", "vec", "unvec"} & set(vars(certify))
     outcomes, _ = run_suite(lookup("tlogt"), "all", cfg)
     assert all(o.verdict == PASS for o in outcomes)
-    assert squares <= {n for n, is_complex in spectra if not is_complex}
-    assert not {n for n, is_complex in spectra if is_complex} & squares
+    assert superoperators(False) == {("eigvalsh", n) for n in squares}
+    assert not forms
+
+    calls.clear()
+    cfg = TestConfig(seed=42, samples=10)
+    outcomes, _ = run_suite(lookup("square"), "all", cfg)
+    equivalence = next(o for o in outcomes if o.name == "equivalence")
+    assert equivalence.verdict == PASS and equivalence.trials_run == 20
+    outcomes, _ = run_suite(lookup("power:1.25"), "subentropic", cfg)
+    assert outcomes[1].verdict == FAIL and "constructed from" in outcomes[1].detail
+    assert superoperators(False) == {(name, n) for name in ("eigh", "eigvalsh") for n in squares}
+    assert not superoperators(True)
     assert not forms
 
 
@@ -586,8 +695,8 @@ def test_condition13_real_form_has_the_eigenvalues_of_d(n):
             continue
         expected = np.linalg.eigvalsh(hermitize(inv[2] - inv[0] - inv[1]))
         (kernel,) = certify._kernel_values(f, certify._CONDITION13.reads.points(D))
-        pm = certify._condition13_spectrum(fp, kernel, D)
-        d = certify._condition13_form(_inverse_kernel(fp, kernel), D["states.rotations"])[0]
+        pm, _ = certify._condition13_spectrum(fp, kernel, D)
+        d = certify._condition13_form(_inverse_kernel(fp, kernel), D["states.rotations"])[0][0]
         largest = max(np.max(np.abs(m)) for m in inv)
         assert np.max(np.abs(np.linalg.eigvalsh(d) - expected)) <= 1e-13 * largest, f.name
         reference = PsdMargin.of_spectrum(expected)
@@ -602,7 +711,7 @@ def test_condition13_real_form_is_no_farther_from_a_50_digit_oracle(seed):
     # neglog: df'(rho)^-1 X = rho X rho, so d X = rho X sigma + sigma X rho.
     # That d, rebuilt in 50 digits from the derived eigenpairs of rho and
     # sigma, is the oracle for the real form's margin and for the complex
-    # form's that it replaced.  Both form d as a difference of inverse
+    # form's of the public frechet_inverse.  Both form d as a difference of inverse
     # differentials whose entries reach max |1/K|, so each margin carries a
     # rounding error of a few eps * max|1/K| / max(1, scale): on every trial
     # the real form is no farther from the oracle than the complex one, up
@@ -610,8 +719,8 @@ def test_condition13_real_form_is_no_farther_from_a_50_digit_oracle(seed):
     # digits: 2.3e-12 against 7.7e-16 at seed 42, samples 200, dim 3).
     mpmath = pytest.importorskip("mpmath")
     import entrocert.certify as certify
-    from entrocert.frechet import _inverse_kernel
-    from entrocert.hermitian import PsdMargin
+    from entrocert.frechet import _inverse_kernel, frechet_inverse
+    from entrocert.hermitian import PsdMargin, hermitize
 
     mp = mpmath.mp.clone()
     mp.dps = 50
@@ -635,10 +744,11 @@ def test_condition13_real_form_is_no_farther_from_a_50_digit_oracle(seed):
     for stack in _kept_entries():
         D = stack.derived["condition13"]
         (kernel,) = certify._kernel_values(f, certify._CONDITION13.reads.points(D))
-        real_form = certify._condition13_spectrum(fp, kernel, D)
+        real_form, _ = certify._condition13_spectrum(fp, kernel, D)
         u = D["states.eigenvectors"]
+        inverse = frechet_inverse(fp, _states(D)).matrix
         complex_form = PsdMargin.of_spectrum(
-            np.linalg.eigvalsh(certify._inverse_differentials(fp, kernel, u)[-1])
+            np.linalg.eigvalsh(hermitize(inverse[:, 2] - inverse[:, 0] - inverse[:, 1]))
         )
         largest = np.max(np.abs(_inverse_kernel(fp, kernel)), axis=(1, 2, 3))
         rounding = 8 * np.finfo(float).eps * largest / np.maximum(1.0, real_form.scale)
@@ -784,7 +894,7 @@ def test_stacking_is_unchanged(monkeypatch):
         row.run(f, cfg, None)
         counts[row.name] = len(calls)
     assert counts == {
-        "principle1": 2, "gap-superadditive": 3, "condition13": 5, "equivalence": 17,
+        "principle1": 2, "gap-superadditive": 3, "condition13": 5, "equivalence": 16,
         "subentropic:k=2": 3, "subentropic:k=3": 5, "subentropic:k=4": 6,
         "matrix-entropy": 2, "entropic": 5, "gain": 36, "gap-concavity": 1,
     }
@@ -815,11 +925,11 @@ def test_one_pd_build_per_chunk_and_key(monkeypatch):
         if row.name == "gain":
             assert sorted(set(calls)) == [(n, 0.1, 10.0) for n in (2, 3, 4, 6)]
     assert counts == {
-        "principle1": 2, "gap-superadditive": 0, "condition13": 10, "equivalence": 17,
+        "principle1": 2, "gap-superadditive": 0, "condition13": 10, "equivalence": 16,
         "subentropic:k=2": 3, "subentropic:k=3": 5, "subentropic:k=4": 6,
         "matrix-entropy": 2, "entropic": 5, "gain": 12, "gap-concavity": 0,
     }
-    assert sum(counts.values()) == 62
+    assert sum(counts.values()) == 61
 
 
 def test_built_states_are_not_decomposed_again(monkeypatch):
@@ -829,7 +939,7 @@ def test_built_states_are_not_decomposed_again(monkeypatch):
     # when every state was.  The eigh calls and the PD builds stay as many
     # as before.  Equivalence decomposes none of its 400 superoperators:
     # condition (13) holds for tlogt, so no trial lies below -band and
-    # _negative_pairs never runs (its margins read eigvalsh).
+    # _transfer never runs (its margins read eigvalsh).
     import entrocert.certify as certify
     import entrocert.frechet as frechet
     import entrocert.hermitian as hermitian
@@ -854,7 +964,7 @@ def test_built_states_are_not_decomposed_again(monkeypatch):
     monkeypatch.setattr(certify, "pd_from_draw", counted("pd_from_draw", certify.pd_from_draw))
     outcomes, _ = run_suite(lookup("tlogt"), "all", TestConfig(seed=42, samples=200))
     assert {o.verdict for o in outcomes} == {PASS}
-    assert counts == {"closed_form": 6810, "lapack": 7190, "eigh": 136, "pd_from_draw": 62}
+    assert counts == {"closed_form": 6810, "lapack": 7190, "eigh": 135, "pd_from_draw": 61}
 
 
 def test_function_undefined_on_the_scalar_grid_is_skipped():
@@ -956,7 +1066,8 @@ def test_second_function_draws_only_its_witness_trials(monkeypatch):
     }
     # matrix-entropy's witness is a trial of scalar states, which no PD build makes
     assert counts == {"pd_from_draw": 1, "streams": 2, "decompositions": 0}
-    assert [key[1:] for key in certify._REBUILT] == [("matrix-entropy/dim2", 3), ("gain", 6)]
+    # each witness is its suite's most violating trial
+    assert [key[1:] for key in certify._REBUILT] == [("matrix-entropy/dim2", 3), ("gain", 12)]
     # a repeat reads the rebuilt payloads it kept
     counts.update(dict.fromkeys(counts, 0))
     assert run_suite(lookup("neglog"), "all", cfg)[0] == outcomes
@@ -1021,7 +1132,7 @@ def test_kept_plan_sets_are_recut_by_their_working_set(monkeypatch):
     certify._KEPT.clear()
     run_suite(lookup("tlogt"), "all", cfg)
     merged = _kept_entries()
-    assert len(built) == 81 and len(merged) <= 40
+    assert len(built) == 80 and len(merged) <= 40
     assert certify._held_bytes() == held
     built_trials = {(s.plan.stream, tuple(np.sort(s.idx))) for s in built}
     for stack in merged:
@@ -1476,9 +1587,9 @@ def test_gain_skips_only_the_singular_trials_of_a_stack():
     assert (out.verdict, out.trials_run, out.trials_skipped, out.detail) == (FAIL, 257, 143, "")
     assert _close(out.min_margin, -0.1448892520002983)
     witness = dict(out.counterexample)
-    assert _close(witness.pop("margin"), -0.008910877482428248)
+    assert witness.pop("margin") == out.min_margin  # the strongest violation is the witness
     assert hashlib.sha256(json.dumps(witness).encode()).hexdigest() == (
-        "9236cf5a4ae5a55d26a3caec08894bbe7e7ecdf3d80defad0c83f5c75a0d1b52"
+        "632693e9b1616af2f62531170ea70bc57b134d501fa290cf2ae9d9bc1f262660"
     )
     notes = {}
     for stack in _kept_entries():

@@ -4,6 +4,7 @@ import pytest
 from entrocert.frechet import (
     NotInvertibleError,
     _basis_pairs,
+    _hermitian_of,
     _inverse_kernel,
     _kronecker_form,
     _real_conjugation,
@@ -320,6 +321,8 @@ def test_real_conjugation_is_orthogonal_in_the_hermitian_basis(n):
     for a in range(n * n):  # each basis matrix occupies the entry its pair names
         m = unvec(t[:, a], n)
         assert is_hermitian(m) and m[rows[a], cols[a]] != 0
+    x = RNG.standard_normal((3, n * n))  # coordinates in the basis, and their matrices
+    assert np.max(np.abs(_hermitian_of(x) - unvec(x @ t.T, n))) < 1e-15
     rs = np.stack([random_unitary(n, RNG) for _ in range(3)])
     o = _real_conjugation(rs)
     assert o.shape == (3, n * n, n * n) and o.dtype == float
