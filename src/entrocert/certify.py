@@ -28,8 +28,8 @@ at which it ``reads`` f, and a ``margin`` of the derived data and the values
 read there, never of the payloads.  Every stack is a
 _Stack of trial indices and derived data, derived where it is built, once
 however many functions measure it; no stack holds payload fields.  Every
-witness reads its trial's through _trial_fields: a grid plan's row, or the
-sampled trial drawn and built alone from (seed, stream, index).
+witness is its trial's fields, read through _trial_fields: a grid plan's
+row, or the sampled trial drawn and built alone from (seed, stream, index).
 reverify_counterexample measures a payload as a stack of one.  A trial whose
 margin is not finite is skipped, and every FAIL payload is written by the
 record that re-verifies it (_witness).
@@ -43,9 +43,9 @@ hook constructs one from the superoperator inequality, counted as one
 extra trial; it draws its base pairs as a plan of its own, through the
 same columns as sampling.  Condition (13) is tested in one arithmetic: a
 real symmetric matrix in a basis of Hermitian matrices, whose lowest
-eigenvector both equivalence and the search transfer to a direction pair
-(_transfer).  A sampled trial draws its randomness from an independent
-stream keyed by (seed, stream name, trial index): NumPy's
+eigenvector _transfer carries to a direction pair in real arithmetic (only
+the search turns it into matrices).  A sampled trial draws its randomness
+from an independent stream keyed by (seed, stream name, trial index): NumPy's
 ``default_rng(SeedSequence([seed, token, index]))``, bit for bit, with the
 seed states computed in fixed blocks of trials.  Plans are columns: each
 declares, per index class, its fields with their kind and per-trial shape,
@@ -84,7 +84,6 @@ from .frechet import (
     _layout,
     _loewner,
     _real_conjugation,
-    _shared_weights,
     _split_sums,
     _weighted,
     _weights,
@@ -152,7 +151,7 @@ _CHUNK_BYTES = 1 << 20
 
 # Bytes of derived data and rebuilt payloads kept for later calls under one
 # configuration (_kept_stacks): all the sampled suites of samples=200 at
-# dims (2, 3) keep about 2.8 MB.
+# dims (2, 3) keep about 2.84 MB.
 _KEPT_BYTES = 4 << 20
 
 # Trials whose seed states are computed at once: about 150 bytes each.
@@ -567,7 +566,7 @@ _MAT, _MATS, _DIRS, _INT, _FLOAT, _CHANNEL = "mat", "mats", "dirs", "int", "floa
 _ENCODE = {
     _MAT: matrix_to_json,
     _MATS: lambda ms: [matrix_to_json(m) for m in ms],
-    _DIRS: matrix_to_json,  # the chosen direction of a stack of candidates
+    _DIRS: lambda ms: [matrix_to_json(m) for m in ms],  # an older payload held one direction
     _INT: int,
     _FLOAT: float,
     _CHANNEL: lambda k: channel_to_json(  # without the zero operators that pad a stack
@@ -580,7 +579,7 @@ _ENCODE = {
 _DECODE = {
     _MAT: matrix_from_json,
     _MATS: lambda objs: np.stack([matrix_from_json(o) for o in objs]),
-    _DIRS: lambda obj: matrix_from_json(obj)[None],
+    _DIRS: lambda obj: _DECODE[_MATS](obj) if isinstance(obj, list) else matrix_from_json(obj)[None],
     _INT: lambda v: np.asarray(_json_integer(v)),
     _FLOAT: lambda v: np.asarray(float(v)),
     _CHANNEL: lambda obj: np.stack(channel_from_json(obj).kraus),
@@ -614,10 +613,10 @@ class _Property:
     values of f its reading ``reads`` evaluated at the points of ``D``,
     never the payload, and returns ``(margins, scales)``, or ``(margins,
     scales, extras)`` where ``extras`` holds per-trial values that the
-    witness records next to the payload, after ``select`` picks from the
-    payload what the margin chose.  ``outside(f, D)`` returns the trials f
-    cannot be measured at, and the error that skips them.  _measure
-    evaluates f once for all the stacks it is given.
+    witness records next to the trial's fields: a witness is its trial.
+    ``outside(f, D)`` returns the trials f cannot be measured at, and the
+    error that skips them.  _measure evaluates f once for all the stacks it
+    is given.
     """
 
     kind: str
@@ -627,13 +626,11 @@ class _Property:
     derive: Callable[[dict], dict] = lambda P: P  # scalar properties measure their fields
     outside: Optional[Callable] = None
     extras: tuple[str, ...] = ()
-    select: Callable[[dict], dict] = lambda trial: trial  # a witness's fields from its trial
     defaults: dict = field(default_factory=dict)  # for fields older payloads lack
     label: str = ""  # names the margin in a detail line when a trial has several
     superops: int = 0  # n^2 x n^2 matrices a trial holds at once, for chunk sizes
 
     def witness(self, payload: dict, margin: float) -> dict:
-        payload = self.select(payload)
         obj = {"kind": self.kind}
         for name, codec in self.fields:
             obj[name] = _ENCODE[codec](payload[name])
@@ -768,18 +765,15 @@ def _subentropic_hessian_derive(P):
     (w, sum_w), (v, sum_v) = (
         _split_sums(a, rhos.shape[:-2]) for a in (dec.eigenvalues, dec.eigenvectors)
     )
-    return {
-        **_kept_layout("rhos", w), "rhos.weights": _weights(v, hs),
-        **_kept_layout("sums", sum_w), "sums.weights": _weights(sum_v, np.sum(hs, axis=-3)),
+    return {  # one direction per point
+        **_kept_layout("rhos", w), "rhos.weights": _weights(v, hs[:, :, None])[:, :, 0],
+        **_kept_layout("sums", sum_w), "sums.weights": _weights(sum_v, np.sum(hs, 1)[:, None])[:, 0],
     }
 
 
 def _subentropic_hessian_margin(f, D, values):
-    # per-point terms Tr h_i df'(rho_i) h_i and the joint term of the sums
     at_rhos, at_sums = values
-    single, joint = _weighted(at_rhos, D["rhos.weights"]), _weighted(at_sums, D["sums.weights"])
-    scale = np.maximum(1.0, np.sum(np.abs(single), axis=-1) + np.abs(joint))
-    return (np.sum(single, axis=-1) - joint) / scale, scale
+    return _hessian(_weighted(at_rhos, D["rhos.weights"]), _weighted(at_sums, D["sums.weights"]))
 
 
 def _pair_sum_derive(P):
@@ -839,26 +833,29 @@ def _condition13_margin(f, D, values):
     return pm.normalized, pm.scale
 
 
-def _hessian(q1, q2, qt):
-    """The normalised Hessian margin of condition (13)'s direction pairs from their forms."""
-    return (q1 + q2 - qt) / np.maximum(1.0, np.abs(q1) + np.abs(q2) + np.abs(qt))
+def _hessian(single, joint):
+    """The normalised order-k Hessian margin of G and its scale, from its quadratic forms.
+
+    ``single`` (..., k) holds Tr h_i df'(rho_i)[h_i] per point, ``joint`` (...) the sums' form.
+    """
+    scale = np.maximum(1.0, np.sum(np.abs(single), axis=-1) + np.abs(joint))
+    return (np.sum(single, axis=-1) - joint) / scale, scale
 
 
-def _transfer(form: tuple, u: np.ndarray) -> tuple:
+def _transfer(form: tuple) -> tuple:
     """Condition (13)'s most negative direction as a direction pair, for each trial (stacks allowed).
 
-    ``form`` is what _condition13_form returns and ``u`` holds the
-    eigenvectors of rho + sigma.  The lowest eigenvector v of d is a unit
-    real vector: the coordinates of a Hermitian direction C in the eigenbasis
-    of rho + sigma.  The pair h1 = df'(rho)^-1 C, h2 = df'(sigma)^-1 C makes
-    the order-two Hessian of G negative wherever <C, d C> < 0
-    (Cauchy-Schwarz in the inner product weighted by df'(rho+sigma)).  It
-    stays in real arithmetic: a = O^T v and g = k o a at rho and at sigma,
-    their forms Tr h df'(.)[h] = sum a g, the pair's coordinates h' = O g,
-    and the joint form sum (h1' + h2')^2 / k_t.  Returns d's lowest
-    eigenvalue, the pair's Hessian margin (_hessian), and the pair, (2,
-    trials, n, n), as the matrices U T(h') U*.  v is fixed up to its sign,
-    and every form is quadratic in it.
+    ``form`` is what _condition13_form returns.  The lowest eigenvector v of
+    d is a unit real vector: the coordinates of a Hermitian direction C in
+    the eigenbasis U of rho + sigma.  The pair h1 = df'(rho)^-1 C, h2 =
+    df'(sigma)^-1 C makes the order-two Hessian of G negative wherever
+    <C, d C> < 0 (Cauchy-Schwarz in the inner product weighted by
+    df'(rho+sigma)).  In real arithmetic alone: a = O^T v and g = k o a at
+    rho and at sigma, their forms Tr h df'(.)[h] = sum a g, the pair's
+    coordinates h' = O g, and the joint form sum (h1' + h2')^2 / k_t.
+    Returns d's lowest eigenvalue, the pair's Hessian margin (_hessian) and
+    h', (2, trials, n^2), whose matrices are U T(h') U* (_hermitian_of).  v
+    is fixed up to its sign, and every form is quadratic in it.
     """
     d, side, k = form
     trials, n2 = k.shape[0], k.shape[-1]
@@ -869,15 +866,14 @@ def _transfer(form: tuple, u: np.ndarray) -> tuple:
     o = np.swapaxes(side.reshape(trials, n2, 2, n2), 1, 2)  # (trials, 2, n^2, n^2): O_r, O_s
     h = _trial_first((o @ g.reshape(trials, 2, n2, 1))[..., 0])  # (2, trials, n^2)
     joint = np.sum((h[0] + h[1]) ** 2 / k[:, 2], axis=-1)
-    pair = hermitize(u @ _hermitian_of(h) @ adjoint(u))
-    return eigs[:, 0], _hessian(q[:, 0], q[:, 1], joint), pair
+    return eigs[:, 0], _hessian(q, joint)[0], h
 
 
 def _equivalence_derive(P):
-    D = _pair_sum_derive(P)
-    u, h1, h2 = D["states.eigenvectors"], P["h1"], P["h2"]
+    D = _pair_sum_derive(P)  # its eigenvectors are read by the weights alone, and not kept
+    u, h1, h2 = D.pop("states.eigenvectors"), P["h1"], P["h2"]
     # the drawn pairs' forms: h1 at rho, h2 at sigma and h1 + h2 at rho + sigma
-    forms = [_shared_weights(u[:, j], h) for j, h in enumerate((h1, h2, h1 + h2))]
+    forms = [_weights(u[:, j], h) for j, h in enumerate((h1, h2, h1 + h2))]
     return {**D, "states.weights": np.stack(forms, axis=1), "band": P["band"]}
 
 
@@ -887,52 +883,36 @@ def _equivalence_margin(f, D, values):
     The condition13 margin is condition13's own (_condition13_spectrum).
     The Hessian margin is the worst over the drawn direction pairs and, on a
     trial whose condition13 margin lies below -band, the pair that condition
-    (13)'s lowest eigenvector transfers to (_transfer), from the real form
-    the margin was read from.  Both margins must clear ``band`` before a
-    sign disagreement counts, so the transfer is needed nowhere else: above
-    band, d is positive definite and the transferred form is not negative,
-    and within band of zero the trial cannot disagree, whatever its Hessian
-    margin.  The extras name the winning pair (``direction``: a drawn
-    pair's index, or past them the transferred pair) and hold the
-    transferred pair (``moved1``, ``moved2``; zero where none was formed).
+    (13)'s lowest eigenvector transfers to (_transfer, in real arithmetic),
+    from the real form the margin was read from.  Both margins must clear
+    ``band`` before a sign disagreement counts, so the transfer is needed
+    nowhere else: above band, d is positive definite and the transferred
+    form is not negative, and within band of zero the trial cannot
+    disagree, whatever its Hessian margin.  The extras are the two margins;
+    the witness is the trial, which re-verifies through this margin.
     """
     (kernel,) = values
     # Tr h df'(rho)[h] is the Loewner matrix at rho weighed with h's weights;
     # formed first, so their temporaries and condition (13)'s form never
     # coexist (at dim 2 the drawn pairs' are the peak)
-    drawn = _hessian(*_trial_first(_weighted(kernel[:, :, None], D["states.weights"])))
+    q = _weighted(kernel[:, :, None], D["states.weights"])  # (trials, 3, pairs)
+    mh = np.min(_hessian(np.moveaxis(q[:, :2], 1, -1), q[:, 2])[0], axis=1)
     pm, form = _condition13_spectrum(f.derivative(), kernel, D)
-    m13, u = pm.normalized, D["states.eigenvectors"]
-    transferred = np.full(m13.size, np.inf)
-    moved = np.zeros((2, m13.size, *u.shape[-2:]), complex)  # the transferred pair of each trial
+    m13 = pm.normalized
     neg = np.flatnonzero(m13 < -D["band"])
-    if neg.size:
-        _, transferred[neg], moved[:, neg] = _transfer([a[neg] for a in form], u[neg, 2])
-    hm = np.concatenate([drawn, transferred[:, None]], axis=1)
-    best, mh = np.argmin(hm, axis=1), np.min(hm, axis=1)
+    if neg.size:  # the transferred pair's Hessian margin
+        mh[neg] = np.minimum(mh[neg], _transfer([a[neg] for a in form])[1])
 
     solid = (np.abs(m13) > D["band"]) & (np.abs(mh) > D["band"])
     disagree = solid & ((m13 < 0.0) != (mh < 0.0))
     margin = np.minimum(np.abs(m13), np.abs(mh)) * np.where(disagree, -1.0, 1.0)
-    extras = {
-        "direction": best, "moved1": moved[0], "moved2": moved[1],
-        "margin13": m13, "margin_hessian": mh,
-    }
-    return margin, np.maximum(np.abs(m13), np.abs(mh)), extras
-
-
-def _equivalence_pair(trial: dict) -> dict:
-    """The trial's direction pair that its margin chose: a drawn pair, or the transferred one."""
-    j, h1, h2 = int(trial["direction"]), trial["h1"], trial["h2"]
-    if j < len(h1):
-        return {**trial, "h1": h1[j], "h2": h2[j]}
-    return {**trial, "h1": trial["moved1"], "h2": trial["moved2"]}
+    return margin, np.maximum(np.abs(m13), np.abs(mh)), {"margin13": m13, "margin_hessian": mh}
 
 
 def _matrix_entropy_derive(P):
     h1, h2 = P["h1"], P["h2"]
     dec = eigh(_with_midpoint(P["x1"], P["x2"]), _known(P, "x1", "x2"))
-    weights = _weights(dec.eigenvectors, np.stack([h1, h2, (h1 + h2) / 2.0]))
+    weights = _weights(dec.eigenvectors, np.stack([h1, h2, (h1 + h2) / 2.0])[:, :, None])[:, :, 0]
     return {
         **_kept_layout("states", _trial_first(dec.eigenvalues)),
         "states.weights": _trial_first(weights),
@@ -1025,7 +1005,6 @@ _EQUIVALENCE = _Property(
     _kernels("states"),
     _equivalence_derive,
     extras=("margin13", "margin_hessian"),
-    select=_equivalence_pair,
     defaults={"band": 0.0},
     # its traced margin peak reads 7.1-7.6 of these per trial at dims 3-8 and
     # 11.2 at dim 2 (its drawn pairs'), whether a trial transfers or not;
@@ -1746,9 +1725,11 @@ def _derived_hessian_witness(f: ScalarFunction, cfg: TestConfig, k: int) -> Opti
                 form = _condition13_form(_inverse_kernel(fp, kernel), D["states.rotations"])
             except (NotInvertibleError, DomainError):
                 return None
-            low, _, ((h1,), (h2,)) = _transfer(form, D["states.eigenvectors"][:, 2])
+            low, _, h = _transfer(form)
             if low[0] >= 0.0:
                 continue
+            u = D["states.eigenvectors"][:, 2]
+            (h1,), (h2,) = hermitize(u @ _hermitian_of(h) @ adjoint(u))
             fields = _trial_fields(cfg, stack, j)
             rho, sigma = fields["rho"], fields["sigma"]
             base_scale = float(np.trace(rho + sigma).real) / (2 * dim)

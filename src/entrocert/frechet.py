@@ -126,21 +126,13 @@ def _loewner(f: ScalarFunction, layouts: list[dict]) -> list[np.ndarray]:
     return out
 
 
-def _weights(u: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Re(g o g^T) with g = U* h U, the weights of a Loewner matrix K in Re Tr h df(rho)[h].
+def _weights(u: np.ndarray, hs: np.ndarray) -> np.ndarray:
+    """Re(g o g^T), g = U* h U, the weights of a Loewner matrix K in Re Tr h df(rho)[h].
 
     For rho = U diag(lambda) U*, Re Tr h df(rho)[h] = sum_ij K_ij Re(g_ij g_ji)
-    (Daleckii-Krein); the weights do not depend on f.  Stacks allowed.
-    """
-    g = adjoint(u) @ np.asarray(h, dtype=complex) @ u
-    return (g * np.swapaxes(g, -1, -2)).real.copy()
-
-
-def _shared_weights(u: np.ndarray, hs: np.ndarray) -> np.ndarray:
-    """:func:`_weights` of m directions hs (..., m, n, n) at each u (..., n, n).
-
-    The directions are conjugated side by side, in two matrix products per
-    u rather than two per direction.
+    (Daleckii-Krein); the weights do not depend on f.  hs holds m directions
+    (..., m, n, n) at each u (..., n, n), conjugated side by side: two matrix
+    products per u rather than two per direction.
     """
     *lead, m, n, _ = hs.shape
     side = np.swapaxes(hs, -3, -2).reshape(*lead, n, m * n)  # [h_1 ... h_m]
@@ -343,7 +335,7 @@ def second_diff_G(f: ScalarFunction, rhos, hs):
     dec = eigh(_flat_with_sums(rhos))
     # Re Tr h df'(rho)[h] in the eigenbasis of each rho (Daleckii-Krein)
     kernel = loewner_matrix(f.derivative(), dec.eigenvalues)
-    q = _weighted(kernel, _weights(dec.eigenvectors, _flat_with_sums(hs)))
+    q = _weighted(kernel, _weights(dec.eigenvectors, _flat_with_sums(hs)[:, None])[:, 0])
     single, joint = _split_sums(q, rhos.shape[:-2])
     out = np.sum(single, axis=-1) - joint
     return float(out) if out.ndim == 0 else out

@@ -8,10 +8,13 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Optional
 
-from .certify import TestOutcome
+from .certify import FAIL, INCONCLUSIVE, PASS, SKIPPED, TestOutcome
+from .hermitian import _json_integer
 
 TOOL_VERSION = "0.1.0"
 
@@ -29,14 +32,37 @@ def outcome_to_dict(o: TestOutcome) -> dict:
     }
 
 
+def _verdict(value) -> str:
+    if value in (PASS, FAIL, INCONCLUSIVE, SKIPPED):
+        return value
+    raise ValueError(f"expected a verdict, got {value!r}")
+
+
+def _margin(value) -> Optional[float]:
+    if value is None or type(value) in (int, float) and math.isfinite(value):  # not a bool
+        return None if value is None else float(value)
+    raise ValueError(f"expected null or a finite number, got {value!r}")
+
+
+def _field(obj: dict, key: str, read: Callable):
+    try:
+        return read(obj[key])
+    except ValueError as exc:
+        raise ValueError(f"outcome {obj['name']!r} field {key!r} is malformed: {exc}") from None
+
+
 def outcome_from_dict(obj: dict) -> TestOutcome:
+    """The outcome a JSON object holds; ValueError, naming the field, for a value no outcome has.
+
+    The counts are read as a payload's integers are: 3.7 and "2" are malformed.
+    """
     return TestOutcome(
         name=obj["name"],
         function=obj["function"],
-        verdict=obj["verdict"],
-        min_margin=obj["min_margin"],
-        trials_run=int(obj["trials_run"]),
-        trials_skipped=int(obj["trials_skipped"]),
+        verdict=_field(obj, "verdict", _verdict),
+        min_margin=_field(obj, "min_margin", _margin),
+        trials_run=_field(obj, "trials_run", _json_integer),
+        trials_skipped=_field(obj, "trials_skipped", _json_integer),
         counterexample=obj["counterexample"],
         detail=obj.get("detail", ""),
     )

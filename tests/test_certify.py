@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -465,6 +466,42 @@ def test_reverify_equivalence_agreement_sign():
     assert reverify_counterexample(lookup("square"), payload) > 0
 
 
+@pytest.mark.parametrize("seed", [0, 3, 42])
+def test_equivalence_witness_is_its_trial_and_reverifies(seed):
+    # An equivalence witness is its trial's own fields: rho, sigma, all 16
+    # drawn direction pairs and the band.  Written as JSON and read back, it
+    # re-verifies to the trial's sampled margin, on the refuted functions'
+    # trials too, whose Hessian margin takes in the pair transferred from
+    # condition (13) (no real equivalence FAIL exists to reach this path).
+    import entrocert.certify as certify
+
+    cfg = TestConfig(seed=seed, samples=10)
+    for name in ("square", "power:1.5", "exp", "tlogt"):
+        f, rows = lookup(name), []
+        test_equivalence_13_vs_hessian(f, cfg, rows)
+        sampled = {trial: margin for _, _, trial, margin, _ in rows}
+        stacks = [s for s in _kept_entries() if s.plan.stream.startswith("equivalence/")]
+        checked = 0
+        for stack in stacks:
+            D = stack.derived["equivalence"]
+            res = certify._measure(f, [(certify._EQUIVALENCE, stack.idx.size, D)])
+            for j in range(stack.idx.size):
+                witness = certify._witness(
+                    certify._EQUIVALENCE, certify._trial_fields(cfg, stack, j), res, j
+                )
+                assert witness["margin"] == sampled[int(stack.idx[j])]
+                assert len(witness["h1"]) == len(witness["h2"]) == 16
+                assert set(witness) == {
+                    "kind", "rho", "sigma", "h1", "h2", "band", "margin13", "margin_hessian", "margin"
+                }
+                payload = json.loads(json.dumps(witness))
+                assert abs(reverify_counterexample(f, payload) - witness["margin"]) <= 1e-12
+                # condition (13) fails below -band on every refuted trial, which transfers
+                assert (witness["margin13"] < -witness["band"]) == (name != "tlogt")
+                checked += 1
+        assert checked == 20
+
+
 def _states(D):
     """(rho, sigma, rho + sigma) of each trial, rebuilt from the derived eigenpairs."""
     from entrocert.hermitian import adjoint, hermitize
@@ -473,23 +510,26 @@ def _states(D):
     return hermitize((u * D["states.eigenvalues"][..., None, :]) @ adjoint(u))
 
 
-def _full_transfer_margin(f, D):
+def _full_transfer_margin(f, D, states):
     """The equivalence margin from the public complex superoperators, as a reference.
 
-    d = Inv(rho+sigma) - Inv(rho) - Inv(sigma) from frechet_inverse.  Its
-    lowest eigenvector is w = vec(C1) + i vec(C2) with Hermitian C1, C2 in
-    the lowest eigenspace, so herm(w) = C1 and herm(-iw) = C2; the larger,
-    scaled to unit norm, is the direction C.  Every trial whose d has a
-    negative eigenvalue transfers C to h1 = Inv(rho) C, h2 = Inv(sigma) C,
-    and the forms are the public quadratic forms of df'.  Returns the
-    margins, scales and extras, and per trial d's lowest eigenvalue,
-    d and the differentials df' at (rho, sigma, rho + sigma), as Superoperators.
+    ``states`` holds (rho, sigma, rho + sigma) of each trial of the
+    equivalence derive D.  d = Inv(rho+sigma) - Inv(rho) - Inv(sigma) from
+    frechet_inverse.  Its lowest eigenvector is w = vec(C1) + i vec(C2) with
+    Hermitian C1, C2 in the lowest eigenspace, so herm(w) = C1 and
+    herm(-iw) = C2; the larger, scaled to unit norm, is the direction C.
+    Every trial whose d has a negative eigenvalue transfers C to h1 =
+    Inv(rho) C, h2 = Inv(sigma) C, and the forms are the public quadratic
+    forms of df'.  Returns the margins, scales and extras, and per trial the
+    drawn pairs' Hessian margin, the transferred pair's (inf where d has no
+    negative eigenvalue), d's lowest eigenvalue, d and the differentials df'
+    at (rho, sigma, rho + sigma), as Superoperators.
     """
     import entrocert.certify as certify
     from entrocert.frechet import Superoperator, frechet_inverse, frechet_superoperator, unvec
     from entrocert.hermitian import PsdMargin, hermitize
 
-    fp, states = f.derivative(), _states(D)
+    fp = f.derivative()
     n, rows = states.shape[-1], np.arange(states.shape[0])
     inverse = frechet_inverse(fp, states)
     inv_r, inv_s, inv_t = (inverse.matrix[:, c] for c in range(3))
@@ -502,52 +542,63 @@ def _full_transfer_margin(f, D):
     c = cands[larger, rows] / norms[larger, rows][:, None, None]
     h1, h2 = (hermitize(Superoperator(n, inv).apply(c)) for inv in (inv_r, inv_s))
     diff = [frechet_superoperator(fp, states[:, j]) for j in range(3)]
-    moved = certify._hessian(*(q.quadratic_form(h) for q, h in zip(diff, (h1, h2, h1 + h2))))
+    forms = [q.quadratic_form(h) for q, h in zip(diff, (h1, h2, h1 + h2))]
+    moved = np.where(w[:, 0] < 0.0, certify._hessian(np.stack(forms[:2], axis=-1), forms[2])[0], np.inf)
     (kernel,) = certify._kernel_values(f, certify._EQUIVALENCE.reads.points(D))
-    drawn = certify._weighted(kernel[:, :, None], D["states.weights"])
-    hm = np.concatenate(
-        [certify._hessian(*np.swapaxes(drawn, 0, 1)), np.where(w[:, 0] < 0.0, moved, np.inf)[:, None]],
-        axis=1,
-    )
-    best = np.argmin(hm, axis=1)
-    mh = hm[rows, best]
+    q = certify._weighted(kernel[:, :, None], D["states.weights"])
+    drawn = np.min(certify._hessian(np.moveaxis(q[:, :2], 1, -1), q[:, 2])[0], axis=1)
+    mh = np.minimum(drawn, moved)
     solid = (np.abs(m13) > D["band"]) & (np.abs(mh) > D["band"])
     disagree = solid & ((m13 < 0.0) != (mh < 0.0))
     margin = np.minimum(np.abs(m13), np.abs(mh)) * np.where(disagree, -1.0, 1.0)
-    extras = {"direction": best, "margin13": m13, "margin_hessian": mh}
-    return margin, np.maximum(np.abs(m13), np.abs(mh)), extras, (w[:, 0], Superoperator(n, d), diff)
+    extras = {"margin13": m13, "margin_hessian": mh}
+    return (
+        margin, np.maximum(np.abs(m13), np.abs(mh)), extras,
+        (drawn, moved, w[:, 0], Superoperator(n, d), diff),
+    )
 
 
 @pytest.mark.parametrize("seed", [0, 3, 42])
 def test_equivalence_transfers_only_where_condition13_is_violated(seed):
     # The transfer of d's lowest eigenvector runs only on trials whose
-    # condition (13) margin lies below -band.  There the margins and extras
-    # are those of the public complex superoperators' transfer, up to
-    # rounding, and the transferred pair is df'(rho)^-1 C, df'(sigma)^-1 C
-    # for a unit direction C of d's lowest eigenvalue; above band no
-    # transferred form is negative, so the margins are those too; within
-    # band of zero neither can disagree, and both margins lie in [0, |m13|].
-    # Every trial of a function here lies on one side (square, power:1.5
-    # and exp below, neglog above, tlogt within), so a band of 1 on every
-    # other trial mixes both sides in one stack.
+    # condition (13) margin lies below -band.  There the margins are those
+    # of the public complex superoperators' transfer, up to rounding, and
+    # the pair that _transfer's coordinates h' give, U T(h') U*, is
+    # df'(rho)^-1 C, df'(sigma)^-1 C for a unit direction C of d's lowest
+    # eigenvalue; elsewhere the Hessian margin is the drawn pairs' alone.
+    # Above band no transferred form is negative, so the margins are those
+    # too; within band of zero neither can disagree, and both margins lie
+    # in [0, |m13|].  Every trial of a function here lies on one side
+    # (square, power:1.5 and exp below, neglog above, tlogt within), so a
+    # band of 1 on every other trial mixes both sides in one stack.  The
+    # trials' own fields are derived anew, by equivalence and by condition13.
     import entrocert.certify as certify
-    from entrocert.frechet import Superoperator
-    from entrocert.hermitian import is_hermitian
+    from entrocert.frechet import Superoperator, _hermitian_of
+    from entrocert.hermitian import adjoint, hermitize, is_hermitian
 
     cfg = TestConfig(seed=seed, samples=10)
     run_suite(lookup("tlogt"), "equivalence", cfg)
     stacks = [s for s in _kept_entries() if s.plan.stream.startswith("equivalence/")]
     assert sum(s.idx.size for s in stacks) == 20
     indefinite = 0
-    for name, mixed in itertools.product(("square", "power:1.5", "exp", "neglog", "tlogt"), (0, 1)):
-        f = lookup(name)
-        for stack in stacks:
-            D = stack.derived["equivalence"]
+    for stack in stacks:
+        trials = [certify._trial_fields(cfg, stack, j) for j in range(stack.idx.size)]
+        P = {k: np.stack([t[k] for t in trials]) for k in trials[0]}
+        # the eigenbasis U of rho + sigma that the derive's rotations were taken in
+        derived, pair_sum = certify._EQUIVALENCE.derive(P), certify._pair_sum_derive(P)
+        assert np.array_equal(derived["states.rotations"], pair_sum["states.rotations"])
+        assert "states.eigenvectors" not in derived
+        states, u = _states(pair_sum), pair_sum["states.eigenvectors"][:, 2]
+        for name, mixed in itertools.product(("square", "power:1.5", "exp", "neglog", "tlogt"), (0, 1)):
+            f = lookup(name)
+            D = derived
             if mixed:
                 D = {**D, "band": np.where(np.arange(stack.idx.size) % 2, 1.0, D["band"])}
             values = certify._kernel_values(f, certify._EQUIVALENCE.reads.points(D))
             margin, scale, extras = certify._equivalence_margin(f, D, values)
-            ref_margin, ref_scale, ref_extras, (low, d, diff) = _full_transfer_margin(f, D)
+            ref_margin, ref_scale, ref_extras, (drawn, moved, low, d, diff) = _full_transfer_margin(
+                f, D, states
+            )
             m13, band = ref_extras["margin13"], D["band"]
             below, above = m13 < -band, m13 > band
             indefinite += int(np.sum(below))
@@ -556,25 +607,33 @@ def test_equivalence_transfers_only_where_condition13_is_violated(seed):
                 assert np.allclose(got[below | above], want[below | above], rtol=1e-12, atol=1e-13)
             assert np.allclose(extras["margin_hessian"][below], ref_extras["margin_hessian"][below],
                                rtol=1e-12, atol=1e-13)
-            assert np.array_equal(extras["direction"][below], ref_extras["direction"][below])
             assert np.all(np.abs(margin - ref_margin) <= band)
-            assert np.all(extras["moved1"][~below] == 0) and np.all(extras["moved2"][~below] == 0)
-            # the transferred pair is df'(rho)^-1 C, df'(sigma)^-1 C for one unit
-            # Hermitian C with <C, d C> the lowest eigenvalue of d
-            moved = extras["moved1"][below], extras["moved2"][below]
-            assert all(is_hermitian(m) for pair in moved for m in pair)
-            if below.any():
-                c1, c2 = (Superoperator(q.dim, q.matrix[below]).apply(m) for q, m in zip(diff, moved))
-                assert np.allclose(c1, c2, rtol=0, atol=1e-12)
-                assert np.allclose(np.linalg.norm(c1, axis=(-2, -1)), 1.0, rtol=0, atol=1e-12)
-                form = Superoperator(d.dim, d.matrix[below]).quadratic_form(c1)
-                assert np.allclose(form, low[below], rtol=0, atol=1e-12)
+            # no transfer where condition (13) is not violated
+            assert np.array_equal(extras["margin_hessian"][~below], drawn[~below])
             if name == "square":  # d = -I/2: every trial is indefinite
                 assert np.array_equal(below, band < 1.0)
             if name == "neglog":
                 assert np.array_equal(above, band < 1.0)
             if name == "tlogt":  # d vanishes up to rounding
                 assert not np.any(below | above)
+            if not below.any():
+                continue
+            # the transferred pair is df'(rho)^-1 C, df'(sigma)^-1 C for one unit
+            # Hermitian C with <C, d C> the lowest eigenvalue of d
+            _, form = certify._condition13_spectrum(f.derivative(), values[0], D)
+            lowest, transferred, h = certify._transfer([a[below] for a in form])
+            assert np.allclose(lowest, low[below], rtol=0, atol=1e-12)
+            assert np.allclose(transferred, moved[below], rtol=1e-12, atol=1e-13)
+            assert np.array_equal(
+                extras["margin_hessian"][below], np.minimum(drawn[below], transferred)
+            )
+            pair = hermitize(u[below] @ _hermitian_of(h) @ adjoint(u[below]))
+            assert all(is_hermitian(m) for m in pair.reshape(-1, *pair.shape[-2:]))
+            c1, c2 = (Superoperator(q.dim, q.matrix[below]).apply(m) for q, m in zip(diff, pair))
+            assert np.allclose(c1, c2, rtol=0, atol=1e-12)
+            assert np.allclose(np.linalg.norm(c1, axis=(-2, -1)), 1.0, rtol=0, atol=1e-12)
+            form = Superoperator(d.dim, d.matrix[below]).quadratic_form(c1)
+            assert np.allclose(form, low[below], rtol=0, atol=1e-12)
     assert indefinite == 3 * 20 + 3 * 10
 
 

@@ -342,6 +342,29 @@ def test_reverify_non_integral_payload_number_is_a_usage_error(
     assert "expected an integer" in err
 
 
+@pytest.mark.parametrize(
+    "field, value, named",
+    [
+        ("trials_run", 3.7, "expected an integer"), ("trials_skipped", "2", "expected an integer"),
+        ("verdict", "fail", "expected a verdict"), ("min_margin", "-0.5", "finite number"),
+        ("min_margin", float("inf"), "finite number"),
+    ],
+    ids=["trials_run-fraction", "trials_skipped-string", "verdict", "min_margin-string", "min_margin-inf"],
+)
+def test_reverify_malformed_outcome_is_a_usage_error(capsys, tmp_path, field, value, named):
+    # an outcome's counts are read as payload integers are (3.7 is not
+    # truncated to 3, nor "2" parsed), its verdict is one of the four and its
+    # min_margin null or finite; anything else is a malformed report (exit 3)
+    path = _square_condition13_report(capsys, tmp_path)
+    obj = json.loads(path.read_text())
+    obj["outcomes"][0][field] = value
+    path.write_text(json.dumps(obj))  # inf is written as Infinity, which json reads back
+    rc, out, err = run(capsys, "reverify", str(path))
+    assert rc == 3
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("entrocert: error:") and f"field {field!r}" in err and named in err
+
+
 def test_report_to_json_is_compact_and_round_trips():
     from entrocert.certify import TestConfig, run_suite
     from entrocert.expr import lookup

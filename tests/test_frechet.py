@@ -266,7 +266,7 @@ def test_supplied_spectra_keep_no_order(name):
         return _kronecker_form(kernel, dec.eigenvectors).matrix
 
     def pairing(dec):  # Re Tr h df'(rho)[h], as the kept margins weigh it
-        return _weighted(loewner_matrix(fp, dec.eigenvalues), _weights(dec.eigenvectors, h))
+        return _weighted(loewner_matrix(fp, dec.eigenvalues), _weights(dec.eigenvectors, h[None])[0])
 
     assert close(inverse(permuted), inverse(drawn))
     assert close(inverse(drawn), frechet_inverse(fp, rho).matrix)
