@@ -1114,10 +1114,10 @@ def _measure_runs(f: ScalarFunction, runs: list, res: _Measured) -> None:
     """Measure each (prop, rows, D) run into its rows of res.
 
     If the one evaluation of f raises a skippable error, each run is
-    measured alone, and a lone run trial by trial, each alone, so a domain
-    error names the value that evaluating the trial alone names
-    (functions._jointly).  The runs whose margins raise are measured trial
-    by trial, from one evaluation.  A non-finite margin is a DomainError.
+    measured alone, and a lone run trial by trial, each alone, so a
+    skipped trial's note is the error of its own evaluation, as when it is
+    re-verified.  The runs whose margins raise are measured trial by trial,
+    from one evaluation.  A non-finite margin is a DomainError.
     """
     try:
         readings = _readings(f, runs)

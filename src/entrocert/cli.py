@@ -177,7 +177,11 @@ def cmd_reverify(args) -> int:
     try:
         with open(args.report, encoding="utf-8") as fh:
             report = CertificationReport.from_json(fh.read())
-        described, bound = report.function, -float(report.config["tol"]) / 2.0
+        described, tol = report.function, report.config["tol"]
+        # TestConfig's range; NaN, a bool or a string is no tol
+        if not (isinstance(tol, (int, float)) and 0.0 < tol < 1.0):
+            raise ValueError(f"{args.report}: malformed report (tol {tol!r} does not lie in (0, 1))")
+        bound = -float(tol) / 2.0
         if described["expression"] is None:
             raise ValueError(f"{args.report}: the report names no expression to rebuild f from")
         f = parse(described["expression"]).as_function(described["zero_extension"])

@@ -106,8 +106,8 @@ def _loewner(f: ScalarFunction, layouts: list[dict]) -> list[np.ndarray]:
     f and f' are evaluated in one call at every spectrum and then its near
     midpoints, layout by layout.  A pair of distinct eigenvalues reads the
     difference quotient, an exactly coincident pair f'(t) and a nearly
-    coincident one f'((t+s)/2).  The spectra and midpoints are evaluated
-    as by :func:`entrocert.functions._jointly`.
+    coincident one f'((t+s)/2).  The spectra and midpoints are joined by
+    :func:`entrocert.functions._jointly`, so an error is the joined call's.
     """
     parts = []
     for lay in layouts:

@@ -177,6 +177,18 @@ def divided_difference(f: ScalarFunction, t, s):
 _GAP_CHECK_GRID = np.logspace(-2.0, 2.0, 25)
 
 
+def _check_flat(f: ScalarFunction, t, curvature, grid: bool = False) -> None:
+    """Raise DegenerateFunctionError at the first point of t where f'', given there, vanishes.
+
+    On the check grid (``grid``) the point is named as near a vanishing f''.
+    """
+    flat = np.abs(curvature) < DEGENERACY_FLOOR
+    if np.any(flat):
+        where = np.broadcast_to(t, np.shape(flat))[flat].flat[0]
+        place = f"near t={where:.3g} (|f''| < {DEGENERACY_FLOOR:g})" if grid else f"at t={where:.6g}"
+        raise DegenerateFunctionError(f"{f.name} is affine or degenerate {place}; gap function undefined")
+
+
 def gap_function(f: ScalarFunction) -> ScalarFunction:
     """g = 1 / f'', the reciprocal curvature of f.
 
@@ -186,28 +198,12 @@ def gap_function(f: ScalarFunction) -> ScalarFunction:
     shifted twice out of f's series to order k + 2, so every coefficient it
     reports is exact.
     """
-    try:
-        curvature = f.d2(_GAP_CHECK_GRID)
-    except DomainError:  # find the first failing point, as a scan would
-        curvature = np.array([f.d2(float(t)) for t in _GAP_CHECK_GRID])
-    flat = np.abs(curvature) < DEGENERACY_FLOOR
-    if flat.any():
-        raise DegenerateFunctionError(
-            f"{f.name} is affine or degenerate near t={_GAP_CHECK_GRID[flat][0]:.3g} "
-            f"(|f''| < {DEGENERACY_FLOOR:g}); gap function undefined"
-        )
-
+    _check_flat(f, _GAP_CHECK_GRID, f.d2(_GAP_CHECK_GRID), grid=True)
     base = f.taylor
 
     def series(t: float) -> Jet:
         spp = truncated(top_order() + 2, base, t).shift().shift()
-        flat = np.abs(spp.value) < DEGENERACY_FLOOR
-        if np.any(flat):
-            where = np.broadcast_to(t, np.shape(flat))[flat].flat[0]
-            raise DegenerateFunctionError(
-                f"{f.name} is affine or degenerate at t={where:.6g}; "
-                "gap function undefined"
-            )
+        _check_flat(f, t, spp.value)
         return Jet.constant(1.0) / spp
 
     return ScalarFunction(f"gap({f.name})", series)  # 1/f'' has no zero extension
@@ -240,16 +236,9 @@ def _jointly(evaluate: Callable, parts: tuple) -> list:
 
     evaluate maps an array of points to an array of values of its shape, or
     to a tuple of such arrays; it must act point by point, so each result
-    is bit for bit ``evaluate(part)``.  If the joined call raises
-    DomainError, the parts are evaluated one call each, in turn, so the
-    error raised is the one that those separate calls raise first.
+    is bit for bit ``evaluate(part)``.  An error is the joined call's.
     """
-    try:
-        values = evaluate(_joined(parts))
-    except DomainError:
-        if len(parts) == 1:  # the separate call is the joined one
-            raise
-        return [evaluate(p) for p in parts]
+    values = evaluate(_joined(parts))
     if isinstance(values, tuple):
         return list(zip(*(_split(v, parts) for v in values)))
     return _split(values, parts)
@@ -258,20 +247,16 @@ def _jointly(evaluate: Callable, parts: tuple) -> list:
 def _gap_series(f: ScalarFunction, *parts) -> list[Jet]:
     """f's series to order 2 at each array of points of ``parts``, where g = 1/f'' is defined.
 
-    One evaluation of f covers the points of every part and the grid that
-    :func:`gap_function` checks, so g at a part is ``1.0 / f''`` there, bit
-    for bit ``gap_function(f)(part)``.  If the points fail, gap_function(f)
-    is built and evaluated at each part in turn, so the error raised is the
-    one that it raises first.
+    One evaluation of f covers the grid that :func:`gap_function` checks and
+    the points of every part, so g at a part is ``1.0 / f''`` there, bit for
+    bit ``gap_function(f)(part)``.  It raises that evaluation's error, or
+    gap_function's texts for an f'' that vanishes: on the grid first, then
+    at the first flat point of a part.
     """
     points = (_GAP_CHECK_GRID, *(np.asarray(p, dtype=float) for p in parts))
-    try:
-        series = f._series(_joined(points), 2)
-        if (np.abs(series.derivative(2)) < DEGENERACY_FLOOR).any():
-            raise DegenerateFunctionError(f"{f.name}: gap function undefined")
-        return [Jet(list(t)) for t in zip(*(_split(x, points) for x in series.terms))][1:]
-    except (DomainError, DegenerateFunctionError):
-        g = gap_function(f)
-        for p in points[1:]:
-            g(p)
-        raise
+    joined, n = _joined(points), _GAP_CHECK_GRID.size
+    series = f._series(joined, 2)
+    curvature = series.derivative(2)
+    _check_flat(f, _GAP_CHECK_GRID, curvature[:n], grid=True)
+    _check_flat(f, joined[n:], curvature[n:])
+    return [Jet(list(t)) for t in zip(*(_split(x, points) for x in series.terms))][1:]

@@ -262,8 +262,8 @@ def _spectra_values(f: ScalarFunction, spectra: tuple, clamps: tuple) -> list[np
     which f maps to f(0).  Without the clamp, the numerically-zero spectrum
     of embeddings like W rho W^dagger would leak O(sqrt(eps)) errors through
     functions with unbounded slope at 0.  Any other eigenvalue that is not
-    positive raises DomainError, and the spectra are evaluated as by
-    :func:`entrocert.functions._jointly`.
+    positive raises DomainError.  The spectra are joined by
+    :func:`entrocert.functions._jointly`, so an error is the joined call's.
     """
     clamp = f.zero_extension is not None
     if clamp:

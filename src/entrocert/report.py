@@ -44,6 +44,13 @@ def _margin(value) -> Optional[float]:
     raise ValueError(f"expected null or a finite number, got {value!r}")
 
 
+def _count(value) -> int:
+    n = _json_integer(value)
+    if n < 0:
+        raise ValueError(f"expected a count of at least 0, got {value!r}")
+    return n
+
+
 def _field(obj: dict, key: str, read: Callable):
     try:
         return read(obj[key])
@@ -54,15 +61,16 @@ def _field(obj: dict, key: str, read: Callable):
 def outcome_from_dict(obj: dict) -> TestOutcome:
     """The outcome a JSON object holds; ValueError, naming the field, for a value no outcome has.
 
-    The counts are read as a payload's integers are: 3.7 and "2" are malformed.
+    The counts are read as a payload's integers are, and none is negative:
+    3.7, "2" and -1 are malformed.
     """
     return TestOutcome(
         name=obj["name"],
         function=obj["function"],
         verdict=_field(obj, "verdict", _verdict),
         min_margin=_field(obj, "min_margin", _margin),
-        trials_run=_field(obj, "trials_run", _json_integer),
-        trials_skipped=_field(obj, "trials_skipped", _json_integer),
+        trials_run=_field(obj, "trials_run", _count),
+        trials_skipped=_field(obj, "trials_skipped", _count),
         counterexample=obj["counterexample"],
         detail=obj.get("detail", ""),
     )

@@ -297,6 +297,19 @@ def test_scalar_convexity_precheck_short_circuits():
             assert reverify_counterexample(f, out.counterexample) < -CFG.tol / 2
 
 
+def test_shallow_concavity_is_left_to_sampling():
+    # f'' = -2e-9 is below -1e-10 everywhere, but the scalar margins it
+    # gives stay within tol: the precheck decides nothing, and principle1's
+    # sampled trials refute it
+    from entrocert.certify import _scalar_precheck
+
+    f = parse("-1e-9*t^2").as_function()
+    assert _scalar_precheck(f, 1e-8) is None
+    out = test_principle1_concavity(f, TestConfig(seed=1, samples=4))
+    assert (out.verdict, out.trials_run, out.counterexample["kind"]) == (FAIL, 8, "principle1")
+    assert reverify_counterexample(f, out.counterexample) < -1e-8 / 2
+
+
 def test_neglog_pipeline_stops_at_matrix_entropy():
     res = uniqueness_pipeline(lookup("neglog"), TestConfig(seed=7, samples=25))
     assert [s.name for s in res.stages] == [
@@ -1297,6 +1310,21 @@ def test_recut_stacks_give_the_outcomes_of_built_ones(monkeypatch, suite, eig_ra
         assert "trials_skipped=0" in built[0] and "trials_skipped=0" not in built[2]
 
 
+def test_a_witness_past_the_kept_bound_is_rebuilt_and_not_kept(monkeypatch):
+    # with no room to keep anything, a FAIL's witness trial is drawn and
+    # built alone all the same, and not kept
+    import entrocert.certify as certify
+
+    cfg = TestConfig(seed=8, samples=10)
+    kept, _ = run_suite(lookup("neglog"), "gain", cfg)
+    assert kept[0].verdict == FAIL and certify._REBUILT
+    certify._KEPT.clear()
+    certify._REBUILT.clear()
+    monkeypatch.setattr(certify, "_KEPT_BYTES", 0)
+    assert run_suite(lookup("neglog"), "gain", cfg)[0] == kept
+    assert not certify._REBUILT and not certify._KEPT
+
+
 def test_kept_arrays_are_read_only():
     import entrocert.certify as certify
 
@@ -1570,6 +1598,8 @@ def test_a_warm_suite_evaluates_f_once_per_series_order(monkeypatch, f):
         want[name, 2] = 2
     if f.name == "affine":
         want["condition13", 1] = want["equivalence", 1] = 2
+        # its one evaluation of the grid finds it degenerate: SKIPPED
+        want["gap-superadditive", 2] = want["gap-concavity", 2] = 1
     # outside the suites: the uniqueness fit, and the precheck's grid for
     # a function with a zero extension (an exact zero checks it once more)
     got = {key: n for key, n in calls.items() if key[0] not in (None, "search")}

@@ -348,8 +348,12 @@ def test_reverify_non_integral_payload_number_is_a_usage_error(
         ("trials_run", 3.7, "expected an integer"), ("trials_skipped", "2", "expected an integer"),
         ("verdict", "fail", "expected a verdict"), ("min_margin", "-0.5", "finite number"),
         ("min_margin", float("inf"), "finite number"),
+        ("trials_run", -3, "at least 0"), ("trials_skipped", -1, "at least 0"),
     ],
-    ids=["trials_run-fraction", "trials_skipped-string", "verdict", "min_margin-string", "min_margin-inf"],
+    ids=[
+        "trials_run-fraction", "trials_skipped-string", "verdict", "min_margin-string", "min_margin-inf",
+        "trials_run-negative", "trials_skipped-negative",
+    ],
 )
 def test_reverify_malformed_outcome_is_a_usage_error(capsys, tmp_path, field, value, named):
     # an outcome's counts are read as payload integers are (3.7 is not
@@ -365,6 +369,40 @@ def test_reverify_malformed_outcome_is_a_usage_error(capsys, tmp_path, field, va
     assert err.startswith("entrocert: error:") and f"field {field!r}" in err and named in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "1e-8", -1.0, 1.5, True], ids=repr)
+def test_reverify_malformed_tol_is_a_usage_error(capsys, tmp_path, tol):
+    # the bound -tol/2 is read by TestConfig's rule, a number in (0, 1): a
+    # NaN tol would refute every witness, a negative one re-verify margins
+    # up to |tol|/2, and a string or a bool is no number
+    path = _square_condition13_report(capsys, tmp_path)
+    obj = json.loads(path.read_text())
+    obj["config"]["tol"] = tol
+    path.write_text(json.dumps(obj))
+    rc, out, err = run(capsys, "reverify", str(path))
+    assert rc == 3
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("entrocert: error:") and f"tol {tol!r} does not lie in (0, 1)" in err
+
+
+def test_reverify_payload_outside_the_domain_is_a_domain_error(capsys, tmp_path):
+    # a FAIL payload whose points leave f's domain cannot be measured:
+    # re-verifying it is a domain error (exit 3), not a refuted witness
+    path = tmp_path / "log.json"
+    rc, _, _ = run(
+        capsys, "certify", "--expr", "log(t)", "--suite", "principle1",
+        "--samples", "2", "--seed", "1", "--out", str(path),
+    )
+    assert rc == 1
+    obj = json.loads(path.read_text())
+    assert obj["outcomes"][0]["verdict"] == "FAIL"
+    obj["outcomes"][0]["counterexample"] = {"kind": "scalar-convexity", "t": -1.0, "s": 1.0}
+    path.write_text(json.dumps(obj))
+    rc, out, err = run(capsys, "reverify", str(path))
+    assert rc == 3
+    assert out == "" and "Traceback" not in err
+    assert err == "entrocert: domain error: log(t) evaluated at t=-1, outside its domain (t > 0)\n"
+
+
 def test_report_to_json_is_compact_and_round_trips():
     from entrocert.certify import TestConfig, run_suite
     from entrocert.expr import lookup
@@ -376,6 +414,18 @@ def test_report_to_json_is_compact_and_round_trips():
     assert "\n" not in text
     assert CertificationReport.from_json(text) == report
     assert CertificationReport.from_json(report.to_json(indent=2)) == report
+
+
+def test_a_report_with_a_fit_round_trips():
+    # only the survivor reaches the uniqueness fit, which the report carries
+    from entrocert.certify import TestConfig, run_suite
+    from entrocert.expr import lookup
+
+    f, cfg = lookup("tlogt"), TestConfig(seed=1, samples=4)
+    outcomes, fit = run_suite(f, "all", cfg)
+    report = CertificationReport(f.describe(), cfg.as_dict(), tuple(outcomes), 12.5, fit)
+    assert fit is not None and report.to_dict()["fit"] == fit
+    assert CertificationReport.from_json(report.to_json()) == report
 
 
 def test_certify_out_writes_the_indented_report(capsys, tmp_path):

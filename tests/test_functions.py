@@ -149,6 +149,13 @@ def test_gap_function_degenerate():
         gap_function(lookup("affine"))
 
 
+def test_gap_function_names_the_first_flat_point():
+    # f'' = 12 (t-5)^2 vanishes at 5, which the check grid passes between
+    g = gap_function(parse("(t-5)^4").as_function())
+    with pytest.raises(DegenerateFunctionError, match=r"^\(t-5\)\^4 is affine or degenerate at t=5; "):
+        g(5.0)
+
+
 def test_gap_function_names_the_first_point_outside():
     # the grid check reaches sqrt(0.01 - 0.5) before anything else
     with pytest.raises(DomainError, match=r"sqrt of non-positive value -0\.49"):
@@ -331,11 +338,13 @@ def _raised(call):
         ("1/(200-t)", [np.array([1.0, 2.0]), np.array([3.0, 200.0])]),  # a later part
         ("log(t-0.001)*t^3", [np.array([0.05, 2.0]), np.array([0.0005, 1.0])]),
         ("t*log(t)", [np.array([0.5, 2.0]), np.array([3.0])]),  # no error
+        ("(t-5)^4", [np.array([1.0]), np.array([2.0, 5.0])]),  # flat at a point of a part
     ],
 )
 def test_joint_gap_series_raise_what_separate_calls_raise(text, parts):
-    # one evaluation serves every part; when it fails, the error is the one
-    # that gap_function(f) and then g at each part in turn raise first
+    # one evaluation serves the check grid and every part; its error, then
+    # gap_function's degeneracy texts, are what gap_function(f) and then g
+    # at each part in turn raise first on these inputs
     from entrocert.functions import _gap_series
 
     f = parse(text).as_function()
@@ -351,22 +360,61 @@ def test_joint_gap_series_raise_what_separate_calls_raise(text, parts):
         assert all(np.array_equal(a, b) for a, b in zip(got, separate()))
 
 
-@pytest.mark.parametrize("route", ["scalar margin", "trace", "Loewner matrix"])
+# A trial that fails inside f (log of 0.4 - 0.5) at its first points and
+# the domain check at its later ones, as a payload of each route, and a
+# trial f is defined at.
+_ROUTES = {
+    "scalar margin": ({"kind": "scalar-convexity", "t": 0.4, "s": -1.0}, {"t": 2.0, "s": 1.0}),
+    "trace": ({"kind": "principle1", "x": [0.4, 2.0], "y": [-1.0, 1.0]}, {"x": [1.0, 2.0], "y": [3.0, 4.0]}),
+    "Loewner matrix": (
+        {"kind": "matrix-entropy", "x1": [0.4, 2.0], "h1": [1.0, 0.0], "x2": [-1.0, 1.0], "h2": [0.0, 1.0]},
+        {"x1": [1.0, 2.0], "h1": [1.0, 0.0], "x2": [3.0, 4.0], "h2": [0.0, 1.0]},
+    ),
+}
+
+
+def _payload(fields: dict) -> dict:
+    """The fields with each list of eigenvalues as the JSON of its diagonal matrix."""
+    from entrocert.hermitian import matrix_to_json
+
+    return {k: matrix_to_json(np.diag(v)) if isinstance(v, list) else v for k, v in fields.items()}
+
+
+@pytest.mark.parametrize("route", list(_ROUTES))
 def test_joined_evaluation_raises_the_first_parts_error(route):
-    # the first part fails inside f (log of 0.4 - 0.5); the later part fails
-    # the domain check t > 0, which one joined call would meet first
-    from entrocert.certify import reverify_counterexample
+    # the first part fails inside f, the later part the domain check, which
+    # the one joined call meets first: the error is the joined call's, and a
+    # stack, its lone trial and the trial's payload raise that same error
+    import entrocert.certify as certify
     from entrocert.frechet import _layout, _loewner
+    from entrocert.functions import _jointly
     from entrocert.hermitian import _spectra_values, _zero_clamp
 
     f = parse("log(t-0.5)").as_function()
     first, later = np.array([[0.4, 2.0]]), np.array([[-1.0, 1.0]])
     calls = {
-        "scalar margin": lambda: reverify_counterexample(
-            f, {"kind": "scalar-convexity", "t": 0.4, "s": -1.0}
-        ),
+        "scalar margin": lambda: _jointly(f, (first, later)),
         "trace": lambda: _spectra_values(f, (first, later), tuple(map(_zero_clamp, (first, later)))),
         "Loewner matrix": lambda: _loewner(f, [_layout(first), _layout(later)]),
     }
-    with pytest.raises(DomainError, match=r"log of non-positive value -0\.1"):
+    outside = r"evaluated at t=-1, outside its domain \(t > 0\)$"
+    want = {
+        "scalar margin": r"^log\(t-0\.5\) " + outside,
+        "trace": r"^eigenvalue -1 outside the domain of log\(t-0\.5\)$",
+        "Loewner matrix": r"^log\(t-0\.5\) " + outside,
+    }[route]
+    with pytest.raises(DomainError, match=want):
         calls[route]()
+    # matrix entropy reads the Loewner matrices of f'
+    if route == "Loewner matrix":
+        want = r"^d\(log\(t-0\.5\)\) " + outside
+    bad, good = (_payload(fields) for fields in _ROUTES[route])
+    prop = certify._PROPERTIES[bad["kind"]]
+    with pytest.raises(DomainError, match=want) as payload:
+        certify.reverify_counterexample(f, bad)
+    alone = certify._measure(f, [(prop, 1, prop.derive(prop.decode(bad)))])
+    decoded = [prop.decode(p) for p in (bad, good)]
+    stack = {k: np.concatenate([d[k] for d in decoded]) for k in decoded[0]}
+    both = certify._measure(f, [(prop, 2, prop.derive(stack))])
+    assert repr(alone.notes[0]) == repr(both.notes[0]) == repr(payload.value)
+    assert both.notes[1] is None and np.isfinite(both.margins[1])

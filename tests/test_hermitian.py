@@ -275,6 +275,8 @@ def test_matrix_json_round_trip():
     assert np.array_equal(back, m)
     with pytest.raises(ValueError, match="shape mismatch for dim 2"):
         matrix_from_json({**matrix_to_json(m), "dim": 2})
+    # an integral JSON float is an integer, as json writes 3.0 back
+    assert np.array_equal(matrix_from_json({**matrix_to_json(m), "dim": 3.0}), m)
 
 
 def test_eigh_reports_lapack_failure(monkeypatch):
@@ -384,19 +386,20 @@ def test_function_values_zero_clamp_boundary():
 
 def test_joint_spectra_raise_what_separate_calls_raise():
     # the first spectrum fails inside f (log of 0.4 - 0.5), the second the
-    # eigenvalue domain check; one joined call would report the second
+    # eigenvalue domain check, which the one joined call meets first: its
+    # error is the one of f over the spectra as one stack
     from entrocert.hermitian import _spectra_values, _zero_clamp
 
     f = parse("log(t-0.5)").as_function()
     spectra = (np.array([[0.4, 2.0]]), np.array([[-1.0, 1.0]]))
     clamps = tuple(map(_zero_clamp, spectra))
-    with pytest.raises(DomainError) as separate:
-        for lam in spectra:
-            _function_values(f, lam)
+    with pytest.raises(DomainError) as stacked:
+        _function_values(f, np.concatenate(spectra))
     with pytest.raises(DomainError) as joint:
         _spectra_values(f, spectra, clamps)
-    assert str(joint.value) == str(separate.value)
-    assert "log of non-positive" in str(joint.value)
+    assert str(joint.value) == str(stacked.value) == "eigenvalue -1 outside the domain of log(t-0.5)"
+    with pytest.raises(DomainError, match="log of non-positive"):  # the first spectrum alone
+        _function_values(f, spectra[0])
     # and where they succeed, the values are bit for bit the separate ones
     ok = (np.array([[0.6, 2.0]]), np.array([[1.5, 3.0], [0.7, 9.0]]))
     g = parse("t*log(t)").as_function(0.0)
