@@ -25,7 +25,9 @@ Each property is defined once, as a :class:`_Property` record: the fields of
 its counterexample payload, a ``derive(payloads)`` that forms and decomposes
 the matrices of a whole stack of trials, the points of what the derive made
 at which it ``reads`` f, and a ``margin`` of the derived data and the values
-read there, never of the payloads.  Every stack is a
+read there, never of the payloads.  Every evaluation of f is a reading
+(_readings), the grid scans', the fit's and the search's too, and a grid
+point where f'' or g is undefined or not finite is a skipped trial.  Every stack is a
 _Stack of trial indices and derived data, derived where it is built, once
 however many functions measure it; no stack holds payload fields.  Every
 witness is its trial's fields, read through _trial_fields: a grid plan's
@@ -70,7 +72,7 @@ import itertools
 import math
 import operator
 from collections.abc import Callable, Hashable, Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -93,7 +95,6 @@ from .functions import (
     ScalarFunction,
     _gap_series,
     _jointly,
-    gap_function,
 )
 from .hermitian import (
     PsdMargin,
@@ -110,7 +111,7 @@ from .hermitian import (
     pd_from_draw,
     uniform_from_draw,
 )
-from .jets import DomainError
+from .jets import DomainError, Jet
 from .quantum import (
     KrausChannel,
     apply_kraus,
@@ -561,12 +562,11 @@ def _partial_trace_kraus(d1: int, d2: int) -> np.ndarray:
 
 # Field codecs: how a payload field is written to and read from JSON.  A
 # decoded field carries a leading batch axis of length one.
-_MAT, _MATS, _DIRS, _INT, _FLOAT, _CHANNEL = "mat", "mats", "dirs", "int", "float", "channel"
+_MAT, _MATS, _INT, _FLOAT, _CHANNEL = "mat", "mats", "int", "float", "channel"
 
 _ENCODE = {
     _MAT: matrix_to_json,
     _MATS: lambda ms: [matrix_to_json(m) for m in ms],
-    _DIRS: lambda ms: [matrix_to_json(m) for m in ms],  # an older payload held one direction
     _INT: int,
     _FLOAT: float,
     _CHANNEL: lambda k: channel_to_json(  # without the zero operators that pad a stack
@@ -579,7 +579,6 @@ _ENCODE = {
 _DECODE = {
     _MAT: matrix_from_json,
     _MATS: lambda objs: np.stack([matrix_from_json(o) for o in objs]),
-    _DIRS: lambda obj: _DECODE[_MATS](obj) if isinstance(obj, list) else matrix_from_json(obj)[None],
     _INT: lambda v: np.asarray(_json_integer(v)),
     _FLOAT: lambda v: np.asarray(float(v)),
     _CHANNEL: lambda obj: np.stack(channel_from_json(obj).kraus),
@@ -614,6 +613,7 @@ class _Property:
     never the payload, and returns ``(margins, scales)``, or ``(margins,
     scales, extras)`` where ``extras`` holds per-trial values that the
     witness records next to the trial's fields: a witness is its trial.
+    Every property names its reading, and no margin evaluates f.
     ``outside(f, D)`` returns the trials f cannot be measured at, and the
     error that skips them.  _measure evaluates f once for all the stacks it
     is given.
@@ -622,11 +622,10 @@ class _Property:
     kind: str
     fields: tuple[tuple[str, str], ...]
     margin: Callable
-    reads: _Reading = _Reading(lambda f, inputs: [], lambda D: [])  # default: f is read by the margin
+    reads: _Reading
     derive: Callable[[dict], dict] = lambda P: P  # scalar properties measure their fields
     outside: Optional[Callable] = None
     extras: tuple[str, ...] = ()
-    defaults: dict = field(default_factory=dict)  # for fields older payloads lack
     label: str = ""  # names the margin in a detail line when a trial has several
     superops: int = 0  # n^2 x n^2 matrices a trial holds at once, for chunk sizes
 
@@ -642,7 +641,7 @@ class _Property:
     def decode(self, obj: dict) -> dict:
         P = {}
         for name, codec in self.fields:
-            value = obj[name] if name in obj else self.defaults[name]
+            value = obj[name]
             try:
                 P[name] = _DECODE[codec](value)[None]
             except (TypeError, ValueError) as exc:  # a JSON value of the wrong type or value
@@ -688,17 +687,12 @@ def _trace_spectra(name: str, lam: np.ndarray) -> dict:
     return {name: lam, f"{name}.clamp": _zero_clamp(lam)}
 
 
-def _trace_values(f: ScalarFunction, inputs: list) -> list[np.ndarray]:
-    """Tr f over each (spectra, zero-clamp masks) input, member-first ((k, trials) for (trials, k, n))."""
-    spectra, clamps = zip(*inputs)
-    return [np.sum(v, axis=-1) for v in _spectra_values(f, spectra, clamps)]
-
-
 def _traces(*names: str) -> _Reading:
-    """Tr f over the kept spectra of each name."""
-    return _Reading(_trace_values, lambda D: [
-        (_trial_first(D[name]), _trial_first(D[f"{name}.clamp"])) for name in names
-    ])
+    """Tr f over the kept spectra of each name, member-first ((k, trials) for (trials, k, n))."""
+    return _Reading(
+        lambda f, inputs: [np.sum(v, axis=-1) for v in _spectra_values(f, *zip(*inputs))],
+        lambda D: [(_trial_first(D[name]), _trial_first(D[f"{name}.clamp"])) for name in names],
+    )
 
 
 def _kept_layout(name: str, lam: np.ndarray) -> dict:
@@ -936,14 +930,12 @@ def _gain_outside(f, D):
     return singular & (f.zero_extension is None), DomainError(f"channel output too singular for {f.name}")
 
 
-def _gap_values(f: ScalarFunction, parts: list) -> list[np.ndarray]:
-    """g = 1/f'' at each array of points, from one evaluation of f."""
-    return [1.0 / series.derivative(2) for series in _gap_series(f, *parts)]
-
-
 def _gaps(points: Callable) -> _Reading:
-    """g = 1/f'' at the scalar points ``points(t, s)`` of each stack."""
-    return _Reading(_gap_values, lambda D: points(D["t"], D.get("s")))
+    """g = 1/f'' at the scalar points ``points(t, s)`` of each stack, from one evaluation of f."""
+    return _Reading(
+        lambda f, parts: [1.0 / series.derivative(2) for series in _gap_series(f, *parts)],
+        lambda D: points(D["t"], D.get("s")),
+    )
 
 
 def _midpoints(t, s):
@@ -968,7 +960,7 @@ def _gap_zero_margin(f, D, values):
 
 def _uniqueness_fit_margin(f, D, values):
     # a fit has no trial fields: its witness records the worst-fitting grid point
-    (fit, gv), ts = _gap_fit(f), _FIT_GRID
+    (fit, gv), ts = _gap_fit(*values), _FIT_GRID
     t = ts[np.argmax(np.abs(gv - fit["slope"] * ts))]
     extras = {"t": [t], "slope": [fit["slope"]], "relative_residual": [fit["relative_residual"]]}
     return np.array([-fit["relative_residual"]]), np.ones(1), extras
@@ -1000,12 +992,11 @@ _CONDITION13 = _Property(
 )
 _EQUIVALENCE = _Property(
     "equivalence",
-    (("rho", _MAT), ("sigma", _MAT), ("h1", _DIRS), ("h2", _DIRS), ("band", _FLOAT)),
+    (("rho", _MAT), ("sigma", _MAT), ("h1", _MATS), ("h2", _MATS), ("band", _FLOAT)),
     _equivalence_margin,
     _kernels("states"),
     _equivalence_derive,
     extras=("margin13", "margin_hessian"),
-    defaults={"band": 0.0},
     # its traced margin peak reads 7.1-7.6 of these per trial at dims 3-8 and
     # 11.2 at dim 2 (its drawn pairs'), whether a trial transfers or not;
     # condition13's 13 covers it
@@ -1037,7 +1028,9 @@ _GAP_CONCAVITY = _Property(
     _gaps(_midpoints),
 )
 _UNIQUENESS_FIT = _Property(
-    "uniqueness-fit", (), _uniqueness_fit_margin, extras=("t", "slope", "relative_residual")
+    "uniqueness-fit", (), _uniqueness_fit_margin,
+    _Reading(lambda f, parts: _gap_series(f, *parts), lambda D: [_FIT_GRID, np.array(1.0)]),
+    extras=("t", "slope", "relative_residual"),
 )
 
 _PROPERTIES: dict[str, _Property] = {
@@ -1048,6 +1041,16 @@ _PROPERTIES: dict[str, _Property] = {
         _GAP_ZERO, _GAP_CONCAVITY, _UNIQUENESS_FIT,
     )
 }
+
+
+def _scan(kind: str, reads: _Reading) -> _Property:
+    """A grid scan, which no payload names: its margin at a grid point is the value read there."""
+    return _Property(kind, (("t", _FLOAT),), lambda f, D, values: (values[0], np.ones_like(values[0])), reads)
+
+
+# f'' over the scalar grid for the precheck, g = 1/f'' over the gap grid for the gap suites' plans
+_SCALAR_GRID_SCAN = _scan("scalar-grid", _Reading(lambda f, parts: _jointly(f.d2, parts), lambda D: [D["t"]]))
+_GAP_GRID_SCAN = _scan("gap-grid", _gaps(lambda t, s: [t]))
 
 
 # --------------------------------------------------------------------------
@@ -1083,9 +1086,9 @@ def _measure(f: ScalarFunction, jobs: list[tuple[_Property, int, dict]]) -> _Mea
 
     The jobs' properties read f alike (one ``reads.values``), and one
     evaluation of f serves every stack (_readings): a kept plan set whole,
-    the grid plans of a suite together, a stack not kept as it is built, or
-    a payload decoded from JSON as a stack of one.  The trials outside f's
-    domain (_Property.outside) are skipped first and left out of it.
+    the grid plans of a suite together, a stack not kept as it is built, a
+    grid scan, or a payload decoded from JSON as a stack of one.  The trials
+    outside f's domain (_Property.outside) are skipped first and left out of it.
     """
     size = sum(n for _, n, _ in jobs)
     res = _Measured(np.full(size, np.nan), np.zeros(size), [], [None] * size)
@@ -1113,11 +1116,11 @@ def _readings(f: ScalarFunction, runs: list) -> list[list]:
 def _measure_runs(f: ScalarFunction, runs: list, res: _Measured) -> None:
     """Measure each (prop, rows, D) run into its rows of res.
 
-    If the one evaluation of f raises a skippable error, each run is
-    measured alone, and a lone run trial by trial, each alone, so a
-    skipped trial's note is the error of its own evaluation, as when it is
-    re-verified.  The runs whose margins raise are measured trial by trial,
-    from one evaluation.  A non-finite margin is a DomainError.
+    The only split of a failed evaluation of f: if it raises a skippable
+    error, each run is measured alone, and a lone run trial by trial, so a
+    skipped trial's note (a grid point's too) is the error of its own
+    evaluation, as when it is re-verified.  The runs whose margins raise are
+    measured trial by trial, from one evaluation.  A non-finite margin is a DomainError.
     """
     try:
         readings = _readings(f, runs)
@@ -1596,25 +1599,6 @@ def _drive(
 # --------------------------------------------------------------------------
 # scalar convexity precheck (every suite assumes convex f; verify, don't trust)
 
-def _grid_values(fn: Callable, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """fn over a grid in one call, and which points it is defined at.
-
-    When the call raises DomainError the grid is evaluated point by point,
-    so exactly the offending points are marked.
-    """
-    try:
-        return np.asarray(fn(ts), dtype=float), np.ones(ts.shape, dtype=bool)
-    except DomainError:
-        pass
-    vals, ok = np.zeros(ts.shape), np.zeros(ts.shape, dtype=bool)
-    for i, t in enumerate(ts):
-        try:
-            vals[i], ok[i] = fn(float(t)), True
-        except DomainError:
-            continue
-    return vals, ok
-
-
 # The precheck of the last function checked, as [f, tol, its outcome or
 # None].  Every suite of a run_suite call starts with the same precheck, so
 # it is computed once per function and tol; f is matched by identity, since
@@ -1632,14 +1616,17 @@ def _scalar_convexity_failure(
 
 
 def _scalar_precheck(f: ScalarFunction, tol: float) -> Optional[TestOutcome]:
-    """The outcome of the scalar convexity precheck when it decides one (under an empty name)."""
-    d2, usable = _grid_values(f.d2, _SCALAR_GRID)
-    if not usable.any():
+    """The outcome of the scalar convexity precheck when it decides one (under an empty name).
+
+    f'' is read over _SCALAR_GRID as a scan; a pair of points near its most negative value may refute f.
+    """
+    d2 = _measure(f, [(_SCALAR_GRID_SCAN, _SCALAR_GRID.size, {"t": _SCALAR_GRID})]).margins
+    if np.isnan(d2).all():
         return TestOutcome(
             "", f.name, SKIPPED, None, 0, len(_SCALAR_GRID), None,
             "function undefined on the scalar test grid",
         )
-    concave = np.where(usable & (d2 < -1e-10), d2, np.inf)
+    concave = np.where(d2 < -1e-10, d2, np.inf)
     w = int(np.argmin(concave))
     if not np.isfinite(concave[w]):
         return None
@@ -1715,15 +1702,21 @@ def _derived_hessian_witness(f: ScalarFunction, cfg: TestConfig, k: int) -> Opti
         plan = _Plan(f"subentropic-escalation/k{k}/dim{dim}", 12, (_CONDITION13,), {None: cols})
         # one index class: the stacks hold the rows in trial order, each a
         # condition13 payload derived with its stack.  The plan set is read
-        # to its end first, so it is kept whatever the search finds.
-        stacks = itertools.chain.from_iterable(_kept_stacks(cfg, [plan]))
-        rows = [(stack, j) for stack in stacks for j in range(stack.idx.size)]
-        for stack, j in rows:
+        # to its end first, so it is kept whatever the search finds, and f'
+        # is read over all of it at once (a plan set with no stacks reads nothing)
+        stacks = list(itertools.chain.from_iterable(_kept_stacks(cfg, [plan])))
+        if not stacks:
+            continue
+        try:
+            kernels = _readings(f, [(_CONDITION13, s.idx, s.derived["condition13"]) for s in stacks])
+        except _SKIPPABLE:
+            return None
+        rows = [(s, kernel, j) for s, (kernel,) in zip(stacks, kernels) for j in range(s.idx.size)]
+        for stack, kernel, j in rows:
             D = _trial(stack.derived["condition13"], j)
-            try:
-                (kernel,) = _kernel_values(f, _CONDITION13.reads.points(D))
-                form = _condition13_form(_inverse_kernel(fp, kernel), D["states.rotations"])
-            except (NotInvertibleError, DomainError):
+            try:  # the form of each row alone, as its sampled trial's
+                form = _condition13_form(_inverse_kernel(fp, kernel[j : j + 1]), D["states.rotations"])
+            except NotInvertibleError:
                 return None
             low, _, h = _transfer(form)
             if low[0] >= 0.0:
@@ -1873,12 +1866,15 @@ def test_entropy_gain_convexity(
 # scalar suites for the gap function g = 1/f''
 
 def _defined_gap_grid(f: ScalarFunction) -> tuple[np.ndarray, int]:
-    """The grid points where g = 1/f'' is defined, and how many it is undefined at."""
-    try:
-        _gap_series(f, _GAP_GRID)
-        return _GAP_GRID, 0
-    except DomainError:  # mark exactly the offending points
-        _, ok = _grid_values(gap_function(f), _GAP_GRID)
+    """The grid points where g = 1/f'' is defined, and how many it is undefined at.
+
+    g is read over _GAP_GRID as a scan.  Where it is defined at no point, the
+    first point's error is raised: gap_function's check grid's, if that is why.
+    """
+    res = _measure(f, [(_GAP_GRID_SCAN, _GAP_GRID.size, {"t": _GAP_GRID})])
+    ok = ~np.isnan(res.margins)
+    if not ok.any():
+        raise res.notes[0]
     return _GAP_GRID[ok], int(np.count_nonzero(~ok))
 
 
@@ -1952,13 +1948,12 @@ _FIT_RESIDUAL_TOL = 1e-6
 _FIT_SLOPE_TOL = 1e-6
 
 
-def _gap_fit(f: ScalarFunction) -> tuple[dict, np.ndarray]:
-    """Least-squares fit of g(t) = 1/f'' against b*t on a fixed log grid, and g on that grid.
+def _gap_fit(at_grid: Jet, at_one: Jet) -> tuple[dict, np.ndarray]:
+    """Least-squares fit of g(t) = 1/f'' against b*t on _FIT_GRID, and g on that grid.
 
-    One evaluation of f serves the grid and the normalisation at t = 1.
+    It takes the uniqueness fit's reading: f's series on the grid and at t = 1.
     """
     ts = _FIT_GRID
-    at_grid, at_one = _gap_series(f, ts, np.array(1.0))
     gv = 1.0 / at_grid.derivative(2)
     b = float(gv @ ts / (ts @ ts))
     norm = float(np.linalg.norm(gv))
@@ -2005,7 +2000,8 @@ def uniqueness_pipeline(
             )
             return PipelineResult(tuple(stages), None, final)
 
-    fit = _gap_fit(f)[0]
+    values = _readings(f, [(_UNIQUENESS_FIT, None, {})])[0]
+    fit = _gap_fit(*values)[0]
     slope_dev = abs(fit["slope_minus_inverse_curvature"])
     ok = fit["relative_residual"] <= _FIT_RESIDUAL_TOL and slope_dev <= _FIT_SLOPE_TOL
     if ok:
@@ -2019,10 +2015,11 @@ def uniqueness_pipeline(
             % (fit["slope"], fit["relative_residual"]),
         )
     else:
-        res = _measure(f, [(_UNIQUENESS_FIT, 1, {})])
+        margin, _, extras = _UNIQUENESS_FIT.margin(f, {}, values)
+        witness = _UNIQUENESS_FIT.witness({k: v[0] for k, v in extras.items()}, margin[0])
         final = TestOutcome(
             "uniqueness", f.name, FAIL, -float(fit["relative_residual"]),
-            len(_FIT_GRID), 0, _witness(_UNIQUENESS_FIT, {}, res, 0),
+            len(_FIT_GRID), 0, witness,
             "stages passed but g(t) is not proportional to t "
             "(residual %.3e, slope deviation %.3e)" % (fit["relative_residual"], slope_dev),
         )

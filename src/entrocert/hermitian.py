@@ -427,8 +427,10 @@ def matrix_to_json(m: np.ndarray) -> dict:
 def _json_integer(value) -> int:
     """A JSON number of integral value (2 or 2.0) as an int; ValueError for any other value.
 
-    int() would read 2.9 as 2.
+    int() would read 2.9 as 2, and operator.index a JSON true as 1.
     """
+    if isinstance(value, bool):
+        raise ValueError(f"expected an integer, got {value!r}")
     if isinstance(value, float) and value.is_integer():
         return int(value)
     try:

@@ -472,8 +472,9 @@ def test_reverify_equivalence_agreement_sign():
         "kind": "equivalence",
         "rho": matrix_to_json(rho),
         "sigma": matrix_to_json(sigma),
-        "h1": matrix_to_json(h),
-        "h2": matrix_to_json(h),
+        "h1": [matrix_to_json(h)],
+        "h2": [matrix_to_json(h)],
+        "band": 0.0,
     }
     # square: superoperator margin and Hessian margin are both negative
     assert reverify_counterexample(lookup("square"), payload) > 0
@@ -880,6 +881,29 @@ def test_gap_grid_plans(monkeypatch):
     assert stacks == [231, 20, 1, 210]
 
 
+def test_gap_grid_points_where_g_is_undefined_count_as_skipped():
+    # log(t-0.002)*t leaves its domain at the two smallest gap-grid points:
+    # each counts once as skipped, and so does the zero probe of
+    # gap-superadditive; the 23 defined points make 276 pairs, 22 neighbours
+    f, cfg = parse("log(t-0.002)*t").as_function(), TestConfig(seed=42, samples=10)
+    out = test_gap_superadditive(f, cfg)
+    assert (out.verdict, out.trials_run, out.trials_skipped) == (FAIL, 298, 3)
+    out = test_gap_concavity(f, cfg)
+    assert (out.verdict, out.trials_run, out.trials_skipped) == (FAIL, 253, 2)
+
+
+def test_a_function_undefined_on_the_check_grid_skips_the_gap_suites():
+    # -log(5-t) is defined below t=5 only: part of the scalar grid, where
+    # principle1's spectra leave the domain too, and not the whole check
+    # grid of g, whose error is the gap suites' detail with none skipped
+    f, cfg = parse("-log(5-t)").as_function(), TestConfig(seed=42, samples=10)
+    (out,), _ = run_suite(f, "principle1", cfg)
+    assert (out.verdict, out.trials_run, out.trials_skipped) == (PASS, 8, 12)
+    for out in run_suite(f, "gap", cfg)[0]:
+        assert (out.verdict, out.trials_run, out.trials_skipped) == (SKIPPED, 0, 0)
+        assert out.detail == "log of non-positive value -1.81292"
+
+
 # The suite entry points each run_suite token reaches, in order.
 TOKEN_ENTRIES = {
     "principle1": ["test_principle1_concavity"],
@@ -1039,6 +1063,19 @@ def test_built_states_are_not_decomposed_again(monkeypatch):
     assert counts == {"closed_form": 6810, "lapack": 7190, "eigh": 135, "pd_from_draw": 61}
 
 
+def test_a_grid_point_where_f2_is_not_finite_counts_as_undefined():
+    # f'' of -(t^256) overflows to -inf past t=12.6: those grid points are
+    # skipped, as a sampled trial whose margin is not finite is, so the
+    # precheck refutes f next to its most negative finite f'' (the overflow,
+    # and the NaN margins of the points past it, are the point here)
+    f = parse("-(t^128*t^128)").as_function()
+    with np.errstate(over="ignore", invalid="ignore"):
+        (out,), _ = run_suite(f, "principle1", TestConfig(seed=42, samples=10))
+        assert reverify_counterexample(f, out.counterexample) == out.min_margin
+    assert (out.verdict, out.trials_run, out.trials_skipped, out.min_margin) == (FAIL, 1, 0, -0.5)
+    assert out.detail.startswith("scalar convexity fails near t=12.5893 (f''=-1.640e+284)")
+
+
 def test_function_undefined_on_the_scalar_grid_is_skipped():
     f = parse("log(t-200)").as_function()
     (out,), _ = run_suite(f, "principle1", TestConfig(seed=1, samples=2))
@@ -1178,7 +1215,7 @@ def test_kept_stacks_stay_within_the_kept_bound():
     # weights), and no witness was rebuilt
     matrices = {
         name for prop in certify._PROPERTIES.values() for name, codec in prop.fields
-        if codec in (certify._MAT, certify._MATS, certify._DIRS, certify._CHANNEL)
+        if codec in (certify._MAT, certify._MATS, certify._CHANNEL)
     }
     for stack in _kept_entries():
         assert stack.idx.ndim == 1 and stack.dim in (2, 3, 4, 6)
@@ -1504,7 +1541,8 @@ def _counting(f):
 def test_every_margin_evaluates_f_once(monkeypatch):
     # a margin reads f through its property's reading, whose one evaluation
     # serves every stack and property measured with it (certify._readings);
-    # the margins evaluate nothing themselves, except the uniqueness fit's
+    # no margin evaluates anything itself, the uniqueness fit's included, and
+    # the grid scans of the precheck and of the gap suites read f alike
     import entrocert.certify as certify
 
     measure, readings, counts = certify._measure, certify._readings, {}
@@ -1534,11 +1572,47 @@ def test_every_margin_evaluates_f_once(monkeypatch):
     # a concave f is refuted by the scalar convexity precheck
     f, calls = _counting(parse("sqrt(t)").as_function(0.0))
     assert run_suite(f, "principle1", TestConfig(seed=5, samples=6))[0][0].verdict == FAIL
-    kinds = set(certify._PROPERTIES)
+    kinds = {*certify._PROPERTIES, "scalar-grid", "gap-grid"}
     assert {kind for _, kind in counts} == kinds
-    assert counts.pop(("reads", "uniqueness-fit")) == {0}
-    assert counts.pop(("margin", "uniqueness-fit")) == {1}
     assert all(seen == {int(step == "reads")} for (step, _), seen in counts.items()), counts
+
+
+def test_every_evaluation_of_f_is_a_reading(monkeypatch):
+    # certify evaluates f through _readings alone: the margins, the scans of
+    # the precheck and the gap grid, the uniqueness fit and the
+    # derived-Hessian search, on functions that certify, that are refuted,
+    # and that leave their domain on part of a grid or on g's check grid
+    import entrocert.certify as certify
+    from entrocert.functions import DegenerateFunctionError, ScalarFunction
+
+    readings, series, depth, outside = certify._readings, ScalarFunction._series, [0], []
+
+    def reading(f, runs):
+        depth[0] += 1
+        try:
+            return readings(f, runs)
+        finally:
+            depth[0] -= 1
+
+    def counted(self, t, top):
+        if not depth[0]:
+            outside.append((self.name, top))
+        return series(self, t, top)
+
+    monkeypatch.setattr(certify, "_readings", reading)
+    monkeypatch.setattr(ScalarFunction, "_series", counted)
+    texts = ("-log(5-t)", "log(t-0.002)*t", "1/(7-t)", "t*log(t) - 0.001*t^2")
+    for f in [*_battery_functions(), *(parse(text).as_function() for text in texts)]:
+        outcomes, _ = run_suite(f, "all", TestConfig(seed=42, samples=10))
+        for o in outcomes:
+            if o.verdict == FAIL:
+                reverify_counterexample(f, o.counterexample)
+        try:
+            reverify_counterexample(f, {"kind": "uniqueness-fit"})
+        except (DomainError, DegenerateFunctionError):
+            pass
+        run_suite(f, "uniqueness", TestConfig(seed=1, samples=20, tol=0.5))
+    assert outside == []
 
 
 def _battery_series_calls(monkeypatch, f, cfg):

@@ -343,16 +343,55 @@ def test_reverify_non_integral_payload_number_is_a_usage_error(
 
 
 @pytest.mark.parametrize(
+    "suite, field, key",
+    [("entropic", "dim1", None), ("condition13", "rho", "dim"), ("gain", "channel", "in_dim")],
+    ids=["entropic-dim1", "matrix-dim", "channel-in_dim"],
+)
+def test_reverify_boolean_payload_integer_is_a_usage_error(capsys, tmp_path, suite, field, key):
+    # a JSON true is no integer: read as 1 it would re-verify as the payload it is not
+    path = tmp_path / "square.json"
+    rc, _, _ = run(
+        capsys, "certify", "--function", "square", "--suite", suite,
+        "--samples", "4", "--seed", "1", "--out", str(path),
+    )
+    assert rc == 1
+    obj = json.loads(path.read_text())
+    payload = obj["outcomes"][0]["counterexample"]
+    (payload if key is None else payload[field])[key or field] = True
+    path.write_text(json.dumps(obj))
+    rc, out, err = run(capsys, "reverify", str(path))
+    assert rc == 3
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("entrocert: error:") and f"field {field!r}" in err
+    assert "expected an integer, got True" in err
+
+
+def test_reverify_equivalence_payload_without_band_is_a_usage_error(capsys, tmp_path):
+    # an equivalence payload holds its band: none is assumed for a payload without one
+    path = _square_condition13_report(capsys, tmp_path)
+    obj = json.loads(path.read_text())
+    (outcome,) = obj["outcomes"]
+    rho, sigma = outcome["counterexample"]["rho"], outcome["counterexample"]["sigma"]
+    outcome["counterexample"] = {"kind": "equivalence", "rho": rho, "sigma": sigma, "h1": [rho], "h2": [sigma]}
+    path.write_text(json.dumps(obj))
+    rc, out, err = run(capsys, "reverify", str(path))
+    assert rc == 3
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("entrocert: error:") and "payload lacks 'band'" in err
+
+
+@pytest.mark.parametrize(
     "field, value, named",
     [
         ("trials_run", 3.7, "expected an integer"), ("trials_skipped", "2", "expected an integer"),
         ("verdict", "fail", "expected a verdict"), ("min_margin", "-0.5", "finite number"),
         ("min_margin", float("inf"), "finite number"),
         ("trials_run", -3, "at least 0"), ("trials_skipped", -1, "at least 0"),
+        ("trials_run", True, "expected an integer"), ("trials_skipped", True, "expected an integer"),
     ],
     ids=[
         "trials_run-fraction", "trials_skipped-string", "verdict", "min_margin-string", "min_margin-inf",
-        "trials_run-negative", "trials_skipped-negative",
+        "trials_run-negative", "trials_skipped-negative", "trials_run-true", "trials_skipped-true",
     ],
 )
 def test_reverify_malformed_outcome_is_a_usage_error(capsys, tmp_path, field, value, named):

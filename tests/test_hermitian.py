@@ -279,6 +279,12 @@ def test_matrix_json_round_trip():
     assert np.array_equal(matrix_from_json({**matrix_to_json(m), "dim": 3.0}), m)
 
 
+def test_a_json_boolean_is_no_integer():
+    # operator.index reads True as 1, so a "dim": true would read a 1 x 1 matrix
+    with pytest.raises(ValueError, match="expected an integer, got True"):
+        matrix_from_json({"dim": True, "re": [[2.0]], "im": [[0.0]]})
+
+
 def test_eigh_reports_lapack_failure(monkeypatch):
     def no_convergence(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
