@@ -100,6 +100,7 @@ from .hermitian import (
     PsdMargin,
     SpectralDecomposition,
     _json_integer,
+    _json_number,
     _spectra_values,
     _zero_clamp,
     adjoint,
@@ -152,7 +153,7 @@ _CHUNK_BYTES = 1 << 20
 
 # Bytes of derived data and rebuilt payloads kept for later calls under one
 # configuration (_kept_stacks): all the sampled suites of samples=200 at
-# dims (2, 3) keep about 2.84 MB.
+# dims (2, 3) keep about 2.44 MB.
 _KEPT_BYTES = 4 << 20
 
 # Trials whose seed states are computed at once: about 150 bytes each.
@@ -580,7 +581,7 @@ _DECODE = {
     _MAT: matrix_from_json,
     _MATS: lambda objs: np.stack([matrix_from_json(o) for o in objs]),
     _INT: lambda v: np.asarray(_json_integer(v)),
-    _FLOAT: lambda v: np.asarray(float(v)),
+    _FLOAT: lambda v: np.asarray(_json_number(v)),
     _CHANNEL: lambda obj: np.stack(channel_from_json(obj).kraus),
 }
 
@@ -606,14 +607,15 @@ class _Property:
     factor of the margin that does not depend on f.  A trace property keeps
     the spectra with their zero-clamp masks; a Frechet one the spectra's
     divided-difference layout, and the pairing weights Re(g o g^T), g = U* h
-    U, of its drawn directions h in place of the eigenvectors wherever only
-    a pairing reads them.  A scalar property's derived data are its payload
-    fields.  ``margin(f, D, values)`` takes that derived data ``D`` and the
-    values of f its reading ``reads`` evaluated at the points of ``D``,
-    never the payload, and returns ``(margins, scales)``, or ``(margins,
-    scales, extras)`` where ``extras`` holds per-trial values that the
-    witness records next to the trial's fields: a witness is its trial.
-    Every property names its reading, and no margin evaluates f.
+    U, of its drawn directions h, one triangle each (frechet._weights), in
+    place of the eigenvectors wherever only a pairing reads them.  A scalar
+    property's derived data are its payload fields.  ``margin(f, D,
+    values)`` takes that derived data ``D`` and the values of f its reading
+    ``reads`` evaluated at the points of ``D``, never the payload, and
+    returns ``(margins, scales)``, or ``(margins, scales, extras)`` where
+    ``extras`` holds per-trial values that the witness records next to the
+    trial's fields: a witness is its trial.  Every property names its
+    reading, and no margin evaluates f.
     ``outside(f, D)`` returns the trials f cannot be measured at, and the
     error that skips them.  _measure evaluates f once for all the stacks it
     is given.
@@ -644,7 +646,7 @@ class _Property:
             value = obj[name]
             try:
                 P[name] = _DECODE[codec](value)[None]
-            except (TypeError, ValueError) as exc:  # a JSON value of the wrong type or value
+            except (TypeError, ValueError, OverflowError) as exc:  # a JSON value of the wrong type or value
                 raise ValueError(f"{self.kind} field {name!r} is malformed: {exc}") from None
         return P
 
@@ -679,8 +681,9 @@ def _trial_first(a: np.ndarray) -> np.ndarray:
 # What a derive keeps of a spectrum, under its name: for a trace, the
 # spectra as ``name`` and their zero-clamp masks as ``name.clamp``; for a
 # Loewner matrix, frechet._layout as ``name.eigenvalues``, ``name.gaps``,
-# ..., and the pairing weights ``name.weights`` that its quadratic forms
-# Re Tr h df'(rho)[h] read instead of the eigenvectors.
+# ..., and the pairing weights ``name.weights``, one triangle per direction,
+# that its quadratic forms Re Tr h df'(rho)[h] read instead of the
+# eigenvectors.
 
 def _trace_spectra(name: str, lam: np.ndarray) -> dict:
     """Checked spectra (trial-first) under ``name``, with their zero-clamp masks."""
@@ -886,9 +889,9 @@ def _equivalence_margin(f, D, values):
     the witness is the trial, which re-verifies through this margin.
     """
     (kernel,) = values
-    # Tr h df'(rho)[h] is the Loewner matrix at rho weighed with h's weights;
-    # formed first, so their temporaries and condition (13)'s form never
-    # coexist (at dim 2 the drawn pairs' are the peak)
+    # Tr h df'(rho)[h] is the Loewner matrix's triangle at rho contracted with
+    # h's weights; formed first, so their temporaries and condition (13)'s
+    # form never coexist
     q = _weighted(kernel[:, :, None], D["states.weights"])  # (trials, 3, pairs)
     mh = np.min(_hessian(np.moveaxis(q[:, :2], 1, -1), q[:, 2])[0], axis=1)
     pm, form = _condition13_spectrum(f.derivative(), kernel, D)
@@ -986,7 +989,7 @@ _SUB_HESSIAN = _Property(
 _CONDITION13 = _Property(
     "condition13", (("rho", _MAT), ("sigma", _MAT)), _condition13_margin, _kernels("states"),
     _pair_sum_derive,
-    # its traced margin peak reads 7.1-8.2 of these per trial at dims 2-8;
+    # its traced margin peak reads 7.1-8.4 of these per trial at dims 2-8;
     # 13 keeps the chunk and merge cuts it was sized for
     superops=13,
 )
@@ -997,9 +1000,9 @@ _EQUIVALENCE = _Property(
     _kernels("states"),
     _equivalence_derive,
     extras=("margin13", "margin_hessian"),
-    # its traced margin peak reads 7.1-7.6 of these per trial at dims 3-8 and
-    # 11.2 at dim 2 (its drawn pairs'), whether a trial transfers or not;
-    # condition13's 13 covers it
+    # its traced margin peak reads 7.1-7.9 of these per trial at dims 3-8 and
+    # 9.9 at dim 2, condition (13)'s form's (its drawn pairs' peak at 2.4),
+    # whether a trial transfers or not; condition13's 13 covers it
     superops=13,
 )
 _MATRIX_ENTROPY = _Property(
@@ -1319,7 +1322,7 @@ class _Stack(NamedTuple):
         A margin holds its superoperators at once (_working_set).  One that
         holds none forms temporaries in proportion to the derived arrays it
         reads, counted as three times their bytes: that bounds the Frechet
-        margins' (up to 2.1 times at all@200), not the trace margins' (up to
+        margins' (up to 2.5 times at all@200), not the trace margins' (up to
         5.4 times their spectra).  A chunk's estimate, its fields eight times
         over, covers them already.
         """

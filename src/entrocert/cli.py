@@ -2,13 +2,15 @@
 
 Exit codes: 0 all selected suites PASS; 1 at least one FAIL; 2 deviations
 that are only INCONCLUSIVE or SKIPPED; 3 usage, domain or numerical errors.
-``reverify`` exits 0 when every FAIL of a report re-verifies, 1 when one does
-not, and 3 on a malformed report.
+``reverify`` exits 0 when every FAIL of a report re-verifies below -tol/2 to
+the margin its payload states, 1 when one does not, and 3 on a malformed
+report.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from typing import Optional
@@ -16,9 +18,14 @@ from typing import Optional
 from .certify import FAIL, SUITE_TOKENS, TestConfig, reverify_counterexample, run_suite, worst_exit_code
 from .expr import ParseError, lookup, parse, registry
 from .functions import ScalarFunction
-from .hermitian import EighError
+from .hermitian import EighError, _json_number
 from .jets import DomainError
 from .report import CertificationReport, write_sweep_csv
+
+
+# A re-verified margin agrees with the one its payload states when
+# |a - b| <= this * max(1, |a|, |b|), the rule the benchmark goldens keep.
+_MARGIN_AGREEMENT = 1e-12
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -182,9 +189,16 @@ def cmd_reverify(args) -> int:
         if not (isinstance(tol, (int, float)) and 0.0 < tol < 1.0):
             raise ValueError(f"{args.report}: malformed report (tol {tol!r} does not lie in (0, 1))")
         bound = -float(tol) / 2.0
-        if described["expression"] is None:
+        expression, zero_extension = described["expression"], described["zero_extension"]
+        if expression is None:
             raise ValueError(f"{args.report}: the report names no expression to rebuild f from")
-        f = parse(described["expression"]).as_function(described["zero_extension"])
+        if not isinstance(expression, str):
+            raise ValueError(f"{args.report}: malformed report (expression {expression!r} is no string)")
+        try:  # f(0) is a number or absent: a JSON true is no f(0) = 1
+            zero_extension = None if zero_extension is None else _json_number(zero_extension)
+        except ValueError as exc:
+            raise ValueError(f"{args.report}: malformed report (zero_extension: {exc})") from None
+        f = parse(expression).as_function(zero_extension)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{args.report}: malformed report ({exc!r})") from None
     fails = [o for o in report.outcomes if o.verdict == FAIL]
@@ -198,15 +212,24 @@ def cmd_reverify(args) -> int:
     for o in fails:
         try:
             margin = reverify_counterexample(f, o.counterexample)
+            stated = o.counterexample["margin"]
         except KeyError as exc:
             raise ValueError(
                 f"{args.report}: malformed report (FAIL {o.name} payload lacks {exc})"
             ) from None
-        ok = margin < bound
-        failed |= not ok
-        note = "" if ok else f" -- not below -tol/2 = {bound!r}"
-        print(f"[{o.verdict}] {o.name}: payload margin {o.counterexample.get('margin')!r}, "
-              f"re-verified {margin!r}{note}", file=sys.stderr)
+        if type(stated) not in (int, float) or not math.isfinite(stated):  # not a bool
+            raise ValueError(
+                f"{args.report}: malformed report (FAIL {o.name} payload margin {stated!r} "
+                "is no finite number)"
+            )
+        notes = []
+        if not margin < bound:
+            notes.append(f"not below -tol/2 = {bound!r}")
+        if abs(margin - stated) > _MARGIN_AGREEMENT * max(1.0, abs(margin), abs(stated)):
+            notes.append(f"not the payload margin {stated!r}")
+        failed |= bool(notes)
+        print(f"[{o.verdict}] {o.name}: payload margin {stated!r}, re-verified {margin!r}"
+              + "".join(f" -- {note}" for note in notes), file=sys.stderr)
     return 1 if failed else 0
 
 

@@ -127,23 +127,31 @@ def _loewner(f: ScalarFunction, layouts: list[dict]) -> list[np.ndarray]:
 
 
 def _weights(u: np.ndarray, hs: np.ndarray) -> np.ndarray:
-    """Re(g o g^T), g = U* h U, the weights of a Loewner matrix K in Re Tr h df(rho)[h].
+    """Re(g o g^T), g = U* h U, the weights of a Loewner matrix K in Re Tr h df(rho)[h], as a triangle.
 
     For rho = U diag(lambda) U*, Re Tr h df(rho)[h] = sum_ij K_ij Re(g_ij g_ji)
-    (Daleckii-Krein); the weights do not depend on f.  hs holds m directions
-    (..., m, n, n) at each u (..., n, n), conjugated side by side: two matrix
-    products per u rather than two per direction.
+    (Daleckii-Krein); the weights do not depend on f.  Both K and the
+    weights are symmetric, so the weights are kept as their upper triangle
+    (:func:`_triangle`), (..., n(n+1)/2), each entry above the diagonal
+    doubled for its mirror.  hs holds m directions (..., m, n, n) at each u
+    (..., n, n), conjugated side by side: two matrix products per u rather
+    than two per direction.
     """
     *lead, m, n, _ = hs.shape
     side = np.swapaxes(hs, -3, -2).reshape(*lead, n, m * n)  # [h_1 ... h_m]
     left = np.swapaxes((adjoint(u) @ side).reshape(*lead, n, m, n), -3, -2)
     g = (left.reshape(*lead, m * n, n) @ u).reshape(hs.shape)
-    return (g * np.swapaxes(g, -1, -2)).real.copy()
+    rows, cols, factors = _triangle(n)
+    return (g[..., rows, cols] * g[..., cols, rows]).real * factors
 
 
 def _weighted(kernel: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_ij K_ij W_ij over the last two axes."""
-    return np.sum(kernel * weights, axis=(-2, -1))
+    """sum_ij K_ij W_ij for a symmetric K (..., n, n) and the triangle of W from :func:`_weights`.
+
+    K's upper triangle is contracted with the weights in one einsum.
+    """
+    rows, cols, _ = _triangle(kernel.shape[-1])
+    return np.einsum("...k,...k->...", kernel[..., rows, cols], weights)
 
 
 def frechet_diff(f: ScalarFunction, rho: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -200,6 +208,17 @@ def _read_only(*arrays: np.ndarray) -> tuple:
     for a in arrays:
         a.flags.writeable = False
     return arrays
+
+
+@functools.cache
+def _triangle(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The upper triangle of an n x n matrix in ``np.triu_indices(n)`` order: (rows, cols, factors).
+
+    A factor is 1 on the diagonal and 2 above it, where an entry of a
+    symmetric matrix stands for its mirror too.
+    """
+    rows, cols = np.triu_indices(n)
+    return _read_only(rows, cols, np.where(rows == cols, 1.0, 2.0))
 
 
 @functools.cache

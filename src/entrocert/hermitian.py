@@ -439,10 +439,29 @@ def _json_integer(value) -> int:
         raise ValueError(f"expected an integer, got {value!r}") from None
 
 
+def _json_number(value) -> float:
+    """A JSON number (2 or 2.5) as a float; ValueError for any other value.
+
+    float() would read a JSON true as 1.0, and the string "1" as 1.0.
+    """
+    if type(value) not in (int, float):  # a bool is no number
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _json_numbers(value) -> np.ndarray:
+    """Nested lists of JSON numbers as a float array; ValueError where an entry is no number."""
+    entries = np.asarray(value, dtype=object)
+    if not set(map(type, entries.flat)) <= {int, float}:
+        for v in entries.flat:
+            _json_number(v)  # raises for the first entry that is no number
+    return entries.astype(float)
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
     n = _json_integer(obj["dim"])
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
+    re = _json_numbers(obj["re"])
+    im = _json_numbers(obj["im"])
     if re.shape != (n, n) or im.shape != (n, n):
         raise ValueError(f"matrix JSON shape mismatch for dim {n}")
     # Hermitian symmetry is an invariant, not an assumption about the file

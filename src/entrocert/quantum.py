@@ -17,6 +17,7 @@ from .functions import ScalarFunction
 from .hermitian import (
     _first_failure,
     _json_integer,
+    _json_numbers,
     _unitary_from_draw,
     adjoint,
     hermitize,
@@ -284,8 +285,8 @@ def channel_from_json(obj: dict) -> KrausChannel:
     out_dim = _json_integer(obj["out_dim"])
     ops = []
     for entry in obj["kraus"]:
-        re = np.asarray(entry["re"], dtype=float)
-        im = np.asarray(entry["im"], dtype=float)
+        re = _json_numbers(entry["re"])
+        im = _json_numbers(entry["im"])
         if re.shape != (out_dim, in_dim) or im.shape != (out_dim, in_dim):
             raise ValueError(
                 f"Kraus JSON shape {re.shape} does not match {out_dim}x{in_dim}"

@@ -461,6 +461,13 @@ def test_reverify_synthetic_payload_kinds():
         reverify_counterexample(tlogt, {"kind": "nonsense"})
 
 
+@pytest.mark.parametrize("t", [True, False, "1", None], ids=repr)
+def test_a_payload_float_is_a_json_number(t):
+    # float() would read true as 1.0 and "1" as 1.0, and re-verify t = 1
+    with pytest.raises(ValueError, match=r"field 't' is malformed: expected a number"):
+        reverify_counterexample(lookup("exp"), {"kind": "gap-monotone", "t": t, "s": 2.0})
+
+
 def test_reverify_equivalence_agreement_sign():
     from entrocert.hermitian import matrix_to_json, random_hermitian, random_pd
 
@@ -1268,7 +1275,7 @@ def test_kept_plan_sets_are_recut_by_their_working_set(monkeypatch):
         (("all",), TestConfig(seed=42, samples=200), {"condition13", "subentropic-k4"}),
         (
             ("condition13", "equivalence"), TestConfig(seed=42, samples=100, dims=(6, 8)),
-            {"condition13"},
+            {"condition13", "equivalence"},
         ),
         (
             ("subentropic",), TestConfig(seed=42, samples=100, dims=(6, 8)),
@@ -1281,9 +1288,8 @@ def test_kept_stacks_stay_within_the_chunk_bound(suites, cfg, streams):
     # a kept stack of several trials was merged under _CHUNK_BYTES of
     # estimated working memory (certify._coalesced): its arrays and the
     # traced peak of measuring it stay within that bound.  A built stack of
-    # one trial is never cut, whatever its size (condition13 at dim 8), and
-    # equivalence at dims 6 and 8 exceeds _KEPT_BYTES, so nothing of it is
-    # kept.  The subentropic margins hold no superoperators: their
+    # one trial is never cut, whatever its size (condition13 and equivalence
+    # at dim 8).  The subentropic margins hold no superoperators: their
     # temporaries are counted on the derived arrays they read.
     import tracemalloc
 

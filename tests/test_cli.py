@@ -271,6 +271,73 @@ def test_reverify_usage_errors(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "key, value, named",
+    [
+        ("expression", [1], "expression [1] is no string"),
+        ("zero_extension", True, "zero_extension: expected a number, got True"),
+        ("zero_extension", "0", "zero_extension: expected a number, got '0'"),
+    ],
+    ids=["expression-list", "zero_extension-true", "zero_extension-string"],
+)
+def test_reverify_checks_the_function_descriptor_before_it_parses(capsys, tmp_path, key, value, named):
+    # a descriptor of the wrong JSON type is a malformed report (exit 3): not
+    # a traceback (exit 1, "did not re-verify"), and a true is no f(0) = 1
+    path = _square_condition13_report(capsys, tmp_path)
+    obj = json.loads(path.read_text())
+    obj["function"][key] = value
+    path.write_text(json.dumps(obj))
+    rc, out, err = run(capsys, "reverify", str(path))
+    assert rc == 3
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("entrocert: error:") and "malformed report" in err and named in err
+
+
+@pytest.mark.parametrize("entry", [True, "1"], ids=repr)
+def test_reverify_payload_matrix_entry_is_a_json_number(capsys, tmp_path, entry):
+    # read as 1.0, a true entry would re-verify as the payload it is not
+    path = _square_condition13_report(capsys, tmp_path)
+    obj = json.loads(path.read_text())
+    obj["outcomes"][0]["counterexample"]["rho"]["re"][0][0] = entry
+    path.write_text(json.dumps(obj))
+    rc, out, err = run(capsys, "reverify", str(path))
+    assert rc == 3
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("entrocert: error:") and "field 'rho'" in err and "expected a number" in err
+
+
+@pytest.mark.parametrize("factor, rc", [(1.0 + 1e-13, 0), (1.0 + 1e-11, 1), (-10.0, 1)])
+def test_reverify_compares_the_payload_margin(capsys, tmp_path, factor, rc):
+    # the re-verified margin must be the payload's, to the goldens' 1e-12
+    # relative: a witness whose margin was edited does not re-verify
+    path = _square_condition13_report(capsys, tmp_path)
+    obj = json.loads(path.read_text())
+    payload = obj["outcomes"][0]["counterexample"]
+    payload["margin"] *= factor
+    path.write_text(json.dumps(obj))
+    got, _, err = run(capsys, "reverify", str(path))
+    assert got == rc
+    assert f"payload margin {payload['margin']!r}, re-verified " in err
+    assert ("not the payload margin" in err) == (rc == 1)
+    assert "not below -tol/2" not in err  # the witness itself still refutes
+
+
+@pytest.mark.parametrize("margin", ["1", True, None, float("inf"), float("nan")], ids=repr)
+def test_reverify_payload_margin_is_a_finite_number(capsys, tmp_path, margin):
+    path = _square_condition13_report(capsys, tmp_path)
+    obj = json.loads(path.read_text())
+    obj["outcomes"][0]["counterexample"]["margin"] = margin
+    path.write_text(json.dumps(obj))  # inf and nan are written as Infinity and NaN
+    rc, out, err = run(capsys, "reverify", str(path))
+    assert rc == 3
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("entrocert: error:") and f"payload margin {margin!r} is no finite number" in err
+    del obj["outcomes"][0]["counterexample"]["margin"]
+    path.write_text(json.dumps(obj))
+    rc, _, err = run(capsys, "reverify", str(path))
+    assert rc == 3 and "payload lacks 'margin'" in err
+
+
+@pytest.mark.parametrize(
     "payload", [None, "not a payload", "missing rho"], ids=["null", "string", "missing-field"]
 )
 def test_reverify_malformed_payload_is_a_usage_error(capsys, tmp_path, payload):

@@ -274,6 +274,52 @@ def test_supplied_spectra_keep_no_order(name):
     assert abs(q - qp) <= 1e-13 * abs(q)
 
 
+def _spectrum(kind, n, rng):
+    lam, m = np.sort(rng.uniform(0.5, 3.0, n)), max(2, n - 1)
+    if kind == "coincident":  # the first max(2, n - 1) eigenvalues repeated
+        lam[:m] = lam[0]
+    elif kind == "near":
+        lam[:m] = lam[0] + 1e-9 * np.arange(m)
+    return lam
+
+
+@pytest.mark.parametrize("kind", ["random", "coincident", "near"])
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("name", ["tlogt", "neglog", "exp"])
+def test_triangle_pairing_matches_the_superoperator(name, n, kind):
+    # the packed triangle against the full n^2 x n^2 superoperator, which
+    # decomposes rho afresh and shares no code with _weights or _weighted
+    fp = lookup(name).derivative()
+    rng = np.random.default_rng(100 * n + len(kind))
+    for _ in range(4):
+        u, lam = random_unitary(n, rng), _spectrum(kind, n, rng)
+        rho = hermitize((u * lam) @ u.conj().T)
+        h = random_hermitian(n, rng)
+        weights = _weights(u, h[None])[0]
+        assert weights.shape == (n * (n + 1) // 2,)
+        q = _weighted(loewner_matrix(fp, lam), weights)
+        oracle = frechet_superoperator(fp, rho).quadratic_form(h)
+        assert abs(q - oracle) <= 1e-13 * abs(oracle)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_stacked_pairings_match_single_ones_bit_for_bit(n):
+    # a trial's contraction does not depend on the stack it is measured in
+    fp = lookup("tlogt").derivative()
+    rng = np.random.default_rng(n)
+    rhos = np.stack([random_pd(n, (0.1, 10.0), rng) for _ in range(7)])
+    hs = hermitize(rng.standard_normal((7, 3, n, n)) + 1j * rng.standard_normal((7, 3, n, n)))
+    dec = eigh(rhos)
+    kernel = loewner_matrix(fp, dec.eigenvalues)
+    weights = _weights(dec.eigenvectors, hs)
+    assert weights.shape == (7, 3, n * (n + 1) // 2)
+    stacked = _weighted(kernel[:, None], weights)
+    for i in range(7):
+        alone = _weights(dec.eigenvectors[i], hs[i])
+        assert np.array_equal(alone, weights[i])
+        assert np.array_equal(_weighted(kernel[i], alone), stacked[i])
+
+
 def test_frechet_diff_of_non_hermitian_direction_is_not_symmetrised():
     # at rho = diag(1, 2) the derivative in direction E_01 is the Loewner
     # entry (f(1) - f(2)) / (1 - 2) = 2 log 2 for t log t, in place

@@ -285,6 +285,18 @@ def test_a_json_boolean_is_no_integer():
         matrix_from_json({"dim": True, "re": [[2.0]], "im": [[0.0]]})
 
 
+@pytest.mark.parametrize("entry", [True, False, "1", None, [1.0]], ids=repr)
+@pytest.mark.parametrize("part", ["re", "im"])
+def test_a_matrix_entry_is_a_json_number(part, entry):
+    # np.asarray(..., dtype=float) would read true as 1.0 and "1" as 1.0
+    obj = matrix_to_json(np.diag([2.0, 3.0]).astype(complex))
+    obj[part][0][1] = entry
+    with pytest.raises(ValueError, match="expected a number"):
+        matrix_from_json(obj)
+    obj[part][0][1] = 1  # a JSON integer is a number
+    assert matrix_from_json(obj).shape == (2, 2)
+
+
 def test_eigh_reports_lapack_failure(monkeypatch):
     def no_convergence(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

@@ -249,6 +249,14 @@ def test_channel_json_round_trip():
         assert np.array_equal(k1, k2)
 
 
+@pytest.mark.parametrize("entry", [True, "0.5"], ids=repr)
+def test_a_kraus_entry_is_a_json_number(entry):
+    obj = channel_to_json(random_channel(2, 3, 2, RNG))
+    obj["kraus"][1]["im"][2][0] = entry
+    with pytest.raises(ValueError, match="expected a number"):
+        channel_from_json(obj)
+
+
 def test_channel_apply_keeps_non_hermitian_inputs_unsymmetrised():
     ch = random_channel(2, 3, 2, RNG)
     x = RNG.standard_normal((2, 2)) + 1j * RNG.standard_normal((2, 2))
