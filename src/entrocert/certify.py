@@ -36,9 +36,11 @@ reverify_counterexample measures a payload as a stack of one.  A trial whose
 margin is not finite is skipped, and every FAIL payload is written by the
 record that re-verifies it (_witness).
 
-Every suite is a list of trial plans, and one aggregator (_drive) folds the
-margins of each list of stacks measured together (_measure: one evaluation
-of f per reading) straight into the outcome.  A FAIL's witness
+Every suite is a list of trial plans, and one aggregator (_drive) measures
+the suites of a run in one pass: their lists of stacks join batches under
+_CHUNK_BYTES, each batch is measured with one evaluation of f per reading
+kind (_measure), and each suite folds its own margins into its outcome
+(_Tally).  A FAIL's witness
 is the violating sampled trial with the smallest margin, the lowest index
 on ties, or, when an expected failure is not sampled, subentropic's search
 hook constructs one from the superoperator inequality, counted as one
@@ -589,6 +591,9 @@ _DECODE = {
 class _Reading(NamedTuple):
     """Where a margin reads f: ``points(D)`` lists the f-independent inputs of a stack's
     derived data, and ``values(f, inputs)`` returns one value per input, from one evaluation.
+
+    ``values`` names the reading's kind: the readings of one kind share one
+    function, so a batch joins the points of all its stacks that read it.
     """
 
     values: Callable[[ScalarFunction, list], list]
@@ -630,6 +635,10 @@ class _Property:
     extras: tuple[str, ...] = ()
     label: str = ""  # names the margin in a detail line when a trial has several
     superops: int = 0  # n^2 x n^2 matrices a trial holds at once, for chunk sizes
+    # bytes of the margin's other temporaries per byte of its stack's arrays
+    # (_Stack.working_set), traced on kept stacks; 3 covers the subentropic
+    # and matrix-entropy margins, which read at most 2.5
+    temporaries: float = 3.0
 
     def witness(self, payload: dict, margin: float) -> dict:
         obj = {"kind": self.kind}
@@ -690,10 +699,15 @@ def _trace_spectra(name: str, lam: np.ndarray) -> dict:
     return {name: lam, f"{name}.clamp": _zero_clamp(lam)}
 
 
+def _trace_values(f: ScalarFunction, inputs: list) -> list[np.ndarray]:
+    """Tr f over each (spectra, clamp masks) input."""
+    return [np.sum(v, axis=-1) for v in _spectra_values(f, *zip(*inputs))]
+
+
 def _traces(*names: str) -> _Reading:
     """Tr f over the kept spectra of each name, member-first ((k, trials) for (trials, k, n))."""
     return _Reading(
-        lambda f, inputs: [np.sum(v, axis=-1) for v in _spectra_values(f, *zip(*inputs))],
+        _trace_values,
         lambda D: [(_trial_first(D[name]), _trial_first(D[f"{name}.clamp"])) for name in names],
     )
 
@@ -933,12 +947,14 @@ def _gain_outside(f, D):
     return singular & (f.zero_extension is None), DomainError(f"channel output too singular for {f.name}")
 
 
+def _gap_values(f: ScalarFunction, parts: list) -> list[np.ndarray]:
+    """g = 1/f'' at each array of points."""
+    return [1.0 / series.derivative(2) for series in _gap_series(f, *parts)]
+
+
 def _gaps(points: Callable) -> _Reading:
     """g = 1/f'' at the scalar points ``points(t, s)`` of each stack, from one evaluation of f."""
-    return _Reading(
-        lambda f, parts: [1.0 / series.derivative(2) for series in _gap_series(f, *parts)],
-        lambda D: points(D["t"], D.get("s")),
-    )
+    return _Reading(_gap_values, lambda D: points(D["t"], D.get("s")))
 
 
 def _midpoints(t, s):
@@ -970,13 +986,17 @@ def _uniqueness_fit_margin(f, D, values):
 
 
 _PAIR = (("x", _MAT), ("y", _MAT))
+# The temporaries of these trace margins read 3.8-4.7 times their stacks'
+# arrays on stacks of 200-1000 trials at all@200 and at dim 8 (4.7-6.0 on
+# gain's stacks of 21-111 trials).
 # concavity of -Tr f equals midpoint convexity of Tr f
 _PRINCIPLE1 = _Property(
-    "principle1", _PAIR, lambda f, D, values: _convexity(*values[0]), _traces("spectra"), _pair_spectra
+    "principle1", _PAIR, lambda f, D, values: _convexity(*values[0]), _traces("spectra"),
+    _pair_spectra, temporaries=5.0,
 )
 _ENTROPIC = _Property(
     "entropic", (("dim1", _INT), ("dim2", _INT), *_PAIR), _difference_margin,
-    _traces("spectra", "reduced"), _entropic_derive,
+    _traces("spectra", "reduced"), _entropic_derive, temporaries=5.0,
 )
 _SUB_MIDPOINT = _Property(
     "subentropic-midpoint", (("xs", _MATS), ("ys", _MATS)), _subentropic_midpoint_margin,
@@ -990,8 +1010,10 @@ _CONDITION13 = _Property(
     "condition13", (("rho", _MAT), ("sigma", _MAT)), _condition13_margin, _kernels("states"),
     _pair_sum_derive,
     # its traced margin peak reads 7.1-8.4 of these per trial at dims 2-8;
-    # 13 keeps the chunk and merge cuts it was sized for
+    # 13 keeps the chunk and merge cuts it was sized for, and covers its
+    # other temporaries
     superops=13,
+    temporaries=0.0,
 )
 _EQUIVALENCE = _Property(
     "equivalence",
@@ -1004,6 +1026,7 @@ _EQUIVALENCE = _Property(
     # 9.9 at dim 2, condition (13)'s form's (its drawn pairs' peak at 2.4),
     # whether a trial transfers or not; condition13's 13 covers it
     superops=13,
+    temporaries=0.0,
 )
 _MATRIX_ENTROPY = _Property(
     "matrix-entropy", (("x1", _MAT), ("h1", _MAT), ("x2", _MAT), ("h2", _MAT)),
@@ -1011,7 +1034,7 @@ _MATRIX_ENTROPY = _Property(
 )
 _GAIN = _Property(
     "gain", (("channel", _CHANNEL), *_PAIR), _difference_margin, _traces("spectra", "outputs"),
-    _gain_derive, outside=_gain_outside,
+    _gain_derive, outside=_gain_outside, temporaries=5.0,
 )
 _SCALAR_PAIR = (("t", _FLOAT), ("s", _FLOAT))
 _SCALAR_CONVEXITY = _Property(
@@ -1088,8 +1111,8 @@ def _measure(f: ScalarFunction, jobs: list[tuple[_Property, int, dict]]) -> _Mea
     """The margins of the trials of every job in turn: a property, a stack's trial count and its derived data.
 
     The jobs' properties read f alike (one ``reads.values``), and one
-    evaluation of f serves every stack (_readings): a kept plan set whole,
-    the grid plans of a suite together, a stack not kept as it is built, a
+    evaluation of f serves every stack (_readings): those of a batch of
+    _drive (kept plan sets, grid plans, a stack not kept as it is built), a
     grid scan, or a payload decoded from JSON as a stack of one.  The trials
     outside f's domain (_Property.outside) are skipped first and left out of it.
     """
@@ -1319,17 +1342,15 @@ class _Stack(NamedTuple):
     def working_set(self) -> int:
         """The estimated working memory of measuring the stack: its arrays and its margins' temporaries.
 
-        A margin holds its superoperators at once (_working_set).  One that
-        holds none forms temporaries in proportion to the derived arrays it
-        reads, counted as three times their bytes: that bounds the Frechet
-        margins' (up to 2.5 times at all@200), not the trace margins' (up to
-        5.4 times their spectra).  A chunk's estimate, its fields eight times
-        over, covers them already.
+        A margin holds its superoperators at once (_working_set), and other
+        temporaries in proportion to the stack's arrays (_Property.temporaries).
+        Its properties are measured one after another, so the largest of
+        those counts.  A chunk's estimate, its fields eight times over,
+        covers them already.
         """
         nbytes = sum(a.nbytes for a in self.arrays())
-        if not any(p.superops for p in self.plan.props):
-            nbytes *= 4
-        return _working_set(self.plan, self.dim, self.idx.size, nbytes)
+        nbytes *= 1.0 + max(p.temporaries for p in self.plan.props)
+        return _working_set(self.plan, self.dim, self.idx.size, int(nbytes))
 
 
 # Data kept for later calls under one cfg: (cfg, the plans' (stream, count))
@@ -1486,136 +1507,201 @@ def _expects_fail(function_name: str, outcome_name: str) -> bool:
 # --------------------------------------------------------------------------
 # sampling, aggregation and the search for expected failures
 
-def _drive(
-    name: str,
-    f: ScalarFunction,
-    cfg: TestConfig,
-    plans: list[_Plan] | Callable[[], list[_Plan]],
-    *,
-    search: Optional[Callable[[], Optional[tuple]]] = None,
-    recorder: Optional[list] = None,
-) -> TestOutcome:
-    """Run the trials of every plan, aggregate margins, search for expected failures.
+class _Tally:
+    """One suite's outcome, folded in from its lists of stacks as they are measured.
 
-    The scalar convexity precheck runs first.  Plans given as a function are
-    built after it; if building them raises DegenerateFunctionError or
-    DomainError, the property does not apply and the outcome is SKIPPED.
+    The strongest violation (the lowest index on ties), the first skip and
+    the recorded rows do not depend on the order the lists come in, nor on
+    the lists measured with them; the violation's payload is read once it
+    is known.  A suite with no plans is SKIPPED with ``note``.
+    """
+
+    def __init__(
+        self, name: str, plans: list, search: Optional[Callable], record: bool, note: str = ""
+    ):
+        self.name, self.plans, self.search = name, plans, search
+        self.total = sum(plan.count for plan in plans)
+        self.run, self.skipped = 0, sum(plan.excluded for plan in plans)
+        self.prop_min: Optional[np.ndarray] = None
+        self.rows: Optional[list] = [] if record else None  # (trial, dim, margin, scale)
+        self.hit: Optional[tuple] = None
+        self.strongest, self.first_skip, self.skip_note = (np.inf, self.total), self.total, note
+
+    def add(self, stacks: list[_Stack], measured: list[tuple[_Measured, int]], tol: float) -> None:
+        """Fold in a list of stacks.
+
+        Property c of their plans measured their trials as rows o, o+1, ...
+        of res, where (res, o) = measured[c].
+        """
+        idx = np.concatenate([s.idx for s in stacks])
+        n = idx.size
+        m = np.stack([res.margins[o : o + n] for res, o in measured])
+        # a trial's margin is the smallest of its properties' margins (the
+        # first on ties); a trial that any property skips is skipped
+        choice = np.argmin(np.where(np.isnan(m), np.inf, m), axis=0)
+        margins = m[choice, np.arange(n)]
+        ok = ~np.isnan(m).any(axis=0)
+        skips, done = np.flatnonzero(~ok), np.flatnonzero(ok)
+        self.skipped += skips.size
+        if skips.size and idx[skips].min() < self.first_skip:
+            j = skips[np.argmin(idx[skips])]
+            self.first_skip = idx[j]
+            self.skip_note = str(next(res.notes[o + j] for res, o in measured if res.notes[o + j]))
+        if not done.size:
+            return
+        self.run += done.size
+        low = np.min(m[:, done], axis=1)
+        self.prop_min = low if self.prop_min is None else np.minimum(self.prop_min, low)
+        if self.rows is not None:
+            scales = np.stack([res.scales[o : o + n] for res, o in measured])[choice, np.arange(n)]
+            dims = np.concatenate([np.full(s.idx.size, s.dim) for s in stacks])
+            self.rows += [
+                (int(idx[j]), int(dims[j]), float(margins[j]), float(scales[j])) for j in done
+            ]
+        hits = done[margins[done] < -tol]
+        if hits.size:
+            j = hits[np.lexsort((idx[hits], margins[hits]))[0]]
+            if (margins[j], idx[j]) < self.strongest:
+                b = int(np.searchsorted(np.cumsum([s.idx.size for s in stacks]), j, "right"))
+                i = j - sum(s.idx.size for s in stacks[:b])  # the row of trial j in stacks[b]
+                res, o = measured[choice[j]]
+                self.strongest = margins[j], idx[j]
+                self.hit = stacks[b], i, choice[j], res, o + j
+
+    def outcome(self, f: ScalarFunction, cfg: TestConfig, recorder: Optional[list]) -> TestOutcome:
+        """The suite's outcome, after its expected failure's search where one applies."""
+        name, run = self.name, self.run
+        violation = None
+        if self.hit is not None:
+            stack, i, c, res, j = self.hit
+            violation = _witness(stack.plan.props[c], _trial_fields(cfg, stack, i), res, j)
+        if recorder is not None:
+            recorder.extend((name, dim, i, m, scale) for i, dim, m, scale in sorted(self.rows))
+        # a trial's margin is its smallest property margin
+        min_margin = None if self.prop_min is None else float(self.prop_min.min())
+
+        expected_fail = _expects_fail(f.name, name)
+        detail = ""
+        if self.prop_min is not None and len(self.plans[0].props) > 1:
+            detail = "; ".join(
+                f"min {p.label} margin {v:.3e}" for p, v in zip(self.plans[0].props, self.prop_min)
+            )
+
+        if violation is None and expected_fail and self.search is not None and run:
+            found = self.search()
+            if found is not None:
+                violation, scale, dim, note = found
+                run += 1
+                min_margin = min(min_margin, violation["margin"])
+                if recorder is not None:
+                    recorder.append((name, dim, self.total, violation["margin"], scale))
+                detail = _join(detail, note)
+
+        if violation is not None:
+            return TestOutcome(name, f.name, FAIL, min_margin, run, self.skipped, violation, detail)
+        if not run:
+            return TestOutcome(
+                name, f.name, SKIPPED, None, 0, self.skipped, None,
+                self.skip_note or "no admissible trials",
+            )
+        if expected_fail:
+            return TestOutcome(
+                name, f.name, INCONCLUSIVE, min_margin, run, self.skipped, None,
+                _join(detail, "expected a violation but found none within the sampling budget"),
+            )
+        return TestOutcome(name, f.name, PASS, min_margin, run, self.skipped, None, detail)
+
+
+def _drive(
+    f: ScalarFunction, cfg: TestConfig, suites: list[tuple], recorder: Optional[list] = None
+) -> list[TestOutcome]:
+    """The outcomes of several suites, each given as (name, plans, search), measured in one pass.
+
+    The scalar convexity precheck runs first; when it decides, every suite
+    takes its outcome.  Plans given as a function take the gap grid where
+    g = 1/f'' is defined, (points, undefined count): it is scanned once for
+    all the suites that read it, after the precheck, and where the scan
+    raises DegenerateFunctionError or DomainError the property does not
+    apply and those suites are SKIPPED.
+
+    In report order, each suite's lists of stacks (_kept_stacks) join a
+    batch while the sum of their working sets stays within _CHUNK_BYTES; a
+    list is never split, and one over the bound is measured alone.  A batch
+    is measured with one _measure per reading kind, so one evaluation of f
+    per kind serves every suite in it, and each suite folds its own lists
+    (_Tally).  f acts point by point, so a trial's margin does not depend on
+    its batch.
 
     ``search`` runs when the failure is expected, no sampled trial violates
     and some trial ran.  It returns None or a violating (witness, scale,
     dim, note), which counts as trial ``total``.
     """
-    bad = _scalar_convexity_failure(name, f, cfg)
+    bad = _scalar_convexity_failure(f, cfg)
     if bad is not None:
-        return bad
-    if callable(plans):
-        try:
-            plans = plans()
-        except (DegenerateFunctionError, DomainError) as exc:
-            return TestOutcome(name, f.name, SKIPPED, None, 0, 0, None, str(exc))
+        return [replace(bad, name=name) for name, _, _ in suites]
+    tallies, scan = [], None
+    for name, plans, search in suites:
+        if callable(plans):
+            if scan is None:
+                try:
+                    scan = _defined_gap_grid(f)
+                except (DegenerateFunctionError, DomainError) as exc:
+                    scan = exc
+            if isinstance(scan, Exception):
+                tallies.append(_Tally(name, [], None, recorder is not None, str(scan)))
+                continue
+            plans = plans(*scan)
+        tallies.append(_Tally(name, plans, search, recorder is not None))
+    batch, used = [], 0
+    for tally in tallies:
+        for stacks in _kept_stacks(cfg, tally.plans) if tally.plans else ():
+            cost = sum(s.working_set() for s in stacks)
+            if batch and used + cost > _CHUNK_BYTES:
+                _measure_batch(f, batch, cfg.tol)
+                batch, used = [], 0
+            batch.append((tally, stacks))
+            used += cost
+    if batch:
+        _measure_batch(f, batch, cfg.tol)
+    return [tally.outcome(f, cfg, recorder) for tally in tallies]
 
-    total = sum(plan.count for plan in plans)
-    run, skipped = 0, sum(plan.excluded for plan in plans)
-    prop_min: Optional[np.ndarray] = None
-    rows: list = []
-    # the strongest violation (the lowest index on ties) and the first skip
-    # do not depend on the order the stacks come in; the violation's payload
-    # is read once it is known
-    hit: Optional[tuple] = None
-    strongest, first_skip = (np.inf, total), total
-    skip_note = ""
-    for stacks in _kept_stacks(cfg, plans):
-        # the stacks of a list are measured together: per property of their
-        # plans (as many for every plan of a suite), one evaluation of f
-        measured = [
-            _measure(f, [(p, s.idx.size, s.derived[p.kind]) for p, s in zip(props, stacks)])
-            for props in zip(*(s.plan.props for s in stacks))
-        ]
-        idx = np.concatenate([s.idx for s in stacks])
-        m = np.stack([r.margins for r in measured])
-        # a trial's margin is the smallest of its properties' margins (the
-        # first on ties); a trial that any property skips is skipped
-        choice = np.argmin(np.where(np.isnan(m), np.inf, m), axis=0)
-        margins = m[choice, np.arange(idx.size)]
-        ok = ~np.isnan(m).any(axis=0)
-        skips, done = np.flatnonzero(~ok), np.flatnonzero(ok)
-        skipped += skips.size
-        if skips.size and idx[skips].min() < first_skip:
-            j = skips[np.argmin(idx[skips])]
-            first_skip, skip_note = idx[j], str(next(r.notes[j] for r in measured if r.notes[j]))
-        if not done.size:
-            continue
-        run += done.size
-        low = np.min(m[:, done], axis=1)
-        prop_min = low if prop_min is None else np.minimum(prop_min, low)
-        if recorder is not None:
-            scales = np.stack([r.scales for r in measured])[choice, np.arange(idx.size)]
-            dims = np.concatenate([np.full(s.idx.size, s.dim) for s in stacks])
-            rows += [(int(idx[j]), int(dims[j]), float(margins[j]), float(scales[j])) for j in done]
-        hits = done[margins[done] < -cfg.tol]
-        if hits.size:
-            j = hits[np.lexsort((idx[hits], margins[hits]))[0]]
-            if (margins[j], idx[j]) < strongest:
-                strongest, hit = (margins[j], idx[j]), (stacks, choice[j], measured[choice[j]], j)
-    violation = None
-    if hit is not None:
-        stacks, c, res, j = hit
-        b = int(np.searchsorted(np.cumsum([s.idx.size for s in stacks]), j, "right"))
-        i = j - sum(s.idx.size for s in stacks[:b])  # the row of trial j in stacks[b]
-        violation = _witness(stacks[b].plan.props[c], _trial_fields(cfg, stacks[b], i), res, j)
-    if recorder is not None:
-        recorder.extend((name, dim, i, margin, scale) for i, dim, margin, scale in sorted(rows))
-    # a trial's margin is its smallest property margin
-    min_margin = None if prop_min is None else float(prop_min.min())
 
-    expected_fail = _expects_fail(f.name, name)
-    detail = ""
-    if prop_min is not None and len(plans[0].props) > 1:
-        detail = "; ".join(
-            f"min {p.label} margin {v:.3e}" for p, v in zip(plans[0].props, prop_min)
-        )
+def _measure_batch(f: ScalarFunction, batch: list[tuple[_Tally, list[_Stack]]], tol: float) -> None:
+    """Measure a batch of (tally, stacks) lists, one _measure per reading kind, into their tallies.
 
-    if violation is None and expected_fail and search is not None and run:
-        found = search()
-        if found is not None:
-            violation, scale, dim, note = found
-            run += 1
-            min_margin = min(min_margin, violation["margin"])
-            if recorder is not None:
-                recorder.append((name, dim, total, violation["margin"], scale))
-            detail = _join(detail, note)
-
-    if violation is not None:
-        return TestOutcome(name, f.name, FAIL, min_margin, run, skipped, violation, detail)
-    if not run:
-        return TestOutcome(
-            name, f.name, SKIPPED, None, 0, skipped, None, skip_note or "no admissible trials",
-        )
-    if expected_fail:
-        return TestOutcome(
-            name, f.name, INCONCLUSIVE, min_margin, run, skipped, None,
-            _join(detail, "expected a violation but found none within the sampling budget"),
-        )
-    return TestOutcome(name, f.name, PASS, min_margin, run, skipped, None, detail)
+    The properties at one position of a suite's plans read f alike, so the
+    trials of a list that one of them measures take consecutive rows of its
+    kind's measurement.
+    """
+    jobs: dict[Callable, list] = {}
+    at = []
+    for _, stacks in batch:
+        rows = []
+        for props in zip(*(s.plan.props for s in stacks)):
+            kind = props[0].reads.values
+            group = jobs.setdefault(kind, [])
+            rows.append((kind, sum(n for _, n, _ in group)))
+            group += [(p, s.idx.size, s.derived[p.kind]) for p, s in zip(props, stacks)]
+        at.append(rows)
+    measured = {kind: _measure(f, group) for kind, group in jobs.items()}
+    for (tally, stacks), rows in zip(batch, at):
+        tally.add(stacks, [(measured[kind], o) for kind, o in rows], tol)
 
 
 # --------------------------------------------------------------------------
 # scalar convexity precheck (every suite assumes convex f; verify, don't trust)
 
 # The precheck of the last function checked, as [f, tol, its outcome or
-# None].  Every suite of a run_suite call starts with the same precheck, so
-# it is computed once per function and tol; f is matched by identity, since
-# ScalarFunction equality ignores taylor.
+# None].  Every _drive call starts with it (each stage of the uniqueness
+# pipeline makes one), so it is computed once per function and tol; f is
+# matched by identity, since ScalarFunction equality ignores taylor.
 _PRECHECKED: list = [None, None, None]
 
 
-def _scalar_convexity_failure(
-    name: str, f: ScalarFunction, cfg: TestConfig
-) -> Optional[TestOutcome]:
+def _scalar_convexity_failure(f: ScalarFunction, cfg: TestConfig) -> Optional[TestOutcome]:
     if _PRECHECKED[0] is not f or _PRECHECKED[1] != cfg.tol:
         _PRECHECKED[:] = f, cfg.tol, _scalar_precheck(f, cfg.tol)
-    bad = _PRECHECKED[2]
-    return None if bad is None else replace(bad, name=name)
+    return _PRECHECKED[2]
 
 
 def _scalar_precheck(f: ScalarFunction, tol: float) -> Optional[TestOutcome]:
@@ -1650,25 +1736,26 @@ def _scalar_precheck(f: ScalarFunction, tol: float) -> Optional[TestOutcome]:
 # --------------------------------------------------------------------------
 # suite: concavity of rho -> -Tr f(rho)
 
-def test_principle1_concavity(
-    f: ScalarFunction, cfg: TestConfig, recorder: Optional[list] = None
-) -> TestOutcome:
+def _principle1(f: ScalarFunction, cfg: TestConfig) -> tuple:
     plans = [
         _Plan(f"principle1/dim{dim}", cfg.samples, (_PRINCIPLE1,), {
             None: (_pd_col("x", dim, cfg.eig_range), _pd_col("y", dim, cfg.eig_range)),
         })
         for dim in cfg.dims
     ]
+    return "principle1", plans, None
 
-    return _drive("principle1", f, cfg, plans, recorder=recorder)
+
+def test_principle1_concavity(
+    f: ScalarFunction, cfg: TestConfig, recorder: Optional[list] = None
+) -> TestOutcome:
+    return _drive(f, cfg, [_principle1(f, cfg)], recorder)[0]
 
 
 # --------------------------------------------------------------------------
 # suite: convexity of rho -> Tr f(rho) - Tr f(partial trace of rho)
 
-def test_entropic(
-    f: ScalarFunction, cfg: TestConfig, recorder: Optional[list] = None
-) -> TestOutcome:
+def _entropic(f: ScalarFunction, cfg: TestConfig) -> tuple:
     r = cfg.eig_range
     plans = []
     for d1, d2 in cfg.bipartite:
@@ -1678,8 +1765,13 @@ def test_entropic(
             # classical corner: diagonal states exercise the commuting case
             True: (*dims, _diag_col("x", n, r), _diag_col("y", n, r)),
         }, lambda idx, rng: idx % 4 == 3))
+    return "entropic", plans, None
 
-    return _drive("entropic", f, cfg, plans, recorder=recorder)
+
+def test_entropic(
+    f: ScalarFunction, cfg: TestConfig, recorder: Optional[list] = None
+) -> TestOutcome:
+    return _drive(f, cfg, [_entropic(f, cfg)], recorder)[0]
 
 
 # --------------------------------------------------------------------------
@@ -1743,13 +1835,9 @@ def _derived_hessian_witness(f: ScalarFunction, cfg: TestConfig, k: int) -> Opti
     return None
 
 
-def test_subentropic_order_k(
-    f: ScalarFunction, k: int, cfg: TestConfig, recorder: Optional[list] = None
-) -> TestOutcome:
+def _subentropic(f: ScalarFunction, k: int, cfg: TestConfig) -> tuple:
     if k < 2:
         raise ValueError("subentropic order must be >= 2")
-    name = f"subentropic:k={k}"
-
     plans = []
     for dim in cfg.dims:
         pds = tuple(_pd_col(field, dim, cfg.eig_range, k) for field in ("xs", "ys", "rhos"))
@@ -1760,16 +1848,19 @@ def test_subentropic_order_k(
             True: (*pds, _identity_col(("hs",), ("standard_normal",) * k, lambda c: (c,), dim, k)),
         }, lambda idx, rng: idx % 4 == 3))
 
-    search = functools.partial(_derived_hessian_witness, f, cfg, k)
-    return _drive(name, f, cfg, plans, search=search, recorder=recorder)
+    return f"subentropic:k={k}", plans, functools.partial(_derived_hessian_witness, f, cfg, k)
+
+
+def test_subentropic_order_k(
+    f: ScalarFunction, k: int, cfg: TestConfig, recorder: Optional[list] = None
+) -> TestOutcome:
+    return _drive(f, cfg, [_subentropic(f, k, cfg)], recorder)[0]
 
 
 # --------------------------------------------------------------------------
 # suite: superoperator inequality df'(rho+sigma)^-1 >= df'(rho)^-1 + df'(sigma)^-1
 
-def test_condition13(
-    f: ScalarFunction, cfg: TestConfig, recorder: Optional[list] = None
-) -> TestOutcome:
+def _condition13(f: ScalarFunction, cfg: TestConfig) -> tuple:
     lo, hi = cfg.eig_range
     # every tenth trial stretches the spectrum: margins are often tightest
     # when the base points are badly conditioned
@@ -1780,16 +1871,19 @@ def test_condition13(
         }, lambda idx, rng: idx % 10 == 9)
         for dim in cfg.dims
     ]
+    return "condition13", plans, None
 
-    return _drive("condition13", f, cfg, plans, recorder=recorder)
+
+def test_condition13(
+    f: ScalarFunction, cfg: TestConfig, recorder: Optional[list] = None
+) -> TestOutcome:
+    return _drive(f, cfg, [_condition13(f, cfg)], recorder)[0]
 
 
 # --------------------------------------------------------------------------
 # suite: per-instance agreement of the superoperator verdict with Hessian sampling
 
-def test_equivalence_13_vs_hessian(
-    f: ScalarFunction, cfg: TestConfig, recorder: Optional[list] = None
-) -> TestOutcome:
+def _equivalence(f: ScalarFunction, cfg: TestConfig) -> tuple:
     plans = [
         _Plan(f"equivalence/dim{dim}", cfg.samples, (_EQUIVALENCE,), {None: (
             _pd_col("rho", dim, cfg.eig_range),
@@ -1799,16 +1893,19 @@ def test_equivalence_13_vs_hessian(
         )})
         for dim in cfg.dims
     ]
+    return "equivalence", plans, None
 
-    return _drive("equivalence", f, cfg, plans, recorder=recorder)
+
+def test_equivalence_13_vs_hessian(
+    f: ScalarFunction, cfg: TestConfig, recorder: Optional[list] = None
+) -> TestOutcome:
+    return _drive(f, cfg, [_equivalence(f, cfg)], recorder)[0]
 
 
 # --------------------------------------------------------------------------
 # suite: joint convexity of (rho, h) -> Tr h df'(rho) h
 
-def test_matrix_entropy(
-    f: ScalarFunction, cfg: TestConfig, recorder: Optional[list] = None
-) -> TestOutcome:
+def _matrix_entropy(f: ScalarFunction, cfg: TestConfig) -> tuple:
     log_lo, log_hi = np.log(cfg.eig_range[0]), np.log(cfg.eig_range[1])
 
     def scalar_pairs(v):
@@ -1834,16 +1931,19 @@ def test_matrix_entropy(
         }, lambda idx, rng: idx % 4 == 3)
         for dim in cfg.dims
     ]
+    return "matrix-entropy", plans, None
 
-    return _drive("matrix-entropy", f, cfg, plans, recorder=recorder)
+
+def test_matrix_entropy(
+    f: ScalarFunction, cfg: TestConfig, recorder: Optional[list] = None
+) -> TestOutcome:
+    return _drive(f, cfg, [_matrix_entropy(f, cfg)], recorder)[0]
 
 
 # --------------------------------------------------------------------------
 # suite: convexity of rho -> S_f(channel(rho)) - S_f(rho)
 
-def test_entropy_gain_convexity(
-    f: ScalarFunction, cfg: TestConfig, recorder: Optional[list] = None
-) -> TestOutcome:
+def _gain(f: ScalarFunction, cfg: TestConfig) -> tuple:
     r = cfg.eig_range
     classes = {}
     for b, (d1, d2) in enumerate(cfg.bipartite):
@@ -1861,8 +1961,13 @@ def test_entropy_gain_convexity(
         # a random channel draws its input, output and Kraus dimensions first
         return int(rng.integers(2, 5)), int(rng.integers(2, 5)), int(rng.integers(2, _MAX_KRAUS + 1))
 
-    plans = [_Plan("gain", cfg.samples * len(cfg.dims), (_GAIN,), classes, classify)]
-    return _drive("gain", f, cfg, plans, recorder=recorder)
+    return "gain", [_Plan("gain", cfg.samples * len(cfg.dims), (_GAIN,), classes, classify)], None
+
+
+def test_entropy_gain_convexity(
+    f: ScalarFunction, cfg: TestConfig, recorder: Optional[list] = None
+) -> TestOutcome:
+    return _drive(f, cfg, [_gain(f, cfg)], recorder)[0]
 
 
 # --------------------------------------------------------------------------
@@ -1881,11 +1986,10 @@ def _defined_gap_grid(f: ScalarFunction) -> tuple[np.ndarray, int]:
     return _GAP_GRID[ok], int(np.count_nonzero(~ok))
 
 
-def test_gap_superadditive(
-    f: ScalarFunction, cfg: TestConfig, recorder: Optional[list] = None
-) -> TestOutcome:
-    def plans():
-        pts, undefined = _defined_gap_grid(f)
+# Their plans are functions of the defined grid, which _drive scans once for both.
+
+def _gap_superadditive(f: ScalarFunction, cfg: TestConfig) -> tuple:
+    def plans(pts, undefined):
         i, j = np.triu_indices(pts.size)
         return [
             _grid_plan(_GAP_SUPERADDITIVE, undefined, t=pts[i], s=pts[j]),  # all grid pairs
@@ -1893,50 +1997,62 @@ def test_gap_superadditive(
             _grid_plan(_GAP_ZERO, t=np.array([_GAP_ZERO_PROBE])),
         ]
 
-    return _drive("gap-superadditive", f, cfg, plans, recorder=recorder)
+    return "gap-superadditive", plans, None
+
+
+def _gap_concavity(f: ScalarFunction, cfg: TestConfig) -> tuple:
+    def plans(pts, undefined):
+        i, j = np.triu_indices(pts.size, k=1)
+        return [_grid_plan(_GAP_CONCAVITY, undefined, t=pts[i], s=pts[j])]
+
+    return "gap-concavity", plans, None
+
+
+def test_gap_superadditive(
+    f: ScalarFunction, cfg: TestConfig, recorder: Optional[list] = None
+) -> TestOutcome:
+    return _drive(f, cfg, [_gap_superadditive(f, cfg)], recorder)[0]
 
 
 def test_gap_concavity(
     f: ScalarFunction, cfg: TestConfig, recorder: Optional[list] = None
 ) -> TestOutcome:
-    def plans():
-        pts, undefined = _defined_gap_grid(f)
-        i, j = np.triu_indices(pts.size, k=1)
-        return [_grid_plan(_GAP_CONCAVITY, undefined, t=pts[i], s=pts[j])]
-
-    return _drive("gap-concavity", f, cfg, plans, recorder=recorder)
+    return _drive(f, cfg, [_gap_concavity(f, cfg)], recorder)[0]
 
 
 # --------------------------------------------------------------------------
 # the suite table, read by the uniqueness pipeline and by run_suite
 
 class _Suite(NamedTuple):
-    """One outcome of the ``all`` report: the token that selects it and its entry point."""
+    """One outcome of the ``all`` report: the token that selects it and how _drive takes it."""
 
     name: str
     token: str
-    entry: str  # looked up in this module at call time, so a wrapped entry point runs
+    build: Callable  # (f, *args, cfg) -> the suite's (name, plans, search)
     stage: bool = False  # a stage of the uniqueness pipeline
     args: tuple = ()  # arguments between f and cfg
 
+    def of(self, f: ScalarFunction, cfg: TestConfig) -> tuple:
+        return self.build(f, *self.args, cfg)
+
     def run(self, f: ScalarFunction, cfg: TestConfig, recorder: Optional[list]) -> TestOutcome:
-        return globals()[self.entry](f, *self.args, cfg, recorder)
+        return _drive(f, cfg, [self.of(f, cfg)], recorder)[0]
 
 
 # Report order.  The pipeline stages, in this order, follow the logical chain.
 _SUITES = (
-    _Suite("principle1", "principle1", "test_principle1_concavity", stage=True),
-    _Suite("gap-superadditive", "gap", "test_gap_superadditive", stage=True),
-    _Suite("condition13", "condition13", "test_condition13", stage=True),
-    _Suite("equivalence", "equivalence", "test_equivalence_13_vs_hessian"),
+    _Suite("principle1", "principle1", _principle1, stage=True),
+    _Suite("gap-superadditive", "gap", _gap_superadditive, stage=True),
+    _Suite("condition13", "condition13", _condition13, stage=True),
+    _Suite("equivalence", "equivalence", _equivalence),
     *(
-        _Suite(f"subentropic:k={k}", "subentropic", "test_subentropic_order_k", args=(k,))
+        _Suite(f"subentropic:k={k}", "subentropic", _subentropic, args=(k,))
         for k in _SUBENTROPIC_ORDERS
     ),
-    _Suite("matrix-entropy", "matrix-entropy", "test_matrix_entropy", stage=True),
-    _Suite("entropic", "entropic", "test_entropic", stage=True),
-    _Suite("gain", "gain", "test_entropy_gain_convexity"),
-    _Suite("gap-concavity", "gap", "test_gap_concavity", stage=True),
+    _Suite("matrix-entropy", "matrix-entropy", _matrix_entropy, stage=True),
+    _Suite("entropic", "entropic", _entropic, stage=True),
+    _Suite("gain", "gain", _gain),
+    _Suite("gap-concavity", "gap", _gap_concavity, stage=True),
 )
 
 #: suite tokens accepted by run_suite / the CLI, in report order
@@ -2047,7 +2163,8 @@ def run_suite(
     if token == "uniqueness":
         result = uniqueness_pipeline(f, cfg, recorder)
         return [*result.stages, result.outcome], result.fit
-    outcomes = [row.run(f, cfg, recorder) for row in _SUITES if token in ("all", row.token)]
+    rows = [row for row in _SUITES if token in ("all", row.token)]
+    outcomes = _drive(f, cfg, [row.of(f, cfg) for row in rows], recorder)
     if token != "all":
         return outcomes, None
     result = uniqueness_pipeline(
@@ -2090,6 +2207,6 @@ def reverify_counterexample(f: ScalarFunction, payload: dict) -> float:
 
 # The suite entry points are library API, not pytest cases; keep pytest from
 # collecting them out of modules that import them by name.
-for _obj in (TestConfig, TestOutcome, *(globals()[row.entry] for row in _SUITES)):
+for _obj in (TestConfig, TestOutcome, *(globals()[n] for n in __all__ if n.startswith("test_"))):
     _obj.__test__ = False
 del _obj

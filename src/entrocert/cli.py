@@ -3,8 +3,8 @@
 Exit codes: 0 all selected suites PASS; 1 at least one FAIL; 2 deviations
 that are only INCONCLUSIVE or SKIPPED; 3 usage, domain or numerical errors.
 ``reverify`` exits 0 when every FAIL of a report re-verifies below -tol/2 to
-the margin its payload states, 1 when one does not, and 3 on a malformed
-report.
+the margin its payload states, which is its outcome's min_margin, 1 when one
+does not, and 3 on a malformed report.
 """
 
 from __future__ import annotations
@@ -23,9 +23,14 @@ from .jets import DomainError
 from .report import CertificationReport, write_sweep_csv
 
 
-# A re-verified margin agrees with the one its payload states when
-# |a - b| <= this * max(1, |a|, |b|), the rule the benchmark goldens keep.
+# A re-verified margin agrees with the one its payload states, and that with
+# its outcome's min_margin, when |a - b| <= this * max(1, |a|, |b|), the rule
+# the benchmark goldens keep.
 _MARGIN_AGREEMENT = 1e-12
+
+
+def _agree(a: float, b: float) -> bool:
+    return abs(a - b) <= _MARGIN_AGREEMENT * max(1.0, abs(a), abs(b))
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -225,8 +230,10 @@ def cmd_reverify(args) -> int:
         notes = []
         if not margin < bound:
             notes.append(f"not below -tol/2 = {bound!r}")
-        if abs(margin - stated) > _MARGIN_AGREEMENT * max(1.0, abs(margin), abs(stated)):
+        if not _agree(margin, stated):
             notes.append(f"not the payload margin {stated!r}")
+        if o.min_margin is None or not _agree(o.min_margin, stated):
+            notes.append(f"payload margin not the outcome's min_margin {o.min_margin!r}")
         failed |= bool(notes)
         print(f"[{o.verdict}] {o.name}: payload margin {stated!r}, re-verified {margin!r}"
               + "".join(f" -- {note}" for note in notes), file=sys.stderr)

@@ -911,36 +911,27 @@ def test_a_function_undefined_on_the_check_grid_skips_the_gap_suites():
         assert out.detail == "log of non-positive value -1.81292"
 
 
-# The suite entry points each run_suite token reaches, in order.
-TOKEN_ENTRIES = {
-    "principle1": ["test_principle1_concavity"],
-    "entropic": ["test_entropic"],
-    "subentropic": ["test_subentropic_order_k"] * 3,
-    "condition13": ["test_condition13"],
-    "equivalence": ["test_equivalence_13_vs_hessian"],
-    "matrix-entropy": ["test_matrix_entropy"],
-    "gain": ["test_entropy_gain_convexity"],
-    "gap": ["test_gap_superadditive", "test_gap_concavity"],
+# The outcomes each run_suite token drives, in order.
+TOKEN_OUTCOMES = {
+    "principle1": ["principle1"],
+    "entropic": ["entropic"],
+    "subentropic": ["subentropic:k=2", "subentropic:k=3", "subentropic:k=4"],
+    "condition13": ["condition13"],
+    "equivalence": ["equivalence"],
+    "matrix-entropy": ["matrix-entropy"],
+    "gain": ["gain"],
+    "gap": ["gap-superadditive", "gap-concavity"],
     "uniqueness": [
-        "test_principle1_concavity",
-        "test_gap_superadditive",
-        "test_condition13",
-        "test_matrix_entropy",
-        "test_entropic",
-        "test_gap_concavity",
+        "principle1", "gap-superadditive", "condition13", "matrix-entropy", "entropic",
+        "gap-concavity",
     ],
     "all": [
-        "test_principle1_concavity",
-        "test_gap_superadditive",
-        "test_condition13",
-        "test_equivalence_13_vs_hessian",
-        *["test_subentropic_order_k"] * 3,
-        "test_matrix_entropy",
-        "test_entropic",
-        "test_entropy_gain_convexity",
-        "test_gap_concavity",
+        "principle1", "gap-superadditive", "condition13", "equivalence",
+        "subentropic:k=2", "subentropic:k=3", "subentropic:k=4",
+        "matrix-entropy", "entropic", "gain", "gap-concavity",
     ],
 }
+# The outcome each suite entry point returns (subentropic's at k=2).
 ENTRY_OUTCOMES = {
     "test_principle1_concavity": "principle1",
     "test_entropic": "entropic",
@@ -950,33 +941,36 @@ ENTRY_OUTCOMES = {
     "test_entropy_gain_convexity": "gain",
     "test_gap_superadditive": "gap-superadditive",
     "test_gap_concavity": "gap-concavity",
+    "test_subentropic_order_k": "subentropic:k=2",
 }
 
 
 def test_run_suite_dispatch(monkeypatch):
+    # every token but uniqueness drives its suites in one _drive call; the
+    # pipeline drives its stages one call each, and each entry point its own suite
     import entrocert.certify as certify
     from entrocert.certify import SUITE_TOKENS, TestOutcome
 
     calls = []
 
-    def counter(entry):
-        def run(f, *args, **kwargs):
-            calls.append(entry)
-            name = ENTRY_OUTCOMES.get(entry) or f"subentropic:k={args[0]}"
-            return TestOutcome(name, f.name, PASS, 0.0, 1)
+    def drive(f, cfg, suites, recorder=None):
+        calls.append([name for name, _, _ in suites])
+        return [TestOutcome(name, f.name, PASS, 0.0, 1) for name, _, _ in suites]
 
-        return run
-
-    for entry in [*ENTRY_OUTCOMES, "test_subentropic_order_k"]:
-        monkeypatch.setattr(certify, entry, counter(entry))
-    assert set(TOKEN_ENTRIES) == set(SUITE_TOKENS)
-    for token, entries in TOKEN_ENTRIES.items():
+    monkeypatch.setattr(certify, "_drive", drive)
+    assert set(TOKEN_OUTCOMES) == set(SUITE_TOKENS)
+    for token, names in TOKEN_OUTCOMES.items():
         calls.clear()
         outcomes, fit = run_suite(lookup("tlogt"), token, CFG)
-        assert calls == entries, token
+        assert calls == ([[name] for name in names] if token == "uniqueness" else [names]), token
         assert (fit is not None) == (token in ("all", "uniqueness"))
         if fit is not None:
             assert outcomes[-1].name == "uniqueness" and outcomes[-1].verdict == PASS
+    for entry, name in ENTRY_OUTCOMES.items():
+        calls.clear()
+        args = (int(name[-1]),) if entry == "test_subentropic_order_k" else ()
+        assert getattr(certify, entry)(lookup("tlogt"), *args, CFG).name == name
+        assert calls == [[name]]
 
 
 def test_stacking_is_unchanged(monkeypatch):
@@ -1134,6 +1128,60 @@ def test_kept_stacks_give_the_outcomes_of_fresh_ones(seed):
     assert [run(f) for f in _battery_functions()] == cold
 
 
+@pytest.mark.parametrize("seed", [0, 42])
+@pytest.mark.parametrize(
+    "warm, bound",
+    [(False, None), (True, None), (True, 1 << 16)],
+    ids=["cold", "warm", "warm-64KiB"],
+)
+def test_all_equals_its_tokens(monkeypatch, seed, warm, bound):
+    # an `all` run measures every suite in batches; each token measures its
+    # own suites.  Outcomes, witnesses, fit and recorder rows are the same,
+    # run cold (nothing kept, no precheck) or warm, in one batch or, under a
+    # 64 KiB bound, in several, on functions that certify, that are refuted,
+    # and that leave their domain on part of a grid (-log(5-t) on g's check
+    # grid too)
+    import entrocert.certify as certify
+    from entrocert.certify import SUITE_TOKENS
+
+    if bound is not None:
+        monkeypatch.setattr(certify, "_CHUNK_BYTES", bound)
+    cfg = TestConfig(seed=seed, samples=10)
+    texts = ("-log(5-t)", "log(t-0.002)*t", "1/(7-t)")
+    tokens = [token for token in SUITE_TOKENS if token not in ("all", "uniqueness")]
+
+    def run(f, token):
+        if not warm:
+            certify._KEPT.clear()
+            certify._REBUILT.clear()
+            certify._PRECHECKED[:] = None, None, None
+        recorder = []
+        outcomes, fit = run_suite(f, token, cfg, recorder)
+        # repr tells -0.0 from 0.0 and compares NaN; outcomes hold the witnesses
+        return {o.name: repr(o) for o in outcomes}, repr(fit), recorder
+
+    if warm:
+        run_suite(lookup("tlogt"), "all", cfg)
+    for f in [*_battery_functions(), *(parse(text).as_function() for text in texts)]:
+        outcomes, fit, recorder = run(f, "all")
+        suites, rows = {}, []
+        for token in tokens:
+            got, token_fit, token_rows = run(f, token)
+            assert token_fit == "None"
+            suites.update(got)
+            rows += token_rows
+        names = list(outcomes)[:-1]
+        assert list(outcomes.items())[:-1] == [(name, suites[name]) for name in names], f.name
+        assert sorted(suites) == sorted(names)
+        # in report order; a stable sort keeps each suite's rows in their order
+        assert recorder == sorted(rows, key=lambda row: names.index(row[0])), f.name
+        # the pipeline's stages are their suites' outcomes, up to the first that does not PASS
+        stages, stages_fit, stage_rows = run(f, "uniqueness")
+        assert stages.pop("uniqueness") == outcomes["uniqueness"] and stages_fit == fit, f.name
+        assert stages == {name: suites[name] for name in stages}
+        assert stage_rows == [row for row in recorder if row[0] in stages]
+
+
 def _count_draws(monkeypatch):
     """Count the PD builds, the trial streams (one Generator state per trial) and the
     decompositions (closed form or LAPACK, each call on a stack) a run makes."""
@@ -1281,16 +1329,21 @@ def test_kept_plan_sets_are_recut_by_their_working_set(monkeypatch):
             ("subentropic",), TestConfig(seed=42, samples=100, dims=(6, 8)),
             {"subentropic-k2", "subentropic-k3", "subentropic-k4"},
         ),
+        (
+            ("principle1", "entropic"), TestConfig(seed=42, samples=1000, dims=(8,)),
+            {"principle1", "entropic"},
+        ),
     ],
-    ids=["all-200", "superoperators-dims-6-8", "subentropic-dims-6-8"],
+    ids=["all-200", "superoperators-dims-6-8", "subentropic-dims-6-8", "traces-dim-8-1000"],
 )
 def test_kept_stacks_stay_within_the_chunk_bound(suites, cfg, streams):
     # a kept stack of several trials was merged under _CHUNK_BYTES of
     # estimated working memory (certify._coalesced): its arrays and the
     # traced peak of measuring it stay within that bound.  A built stack of
     # one trial is never cut, whatever its size (condition13 and equivalence
-    # at dim 8).  The subentropic margins hold no superoperators: their
-    # temporaries are counted on the derived arrays they read.
+    # at dim 8).  The subentropic and trace margins hold no superoperators:
+    # their temporaries are counted on the stack's arrays, by a figure per
+    # property (the trace margins' is the larger)
     import tracemalloc
 
     import entrocert.certify as certify
@@ -1622,9 +1675,12 @@ def test_every_evaluation_of_f_is_a_reading(monkeypatch):
 
 
 def _battery_series_calls(monkeypatch, f, cfg):
-    """The series orders f is evaluated at per suite by a warm run_suite(f, "all", cfg), as a Counter.
+    """The series orders f is evaluated at by a warm run_suite(f, "all", cfg), as a Counter.
 
-    The calls of the derived-Hessian search count under "search".
+    A call counts under "batch" when a batch of _drive measures it, under
+    "scan" when the gap-grid scan makes it, under "search" when the
+    derived-Hessian search does, and under None elsewhere.  Also returns
+    the number of batches and of gap-grid scans.
     """
     import collections
 
@@ -1632,57 +1688,53 @@ def _battery_series_calls(monkeypatch, f, cfg):
     from entrocert.functions import ScalarFunction
 
     run_suite(f, "all", cfg)
-    calls, suite = collections.Counter(), [None]
+    calls, runs, where = collections.Counter(), collections.Counter(), [None]
     series = ScalarFunction._series
 
     def counted(self, t, top):
-        calls[suite[0], top] += 1
+        calls[where[0], top] += 1
         return series(self, t, top)
 
     def within(name, run):
         def wrapped(*args, **kwargs):
-            outer, suite[0] = suite[0], name(args)
+            runs[name] += 1
+            outer, where[0] = where[0], name
             try:
                 return run(*args, **kwargs)
             finally:
-                suite[0] = outer
+                where[0] = outer
         return wrapped
 
     monkeypatch.setattr(ScalarFunction, "_series", counted)
-    monkeypatch.setattr(certify, "_drive", within(lambda args: args[0], certify._drive))
-    monkeypatch.setattr(
-        certify, "_derived_hessian_witness",
-        within(lambda args: "search", certify._derived_hessian_witness),
-    )
+    for name, entry in (
+        ("batch", "_measure_batch"),
+        ("scan", "_defined_gap_grid"),
+        ("search", "_derived_hessian_witness"),
+    ):
+        monkeypatch.setattr(certify, entry, within(name, getattr(certify, entry)))
     run_suite(f, "all", cfg)
-    return calls
+    return calls, runs["batch"], runs["scan"]
 
 
 @pytest.mark.parametrize("f", _battery_functions(), ids=lambda f: f.name)
 def test_a_warm_suite_evaluates_f_once_per_series_order(monkeypatch, f):
-    # a kept plan set is measured whole: a sampled suite evaluates f's
-    # series once per order its properties read, whatever its stacks.  A
-    # trial-by-trial fallback is one more evaluation (affine's differential
-    # is singular on every trial), and a gap suite evaluates its grid once
-    # to find where g is defined, then every grid plan of it at once
-    import entrocert.certify as certify
-
-    calls = _battery_series_calls(monkeypatch, f, TestConfig(seed=42, samples=10))
-    orders = {
-        "principle1": 0, "entropic": 0, "gain": 0, "condition13": 1, "equivalence": 1,
-        "matrix-entropy": 1, **{name: (0, 1) for name in certify._SUB_ALL},
-        "gap-superadditive": 2, "gap-concavity": 2,
-    }
-    want = {(name, top): 1 for name, tops in orders.items() for top in np.atleast_1d(tops)}
-    for name in ("gap-superadditive", "gap-concavity"):
-        want[name, 2] = 2
+    # an `all` run measures its suites' kept plan sets and grid plans in
+    # batches: each batch evaluates f's series once per order its reading
+    # kinds read, whatever its suites and stacks.  At samples 10 every list
+    # fits one batch.  A trial-by-trial fallback is one more evaluation
+    # (affine's differential is singular on every trial), and the two gap
+    # suites share one evaluation of the grid to find where g is defined
+    calls, batches, scans = _battery_series_calls(monkeypatch, f, TestConfig(seed=42, samples=10))
+    assert (batches, scans) == (1, 1)
+    want = {("batch", 0): 1, ("batch", 1): 1, ("batch", 2): 1, ("scan", 2): 1}
     if f.name == "affine":
-        want["condition13", 1] = want["equivalence", 1] = 2
-        # its one evaluation of the grid finds it degenerate: SKIPPED
-        want["gap-superadditive", 2] = want["gap-concavity", 2] = 1
-    # outside the suites: the uniqueness fit, and the precheck's grid for
-    # a function with a zero extension (an exact zero checks it once more)
-    got = {key: n for key, n in calls.items() if key[0] not in (None, "search")}
+        want["batch", 1] = 2
+        # its one evaluation of the grid finds it degenerate: both gap suites are SKIPPED
+        del want["batch", 2]
+    # outside the batches and the scan: the uniqueness fit, and the
+    # precheck's grid for a function with a zero extension (an exact zero
+    # checks it once more); the derived-Hessian search counts apart
+    got = {key: n for key, n in calls.items() if key[0] in ("batch", "scan")}
     assert got == want
 
 

@@ -321,6 +321,42 @@ def test_reverify_compares_the_payload_margin(capsys, tmp_path, factor, rc):
     assert "not below -tol/2" not in err  # the witness itself still refutes
 
 
+@pytest.mark.parametrize("factor, rc", [(1.0 + 1e-13, 0), (1.0 + 1e-11, 1), (0.5, 1)])
+def test_reverify_compares_the_payload_margin_with_min_margin(capsys, tmp_path, factor, rc):
+    # a FAIL hands out its strongest witness, so the payload's margin is the
+    # outcome's min_margin, to the same 1e-12 relative: an edited min_margin
+    # does not re-verify, and both values are printed
+    path = _square_condition13_report(capsys, tmp_path)
+    obj = json.loads(path.read_text())
+    outcome = obj["outcomes"][0]
+    outcome["min_margin"] *= factor
+    path.write_text(json.dumps(obj))
+    got, _, err = run(capsys, "reverify", str(path))
+    assert got == rc
+    stated = outcome["counterexample"]["margin"]
+    assert f"payload margin {stated!r}, re-verified " in err
+    assert (f"not the outcome's min_margin {outcome['min_margin']!r}" in err) == (rc == 1)
+    assert "not below -tol/2" not in err and "not the payload margin" not in err
+
+
+def test_reverify_accepts_every_intact_fail_of_an_all_report(capsys, tmp_path):
+    # sampled, searched (subentropic:k=3) and pipeline FAILs alike state
+    # their min_margin in their payload
+    path = tmp_path / "power.json"
+    rc, _, _ = run(
+        capsys, "certify", "--function", "power:1.25", "--suite", "all",
+        "--samples", "10", "--seed", "42", "--out", str(path),
+    )
+    assert rc == 1
+    outcomes = json.loads(path.read_text())["outcomes"]
+    fails = [o for o in outcomes if o["verdict"] == "FAIL"]
+    assert {"subentropic:k=3", "uniqueness"} <= {o["name"] for o in fails}
+    assert any("constructed from" in o["detail"] for o in fails)
+    rc, _, err = run(capsys, "reverify", str(path))
+    assert rc == 0
+    assert err.count("re-verified") == len(fails) and " -- " not in err
+
+
 @pytest.mark.parametrize("margin", ["1", True, None, float("inf"), float("nan")], ids=repr)
 def test_reverify_payload_margin_is_a_finite_number(capsys, tmp_path, margin):
     path = _square_condition13_report(capsys, tmp_path)

@@ -185,25 +185,23 @@ def _bitwise_equal(a, b):
     )
 
 
-def _suite_plans(monkeypatch, cfg, f):
-    """Every suite's plans for f, captured where the suite hands them to _drive."""
+def _suite_plans(cfg, f):
+    """Every suite's plans for f, as the suite hands them to _drive."""
     plans = {}
-
-    def capture(name, f, cfg, suite_plans, **kwargs):
-        try:
-            plans[name] = suite_plans() if callable(suite_plans) else suite_plans
-        except DegenerateFunctionError:  # no gap grid: the suite is SKIPPED
-            pass
-
-    monkeypatch.setattr(certify, "_drive", capture)
     for row in certify._SUITES:
-        row.run(f, cfg, None)
+        name, suite_plans, _ = row.of(f, cfg)
+        if callable(suite_plans):  # the gap suites' plans are functions of the defined gap grid
+            try:
+                suite_plans = suite_plans(*certify._defined_gap_grid(f))
+            except DegenerateFunctionError:  # no gap grid: the suite is SKIPPED
+                continue
+        plans[name] = suite_plans
     return plans
 
 
-def _sampled_plans(monkeypatch, cfg):
+def _sampled_plans(cfg):
     """Every sampled suite's plans."""
-    plans = _suite_plans(monkeypatch, cfg, lookup("tlogt"))
+    plans = _suite_plans(cfg, lookup("tlogt"))
     return {name: p for name, p in plans.items() if all(plan.stream for plan in p)}
 
 
@@ -216,8 +214,8 @@ def _sampled_plans(monkeypatch, cfg):
     ],
     ids=["default", "degenerate-range"],
 )
-def test_stacked_payloads_match_per_trial_reference(monkeypatch, cfg):
-    plans = _sampled_plans(monkeypatch, cfg)
+def test_stacked_payloads_match_per_trial_reference(cfg):
+    plans = _sampled_plans(cfg)
     assert sorted(plans) == sorted(REFERENCE)
     compared = 0
     for name, suite_plans in plans.items():
@@ -253,14 +251,14 @@ FUNCTIONS = {
 
 
 @pytest.mark.parametrize("name", list(FUNCTIONS))
-def test_sampled_margins_match_reverification(monkeypatch, name):
+def test_sampled_margins_match_reverification(name):
     # Sampling derives each stack with the built eigenpairs of its states;
     # re-verifying a payload read from JSON derives it afresh, decomposing
     # every matrix.  Both paths give every trial of every property kind the
     # same margin, to rounding.
     f, cfg = FUNCTIONS[name], TestConfig(seed=5, samples=6)
     kinds = set()
-    for plans in _suite_plans(monkeypatch, cfg, f).values():
+    for plans in _suite_plans(cfg, f).values():
         for plan, _, members, P in certify._suite_stacks(cfg.seed, plans):
             for prop in plan.props:
                 res = certify._measure(f, [(prop, members.size, prop.derive(P))])
@@ -279,7 +277,7 @@ def test_sampled_margins_match_reverification(monkeypatch, name):
 
 
 @pytest.mark.parametrize("seed", [0, 3, 42])
-def test_rebuilt_payloads_write_the_witnesses_of_fresh_stacks(monkeypatch, seed):
+def test_rebuilt_payloads_write_the_witnesses_of_fresh_stacks(seed):
     # No stack holds payload fields: a witness reads its trial's through
     # certify._trial_fields, which draws and builds that trial alone.  They
     # equal the built rows of every trial bit for bit, on fresh stacks and
@@ -287,7 +285,7 @@ def test_rebuilt_payloads_write_the_witnesses_of_fresh_stacks(monkeypatch, seed)
     # property kind and function, is written byte for byte as from its
     # built stack.
     cfg = TestConfig(seed=seed, samples=10)
-    plans = _sampled_plans(monkeypatch, cfg)
+    plans = _sampled_plans(cfg)
 
     def built(suite_plans):
         rows, out = {}, []
@@ -348,14 +346,14 @@ def test_rebuilt_payloads_are_keyed_by_the_whole_config():
     assert not np.array_equal(rebuilt[0]["x"], rebuilt[1]["x"])
 
 
-def test_rows_drawn_from_per_trial_generators_equal_shared_stream_rows(monkeypatch):
+def test_rows_drawn_from_per_trial_generators_equal_shared_stream_rows():
     # _Rows.draw fills a row from the Generator it is given: a fresh
     # default_rng(SeedSequence([seed, token, i])) per trial gives the rows
     # that _trial_streams' one reset Generator gives, bit for bit, across
     # the growths of the row buffers (8 rows, then doubling)
     cfg = TestConfig(seed=11, samples=20)
     compared = 0
-    for suite_plans in _sampled_plans(monkeypatch, cfg).values():
+    for suite_plans in _sampled_plans(cfg).values():
         for plan in suite_plans:
             token = certify._stream_token(plan.stream)
             fresh = (
@@ -447,11 +445,11 @@ def test_stream_names_are_unique(monkeypatch):
     assert len(streams) == 10 * len(cfg.dims) + len(cfg.bipartite) + 1
 
 
-def test_padded_gain_witness_has_the_drawn_channel(monkeypatch):
+def test_padded_gain_witness_has_the_drawn_channel():
     # every random-channel trial of gain is built into a stack padded to 4
     # operators; its witness drops the padding and re-verifies alone
     cfg = TestConfig(seed=5, samples=12)
-    (plan,) = _sampled_plans(monkeypatch, cfg)["gain"]
+    (plan,) = _sampled_plans(cfg)["gain"]
     f = lookup("square")
     ranks = []
     for _, _, members, P in certify._suite_stacks(cfg.seed, [plan]):
@@ -496,7 +494,7 @@ def test_seed_states_are_computed_a_block_at_a_time(monkeypatch):
 
     # a suite's plans share blocks: the third of 4 spans both 10-trial plans
     cfg = TestConfig(seed=42, samples=10)
-    plans = _sampled_plans(monkeypatch, cfg)["principle1"]
+    plans = _sampled_plans(cfg)["principle1"]
     hashed.clear()
     for _ in certify._suite_stacks(cfg.seed, plans):
         pass
