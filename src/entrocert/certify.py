@@ -652,10 +652,11 @@ class _Property:
     def decode(self, obj: dict) -> dict:
         P = {}
         for name, codec in self.fields:
-            value = obj[name]
+            if name not in obj:
+                raise ValueError(f"{self.kind} payload lacks {name!r}")
             try:
-                P[name] = _DECODE[codec](value)[None]
-            except (TypeError, ValueError, OverflowError) as exc:  # a JSON value of the wrong type or value
+                P[name] = _DECODE[codec](obj[name])[None]
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:  # a malformed JSON value
                 raise ValueError(f"{self.kind} field {name!r} is malformed: {exc}") from None
         return P
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -440,11 +441,11 @@ def _json_integer(value) -> int:
 
 
 def _json_number(value) -> float:
-    """A JSON number (2 or 2.5) as a float; ValueError for any other value.
+    """A finite JSON number (2 or 2.5) as a float; ValueError for any other value.
 
-    float() would read a JSON true as 1.0, and the string "1" as 1.0.
+    float() would read a JSON true as 1.0 and "1" as 1.0; json reads 1e999 as inf.
     """
-    if type(value) not in (int, float):  # a bool is no number
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:  # NaN compares False
         raise ValueError(f"expected a number, got {value!r}")
     return float(value)
 

@@ -407,6 +407,35 @@ def test_min_margin_is_the_smallest_recorded_margin():
                 assert out.verdict == SKIPPED or out.detail.startswith("scalar convexity fails")
 
 
+def test_a_fail_at_samples_n_stays_a_fail_at_2n():
+    # budget monotonicity: the trials at 20 samples extend those at 10, so a
+    # FAIL stays a FAIL, and its min_margin is no larger.  Two refutations
+    # are not sampled minima: a witness the derived-Hessian search
+    # constructed, and a uniqueness outcome that stops at an earlier stage
+    from entrocert.certify import _SUITES
+
+    stages = [row.name for row in _SUITES if row.stage]
+
+    def stage(o: TestOutcome) -> int:
+        return stages.index(o.detail.removeprefix("stopped at stage ").split(" (")[0])
+
+    twins = [parse("t*log(t)").as_function(zero_extension=0.0), parse("-log(t)").as_function()]
+    fails = 0
+    for f in (*registry(), *twins):
+        for seed in (0, 42):
+            few, _ = run_suite(f, "all", TestConfig(seed=seed, samples=10))
+            more, _ = run_suite(f, "all", TestConfig(seed=seed, samples=20))
+            for a, b in zip(few, more, strict=True):
+                if a.verdict != FAIL:
+                    continue
+                fails += 1
+                assert b.verdict == FAIL, (f.name, seed, a.name)
+                if "constructed from" in a.detail or a.name == "uniqueness" and stage(b) < stage(a):
+                    continue
+                assert b.min_margin <= a.min_margin, (f.name, seed, a.name)
+    assert fails > 0
+
+
 def test_non_finite_margins_skip_their_trials():
     # t^384 overflows on these spectra, so margins come out inf - inf; they
     # must skip their trials, not crash the suite or pass as non-finite

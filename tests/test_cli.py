@@ -1,11 +1,15 @@
+import contextlib
 import csv
+import functools
 import io
 import json
 import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
+from entrocert.certify import FAIL, INCONCLUSIVE, PASS, SKIPPED
 from entrocert.cli import main
 from entrocert.report import CertificationReport
 
@@ -273,9 +277,9 @@ def test_reverify_usage_errors(capsys, tmp_path):
 @pytest.mark.parametrize(
     "key, value, named",
     [
-        ("expression", [1], "expression [1] is no string"),
-        ("zero_extension", True, "zero_extension: expected a number, got True"),
-        ("zero_extension", "0", "zero_extension: expected a number, got '0'"),
+        ("expression", [1], "(function.expression: expected a string, got [1])"),
+        ("zero_extension", True, "(function.zero_extension: expected a number, got True)"),
+        ("zero_extension", "0", "(function.zero_extension: expected a number, got '0')"),
     ],
     ids=["expression-list", "zero_extension-true", "zero_extension-string"],
 )
@@ -357,8 +361,11 @@ def test_reverify_accepts_every_intact_fail_of_an_all_report(capsys, tmp_path):
     assert err.count("re-verified") == len(fails) and " -- " not in err
 
 
-@pytest.mark.parametrize("margin", ["1", True, None, float("inf"), float("nan")], ids=repr)
-def test_reverify_payload_margin_is_a_finite_number(capsys, tmp_path, margin):
+@pytest.mark.parametrize(
+    "margin, written", [("1", "'1'"), (True, "True"), (None, "None"), (float("inf"), "Infinity"), (float("nan"), "NaN")],
+    ids=["'1'", "True", "None", "inf", "nan"],
+)
+def test_reverify_payload_margin_is_a_finite_number(capsys, tmp_path, margin, written):
     path = _square_condition13_report(capsys, tmp_path)
     obj = json.loads(path.read_text())
     obj["outcomes"][0]["counterexample"]["margin"] = margin
@@ -366,11 +373,12 @@ def test_reverify_payload_margin_is_a_finite_number(capsys, tmp_path, margin):
     rc, out, err = run(capsys, "reverify", str(path))
     assert rc == 3
     assert out == "" and "Traceback" not in err
-    assert err.startswith("entrocert: error:") and f"payload margin {margin!r} is no finite number" in err
+    assert err.startswith("entrocert: error:")
+    assert f"(outcomes[0].counterexample.margin: expected a number, got {written})" in err
     del obj["outcomes"][0]["counterexample"]["margin"]
     path.write_text(json.dumps(obj))
     rc, _, err = run(capsys, "reverify", str(path))
-    assert rc == 3 and "payload lacks 'margin'" in err
+    assert rc == 3 and "(outcomes[0].counterexample.margin: missing)" in err
 
 
 @pytest.mark.parametrize(
@@ -391,12 +399,13 @@ def test_reverify_malformed_payload_is_a_usage_error(capsys, tmp_path, payload):
     assert rc == 3
     assert out == "" and "Traceback" not in err
     assert err.startswith("entrocert: error:")
-    assert "malformed report" in err and "condition13" in err
+    assert "malformed report (outcomes[0].counterexample" in err
+    assert ("condition13 payload lacks 'rho'" in err) == (payload == "missing rho")
 
 
 @pytest.mark.parametrize(
     "field, value, named",
-    [("rho", [1, 2], "field 'rho'"), ("kind", [1], "kind [1]")],
+    [("rho", [1, 2], "field 'rho'"), ("kind", [1], "counterexample.kind: expected a string, got [1]")],
     ids=["rho-list", "kind-list"],
 )
 def test_reverify_payload_field_of_the_wrong_json_type_is_a_usage_error(
@@ -475,21 +484,25 @@ def test_reverify_equivalence_payload_without_band_is_a_usage_error(capsys, tmp_
     obj = json.loads(path.read_text())
     (outcome,) = obj["outcomes"]
     rho, sigma = outcome["counterexample"]["rho"], outcome["counterexample"]["sigma"]
-    outcome["counterexample"] = {"kind": "equivalence", "rho": rho, "sigma": sigma, "h1": [rho], "h2": [sigma]}
+    margin = outcome["counterexample"]["margin"]
+    outcome["counterexample"] = {
+        "kind": "equivalence", "rho": rho, "sigma": sigma, "h1": [rho], "h2": [sigma], "margin": margin
+    }
     path.write_text(json.dumps(obj))
     rc, out, err = run(capsys, "reverify", str(path))
     assert rc == 3
     assert out == "" and "Traceback" not in err
-    assert err.startswith("entrocert: error:") and "payload lacks 'band'" in err
+    assert err.startswith("entrocert: error:") and "equivalence payload lacks 'band'" in err
 
 
 @pytest.mark.parametrize(
     "field, value, named",
     [
         ("trials_run", 3.7, "expected an integer"), ("trials_skipped", "2", "expected an integer"),
-        ("verdict", "fail", "expected a verdict"), ("min_margin", "-0.5", "finite number"),
-        ("min_margin", float("inf"), "finite number"),
-        ("trials_run", -3, "at least 0"), ("trials_skipped", -1, "at least 0"),
+        ("verdict", "fail", "expected a verdict"), ("min_margin", "-0.5", "expected a number"),
+        ("min_margin", float("inf"), "expected a number, got Infinity"),
+        ("trials_run", -3, "expected a count of at least 0"),
+        ("trials_skipped", -1, "expected a count of at least 0"),
         ("trials_run", True, "expected an integer"), ("trials_skipped", True, "expected an integer"),
     ],
     ids=[
@@ -508,11 +521,21 @@ def test_reverify_malformed_outcome_is_a_usage_error(capsys, tmp_path, field, va
     rc, out, err = run(capsys, "reverify", str(path))
     assert rc == 3
     assert out == "" and "Traceback" not in err
-    assert err.startswith("entrocert: error:") and f"field {field!r}" in err and named in err
+    assert err.startswith("entrocert: error:") and f"(outcomes[0].{field}: {named}" in err
 
 
-@pytest.mark.parametrize("tol", ["nan", "1e-8", -1.0, 1.5, True], ids=repr)
-def test_reverify_malformed_tol_is_a_usage_error(capsys, tmp_path, tol):
+@pytest.mark.parametrize(
+    "tol, named",
+    [
+        ("nan", "config.tol: expected a number, got 'nan'"),
+        ("1e-8", "config.tol: expected a number, got '1e-8'"),
+        (-1.0, "config: tol must lie in (0, 1)"),
+        (1.5, "config: tol must lie in (0, 1)"),
+        (True, "config.tol: expected a number, got True"),
+    ],
+    ids=["'nan'", "'1e-8'", "-1.0", "1.5", "True"],
+)
+def test_reverify_malformed_tol_is_a_usage_error(capsys, tmp_path, tol, named):
     # the bound -tol/2 is read by TestConfig's rule, a number in (0, 1): a
     # NaN tol would refute every witness, a negative one re-verify margins
     # up to |tol|/2, and a string or a bool is no number
@@ -523,7 +546,7 @@ def test_reverify_malformed_tol_is_a_usage_error(capsys, tmp_path, tol):
     rc, out, err = run(capsys, "reverify", str(path))
     assert rc == 3
     assert out == "" and "Traceback" not in err
-    assert err.startswith("entrocert: error:") and f"tol {tol!r} does not lie in (0, 1)" in err
+    assert err.startswith("entrocert: error:") and f"malformed report ({named})" in err
 
 
 def test_reverify_payload_outside_the_domain_is_a_domain_error(capsys, tmp_path):
@@ -537,12 +560,43 @@ def test_reverify_payload_outside_the_domain_is_a_domain_error(capsys, tmp_path)
     assert rc == 1
     obj = json.loads(path.read_text())
     assert obj["outcomes"][0]["verdict"] == "FAIL"
-    obj["outcomes"][0]["counterexample"] = {"kind": "scalar-convexity", "t": -1.0, "s": 1.0}
+    margin = obj["outcomes"][0]["counterexample"]["margin"]
+    obj["outcomes"][0]["counterexample"] = {"kind": "scalar-convexity", "t": -1.0, "s": 1.0, "margin": margin}
     path.write_text(json.dumps(obj))
     rc, out, err = run(capsys, "reverify", str(path))
     assert rc == 3
     assert out == "" and "Traceback" not in err
     assert err == "entrocert: domain error: log(t) evaluated at t=-1, outside its domain (t > 0)\n"
+
+
+@pytest.mark.parametrize("suite", ["all", "uniqueness"])
+def test_every_report_the_library_writes_is_accepted(capsys, tmp_path, suite):
+    # the grammar is read off what run_suite writes; these runs hold every
+    # verdict, fits, channels, equivalence pairs and SKIPPED gap suites
+    from entrocert.expr import registry
+
+    selections = [
+        *(["--function", f.name] for f in registry()),
+        ["--expr", "t*log(t)", "--zero-extension", "0"], ["--expr=-log(t)"],
+        ["--expr=-log(5-t)"], ["--expr", "log(t-0.002)*t"], ["--expr", "1/(7-t)"],
+    ]
+    verdicts, kinds, fits = set(), set(), 0
+    for selection in selections:
+        path = tmp_path / "report.json"
+        run(capsys, "certify", *selection, "--suite", suite, "--samples", "10", "--seed", "42", "--out", str(path))
+        text = path.read_text()
+        report = CertificationReport.from_json(text)
+        assert report.to_json(indent=2) + "\n" == text
+        assert CertificationReport.from_json(report.to_json()).to_json() == report.to_json()
+        rc, _, err = run(capsys, "reverify", str(path))
+        assert rc == 0, (selection, err)
+        verdicts |= {o.verdict for o in report.outcomes}
+        kinds |= {o.counterexample["kind"] for o in report.outcomes if o.counterexample}
+        fits += report.fit is not None
+    assert fits > 0
+    if suite == "all":
+        assert verdicts == {PASS, FAIL, INCONCLUSIVE, SKIPPED}
+        assert {"gain", "condition13", "gap-superadditive"} <= kinds, kinds
 
 
 def test_report_to_json_is_compact_and_round_trips():
@@ -590,3 +644,162 @@ def test_certify_out_writes_the_indented_report(capsys, tmp_path):
     )
     assert text == json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n"
     assert text.splitlines()[1].startswith('  "tool_version"')
+
+
+# --------------------------------------------------------------------------
+# the report grammar, checked by mutation
+
+def _paths(value, path=()):
+    """Every path into a JSON value: every key, every outcome, and the first entry of any other list."""
+    yield path
+    if type(value) is dict:
+        for key, entry in value.items():
+            yield from _paths(entry, (*path, key))
+    elif type(value) is list:
+        for i, entry in enumerate(value if path == ("outcomes",) else value[:1]):
+            yield from _paths(entry, (*path, i))
+
+
+def _same(a, b) -> bool:
+    """One JSON document: the same keys, strings and booleans, and numbers equal in value (2 is 2.0)."""
+    if type(a) in (int, float) and type(b) in (int, float):
+        return a == b
+    if type(a) is not type(b):
+        return False
+    if type(a) is dict:
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if type(a) is list:
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    return a == b
+
+
+def _free(report: dict, path: tuple, value) -> bool:
+    """Whether the grammar leaves the value at path free: the fit, what re-verification does not
+    read, and a null zero extension (f undefined at 0)."""
+    from entrocert.certify import _PROPERTIES
+
+    if path[:1] == ("fit",) or path == ("function", "zero_extension") and value is None:
+        return True
+    if len(path) < 4 or path[2] != "counterexample":
+        return False
+    payload = report["outcomes"][path[1]]["counterexample"]
+    return path[3] not in ("kind", "margin", *(name for name, _ in _PROPERTIES[payload["kind"]].fields))
+
+
+_DELETE, _ADD = "<delete the key>", "<add a key>"
+_MUTATIONS = (
+    True, False, "1", [1], {}, None, float("nan"), float("inf"), "<negative>", "<non-integral>", _DELETE, _ADD
+)
+
+
+@functools.cache
+def _square_all() -> str:
+    """The JSON text of one `square --suite all --samples 4 --seed 1` report."""
+    from entrocert.certify import TestConfig, run_suite
+    from entrocert.expr import lookup
+
+    f, cfg = lookup("square"), TestConfig(seed=1, samples=4)
+    outcomes, fit = run_suite(f, "all", cfg)
+    return CertificationReport(f.describe(), cfg.as_dict(), tuple(outcomes), 12.5, fit).to_json()
+
+
+def _json_kind(value):
+    """A value's JSON type: every finite number is one kind, and NaN and Infinity are none."""
+    return "number" if type(value) in (int, float) and abs(value) < float("inf") else type(value)
+
+
+def _mutated(report: dict, path: tuple, mutation):
+    """The report with one mutation at path (None where it does not apply), and whether it puts
+    a value of another JSON type where one was."""
+    obj = json.loads(json.dumps(report))
+    if not path:  # the report itself
+        return {**obj, "added": 1} if mutation == _ADD else None if mutation == _DELETE else mutation, False
+    *head, last = path
+    parent = functools.reduce(lambda node, step: node[step], head, obj)
+    held = type(parent) is list or last in parent
+    old = parent[last] if held else None
+    if mutation == _DELETE:
+        del parent[last]
+    elif mutation == _ADD:
+        if type(old) is list:
+            old.append(old[0] if old else 1)
+        elif type(old) is dict:
+            old["added"] = 1
+        else:
+            return None, False
+    elif mutation in ("<negative>", "<non-integral>"):
+        if _json_kind(old) != "number":
+            return None, False
+        parent[last] = -old - 1 if mutation == "<negative>" else old + 0.5
+    else:
+        parent[last] = mutation
+        return obj, held and _json_kind(mutation) != _json_kind(old)
+    return obj, False
+
+
+_PATHS = st.deferred(lambda: st.sampled_from(sorted(_paths(json.loads(_square_all())))))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(path=_PATHS, mutation=st.sampled_from(_MUTATIONS))
+@example(path=("outcomes",), mutation={})
+@example(path=("wall_time_ms",), mutation=float("nan"))
+@example(path=("outcomes", 0, "counterexample"), mutation=True)
+@example(path=("outcomes", 0, "detail"), mutation=None)
+def test_reverify_reads_every_mutated_report_by_one_grammar(tmp_path, path, mutation):
+    # one field at a time: every case exits 0, 1 or 3 with no traceback, a
+    # value of another JSON type exits 3 where the grammar reads it, and a
+    # report the grammar accepts writes back as the same document
+    report = json.loads(_square_all())
+    obj, swapped = _mutated(report, path, mutation)
+    assume(obj is not None)
+    text = json.dumps(obj)
+    file = tmp_path / "mutated.json"
+    file.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(["reverify", str(file)])
+    err = err.getvalue()
+    assert rc in (0, 1, 3) and "Traceback" not in err
+    if swapped and not _free(report, path, mutation):
+        assert rc == 3, (path, mutation, err)
+    try:
+        parsed = CertificationReport.from_json(text)
+    except ValueError:
+        assert rc == 3 and err.startswith("entrocert: error:") and "malformed report" in err
+    else:
+        assert _same(json.loads(parsed.to_json()), obj)
+
+
+_UNWRITTEN = [
+    (("outcomes",), {}, "(outcomes: expected a non-empty list, got {})"),
+    (("outcomes",), [], "(outcomes: expected a non-empty list, got [])"),
+    (("wall_time_ms",), float("nan"), "(wall_time_ms: expected a number, got NaN)"),
+    (("wall_time_ms",), float("inf"), "(wall_time_ms: expected a number, got Infinity)"),
+    (("wall_time_ms",), True, "(wall_time_ms: expected a number, got True)"),
+    (("wall_time_ms",), "1", "(wall_time_ms: expected a number, got '1')"),
+    (("fit",), float("nan"), "(fit: expected a number, got NaN)"),
+    (("outcomes", 0, "counterexample"), True, "(outcomes[0].counterexample: expected null on a PASS outcome)"),
+    (("outcomes", 0, "name"), [1], "(outcomes[0].name: expected a string, got [1])"),
+    (("outcomes", 0, "detail"), None, "(outcomes[0].detail: expected a string, got None)"),
+    (("outcomes", 0, "detail"), _DELETE, "(outcomes[0].detail: missing)"),
+    (("added",), 1, "(added: unknown key)"),
+    (("outcomes", 0, "added"), 1, "(outcomes[0].added: unknown key)"),
+    (("outcomes", 1, "min_margin"), None, "(outcomes[1].min_margin: expected a number on a FAIL outcome)"),
+    (("config", "seed"), "x", "(config.seed: expected an integer, got 'x')"),
+    (("config", "dims"), [9], "(config: dims must be nonempty with entries in 1..8)"),
+]
+
+
+@pytest.mark.parametrize(
+    "path, value, named", _UNWRITTEN, ids=[f"{'.'.join(map(str, p))}={v!r}" for p, v, _ in _UNWRITTEN]
+)
+def test_reverify_refuses_what_no_certify_run_writes(capsys, tmp_path, path, value, named):
+    # no certify run writes any of these: each is a malformed report, named by its path
+    obj, _ = _mutated(json.loads(_square_all()), path, value)
+    file = tmp_path / "square.json"
+    file.write_text(json.dumps(obj))
+    rc, out, err = run(capsys, "reverify", str(file))
+    assert rc == 3 and out == ""
+    assert err == f"entrocert: error: {file}: malformed report {named}\n"
