@@ -39,8 +39,8 @@ record that re-verifies it (_witness).
 Every suite is a list of trial plans, and one aggregator (_drive) measures
 the suites of a run in one pass: their lists of stacks join batches under
 _CHUNK_BYTES, each batch is measured with one evaluation of f per reading
-kind (_measure), and each suite folds its own margins into its outcome
-(_Tally).  A FAIL's witness
+kind (_measure), and the batch is folded into its suites' outcomes (_Tally)
+in one pass over all its trials (_fold).  A FAIL's witness
 is the violating sampled trial with the smallest margin, the lowest index
 on ties, or, when an expected failure is not sampled, subentropic's search
 hook constructs one from the superoperator inequality, counted as one
@@ -68,6 +68,7 @@ stronger.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import hashlib
 import itertools
@@ -650,14 +651,26 @@ class _Property:
         return obj
 
     def decode(self, obj: dict) -> dict:
+        """A payload's fields as a stack of one.  Its extras are not read, only checked where present.
+
+        Every field and extra must be finite (JSON reads 1e999 as inf):
+        each is checked once, as decoded.
+        """
         P = {}
-        for name, codec in self.fields:
-            if name not in obj:
-                raise ValueError(f"{self.kind} payload lacks {name!r}")
-            try:
-                P[name] = _DECODE[codec](obj[name])[None]
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:  # a malformed JSON value
-                raise ValueError(f"{self.kind} field {name!r} is malformed: {exc}") from None
+        extras = tuple((name, _FLOAT) for name in self.extras if name in obj)
+        # a non-finite entry would warn in the arithmetic of its decoding; it is refused below
+        with np.errstate(invalid="ignore", over="ignore"):
+            for name, codec in self.fields + extras:
+                if name not in obj:
+                    raise ValueError(f"{self.kind} payload lacks {name!r}")
+                try:
+                    value = _DECODE[codec](obj[name])
+                    if not np.isfinite(value).all():
+                        raise ValueError("an entry is not finite")
+                except (KeyError, TypeError, ValueError, OverflowError) as exc:  # a malformed JSON value
+                    raise ValueError(f"{self.kind} field {name!r} is malformed: {exc}") from None
+                if name not in self.extras:
+                    P[name] = value[None]
         return P
 
     def dim(self, payload: dict) -> int:
@@ -690,32 +703,44 @@ def _trial_first(a: np.ndarray) -> np.ndarray:
 
 # What a derive keeps of a spectrum, under its name: for a trace, the
 # spectra as ``name`` and their zero-clamp masks as ``name.clamp``; for a
-# Loewner matrix, frechet._layout as ``name.eigenvalues``, ``name.gaps``,
-# ..., and the pairing weights ``name.weights``, one triangle per direction,
-# that its quadratic forms Re Tr h df'(rho)[h] read instead of the
-# eigenvectors.
+# Loewner matrix, the dict of frechet._layout as ``name.layout``, and the pairing
+# weights ``name.weights``, one triangle per direction, that its quadratic
+# forms Re Tr h df'(rho)[h] read instead of the eigenvectors.  Both are kept
+# trial-major, (trials, ...), and the readings take them as they are kept.
 
 def _trace_spectra(name: str, lam: np.ndarray) -> dict:
-    """Checked spectra (trial-first) under ``name``, with their zero-clamp masks."""
+    """Checked spectra (trial-major) under ``name``, with their zero-clamp masks."""
     return {name: lam, f"{name}.clamp": _zero_clamp(lam)}
+
+
+def _sum_last(v: np.ndarray) -> np.ndarray:
+    """np.sum(v, axis=-1), bit for bit, without NumPy's slow reduction over a short axis.
+
+    Below 8 terms NumPy adds them in turn, starting from +0.0, and so do n
+    slice additions, which take 9 us on (3, 1000, 3) where np.sum takes 50
+    us.  From 8 terms on NumPy's pairwise sum reorders them, and below about
+    32 n rows one reduction call costs less than n slice additions: both are
+    left to the ufunc's reduction itself.
+    """
+    n = v.shape[-1]
+    if n >= 8 or v.size < 32 * n * n:
+        return np.add.reduce(v, axis=-1)
+    terms = v.reshape(-1, n).T
+    total = terms[0] + 0.0
+    for term in terms[1:]:
+        total += term
+    return total.reshape(v.shape[:-1])
 
 
 def _trace_values(f: ScalarFunction, inputs: list) -> list[np.ndarray]:
     """Tr f over each (spectra, clamp masks) input."""
-    return [np.sum(v, axis=-1) for v in _spectra_values(f, *zip(*inputs))]
+    return [_sum_last(v) for v in _spectra_values(f, *zip(*inputs))]
 
 
 def _traces(*names: str) -> _Reading:
-    """Tr f over the kept spectra of each name, member-first ((k, trials) for (trials, k, n))."""
-    return _Reading(
-        _trace_values,
-        lambda D: [(_trial_first(D[name]), _trial_first(D[f"{name}.clamp"])) for name in names],
-    )
-
-
-def _kept_layout(name: str, lam: np.ndarray) -> dict:
-    """The divided-difference layout of the checked spectra ``lam`` under ``name``."""
-    return {f"{name}.{key}": a for key, a in _layout(lam).items()}
+    """Tr f over the kept spectra of each name, (trials, k) for spectra (trials, k, n)."""
+    keys = [(name, f"{name}.clamp") for name in names]
+    return _Reading(_trace_values, lambda D: [(D[name], D[clamp]) for name, clamp in keys])
 
 
 def _kernel_values(f: ScalarFunction, layouts: list[dict]) -> list[np.ndarray]:
@@ -725,29 +750,30 @@ def _kernel_values(f: ScalarFunction, layouts: list[dict]) -> list[np.ndarray]:
 
 def _kernels(*names: str) -> _Reading:
     """The Loewner matrices of f' over the kept layout of each name."""
-    return _Reading(_kernel_values, lambda D: [
-        {key[len(name) + 1 :]: a for key, a in D.items() if key.startswith(name + ".")}
-        for name in names
-    ])
+    keys = [f"{name}.layout" for name in names]
+    return _Reading(_kernel_values, lambda D: [D[key] for key in keys])
 
 
-def _pair_spectra(P: dict) -> dict:
-    """The checked spectra of the (x, y, midpoint) of each trial, as ``spectra``."""
-    mats = _with_midpoint(P["x"], P["y"])
+def _pair_spectra(P: dict, mats: np.ndarray) -> dict:
+    """The checked spectra of ``mats``, the (x, y, midpoint) of each trial of P, as ``spectra``."""
     return _trace_spectra("spectra", _trial_first(eigh(mats, _known(P, "x", "y")).eigenvalues))
 
 
+def _principle1_derive(P):
+    return _pair_spectra(P, _with_midpoint(P["x"], P["y"]))
+
+
 def _entropic_derive(P):
-    reduced = partial_trace_1(_with_midpoint(P["x"], P["y"]), int(P["dim1"][0]), int(P["dim2"][0]))
-    reduced = _trial_first(eigh(reduced).eigenvalues)
-    return {**_pair_spectra(P), **_trace_spectra("reduced", reduced)}
+    mats = _with_midpoint(P["x"], P["y"])
+    reduced = _trial_first(eigh(partial_trace_1(mats, int(P["dim1"][0]), int(P["dim2"][0]))).eigenvalues)
+    return {**_pair_spectra(P, mats), **_trace_spectra("reduced", reduced)}
 
 
 def _difference_margin(f, D, values):
     # midpoint convexity of Tr f(rho) - Tr f(Phi(rho)): entropic's Phi is a
     # partial trace, gain's a channel (S_f(Phi(rho)) - S_f(rho) is convex)
     whole, reduced = values
-    return _convexity(*(whole - reduced))
+    return _convexity(*(whole - reduced).T)
 
 
 # The subentropic margins meet every rho_i before the sums, in the order of
@@ -768,7 +794,7 @@ def _subentropic_midpoint_derive(P):
 def _subentropic_midpoint_margin(f, D, values):
     # G(rho_1..rho_k) = sum_i Tr f(rho_i) - Tr f(sum_i rho_i) at xs, ys and their midpoint
     single, joint = values
-    return _convexity(*(np.sum(single, axis=-1) - joint))
+    return _convexity(*(_sum_last(single) - joint).T)
 
 
 def _subentropic_hessian_derive(P):
@@ -778,8 +804,8 @@ def _subentropic_hessian_derive(P):
         _split_sums(a, rhos.shape[:-2]) for a in (dec.eigenvalues, dec.eigenvectors)
     )
     return {  # one direction per point
-        **_kept_layout("rhos", w), "rhos.weights": _weights(v, hs[:, :, None])[:, :, 0],
-        **_kept_layout("sums", sum_w), "sums.weights": _weights(sum_v, np.sum(hs, 1)[:, None])[:, 0],
+        "rhos.layout": _layout(w), "rhos.weights": _weights(v, hs[:, :, None])[:, :, 0],
+        "sums.layout": _layout(sum_w), "sums.weights": _weights(sum_v, np.sum(hs, 1)[:, None])[:, 0],
     }
 
 
@@ -798,7 +824,7 @@ def _pair_sum_derive(P):
     dec = eigh(_with_sum(P["rho"], P["sigma"]), _known(P, "rho", "sigma"))
     u = dec.eigenvectors
     return {
-        **_kept_layout("states", _trial_first(dec.eigenvalues)),
+        "states.layout": _layout(_trial_first(dec.eigenvalues)),
         "states.eigenvectors": _trial_first(u),
         "states.rotations": _trial_first(adjoint(u[2]) @ u[:2]),
     }
@@ -850,8 +876,8 @@ def _hessian(single, joint):
 
     ``single`` (..., k) holds Tr h_i df'(rho_i)[h_i] per point, ``joint`` (...) the sums' form.
     """
-    scale = np.maximum(1.0, np.sum(np.abs(single), axis=-1) + np.abs(joint))
-    return (np.sum(single, axis=-1) - joint) / scale, scale
+    scale = np.maximum(1.0, _sum_last(np.abs(single)) + np.abs(joint))
+    return (_sum_last(single) - joint) / scale, scale
 
 
 def _transfer(form: tuple) -> tuple:
@@ -926,7 +952,7 @@ def _matrix_entropy_derive(P):
     dec = eigh(_with_midpoint(P["x1"], P["x2"]), _known(P, "x1", "x2"))
     weights = _weights(dec.eigenvectors, np.stack([h1, h2, (h1 + h2) / 2.0])[:, :, None])[:, :, 0]
     return {
-        **_kept_layout("states", _trial_first(dec.eigenvalues)),
+        "states.layout": _layout(_trial_first(dec.eigenvalues)),
         "states.weights": _trial_first(weights),
     }
 
@@ -937,9 +963,9 @@ def _matrix_entropy_margin(f, D, values):
 
 
 def _gain_derive(P):
-    outputs = hermitize(apply_kraus(P["channel"], _with_midpoint(P["x"], P["y"])))
-    outputs = _trial_first(eigh(outputs).eigenvalues)
-    return {**_pair_spectra(P), **_trace_spectra("outputs", outputs)}
+    mats = _with_midpoint(P["x"], P["y"])
+    outputs = _trial_first(eigh(hermitize(apply_kraus(P["channel"], mats))).eigenvalues)
+    return {**_pair_spectra(P, mats), **_trace_spectra("outputs", outputs)}
 
 
 def _gain_outside(f, D):
@@ -992,8 +1018,8 @@ _PAIR = (("x", _MAT), ("y", _MAT))
 # gain's stacks of 21-111 trials).
 # concavity of -Tr f equals midpoint convexity of Tr f
 _PRINCIPLE1 = _Property(
-    "principle1", _PAIR, lambda f, D, values: _convexity(*values[0]), _traces("spectra"),
-    _pair_spectra, temporaries=5.0,
+    "principle1", _PAIR, lambda f, D, values: _convexity(*values[0].T), _traces("spectra"),
+    _principle1_derive, temporaries=5.0,
 )
 _ENTROPIC = _Property(
     "entropic", (("dim1", _INT), ("dim2", _INT), *_PAIR), _difference_margin,
@@ -1098,9 +1124,27 @@ class _Measured(NamedTuple):
         return {k: np.asarray(v)[rows == j][0] for rows, ex in self.extras if j in rows for k, v in ex.items()}
 
 
+def _leaves(tree: dict) -> Iterator[tuple[tuple, np.ndarray]]:
+    """The arrays of a tree of dicts (derived data, whose layouts are dicts), with their key paths."""
+    for key, v in tree.items():
+        if isinstance(v, dict):
+            yield from (((key, *path), a) for path, a in _leaves(v))
+        else:
+            yield (key,), v
+
+
+def _mapped(fn: Callable, *trees: dict) -> dict:
+    """The tree of fn over the arrays at each key path of ``trees``, which share their keys."""
+    out = {}
+    for key, v in trees[0].items():
+        parts = [t[key] for t in trees]
+        out[key] = _mapped(fn, *parts) if isinstance(v, dict) else fn(*parts)
+    return out
+
+
 def _trial(A: dict, i: int) -> dict:
     """Trial i of a stack's fields or derived data, as a stack of one."""
-    return {k: v[i : i + 1] for k, v in A.items()}
+    return _mapped(lambda v: v[i : i + 1], A)
 
 
 def _row(P: dict, j: int) -> dict:
@@ -1125,7 +1169,7 @@ def _measure(f: ScalarFunction, jobs: list[tuple[_Property, int, dict]]) -> _Mea
         if prop.outside is not None and (skip := prop.outside(f, D))[0].any():
             for i in rows[skip[0]]:
                 res.notes[i] = skip[1]
-            D, rows = {k: v[~skip[0]] for k, v in D.items()}, rows[~skip[0]]
+            D, rows = _mapped(lambda v: v[~skip[0]], D), rows[~skip[0]]
         if rows.size:
             runs.append((prop, rows, D))
     if runs:
@@ -1328,17 +1372,27 @@ def _suite_stacks(seed: int, plans: list[_Plan]) -> Iterator[tuple[_Plan, int, n
 
 
 class _Stack(NamedTuple):
-    """Trials of one plan: their indices and derived data, never their payload fields (_trial_fields)."""
+    """Trials of one plan: their indices and derived data, never their payload fields (_trial_fields).
+
+    A stack is made by :meth:`built`, which computes its working set once:
+    _drive batches by it on every call that measures the stack.
+    """
 
     plan: _Plan
     start: int  # the suite index of the plan's first trial
     idx: np.ndarray  # the trials' indices in the suite
     dim: int  # their matrix dimension
     derived: dict  # property kind -> what its derive made of the stack
+    cost: int = 0  # its working_set(), set by built()
+
+    @classmethod
+    def built(cls, plan: _Plan, start: int, idx: np.ndarray, dim: int, derived: dict) -> "_Stack":
+        stack = cls(plan, start, idx, dim, derived)
+        return stack._replace(cost=stack.working_set())
 
     def arrays(self) -> list[np.ndarray]:
         """The stack's trial indices and derived arrays."""
-        return [self.idx, *(a for D in self.derived.values() for a in D.values())]
+        return [self.idx, *(a for _, a in _leaves(self.derived))]
 
     def working_set(self) -> int:
         """The estimated working memory of measuring the stack: its arrays and its margins' temporaries.
@@ -1407,7 +1461,7 @@ def _kept_stacks(cfg: TestConfig, plans: list[_Plan]) -> Iterator[list[_Stack]]:
     set being built one at a time, so peak memory stays under _CHUNK_BYTES.
     """
     fresh = (
-        _Stack(plan, start, idx, plan.props[0].dim(P), {p.kind: p.derive(P) for p in plan.props})
+        _Stack.built(plan, start, idx, plan.props[0].dim(P), {p.kind: p.derive(P) for p in plan.props})
         for plan, start, idx, P in _suite_stacks(cfg.seed, plans)
     )
     if not all(p.stream for p in plans):
@@ -1446,18 +1500,17 @@ def _coalesced(kept: list[_Stack]) -> list[_Stack]:
     """
     groups: dict[tuple, list[_Stack]] = {}
     for stack in kept:
-        shapes = [(kind, name, a.shape[1:]) for kind, D in stack.derived.items() for name, a in D.items()]
-        groups.setdefault((stack.plan.stream, stack.dim, tuple(shapes)), []).append(stack)
+        shapes = tuple((path, a.shape[1:]) for path, a in _leaves(stack.derived))
+        groups.setdefault((stack.plan.stream, stack.dim, shapes), []).append(stack)
     merged = []
     for parts in groups.values():
         runs, used = [[]], 0
         for stack in parts:
-            cost = stack.working_set()
-            if runs[-1] and used + cost > _CHUNK_BYTES:
+            if runs[-1] and used + stack.cost > _CHUNK_BYTES:
                 runs.append([])
                 used = 0
             runs[-1].append(stack)
-            used += cost
+            used += stack.cost
         merged += map(_merged, runs)
     return merged
 
@@ -1466,11 +1519,9 @@ def _merged(parts: list[_Stack]) -> _Stack:
     """The stacks ``parts`` of one plan as one stack, in trial order, in read-only arrays."""
     idx = np.concatenate([s.idx for s in parts])
     order = np.argsort(idx)
-    derived = {
-        kind: {name: np.concatenate([s.derived[kind][name] for s in parts])[order] for name in D}
-        for kind, D in parts[0].derived.items()
-    }
-    stack = parts[0]._replace(idx=idx[order], derived=derived)
+    derived = _mapped(lambda *a: np.concatenate(a)[order], *(s.derived for s in parts))
+    first = parts[0]
+    stack = _Stack.built(first.plan, first.start, idx[order], first.dim, derived)
     _freeze(*stack.arrays())
     return stack
 
@@ -1509,7 +1560,7 @@ def _expects_fail(function_name: str, outcome_name: str) -> bool:
 # sampling, aggregation and the search for expected failures
 
 class _Tally:
-    """One suite's outcome, folded in from its lists of stacks as they are measured.
+    """One suite's outcome, folded in from its lists of stacks as each batch is measured (_fold).
 
     The strongest violation (the lowest index on ties), the first skip and
     the recorded rows do not depend on the order the lists come in, nor on
@@ -1523,58 +1574,19 @@ class _Tally:
         self.name, self.plans, self.search = name, plans, search
         self.total = sum(plan.count for plan in plans)
         self.run, self.skipped = 0, sum(plan.excluded for plan in plans)
-        self.prop_min: Optional[np.ndarray] = None
+        self.prop_min: Optional[np.ndarray] = None  # per property, over the trials run
         self.rows: Optional[list] = [] if record else None  # (trial, dim, margin, scale)
+        # the strongest violation: (margin, trial, its stack, its row there,
+        # the position of its property, that property's _Measured and its row there)
         self.hit: Optional[tuple] = None
-        self.strongest, self.first_skip, self.skip_note = (np.inf, self.total), self.total, note
-
-    def add(self, stacks: list[_Stack], measured: list[tuple[_Measured, int]], tol: float) -> None:
-        """Fold in a list of stacks.
-
-        Property c of their plans measured their trials as rows o, o+1, ...
-        of res, where (res, o) = measured[c].
-        """
-        idx = np.concatenate([s.idx for s in stacks])
-        n = idx.size
-        m = np.stack([res.margins[o : o + n] for res, o in measured])
-        # a trial's margin is the smallest of its properties' margins (the
-        # first on ties); a trial that any property skips is skipped
-        choice = np.argmin(np.where(np.isnan(m), np.inf, m), axis=0)
-        margins = m[choice, np.arange(n)]
-        ok = ~np.isnan(m).any(axis=0)
-        skips, done = np.flatnonzero(~ok), np.flatnonzero(ok)
-        self.skipped += skips.size
-        if skips.size and idx[skips].min() < self.first_skip:
-            j = skips[np.argmin(idx[skips])]
-            self.first_skip = idx[j]
-            self.skip_note = str(next(res.notes[o + j] for res, o in measured if res.notes[o + j]))
-        if not done.size:
-            return
-        self.run += done.size
-        low = np.min(m[:, done], axis=1)
-        self.prop_min = low if self.prop_min is None else np.minimum(self.prop_min, low)
-        if self.rows is not None:
-            scales = np.stack([res.scales[o : o + n] for res, o in measured])[choice, np.arange(n)]
-            dims = np.concatenate([np.full(s.idx.size, s.dim) for s in stacks])
-            self.rows += [
-                (int(idx[j]), int(dims[j]), float(margins[j]), float(scales[j])) for j in done
-            ]
-        hits = done[margins[done] < -tol]
-        if hits.size:
-            j = hits[np.lexsort((idx[hits], margins[hits]))[0]]
-            if (margins[j], idx[j]) < self.strongest:
-                b = int(np.searchsorted(np.cumsum([s.idx.size for s in stacks]), j, "right"))
-                i = j - sum(s.idx.size for s in stacks[:b])  # the row of trial j in stacks[b]
-                res, o = measured[choice[j]]
-                self.strongest = margins[j], idx[j]
-                self.hit = stacks[b], i, choice[j], res, o + j
+        self.skip = (self.total, note)  # the first skipped trial and its note
 
     def outcome(self, f: ScalarFunction, cfg: TestConfig, recorder: Optional[list]) -> TestOutcome:
         """The suite's outcome, after its expected failure's search where one applies."""
         name, run = self.name, self.run
         violation = None
         if self.hit is not None:
-            stack, i, c, res, j = self.hit
+            stack, i, c, res, j = self.hit[2:]
             violation = _witness(stack.plan.props[c], _trial_fields(cfg, stack, i), res, j)
         if recorder is not None:
             recorder.extend((name, dim, i, m, scale) for i, dim, m, scale in sorted(self.rows))
@@ -1603,7 +1615,7 @@ class _Tally:
         if not run:
             return TestOutcome(
                 name, f.name, SKIPPED, None, 0, self.skipped, None,
-                self.skip_note or "no admissible trials",
+                self.skip[1] or "no admissible trials",
             )
         if expected_fail:
             return TestOutcome(
@@ -1629,9 +1641,9 @@ def _drive(
     batch while the sum of their working sets stays within _CHUNK_BYTES; a
     list is never split, and one over the bound is measured alone.  A batch
     is measured with one _measure per reading kind, so one evaluation of f
-    per kind serves every suite in it, and each suite folds its own lists
-    (_Tally).  f acts point by point, so a trial's margin does not depend on
-    its batch.
+    per kind serves every suite in it, and folded into its suites' tallies
+    in one pass (_fold).  f acts point by point, so a trial's margin does
+    not depend on its batch.
 
     ``search`` runs when the failure is expected, no sampled trial violates
     and some trial ran.  It returns None or a violating (witness, scale,
@@ -1656,7 +1668,7 @@ def _drive(
     batch, used = [], 0
     for tally in tallies:
         for stacks in _kept_stacks(cfg, tally.plans) if tally.plans else ():
-            cost = sum(s.working_set() for s in stacks)
+            cost = sum(s.cost for s in stacks)
             if batch and used + cost > _CHUNK_BYTES:
                 _measure_batch(f, batch, cfg.tol)
                 batch, used = [], 0
@@ -1668,14 +1680,14 @@ def _drive(
 
 
 def _measure_batch(f: ScalarFunction, batch: list[tuple[_Tally, list[_Stack]]], tol: float) -> None:
-    """Measure a batch of (tally, stacks) lists, one _measure per reading kind, into their tallies.
+    """Measure a batch of (tally, stacks) lists, one _measure per reading kind, and fold it (_fold).
 
     The properties at one position of a suite's plans read f alike, so the
     trials of a list that one of them measures take consecutive rows of its
     kind's measurement.
     """
     jobs: dict[Callable, list] = {}
-    at = []
+    at = []  # per list, per property position: (its reading kind, the list's first row there)
     for _, stacks in batch:
         rows = []
         for props in zip(*(s.plan.props for s in stacks)):
@@ -1684,9 +1696,97 @@ def _measure_batch(f: ScalarFunction, batch: list[tuple[_Tally, list[_Stack]]], 
             rows.append((kind, sum(n for _, n, _ in group)))
             group += [(p, s.idx.size, s.derived[p.kind]) for p, s in zip(props, stacks)]
         at.append(rows)
-    measured = {kind: _measure(f, group) for kind, group in jobs.items()}
-    for (tally, stacks), rows in zip(batch, at):
-        tally.add(stacks, [(measured[kind], o) for kind, o in rows], tol)
+    _fold(batch, at, {kind: _measure(f, group) for kind, group in jobs.items()}, tol)
+
+
+def _fold(batch: list, at: list, measured: dict, tol: float) -> None:
+    """Fold the measured lists of a batch into their tallies, in one pass over all its trials.
+
+    Property c of list l measured its trials as rows o, o+1, ... of
+    ``measured[kind]``, where (kind, o) = at[l][c].  A trial's margin is the
+    smallest of its properties' margins (the first on ties), and a trial
+    that any property skips is skipped.  A suite's lists are consecutive in
+    the batch, so its counts and property minima are segment reductions,
+    and its first skip and strongest violation come from one sort of the
+    skipped and violating trials by (suite, margin, trial index), where a
+    skip sorts as -inf: a suite's skips come first, in trial order.
+    """
+    stacks = [s for _, ss in batch for s in ss]
+    sizes = [sum(s.idx.size for s in ss) for _, ss in batch]
+    starts = list(itertools.accumulate(sizes, initial=0))
+    kinds = list(measured)
+    # every kind's margins in turn, then +inf for the property positions a list lacks
+    ends = list(itertools.accumulate((measured[k].margins.size for k in kinds), initial=0))
+    offset, pad = dict(zip(kinds, ends)), ends[-1]
+    margins = np.concatenate([*(measured[k].margins for k in kinds), np.full(max(sizes), np.inf)])
+    n, width = starts[-1], max(map(len, at))
+    gather = np.arange(n) + np.stack([
+        np.repeat([
+            (offset[rows[c][0]] + rows[c][1] if c < len(rows) else pad) - start
+            for rows, start in zip(at, starts)
+        ], sizes)
+        for c in range(width)
+    ])  # (property position, trial): the trial's row in margins
+    m = margins[gather]
+    nan = np.isnan(m)
+    skip = nan.any(axis=0)
+    low = np.where(nan, np.inf, m)
+    choice = np.argmin(low, axis=0)
+    pick = gather[choice, np.arange(n)]
+    best = margins[pick]
+    hit = ~skip & (best < -tol)
+    idx = np.concatenate([s.idx for s in stacks])
+
+    first = [l for l in range(len(batch)) if not l or batch[l][0] is not batch[l - 1][0]]
+    seg = [starts[l] for l in first]
+    suite = np.repeat(np.arange(len(seg)), np.diff([*seg, n]))
+    skipped = np.add.reduceat(skip, seg, dtype=np.intp).tolist()
+    hits = np.add.reduceat(hit, seg, dtype=np.intp).tolist()
+    low[:, skip] = np.inf
+    prop_min = np.minimum.reduceat(low, seg, axis=1)
+    cand = np.flatnonzero(skip | hit)
+    order = cand[np.lexsort((idx[cand], np.where(skip[cand], -np.inf, best[cand]), suite[cand]))].tolist()
+    rows = None
+    if batch[0][0].rows is not None:
+        scales = np.concatenate([*(measured[k].scales for k in kinds), np.zeros(max(sizes))])
+        done = np.flatnonzero(~skip)
+        dims = np.repeat([s.dim for s in stacks], [s.idx.size for s in stacks])
+        rows = list(zip(*(a[done].tolist() for a in (idx, dims, best)), scales[pick[done]].tolist()))
+    stack_starts = list(itertools.accumulate((s.idx.size for s in stacks), initial=0))
+
+    def located(j: int) -> tuple:
+        """Trial j's row in its list, and the list's (kind, first row) per property."""
+        l = bisect.bisect_right(starts, j) - 1
+        return j - starts[l], at[l]
+
+    seg_ends = [*seg[1:], n]
+    c_at = r_at = 0  # the next suite's first candidate in order and row in rows
+    for s, l in enumerate(first):
+        tally, k_skip, k_hit = batch[l][0], skipped[s], hits[s]
+        k_run = seg_ends[s] - seg[s] - k_skip
+        tally.skipped += k_skip
+        if k_skip and idx[order[c_at]] < tally.skip[0]:
+            j = order[c_at]
+            r, props = located(j)
+            notes = (measured[kind].notes[o + r] for kind, o in props)
+            tally.skip = int(idx[j]), str(next(note for note in notes if note))
+        if k_run:
+            tally.run += k_run
+            low_s = prop_min[: len(at[l]), s]
+            tally.prop_min = low_s if tally.prop_min is None else np.minimum(tally.prop_min, low_s)
+            if rows is not None:
+                tally.rows += rows[r_at : r_at + k_run]
+                r_at += k_run
+        if k_hit:
+            j = order[c_at + k_skip]
+            key = (best[j], idx[j])
+            if tally.hit is None or key < tally.hit[:2]:
+                b = bisect.bisect_right(stack_starts, j) - 1
+                r, props = located(j)
+                c = int(choice[j])
+                kind, o = props[c]
+                tally.hit = (*key, stacks[b], j - stack_starts[b], c, measured[kind], o + r)
+        c_at += k_skip + k_hit
 
 
 # --------------------------------------------------------------------------

@@ -260,15 +260,18 @@ def _spectra_values(f: ScalarFunction, spectra: tuple, clamps: tuple) -> list[np
 
     When f has a zero extension, the masked eigenvalues (within
     ZERO_CLAMP_TOL * max(1, spectral radius) of zero) become exact zeros,
-    which f maps to f(0).  Without the clamp, the numerically-zero spectrum
-    of embeddings like W rho W^dagger would leak O(sqrt(eps)) errors through
-    functions with unbounded slope at 0.  Any other eigenvalue that is not
-    positive raises DomainError.  The spectra are joined by
+    which f maps to f(0); a stack whose mask holds no entry is read as it
+    is.  Without the clamp, the numerically-zero spectrum of embeddings like
+    W rho W^dagger would leak O(sqrt(eps)) errors through functions with
+    unbounded slope at 0.  Any other eigenvalue that is not positive raises
+    DomainError.  The spectra are joined by
     :func:`entrocert.functions._jointly`, so an error is the joined call's.
     """
     clamp = f.zero_extension is not None
     if clamp:
-        spectra = tuple(np.where(mask, 0.0, lam) for lam, mask in zip(spectra, clamps))
+        spectra = tuple(
+            np.where(mask, 0.0, lam) if mask.any() else lam for lam, mask in zip(spectra, clamps)
+        )
 
     def evaluate(lam):
         ok = lam >= 0.0 if clamp else lam > 0.0  # NaN fails both

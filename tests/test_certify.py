@@ -557,7 +557,7 @@ def _states(D):
     from entrocert.hermitian import adjoint, hermitize
 
     u = D["states.eigenvectors"]
-    return hermitize((u * D["states.eigenvalues"][..., None, :]) @ adjoint(u))
+    return hermitize((u * D["states.layout"]["eigenvalues"][..., None, :]) @ adjoint(u))
 
 
 def _full_transfer_margin(f, D, states):
@@ -862,7 +862,7 @@ def test_condition13_real_form_is_no_farther_from_a_50_digit_oracle(seed):
         largest = np.max(np.abs(_inverse_kernel(fp, kernel)), axis=(1, 2, 3))
         rounding = 8 * np.finfo(float).eps * largest / np.maximum(1.0, real_form.scale)
         for j in range(stack.idx.size):
-            exact = oracle(D["states.eigenvalues"][j], u[j])
+            exact = oracle(D["states.layout"]["eigenvalues"][j], u[j])
             real_error = float(abs(mpmath.mpf(real_form.normalized[j]) - exact))
             complex_error = float(abs(mpmath.mpf(complex_form.normalized[j]) - exact))
             assert real_error <= complex_error + rounding[j]
@@ -1473,6 +1473,195 @@ def test_kept_arrays_are_read_only():
             a.flat[0] = a.flat[0]
 
 
+def _kept_trace_inputs(f):
+    """Every kept trace reading: (spectra, clamp masks) and the traces read, per input."""
+    import entrocert.certify as certify
+
+    for stacks in certify._KEPT.values():
+        for stack in stacks:
+            for prop in stack.plan.props:
+                if prop.reads.values is certify._trace_values:
+                    inputs = prop.reads.points(stack.derived[prop.kind])
+                    yield from zip(inputs, certify._trace_values(f, inputs))
+
+
+def test_kept_traces_are_the_spectrum_traces_of_their_trials():
+    # a trace reading takes the kept spectra as they are kept, trial-major,
+    # and sums f over each spectrum by slice additions where a stack is
+    # long (certify._sum_last): below 8 eigenvalues NumPy adds them in turn
+    # too, so every trace is hermitian.spectrum_trace of its trial's
+    # spectrum bit for bit, at every spectrum length 1-8 and on both sides
+    # of the cut between the two sums.  tlogt clamps the masked eigenvalues
+    from entrocert.hermitian import spectrum_trace
+
+    f, lengths = lookup("tlogt"), set()
+    splits = ((1, 2), (2, 2), (2, 3), (2, 4))
+    for cfg, tokens in (
+        (TestConfig(seed=3, samples=100, dims=tuple(range(1, 9)), bipartite=splits),
+         ("principle1", "entropic", "gain")),
+        (TestConfig(seed=3, samples=100, dims=(1, 2, 3)), ("subentropic",)),
+    ):
+        for token in tokens:
+            run_suite(f, token, cfg)
+        for (lam, mask), traces in _kept_trace_inputs(f):
+            n = lam.shape[-1]
+            assert traces.shape == lam.shape[:-1] and mask.shape == lam.shape
+            want = np.array([spectrum_trace(f, spectrum) for spectrum in lam.reshape(-1, n)])
+            assert want.tobytes() == traces.tobytes(), (n, lam.shape)
+            lengths.add(n)
+    assert lengths == set(range(1, 9))
+
+
+def _fold_lists(batches, margins, notes, tol=1e-8):
+    """Fold synthetic lists of stacks, batch by batch, through certify._fold; returns each tally's state.
+
+    A batch is a list of (tally, stacks) lists; property c of trial i has
+    margin margins[c][i], scale 1 + i, and note notes[c].get(i).
+    """
+    import entrocert.certify as certify
+
+    kinds = ("traces", "kernels")  # a kind names the measurement its rows take
+    for batch in batches:
+        rows = {kind: ([], [], []) for kind in kinds}
+        at = []
+        for _, stacks in batch:
+            idx = np.concatenate([s.idx for s in stacks])
+            at.append([(kind, len(rows[kind][0])) for kind in kinds])
+            for c, kind in enumerate(kinds):
+                rows[kind][0].extend(margins[c][idx])
+                rows[kind][1].extend(1.0 + idx)
+                rows[kind][2].extend(notes[c].get(int(i)) for i in idx)
+        measured = {
+            kind: certify._Measured(np.array(m), np.array(s), [], n) for kind, (m, s, n) in rows.items()
+        }
+        certify._fold(batch, at, measured, tol)
+    states = {}
+    for tally in {t for batch in batches for t, _ in batch}:
+        hit = tally.hit
+        if hit is not None:  # the witness's stack and row in it, and its margin as its measurement holds it
+            hit = (*hit[:2], id(hit[2]), *hit[3:5], hit[5].margins[hit[6]])
+        state = (tally.run, tally.skipped, tally.prop_min, sorted(tally.rows), hit, tally.skip)
+        states[tally.name] = repr(state)
+    return states
+
+
+def test_a_batch_folds_each_suite_as_its_lists_alone():
+    # _fold folds every list of a batch in one pass; a suite's state is
+    # that of folding its lists one batch each, in either order, and does
+    # not depend on the suite measured beside it.  The two lists of suite
+    # A tie on their strongest margin (-1.0 at trials 6 and 3): the lower
+    # index wins.  The first skip is the lowest skipped index (trial 1,
+    # skipped by property 0), with the note of the first property that
+    # skipped it; trial 8 is skipped by property 1 alone
+    import entrocert.certify as certify
+
+    plan = certify._Plan("synthetic", 12, (certify._SUB_MIDPOINT, certify._SUB_HESSIAN))
+
+    def stack(*idx):
+        return certify._Stack(plan, 0, np.array(idx), 2, {})
+
+    a1, a2 = [stack(0, 1, 2), stack(5, 6)], [stack(3, 4), stack(7, 8, 9)]
+    b = [stack(10, 11)]
+    margins = np.array([
+        [0.5, np.nan, 0.2, 0.1, 0.3, 0.4, -1.0, -0.5, 0.6, 0.7, -2.0, 0.0],
+        [0.4, 0.1, -0.3, -1.0, 0.2, 0.1, 0.9, 0.8, np.nan, 0.3, 0.5, -0.0],
+    ])
+    notes = [{1: DomainError("a")}, {1: DomainError("later"), 8: DomainError("b")}]
+
+    def tallies():
+        return (certify._Tally("A", [plan], None, True), certify._Tally("B", [plan], None, True))
+
+    A, B = tallies()
+    together = _fold_lists([[(A, a1), (A, a2), (B, b)]], margins, notes)
+    A, B = tallies()
+    assert _fold_lists([[(A, a1)], [(A, a2)], [(B, b)]], margins, notes) == together
+    A, B = tallies()
+    assert _fold_lists([[(B, b), (A, a2)], [(A, a1)]], margins, notes) == together
+    assert (A.run, A.skipped, A.skip[0], str(A.skip[1])) == (8, 2, 1, "a")
+    assert A.hit[:2] == (-1.0, 3) and A.hit[2] is a2[0] and A.hit[3:5] == (0, 1)
+    assert A.prop_min.tolist() == [-1.0, -1.0]
+    assert [row[:3] for row in sorted(A.rows)] == [
+        (0, 2, 0.4), (2, 2, -0.3), (3, 2, -1.0), (4, 2, 0.2), (5, 2, 0.1), (6, 2, -1.0),
+        (7, 2, -0.5), (9, 2, 0.3),
+    ]
+    assert B.hit[:2] == (-2.0, 10) and B.skip == (12, "")
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+def test_one_batch_per_call_equals_one_list_per_batch(monkeypatch, seed):
+    # under a 64 MiB bound every call measures all its lists in one batch;
+    # under 64 KiB most batches hold one list.  Outcomes, fits and recorder
+    # rows agree by repr, over the registry and both twins, warm, and on the
+    # cold first run of square, whose stacks are measured as they are built
+    import entrocert.certify as certify
+
+    cfg = TestConfig(seed=seed, samples=10)
+    fold, sizes = certify._fold, []
+    monkeypatch.setattr(certify, "_fold", lambda batch, *args: sizes.append(len(batch)) or fold(batch, *args))
+
+    def runs(bound):
+        monkeypatch.setattr(certify, "_CHUNK_BYTES", bound)
+        certify._KEPT.clear()
+        certify._REBUILT.clear()
+        out, calls = [], []
+        for f in [lookup("square"), *_battery_functions()]:
+            recorder, sizes[:] = [], []
+            outcomes, fit = run_suite(f, "all", cfg, recorder)
+            out.append(repr((outcomes, fit, recorder)))
+            calls.append(list(sizes))
+        return out, calls
+
+    wide, wide_calls = runs(1 << 26)
+    narrow, narrow_calls = runs(1 << 16)
+    assert narrow == wide
+    # warm: one batch per call, against batches of one list or two
+    assert all(len(sizes) == 1 for sizes in wide_calls[1:])
+    narrow_sizes = [n for sizes in narrow_calls[1:] for n in sizes]
+    assert narrow_sizes.count(1) > len(narrow_sizes) / 2
+    assert max(narrow_sizes) < min(sizes[0] for sizes in wide_calls[1:])
+
+
+def test_a_warm_call_rebuilds_no_stack_data(monkeypatch):
+    # what a stack holds that f does not change is computed where the stack
+    # is built or merged: a warm `all` call computes the working set of no
+    # kept stack (only of the gap suites' grid stacks, which depend on f and
+    # are built anew) and builds no layout, and the Loewner matrices read
+    # the kept layout dicts themselves
+    import entrocert.certify as certify
+
+    f, cfg = lookup("tlogt"), TestConfig(seed=42, samples=10)
+    run_suite(f, "all", cfg)
+    kept = {
+        id(layout) for stacks in certify._KEPT.values() for stack in stacks
+        for D in stack.derived.values() for key, layout in D.items() if key.endswith(".layout")
+    }
+    costed, built, read = [], [], []
+    working_set, layout, loewner = certify._Stack.working_set, certify._layout, certify._loewner
+    monkeypatch.setattr(certify._Stack, "working_set", lambda s: costed.append(s) or working_set(s))
+    monkeypatch.setattr(certify, "_layout", lambda lam: built.append(lam) or layout(lam))
+    monkeypatch.setattr(certify, "_loewner", lambda fp, lays: read.extend(lays) or loewner(fp, lays))
+    run_suite(f, "all", cfg)
+    assert costed and all(not stack.plan.stream for stack in costed)
+    assert not built
+    assert read and all(id(lay) in kept for lay in read)
+
+
+def test_a_payload_extra_is_a_finite_number():
+    # the extras a witness writes next to its fields are not read (its
+    # margin recomputes them), but one that is there must be a finite number
+    rng = np.random.default_rng(8)
+    rho, sigma = (matrix_to_json(random_pd(2, (0.5, 2.0), rng)) for _ in range(2))
+    payload = {
+        "kind": "equivalence", "rho": rho, "sigma": sigma, "h1": [rho], "h2": [sigma], "band": 0.0,
+    }
+    square = lookup("square")
+    margin = reverify_counterexample(square, payload)
+    assert reverify_counterexample(square, {**payload, "margin13": 1.0, "margin_hessian": -1.0}) == margin
+    for value, why in (("x", "expected a number"), (True, "expected a number"), (float("inf"), "")):
+        with pytest.raises(ValueError, match=f"field 'margin13' is malformed: {why}"):
+            reverify_counterexample(square, {**payload, "margin13": value})
+
+
 def test_search_stacks_keep_the_condition13_derive():
     import entrocert.certify as certify
 
@@ -1594,8 +1783,8 @@ def test_kept_pairings_match_the_superoperator_and_second_diff_G(name):
     rhos, hs = _coincident_stack()
     D = certify._SUB_HESSIAN.derive({"rhos": rhos, "hs": hs})
     # the stack has exact repeats beyond the diagonals, and near pairs
-    assert (D["rhos.same"].sum() + D["sums.same"].sum()) > rhos.shape[0] * 3 * 3
-    assert "rhos.near" in D and "sums.near" in D
+    assert (D["rhos.layout"]["same"].sum() + D["sums.layout"]["same"].sum()) > rhos.shape[0] * 3 * 3
+    assert "near" in D["rhos.layout"] and "near" in D["sums.layout"]
     at_rhos, at_sums = certify._kernel_values(f, certify._SUB_HESSIAN.reads.points(D))
     single = certify._weighted(at_rhos, D["rhos.weights"])
     joint = certify._weighted(at_sums, D["sums.weights"])

@@ -309,6 +309,85 @@ def test_reverify_payload_matrix_entry_is_a_json_number(capsys, tmp_path, entry)
     assert err.startswith("entrocert: error:") and "field 'rho'" in err and "expected a number" in err
 
 
+@pytest.mark.parametrize(
+    "suite, path, field, why",
+    [
+        ("condition13", ("rho", "re", 0, 0), "rho", "an entry is not finite"),
+        ("condition13", ("sigma", "im", 1, 0), "sigma", "an entry is not finite"),
+        ("gain", ("channel", "kraus", 0, "im", 0, 0), "channel",
+         "Kraus family is not trace preserving (defect nan)"),
+    ],
+    ids=["matrix-re", "matrix-im", "kraus-im"],
+)
+@pytest.mark.parametrize("literal", ["1e999", "-1e999"])
+def test_reverify_non_finite_payload_entry_is_a_usage_error(
+    capsys, tmp_path, suite, path, field, why, literal
+):
+    # JSON reads the literal 1e999 as inf: a malformed report that names its
+    # field (exit 3), not a NumPy warning and a numerical error of the
+    # linear algebra.  A channel's own check refuses it first
+    import warnings
+
+    report = tmp_path / "square.json"
+    rc, _, _ = run(
+        capsys, "certify", "--function", "square", "--suite", suite,
+        "--samples", "4", "--seed", "1", "--out", str(report),
+    )
+    assert rc == 1
+    obj = json.loads(report.read_text())
+    holder = obj["outcomes"][0]["counterexample"]
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = "ENTRY"
+    report.write_text(json.dumps(obj).replace('"ENTRY"', literal))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "reverify", str(report))
+    assert rc == 3
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("entrocert: error:") and (
+        f"(outcomes[0].counterexample: {suite} field {field!r} is malformed: {why})"
+    ) in err
+
+
+@pytest.fixture(scope="module")
+def fit_report(tmp_path_factory):
+    """A report whose last outcome is a uniqueness-fit FAIL, with the extras t, slope and relative_residual."""
+    path = tmp_path_factory.mktemp("fit") / "fit.json"
+    rc = main([
+        "certify", "--expr", "t*log(t) - 0.001*t^2", "--zero-extension", "0", "--suite", "uniqueness",
+        "--samples", "20", "--seed", "1", "--tol", "0.5", "--out", str(path),
+    ])
+    assert rc == 1
+    return path.read_text()
+
+
+@pytest.mark.parametrize(
+    "extra, value, why",
+    [
+        ("slope", '"x"', "expected a number, got 'x'"),
+        ("t", "true", "expected a number, got True"),
+        ("relative_residual", "1e999", "expected a number, got inf"),
+    ],
+)
+def test_reverify_malformed_witness_extra_is_a_usage_error(capsys, tmp_path, fit_report, extra, value, why):
+    # a witness's extras are checked as it is read: a malformed one is a
+    # malformed report that names it (exit 3), not a report that
+    # re-verifies as the intact one does (exit 1, from its tol)
+    obj = json.loads(fit_report)
+    last = len(obj["outcomes"]) - 1
+    assert obj["outcomes"][last]["counterexample"]["kind"] == "uniqueness-fit"
+    obj["outcomes"][last]["counterexample"][extra] = "EXTRA"
+    path = tmp_path / "fit.json"
+    path.write_text(json.dumps(obj).replace('"EXTRA"', value))
+    rc, out, err = run(capsys, "reverify", str(path))
+    assert rc == 3
+    assert out == "" and "Traceback" not in err
+    assert f"(outcomes[{last}].counterexample: uniqueness-fit field {extra!r} is malformed: {why})" in err
+    path.write_text(fit_report)
+    assert run(capsys, "reverify", str(path))[0] == 1
+
+
 @pytest.mark.parametrize("factor, rc", [(1.0 + 1e-13, 0), (1.0 + 1e-11, 1), (-10.0, 1)])
 def test_reverify_compares_the_payload_margin(capsys, tmp_path, factor, rc):
     # the re-verified margin must be the payload's, to the goldens' 1e-12
